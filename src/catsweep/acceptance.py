@@ -1,9 +1,13 @@
-"""End-to-end verification battery.
+"""Command reports and the end-to-end verification battery.
 
-Each criterion exercises one quantitative claim of the toolkit at its
-stated tolerance and wall-clock limit, computing everything fresh from
-the public APIs.  The runners return structured results so both the test
-suite and the command line can render one pass/fail line per criterion.
+Each command-line computation that the battery checks is one function
+here returning that command's report: the command prints it, and the
+criterion reads its tolerance off the same report, so `verify-all` and the
+subcommands share one code path.  Criteria 2 and 6 have no command, and
+criterion 9 reads the report of the doubled sweepout itself.  Every
+criterion states its tolerance and wall-clock limit, and the runners
+return structured results so both the test suite and the command line
+can render one pass/fail line per criterion.
 """
 
 import math
@@ -13,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catenoid import (
+    HALVING_GRID,
     CatenoidSpec,
     asymptotic_ratio_scan,
-    empirical_threshold,
-    estimate_bound,
     solve_parameters,
 )
 from .doubling import assemble_doubled_sweepout
+from .errors import DomainError
 from .fermi import (
     NormalGraphField,
     build_cutoff,
@@ -30,8 +34,155 @@ from .fermi import (
 )
 from .mesh import geodesic_distances, level_set_perimeter, mesh_area
 from .neckscaling import cost_exponent_fit
+from .report import make_report
 from .revolution import excess_scaling_comparison, mountain_pass_width
 from .surfaces import clifford_torus, disk_rings_for_cutoff, flat_disk
+
+WIDTH_TOL = 5e-3            # relative width error against the closed form
+EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))
+EXCESS_SLOPE_TOL = 0.25     # log-log slope of naive over optimal excess, target 1
+QUAD_TOL = 0.01             # quadratic area coefficient against -4*pi^2
+KAPPA_FLOOR = 0.05          # tube-family margin / h^2
+DISK_CUTOFF_TOL = 1e-6      # flat-disk cutoff energy against 2*pi/(-log t)
+NECK_EXPONENT_TOL = 0.01    # fitted neck cost exponent against the dimension
+
+
+def catenoid_scan(r):
+    """`catenoid scan`: unstable area minus its budget on HALVING_GRID."""
+    scan = asymptotic_ratio_scan(r, HALVING_GRID)
+    rows = [
+        {
+            "t": row.h,
+            "area": row.area_unstable - row.bound_value,
+            "area_unstable": row.area_unstable,
+            "bound_value": row.bound_value,
+        }
+        for row in scan.rows
+    ]
+    rep = make_report("catenoid-scan", {"r": r}, rows, 0.0)
+    rep.summary["h_threshold"] = scan.bound_threshold()
+    return rep
+
+
+def width_run(r, h, tolerance):
+    """`width run`: mountain-pass width against the unstable catenoid area."""
+    ref = solve_parameters(CatenoidSpec(r=r, h=h)).area_unstable
+    res = mountain_pass_width(r, h)
+    rows = [
+        {
+            "t": h,
+            "area": abs(res.width / ref - 1.0),
+            "width": res.width,
+            "reference_area": ref,
+            "argmax_t": res.argmax_t,
+            "iterations": res.iterations,
+        }
+    ]
+    return make_report(
+        "width-run", {"r": r, "h": h, "tolerance": tolerance}, rows, tolerance
+    )
+
+
+def width_excess(r):
+    """`width excess`: naive vs optimal excess scaling slope on EXCESS_GRID."""
+    comp = excess_scaling_comparison(r, EXCESS_GRID)
+    rows = [{"t": 0.0, "area": abs(comp.slope - 1.0), "slope": comp.slope}]
+    return make_report(
+        "width-excess",
+        {"r": r, "h_grid": list(EXCESS_GRID), "tolerance": EXCESS_SLOPE_TOL},
+        rows,
+        EXCESS_SLOPE_TOL,
+    )
+
+
+def fermi_quad(cl, step):
+    """`fermi quad`: second difference of the exact graph area of the
+    constant normal offset over the middle torus cl, against -4*pi^2."""
+    if not step > 0.0:
+        raise DomainError("finite-difference step must be positive, got step = %g" % step)
+    ones = np.ones(cl.n_vertices)
+    a0 = graph_area_exact(NormalGraphField(cl, ones, 0.0))
+    ap = graph_area_exact(NormalGraphField(cl, ones, step))
+    am = graph_area_exact(NormalGraphField(cl, ones, -step))
+    coeff = 0.5 * (ap - 2.0 * a0 + am) / (step * step)
+    target = -4.0 * math.pi ** 2
+    rows = [
+        {
+            "t": step,
+            "area": abs(coeff / target - 1.0),
+            "coefficient": coeff,
+            "target": target,
+            "base_area": a0,
+        }
+    ]
+    return make_report(
+        "fermi-quad",
+        {"n": cl.aux["grid_n"], "step": step, "tolerance": QUAD_TOL},
+        rows,
+        QUAD_TOL,
+    )
+
+
+def fermi_tubes(cl, h):
+    """`fermi tubes`: two-sided tube family over the middle torus cl with
+    one swap-symmetric puncture pair, and its margin rate against KAPPA_FLOOR."""
+    n = cl.aux["grid_n"]
+    p = n // 4 * n + 3 * n // 4
+    p_swap = 3 * n // 4 * n + n // 4
+    rep = two_sided_tube_family(cl, np.ones(cl.n_vertices), [p, p_swap], h)
+    rep.summary["kappa_floor"] = KAPPA_FLOOR
+    rep.summary["kappa_ok"] = bool(rep.summary["kappa"] >= KAPPA_FLOOR)
+    return rep
+
+
+def cutoff_disk(t):
+    """`cutoff disk`: flat-disk cutoff energy against 2*pi/(-log t)."""
+    dk = flat_disk(64, disk_rings_for_cutoff(t))
+    e = cutoff_energy(build_cutoff(dk, 0, t))
+    ref = 2.0 * math.pi / (-math.log(t))
+    rows = [{"t": t, "area": abs(e / ref - 1.0), "energy": e, "reference": ref}]
+    return make_report(
+        "cutoff-disk", {"t": t, "tolerance": DISK_CUTOFF_TOL}, rows, DISK_CUTOFF_TOL
+    )
+
+
+def cutoff_torus(cl, t):
+    """`cutoff torus`: cutoff energy on the middle torus cl against the
+    bound D/(-log t), D fitted from level-set perimeters of the distance."""
+    n = cl.aux["grid_n"]
+    center = (n // 2) * n + n // 2
+    dist = geodesic_distances(cl, center)
+    d_const = 2.0 * max(
+        level_set_perimeter(cl, dist, lam) / lam for lam in (0.2, 0.3, 0.5, 0.8)
+    )
+    e = cutoff_energy(build_cutoff(cl, center, t))
+    bound = d_const / (-math.log(t))
+    rows = [
+        {
+            "t": t,
+            "area": e / bound,
+            "energy": e,
+            "bound_value": bound,
+            "d_constant": d_const,
+        }
+    ]
+    return make_report("cutoff-torus", {"t": t, "n": n}, rows, 1.0)
+
+
+def neck_fit(n):
+    """`neck fit`: fitted neck cost exponent against the dimension n."""
+    slope = cost_exponent_fit(n)
+    rows = [
+        {
+            "t": float(n),
+            "area": abs(slope - float(n)),
+            "exponent": slope,
+            "target": float(n),
+        }
+    ]
+    return make_report(
+        "neck-fit", {"n": n, "tolerance": NECK_EXPONENT_TOL}, rows, NECK_EXPONENT_TOL
+    )
 
 
 @dataclass
@@ -51,20 +202,12 @@ class CriterionResult:
 
 
 def _criterion_1():
-    r = 1.0
-    h0 = empirical_threshold(r)
-    grid = []
-    h = 0.1
-    while h >= 1e-6:
-        grid.append(h)
-        h *= 0.5
-    worst = -math.inf
-    for h in grid:
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
-        worst = max(worst, sol.area_unstable - estimate_bound(r, h))
-    ok = worst <= 0.0 and h0 >= grid[0]
+    rep = catenoid_scan(1.0)
+    worst = rep.summary["sup_area"]
+    h0 = rep.summary["h_threshold"]
+    ok = worst <= 0.0 and h0 >= HALVING_GRID[0]
     detail = "bound slack min %.3g over %d grid points, threshold %.3g" % (
-        -worst, len(grid), h0
+        -worst, len(rep.rows), h0
     )
     return ok, detail
 
@@ -102,37 +245,28 @@ def _criterion_2():
 
 
 def _criterion_3():
-    rels = []
-    for h in (0.3, 0.5):
-        ref = solve_parameters(CatenoidSpec(r=1.0, h=h)).area_unstable
-        got = mountain_pass_width(1.0, h).width
-        rels.append(abs(got / ref - 1.0))
-    ok = max(rels) <= 5e-3
+    rels = [width_run(1.0, h, WIDTH_TOL).summary["sup_area"] for h in (0.3, 0.5)]
+    ok = max(rels) <= WIDTH_TOL
     detail = "width rel errors %.2e, %.2e (tol 5e-3)" % tuple(rels)
     return ok, detail
 
 
 def _criterion_4():
-    comp = excess_scaling_comparison(1.0, tuple(10.0 ** (-k) for k in range(2, 8)))
-    ok = abs(comp.slope - 1.0) <= 0.25
-    detail = "log-log slope %.4f (target 1.0 +- 0.25)" % comp.slope
+    rep = width_excess(1.0)
+    ok = rep.summary["sup_area"] <= EXCESS_SLOPE_TOL
+    detail = "log-log slope %.4f (target 1.0 +- 0.25)" % rep.rows[0]["slope"]
     return ok, detail
 
 
 def _criterion_5():
     cl = clifford_torus(64)
-    ones = np.ones(cl.n_vertices)
-    d = 0.05
-    a0 = graph_area_exact(NormalGraphField(cl, ones, 0.0))
-    ap = graph_area_exact(NormalGraphField(cl, ones, d))
-    am = graph_area_exact(NormalGraphField(cl, ones, -d))
-    coeff = 0.5 * (ap - 2.0 * a0 + am) / (d * d)
-    target = -4.0 * math.pi ** 2
-    rel_coeff = abs(coeff / target - 1.0)
+    row = fermi_quad(cl, 0.05).rows[0]
+    # the chart area, exact for the flat product metric; the report's
+    # base_area is the geodesic triangle sum, 4e-4 above 2*pi^2 at n = 64
     rel_area = abs(mesh_area(cl) / (2.0 * math.pi ** 2) - 1.0)
-    ok = rel_coeff <= 0.01 and rel_area <= 1e-4
+    ok = row["area"] <= QUAD_TOL and rel_area <= 1e-4
     detail = "quadratic coefficient %.4f vs %.4f (rel %.2e, tol 1e-2); base area rel %.2e (tol 1e-4)" % (
-        coeff, target, rel_coeff, rel_area
+        row["coefficient"], row["target"], row["area"], rel_area
     )
     return ok, detail
 
@@ -162,43 +296,22 @@ def _criterion_6():
 
 
 def _criterion_7():
-    rels = []
-    for t in (1e-2, 1e-3):
-        dk = flat_disk(64, disk_rings_for_cutoff(t))
-        e = cutoff_energy(build_cutoff(dk, 0, t))
-        rels.append(abs(e * (-math.log(t)) / (2.0 * math.pi) - 1.0))
-    cl = clifford_torus(64)
-    n = cl.aux["grid_n"]
-    center = (n // 2) * n + n // 2
-    dist = geodesic_distances(cl, center)
-    d_const = 2.0 * max(
-        level_set_perimeter(cl, dist, lam) / lam for lam in (0.2, 0.3, 0.5, 0.8)
-    )
-    t = 0.05
-    e_torus = cutoff_energy(build_cutoff(cl, center, t))
-    bound = d_const / (-math.log(t))
-    ok = max(rels) <= 1e-6 and e_torus <= bound
+    rels = [cutoff_disk(t).summary["sup_area"] for t in (1e-2, 1e-3)]
+    row = cutoff_torus(clifford_torus(64), 0.05).rows[0]
+    ok = max(rels) <= DISK_CUTOFF_TOL and row["energy"] <= row["bound_value"]
     detail = "disk energy rel errors %.2e, %.2e (tol 1e-6); torus energy %.4f <= %.4f" % (
-        rels[0], rels[1], e_torus, bound
+        rels[0], rels[1], row["energy"], row["bound_value"]
     )
     return ok, detail
 
 
 def _criterion_8():
     cl = clifford_torus(64)
-    n = cl.aux["grid_n"]
-    ones = np.ones(cl.n_vertices)
-    p = 16 * n + 48
-    p_swap = 48 * n + 16
-    kappas = []
-    all_passed = True
-    for h in (0.02, 0.05):
-        rep = two_sided_tube_family(cl, ones, [p, p_swap], h)
-        all_passed = all_passed and rep.summary["passed"]
-        kappas.append(rep.summary["kappa"])
-    ok = all_passed and min(kappas) >= 0.05
+    summaries = [fermi_tubes(cl, h).summary for h in (0.02, 0.05)]
+    all_passed = all(s["passed"] for s in summaries)
+    ok = all_passed and all(s["kappa_ok"] for s in summaries)
     detail = "sup under doubled budget: %s; margin/h^2 = %.3f, %.3f (floor 0.05)" % (
-        "yes" if all_passed else "NO", kappas[0], kappas[1]
+        "yes" if all_passed else "NO", summaries[0]["kappa"], summaries[1]["kappa"]
     )
     return ok, detail
 
@@ -219,13 +332,11 @@ def _criterion_9():
 
 
 def _criterion_10():
-    devs = []
-    for n in (3, 4, 5, 6):
-        devs.append(abs(cost_exponent_fit(n) - n))
-    control = cost_exponent_fit(2)
-    ok = max(devs) <= 0.01 and abs(control - 2.0) <= 0.01
+    devs = [neck_fit(n).summary["sup_area"] for n in (3, 4, 5, 6)]
+    control = neck_fit(2)
+    ok = max(devs) <= NECK_EXPONENT_TOL and control.summary["sup_area"] <= NECK_EXPONENT_TOL
     detail = "exponent deviations %s (tol 0.01); n=2 control %.4f" % (
-        ", ".join("%.2e" % d for d in devs), control
+        ", ".join("%.2e" % d for d in devs), control.rows[0]["exponent"]
     )
     return ok, detail
 

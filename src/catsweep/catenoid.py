@@ -15,6 +15,10 @@ from .errors import DomainError, NoCatenoid, NonConvergence
 TOL_ROOT = 1e-10     # relative residual demanded of c*cosh(h/c) = r
 MAX_BISECT = 200     # more halvings than float64 can use
 
+# separations 0.1*2^-k down to 1e-6 (17 points) on which the area bound
+# is checked; halving is exact, so the points are bit-identical however built
+HALVING_GRID = tuple(0.1 * 0.5 ** k for k in range(17))
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -173,31 +177,14 @@ def estimate_bound(r, h):
     return _TWO_PI * r * r + 4.0 * math.pi * h * h / (-math.log(h))
 
 
-def empirical_threshold(r, h_start=0.1, h_floor=1e-6):
-    """Largest grid separation h0 (grid h_start*2^-k) with the area bound
-    holding at h0 and every smaller grid point down to h_floor.
+def empirical_threshold(r):
+    """Largest separation h0 of HALVING_GRID with the area bound holding at
+    h0 and at every smaller grid point.
 
     The bound's validity constant is existential, so the threshold is
     reported from measurement rather than assumed.
     """
-    grid = []
-    h = h_start
-    while h >= h_floor:
-        grid.append(h)
-        h *= 0.5
-    holds = []
-    for h in grid:
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
-        holds.append(sol.area_unstable <= estimate_bound(r, h))
-    h0 = None
-    for h, ok in zip(grid, holds):
-        if ok and h0 is None:
-            h0 = h
-        elif not ok:
-            h0 = None
-    if h0 is None:
-        raise NonConvergence("bound failed on the whole grid down to %g" % h_floor)
-    return h0
+    return asymptotic_ratio_scan(r, HALVING_GRID).bound_threshold()
 
 
 @dataclass(frozen=True)
@@ -214,6 +201,22 @@ class EstimateScan:
     r: float
     h_grid: tuple
     rows: tuple
+
+    def bound_threshold(self):
+        """Largest grid h with the area bound holding there and at every
+        smaller grid point; raises NonConvergence when there is none."""
+        h0 = None
+        for row in self.rows:
+            if row.area_unstable <= row.bound_value:
+                if h0 is None:
+                    h0 = row.h
+            else:
+                h0 = None
+        if h0 is None:
+            raise NonConvergence(
+                "bound failed on the whole grid down to %g" % self.h_grid[-1]
+            )
+        return h0
 
 
 def asymptotic_ratio_scan(r, h_grid):

@@ -3,36 +3,20 @@
 Every action runs a computation, phrases its verdict as a sup-versus-
 budget comparison in a report, and exits 0 on pass, 2 on a verification
 failure, 1 on a usage or configuration error.  Reports serialize to
-byte-stable JSON (or CSV) and can be written atomically to a file.
+byte-stable JSON (or CSV) and can be written atomically to a file.  The
+commands that the verification battery checks compute their reports in
+`acceptance`, so the handlers here only map arguments.
 """
 
 import argparse
-import math
 import sys
 
-import numpy as np
-
 from . import acceptance
-from .catenoid import (
-    CatenoidSpec,
-    empirical_threshold,
-    estimate_bound,
-    solve_parameters,
-)
+from .catenoid import CatenoidSpec, estimate_bound, solve_parameters
 from .doubling import assemble_doubled_sweepout, default_schedule
 from .errors import BudgetViolated, CatsweepError, NonConvergence, SolverFailure
-from .fermi import (
-    NormalGraphField,
-    build_cutoff,
-    cutoff_energy,
-    graph_area_exact,
-    two_sided_tube_family,
-)
-from .mesh import geodesic_distances, level_set_perimeter
-from .neckscaling import cost_exponent_fit
 from .report import make_report, report_to_csv, report_to_json, write_atomic
-from .revolution import excess_scaling_comparison, mountain_pass_width
-from .surfaces import clifford_torus, disk_rings_for_cutoff, flat_disk
+from .surfaces import clifford_torus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,143 +40,7 @@ def _cmd_catenoid_solve(args):
             "bound_value": bound,
         }
     ]
-    return make_report(
-        "catenoid-solve", {"r": args.r, "h": args.h}, rows, bound, stamp=args.stamp
-    )
-
-
-def _cmd_catenoid_scan(args):
-    h0 = empirical_threshold(args.r)
-    rows = []
-    h = 0.1
-    while h >= 1e-6:
-        sol = solve_parameters(CatenoidSpec(r=args.r, h=h))
-        bound = estimate_bound(args.r, h)
-        rows.append(
-            {
-                "t": h,
-                "area": sol.area_unstable - bound,
-                "area_unstable": sol.area_unstable,
-                "bound_value": bound,
-            }
-        )
-        h *= 0.5
-    rep = make_report("catenoid-scan", {"r": args.r}, rows, 0.0, stamp=args.stamp)
-    rep.summary["h_threshold"] = h0
-    return rep
-
-
-def _cmd_width_run(args):
-    ref = solve_parameters(CatenoidSpec(r=args.r, h=args.h)).area_unstable
-    res = mountain_pass_width(args.r, args.h)
-    rows = [
-        {
-            "t": args.h,
-            "area": abs(res.width / ref - 1.0),
-            "width": res.width,
-            "reference_area": ref,
-            "argmax_t": res.argmax_t,
-            "iterations": res.iterations,
-        }
-    ]
-    return make_report(
-        "width-run",
-        {"r": args.r, "h": args.h, "tolerance": args.tolerance},
-        rows,
-        args.tolerance,
-        stamp=args.stamp,
-    )
-
-
-def _cmd_width_excess(args):
-    grid = tuple(10.0 ** (-k) for k in range(2, 8))
-    comp = excess_scaling_comparison(args.r, grid)
-    rows = [{"t": 0.0, "area": abs(comp.slope - 1.0), "slope": comp.slope}]
-    return make_report(
-        "width-excess",
-        {"r": args.r, "h_grid": list(grid), "tolerance": 0.25},
-        rows,
-        0.25,
-        stamp=args.stamp,
-    )
-
-
-def _cmd_fermi_quad(args):
-    cl = clifford_torus(args.n)
-    ones = np.ones(cl.n_vertices)
-    d = args.step
-    a0 = graph_area_exact(NormalGraphField(cl, ones, 0.0))
-    ap = graph_area_exact(NormalGraphField(cl, ones, d))
-    am = graph_area_exact(NormalGraphField(cl, ones, -d))
-    coeff = 0.5 * (ap - 2.0 * a0 + am) / (d * d)
-    target = -4.0 * math.pi ** 2
-    rows = [
-        {
-            "t": d,
-            "area": abs(coeff / target - 1.0),
-            "coefficient": coeff,
-            "target": target,
-            "base_area": a0,
-        }
-    ]
-    return make_report(
-        "fermi-quad",
-        {"n": args.n, "step": d, "tolerance": 0.01},
-        rows,
-        0.01,
-        stamp=args.stamp,
-    )
-
-
-def _cmd_fermi_tubes(args):
-    cl = clifford_torus(args.n)
-    ones = np.ones(cl.n_vertices)
-    p = args.n // 4 * args.n + 3 * args.n // 4
-    p_swap = 3 * args.n // 4 * args.n + args.n // 4
-    rep = two_sided_tube_family(cl, ones, [p, p_swap], args.h)
-    if args.stamp is not None:
-        rep.meta["timestamp"] = args.stamp
-    rep.summary["kappa_floor"] = 0.05
-    rep.summary["kappa_ok"] = bool(rep.summary["kappa"] >= 0.05)
-    return rep
-
-
-def _cmd_cutoff_disk(args):
-    dk = flat_disk(64, disk_rings_for_cutoff(args.t))
-    e = cutoff_energy(build_cutoff(dk, 0, args.t))
-    ref = 2.0 * math.pi / (-math.log(args.t))
-    rows = [{"t": args.t, "area": abs(e / ref - 1.0), "energy": e, "reference": ref}]
-    return make_report(
-        "cutoff-disk",
-        {"t": args.t, "tolerance": 1e-6},
-        rows,
-        1e-6,
-        stamp=args.stamp,
-    )
-
-
-def _cmd_cutoff_torus(args):
-    cl = clifford_torus(args.n)
-    n = cl.aux["grid_n"]
-    center = (n // 2) * n + n // 2
-    dist = geodesic_distances(cl, center)
-    d_const = 2.0 * max(
-        level_set_perimeter(cl, dist, lam) / lam for lam in (0.2, 0.3, 0.5, 0.8)
-    )
-    e = cutoff_energy(build_cutoff(cl, center, args.t))
-    bound = d_const / (-math.log(args.t))
-    rows = [
-        {
-            "t": args.t,
-            "area": e / bound,
-            "energy": e,
-            "bound_value": bound,
-            "d_constant": d_const,
-        }
-    ]
-    return make_report(
-        "cutoff-torus", {"t": args.t, "n": args.n}, rows, 1.0, stamp=args.stamp
-    )
+    return make_report("catenoid-solve", {"r": args.r, "h": args.h}, rows, bound)
 
 
 def _cmd_doubling_sweep(args):
@@ -202,29 +50,7 @@ def _cmd_doubling_sweep(args):
             epsilon=args.epsilon if args.epsilon is not None else 0.015,
             delta=args.delta if args.delta is not None else 0.22,
         )
-    rep = assemble_doubled_sweepout(args.m, schedule=schedule, n=args.n)
-    if args.stamp is not None:
-        rep.meta["timestamp"] = args.stamp
-    return rep
-
-
-def _cmd_neck_fit(args):
-    slope = cost_exponent_fit(args.n)
-    rows = [
-        {
-            "t": float(args.n),
-            "area": abs(slope - float(args.n)),
-            "exponent": slope,
-            "target": float(args.n),
-        }
-    ]
-    return make_report(
-        "neck-fit",
-        {"n": args.n, "tolerance": 0.01},
-        rows,
-        0.01,
-        stamp=args.stamp,
-    )
+    return assemble_doubled_sweepout(args.m, schedule=schedule, n=args.n)
 
 
 def _emit(rep, args):
@@ -280,20 +106,20 @@ def build_parser():
     p = cat_sub.add_parser("scan", help="verify the area bound over the halving grid")
     p.add_argument("--r", type=float, default=1.0)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_catenoid_scan)
+    p.set_defaults(handler=lambda a: acceptance.catenoid_scan(a.r))
 
     wid = subs.add_parser("width", help="sweepout width computations")
     wid_sub = wid.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = wid_sub.add_parser("run", help="mountain-pass width vs the closed form")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--tolerance", type=float, default=5e-3)
+    p.add_argument("--tolerance", type=float, default=acceptance.WIDTH_TOL)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_width_run)
+    p.set_defaults(handler=lambda a: acceptance.width_run(a.r, a.h, a.tolerance))
     p = wid_sub.add_parser("excess", help="naive vs optimal excess scaling slope")
     p.add_argument("--r", type=float, default=1.0)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_width_excess)
+    p.set_defaults(handler=lambda a: acceptance.width_excess(a.r))
 
     fer = subs.add_parser("fermi", help="normal-graph expansions on the middle torus")
     fer_sub = fer.add_subparsers(dest="action", required=True, parser_class=_Parser)
@@ -301,24 +127,24 @@ def build_parser():
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--step", type=float, default=0.05)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_fermi_quad)
+    p.set_defaults(handler=lambda a: acceptance.fermi_quad(clifford_torus(a.n), a.step))
     p = fer_sub.add_parser("tubes", help="two-sided tube family with one puncture pair")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--h", type=float, default=0.05)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_fermi_tubes)
+    p.set_defaults(handler=lambda a: acceptance.fermi_tubes(clifford_torus(a.n), a.h))
 
     cut = subs.add_parser("cutoff", help="log-cutoff energies")
     cut_sub = cut.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = cut_sub.add_parser("disk", help="flat-disk energy vs the closed form")
     p.add_argument("--t", type=float, required=True)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cutoff_disk)
+    p.set_defaults(handler=lambda a: acceptance.cutoff_disk(a.t))
     p = cut_sub.add_parser("torus", help="middle-torus energy vs the fitted bound")
     p.add_argument("--t", type=float, default=0.05)
     p.add_argument("--n", type=int, default=64)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cutoff_torus)
+    p.set_defaults(handler=lambda a: acceptance.cutoff_torus(clifford_torus(a.n), a.t))
 
     dbl = subs.add_parser("doubling", help="equivariant doubled sweepout")
     dbl_sub = dbl.add_subparsers(dest="action", required=True, parser_class=_Parser)
@@ -335,7 +161,7 @@ def build_parser():
     p = nek_sub.add_parser("fit", help="fit the cost exponent for one dimension")
     p.add_argument("--n", type=int, required=True)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_neck_fit)
+    p.set_defaults(handler=lambda a: acceptance.neck_fit(a.n))
 
     p = subs.add_parser("verify-all", help="run the whole verification battery")
     p.set_defaults(handler=None, verify=True)
@@ -358,6 +184,7 @@ def run(argv):
     except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
+    rep.meta["timestamp"] = args.stamp
     try:
         _emit(rep, args)
     except OSError as exc:

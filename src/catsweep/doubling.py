@@ -14,12 +14,11 @@ swap of the factors.
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .errors import BudgetViolated, DomainError, RadiusTooLarge
-from .fermi import two_sided_tube_family
+from .fermi import log_cutoff, two_sided_tube_family
 from .mesh import (
     AMBIENT_S3,
     MeshSurface,
@@ -38,6 +37,10 @@ HANDOFF_NECK_MAX = 0.25
 # injectivity radius pi/2 of the joining geodesic, and under the spacing
 # of neighbouring orbit arcs for every supported symmetry order)
 TUBE_RADIUS_BOUND = 0.2
+
+# resolution of the tube_area mesh: rings along the arc, points per ring
+TUBE_SEGMENTS = 64
+TUBE_RING_POINTS = 64
 
 _POINT_TOL = 1e-12
 _MATCH_TOL = 1e-9
@@ -164,19 +167,6 @@ def cmc_area(t):
     return 4.0 * math.pi ** 2 * math.sqrt(t * (1.0 - t))
 
 
-@dataclass
-class CmcSlice:
-    t: float
-    mesh: MeshSurface
-
-
-def cmc_slice(t, n=64):
-    """Mesh of one foliation torus; the end slices degenerate to circles."""
-    if not 0.0 < t < 1.0:
-        raise DomainError("the slices at t = 0 and t = 1 are circles, not meshes")
-    return CmcSlice(t=float(t), mesh=product_torus(t, n))
-
-
 def neck_curve(t, m):
     """The joining curve evaluated at parameter t.
 
@@ -276,39 +266,6 @@ def _cross4(a, b, c):
     )
 
 
-def _transported_frames(points):
-    """Orthonormal normal frames along a polyline on the 3-sphere.
-
-    Tangents come from centered differences projected into the sphere's
-    tangent spaces; the frame propagates by projecting the previous pair
-    into each new normal space, which keeps twist at the roundoff level
-    for geodesic polylines.
-    """
-    pts = np.asarray(points, dtype=float)
-    tang = np.empty_like(pts)
-    tang[1:-1] = pts[2:] - pts[:-2]
-    tang[0] = pts[1] - pts[0]
-    tang[-1] = pts[-1] - pts[-2]
-    tang -= pts * np.sum(tang * pts, axis=1)[:, None]
-    tang /= np.linalg.norm(tang, axis=1)[:, None]
-    e1 = np.empty_like(pts)
-    e2 = np.empty_like(pts)
-    seeds = np.eye(4)
-    score = [abs(s @ pts[0]) + abs(s @ tang[0]) for s in seeds]
-    v = seeds[int(np.argmin(score))]
-    v = v - (v @ pts[0]) * pts[0] - (v @ tang[0]) * tang[0]
-    e1[0] = v / np.linalg.norm(v)
-    e2[0] = _cross4(pts[0], tang[0], e1[0])
-    for i in range(1, len(pts)):
-        for arr in (e1, e2):
-            v = arr[i - 1]
-            v = v - (v @ pts[i]) * pts[i] - (v @ tang[i]) * tang[i]
-            arr[i] = v / np.linalg.norm(v)
-        e2[i] -= (e2[i] @ e1[i]) * e1[i]
-        e2[i] /= np.linalg.norm(e2[i])
-    return tang, e1, e2
-
-
 def _ring_strip(ids_a, ids_b):
     r = len(ids_a)
     j = np.arange(r)
@@ -318,12 +275,14 @@ def _ring_strip(ids_a, ids_b):
     return np.vstack([t1, t2])
 
 
-def tube_area(t, radius, segments=64, ring_points=64):
+def tube_area(t, radius):
     """Mesh area of the lateral tube surface around the joining curve.
 
-    The curve from parameter t to the middle torus is a geodesic arc, so
-    the tube is meshed from rings in a transported normal frame; end caps
-    are not included (in the assembled family the ends are welded open).
+    The curve from parameter t to the middle torus is an arc of the great
+    circle through (1,0,0,0) and (0,0,1,0), so its normal plane is spanned
+    by the constant pair (0,1,0,0), (0,0,0,1) and the tube is meshed from
+    rings in that frame; end caps are not included (in the assembled
+    family the ends are welded open).
     Vanishes linearly in the radius with slope 2 pi times the arc length.
     """
     if not 0.0 <= t <= 0.5:
@@ -337,17 +296,15 @@ def tube_area(t, radius, segments=64, ring_points=64):
     chi_hi = 0.25 * math.pi
     if chi_hi - chi_lo < 1e-15:
         return 0.0
-    chis = np.linspace(chi_lo, chi_hi, segments + 1)
-    centers = np.column_stack(
-        [np.cos(chis), np.zeros(segments + 1), np.sin(chis), np.zeros(segments + 1)]
-    )
-    _, e1, e2 = _transported_frames(centers)
-    psi = 2.0 * np.pi * np.arange(ring_points) / ring_points
-    dirs = np.cos(psi)[None, :, None] * e1[:, None, :] + np.sin(psi)[None, :, None] * e2[:, None, :]
-    rings = math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    chis = np.linspace(chi_lo, chi_hi, seg + 1)
+    centers = np.column_stack([np.cos(chis), np.zeros(seg + 1), np.sin(chis), np.zeros(seg + 1)])
+    psi = 2.0 * np.pi * np.arange(rr) / rr
+    dirs = np.column_stack([np.zeros(rr), np.cos(psi), np.zeros(rr), np.sin(psi)])
+    rings = math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs[None, :, :]
     verts = rings.reshape(-1, 4)
-    ids = np.arange(verts.shape[0]).reshape(segments + 1, ring_points)
-    tris = np.vstack([_ring_strip(ids[i], ids[i + 1]) for i in range(segments)])
+    ids = np.arange(verts.shape[0]).reshape(seg + 1, rr)
+    tris = np.vstack([_ring_strip(ids[i], ids[i + 1]) for i in range(seg)])
     return float(np.sum(_spherical_triangle_areas(verts, tris)))
 
 
@@ -703,22 +660,11 @@ def _chart_center_gap(m, theta, phi):
     return np.sqrt(0.5 * (a * a + b * b))
 
 
-def _chart_cutoff(m, t_neck, theta, phi):
-    d = _chart_center_gap(m, theta, phi)
-    log_t = math.log(t_neck)
-    vals = np.ones_like(d)
-    inner = d <= t_neck * t_neck
-    vals[inner] = 0.0
-    mid = (~inner) & (d < t_neck)
-    vals[mid] = (2.0 * log_t - np.log(d[mid])) / log_t
-    return vals
-
-
 def _collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):
     # the cutoff rides at the image position, so the transition band keeps
     # a fixed width instead of being stretched along with the cells
     th2, ph2 = _retract_uv(m, s, theta, phi)
-    f = sheet * (1.0 - s) * h_eff * _chart_cutoff(m, t_neck, th2, ph2)
+    f = sheet * (1.0 - s) * h_eff * log_cutoff(_chart_center_gap(m, th2, ph2), t_neck)
     rt = 1.0 / math.sqrt(2.0)
     p = rt * np.column_stack([np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)])
     nu = rt * np.column_stack([np.cos(th2), np.sin(th2), -np.cos(ph2), -np.sin(ph2)])

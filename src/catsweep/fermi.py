@@ -34,6 +34,8 @@ from .mesh import (
 from .report import make_report
 
 MINIMALITY_TOL = 5e-2   # ceiling on max |tr(g^-1 A)| before a base stops counting as minimal
+JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
+JACOBI_MAX_ITERS = 200
 
 
 @dataclass
@@ -245,6 +247,18 @@ def _distances_from(m, p):
     return geodesic_distances(m, p)
 
 
+def log_cutoff(dist, t):
+    """Log-interpolated cutoff of a distance field: 0 on dist <= t^2, 1 on
+    dist >= t, and (2 log t - log dist)/log t in between."""
+    values = np.ones_like(dist)
+    log_t = math.log(t)
+    inner = dist <= t * t
+    values[inner] = 0.0
+    mid = (~inner) & (dist < t)
+    values[mid] = (2.0 * log_t - np.log(dist[mid])) / log_t
+    return values
+
+
 def build_cutoff(m, p, t):
     if not 0.0 < t < 1.0:
         raise DomainError("cutoff radius must sit in (0, 1)")
@@ -254,13 +268,7 @@ def build_cutoff(m, p, t):
             "radius %.3g is no embedded disk here (bound %.3g)" % (t, bound)
         )
     dist = _distances_from(m, p)
-    values = np.ones(m.n_vertices)
-    log_t = math.log(t)
-    inner = dist <= t * t
-    values[inner] = 0.0
-    mid = (~inner) & (dist < t)
-    values[mid] = (2.0 * log_t - np.log(dist[mid])) / log_t
-    return CutoffField(mesh=m, center=p, t=t, values=values, dist=dist)
+    return CutoffField(mesh=m, center=p, t=t, values=log_cutoff(dist, t), dist=dist)
 
 
 def cutoff_energy(c):
@@ -298,7 +306,7 @@ class JacobiData:
     lowest_pair: tuple
 
 
-def jacobi_lowest(m, tol=1e-9, max_iters=200):
+def jacobi_lowest(m):
     """Lowest eigenpair of -L = -(Laplacian + potential) on the mesh.
 
     Generalized problem (S - M q) phi = mu M phi with lumped mass M; shifted
@@ -317,16 +325,16 @@ def jacobi_lowest(m, tol=1e-9, max_iters=200):
     x = np.ones(m.n_vertices)
     x /= math.sqrt(float(np.sum(mass * x * x)))
     mu_prev = math.inf
-    for _ in range(max_iters):
+    for _ in range(JACOBI_MAX_ITERS):
         y = solver.solve(mass * x)
         y /= math.sqrt(float(np.sum(mass * y * y)))
         mu = float((y @ (s @ y)) - np.sum(mass * q * y * y))
         x = y
-        if abs(mu - mu_prev) <= tol * max(1.0, abs(mu)):
+        if abs(mu - mu_prev) <= JACOBI_TOL * max(1.0, abs(mu)):
             break
         mu_prev = mu
     else:
-        raise SolverFailure("inverse iteration missed tolerance %g" % tol)
+        raise SolverFailure("inverse iteration missed tolerance %g" % JACOBI_TOL)
     if float(np.sum(mass * x)) < 0.0:
         x = -x
     return JacobiData(stiffness=s, potential=q, mass=mass, lowest_pair=(mu, x))
@@ -343,7 +351,8 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
     phi = np.asarray(phi, dtype=float)
     if t_grid is None:
         t_grid = np.linspace(0.05, 0.35, 13)
-    base_area = mesh_area(m, method="triangle")
+    base_areas = triangle_areas(m)
+    base_area = float(np.sum(base_areas))
     dists = [_distances_from(m, p) for p in p_list]
     bound = m.aux.get("disk_radius_bound", math.inf)
     rows = []
@@ -353,27 +362,20 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
         if t >= bound:
             raise RadiusTooLarge("radius %.3g is no embedded disk here" % t)
         eta = np.ones(m.n_vertices)
-        log_t = math.log(t)
         for dist in dists:
-            vals = np.ones(m.n_vertices)
-            inner = dist <= t * t
-            vals[inner] = 0.0
-            mid = (~inner) & (dist < t)
-            vals[mid] = (2.0 * log_t - np.log(dist[mid])) / log_t
-            eta *= vals
+            eta *= log_cutoff(dist, t)
         field = NormalGraphField(base=m, phi=phi * eta, h=h)
         _check_validity(field)
         off = field.offsets()
         plus = push_along_normals(m, off)
         minus = push_along_normals(m, -off)
-        bary = np.zeros(len(m.triangles))
         keep = np.ones(len(m.triangles), dtype=bool)
         for dist in dists:
             bary = np.mean(dist[m.triangles], axis=1)
             keep &= bary > t * t
         a_plus = float(np.sum(triangle_areas(m, vertices=plus)[keep]))
         a_minus = float(np.sum(triangle_areas(m, vertices=minus)[keep]))
-        removed = float(np.sum(triangle_areas(m)[~keep]))
+        removed = float(np.sum(base_areas[~keep]))
         rows.append(
             {
                 "t": float(t),

@@ -318,31 +318,3 @@ def push_along_normals(m, offsets):
         s = np.sin(off)[:, None]
         return c * m.vertices + s * m.vertex_normals
     return m.vertices + off[:, None] * m.vertex_normals
-
-
-def save_mesh(path, m):
-    """Index-list text format: header, vertex lines, face lines."""
-    with open(path, "w") as fh:
-        fh.write("# catsweep mesh ambient=%s\n" % m.ambient)
-        for v in m.vertices:
-            fh.write("v " + " ".join("%.17g" % x for x in v) + "\n")
-        for t in m.triangles:
-            fh.write("f %d %d %d\n" % (t[0], t[1], t[2]))
-
-
-def load_mesh_arrays(path):
-    """Read back vertices/triangles/ambient from the text format."""
-    ambient = AMBIENT_R3
-    verts, tris = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                if "ambient=" in line:
-                    ambient = line.split("ambient=")[1].split()[0]
-                continue
-            if line.startswith("v "):
-                verts.append([float(x) for x in line.split()[1:]])
-            elif line.startswith("f "):
-                tris.append([int(x) for x in line.split()[1:]])
-    return np.array(verts), np.array(tris, dtype=np.int64), ambient

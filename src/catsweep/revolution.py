@@ -327,13 +327,13 @@ def mountain_pass_width(r, h, path0=None, descent_config=None):
     )
 
 
-def descend_profile(p, r, steps, step0=0.25):
+def descend_profile(p, r, steps):
     """Expose single-profile area descent; returns (profile, per-step areas)."""
-    cfg = DescentConfig(step0=step0)
+    cfg = DescentConfig()
     engine = _WidthEngine(r, float(p.x_nodes[-1]), p.x_nodes.size, cfg)
     f = p.f_values.copy()
     a = engine.area(f)
-    st = step0
+    st = cfg.step0
     areas = [a]
     for _ in range(steps):
         f, a, st, _, _ = engine.step(f, a, st)

@@ -110,6 +110,8 @@ def product_torus(t, n=64):
     """The torus {|z|^2 = t} in the round S^3 on an n-by-n chart grid."""
     if not 0.0 < t < 1.0:
         raise DomainError("torus parameter must sit strictly inside (0, 1)")
+    if n < 3:
+        raise DomainError("torus grid size n must be at least 3, got n = %d" % n)
     a = math.sqrt(t)
     b = math.sqrt(1.0 - t)
     ang = 2.0 * np.pi * np.arange(n) / n

@@ -13,6 +13,17 @@ from catsweep.acceptance import CriterionResult
 from catsweep.errors import BudgetViolated
 
 
+def _run_from_source(argv):
+    # a fresh interpreter on this checkout's source, the way an installed
+    # wrapper would run; stderr shows any uncaught exception as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catsweep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable] + argv, capture_output=True, text=True, env=env
+    )
+
+
 def test_solve_pass_exit_zero(capsys):
     code = cli.run(["catenoid", "solve", "--r", "1", "--h", "0.1", "--json"])
     assert code == 0
@@ -71,14 +82,46 @@ def test_json_output_deterministic(capsys):
     json.loads(first)
 
 
-def test_stamp_outside_hash(capsys):
-    cli.run(["neck", "fit", "--n", "3", "--json"])
+FAST_COMMANDS = {
+    "catenoid-solve": ["catenoid", "solve", "--r", "1", "--h", "0.1"],
+    "catenoid-scan": ["catenoid", "scan"],
+    "width-excess": ["width", "excess"],
+    "fermi-quad": ["fermi", "quad"],
+    "cutoff-disk": ["cutoff", "disk", "--t", "0.01"],
+    "neck-fit": ["neck", "fit", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", FAST_COMMANDS.values(), ids=FAST_COMMANDS.keys())
+def test_stamp_outside_hash(argv, capsys):
+    cli.run(argv + ["--json"])
     plain = json.loads(capsys.readouterr().out)
-    cli.run(["neck", "fit", "--n", "3", "--json", "--stamp", "2026-08-23"])
+    cli.run(argv + ["--json", "--stamp", "2026-08-23"])
     stamped = json.loads(capsys.readouterr().out)
     assert plain["meta"]["timestamp"] is None
     assert stamped["meta"]["timestamp"] == "2026-08-23"
     assert plain["meta"]["config_hash"] == stamped["meta"]["config_hash"]
+    del plain["meta"]["timestamp"], stamped["meta"]["timestamp"]
+    assert plain == stamped
+
+
+# argv, and the fragment of the one-line message naming the bad value
+BAD_INPUTS = {
+    "quad-step-0": (["fermi", "quad", "--step", "0"], "step = 0"),
+    "quad-n-0": (["fermi", "quad", "--n", "0"], "n = 0"),
+    "tubes-n-0": (["fermi", "tubes", "--n", "0"], "n = 0"),
+    "cutoff-torus-n-0": (["cutoff", "torus", "--n", "0"], "n = 0"),
+    "doubling-n-0": (["doubling", "sweep", "--m", "2", "--n", "0"], "n = 0"),
+}
+
+
+@pytest.mark.parametrize("argv, named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_one_line_exit_one(argv, named):
+    proc = _run_from_source(["-m", "catsweep.cli"] + argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
 
 
 def test_csv_output(capsys):
@@ -141,12 +184,6 @@ def test_console_script_entry_point():
         "import sys, importlib; "
         "sys.exit(getattr(importlib.import_module(%r), %r)())" % (mod, attr)
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(catsweep.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "neck", "fit", "--n", "5", "--json"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _run_from_source(["-c", code, "neck", "fit", "--n", "5", "--json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["passed"] is True

@@ -6,14 +6,12 @@ import pytest
 from scipy.spatial import cKDTree
 
 from catsweep.doubling import (
-    CmcSlice,
     DoubledSlice,
     GroupElement,
     NeckSchedule,
     S3Point,
     assemble_doubled_sweepout,
     cmc_area,
-    cmc_slice,
     default_resolution,
     default_schedule,
     doubled_slice,
@@ -28,6 +26,7 @@ from catsweep.doubling import (
 )
 from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
 from catsweep.mesh import mesh_area
+from catsweep.surfaces import product_torus
 
 BUDGET = 4.0 * math.pi ** 2
 
@@ -140,13 +139,11 @@ def test_cmc_area_closed_forms():
 
 
 def test_cmc_slice_mesh_matches_closed_form():
-    sl = cmc_slice(0.3)
-    assert isinstance(sl, CmcSlice)
-    assert abs(mesh_area(sl.mesh) / cmc_area(0.3) - 1.0) < 1e-4
+    assert abs(mesh_area(product_torus(0.3)) / cmc_area(0.3) - 1.0) < 1e-4
     with pytest.raises(DomainError):
-        cmc_slice(0.0)
+        product_torus(0.0)
     with pytest.raises(DomainError):
-        cmc_slice(1.0)
+        product_torus(1.0)
 
 
 def test_tube_area_slope_and_linear_vanish():

@@ -12,15 +12,12 @@ from catsweep.mesh import (
     euler_characteristic,
     geodesic_distances,
     level_set_perimeter,
-    load_mesh_arrays,
     lumped_mass,
     mesh_area,
     push_along_normals,
-    save_mesh,
     triangle_areas,
 )
 from catsweep.surfaces import (
-    catenoid_patch,
     clifford_torus,
     disk_rings_for_cutoff,
     flat_disk,
@@ -162,13 +159,3 @@ def test_push_matches_parallel_torus():
     s = 0.1
     t_new = 0.5 * (1.0 + math.sin(2.0 * s))
     assert np.max(np.abs(push_along_normals(cl, s) - product_torus(t_new, 32).vertices)) < 1e-12
-
-
-def test_mesh_io_roundtrip(tmp_path):
-    cp = catenoid_patch(n_x=8, n_theta=12)
-    path = tmp_path / "patch.mesh"
-    save_mesh(path, cp)
-    verts, tris, ambient = load_mesh_arrays(path)
-    assert ambient == cp.ambient
-    assert np.array_equal(tris, cp.triangles)
-    assert np.max(np.abs(verts - cp.vertices)) == 0.0

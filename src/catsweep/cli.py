@@ -9,6 +9,7 @@ commands that the verification battery checks compute their reports in
 """
 
 import argparse
+import math
 import sys
 
 from . import acceptance
@@ -44,13 +45,8 @@ def _cmd_catenoid_solve(args):
 
 
 def _cmd_doubling_sweep(args):
-    schedule = None
-    if args.epsilon is not None or args.delta is not None:
-        schedule = default_schedule(
-            epsilon=args.epsilon if args.epsilon is not None else 0.015,
-            delta=args.delta if args.delta is not None else 0.22,
-        )
-    return assemble_doubled_sweepout(args.m, schedule=schedule, n=args.n)
+    given = {k: getattr(args, k) for k in ("epsilon", "delta") if getattr(args, k) is not None}
+    return assemble_doubled_sweepout(args.m, schedule=default_schedule(**given), n=args.n)
 
 
 def _emit(rep, args):
@@ -171,6 +167,10 @@ def build_parser():
 
 def run(argv):
     args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            sys.stderr.write("error: --%s must be finite, got %s = %r\n" % (name, name, value))
+            return 1
     if getattr(args, "verify", False):
         return _verify_all(args)
     try:

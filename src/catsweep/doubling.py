@@ -38,8 +38,10 @@ HANDOFF_NECK_MAX = 0.25
 # of neighbouring orbit arcs for every supported symmetry order)
 TUBE_RADIUS_BOUND = 0.2
 
-# resolution of the tube_area mesh: rings along the arc, points per ring
-TUBE_SEGMENTS = 64
+# resolution of every tube mesh: rings along the full joining arc, points
+# per ring; the factor swap turns weld rings by a quarter, so the ring
+# resolution must be a multiple of 4
+TUBE_SEGMENTS = 48
 TUBE_RING_POINTS = 64
 
 _POINT_TOL = 1e-12
@@ -253,6 +255,20 @@ def default_resolution(m):
     return 2 * m * max(4, int(round(32.0 / m)))
 
 
+def _family_args(m, schedule, n):
+    """Check the symmetry order and fill in the default schedule and grid."""
+    if int(m) != m or m < 2:
+        raise DomainError("symmetry order must be an integer >= 2")
+    m = int(m)
+    if schedule is None:
+        schedule = default_schedule()
+    if n is None:
+        n = default_resolution(m)
+    if n % (2 * m) != 0:
+        raise DomainError("grid size must be divisible by 2m to place weld centers on vertices")
+    return m, schedule, n
+
+
 def _cross4(a, b, c):
     """Vector orthogonal to three others in R^4 (generalized cross product)."""
     m = np.array([a, b, c], dtype=float)
@@ -266,49 +282,42 @@ def _cross4(a, b, c):
     )
 
 
-def _ring_strip(ids_a, ids_b):
-    r = len(ids_a)
-    j = np.arange(r)
-    j1 = (j + 1) % r
-    t1 = np.column_stack([ids_a[j], ids_b[j], ids_b[j1]])
-    t2 = np.column_stack([ids_a[j], ids_b[j1], ids_a[j1]])
-    return np.vstack([t1, t2])
+def _tube_strips(ids):
+    """Triangles joining consecutive rings of a (..., rings, points) index grid.
+
+    Leading axes are tubes, emitted one after another; within a tube each
+    pair of rings gives its two fans of triangles in ring-point order.
+    """
+    a, b = ids[..., :-1, :], ids[..., 1:, :]
+    a1, b1 = np.roll(a, -1, axis=-1), np.roll(b, -1, axis=-1)
+    fans = [np.stack([a, b, b1], axis=-1), np.stack([a, b1, a1], axis=-1)]
+    return np.stack(fans, axis=-3).reshape(-1, 3)
 
 
 def tube_area(t, radius):
     """Mesh area of the lateral tube surface around the joining curve.
 
-    The curve from parameter t to the middle torus is an arc of the great
-    circle through (1,0,0,0) and (0,0,1,0), so its normal plane is spanned
-    by the constant pair (0,1,0,0), (0,0,0,1) and the tube is meshed from
-    rings in that frame; end caps are not included (in the assembled
-    family the ends are welded open).
+    The curve from parameter t to the middle torus is half of the joining
+    arc between the tori at t and 1 - t, so this is half the lateral area
+    of the tube that the welded slices mesh around that arc; end caps are
+    not included (in the assembled family the ends are welded open).
     Vanishes linearly in the radius with slope 2 pi times the arc length.
     """
-    if not 0.0 <= t <= 0.5:
-        raise DomainError("curve parameter must sit in [0, 1/2]")
+    arc = neck_arc_length(t)
     if radius <= 0.0:
         raise DomainError("tube radius must be positive")
     if radius >= TUBE_RADIUS_BOUND:
         raise RadiusTooLarge("tube radius %.3g exceeds the supported bound %.3g"
                              % (radius, TUBE_RADIUS_BOUND))
-    chi_lo = math.asin(math.sqrt(t))
-    chi_hi = 0.25 * math.pi
-    if chi_hi - chi_lo < 1e-15:
+    if arc < 1e-15:
         return 0.0
-    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
-    chis = np.linspace(chi_lo, chi_hi, seg + 1)
-    centers = np.column_stack([np.cos(chis), np.zeros(seg + 1), np.sin(chis), np.zeros(seg + 1)])
-    psi = 2.0 * np.pi * np.arange(rr) / rr
-    dirs = np.column_stack([np.zeros(rr), np.cos(psi), np.zeros(rr), np.sin(psi)])
-    rings = math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs[None, :, :]
-    verts = rings.reshape(-1, 4)
-    ids = np.arange(verts.shape[0]).reshape(seg + 1, rr)
-    tris = np.vstack([_ring_strip(ids[i], ids[i + 1]) for i in range(seg)])
-    return float(np.sum(_spherical_triangle_areas(verts, tris)))
+    # any symmetry order gives the same arc up to a rotation of S^3
+    _, _, rings = _composite_tube_base(t, 2, radius)
+    ids = np.arange(rings.shape[0] * rings.shape[1]).reshape(rings.shape[:2])
+    return 0.5 * float(np.sum(_spherical_triangle_areas(rings.reshape(-1, 4), _tube_strips(ids))))
 
 
-def _composite_tube_base(t, m, radius, segments, ring_points):
+def _composite_tube_base(t, m, radius):
     """Rings around the full joining geodesic between the paired tori.
 
     The arc runs from the torus at 1 - t through the middle torus to the
@@ -327,20 +336,20 @@ def _composite_tube_base(t, m, radius, segments, ring_points):
     rt2 = math.sqrt(2.0)
     u1 = (ia + ib) / rt2
     u2 = (ia - ib) / rt2
-    chis = np.linspace(chi_lo, chi_hi, segments + 1)
+    chis = np.linspace(chi_lo, chi_hi, TUBE_SEGMENTS + 1)
     centers = np.outer(np.cos(chis), a_vec) + np.outer(np.sin(chis), b_vec)
     tangents = -np.outer(np.sin(chis), a_vec) + np.outer(np.cos(chis), b_vec)
-    psi = 2.0 * np.pi * np.arange(ring_points) / ring_points
+    psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
     dirs = np.outer(np.cos(psi), u1) + np.outer(np.sin(psi), u2)
     rings = math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs[None, :, :]
     return centers, tangents, rings
 
 
-def _weld_ring_coords(s_par, theta_c, phi_c, radius, ring_points):
+def _weld_ring_coords(s_par, theta_c, phi_c, radius):
     """Intrinsic circle of the given radius on a product torus, as chart offsets."""
     a = math.sqrt(s_par)
     b = math.sqrt(1.0 - s_par)
-    psi = 2.0 * np.pi * np.arange(ring_points) / ring_points
+    psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
     th = theta_c + radius * np.cos(psi) / a
     ph = phi_c + radius * np.sin(psi) / b
     return np.column_stack([a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)])
@@ -393,54 +402,37 @@ def _bridge_cycles(outer_idx, outer_ang, inner_idx, inner_ang):
     return np.array(tris, dtype=np.int64)
 
 
-def _slice_index_map(m, n, segments, ring_points):
-    """Action of a group element on the assembled slice's vertex indices.
+def _slice_index_map(m, n, g, vid):
+    """Action of a group element on an array of the assembled slice's vertex indices.
 
     Vertex ranges: the two torus copies first, then per joining arc one
     block of tube rings followed by the two weld rings (upper-torus end,
-    then lower-torus end).  The returned function maps an index under
-    (k, l, swap), matching the geometric action at roundoff level.
+    then lower-torus end).  Each index is mapped under g = (k, l, swap),
+    matching the geometric action at roundoff level.
     """
     n2 = n * n
     step = n // m
-    rr = ring_points
-    block = (segments + 1) * rr + 2 * rr
-    quarter = rr // 4
-
-    def vmap(key, vid):
-        k, l, s = key
-        if vid < 2 * n2:
-            copy, rem = divmod(vid, n2)
-            i, j = divmod(rem, n)
-            if s:
-                copy = 1 - copy
-                i, j = j, i
-            i = (i + k * step) % n
-            j = (j + l * step) % n
-            return copy * n2 + i * n + j
-        rem = vid - 2 * n2
-        a, rem = divmod(rem, block)
-        ka, la = divmod(a, m)
-        if rem < (segments + 1) * rr:
-            i, j = divmod(rem, rr)
-            if s:
-                ka, la = la, ka
-                i = segments - i
-                j = (rr - j) % rr
-            ka = (ka + k) % m
-            la = (la + l) % m
-            return 2 * n2 + (ka * m + la) * block + i * rr + j
-        rem -= (segments + 1) * rr
-        end, j = divmod(rem, rr)
-        if s:
-            ka, la = la, ka
-            end = 1 - end
-            j = (quarter - j) % rr
-        ka = (ka + k) % m
-        la = (la + l) % m
-        return 2 * n2 + (ka * m + la) * block + (segments + 1) * rr + end * rr + j
-
-    return vmap
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    block = (seg + 1) * rr + 2 * rr
+    vid = np.asarray(vid, dtype=np.int64)
+    out = np.empty_like(vid)
+    on_tori = vid < 2 * n2
+    copy, rem = np.divmod(vid[on_tori], n2)
+    i, j = np.divmod(rem, n)
+    if g.swap:
+        copy, i, j = 1 - copy, j, i
+    out[on_tori] = copy * n2 + (i + g.k * step) % n * n + (j + g.l * step) % n
+    a, rem = np.divmod(vid[~on_tori] - 2 * n2, block)
+    ka, la = np.divmod(a, m)
+    # rows 0..seg are tube rings, rows seg+1 and seg+2 the two weld rings
+    row, j = np.divmod(rem, rr)
+    if g.swap:
+        ka, la = la, ka
+        weld = row > seg
+        row = np.where(weld, 2 * seg + 3 - row, seg - row)
+        j = (np.where(weld, rr // 4, 0) - j) % rr
+    out[~on_tori] = 2 * n2 + ((ka + g.k) % m * m + (la + g.l) % m) * block + row * rr + j
+    return out
 
 
 def _wrap_angle(x):
@@ -468,7 +460,7 @@ class DoubledSlice:
     aux: dict = field(default_factory=dict)
 
 
-def doubled_slice(t, m, schedule=None, n=None, segments=48, ring_points=64):
+def doubled_slice(t, m, schedule=None, n=None):
     """Build the welded slice at foliation parameter t.
 
     The slice is the torus pair at parameters t and 1 - t, with the star
@@ -478,17 +470,7 @@ def doubled_slice(t, m, schedule=None, n=None, segments=48, ring_points=64):
     collar triangulation is built once and transported by the index-level
     group action, so the triangle set is symmetric to roundoff.
     """
-    if int(m) != m or m < 2:
-        raise DomainError("symmetry order must be an integer >= 2")
-    m = int(m)
-    if schedule is None:
-        schedule = default_schedule()
-    if n is None:
-        n = default_resolution(m)
-    if n % (2 * m) != 0:
-        raise DomainError("grid size must be divisible by 2m to place weld centers on vertices")
-    if ring_points % 4 != 0:
-        raise DomainError("weld ring resolution must be a multiple of 4")
+    m, schedule, n = _family_args(m, schedule, n)
     close = 0.5 - schedule.delta
     if not 0.0 < t <= close + 1e-15:
         raise DomainError("paired slices live at parameters in (0, 1/2 - delta]")
@@ -512,12 +494,9 @@ def doubled_slice(t, m, schedule=None, n=None, segments=48, ring_points=64):
         raise RadiusTooLarge(
             "tube radius %.3g exceeds the weld collar capacity %.3g" % (radius, cap)
         )
-    seg = int(segments)
-    rr = int(ring_points)
-    step = n // m
-    i_c0 = n // (2 * m)
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
     ang = 2.0 * np.pi * np.arange(n) / n
-    centers_b, tangents_b, rings_b = _composite_tube_base(t, m, radius, seg, rr)
+    centers_b, tangents_b, rings_b = _composite_tube_base(t, m, radius)
     block = (seg + 1) * rr + 2 * rr
     verts = np.empty((2 * n2 + m * m * block, 4))
     verts[:n2] = low.vertices
@@ -527,37 +506,30 @@ def doubled_slice(t, m, schedule=None, n=None, segments=48, ring_points=64):
     areas_low = _spherical_triangle_areas(low.vertices, low.triangles)
     areas_high = _spherical_triangle_areas(high.vertices, high.triangles)
     removed = 0.0
-    strips = []
-    star0 = None
-    for a in range(m * m):
+    weld_centers = _grid_center_vertices(m, n)
+    for a, c_id in enumerate(weld_centers):
         ka, la = divmod(a, m)
+        ic, jc = divmod(c_id, n)
         mat = GroupElement(m, ka, la, False).matrix()
         base_id = 2 * n2 + a * block
         verts[base_id:base_id + (seg + 1) * rr] = (rings_b @ mat.T).reshape(-1, 4)
-        ic = (i_c0 + ka * step) % n
-        jc = (i_c0 + la * step) % n
-        th_c = ang[ic]
-        ph_c = ang[jc]
         verts[base_id + (seg + 1) * rr:base_id + (seg + 1) * rr + rr] = _weld_ring_coords(
-            1.0 - t, th_c, ph_c, radius, rr
+            1.0 - t, ang[ic], ang[jc], radius
         )
         verts[base_id + (seg + 1) * rr + rr:base_id + block] = _weld_ring_coords(
-            t, th_c, ph_c, radius, rr
+            t, ang[ic], ang[jc], radius
         )
-        c_id = ic * n + jc
         star = np.flatnonzero(np.any(low.triangles == c_id, axis=1))
         if a == 0:
             star0 = star
         keep_low[star] = False
         keep_high[star] = False
         removed += float(areas_low[star].sum() + areas_high[star].sum())
-        tube_ids = base_id + np.arange((seg + 1) * rr).reshape(seg + 1, rr)
-        for i in range(seg):
-            strips.append(_ring_strip(tube_ids[i], tube_ids[i + 1]))
     # canonical collar at the lower-torus end of the first arc
     th_v = low.aux["chart_theta"]
     ph_v = low.aux["chart_phi"]
-    c0 = i_c0 * n + i_c0
+    c0 = weld_centers[0]
+    i_c0 = c0 // n
     link = np.setdiff1d(np.unique(low.triangles[star0]), [c0])
     hx = math.sqrt(t) * _wrap_angle(th_v[link] - ang[i_c0])
     hy = math.sqrt(1.0 - t) * _wrap_angle(ph_v[link] - ang[i_c0])
@@ -578,19 +550,12 @@ def doubled_slice(t, m, schedule=None, n=None, segments=48, ring_points=64):
 
     row_last = 2 * n2 + seg * rr + np.arange(rr)
     band0 = _bridge_cycles(row_last, _angles_about(row_last), wr_low0, _angles_about(wr_low0))
-    vmap = _slice_index_map(m, n, seg, rr)
-    collars = []
-    for g in group_elements(m):
-        key = (g.k, g.l, g.swap)
-        for tri_arr in (zip0, band0):
-            collars.append(
-                np.array(
-                    [[vmap(key, int(v)) for v in tri] for tri in tri_arr],
-                    dtype=np.int64,
-                )
-            )
-    collar_tris = np.vstack(collars)
-    strip_tris = np.vstack(strips)
+    collar0 = np.vstack([zip0, band0])
+    collar_tris = np.vstack([_slice_index_map(m, n, g, collar0) for g in group_elements(m)])
+    tube_ids = 2 * n2 + block * np.arange(m * m)[:, None, None] + np.arange(
+        (seg + 1) * rr
+    ).reshape(seg + 1, rr)
+    strip_tris = _tube_strips(tube_ids)
     tris = np.vstack(
         [low.triangles[keep_low], high.triangles[keep_high] + n2, collar_tris, strip_tris]
     )
@@ -726,15 +691,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     final quarter collapses the punctured double sheet onto the grid.
     The budget is twice the middle torus area and must never be reached.
     """
-    if int(m) != m or m < 2:
-        raise DomainError("symmetry order must be an integer >= 2")
-    m = int(m)
-    if schedule is None:
-        schedule = default_schedule()
-    if n is None:
-        n = default_resolution(m)
-    if n % (2 * m) != 0:
-        raise DomainError("grid size must be divisible by 2m to place weld centers on vertices")
+    m, schedule, n = _family_args(m, schedule, n)
     delta = schedule.delta
     t_a = 0.5 - delta
     t_b = 0.5 - 0.5 * delta
@@ -755,10 +712,18 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     budget = 4.0 * math.pi ** 2
     cl = clifford_torus(n)
     centers = _grid_center_vertices(m, n)
-    ones = np.ones(cl.n_vertices)
+    ts = sorted(float(t) for t in t_grid)
+    # one tube family over all neck radii, so the puncture distance fields
+    # are computed once per assembly
+    necks = [(t - t_a) / (0.5 * delta) * HANDOFF_NECK_MAX for t in ts
+             if t_a + 1e-15 < t <= t_b + 1e-15]
+    neck_rows = iter(
+        two_sided_tube_family(cl, np.ones(cl.n_vertices), centers, h_eff, t_grid=necks).rows
+        if necks else ()
+    )
     rows = []
     chi_regular = None
-    for t in sorted(float(t) for t in t_grid):
+    for t in ts:
         if t <= t_a + 1e-15:
             if t <= 0.0:
                 row = {"t": 0.0, "area": 0.0, "stage": "pair"}
@@ -775,15 +740,12 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
                 if sl.n_tubes:
                     chi_regular = sl.chi
         elif t <= t_b + 1e-15:
-            frac = (t - t_a) / (0.5 * delta)
-            neck = frac * HANDOFF_NECK_MAX
-            rep = two_sided_tube_family(cl, ones, centers, h_eff, t_grid=[neck])
-            r0 = rep.rows[0]
+            r0 = next(neck_rows)
             row = {
                 "t": t,
                 "area": r0["area"],
                 "stage": "graph_necks",
-                "neck_radius": neck,
+                "neck_radius": r0["t"],
                 "removed_disk_area": r0["removed_base_area"],
             }
         else:

@@ -142,15 +142,22 @@ def mesh_area(m, method="auto"):
     return float(np.sum(triangle_areas(m)))
 
 
+def _unique_edges(tris):
+    """Undirected edges of a triangle list as (lo, hi) rows in lexicographic order.
+
+    Each edge is keyed as the single integer lo * base + hi, which sorts
+    exactly like the pair because hi < base.
+    """
+    pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    base = int(tris.max(initial=0)) + 1
+    keys = np.unique(pairs.min(axis=1) * base + pairs.max(axis=1))
+    return np.column_stack([keys // base, keys % base])
+
+
 def edge_lengths(m, vertices=None):
     """Unique undirected edges and their metric lengths (arcs in S^3)."""
     verts = m.vertices if vertices is None else vertices
-    tris = m.triangles
-    pairs = np.vstack(
-        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
-    )
-    pairs = np.sort(pairs, axis=1)
-    pairs = np.unique(pairs, axis=0)
+    pairs = _unique_edges(m.triangles)
     chord = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]], axis=1)
     if m.ambient == AMBIENT_S3:
         lengths = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
@@ -296,10 +303,7 @@ def euler_characteristic(triangles):
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:
         return 0
-    v = len(np.unique(tris))
-    pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
-    return int(v - len(pairs) + len(tris))
+    return int(len(np.unique(tris)) - len(_unique_edges(tris)) + len(tris))
 
 
 def push_along_normals(m, offsets):

@@ -20,6 +20,15 @@ from .report import make_report
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
 
+# area descent and edge tracking
+STEP0 = 0.25
+STEP_MAX = 0.5
+SEP_TARGET = 2e-3      # pair separation (relative to r) triggering re-bracketing
+DIP_TOL = 1e-8         # flow-speed norm below which the saddle counts as reached
+MAX_LEGS = 200
+MAX_LEG_ITERS = 30000
+CLASSIFY_ITERS = 20000
+
 
 @dataclass(frozen=True)
 class ProfileCurve:
@@ -46,20 +55,24 @@ class ProfileCurve:
         return float(self.x_nodes[1] - self.x_nodes[0])
 
 
-def revolution_area(p):
-    """Surface area of the profile of revolution by composite quadrature.
+def _frustum_area(f, dx):
+    # the polyline profile swept around the axis: one cone frustum per
+    # interval, pi * (f_i + f_{i+1}) * slant
+    df = np.diff(f)
+    slant = np.sqrt(dx * dx + df * df)
+    return float(np.pi * np.sum((f[:-1] + f[1:]) * slant))
 
-    The integrand is 2*pi*f*sqrt(1 + f'^2) with f' from centered differences
-    (second-order one-sided stencils at the two ends), summed by the
-    trapezoid rule; second-order accurate on smooth profiles.
+
+def revolution_area(p):
+    """Surface area of the profile of revolution, swept as a polyline.
+
+    Each grid interval contributes the lateral area of its cone frustum;
+    exact on piecewise-linear profiles and second-order accurate on smooth
+    ones.  This is the area the width engine descends.
     """
-    f = p.f_values
-    if np.any(f < 0.0):
+    if np.any(p.f_values < 0.0):
         raise DegenerateProfile("negative radius in profile")
-    dx = p.dx
-    fp = np.gradient(f, dx, edge_order=2)
-    integrand = 2.0 * np.pi * f * np.sqrt(1.0 + fp * fp)
-    return float(np.trapezoid(integrand, dx=dx))
+    return _frustum_area(p.f_values, p.dx)
 
 
 def catenoid_profile(r, h, c, n_nodes=201):
@@ -115,17 +128,6 @@ class WidthResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class DescentConfig:
-    step0: float = 0.25
-    step_max: float = 0.5
-    sep_target: float = 2e-3     # pair separation (relative to r) triggering re-bracketing
-    dip_tol: float = 1e-8        # flow-speed norm below which the saddle counts as reached
-    max_legs: int = 200
-    max_leg_iters: int = 30000
-    classify_iters: int = 20000
-
-
 class _WidthEngine:
     """Preconditioned area descent plus separatrix edge tracking.
 
@@ -135,10 +137,9 @@ class _WidthEngine:
     divided out so step sizes mean the same thing at every resolution.
     """
 
-    def __init__(self, r, h, n_nodes, cfg):
+    def __init__(self, r, h, n_nodes):
         self.r = r
         self.h = h
-        self.cfg = cfg
         self.n = n_nodes
         sol = solve_parameters(CatenoidSpec(r=r, h=h))
         self.sol = sol
@@ -164,9 +165,7 @@ class _WidthEngine:
         self.steps_taken = 0
 
     def area(self, f):
-        df = np.diff(f)
-        slant = np.sqrt(self.dx * self.dx + df * df)
-        return float(np.pi * np.sum((f[:-1] + f[1:]) * slant))
+        return _frustum_area(f, self.dx)
 
     def direction(self, f):
         df = np.diff(f)
@@ -187,7 +186,7 @@ class _WidthEngine:
             np.clip(fn, self.floor, None, out=fn)
             an = self.area(fn)
             if an <= a:
-                return fn, an, min(st * 1.3, self.cfg.step_max), d, True
+                return fn, an, min(st * 1.3, STEP_MAX), d, True
             st *= 0.5
         return f, a, st, d, False
 
@@ -195,9 +194,9 @@ class _WidthEngine:
         """Which basin a state falls into: -1 pinched floor, +1 stable catenoid."""
         f = f0.copy()
         a = self.area(f)
-        st = self.cfg.step0
+        st = STEP0
         neck_prev = f[self.mid]
-        for _ in range(self.cfg.classify_iters):
+        for _ in range(CLASSIFY_ITERS):
             f, a, st, d, moved = self.step(f, a, st)
             if not moved:
                 if np.max(np.abs(f - self.stable)) < 0.05 * self.r:
@@ -212,7 +211,6 @@ class _WidthEngine:
         raise NonConvergence("basin classification exceeded its iteration cap")
 
     def run(self, path):
-        cfg = self.cfg
         profiles = [p.f_values.copy() for p in path.slices]
         for f in profiles:
             if abs(f[0] - self.r) > 1e-12 * self.r or abs(f[-1] - self.r) > 1e-12 * self.r:
@@ -251,16 +249,16 @@ class _WidthEngine:
         argmax_t = 0.5 * (lo + hi)
 
         f_a, f_b = at(lo), at(hi)
-        sep = cfg.sep_target * self.r
+        sep = SEP_TARGET * self.r
         best_dn = np.inf
         best_area = np.nan
         best_profile = None
-        for _ in range(cfg.max_legs):
+        for _ in range(MAX_LEGS):
             a_a, a_b = self.area(f_a), self.area(f_b)
-            st_a = st_b = cfg.step0
+            st_a = st_b = STEP0
             done = False
             same_side = False
-            for _ in range(cfg.max_leg_iters):
+            for _ in range(MAX_LEG_ITERS):
                 f_a, a_a, st_a, d_a, ok_a = self.step(f_a, a_a, st_a)
                 f_b, a_b, st_b, d_b, ok_b = self.step(f_b, a_b, st_b)
                 dn = math.sqrt(float(np.sum(d_a * d_a)) * self.dx)
@@ -271,7 +269,7 @@ class _WidthEngine:
                     best_profile = f_a.copy()
                 if np.max(np.abs(f_a - f_b)) > sep:
                     break
-                if eligible and dn < cfg.dip_tol:
+                if eligible and dn < DIP_TOL:
                     done = True
                     break
                 if not ok_a and not ok_b:
@@ -300,21 +298,20 @@ class _WidthEngine:
         return best_area, argmax_t, best_profile, best_dn
 
 
-def mountain_pass_width(r, h, path0=None, descent_config=None):
+def mountain_pass_width(r, h, path0=None):
     """Saddle area of the two-circle problem found from an actual sweep.
 
     The initial path must connect the two stable competitors; the returned
     width matches the closed-form unstable catenoid area to the engine's
     discretization error, with the realizing profile attached.
     """
-    cfg = descent_config or DescentConfig()
     if path0 is None:
         path0 = initial_path(r, h)
     n_nodes = path0.slices[0].x_nodes.size
     span = path0.slices[0].x_nodes
     if abs(span[0] + h) > 1e-12 or abs(span[-1] - h) > 1e-12:
         raise DomainError("path slices must span [-h, h]")
-    engine = _WidthEngine(r, h, n_nodes, cfg)
+    engine = _WidthEngine(r, h, n_nodes)
     endpoint_areas = (engine.area(path0.slices[0].f_values), engine.area(path0.slices[-1].f_values))
     width, argmax_t, profile, _ = engine.run(path0)
     if width < max(endpoint_areas):
@@ -329,11 +326,10 @@ def mountain_pass_width(r, h, path0=None, descent_config=None):
 
 def descend_profile(p, r, steps):
     """Expose single-profile area descent; returns (profile, per-step areas)."""
-    cfg = DescentConfig()
-    engine = _WidthEngine(r, float(p.x_nodes[-1]), p.x_nodes.size, cfg)
+    engine = _WidthEngine(r, float(p.x_nodes[-1]), p.x_nodes.size)
     f = p.f_values.copy()
     a = engine.area(f)
-    st = cfg.step0
+    st = STEP0
     areas = [a]
     for _ in range(steps):
         f, a, st, _, _ = engine.step(f, a, st)

@@ -112,6 +112,12 @@ BAD_INPUTS = {
     "tubes-n-0": (["fermi", "tubes", "--n", "0"], "n = 0"),
     "cutoff-torus-n-0": (["cutoff", "torus", "--n", "0"], "n = 0"),
     "doubling-n-0": (["doubling", "sweep", "--m", "2", "--n", "0"], "n = 0"),
+    "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
+    "width-tolerance-nan": (
+        ["width", "run", "--h", "0.5", "--tolerance", "nan"],
+        "--tolerance must be finite, got tolerance = nan",
+    ),
+    "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
 }
 
 

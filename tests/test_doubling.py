@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from catsweep import fermi
 from catsweep.doubling import (
     DoubledSlice,
     GroupElement,
@@ -25,7 +26,7 @@ from catsweep.doubling import (
     tube_area,
 )
 from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
-from catsweep.mesh import mesh_area
+from catsweep.mesh import geodesic_distances, mesh_area
 from catsweep.surfaces import product_torus
 
 BUDGET = 4.0 * math.pi ** 2
@@ -251,8 +252,6 @@ def test_doubled_slice_rejects_bad_input():
         doubled_slice(0.0, 2)
     with pytest.raises(DomainError):
         doubled_slice(0.45, 2)
-    with pytest.raises(DomainError):
-        doubled_slice(0.2, 2, ring_points=30)
 
 
 def test_doubled_slice_radius_capacity_guard():
@@ -339,6 +338,7 @@ def test_assembly_stays_under_budget(report2):
     assert s["passed"] is True
     assert s["sup_area"] < BUDGET
     assert s["margin"] >= 0.05 * BUDGET
+    assert s["margin"] == pytest.approx(3.4160949356753605, rel=1e-12)
     assert s["regular_chi"] == -8
 
 
@@ -346,6 +346,7 @@ def test_assembly_order_three_margin(report3):
     s = report3.summary
     assert s["passed"] is True
     assert s["margin"] >= 0.05 * BUDGET
+    assert s["margin"] == pytest.approx(2.639243285913693, rel=1e-12)
     assert s["regular_chi"] == -18
 
 
@@ -382,6 +383,20 @@ def test_assembly_continuity_improves_under_refinement(report2):
 
     assert max_jump(refined.rows) < 0.7 * max_jump(report2.rows)
     assert refined.summary["sup_area"] < BUDGET
+
+
+def test_assembly_computes_puncture_distances_once(monkeypatch):
+    # two graph-neck rows share one distance field per puncture center
+    calls = []
+
+    def counted(m, source):
+        calls.append(source)
+        return geodesic_distances(m, source)
+
+    monkeypatch.setattr(fermi, "geodesic_distances", counted)
+    rep = assemble_doubled_sweepout(2, t_grid=[0.3, 0.32])
+    assert [r["stage"] for r in rep.rows] == ["graph_necks", "graph_necks"]
+    assert len(calls) == 4
 
 
 def test_assembly_budget_violation_detected():

@@ -6,7 +6,6 @@ import pytest
 from catsweep.catenoid import CatenoidSpec, solve_parameters
 from catsweep.errors import DegenerateProfile, DomainError, NoCatenoid
 from catsweep.revolution import (
-    DescentConfig,
     ProfileCurve,
     RevolutionPath,
     catenoid_profile,

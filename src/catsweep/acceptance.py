@@ -66,6 +66,8 @@ def catenoid_scan(r):
 
 def width_run(r, h, tolerance):
     """`width run`: mountain-pass width against the unstable catenoid area."""
+    if not tolerance > 0.0:
+        raise DomainError("width tolerance must be positive, got tolerance = %s" % tolerance)
     ref = solve_parameters(CatenoidSpec(r=r, h=h)).area_unstable
     res = mountain_pass_width(r, h)
     rows = [

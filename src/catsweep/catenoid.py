@@ -61,8 +61,11 @@ class CatenoidSpec:
     h: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.h > 0.0):
-            raise DomainError("circle radius and half-separation must be positive")
+        bad = ["%s = %s" % (name, v) for name, v in (("r", self.r), ("h", self.h)) if not v > 0.0]
+        if bad:
+            raise DomainError(
+                "circle radius and half-separation must be positive, got " + ", ".join(bad)
+            )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .catenoid import CatenoidSpec, excess_over_disks, solve_parameters, tangency_abscissa
 from .errors import DegenerateProfile, DomainError, NonConvergence
@@ -55,12 +55,18 @@ class ProfileCurve:
         return float(self.x_nodes[1] - self.x_nodes[0])
 
 
-def _frustum_area(f, dx):
+def _frustum_geometry(f, dx):
     # the polyline profile swept around the axis: one cone frustum per
-    # interval, pi * (f_i + f_{i+1}) * slant
-    df = np.diff(f)
+    # interval, pi * (f_i + f_{i+1}) * slant; returns the area with the
+    # per-interval radius change, slant and radius sum it was built from
+    df = f[1:] - f[:-1]
     slant = np.sqrt(dx * dx + df * df)
-    return float(np.pi * np.sum((f[:-1] + f[1:]) * slant))
+    s = f[:-1] + f[1:]
+    return float(np.pi * (s * slant).sum()), df, slant, s
+
+
+def _frustum_area(f, dx):
+    return _frustum_geometry(f, dx)[0]
 
 
 def revolution_area(p):
@@ -126,26 +132,73 @@ class WidthResult:
     argmax_t: float
     profile_at_max: ProfileCurve
     iterations: int
+    residual: float       # flow-speed norm at the returned profile
+    classify_calls: int   # basin classifications the saddle search ran
 
 
-class _WidthEngine:
-    """Preconditioned area descent plus separatrix edge tracking.
+class _Descent:
+    """Preconditioned area descent of profiles on one uniform grid.
 
     The descent direction is the area gradient smoothed by an inverse
     Sobolev operator (I - d^2/dx^2), which equalizes time scales across
     node frequencies; the raw node gradient carries a factor dx that is
     divided out so step sizes mean the same thing at every resolution.
+    The operator is constant, so it is LU-factored once (LAPACK dgttrf)
+    and each step only back-substitutes (dgttrs); this is the elimination a
+    banded gtsv solve would redo on every step, with the same results.
+
+    A state is a profile with its geometry `(area, df, slant, s)`: a
+    step reuses the geometry its accepted trial computed for the area.
     """
 
-    def __init__(self, r, h, n_nodes):
-        self.r = r
-        self.h = h
-        self.n = n_nodes
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
-        self.sol = sol
-        self.x = np.linspace(-h, h, n_nodes)
-        self.dx = self.x[1] - self.x[0]
+    def __init__(self, dx, n_nodes, r):
+        if n_nodes < 5:
+            # scipy's dgttrf wrapper needs at least 3 unknowns
+            raise DomainError("descent needs at least 5 grid nodes, got n = %d" % n_nodes)
+        self.dx = dx
         self.floor = PINCH_FLOOR * r
+        off = np.full(n_nodes - 3, -1.0 / dx ** 2)
+        diag = np.full(n_nodes - 2, 1.0 + 2.0 / dx ** 2)
+        # strictly diagonally dominant, so no pivot vanishes (info is 0)
+        *self.lu, _ = dgttrf(off, diag, off)
+        self.steps_taken = 0
+
+    def area(self, f):
+        return _frustum_area(f, self.dx)
+
+    def geometry(self, f):
+        return _frustum_geometry(f, self.dx)
+
+    def direction(self, geo):
+        _, df, slant, s = geo
+        q = s * df / slant
+        g = np.pi * (slant - q)[1:] + np.pi * (slant + q)[:-1]
+        return dgttrs(*self.lu, g / self.dx)[0]
+
+    def step(self, f, geo, st):
+        # backtracking guard: never accept an area increase
+        d = self.direction(geo)
+        self.steps_taken += 1
+        a = geo[0]
+        for _ in range(60):
+            fn = f.copy()
+            np.subtract(f[1:-1], st * d, out=fn[1:-1])
+            np.maximum(fn, self.floor, out=fn)
+            geo_n = self.geometry(fn)
+            if geo_n[0] <= a:
+                return fn, geo_n, min(st * 1.3, STEP_MAX), d, True
+            st *= 0.5
+        return f, geo, st, d, False
+
+
+class _WidthEngine(_Descent):
+    """Area descent plus the two basins and separatrix edge tracking."""
+
+    def __init__(self, r, h, n_nodes):
+        self.x = np.linspace(-h, h, n_nodes)
+        super().__init__(self.x[1] - self.x[0], n_nodes, r)
+        self.r = r
+        sol = solve_parameters(CatenoidSpec(r=r, h=h))
         self.mid = n_nodes // 2
         self.stable = sol.c_stable * np.cosh(self.x / sol.c_stable)
         self.stable[0] = r
@@ -156,48 +209,16 @@ class _WidthEngine:
         self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
         self.gate_lo = 0.5 * sol.c_unstable
         self.gate_hi = 0.5 * (sol.c_unstable + sol.c_stable)
-        inner = n_nodes - 2
-        band = np.zeros((3, inner))
-        band[0, 1:] = -1.0 / self.dx ** 2
-        band[1, :] = 1.0 + 2.0 / self.dx ** 2
-        band[2, :-1] = -1.0 / self.dx ** 2
-        self.band = band
-        self.steps_taken = 0
+        self.classify_calls = 0
 
-    def area(self, f):
-        return _frustum_area(f, self.dx)
-
-    def direction(self, f):
-        df = np.diff(f)
-        slant = np.sqrt(self.dx * self.dx + df * df)
-        s = f[:-1] + f[1:]
-        g = np.zeros_like(f)
-        g[:-1] += np.pi * (slant - s * df / slant)
-        g[1:] += np.pi * (slant + s * df / slant)
-        return solve_banded((1, 1), self.band, g[1:-1] / self.dx)
-
-    def step(self, f, a, st):
-        # backtracking guard: never accept an area increase
-        d = self.direction(f)
-        self.steps_taken += 1
-        for _ in range(60):
-            fn = f.copy()
-            fn[1:-1] = f[1:-1] - st * d
-            np.clip(fn, self.floor, None, out=fn)
-            an = self.area(fn)
-            if an <= a:
-                return fn, an, min(st * 1.3, STEP_MAX), d, True
-            st *= 0.5
-        return f, a, st, d, False
-
-    def classify(self, f0):
+    def classify(self, f):
         """Which basin a state falls into: -1 pinched floor, +1 stable catenoid."""
-        f = f0.copy()
-        a = self.area(f)
+        self.classify_calls += 1
+        geo = self.geometry(f)
         st = STEP0
         neck_prev = f[self.mid]
         for _ in range(CLASSIFY_ITERS):
-            f, a, st, d, moved = self.step(f, a, st)
+            f, geo, st, d, moved = self.step(f, geo, st)
             if not moved:
                 if np.max(np.abs(f - self.stable)) < 0.05 * self.r:
                     return 1
@@ -254,18 +275,18 @@ class _WidthEngine:
         best_area = np.nan
         best_profile = None
         for _ in range(MAX_LEGS):
-            a_a, a_b = self.area(f_a), self.area(f_b)
+            geo_a, geo_b = self.geometry(f_a), self.geometry(f_b)
             st_a = st_b = STEP0
             done = False
             same_side = False
             for _ in range(MAX_LEG_ITERS):
-                f_a, a_a, st_a, d_a, ok_a = self.step(f_a, a_a, st_a)
-                f_b, a_b, st_b, d_b, ok_b = self.step(f_b, a_b, st_b)
-                dn = math.sqrt(float(np.sum(d_a * d_a)) * self.dx)
+                f_a, geo_a, st_a, d_a, ok_a = self.step(f_a, geo_a, st_a)
+                f_b, geo_b, st_b, d_b, ok_b = self.step(f_b, geo_b, st_b)
+                dn = math.sqrt(float((d_a * d_a).sum()) * self.dx)
                 eligible = self.gate_lo < f_a[self.mid] < self.gate_hi
                 if eligible and dn < best_dn:
                     best_dn = dn
-                    best_area = a_a
+                    best_area = geo_a[0]
                     best_profile = f_a.copy()
                 if np.max(np.abs(f_a - f_b)) > sep:
                     break
@@ -313,7 +334,7 @@ def mountain_pass_width(r, h, path0=None):
         raise DomainError("path slices must span [-h, h]")
     engine = _WidthEngine(r, h, n_nodes)
     endpoint_areas = (engine.area(path0.slices[0].f_values), engine.area(path0.slices[-1].f_values))
-    width, argmax_t, profile, _ = engine.run(path0)
+    width, argmax_t, profile, residual = engine.run(path0)
     if width < max(endpoint_areas):
         raise NonConvergence("width fell below an endpoint area; path degenerated")
     return WidthResult(
@@ -321,19 +342,24 @@ def mountain_pass_width(r, h, path0=None):
         argmax_t=argmax_t,
         profile_at_max=ProfileCurve(x_nodes=engine.x.copy(), f_values=profile),
         iterations=engine.steps_taken,
+        residual=residual,
+        classify_calls=engine.classify_calls,
     )
 
 
 def descend_profile(p, r, steps):
-    """Expose single-profile area descent; returns (profile, per-step areas)."""
-    engine = _WidthEngine(r, float(p.x_nodes[-1]), p.x_nodes.size)
+    """Expose single-profile area descent; returns (profile, per-step areas).
+
+    The pinch floor scales with r; no catenoid need span the profile's ends.
+    """
+    descent = _Descent(p.dx, p.x_nodes.size, r)
     f = p.f_values.copy()
-    a = engine.area(f)
+    geo = descent.geometry(f)
     st = STEP0
-    areas = [a]
+    areas = [geo[0]]
     for _ in range(steps):
-        f, a, st, _, _ = engine.step(f, a, st)
-        areas.append(a)
+        f, geo, st, _, _ = descent.step(f, geo, st)
+        areas.append(geo[0])
     return ProfileCurve(x_nodes=p.x_nodes.copy(), f_values=f), areas
 
 

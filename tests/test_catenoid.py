@@ -164,9 +164,9 @@ def test_no_catenoid_past_critical_ratio():
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="got r = -1.0$"):
         CatenoidSpec(r=-1.0, h=0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="got h = 0.0$"):
         CatenoidSpec(r=1.0, h=0.0)
 
 

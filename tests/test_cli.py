@@ -118,6 +118,10 @@ BAD_INPUTS = {
         "--tolerance must be finite, got tolerance = nan",
     ),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
+    "width-tolerance-negative": (
+        ["width", "run", "--h", "0.5", "--tolerance", "-1"], "tolerance = -1.0"
+    ),
+    "width-h-negative": (["width", "run", "--h", "-0.1"], "h = -0.1"),
 }
 
 

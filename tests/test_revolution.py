@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from catsweep.catenoid import CatenoidSpec, solve_parameters
 from catsweep.errors import DegenerateProfile, DomainError, NoCatenoid
 from catsweep.revolution import (
+    PINCH_FLOOR,
+    STEP0,
+    STEP_MAX,
     ProfileCurve,
     RevolutionPath,
     catenoid_profile,
@@ -148,6 +152,8 @@ def test_mountain_pass_width_matches_closed_form(r, h):
     target = sol.c_unstable * np.cosh(x / sol.c_unstable)
     assert np.max(np.abs(res.profile_at_max.f_values - target)) < 1e-2 * r
     assert res.iterations > 0
+    assert res.residual <= 1e-4
+    assert res.classify_calls > 0
 
 
 def test_width_exceeds_endpoint_areas():
@@ -171,14 +177,92 @@ def test_width_rejects_overtall_gap():
         mountain_pass_width(1.0, 0.7)
 
 
-def test_descent_never_increases_area():
+def _random_profiles():
     rng = np.random.default_rng(7)
     x = np.linspace(-0.3, 0.3, 101)
     for _ in range(5):
         f = 0.8 + 0.3 * rng.random(101)
         f[0] = 1.0
         f[-1] = 1.0
-        p = ProfileCurve(x_nodes=x, f_values=f)
+        yield ProfileCurve(x_nodes=x, f_values=f)
+
+
+def _reference_descent(p, r, steps):
+    # reference descent, written plainly: np.diff geometry recomputed per
+    # step, the gradient scatter-added onto the nodes, and a fresh banded
+    # solve of (I - d^2/dx^2) on every step; the engine must match it bit
+    # for bit, since it reorders none of this arithmetic
+    dx = p.x_nodes[1] - p.x_nodes[0]
+    inner = p.x_nodes.size - 2
+    band = np.zeros((3, inner))
+    band[0, 1:] = -1.0 / dx ** 2
+    band[1, :] = 1.0 + 2.0 / dx ** 2
+    band[2, :-1] = -1.0 / dx ** 2
+
+    def area(f):
+        df = np.diff(f)
+        slant = np.sqrt(dx * dx + df * df)
+        return float(np.pi * np.sum((f[:-1] + f[1:]) * slant))
+
+    f = p.f_values.copy()
+    a = area(f)
+    st = STEP0
+    areas = [a]
+    for _ in range(steps):
+        df = np.diff(f)
+        slant = np.sqrt(dx * dx + df * df)
+        s = f[:-1] + f[1:]
+        g = np.zeros_like(f)
+        g[:-1] += np.pi * (slant - s * df / slant)
+        g[1:] += np.pi * (slant + s * df / slant)
+        d = solve_banded((1, 1), band, g[1:-1] / dx)
+        for _ in range(60):
+            fn = f.copy()
+            fn[1:-1] = f[1:-1] - st * d
+            np.clip(fn, PINCH_FLOOR * r, None, out=fn)
+            an = area(fn)
+            if an <= a:
+                f, a, st = fn, an, min(st * 1.3, STEP_MAX)
+                break
+            st *= 0.5
+        areas.append(a)
+    return f, areas
+
+
+def test_descent_matches_reference_bit_for_bit():
+    for p in _random_profiles():
+        out, areas = descend_profile(p, 1.0, steps=200)
+        ref_f, ref_areas = _reference_descent(p, 1.0, steps=200)
+        assert np.array(areas).tobytes() == np.array(ref_areas).tobytes()
+        assert out.f_values.tobytes() == ref_f.tobytes()
+
+
+def test_descent_needs_no_catenoid():
+    # h/r = 1 is past the critical ratio, so no catenoid spans the two
+    # circles; descending a profile between them still makes sense
+    x = np.linspace(-0.5, 0.5, 51)
+    f = np.full(51, 0.4)
+    f[0] = 0.5
+    f[-1] = 0.5
+    with pytest.raises(NoCatenoid):
+        solve_parameters(CatenoidSpec(r=0.5, h=0.5))
+    out, areas = descend_profile(ProfileCurve(x_nodes=x, f_values=f), 0.5, steps=100)
+    assert np.all(np.diff(areas) <= 0.0)
+    assert areas[-1] < areas[0]
+    assert out.f_values[0] == 0.5 and out.f_values[-1] == 0.5
+
+
+def test_descent_rejects_too_few_nodes():
+    x = np.linspace(-0.1, 0.1, 4)
+    with pytest.raises(DomainError, match="n = 4"):
+        descend_profile(ProfileCurve(x_nodes=x, f_values=np.ones(4)), 1.0, steps=1)
+    x = np.linspace(-0.1, 0.1, 5)
+    out, _ = descend_profile(ProfileCurve(x_nodes=x, f_values=np.ones(5)), 1.0, steps=1)
+    assert out.f_values.size == 5
+
+
+def test_descent_never_increases_area():
+    for p in _random_profiles():
         _, areas = descend_profile(p, 1.0, steps=200)
         diffs = np.diff(areas)
         assert np.all(diffs <= 1e-12)

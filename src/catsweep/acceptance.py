@@ -78,6 +78,10 @@ def width_run(r, h, tolerance):
             "reference_area": ref,
             "argmax_t": res.argmax_t,
             "iterations": res.iterations,
+            "legs": res.legs,
+            "newton_iterations": res.newton_iterations,
+            "classify_calls": res.classify_calls,
+            "morse_index": res.morse_index,
         }
     ]
     return make_report(

@@ -86,7 +86,7 @@ class GroupElement:
 
     def __post_init__(self):
         if self.m < 2:
-            raise DomainError("symmetry order must be at least 2")
+            raise DomainError("symmetry order must be at least 2, got m = %s" % self.m)
         object.__setattr__(self, "k", int(self.k) % self.m)
         object.__setattr__(self, "l", int(self.l) % self.m)
 
@@ -129,7 +129,7 @@ class GroupElement:
 def group_elements(m):
     """All 2 m^2 symmetries, in a fixed deterministic order."""
     if m < 2:
-        raise DomainError("symmetry order must be at least 2")
+        raise DomainError("symmetry order must be at least 2, got m = %s" % m)
     return [
         GroupElement(m, k, l, s)
         for s in (False, True)
@@ -177,7 +177,7 @@ def neck_curve(t, m):
     parameter 1 - t (second coordinate modulus sqrt(t)) on the way.
     """
     if m < 2:
-        raise DomainError("symmetry order must be at least 2")
+        raise DomainError("symmetry order must be at least 2, got m = %s" % m)
     if not 0.0 <= t <= 0.5:
         raise DomainError("curve parameter must sit in [0, 1/2]")
     phase = complex(math.cos(math.pi / m), math.sin(math.pi / m))
@@ -206,9 +206,9 @@ class NeckSchedule:
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
-            raise DomainError("closing parameter must sit in (0, 1/2)")
+            raise DomainError("closing parameter must sit in (0, 1/2), got delta = %s" % self.delta)
         if self.epsilon <= 0.0:
-            raise DomainError("maximum tube radius must be positive")
+            raise DomainError("maximum tube radius must be positive, got epsilon = %s" % self.epsilon)
         close = 0.5 - self.delta
         if abs(self.eta(0.0)) > 1e-12:
             raise DomainError("tube radius must vanish at t = 0")
@@ -246,7 +246,7 @@ def handoff_offset(delta):
     stage handoff is continuous by construction.
     """
     if not 0.0 < delta < 0.5:
-        raise DomainError("closing parameter must sit in (0, 1/2)")
+        raise DomainError("closing parameter must sit in (0, 1/2), got delta = %s" % delta)
     return 0.5 * math.asin(2.0 * delta)
 
 
@@ -258,7 +258,7 @@ def default_resolution(m):
 def _family_args(m, schedule, n):
     """Check the symmetry order and fill in the default schedule and grid."""
     if int(m) != m or m < 2:
-        raise DomainError("symmetry order must be an integer >= 2")
+        raise DomainError("symmetry order must be an integer >= 2, got m = %s" % m)
     m = int(m)
     if schedule is None:
         schedule = default_schedule()
@@ -599,7 +599,7 @@ def _retract_uv(m, s, theta, phi):
 def grid_retraction(m, s, point):
     """Retraction step s applied to a point of the punctured middle torus."""
     if m < 2:
-        raise DomainError("symmetry order must be at least 2")
+        raise DomainError("symmetry order must be at least 2, got m = %s" % m)
     if not 0.0 <= s <= 1.0:
         raise DomainError("retraction step must sit in [0, 1]")
     if abs(abs(point.z) ** 2 - 0.5) > 1e-9 or abs(abs(point.w) ** 2 - 0.5) > 1e-9:

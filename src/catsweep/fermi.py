@@ -261,7 +261,7 @@ def log_cutoff(dist, t):
 
 def build_cutoff(m, p, t):
     if not 0.0 < t < 1.0:
-        raise DomainError("cutoff radius must sit in (0, 1)")
+        raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
     bound = m.aux.get("disk_radius_bound", math.inf)
     if t >= bound:
         raise RadiusTooLarge(
@@ -358,7 +358,7 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         if not 0.0 < t < 1.0:
-            raise DomainError("cutoff radius must sit in (0, 1)")
+            raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
         if t >= bound:
             raise RadiusTooLarge("radius %.3g is no embedded disk here" % t)
         eta = np.ones(m.n_vertices)

@@ -27,7 +27,7 @@ class NeckScalingConfig:
 
     def __post_init__(self):
         if int(self.n) != self.n or not (2 <= self.n <= 6):
-            raise DomainError("dimension n must be an integer in [2, 6]")
+            raise DomainError("dimension n must be an integer in [2, 6], got n = %s" % self.n)
         if not (0.0 < self.c <= self.C):
             raise DomainError("volume constants need 0 < c <= C")
         if self.A <= 0.0 or self.h <= 0.0 or self.R <= 0.0:

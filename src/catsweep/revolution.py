@@ -2,16 +2,22 @@
 
 A path of profile curves runs from a pinched two-disk surrogate to the
 stable catenoid; the mountain pass between those basins is the unstable
-catenoid, whose area is the numerical width.  The saddle is located by a
-two-phase scheme: bisection of the initial path against the basin boundary,
-then edge tracking of a bracket pair along the separatrix of the area
-descent flow until the pair settles onto the critical point.
+catenoid, whose area is the numerical width.  The initial path is bisected
+against the basin boundary; a bracket pair straddling that boundary then
+tracks the separatrix of the area descent flow, one leg at a time.  After
+each leg, Newton's method on the exact tridiagonal Hessian of the frustum
+area runs from the stable-side member of the pair.  Its limit is accepted
+only with a mountain-pass certificate: the Hessian has exactly one negative
+eigenvalue (a Sturm count of its pivots), and a nudge along that
+eigenvector falls into the pinched basin one way and the stable basin the
+other.  The width is the area of that certified index-1 critical point.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .catenoid import CatenoidSpec, excess_over_disks, solve_parameters, tangency_abscissa
@@ -24,10 +30,14 @@ PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand
 STEP0 = 0.25
 STEP_MAX = 0.5
 SEP_TARGET = 2e-3      # pair separation (relative to r) triggering re-bracketing
-DIP_TOL = 1e-8         # flow-speed norm below which the saddle counts as reached
 MAX_LEGS = 200
 MAX_LEG_ITERS = 30000
 CLASSIFY_ITERS = 20000
+
+# Newton saddle and its certificate
+NEWTON_ITERS = 30
+NEWTON_RTOL = 1e-10    # last step (sup norm) relative to the profile's sup norm
+CERT_NUDGE = 1e-2      # certificate nudge along the negative eigenvector, relative to the neck
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,30 @@ class WidthResult:
     width: float
     argmax_t: float
     profile_at_max: ProfileCurve
-    iterations: int
-    residual: float       # flow-speed norm at the returned profile
-    classify_calls: int   # basin classifications the saddle search ran
+    iterations: int        # area descent steps, basin classifications included
+    residual: float        # L2 norm of the area gradient density at the saddle
+    classify_calls: int    # basin classifications the saddle search ran
+    morse_index: int       # negative Hessian eigenvalues at the saddle
+    legs: int              # edge-tracking legs run before the certificate held
+    newton_iterations: int # Newton steps over every attempt, failed ones included
+
+
+def _negative_pivots(diag, off):
+    """Sturm count of a symmetric tridiagonal matrix: its negative eigenvalues.
+
+    By Sylvester's law of inertia these are the negative pivots of the
+    unpivoted LDL^T factorization, d_k = a_k - b_{k-1}^2 / d_{k-1}.  A pivot
+    that vanishes exactly is replaced by the smallest normal number, as
+    LAPACK's bisection does, so it counts as positive.
+    """
+    count = 0
+    d = 1.0
+    for a, b in zip(diag.tolist(), [0.0] + off.tolist()):
+        d = a - b * b / d
+        if d == 0.0:
+            d = np.finfo(float).tiny
+        count += d < 0.0
+    return count
 
 
 class _Descent:
@@ -162,6 +193,7 @@ class _Descent:
         # strictly diagonally dominant, so no pivot vanishes (info is 0)
         *self.lu, _ = dgttrf(off, diag, off)
         self.steps_taken = 0
+        self.newton_iterations = 0
 
     def area(self, f):
         return _frustum_area(f, self.dx)
@@ -169,15 +201,51 @@ class _Descent:
     def geometry(self, f):
         return _frustum_geometry(f, self.dx)
 
-    def direction(self, geo):
+    def gradient(self, geo):
+        """Area gradient with respect to the interior radii."""
         _, df, slant, s = geo
         q = s * df / slant
-        g = np.pi * (slant - q)[1:] + np.pi * (slant + q)[:-1]
-        return dgttrs(*self.lu, g / self.dx)[0]
+        return np.pi * (slant - q)[1:] + np.pi * (slant + q)[:-1]
+
+    def hessian(self, geo):
+        """Exact area Hessian on the interior radii: (diagonal, off-diagonal).
+
+        A frustum with end radii a, b couples only those two, with
+        h_aa = pi*(-2*df/l + s*dx^2/l^3), h_bb = pi*(2*df/l + s*dx^2/l^3) and
+        h_ab = -pi*s*dx^2/l^3, where df = b - a, l is the slant and s = a + b.
+        """
+        _, df, slant, s = geo
+        t = np.pi * s * self.dx ** 2 / slant ** 3
+        u = 2.0 * np.pi * df / slant
+        return (t + u)[:-1] + (t - u)[1:], -t[1:-1]
+
+    def newton(self, f):
+        """Newton's method on the area gradient from f, pinned ends fixed.
+
+        Each step solves with the indefinite Hessian (LAPACK dgttrf with
+        partial pivoting, then dgttrs).  Returns the critical profile, or
+        None when a pivot vanishes, a radius falls to the pinch floor or the
+        steps do not settle within NEWTON_ITERS.
+        """
+        f = f.copy()
+        for _ in range(NEWTON_ITERS):
+            self.newton_iterations += 1
+            geo = self.geometry(f)
+            diag, off = self.hessian(geo)
+            *lu, info = dgttrf(off, diag, off)
+            if info != 0:
+                return None
+            delta = dgttrs(*lu, self.gradient(geo))[0]
+            f[1:-1] -= delta
+            if not f.min() > self.floor:  # also catches NaN
+                return None
+            if np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(f):
+                return f
+        return None
 
     def step(self, f, geo, st):
         # backtracking guard: never accept an area increase
-        d = self.direction(geo)
+        d = dgttrs(*self.lu, self.gradient(geo) / self.dx)[0]
         self.steps_taken += 1
         a = geo[0]
         for _ in range(60):
@@ -186,13 +254,14 @@ class _Descent:
             np.maximum(fn, self.floor, out=fn)
             geo_n = self.geometry(fn)
             if geo_n[0] <= a:
-                return fn, geo_n, min(st * 1.3, STEP_MAX), d, True
+                return fn, geo_n, min(st * 1.3, STEP_MAX), True
             st *= 0.5
-        return f, geo, st, d, False
+        return f, geo, st, False
 
 
 class _WidthEngine(_Descent):
-    """Area descent plus the two basins and separatrix edge tracking."""
+    """Area descent plus the two basins, separatrix edge tracking and the
+    certified Newton saddle."""
 
     def __init__(self, r, h, n_nodes):
         self.x = np.linspace(-h, h, n_nodes)
@@ -207,8 +276,6 @@ class _WidthEngine(_Descent):
         # so the midpoint against c_stable cannot fire during a saddle linger
         self.neck_floor = max(2.0 * self.floor, 1e-3 * r)
         self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
-        self.gate_lo = 0.5 * sol.c_unstable
-        self.gate_hi = 0.5 * (sol.c_unstable + sol.c_stable)
         self.classify_calls = 0
 
     def classify(self, f):
@@ -218,7 +285,7 @@ class _WidthEngine(_Descent):
         st = STEP0
         neck_prev = f[self.mid]
         for _ in range(CLASSIFY_ITERS):
-            f, geo, st, d, moved = self.step(f, geo, st)
+            f, geo, st, moved = self.step(f, geo, st)
             if not moved:
                 if np.max(np.abs(f - self.stable)) < 0.05 * self.r:
                     return 1
@@ -271,52 +338,63 @@ class _WidthEngine(_Descent):
 
         f_a, f_b = at(lo), at(hi)
         sep = SEP_TARGET * self.r
-        best_dn = np.inf
-        best_area = np.nan
-        best_profile = None
-        for _ in range(MAX_LEGS):
+        for leg in range(1, MAX_LEGS + 1):
             geo_a, geo_b = self.geometry(f_a), self.geometry(f_b)
             st_a = st_b = STEP0
-            done = False
-            same_side = False
+            stalled = False
             for _ in range(MAX_LEG_ITERS):
-                f_a, geo_a, st_a, d_a, ok_a = self.step(f_a, geo_a, st_a)
-                f_b, geo_b, st_b, d_b, ok_b = self.step(f_b, geo_b, st_b)
-                dn = math.sqrt(float((d_a * d_a).sum()) * self.dx)
-                eligible = self.gate_lo < f_a[self.mid] < self.gate_hi
-                if eligible and dn < best_dn:
-                    best_dn = dn
-                    best_area = geo_a[0]
-                    best_profile = f_a.copy()
+                f_a, geo_a, st_a, ok_a = self.step(f_a, geo_a, st_a)
+                f_b, geo_b, st_b, ok_b = self.step(f_b, geo_b, st_b)
                 if np.max(np.abs(f_a - f_b)) > sep:
                     break
-                if eligible and dn < DIP_TOL:
-                    done = True
-                    break
                 if not ok_a and not ok_b:
-                    same_side = True  # both stalled without separating
+                    stalled = True  # both stalled without separating
                     break
-            if done or same_side:
-                break
+            saddle = self.newton(f_b)
+            if saddle is not None:
+                geo = self.geometry(saddle)
+                index = self.certify(saddle, geo)
+                if index is not None:
+                    return saddle, geo, argmax_t, index, leg
+            if stalled:
+                raise NonConvergence(
+                    "bracket pair stalled on leg %d with no certified saddle" % leg
+                )
             lam_lo, lam_hi = 0.0, 1.0
-            try:
-                for _ in range(54):
-                    lam = 0.5 * (lam_lo + lam_hi)
-                    if self.classify((1.0 - lam) * f_a + lam * f_b) == -1:
-                        lam_lo = lam
-                    else:
-                        lam_hi = lam
-            except NonConvergence:
-                break  # keep the best dip seen so far
+            for _ in range(54):
+                lam = 0.5 * (lam_lo + lam_hi)
+                if self.classify((1.0 - lam) * f_a + lam * f_b) == -1:
+                    lam_lo = lam
+                else:
+                    lam_hi = lam
             f_a, f_b = (
                 (1.0 - lam_lo) * f_a + lam_lo * f_b,
                 (1.0 - lam_hi) * f_a + lam_hi * f_b,
             )
-        if best_profile is None or best_dn > 1e-4:
-            raise NonConvergence(
-                "max-slice area failed to stabilize (residual %.2e)" % best_dn
-            )
-        return best_area, argmax_t, best_profile, best_dn
+        raise NonConvergence("no certified index-1 saddle within %d legs" % MAX_LEGS)
+
+    def certify(self, f, geo):
+        """Mountain-pass certificate of the critical profile f.
+
+        Returns its Morse index when that is 1 and f separates the basins:
+        f - eps*v descends to the pinched floor and f + eps*v to the stable
+        catenoid, v the negative eigenvector (sup norm 1, widening the neck).
+        Returns None otherwise.
+        """
+        diag, off = self.hessian(geo)
+        index = _negative_pivots(diag, off)
+        if index != 1:
+            return None
+        v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0]
+        v /= v[np.argmax(np.abs(v))]
+        if v[self.mid - 1] < 0.0:
+            v = -v
+        nudge = np.zeros_like(f)
+        nudge[1:-1] = CERT_NUDGE * f.min() * v
+        below, above = f - nudge, f + nudge
+        if self.classify(below) != -1 or self.classify(above) != 1:
+            return None
+        return index
 
 
 def mountain_pass_width(r, h, path0=None):
@@ -334,16 +412,22 @@ def mountain_pass_width(r, h, path0=None):
         raise DomainError("path slices must span [-h, h]")
     engine = _WidthEngine(r, h, n_nodes)
     endpoint_areas = (engine.area(path0.slices[0].f_values), engine.area(path0.slices[-1].f_values))
-    width, argmax_t, profile, residual = engine.run(path0)
-    if width < max(endpoint_areas):
+    profile, geo, argmax_t, index, legs = engine.run(path0)
+    if geo[0] < max(endpoint_areas):
         raise NonConvergence("width fell below an endpoint area; path degenerated")
+    # the gradient per unit length is the discrete first variation, so its
+    # L2 norm is comparable across resolutions
+    g = engine.gradient(geo)
     return WidthResult(
-        width=width,
+        width=geo[0],
         argmax_t=argmax_t,
         profile_at_max=ProfileCurve(x_nodes=engine.x.copy(), f_values=profile),
         iterations=engine.steps_taken,
-        residual=residual,
+        residual=math.sqrt(float(g @ g) / engine.dx),
         classify_calls=engine.classify_calls,
+        morse_index=index,
+        legs=legs,
+        newton_iterations=engine.newton_iterations,
     )
 
 
@@ -358,7 +442,7 @@ def descend_profile(p, r, steps):
     st = STEP0
     areas = [geo[0]]
     for _ in range(steps):
-        f, geo, st, _, _ = descent.step(f, geo, st)
+        f, geo, st, _ = descent.step(f, geo, st)
         areas.append(geo[0])
     return ProfileCurve(x_nodes=p.x_nodes.copy(), f_values=f), areas
 

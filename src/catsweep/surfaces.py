@@ -38,7 +38,7 @@ def disk_rings_for_cutoff(t, per_decade=8):
     so a cutoff at outer radius t is piecewise log-linear on ring values.
     """
     if not 0.0 < t < 1.0:
-        raise DomainError("cutoff radius must sit in (0, 1)")
+        raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
     inner = [0.25 * t * t, 0.5 * t * t]
     n1 = max(4, int(math.ceil(per_decade * (-math.log10(t)))))
     annulus = np.geomspace(t * t, t, n1 + 1)

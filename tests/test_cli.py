@@ -89,6 +89,7 @@ FAST_COMMANDS = {
     "fermi-quad": ["fermi", "quad"],
     "cutoff-disk": ["cutoff", "disk", "--t", "0.01"],
     "neck-fit": ["neck", "fit", "--n", "3"],
+    "width-run": ["width", "run", "--h", "0.5"],
 }
 
 
@@ -122,6 +123,17 @@ BAD_INPUTS = {
         ["width", "run", "--h", "0.5", "--tolerance", "-1"], "tolerance = -1.0"
     ),
     "width-h-negative": (["width", "run", "--h", "-0.1"], "h = -0.1"),
+    "width-h-overtall": (["width", "run", "--h", "0.7"], "h/r = 0.7 exceeds"),
+    "scan-r-negative": (["catenoid", "scan", "--r", "-1"], "r = -1.0"),
+    "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
+    "neck-fit-n-1": (["neck", "fit", "--n", "1"], "got n = 1"),
+    "doubling-m-1": (["doubling", "sweep", "--m", "1"], "got m = 1"),
+    "doubling-epsilon-negative": (
+        ["doubling", "sweep", "--m", "2", "--epsilon", "-1"], "got epsilon = -1.0"
+    ),
+    "doubling-delta-0.7": (
+        ["doubling", "sweep", "--m", "2", "--delta", "0.7"], "got delta = 0.7"
+    ),
 }
 
 

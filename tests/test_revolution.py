@@ -1,16 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from catsweep.catenoid import CatenoidSpec, solve_parameters
+from catsweep.catenoid import CatenoidSpec, excess_over_disks, solve_parameters
 from catsweep.errors import DegenerateProfile, DomainError, NoCatenoid
 from catsweep.revolution import (
     PINCH_FLOOR,
     STEP0,
     STEP_MAX,
     ProfileCurve,
+    _Descent,
+    _negative_pivots,
+    _WidthEngine,
     RevolutionPath,
     catenoid_profile,
     descend_profile,
@@ -39,6 +45,12 @@ EXCESS_RATIO_TABLE = {
     1e-7: 20.309716721026,
 }
 EXCESS_SLOPE = 0.7623457020
+
+
+@functools.lru_cache(maxsize=None)
+def _width(r, h):
+    # one engine run per (r, h), shared by the tests that only read it
+    return mountain_pass_width(r, h)
 
 
 def test_cylinder_area_exact():
@@ -141,7 +153,7 @@ def test_naive_sweepout_rejects_bad_grid():
 
 @pytest.mark.parametrize("r,h", [(1.0, 0.5), (1.0, 0.3)])
 def test_mountain_pass_width_matches_closed_form(r, h):
-    res = mountain_pass_width(r, h)
+    res = _width(r, h)
     exact = WIDTH_TABLE[(r, h)]
     assert abs(res.width - exact) / exact < 5e-3
     # the frustum discretization at 201 nodes is much tighter than that
@@ -156,8 +168,30 @@ def test_mountain_pass_width_matches_closed_form(r, h):
     assert res.classify_calls > 0
 
 
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.1])
+def test_width_excess_within_discretization_error(h):
+    # the excess over two disks is the quantity the estimate is about; at
+    # 201 nodes the frustum rule alone puts it within 2e-4 of the closed form
+    res = _width(1.0, h)
+    sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
+    excess_ref = excess_over_disks(1.0, h, sol.c_unstable)
+    assert abs((res.width - 2.0 * math.pi) / excess_ref - 1.0) <= 2e-4
+    assert res.morse_index == 1
+    assert res.residual <= 1e-10
+    assert res.legs >= 1 and res.newton_iterations >= 1
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(min_value=0.5, max_value=2.0))
+def test_width_scales_with_the_circles(s):
+    # area is 2-homogeneous, so the certified saddle of the scaled problem
+    # is the scaled saddle, whatever path the descent legs take to it
+    scaled = mountain_pass_width(s * 1.0, s * 0.5)
+    assert scaled.width == pytest.approx(s * s * _width(1.0, 0.5).width, rel=1e-9)
+
+
 def test_width_exceeds_endpoint_areas():
-    res = mountain_pass_width(1.0, 0.5)
+    res = _width(1.0, 0.5)
     path = initial_path(1.0, 0.5)
     assert res.width > revolution_area(path.slices[-1]) - 1e-9
     assert res.width > 2.0 * math.pi * 1.0 ** 2 * 0.9  # near two disks from the pinched end
@@ -227,6 +261,50 @@ def _reference_descent(p, r, steps):
             st *= 0.5
         areas.append(a)
     return f, areas
+
+
+def _interior_hessian(p):
+    descent = _Descent(p.dx, p.x_nodes.size, 1.0)
+    return descent, descent.hessian(descent.geometry(p.f_values))
+
+
+def test_hessian_matches_central_differences():
+    eps = 1e-6
+    for p in _random_profiles():
+        descent, (diag, off) = _interior_hessian(p)
+        exact = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        fd = np.empty_like(exact)
+        for j in range(diag.size):
+            fp, fm = p.f_values.copy(), p.f_values.copy()
+            fp[j + 1] += eps
+            fm[j + 1] -= eps
+            gp = descent.gradient(descent.geometry(fp))
+            gm = descent.gradient(descent.geometry(fm))
+            fd[:, j] = (gp - gm) / (2.0 * eps)
+        # relative to the largest entry: these rough profiles have slopes
+        # near 50, so the entries reach ~1.7e3
+        assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
+def test_sturm_count_matches_eigenvalues():
+    sol = solve_parameters(CatenoidSpec(r=1.0, h=0.5))
+    saddle = _width(1.0, 0.5).profile_at_max
+    stable = catenoid_profile(1.0, 0.5, sol.c_stable)
+    cases = [(saddle, 1), (stable, 0)] + [(p, None) for p in _random_profiles()]
+    for p, index in cases:
+        _, (diag, off) = _interior_hessian(p)
+        count = _negative_pivots(diag, off)
+        assert count == int(np.sum(eigh_tridiagonal(diag, off, eigvals_only=True) < 0.0))
+        if index is not None:
+            assert count == index
+
+
+def test_certificate_accepts_only_the_saddle():
+    engine = _WidthEngine(1.0, 0.5, 201)
+    saddle = _width(1.0, 0.5).profile_at_max.f_values
+    assert engine.certify(saddle, engine.geometry(saddle)) == 1
+    # index 0: the stable catenoid is no mountain pass
+    assert engine.certify(engine.stable, engine.geometry(engine.stable)) is None
 
 
 def test_descent_matches_reference_bit_for_bit():

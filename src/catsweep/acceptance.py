@@ -32,7 +32,7 @@ from .fermi import (
     jacobi_lowest,
     two_sided_tube_family,
 )
-from .mesh import geodesic_distances, level_set_perimeter, mesh_area
+from .mesh import level_set_perimeter, mesh_area
 from .neckscaling import cost_exponent_fit
 from .report import make_report
 from .revolution import excess_scaling_comparison, mountain_pass_width
@@ -157,11 +157,11 @@ def cutoff_torus(cl, t):
     bound D/(-log t), D fitted from level-set perimeters of the distance."""
     n = cl.aux["grid_n"]
     center = (n // 2) * n + n // 2
-    dist = geodesic_distances(cl, center)
+    cut = build_cutoff(cl, center, t)
     d_const = 2.0 * max(
-        level_set_perimeter(cl, dist, lam) / lam for lam in (0.2, 0.3, 0.5, 0.8)
+        level_set_perimeter(cl, cut.dist, lam) / lam for lam in (0.2, 0.3, 0.5, 0.8)
     )
-    e = cutoff_energy(build_cutoff(cl, center, t))
+    e = cutoff_energy(cut)
     bound = d_const / (-math.log(t))
     rows = [
         {

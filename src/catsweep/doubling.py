@@ -26,7 +26,7 @@ from .mesh import (
     euler_characteristic,
 )
 from .report import make_report
-from .surfaces import clifford_torus, product_torus
+from .surfaces import clifford_torus, flat_torus_gap, product_torus
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -616,13 +616,11 @@ def grid_retraction(m, s, point):
 
 def _chart_center_gap(m, theta, phi):
     """Flat-metric distance to the nearest puncture center, in the chart."""
-    cell = 2.0 * math.pi / m
     half = math.pi / m
-    a = (np.asarray(theta, dtype=float) - half) % cell
-    a = np.minimum(a, cell - a)
-    b = (np.asarray(phi, dtype=float) - half) % cell
-    b = np.minimum(b, cell - b)
-    return np.sqrt(0.5 * (a * a + b * b))
+    return flat_torus_gap(
+        0.5, np.asarray(theta, dtype=float) - half, np.asarray(phi, dtype=float) - half,
+        2.0 * math.pi / m,
+    )
 
 
 def _collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):

@@ -5,6 +5,12 @@ expansion with its quadratic form), per-triangle metric jets with their
 determinant and inverse expansions, logarithmic cutoff fields with their
 Dirichlet energy, the lowest Jacobi eigenpair, and the two-sided punctured
 graph family whose maximal area stays below twice the base area.
+
+Cutoffs and tube families read exact distance fields: the flat metric of a
+product torus (`surfaces.torus_distances`) or the radius about a radial
+disk's center.  Other meshes raise DomainError; the mesh geodesic
+`mesh.geodesic_distances` now serves only the tests and the benchmark's
+tracer.
 """
 
 import math
@@ -25,13 +31,13 @@ from .errors import (
 from .mesh import (
     cotan_stiffness,
     dirichlet_energy,
-    geodesic_distances,
     lumped_mass,
     mesh_area,
     push_along_normals,
     triangle_areas,
 )
 from .report import make_report
+from .surfaces import torus_distances
 
 MINIMALITY_TOL = 5e-2   # ceiling on max |tr(g^-1 A)| before a base stops counting as minimal
 JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
@@ -242,9 +248,11 @@ class CutoffField:
 
 
 def _distances_from(m, p):
+    # exact fields only: the radius about a radial disk's center, or the
+    # flat metric of a product torus (any other mesh raises DomainError)
     if m.aux.get("radial") and p == m.aux.get("center_vertex"):
         return np.array(m.aux["radius_of"], dtype=float)
-    return geodesic_distances(m, p)
+    return torus_distances(m, p)
 
 
 def log_cutoff(dist, t):

@@ -1,10 +1,16 @@
 """Triangle meshes in flat space and in the round 3-sphere.
 
 Vertices live in the ambient chart (R^3, or R^4 restricted to the unit
-sphere).  Areas, stiffness and mass matrices, geodesic distances, and the
+sphere).  Areas, stiffness and mass matrices, level-set lengths, and the
 Euler characteristic all work from the vertex/triangle arrays alone; the
 optional chart fields let parametric surfaces be measured by quadrature of
 the analytic area element instead of through the piecewise-flat geometry.
+
+The package measures distances in closed form (the flat metric of a
+product torus, the radius on a radial disk).  The mesh geodesic
+`geodesic_distances` and its `edge_lengths` serve only the tests, as the
+approximation those closed forms are checked against, and the benchmark's
+per-layer tracer.
 """
 
 import math
@@ -146,11 +152,15 @@ def _unique_edges(tris):
     """Undirected edges of a triangle list as (lo, hi) rows in lexicographic order.
 
     Each edge is keyed as the single integer lo * base + hi, which sorts
-    exactly like the pair because hi < base.
+    exactly like the pair because hi < base; a sort and a mask on equal
+    neighbours keep one key per edge.
     """
     pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     base = int(tris.max(initial=0)) + 1
-    keys = np.unique(pairs.min(axis=1) * base + pairs.max(axis=1))
+    keys = np.sort(pairs.min(axis=1) * base + pairs.max(axis=1))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     return np.column_stack([keys // base, keys % base])
 
 
@@ -222,7 +232,9 @@ def geodesic_distances(m, source):
 
     Dijkstra over edge-length weights, then a single triangle-unfolding
     sweep in breadth order, which removes most of the metrication bias of
-    pure edge paths.
+    pure edge paths.  On the 64^2 product tori it is within 4e-4 relative
+    of the exact flat distance out to distance 1, but up to 27% off near
+    the cut locus; no package code calls it.
     """
     pairs, lengths = edge_lengths(m)
     n = m.n_vertices
@@ -282,20 +294,20 @@ def geodesic_distances(m, source):
 def level_set_perimeter(m, values, level):
     """Length of the piecewise-linear level set of a vertex field."""
     v = np.asarray(values, dtype=float)
-    total = 0.0
-    for tri in m.triangles:
-        pts = []
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            va, vb = v[e[0]], v[e[1]]
-            if (va - level) * (vb - level) < 0.0:
-                lam = (level - va) / (vb - va)
-                pts.append((1.0 - lam) * m.vertices[e[0]] + lam * m.vertices[e[1]])
-        if len(pts) == 2:
-            seg = np.linalg.norm(pts[1] - pts[0])
-            if m.ambient == AMBIENT_S3:
-                seg = 2.0 * math.asin(min(0.5 * seg, 1.0))
-            total += seg
-    return total
+    tris = m.triangles
+    # edge e of a triangle runs from corner e to corner e + 1 (mod 3)
+    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
+    va, vb = v[ends[..., 0]], v[ends[..., 1]]
+    cross = (va - level) * (vb - level) < 0.0
+    # a triangle carries a segment when exactly two of its edges cross
+    hit = cross & (np.count_nonzero(cross, axis=1) == 2)[:, None]
+    ia, ib = ends[..., 0][hit], ends[..., 1][hit]
+    lam = ((level - v[ia]) / (v[ib] - v[ia]))[:, None]
+    pts = (1.0 - lam) * m.vertices[ia] + lam * m.vertices[ib]
+    seg = np.linalg.norm(pts[1::2] - pts[0::2], axis=1)
+    if m.ambient == AMBIENT_S3:
+        seg = 2.0 * np.arcsin(np.minimum(0.5 * seg, 1.0))
+    return float(np.sum(seg))
 
 
 def euler_characteristic(triangles):
@@ -303,7 +315,8 @@ def euler_characteristic(triangles):
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:
         return 0
-    return int(len(np.unique(tris)) - len(_unique_edges(tris)) + len(tris))
+    n_referenced = np.count_nonzero(np.bincount(tris.ravel()))
+    return int(n_referenced - len(_unique_edges(tris)) + len(tris))
 
 
 def push_along_normals(m, offsets):

@@ -15,20 +15,20 @@ from .mesh import AMBIENT_R3, AMBIENT_S3, MeshSurface
 
 
 def _grid_triangles(n_rows, n_cols, wrap_rows, wrap_cols):
-    tris = []
-    row_max = n_rows if wrap_rows else n_rows - 1
-    col_max = n_cols if wrap_cols else n_cols - 1
-    for j in range(row_max):
-        j1 = (j + 1) % n_rows
-        for k in range(col_max):
-            k1 = (k + 1) % n_cols
-            v00 = j * n_cols + k
-            v10 = j1 * n_cols + k
-            v01 = j * n_cols + k1
-            v11 = j1 * n_cols + k1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return np.array(tris, dtype=np.int64)
+    """Two triangles per grid cell, cells in row-major order.
+
+    Cell (j, k) with corners v00 = (j, k), v10 = (j+1, k), v01 = (j, k+1),
+    v11 = (j+1, k+1) gives (v00, v10, v11) then (v00, v11, v01); a wrapped
+    axis also joins its last row (column) to its first.
+    """
+    j = np.arange(n_rows if wrap_rows else n_rows - 1, dtype=np.int64)
+    k = np.arange(n_cols if wrap_cols else n_cols - 1, dtype=np.int64)
+    r0 = (j * n_cols)[:, None]
+    r1 = ((j + 1) % n_rows * n_cols)[:, None]
+    k1 = (k + 1) % n_cols
+    v00, v10, v01, v11 = r0 + k, r1 + k, r0 + k1, r1 + k1
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1)
+    return cells.reshape(-1, 3)
 
 
 def disk_rings_for_cutoff(t, per_decade=8):
@@ -136,17 +136,15 @@ def product_torus(t, n=64):
         a_norm2=np.full(n_v, a2),
         ric_nn=np.full(n_v, 2.0),
     )
-    # chart corners per triangle, unwrapped across the periodic seam
+    # chart corners per triangle, unwrapped across the periodic seam, in
+    # the cell order of _grid_triangles
     d = 2.0 * np.pi / n
-    uv_corners = np.zeros((len(tris), 3, 2))
-    idx = 0
-    for j in range(n):
-        for k in range(n):
-            u0, u1 = j * d, (j + 1) * d
-            v0, v1 = k * d, (k + 1) * d
-            uv_corners[idx] = [[u0, v0], [u1, v0], [u1, v1]]
-            uv_corners[idx + 1] = [[u0, v0], [u1, v1], [u0, v1]]
-            idx += 2
+    lo = np.arange(n) * d
+    hi = np.arange(1, n + 1) * d
+    u0, u1 = np.repeat(lo, n), np.repeat(hi, n)
+    v0, v1 = np.tile(lo, n), np.tile(hi, n)
+    uv_corners = np.stack([u0, v0, u1, v0, u1, v1, u0, v0, u1, v1, u0, v1], axis=-1)
+    uv_corners = uv_corners.reshape(-1, 3, 2)
     mesh.chart_uv_corners = uv_corners
     mesh.chart_sqrtg = np.full(n_v, a * b)
     omega = math.asin(2.0 * t - 1.0)
@@ -169,6 +167,31 @@ def product_torus(t, n=64):
         name="product_torus",
     )
     return mesh
+
+
+def flat_torus_gap(t, dtheta, dphi, period):
+    """Flat distance on the torus {|z|^2 = t} between chart points.
+
+    The torus is isometric to the plane with metric t dtheta^2 +
+    (1 - t) dphi^2 modulo a lattice; each angle offset is wrapped to its
+    nearest copy modulo period (2 pi for the torus itself).
+    """
+    a = np.remainder(dtheta, period)
+    a = np.minimum(a, period - a)
+    b = np.remainder(dphi, period)
+    b = np.minimum(b, period - b)
+    return np.sqrt(t * a * a + (1.0 - t) * b * b)
+
+
+def torus_distances(m, source):
+    """Exact intrinsic distance from one vertex of a product_torus mesh."""
+    if "torus_t" not in m.aux:
+        raise DomainError(
+            "exact distances need a product torus, got mesh %r" % m.aux.get("name", "mesh")
+        )
+    th = m.aux["chart_theta"]
+    ph = m.aux["chart_phi"]
+    return flat_torus_gap(m.aux["torus_t"], th - th[source], ph - ph[source], 2.0 * math.pi)
 
 
 def clifford_torus(n=64):

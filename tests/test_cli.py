@@ -137,13 +137,27 @@ BAD_INPUTS = {
 }
 
 
+def _assert_one_line_error(code, err, named):
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ") and named in err
+
+
 @pytest.mark.parametrize("argv, named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_one_line_exit_one(argv, named):
+def test_bad_input_one_line_exit_one(argv, named, capsys):
+    # in-process: an uncaught exception would fail the test with its traceback
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    _assert_one_line_error(code, capsys.readouterr().err, named)
+
+
+def test_bad_input_through_module_entry_point():
+    argv, named = BAD_INPUTS["doubling-m-1"]
     proc = _run_from_source(["-m", "catsweep.cli"] + argv)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    _assert_one_line_error(proc.returncode, proc.stderr, named)
 
 
 def test_csv_output(capsys):

@@ -26,8 +26,8 @@ from catsweep.doubling import (
     tube_area,
 )
 from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
-from catsweep.mesh import geodesic_distances, mesh_area
-from catsweep.surfaces import product_torus
+from catsweep.mesh import mesh_area
+from catsweep.surfaces import product_torus, torus_distances
 
 BUDGET = 4.0 * math.pi ** 2
 
@@ -338,7 +338,7 @@ def test_assembly_stays_under_budget(report2):
     assert s["passed"] is True
     assert s["sup_area"] < BUDGET
     assert s["margin"] >= 0.05 * BUDGET
-    assert s["margin"] == pytest.approx(3.4160949356753605, rel=1e-12)
+    assert s["margin"] == pytest.approx(3.4162889397003227, rel=1e-12)
     assert s["regular_chi"] == -8
 
 
@@ -346,7 +346,7 @@ def test_assembly_order_three_margin(report3):
     s = report3.summary
     assert s["passed"] is True
     assert s["margin"] >= 0.05 * BUDGET
-    assert s["margin"] == pytest.approx(2.639243285913693, rel=1e-12)
+    assert s["margin"] == pytest.approx(2.6394981231556045, rel=1e-12)
     assert s["regular_chi"] == -18
 
 
@@ -391,9 +391,9 @@ def test_assembly_computes_puncture_distances_once(monkeypatch):
 
     def counted(m, source):
         calls.append(source)
-        return geodesic_distances(m, source)
+        return torus_distances(m, source)
 
-    monkeypatch.setattr(fermi, "geodesic_distances", counted)
+    monkeypatch.setattr(fermi, "torus_distances", counted)
     rep = assemble_doubled_sweepout(2, t_grid=[0.3, 0.32])
     assert [r["stage"] for r in rep.rows] == ["graph_necks", "graph_necks"]
     assert len(calls) == 4

@@ -23,7 +23,9 @@ from catsweep.surfaces import (
     clifford_torus,
     disk_rings_for_cutoff,
     flat_disk,
+    product_torus,
     round_sphere,
+    torus_distances,
 )
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -279,6 +281,56 @@ def test_clifford_cutoff_energy_bound():
     e = cutoff_energy(build_cutoff(cl, center, t))
     assert e <= d_const / (-math.log(t))
     assert d_const == pytest.approx(4.0 * math.pi, rel=2e-2)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_torus_distance_along_grid_lines(t):
+    n = 64
+    m = product_torus(t, n)
+    j0, k0 = 10, 50
+    dist = torus_distances(m, j0 * n + k0)
+    step = 2.0 * math.pi / n
+    for k in range(n):
+        hops = min(k, n - k)
+        # theta circle through the source, then the phi circle
+        assert dist[(j0 + k) % n * n + k0] == pytest.approx(
+            hops * step * math.sqrt(t), rel=1e-12, abs=1e-15
+        )
+        assert dist[j0 * n + (k0 + k) % n] == pytest.approx(
+            hops * step * math.sqrt(1.0 - t), rel=1e-12, abs=1e-15
+        )
+
+
+def test_torus_distance_symmetric_and_wraps():
+    n = 16
+    m = product_torus(0.3, n)
+    table = np.array([torus_distances(m, p) for p in range(n * n)])
+    # equal up to the rounding of the angle wrap
+    assert np.allclose(table, table.T, rtol=1e-14, atol=1e-15)
+    # first and last grid columns are one cell apart across the seam
+    step = 2.0 * math.pi / n
+    assert table[0, n - 1] == pytest.approx(step * math.sqrt(0.7), rel=1e-12)
+    assert table[0, (n - 1) * n] == pytest.approx(step * math.sqrt(0.3), rel=1e-12)
+    assert table[0, (n - 1) * n + n - 1] == pytest.approx(step, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_torus_distance_matches_mesh_geodesic_near_source(t):
+    n = 64
+    m = product_torus(t, n)
+    src = (n // 2) * n + n // 2
+    exact = torus_distances(m, src)
+    mesh = geodesic_distances(m, src)
+    near = (exact > 0.0) & (exact <= 1.0)
+    assert np.max(np.abs(mesh[near] / exact[near] - 1.0)) < 5e-4
+
+
+def test_distances_only_on_exact_meshes():
+    with pytest.raises(DomainError, match="round_sphere"):
+        build_cutoff(round_sphere(2), 0, 0.1)
+    dk = flat_disk(32, np.linspace(0.05, 0.5, 8))
+    with pytest.raises(DomainError, match="flat_disk"):
+        build_cutoff(dk, 5, 0.1)
 
 
 def test_jacobi_lowest_clifford():

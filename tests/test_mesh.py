@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catsweep.errors import DomainError
 from catsweep.mesh import (
     AMBIENT_S3,
     MeshSurface,
+    _unique_edges,
     cotan_stiffness,
     dirichlet_energy,
     euler_characteristic,
@@ -18,6 +21,7 @@ from catsweep.mesh import (
     triangle_areas,
 )
 from catsweep.surfaces import (
+    catenoid_patch,
     clifford_torus,
     disk_rings_for_cutoff,
     flat_disk,
@@ -77,6 +81,77 @@ def test_euler_characteristics():
     assert euler_characteristic(clifford_torus(32).triangles) == 0
     assert euler_characteristic(round_sphere(2).triangles) == 2
     assert euler_characteristic(flat_disk().triangles) == 1
+
+
+def _loop_grid_triangles(n_rows, n_cols, wrap_rows, wrap_cols):
+    # reference: the cell-by-cell loop the array mesher replaced
+    tris = []
+    row_max = n_rows if wrap_rows else n_rows - 1
+    col_max = n_cols if wrap_cols else n_cols - 1
+    for j in range(row_max):
+        j1 = (j + 1) % n_rows
+        for k in range(col_max):
+            k1 = (k + 1) % n_cols
+            v00 = j * n_cols + k
+            v10 = j1 * n_cols + k
+            v01 = j * n_cols + k1
+            v11 = j1 * n_cols + k1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.array(tris, dtype=np.int64)
+
+
+def _loop_chart_corners(n):
+    d = 2.0 * np.pi / n
+    uv_corners = np.zeros((2 * n * n, 3, 2))
+    idx = 0
+    for j in range(n):
+        for k in range(n):
+            u0, u1 = j * d, (j + 1) * d
+            v0, v1 = k * d, (k + 1) * d
+            uv_corners[idx] = [[u0, v0], [u1, v0], [u1, v1]]
+            uv_corners[idx + 1] = [[u0, v0], [u1, v1], [u0, v1]]
+            idx += 2
+    return uv_corners
+
+
+@pytest.mark.parametrize("n", [3, 5, 64, 66])
+def test_torus_mesher_matches_loop_bytes(n):
+    m = product_torus(0.3, n)
+    want_tris = _loop_grid_triangles(n, n, True, True)
+    assert m.triangles.dtype == want_tris.dtype
+    assert m.triangles.tobytes() == want_tris.tobytes()
+    want_uv = _loop_chart_corners(n)
+    assert m.chart_uv_corners.shape == want_uv.shape
+    assert m.chart_uv_corners.tobytes() == want_uv.tobytes()
+
+
+def test_catenoid_patch_mesher_matches_loop_bytes():
+    tris = catenoid_patch().triangles
+    assert tris.tobytes() == _loop_grid_triangles(97, 96, False, True).tobytes()
+
+
+# triangles over a few vertex ids: some ids go unused, and a triangle may
+# repeat an id
+_TRIANGLE_LISTS = st.lists(
+    st.tuples(*[st.integers(min_value=0, max_value=11)] * 3), min_size=1, max_size=24
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tris=_TRIANGLE_LISTS)
+def test_edge_and_euler_counts_match_sets(tris):
+    edges = {(min(a, b), max(a, b)) for tri in tris for a, b in zip(tri, tri[1:] + tri[:1])}
+    vertices = {v for tri in tris for v in tri}
+    arr = np.array(tris, dtype=np.int64)
+    assert euler_characteristic(arr) == len(vertices) - len(edges) + len(tris)
+    pairs = np.vstack([arr[:, [0, 1]], arr[:, [1, 2]], arr[:, [2, 0]]])
+    base = int(arr.max()) + 1
+    keys = np.unique(pairs.min(axis=1) * base + pairs.max(axis=1))
+    want = np.column_stack([keys // base, keys % base])
+    got = _unique_edges(arr)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [tuple(e) for e in got] == sorted(edges)
 
 
 def test_validation_rejects_bad_input():
@@ -145,7 +220,10 @@ def test_level_set_perimeter_circle():
     dk = flat_disk(64, disk_rings_for_cutoff(0.1))
     dist = geodesic_distances(dk, 0)
     per = level_set_perimeter(dk, dist, 0.37)
+    assert isinstance(per, float)
     assert per == pytest.approx(2.0 * math.pi * 0.37, rel=2e-2)
+    # the value of the triangle-by-triangle loop the array form replaced
+    assert per == pytest.approx(2.323845056146516, rel=1e-14)
 
 
 def test_push_preserves_sphere():

@@ -78,6 +78,7 @@ def width_run(r, h, tolerance):
             "reference_area": ref,
             "argmax_t": res.argmax_t,
             "iterations": res.iterations,
+            "backtracks": res.backtracks,
             "legs": res.legs,
             "newton_iterations": res.newton_iterations,
             "classify_calls": res.classify_calls,

@@ -265,7 +265,10 @@ def _family_args(m, schedule, n):
     if n is None:
         n = default_resolution(m)
     if n % (2 * m) != 0:
-        raise DomainError("grid size must be divisible by 2m to place weld centers on vertices")
+        raise DomainError(
+            "grid size must be divisible by 2m to place weld centers on vertices,"
+            " got n = %d, m = %d" % (n, m)
+        )
     return m, schedule, n
 
 
@@ -482,7 +485,7 @@ def doubled_slice(t, m, schedule=None, n=None):
     if radius <= 0.0:
         verts = np.vstack([low.vertices, high.vertices])
         tris = np.vstack([low.triangles, high.triangles + n2])
-        total = float(np.sum(_spherical_triangle_areas(verts, tris)))
+        total = float(np.sum(np.concatenate([low.areas, high.areas])))
         return DoubledSlice(
             t=t, m=m, stage="pair", vertices=verts, triangles=tris, area=total,
             area_parts={"tori": total, "collars": 0.0, "tubes": 0.0},
@@ -503,8 +506,6 @@ def doubled_slice(t, m, schedule=None, n=None):
     verts[n2:2 * n2] = high.vertices
     keep_low = np.ones(len(low.triangles), dtype=bool)
     keep_high = np.ones(len(high.triangles), dtype=bool)
-    areas_low = _spherical_triangle_areas(low.vertices, low.triangles)
-    areas_high = _spherical_triangle_areas(high.vertices, high.triangles)
     removed = 0.0
     weld_centers = _grid_center_vertices(m, n)
     for a, c_id in enumerate(weld_centers):
@@ -524,7 +525,7 @@ def doubled_slice(t, m, schedule=None, n=None):
             star0 = star
         keep_low[star] = False
         keep_high[star] = False
-        removed += float(areas_low[star].sum() + areas_high[star].sum())
+        removed += float(low.areas[star].sum() + high.areas[star].sum())
     # canonical collar at the lower-torus end of the first arc
     th_v = low.aux["chart_theta"]
     ph_v = low.aux["chart_phi"]
@@ -559,7 +560,7 @@ def doubled_slice(t, m, schedule=None, n=None):
     tris = np.vstack(
         [low.triangles[keep_low], high.triangles[keep_high] + n2, collar_tris, strip_tris]
     )
-    area_tori = float(areas_low[keep_low].sum() + areas_high[keep_high].sum())
+    area_tori = float(low.areas[keep_low].sum() + high.areas[keep_high].sum())
     area_collars = float(np.sum(_spherical_triangle_areas(verts, collar_tris)))
     area_tubes = float(np.sum(_spherical_triangle_areas(verts, strip_tris)))
     return DoubledSlice(

@@ -356,6 +356,8 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
     B_{t^2} are dropped, and both pushed copies are measured.  The report's
     budget is twice the base area; the margin must come out positive.
     """
+    if not h > 0.0:
+        raise DomainError("tube offset scale must be positive, got h = %s" % h)
     phi = np.asarray(phi, dtype=float)
     if t_grid is None:
         t_grid = np.linspace(0.05, 0.35, 13)

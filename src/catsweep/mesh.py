@@ -32,7 +32,9 @@ class MeshSurface:
 
     chart_uv_corners carries per-triangle corner coordinates of a parametric
     chart (unwrapped, so periodic seams stay consistent) and chart_sqrtg the
-    analytic area element sampled at vertices; both may be None.
+    analytic area element sampled at vertices; both may be None.  areas
+    holds the per-triangle metric areas, measured once at construction;
+    the vertex and triangle arrays are not changed after it.
     """
 
     vertices: np.ndarray
@@ -45,6 +47,7 @@ class MeshSurface:
     chart_sqrtg: np.ndarray = None
     normal_validity: float = math.inf
     aux: dict = field(default_factory=dict)
+    areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -80,8 +83,8 @@ class MeshSurface:
             dots = np.abs(np.sum(self.vertices * self.vertex_normals, axis=1))
             if np.any(dots > 1e-10):
                 raise DomainError("round_s3 normals must be tangent to the sphere")
-        areas = triangle_areas(self)
-        if self.triangles.size and np.any(areas <= 0.0):
+        self.areas = triangle_areas(self)
+        if self.triangles.size and np.any(self.areas <= 0.0):
             raise DomainError("every triangle needs positive metric area")
 
     @property

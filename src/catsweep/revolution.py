@@ -6,11 +6,19 @@ catenoid, whose area is the numerical width.  The initial path is bisected
 against the basin boundary; a bracket pair straddling that boundary then
 tracks the separatrix of the area descent flow, one leg at a time.  After
 each leg, Newton's method on the exact tridiagonal Hessian of the frustum
-area runs from the stable-side member of the pair.  Its limit is accepted
-only with a mountain-pass certificate: the Hessian has exactly one negative
-eigenvalue (a Sturm count of its pivots), and a nudge along that
+area runs from the stable-side member of the pair.  It is damped: a step is
+halved until the radii stay above the pinch floor and the merit |g|^2 of
+the area gradient g decreases, which the Newton direction guarantees for
+small enough steps even though the Hessian is indefinite.  Its limit is
+accepted only with a mountain-pass certificate: the Hessian has exactly one
+negative eigenvalue (a Sturm count of its pivots), and a nudge along that
 eigenvector falls into the pinched basin one way and the stable basin the
 other.  The width is the area of that certified index-1 critical point.
+
+A basin classification stops on the stable side as soon as the area falls
+below 2*pi*(r^2 - e^2), e the pinch threshold of the neck: by the frustum
+bound pi*(a+b)*slant >= pi*|b^2 - a^2|, no profile with a radius <= e has
+less area, and the descent never raises it.
 """
 
 import math
@@ -33,6 +41,7 @@ SEP_TARGET = 2e-3      # pair separation (relative to r) triggering re-bracketin
 MAX_LEGS = 200
 MAX_LEG_ITERS = 30000
 CLASSIFY_ITERS = 20000
+HALVINGS = 60          # step halvings before a descent or Newton step gives up
 
 # Newton saddle and its certificate
 NEWTON_ITERS = 30
@@ -142,6 +151,7 @@ class WidthResult:
     argmax_t: float
     profile_at_max: ProfileCurve
     iterations: int        # area descent steps, basin classifications included
+    backtracks: int        # step halvings: descent backtracking plus Newton damping
     residual: float        # L2 norm of the area gradient density at the saddle
     classify_calls: int    # basin classifications the saddle search ran
     morse_index: int       # negative Hessian eigenvalues at the saddle
@@ -194,6 +204,7 @@ class _Descent:
         *self.lu, _ = dgttrf(off, diag, off)
         self.steps_taken = 0
         self.newton_iterations = 0
+        self.backtracks = 0
 
     def area(self, f):
         return _frustum_area(f, self.dx)
@@ -220,27 +231,46 @@ class _Descent:
         return (t + u)[:-1] + (t - u)[1:], -t[1:-1]
 
     def newton(self, f):
-        """Newton's method on the area gradient from f, pinned ends fixed.
+        """Damped Newton's method on the area gradient from f, pinned ends fixed.
 
         Each step solves with the indefinite Hessian (LAPACK dgttrf with
-        partial pivoting, then dgttrs).  Returns the critical profile, or
-        None when a pivot vanishes, a radius falls to the pinch floor or the
+        partial pivoting, then dgttrs).  A full step whose sup norm is at
+        most NEWTON_RTOL times the profile's sup norm is the converged one.
+        Otherwise the step is halved until the radii stay above the pinch
+        floor and the merit |g|^2 decreases: the Newton direction -H^-1 g
+        descends the merit even where H is indefinite, since the merit's
+        slope along it is -2|g|^2.  Returns the critical profile, or None
+        when a pivot vanishes, HALVINGS halvings find no such step or the
         steps do not settle within NEWTON_ITERS.
         """
-        f = f.copy()
+        geo = self.geometry(f)
+        g = self.gradient(geo)
+        merit = float(g @ g)
         for _ in range(NEWTON_ITERS):
             self.newton_iterations += 1
-            geo = self.geometry(f)
             diag, off = self.hessian(geo)
             *lu, info = dgttrf(off, diag, off)
             if info != 0:
                 return None
-            delta = dgttrs(*lu, self.gradient(geo))[0]
-            f[1:-1] -= delta
-            if not f.min() > self.floor:  # also catches NaN
+            delta = dgttrs(*lu, g)[0]
+            fn = f.copy()
+            fn[1:-1] -= delta
+            if fn.min() > self.floor and np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(fn):
+                return fn
+            for _ in range(HALVINGS):
+                if fn.min() > self.floor:  # also rejects NaN
+                    geo_n = self.geometry(fn)
+                    g_n = self.gradient(geo_n)
+                    merit_n = float(g_n @ g_n)
+                    if merit_n < merit:
+                        break
+                self.backtracks += 1
+                delta *= 0.5
+                fn = f.copy()
+                fn[1:-1] -= delta
+            else:
                 return None
-            if np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(f):
-                return f
+            f, geo, g, merit = fn, geo_n, g_n, merit_n
         return None
 
     def step(self, f, geo, st):
@@ -248,13 +278,14 @@ class _Descent:
         d = dgttrs(*self.lu, self.gradient(geo) / self.dx)[0]
         self.steps_taken += 1
         a = geo[0]
-        for _ in range(60):
+        for _ in range(HALVINGS):
             fn = f.copy()
             np.subtract(f[1:-1], st * d, out=fn[1:-1])
             np.maximum(fn, self.floor, out=fn)
             geo_n = self.geometry(fn)
             if geo_n[0] <= a:
                 return fn, geo_n, min(st * 1.3, STEP_MAX), True
+            self.backtracks += 1
             st *= 0.5
         return f, geo, st, False
 
@@ -276,6 +307,9 @@ class _WidthEngine(_Descent):
         # so the midpoint against c_stable cannot fire during a saddle linger
         self.neck_floor = max(2.0 * self.floor, 1e-3 * r)
         self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
+        # the frustum bound (module docstring): below this area no radius can
+        # reach neck_floor again; the factor absorbs the area's rounding
+        self.no_pinch_area = 2.0 * np.pi * (r * r - self.neck_floor ** 2) * (1.0 - 1e-12)
         self.classify_calls = 0
 
     def classify(self, f):
@@ -293,10 +327,29 @@ class _WidthEngine(_Descent):
             neck = f[self.mid]
             if neck <= self.neck_floor:
                 return -1
+            if geo[0] < self.no_pinch_area:
+                return 1
             if neck >= self.neck_stable and neck > neck_prev:
                 return 1
             neck_prev = neck
         raise NonConvergence("basin classification exceeded its iteration cap")
+
+    def bisect(self, profile_at):
+        """Bisect [0, 1] against the basin boundary along profile_at(t).
+
+        profile_at(0) is pinched-side and profile_at(1) stable-side; returns
+        the bracket (lo, hi) once they are adjacent doubles, when the
+        midpoint rounds to one of them, so no parameter is classified twice.
+        """
+        lo, hi = 0.0, 1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return lo, hi
+            if self.classify(profile_at(mid)) == -1:
+                lo = mid
+            else:
+                hi = mid
 
     def run(self, path):
         profiles = [p.f_values.copy() for p in path.slices]
@@ -321,19 +374,11 @@ class _WidthEngine(_Descent):
             f[-1] = self.r
             return f
 
-        lo, hi = 0.0, 1.0
-        if self.classify(at(lo)) != -1 or self.classify(at(hi)) != 1:
+        if self.classify(at(0.0)) != -1 or self.classify(at(1.0)) != 1:
             raise NonConvergence(
                 "path endpoints must fall into the pinched and stable basins"
             )
-        for _ in range(80):
-            if hi - lo < 5e-17:
-                break
-            mid = 0.5 * (lo + hi)
-            if self.classify(at(mid)) == -1:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = self.bisect(at)
         argmax_t = 0.5 * (lo + hi)
 
         f_a, f_b = at(lo), at(hi)
@@ -360,13 +405,7 @@ class _WidthEngine(_Descent):
                 raise NonConvergence(
                     "bracket pair stalled on leg %d with no certified saddle" % leg
                 )
-            lam_lo, lam_hi = 0.0, 1.0
-            for _ in range(54):
-                lam = 0.5 * (lam_lo + lam_hi)
-                if self.classify((1.0 - lam) * f_a + lam * f_b) == -1:
-                    lam_lo = lam
-                else:
-                    lam_hi = lam
+            lam_lo, lam_hi = self.bisect(lambda lam: (1.0 - lam) * f_a + lam * f_b)
             f_a, f_b = (
                 (1.0 - lam_lo) * f_a + lam_lo * f_b,
                 (1.0 - lam_hi) * f_a + lam_hi * f_b,
@@ -423,6 +462,7 @@ def mountain_pass_width(r, h, path0=None):
         argmax_t=argmax_t,
         profile_at_max=ProfileCurve(x_nodes=engine.x.copy(), f_values=profile),
         iterations=engine.steps_taken,
+        backtracks=engine.backtracks,
         residual=math.sqrt(float(g @ g) / engine.dx),
         classify_calls=engine.classify_calls,
         morse_index=index,

@@ -113,6 +113,10 @@ BAD_INPUTS = {
     "tubes-n-0": (["fermi", "tubes", "--n", "0"], "n = 0"),
     "cutoff-torus-n-0": (["cutoff", "torus", "--n", "0"], "n = 0"),
     "doubling-n-0": (["doubling", "sweep", "--m", "2", "--n", "0"], "n = 0"),
+    "doubling-n-indivisible": (
+        ["doubling", "sweep", "--m", "2", "--n", "7"], "got n = 7, m = 2"
+    ),
+    "tubes-h-negative": (["fermi", "tubes", "--h", "-1"], "got h = -1.0"),
     "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
     "width-tolerance-nan": (
         ["width", "run", "--h", "0.5", "--tolerance", "nan"],

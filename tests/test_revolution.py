@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
+from catsweep.acceptance import width_run
 from catsweep.catenoid import CatenoidSpec, excess_over_disks, solve_parameters
-from catsweep.errors import DegenerateProfile, DomainError, NoCatenoid
+from catsweep.errors import DegenerateProfile, DomainError, NoCatenoid, NonConvergence
 from catsweep.revolution import (
+    CLASSIFY_ITERS,
     PINCH_FLOOR,
     STEP0,
     STEP_MAX,
@@ -17,6 +19,7 @@ from catsweep.revolution import (
     _Descent,
     _negative_pivots,
     _WidthEngine,
+    _frustum_area,
     RevolutionPath,
     catenoid_profile,
     descend_profile,
@@ -45,6 +48,13 @@ EXCESS_RATIO_TABLE = {
     1e-7: 20.309716721026,
 }
 EXCESS_SLOPE = 0.7623457020
+
+# engine outputs (width, argmax_t) at r = 1, frozen when the saddle was first
+# certified; faster saddle searches must reproduce them bit for bit
+FROZEN_WIDTHS = {
+    0.5: (6.845683234092074, 0.7207348560962208),
+    0.3: (6.4406273673757255, 0.4311614074226311),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,6 +176,7 @@ def test_mountain_pass_width_matches_closed_form(r, h):
     assert res.iterations > 0
     assert res.residual <= 1e-4
     assert res.classify_calls > 0
+    assert (res.width, res.argmax_t) == FROZEN_WIDTHS[h]
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.1])
@@ -178,7 +189,103 @@ def test_width_excess_within_discretization_error(h):
     assert abs((res.width - 2.0 * math.pi) / excess_ref - 1.0) <= 2e-4
     assert res.morse_index == 1
     assert res.residual <= 1e-10
-    assert res.legs >= 1 and res.newton_iterations >= 1
+    # the damped Newton step certifies the saddle after the first leg
+    assert res.legs == 1 and res.newton_iterations >= 1
+
+
+def _recording_classify(monkeypatch):
+    # wrap the basin classification, keeping a copy of every profile it sees
+    seen = []
+    plain = _WidthEngine.classify
+
+    def classify(self, f):
+        seen.append(f.copy())
+        return plain(self, f)
+
+    monkeypatch.setattr(_WidthEngine, "classify", classify)
+    return seen
+
+
+def test_no_profile_classified_twice(monkeypatch):
+    seen = _recording_classify(monkeypatch)
+    res = mountain_pass_width(1.0, 0.5)
+    keys = [f.tobytes() for f in seen]
+    assert len(keys) == res.classify_calls
+    assert len(set(keys)) == len(keys)
+
+
+def test_width_counts_are_deterministic():
+    res = mountain_pass_width(1.0, 0.5)
+    ref = _width(1.0, 0.5)
+    counts = ("iterations", "backtracks", "classify_calls", "newton_iterations", "legs")
+    assert [getattr(res, k) for k in counts] == [getattr(ref, k) for k in counts]
+    row = width_run(1.0, 0.5, 5e-3).rows[0]
+    assert [row[k] for k in counts] == [getattr(ref, k) for k in counts]
+
+
+def test_failed_newton_leg_rebrackets(monkeypatch):
+    # a leg whose Newton attempt fails rebrackets the pair by bisection and
+    # tracks on; the next leg certifies the same saddle
+    plain = _WidthEngine.newton
+    calls = []
+
+    def newton_failing_once(self, f):
+        calls.append(1)
+        return None if len(calls) == 1 else plain(self, f)
+
+    monkeypatch.setattr(_WidthEngine, "newton", newton_failing_once)
+    res = mountain_pass_width(1.0, 0.5)
+    assert res.legs == 2 and res.morse_index == 1
+    assert res.width == pytest.approx(_width(1.0, 0.5).width, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(min_value=0.1, max_value=10.0),
+    dx=st.floats(min_value=1e-4, max_value=1.0),
+    inner=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=30),
+)
+def test_frustum_area_bounds_the_pinch(r, dx, inner):
+    # pi*(a+b)*slant >= pi*|b^2 - a^2| on every frustum, so the area of a
+    # profile pinned at radius r on both ends is at least 2*pi*(r^2 - min f^2);
+    # the classification's no-pinch exit rests on this, at its 1e-12 margin
+    f = np.array([r] + [r * v for v in inner] + [r])
+    bound = 2.0 * np.pi * (r * r - f.min() ** 2)
+    assert _frustum_area(f, dx) >= bound * (1.0 - 1e-12)
+
+
+def _classify_to_a_basin(engine, f):
+    # the classification without its no-pinch exit: descend until the neck
+    # reaches the pinch floor or the stable catenoid
+    geo = engine.geometry(f)
+    st = STEP0
+    neck_prev = f[engine.mid]
+    for _ in range(CLASSIFY_ITERS):
+        f, geo, st, moved = engine.step(f, geo, st)
+        if not moved:
+            if np.max(np.abs(f - engine.stable)) < 0.05 * engine.r:
+                return 1
+            raise NonConvergence("descent stalled away from both basins")
+        neck = f[engine.mid]
+        if neck <= engine.neck_floor:
+            return -1
+        if neck >= engine.neck_stable and neck > neck_prev:
+            return 1
+        neck_prev = neck
+    raise NonConvergence("basin classification exceeded its iteration cap")
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3])
+def test_no_pinch_exit_keeps_every_verdict(h, monkeypatch):
+    # the profiles of one run: the path ends, the bisection's ever nearer
+    # approach to the separatrix, and the certificate's two nudges
+    seen = _recording_classify(monkeypatch)
+    mountain_pass_width(1.0, h)
+    monkeypatch.undo()
+    engine = _WidthEngine(1.0, h, 201)
+    verdicts = [engine.classify(f) for f in seen]
+    assert verdicts == [_classify_to_a_basin(engine, f) for f in seen]
+    assert verdicts.count(-1) > 5 and verdicts.count(1) > 5
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)

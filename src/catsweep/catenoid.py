@@ -8,12 +8,12 @@ x root gives the smaller, unstable neck; the smaller x root the stable one.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NoCatenoid, NonConvergence
 
 TOL_ROOT = 1e-10     # relative residual demanded of c*cosh(h/c) = r
-MAX_BISECT = 200     # more halvings than float64 can use
 
 # separations 0.1*2^-k down to 1e-6 (17 points) on which the area bound
 # is checked; halving is exact, so the points are bit-identical however built
@@ -27,6 +27,22 @@ def _log_cosh(x):
     return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
 
 
+def _bisect_root(g, lo, hi, sign_lo):
+    # g changes sign on [lo, hi] and has the sign sign_lo at lo; returns the
+    # midpoint once it rounds to an end, when lo and hi are adjacent doubles.
+    # No fixed count of halvings suffices: the stable root x ~ h/r can sit
+    # about a thousand halvings below the bracket top.  The caller supplies the
+    # sign since g(lo) may round wrongly.
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if g(mid) * sign_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 _tangency_cache = None
 
 
@@ -37,14 +53,7 @@ def tangency_abscissa():
     """
     global _tangency_cache
     if _tangency_cache is None:
-        lo, hi = 1.0, 2.0
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if mid * math.tanh(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        _tangency_cache = 0.5 * (lo + hi)
+        _tangency_cache = _bisect_root(lambda x: x * math.tanh(x) - 1.0, 1.0, 2.0, -1.0)
     return _tangency_cache
 
 
@@ -77,18 +86,6 @@ class CatenoidSolution:
     area_stable: float
 
 
-def _bisect_root(g, lo, hi, sign_lo):
-    # g changes sign on [lo, hi] and has the sign sign_lo at lo; returns the
-    # midpoint.  The caller supplies the sign since g(lo) may round wrongly.
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if g(mid) * sign_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_parameters(spec):
     """Both roots of r = c*cosh(h/c) with their areas.
 
@@ -97,6 +94,12 @@ def solve_parameters(spec):
     g(x) = log cosh(x) - log(lam*x) is monotone-free of overflow for any x.
     """
     r, h = spec.r, spec.h
+    if h / r < sys.float_info.min:
+        # past here r/h overflows, or h/r has lost the bits the roots need
+        raise DomainError(
+            "h/r = %.6g is below the smallest normal double %.6g"
+            % (h / r, sys.float_info.min)
+        )
     lam = r / h
     if h / r > critical_ratio() + 1e-12:
         raise NoCatenoid(
@@ -153,13 +156,6 @@ def _area_on_root(r, h, c):
     return _TWO_PI * (r * c_sinh + h * c)
 
 
-def area_of_catenoid(r, h, c):
-    """Closed-form area 2*pi*r*sqrt(r^2 - c^2) + 2*pi*h*c of the spanning catenoid."""
-    if not (0.0 < c < r):
-        raise DomainError("need 0 < c < r, got c=%g, r=%g" % (c, r))
-    return _TWO_PI * r * math.sqrt(r * r - c * c) + _TWO_PI * h * c
-
-
 def excess_over_disks(r, h, c):
     """Catenoid area minus the two-disk area 2*pi*r^2, evaluated stably.
 
@@ -178,16 +174,6 @@ def estimate_bound(r, h):
     if not (0.0 < h < 1.0):
         raise DomainError("the bound needs 0 < h < 1 so that -log h > 0")
     return _TWO_PI * r * r + 4.0 * math.pi * h * h / (-math.log(h))
-
-
-def empirical_threshold(r):
-    """Largest separation h0 of HALVING_GRID with the area bound holding at
-    h0 and at every smaller grid point.
-
-    The bound's validity constant is existential, so the threshold is
-    reported from measurement rather than assumed.
-    """
-    return asymptotic_ratio_scan(r, HALVING_GRID).bound_threshold()
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ TUBE_SEGMENTS = 48
 TUBE_RING_POINTS = 64
 
 _POINT_TOL = 1e-12
-_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,30 +137,6 @@ def group_elements(m):
     ]
 
 
-def group_orbit(m, x):
-    """Distinct images of a point under the symmetry group.
-
-    Points closer than the matching tolerance are identified, so orbits
-    through fixed-point sets come out with their true (smaller) size.
-    """
-    pts = []
-    for g in group_elements(m):
-        q = g.apply(x)
-        qv = q.as_vector()
-        if all(np.linalg.norm(qv - p.as_vector()) > _MATCH_TOL for p in pts):
-            pts.append(q)
-    return pts
-
-
-def orbit_isotropy(m, x):
-    """The subgroup fixing a point, detected at the matching tolerance."""
-    xv = x.as_vector()
-    return [
-        g for g in group_elements(m)
-        if np.linalg.norm(g.apply(x).as_vector() - xv) <= _MATCH_TOL
-    ]
-
-
 def cmc_area(t):
     """Closed-form area of the torus at foliation parameter t."""
     if not 0.0 <= t <= 1.0:
@@ -169,23 +144,13 @@ def cmc_area(t):
     return 4.0 * math.pi ** 2 * math.sqrt(t * (1.0 - t))
 
 
-def neck_curve(t, m):
-    """The joining curve evaluated at parameter t.
-
-    The curve runs from a point on one core circle at t = 0 down to a
-    lattice point of the middle torus at t = 1/2; it crosses the torus of
-    parameter 1 - t (second coordinate modulus sqrt(t)) on the way.
-    """
-    if m < 2:
-        raise DomainError("symmetry order must be at least 2, got m = %s" % m)
-    if not 0.0 <= t <= 0.5:
-        raise DomainError("curve parameter must sit in [0, 1/2]")
-    phase = complex(math.cos(math.pi / m), math.sin(math.pi / m))
-    return S3Point(math.sqrt(1.0 - t) * phase, math.sqrt(t) * phase)
-
-
 def neck_arc_length(t):
-    """Length of the joining curve from parameter t to the middle torus."""
+    """Length of the joining curve from parameter t to the middle torus.
+
+    The joining curve is the great-circle arc (z, w) = (sqrt(1 - t),
+    sqrt(t)) * e^{i pi/m}, from a point of a core circle at t = 0 to a weld
+    center of the middle torus at t = 1/2.
+    """
     if not 0.0 <= t <= 0.5:
         raise DomainError("curve parameter must sit in [0, 1/2]")
     return 0.25 * math.pi - math.asin(math.sqrt(t))
@@ -575,7 +540,8 @@ def doubled_slice(t, m, schedule=None, n=None):
 
 
 def _retract_uv(m, s, theta, phi):
-    """Chart form of the grid retraction: push each cell radially outward.
+    """Grid retraction of the punctured middle torus, in the chart: push
+    each cell radially outward.
 
     In the sup-norm gauge of a cell centered at a puncture, a point at
     fractional radius rho moves to the convex combination (1-s) id + s
@@ -595,24 +561,6 @@ def _retract_uv(m, s, theta, phi):
         raise DomainError("the retraction is undefined at a removed center")
     f = (1.0 - s) + s / rho
     return tc + u1 * f, pc + u2 * f
-
-
-def grid_retraction(m, s, point):
-    """Retraction step s applied to a point of the punctured middle torus."""
-    if m < 2:
-        raise DomainError("symmetry order must be at least 2, got m = %s" % m)
-    if not 0.0 <= s <= 1.0:
-        raise DomainError("retraction step must sit in [0, 1]")
-    if abs(abs(point.z) ** 2 - 0.5) > 1e-9 or abs(abs(point.w) ** 2 - 0.5) > 1e-9:
-        raise DomainError("the retraction lives on the middle torus")
-    th = math.atan2(point.z.imag, point.z.real) % (2.0 * math.pi)
-    ph = math.atan2(point.w.imag, point.w.real) % (2.0 * math.pi)
-    th2, ph2 = _retract_uv(m, s, np.array([th]), np.array([ph]))
-    rt = 1.0 / math.sqrt(2.0)
-    return S3Point(
-        complex(rt * math.cos(th2[0]), rt * math.sin(th2[0])),
-        complex(rt * math.cos(ph2[0]), rt * math.sin(ph2[0])),
-    )
 
 
 def _chart_center_gap(m, theta, phi):

@@ -29,14 +29,6 @@ class ChartOverflow(CatsweepError):
     """A normal offset left the validity region of the ambient chart."""
 
 
-class NotMinimal(CatsweepError):
-    """The base surface fails the minimality residual required by an expansion."""
-
-
-class NotPositiveDefinite(CatsweepError):
-    """A metric perturbation destroyed positive definiteness."""
-
-
 class RadiusTooLarge(CatsweepError):
     """A requested ball or tube radius exceeds what the geometry supports."""
 

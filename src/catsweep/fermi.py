@@ -1,10 +1,9 @@
 """Normal-offset machinery over meshed surfaces.
 
-Covers the area of normal graphs (exact pushes and the second-order
-expansion with its quadratic form), per-triangle metric jets with their
-determinant and inverse expansions, logarithmic cutoff fields with their
-Dirichlet energy, the lowest Jacobi eigenpair, and the two-sided punctured
-graph family whose maximal area stays below twice the base area.
+Covers the area of normal graphs (exact pushes, and the quadratic form
+of the second variation), logarithmic cutoff fields with their Dirichlet
+energy, the lowest Jacobi eigenpair, and the two-sided punctured graph
+family whose maximal area stays below twice the base area.
 
 Cutoffs and tube families read exact distance fields: the flat metric of a
 product torus (`surfaces.torus_distances`) or the radius about a radial
@@ -20,26 +19,17 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import (
-    ChartOverflow,
-    DomainError,
-    NotMinimal,
-    NotPositiveDefinite,
-    RadiusTooLarge,
-    SolverFailure,
-)
+from .errors import ChartOverflow, DomainError, RadiusTooLarge, SolverFailure
 from .mesh import (
     cotan_stiffness,
     dirichlet_energy,
     lumped_mass,
-    mesh_area,
     push_along_normals,
     triangle_areas,
 )
 from .report import make_report
 from .surfaces import torus_distances
 
-MINIMALITY_TOL = 5e-2   # ceiling on max |tr(g^-1 A)| before a base stops counting as minimal
 JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
 JACOBI_MAX_ITERS = 200
 
@@ -84,156 +74,12 @@ def graph_area_exact(g):
     return float(np.sum(triangle_areas(g.base, vertices=pushed)))
 
 
-@dataclass
-class GraphAreaEstimate:
-    estimate: float
-    base_area: float
-    quadratic_form: float
-    envelope: float
-
-
 def quadratic_form(m, phi):
     """Q(phi) = integral of |grad phi|^2 - phi^2 (|A|^2 + Ric(N,N))."""
     phi = np.asarray(phi, dtype=float)
     mass = lumped_mass(m)
     q = m.a_norm2 + m.ric_nn
     return dirichlet_energy(m, phi) - float(np.sum(mass * phi * phi * q))
-
-
-def graph_area_estimate(g, c_envelope=1.0):
-    """Two-term area expansion |base| + (h^2/2) Q(phi) with an h^3 envelope.
-
-    Valid only over minimal bases; the cubic constant is not derivable from
-    the expansion itself, so the envelope is reported with a caller-chosen C.
-    """
-    _check_validity(g)
-    jet = metric_jet(g.base)
-    if jet.minimal_residual > MINIMALITY_TOL:
-        raise NotMinimal(
-            "mean-curvature residual %.3g exceeds %.3g"
-            % (jet.minimal_residual, MINIMALITY_TOL)
-        )
-    base_area = mesh_area(g.base, method="triangle")
-    q_val = quadratic_form(g.base, g.phi)
-    grad_part = dirichlet_energy(g.base, g.phi)
-    envelope = c_envelope * abs(g.h) ** 3 * (base_area + grad_part)
-    return GraphAreaEstimate(
-        estimate=base_area + 0.5 * g.h * g.h * q_val,
-        base_area=base_area,
-        quadratic_form=q_val,
-        envelope=envelope,
-    )
-
-
-@dataclass
-class MetricJet:
-    """Per-triangle first/second fundamental forms and the order-2 tensor.
-
-    All three 2x2 matrices live in the triangle's edge basis (the two edge
-    vectors from corner 0), so traces against g0 are basis-independent.
-    """
-
-    g0: np.ndarray
-    a_form: np.ndarray
-    t_form: np.ndarray
-    a_norm2: np.ndarray
-    ric_nn: float
-    minimal_residual: float
-    trust: str
-
-
-def metric_jet(m):
-    """Assemble g0, A, T per triangle.
-
-    Uses the surface's analytic principal curvatures when available,
-    otherwise a one-sided finite difference of the vertex normals (flagged
-    lower-trust).
-    """
-    tris = m.triangles
-    p0 = m.vertices[tris[:, 0]]
-    u = m.vertices[tris[:, 1]] - p0
-    v = m.vertices[tris[:, 2]] - p0
-    g0 = np.empty((len(tris), 2, 2))
-    g0[:, 0, 0] = np.sum(u * u, axis=1)
-    g0[:, 0, 1] = g0[:, 1, 0] = np.sum(u * v, axis=1)
-    g0[:, 1, 1] = np.sum(v * v, axis=1)
-
-    if "shape_kappa" in m.aux:
-        kap = m.aux["shape_kappa"]
-        fr = m.aux["shape_frames"]
-        # average the ambient shape tensor over the three corners
-        sh = np.einsum("nk,nki,nkj->nij", kap, fr, fr)
-        sh_tri = (sh[tris[:, 0]] + sh[tris[:, 1]] + sh[tris[:, 2]]) / 3.0
-        a_form = np.empty_like(g0)
-        a_form[:, 0, 0] = np.einsum("ni,nij,nj->n", u, sh_tri, u)
-        a_form[:, 0, 1] = a_form[:, 1, 0] = np.einsum("ni,nij,nj->n", u, sh_tri, v)
-        a_form[:, 1, 1] = np.einsum("ni,nij,nj->n", v, sh_tri, v)
-        trust = "analytic"
-    else:
-        n0 = m.vertex_normals[tris[:, 0]]
-        du = m.vertex_normals[tris[:, 1]] - n0
-        dv = m.vertex_normals[tris[:, 2]] - n0
-        a_form = np.empty_like(g0)
-        a_form[:, 0, 0] = -np.sum(u * du, axis=1)
-        a_form[:, 1, 1] = -np.sum(v * dv, axis=1)
-        a_form[:, 0, 1] = a_form[:, 1, 0] = -0.5 * (
-            np.sum(u * dv, axis=1) + np.sum(v * du, axis=1)
-        )
-        trust = "finite_difference"
-
-    kappa_amb = float(m.aux.get("ambient_curvature", 0.0))
-    g_inv = np.linalg.inv(g0)
-    ga = g_inv @ a_form
-    t_form = a_form @ ga - kappa_amb * g0
-    tr = np.trace(ga, axis1=1, axis2=2)
-    a_n2 = np.trace(ga @ ga, axis1=1, axis2=2)
-    return MetricJet(
-        g0=g0,
-        a_form=a_form,
-        t_form=t_form,
-        a_norm2=a_n2,
-        ric_nn=2.0 * kappa_amb,
-        minimal_residual=float(np.max(np.abs(tr))) if len(tr) else 0.0,
-        trust=trust,
-    )
-
-
-@dataclass
-class DetInverseExpansion:
-    det_coeffs: np.ndarray      # (m, 3): det(g_z)/det(g0) = 1 + c1 z + c2 z^2 + ...
-    inv_coeffs: np.ndarray      # (m, 3, 2, 2): g_z^{-1} = I0 + I1 z + I2 z^2 + ...
-    tr_g_inv_a: np.ndarray
-    tr_g_inv_t: np.ndarray
-    tr2_g_inv_a: np.ndarray
-
-
-def det_and_inverse_expansion(jet, eps):
-    """Order-2 expansions of det(g_z) and g_z^{-1} for g_z = g0 - 2zA + z^2 T."""
-    g0, a, t = jet.g0, jet.a_form, jet.t_form
-    for z in (eps, -eps):
-        gz = g0 - 2.0 * z * a + z * z * t
-        det = gz[:, 0, 0] * gz[:, 1, 1] - gz[:, 0, 1] * gz[:, 1, 0]
-        if np.any(det <= 0.0) or np.any(gz[:, 0, 0] + gz[:, 1, 1] <= 0.0):
-            raise NotPositiveDefinite("g_z loses positivity at z = %g" % z)
-    g_inv = np.linalg.inv(g0)
-    ga = g_inv @ a
-    gt = g_inv @ t
-    tr_ga = np.trace(ga, axis1=1, axis2=2)
-    tr_gt = np.trace(gt, axis1=1, axis2=2)
-    det_ga = ga[:, 0, 0] * ga[:, 1, 1] - ga[:, 0, 1] * ga[:, 1, 0]
-    c1 = -2.0 * tr_ga
-    c2 = tr_gt + 4.0 * det_ga
-    det_coeffs = np.stack([np.ones_like(c1), c1, c2], axis=1)
-    i1 = 2.0 * (g_inv @ a @ g_inv)
-    i2 = 4.0 * (g_inv @ a @ g_inv @ a @ g_inv) - g_inv @ t @ g_inv
-    inv_coeffs = np.stack([g_inv, i1, i2], axis=1)
-    return DetInverseExpansion(
-        det_coeffs=det_coeffs,
-        inv_coeffs=inv_coeffs,
-        tr_g_inv_a=tr_ga,
-        tr_g_inv_t=tr_gt,
-        tr2_g_inv_a=det_ga,
-    )
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Triangle meshes in flat space and in the round 3-sphere.
 
 Vertices live in the ambient chart (R^3, or R^4 restricted to the unit
-sphere).  Areas, stiffness and mass matrices, level-set lengths, and the
-Euler characteristic all work from the vertex/triangle arrays alone; the
-optional chart fields let parametric surfaces be measured by quadrature of
-the analytic area element instead of through the piecewise-flat geometry.
+sphere), each with its unit normal and the two curvature terms of the
+Jacobi potential, |A|^2 and Ric(N, N).  Areas, stiffness and mass
+matrices, level-set lengths, and the Euler characteristic all work from
+the vertex/triangle arrays alone; the optional chart fields, which the
+product tori carry, let a surface be measured by quadrature of its
+analytic area element instead of through the piecewise-flat geometry.
 
 The package measures distances in closed form (the flat metric of a
 product torus, the radius on a radial disk).  The mesh geodesic
@@ -28,7 +30,7 @@ AMBIENT_S3 = "round_s3"
 
 @dataclass
 class MeshSurface:
-    """Indexed triangle mesh with normal and curvature data per vertex.
+    """Indexed triangle mesh with a unit normal, |A|^2 and Ric(N, N) per vertex.
 
     chart_uv_corners carries per-triangle corner coordinates of a parametric
     chart (unwrapped, so periodic seams stay consistent) and chart_sqrtg the

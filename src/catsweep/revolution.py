@@ -30,7 +30,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .catenoid import CatenoidSpec, excess_over_disks, solve_parameters, tangency_abscissa
 from .errors import DegenerateProfile, DomainError, NonConvergence
-from .report import make_report
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
 
@@ -487,38 +486,6 @@ def descend_profile(p, r, steps):
     return ProfileCurve(x_nodes=p.x_nodes.copy(), f_values=f), areas
 
 
-def naive_sweepout(r, h, t_grid=None):
-    """Family cutting growing disks out of the two end disks, joined by a cylinder.
-
-    Slice t carries two annuli (radii t to r) plus a radius-t cylinder of
-    height 2h; the maximal excess over 2*pi*r^2 is 2*pi*h^2, at t = h.
-    """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, r, 401)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid > r):
-        raise DomainError("cut radii must lie in [0, r]")
-    rows = []
-    for t in t_grid:
-        annuli = 2.0 * (np.pi * r * r - np.pi * t * t)
-        cylinder = 2.0 * np.pi * t * 2.0 * h
-        rows.append(
-            {
-                "t": float(t),
-                "area": float(annuli + cylinder),
-                "annuli": float(annuli),
-                "cylinder": float(cylinder),
-            }
-        )
-    budget = 2.0 * np.pi * r * r + 2.0 * np.pi * h * h
-    return make_report(
-        command="naive-sweepout",
-        params={"r": float(r), "h": float(h), "n_t": int(t_grid.size)},
-        rows=rows,
-        budget=budget * (1.0 + 1e-12),  # closed-form max is attained on the grid
-    )
-
-
 @dataclass(frozen=True)
 class ExcessRow:
     h: float
@@ -537,8 +504,11 @@ class ExcessComparison:
 def excess_scaling_comparison(r, h_grid):
     """Naive 2*pi*h^2 excess against the true saddle excess, with a slope fit.
 
-    The ratio grows like a multiple of -log h; the fit regresses log(ratio)
-    on log(-log h), so a slope near 1 confirms the logarithmic gain.
+    The naive family cuts radius-t disks out of both end disks and joins
+    them by a cylinder: its area 2*pi*r^2 + 4*pi*h*t - 2*pi*t^2 peaks at
+    t = h, with excess 2*pi*h^2.  The ratio grows like a multiple of
+    -log h; the fit regresses log(ratio) on log(-log h), so a slope near 1
+    confirms the logarithmic gain.
     """
     rows = []
     lognl = []

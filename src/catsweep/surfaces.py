@@ -1,12 +1,13 @@
 """Built-in meshed surfaces with analytic normals and curvature.
 
-Each builder returns a MeshSurface whose aux dictionary carries principal
-curvatures and frames (for the metric jet), the ambient curvature constant,
-and whatever structural extras the surface supports: ring layout on the
-flat disk, chart coordinates on product tori.
+Each builder returns a MeshSurface with the analytic |A|^2 and Ric(N, N)
+per vertex; its aux dictionary carries the radius of the largest embedded
+disk and whatever structural extras the surface supports: ring layout on
+the flat disk, chart coordinates and exact distances on product tori.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -14,15 +15,16 @@ from .errors import DomainError
 from .mesh import AMBIENT_R3, AMBIENT_S3, MeshSurface
 
 
-def _grid_triangles(n_rows, n_cols, wrap_rows, wrap_cols):
-    """Two triangles per grid cell, cells in row-major order.
+def _grid_triangles(n_rows, n_cols):
+    """Two triangles per cell of a grid wrapped along both axes, cells in
+    row-major order.
 
     Cell (j, k) with corners v00 = (j, k), v10 = (j+1, k), v01 = (j, k+1),
-    v11 = (j+1, k+1) gives (v00, v10, v11) then (v00, v11, v01); a wrapped
-    axis also joins its last row (column) to its first.
+    v11 = (j+1, k+1) gives (v00, v10, v11) then (v00, v11, v01); the last
+    row (column) joins the first.
     """
-    j = np.arange(n_rows if wrap_rows else n_rows - 1, dtype=np.int64)
-    k = np.arange(n_cols if wrap_cols else n_cols - 1, dtype=np.int64)
+    j = np.arange(n_rows, dtype=np.int64)
+    k = np.arange(n_cols, dtype=np.int64)
     r0 = (j * n_cols)[:, None]
     r1 = ((j + 1) % n_rows * n_cols)[:, None]
     k1 = (k + 1) % n_cols
@@ -39,6 +41,12 @@ def disk_rings_for_cutoff(t, per_decade=8):
     """
     if not 0.0 < t < 1.0:
         raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
+    if (0.25 * t * t) ** 4 < sys.float_info.min:
+        # triangle areas multiply four coordinates of the innermost ring
+        raise DomainError(
+            "cutoff radius too small for the disk mesh (the innermost ring"
+            " 0.25*t^2 needs a normal 4th power), got t = %s" % t
+        )
     inner = [0.25 * t * t, 0.5 * t * t]
     n1 = max(4, int(math.ceil(per_decade * (-math.log10(t)))))
     annulus = np.geomspace(t * t, t, n1 + 1)
@@ -87,9 +95,6 @@ def flat_disk(n_theta=64, rings=None):
         a_norm2=np.zeros(n),
         ric_nn=np.zeros(n),
     )
-    frames = np.zeros((n, 2, 3))
-    frames[:, 0, 0] = 1.0
-    frames[:, 1, 1] = 1.0
     mesh.aux.update(
         radial=True,
         rings=rings,
@@ -97,9 +102,6 @@ def flat_disk(n_theta=64, rings=None):
         radius_of=np.array(radius_of),
         center_vertex=0,
         n_theta=n_theta,
-        shape_kappa=np.zeros((n, 2)),
-        shape_frames=frames,
-        ambient_curvature=0.0,
         disk_radius_bound=float(rings[-1]),
         name="flat_disk",
     )
@@ -123,7 +125,7 @@ def product_torus(t, n=64):
     normals = np.column_stack(
         [b * np.cos(th), b * np.sin(th), -a * np.cos(ph), -a * np.sin(ph)]
     )
-    tris = _grid_triangles(n, n, True, True)
+    tris = _grid_triangles(n, n)
     n_v = n * n
     k1 = -b / a  # curvature of the theta circles toward the chosen normal
     k2 = a / b
@@ -149,16 +151,7 @@ def product_torus(t, n=64):
     mesh.chart_sqrtg = np.full(n_v, a * b)
     omega = math.asin(2.0 * t - 1.0)
     mesh.normal_validity = 0.5 * (0.5 * math.pi - abs(omega))
-    frames = np.zeros((n_v, 2, 4))
-    frames[:, 0, 0] = -np.sin(th)
-    frames[:, 0, 1] = np.cos(th)
-    frames[:, 1, 2] = -np.sin(ph)
-    frames[:, 1, 3] = np.cos(ph)
-    kappa = np.tile([k1, k2], (n_v, 1))
     mesh.aux.update(
-        shape_kappa=kappa,
-        shape_frames=frames,
-        ambient_curvature=1.0,
         chart_theta=th,
         chart_phi=ph,
         grid_n=n,
@@ -197,51 +190,6 @@ def torus_distances(m, source):
 def clifford_torus(n=64):
     mesh = product_torus(0.5, n)
     mesh.aux["name"] = "clifford_torus"
-    return mesh
-
-
-def catenoid_patch(c=1.0, half_span=1.0, n_x=96, n_theta=96):
-    """Catenoid f(x) = c*cosh(x/c) for |x| <= half_span, full revolution."""
-    if c <= 0 or half_span <= 0:
-        raise DomainError("catenoid patch needs positive scale and span")
-    xs = np.linspace(-half_span, half_span, n_x + 1)
-    ang = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    x = np.repeat(xs, n_theta)
-    th = np.tile(ang, n_x + 1)
-    f = c * np.cosh(x / c)
-    fp = np.sinh(x / c)
-    verts = np.column_stack([x, f * np.cos(th), f * np.sin(th)])
-    root = np.sqrt(1.0 + fp * fp)
-    normals = np.column_stack([fp / root, -np.cos(th) / root, -np.sin(th) / root])
-    tris = _grid_triangles(n_x + 1, n_theta, False, True)
-    n_v = len(verts)
-    sech2 = 1.0 / np.cosh(x / c) ** 2
-    kap = sech2 / c
-    mesh = MeshSurface(
-        vertices=verts,
-        triangles=tris,
-        ambient=AMBIENT_R3,
-        vertex_normals=normals,
-        a_norm2=2.0 * kap * kap,
-        ric_nn=np.zeros(n_v),
-    )
-    frames = np.zeros((n_v, 2, 3))
-    # meridian direction
-    frames[:, 0, 0] = 1.0 / root
-    frames[:, 0, 1] = fp * np.cos(th) / root
-    frames[:, 0, 2] = fp * np.sin(th) / root
-    # circle direction
-    frames[:, 1, 1] = -np.sin(th)
-    frames[:, 1, 2] = np.cos(th)
-    kappa = np.column_stack([-kap, kap])
-    mesh.normal_validity = float(c)
-    mesh.aux.update(
-        shape_kappa=kappa,
-        shape_frames=frames,
-        ambient_curvature=0.0,
-        disk_radius_bound=float(half_span),
-        name="catenoid_patch",
-    )
     return mesh
 
 
@@ -297,20 +245,8 @@ def round_sphere(subdiv=4, radius=1.0):
         a_norm2=np.full(n_v, 2.0 / radius ** 2),
         ric_nn=np.zeros(n_v),
     )
-    # arbitrary orthonormal tangent frames; curvature is isotropic anyway
-    ref = np.tile([1.0, 0.0, 0.0], (n_v, 1))
-    flip = np.abs(normals[:, 0]) > 0.9
-    ref[flip] = [0.0, 1.0, 0.0]
-    e1 = ref - np.sum(ref * normals, axis=1)[:, None] * normals
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(normals, e1)
-    frames = np.stack([e1, e2], axis=1)
-    kappa = np.full((n_v, 2), -1.0 / radius)
     mesh.normal_validity = float(radius)
     mesh.aux.update(
-        shape_kappa=kappa,
-        shape_frames=frames,
-        ambient_curvature=0.0,
         disk_radius_bound=0.5 * math.pi * radius,
         name="round_sphere",
     )

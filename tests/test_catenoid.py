@@ -9,15 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catsweep.catenoid import (
+    HALVING_GRID,
     TOL_ROOT,
     CatenoidSpec,
-    area_of_catenoid,
     asymptotic_ratio_scan,
     critical_ratio,
-    empirical_threshold,
     estimate_bound,
     excess_over_disks,
     solve_parameters,
@@ -100,6 +101,40 @@ def test_stable_root_below_rounding_of_bracket_end():
         assert ratio == pytest.approx(big_l / x, rel=1e-12)
 
 
+def _residual(r, h, c):
+    # |c cosh(h/c) - r|; past x = 30, log cosh x = x - log 2 to 1e-26, and
+    # the log form keeps cosh from overflowing near x = 710
+    x = h / c
+    if x < 30.0:
+        return abs(c * math.cosh(x) - r)
+    return abs(math.exp(math.log(c) + x - math.log(2.0)) - r)
+
+
+def test_decade_grid_down_to_the_normal_range():
+    # the stable root x ~ h/r sits ~1000 halvings below the bracket top at
+    # h = 1e-307; a fixed halving count ran out from h = 1e-49 on
+    r = 1.0
+    for k in range(1, 308):
+        h = 10.0 ** -k
+        sol = solve_parameters(CatenoidSpec(r=r, h=h))
+        for c in (sol.c_unstable, sol.c_stable):
+            assert _residual(r, h, c) <= TOL_ROOT * r
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(min_value=1e-3, max_value=1e3),
+    gap=st.floats(min_value=1e-15, max_value=1e-9),
+)
+def test_roots_near_the_critical_ratio(r, gap):
+    h = (critical_ratio() - gap) * r
+    sol = solve_parameters(CatenoidSpec(r=r, h=h))
+    for c in (sol.c_unstable, sol.c_stable):
+        assert _residual(r, h, c) <= TOL_ROOT * r
+    assert sol.c_unstable <= sol.c_stable
+    assert sol.area_stable <= sol.area_unstable * (1.0 + 1e-15)
+
+
 def test_residual_and_ordering_invariants():
     rng = np.random.default_rng(20240817)
     for _ in range(100):
@@ -122,15 +157,6 @@ def test_area_matches_quadrature():
             assert a == pytest.approx(q, rel=1e-8)
 
 
-def test_area_scaling_homogeneity():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        s = float(rng.uniform(0.1, 10.0))
-        a1 = area_of_catenoid(1.0, 0.3, 0.1)
-        a2 = area_of_catenoid(s, 0.3 * s, 0.1 * s)
-        assert a2 == pytest.approx(s * s * a1, rel=1e-12)
-
-
 def test_scale_equivariance_of_roots():
     rng = np.random.default_rng(99)
     base = solve_parameters(CatenoidSpec(r=1.0, h=0.3))
@@ -141,19 +167,8 @@ def test_scale_equivariance_of_roots():
         assert scaled.c_stable == pytest.approx(s * base.c_stable, rel=1e-10)
 
 
-def test_area_domain_errors():
-    with pytest.raises(DomainError):
-        area_of_catenoid(1.0, 0.1, 1.0)
-    with pytest.raises(DomainError):
-        area_of_catenoid(1.0, 0.1, -0.1)
-    with pytest.raises(DomainError):
-        area_of_catenoid(1.0, 0.1, 0.0)
-
-
 def test_two_disk_limit():
-    # as c -> 0 the closed form tends to the two-disk area 2*pi*r^2
-    assert area_of_catenoid(1.0, 0.1, 1e-9) == pytest.approx(TWO_PI, rel=1e-8)
-    # and the unstable branch itself approaches it as h -> 0
+    # the unstable branch approaches the two-disk area 2*pi*r^2 as h -> 0
     sol = solve_parameters(CatenoidSpec(r=1.0, h=1e-6))
     assert abs(sol.area_unstable - TWO_PI) < 1e-10
 
@@ -192,7 +207,7 @@ def test_estimate_bound_dominates_on_grid():
 
 
 def test_empirical_threshold_is_grid_top():
-    assert empirical_threshold(1.0) == pytest.approx(0.1)
+    assert asymptotic_ratio_scan(1.0, HALVING_GRID).bound_threshold() == pytest.approx(0.1)
 
 
 def test_excess_stable_form():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -93,6 +94,28 @@ FAST_COMMANDS = {
 }
 
 
+# sha256 of each command's --json bytes: a change that only deletes or
+# reorganizes code must not move a report byte
+FROZEN_JSON_SHA256 = {
+    "catenoid-solve": "6c330a9b90311255c2230f12d07b6f1082961debb30384f37ae15d270344ccbd",
+    "catenoid-scan": "db45b79af2f816cd1a4e98ec9ffe0770cb447107f7939509686003f038e0aa0f",
+    "width-excess": "97bdacb0cf795ef16854ba5d47c8a28ff9e240bc3c26752244d9e0959d0c141e",
+    "fermi-quad": "2666be31fa514c67d7ce9de89a37d82a72f64260229a6cdca2544adb51b2dc73",
+    "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
+    "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
+    "width-run": "a4c4fb86040e6adf28c5ba3cb868dba9e0ce6945d0af8830322154cef56df32e",
+    "doubling-sweep": "e1486b591334b51c62dcd2d52cd31fa987b002aa780864a9afda12c940379075",
+}
+BYTE_STABLE_COMMANDS = dict(FAST_COMMANDS, **{"doubling-sweep": ["doubling", "sweep", "--m", "2"]})
+
+
+@pytest.mark.parametrize("name", BYTE_STABLE_COMMANDS)
+def test_json_bytes_frozen(name, capsys):
+    assert cli.run(BYTE_STABLE_COMMANDS[name] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_JSON_SHA256[name]
+
+
 @pytest.mark.parametrize("argv", FAST_COMMANDS.values(), ids=FAST_COMMANDS.keys())
 def test_stamp_outside_hash(argv, capsys):
     cli.run(argv + ["--json"])
@@ -123,6 +146,7 @@ BAD_INPUTS = {
         "--tolerance must be finite, got tolerance = nan",
     ),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
+    "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
     "width-tolerance-negative": (
         ["width", "run", "--h", "0.5", "--tolerance", "-1"], "tolerance = -1.0"
     ),
@@ -130,6 +154,7 @@ BAD_INPUTS = {
     "width-h-overtall": (["width", "run", "--h", "0.7"], "h/r = 0.7 exceeds"),
     "scan-r-negative": (["catenoid", "scan", "--r", "-1"], "r = -1.0"),
     "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
+    "cutoff-disk-t-tiny": (["cutoff", "disk", "--t", "1e-300"], "got t = 1e-300"),
     "neck-fit-n-1": (["neck", "fit", "--n", "1"], "got n = 1"),
     "doubling-m-1": (["doubling", "sweep", "--m", "1"], "got m = 1"),
     "doubling-epsilon-negative": (

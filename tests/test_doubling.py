@@ -11,18 +11,15 @@ from catsweep.doubling import (
     GroupElement,
     NeckSchedule,
     S3Point,
+    _retract_uv,
     assemble_doubled_sweepout,
     cmc_area,
     default_resolution,
     default_schedule,
     doubled_slice,
-    grid_retraction,
     group_elements,
-    group_orbit,
     handoff_offset,
     neck_arc_length,
-    neck_curve,
-    orbit_isotropy,
     tube_area,
 )
 from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
@@ -86,41 +83,6 @@ def test_apply_matches_matrix():
     p = S3Point(complex(0.3, 0.4), complex(0.5, math.sqrt(1 - 0.5)))
     for g in group_elements(2):
         assert np.allclose(g.apply(p).as_vector(), g.matrix() @ p.as_vector(), atol=1e-12)
-
-
-def test_orbit_sizes():
-    # a core-circle point is fixed by half the rotations' worth of elements
-    assert len(group_orbit(2, S3Point(1.0, 0.0))) == 4
-    generic = S3Point(complex(0.31, 0.4), complex(0.52, math.sqrt(1 - 0.31**2 - 0.4**2 - 0.52**2)))
-    assert len(group_orbit(2, generic)) == 8
-    assert len(group_orbit(3, generic)) == 18
-
-
-def test_center_orbit_and_isotropy():
-    for m in (2, 3):
-        rt = 1.0 / math.sqrt(2.0)
-        phase = complex(math.cos(math.pi / m), math.sin(math.pi / m))
-        center = S3Point(rt * phase, rt * phase)
-        orbit = group_orbit(m, center)
-        iso = orbit_isotropy(m, center)
-        assert len(orbit) == m * m
-        assert len(orbit) * len(iso) == 2 * m * m
-
-
-def test_neck_curve_endpoints():
-    for m in (2, 3):
-        top = neck_curve(0.0, m)
-        phase = complex(math.cos(math.pi / m), math.sin(math.pi / m))
-        assert abs(top.z - phase) < 1e-12 and abs(top.w) < 1e-12
-        mid = neck_curve(0.5, m)
-        assert abs(abs(mid.z) ** 2 - 0.5) < 1e-12
-        assert abs(abs(mid.w) ** 2 - 0.5) < 1e-12
-    p = neck_curve(0.3, 2)
-    assert abs(abs(p.w) ** 2 - 0.3) < 1e-12
-    with pytest.raises(DomainError):
-        neck_curve(0.6, 2)
-    with pytest.raises(DomainError):
-        neck_curve(0.1, 1)
 
 
 def test_neck_arc_length():
@@ -264,73 +226,65 @@ def test_doubled_slice_radius_capacity_guard():
         doubled_slice(0.2, 2, schedule=fat)
 
 
+# chart points of the middle torus, clear of every puncture center for m = 2, 3
+RETRACT_THETA = np.array([0.3, 1.1, 0.4, 2.9, 4.0, 5.5])
+RETRACT_PHI = np.array([2.0, 2.2, 2.5, 0.2, 5.1, 3.3])
+
+
+def _sup_offset(m, theta, phi):
+    # sup-norm distance from the center of the chart cell holding each point
+    cell = 2.0 * math.pi / m
+    half = math.pi / m
+    return np.maximum(np.abs(theta % cell - half), np.abs(phi % cell - half))
+
+
+def _embed(theta, phi):
+    rt = 1.0 / math.sqrt(2.0)
+    return rt * np.column_stack([np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)])
+
+
 def test_retraction_identity_and_range():
-    p = S3Point(
-        complex(math.cos(0.3), math.sin(0.3)) / math.sqrt(2.0),
-        complex(math.cos(2.0), math.sin(2.0)) / math.sqrt(2.0),
-    )
-    q0 = grid_retraction(2, 0.0, p)
-    assert np.linalg.norm(q0.as_vector() - p.as_vector()) < 1e-12
-    q1 = grid_retraction(2, 1.0, p)
-    half = 0.5 * math.pi
-    th = math.atan2(q1.z.imag, q1.z.real) % math.pi
-    ph = math.atan2(q1.w.imag, q1.w.real) % math.pi
-    assert max(abs(th - half), abs(ph - half)) > half - 1e-9
+    th0, ph0 = _retract_uv(2, 0.0, RETRACT_THETA, RETRACT_PHI)
+    assert np.max(np.abs(th0 - RETRACT_THETA)) < 1e-12
+    assert np.max(np.abs(ph0 - RETRACT_PHI)) < 1e-12
+    th1, ph1 = _retract_uv(2, 1.0, RETRACT_THETA, RETRACT_PHI)
+    assert np.all(_sup_offset(2, th1, ph1) > 0.5 * math.pi - 1e-9)
 
 
 def test_retraction_fixes_grid_points():
     # a point on a grid line stays put for every step
-    p = S3Point(
-        complex(1.0, 0.0) / math.sqrt(2.0),
-        complex(math.cos(1.3), math.sin(1.3)) / math.sqrt(2.0),
-    )
+    theta = np.array([0.0, 0.0, math.pi, 0.7, 2.1])
+    phi = np.array([1.3, 2.9, 0.4, 0.0, math.pi])
     for s in (0.0, 0.3, 0.7, 1.0):
-        q = grid_retraction(2, s, p)
-        assert np.linalg.norm(q.as_vector() - p.as_vector()) < 1e-12
+        th, ph = _retract_uv(2, s, theta, phi)
+        assert np.max(np.abs(_embed(th, ph) - _embed(theta, phi))) < 1e-12
 
 
 def test_retraction_moves_outward_monotonically():
-    p = S3Point(
-        complex(math.cos(1.1), math.sin(1.1)) / math.sqrt(2.0),
-        complex(math.cos(2.2), math.sin(2.2)) / math.sqrt(2.0),
-    )
     half = 0.5 * math.pi
-
-    def sup_coord(q):
-        th = math.atan2(q.z.imag, q.z.real) % math.pi
-        ph = math.atan2(q.w.imag, q.w.real) % math.pi
-        return max(abs(th - half), abs(ph - half))
-
-    vals = [sup_coord(grid_retraction(2, s, p)) for s in np.linspace(0.0, 1.0, 9)]
-    assert all(b > a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert abs(vals[-1] - half) < 1e-12
+    vals = np.array(
+        [_sup_offset(2, *_retract_uv(2, s, RETRACT_THETA, RETRACT_PHI))
+         for s in np.linspace(0.0, 1.0, 9)]
+    )
+    assert np.all(vals[1:] > vals[:-1] - 1e-12)
+    assert np.max(np.abs(vals[-1] - half)) < 1e-12
 
 
 def test_retraction_equivariance():
-    p = S3Point(
-        complex(math.cos(0.4), math.sin(0.4)) / math.sqrt(2.0),
-        complex(math.cos(2.5), math.sin(2.5)) / math.sqrt(2.0),
-    )
+    p = _embed(RETRACT_THETA, RETRACT_PHI)
     for m in (2, 3):
         for g in group_elements(m):
-            a = grid_retraction(m, 0.6, g.apply(p))
-            b = g.apply(grid_retraction(m, 0.6, p))
-            assert np.linalg.norm(a.as_vector() - b.as_vector()) < 1e-12
+            q = p @ g.matrix().T
+            theta, phi = np.arctan2(q[:, 1], q[:, 0]), np.arctan2(q[:, 3], q[:, 2])
+            a = _embed(*_retract_uv(m, 0.6, theta, phi))
+            b = _embed(*_retract_uv(m, 0.6, RETRACT_THETA, RETRACT_PHI)) @ g.matrix().T
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_retraction_rejects_bad_input():
-    rt = 1.0 / math.sqrt(2.0)
-    center = S3Point(
-        rt * complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)),
-        rt * complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)),
-    )
+    # the center of a chart cell is a removed puncture
     with pytest.raises(DomainError):
-        grid_retraction(4, 0.5, center)
-    ok = S3Point(rt, rt)
-    with pytest.raises(DomainError):
-        grid_retraction(2, 1.5, ok)
-    with pytest.raises(DomainError):
-        grid_retraction(2, 0.5, S3Point(0.9, math.sqrt(1 - 0.81)))
+        _retract_uv(4, 0.5, np.array([1.0, 0.25 * math.pi]), np.array([2.0, 0.25 * math.pi]))
 
 
 def test_assembly_stays_under_budget(report2):

@@ -3,23 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from catsweep.errors import ChartOverflow, DomainError, NotMinimal, NotPositiveDefinite, RadiusTooLarge
+from catsweep.errors import ChartOverflow, DomainError, RadiusTooLarge
 from catsweep.fermi import (
-    MetricJet,
     NormalGraphField,
     build_cutoff,
     cutoff_energy,
-    det_and_inverse_expansion,
-    graph_area_estimate,
     graph_area_exact,
     jacobi_lowest,
-    metric_jet,
     quadratic_form,
     two_sided_tube_family,
 )
 from catsweep.mesh import geodesic_distances, level_set_perimeter, lumped_mass, mesh_area
 from catsweep.surfaces import (
-    catenoid_patch,
     clifford_torus,
     disk_rings_for_cutoff,
     flat_disk,
@@ -77,41 +72,19 @@ def test_quadratic_form_constant_field():
     assert q == pytest.approx(-8.0 * math.pi ** 2, rel=1e-3)
 
 
-def test_estimate_two_term_value():
-    cl = clifford_torus(64)
-    ones = np.ones(cl.n_vertices)
-    est = graph_area_estimate(NormalGraphField(base=cl, phi=ones, h=0.05))
-    assert est.estimate == pytest.approx(est.base_area + 0.5 * 0.0025 * est.quadratic_form)
-    zero = graph_area_estimate(NormalGraphField(base=cl, phi=np.zeros(cl.n_vertices), h=0.05))
-    assert zero.estimate == zero.base_area
-
-
 def test_expansion_error_is_fourth_order_here():
-    # symmetric surface kills the cubic term, so exact-vs-estimate ~ h^4
+    # symmetric surface kills the cubic term, so the exact area minus the
+    # two-term expansion |base| + (h^2/2) Q(phi) is ~ h^4
     cl = clifford_torus(64)
     ones = np.ones(cl.n_vertices)
+    base = mesh_area(cl, "triangle")
+    q = quadratic_form(cl, ones)
     errs = []
     for h in (0.1, 0.05, 0.025):
         a = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=h))
-        e = graph_area_estimate(NormalGraphField(base=cl, phi=ones, h=h)).estimate
-        errs.append(abs(a - e))
+        errs.append(abs(a - (base + 0.5 * h * h * q)))
     assert math.log2(errs[0] / errs[1]) > 3.0
     assert math.log2(errs[1] / errs[2]) > 3.0
-
-
-def test_estimate_envelope_bounds_residual():
-    cl = clifford_torus(64)
-    ones = np.ones(cl.n_vertices)
-    for h in (0.1, 0.05, 0.02):
-        a = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=h))
-        est = graph_area_estimate(NormalGraphField(base=cl, phi=ones, h=h), c_envelope=1.0)
-        assert abs(a - est.estimate) <= est.envelope
-
-
-def test_estimate_requires_minimal_base():
-    sp = round_sphere(2)
-    with pytest.raises(NotMinimal):
-        graph_area_estimate(NormalGraphField(base=sp, phi=np.ones(sp.n_vertices), h=0.01))
 
 
 def test_second_variation_against_quadratic_form():
@@ -131,105 +104,6 @@ def test_second_variation_against_quadratic_form():
         measured = 0.5 * (ap + am - 2.0 * base) / (h * h)
         expect = 0.5 * quadratic_form(cl, phi)
         assert abs(measured - expect) / abs(expect) < 2e-2
-
-
-def test_metric_jet_clifford():
-    jet = metric_jet(clifford_torus(64))
-    assert jet.trust == "analytic"
-    assert jet.minimal_residual < 1e-9
-    assert np.max(np.abs(jet.a_norm2 - 2.0)) < 2e-2
-    assert jet.ric_nn == 2.0
-
-
-def test_metric_jet_catenoid_near_minimal():
-    jet = metric_jet(catenoid_patch())
-    assert jet.minimal_residual < 1e-3
-
-
-def test_metric_jet_flat_disk():
-    jet = metric_jet(flat_disk())
-    assert np.max(np.abs(jet.a_form)) == 0.0
-    assert np.max(np.abs(jet.t_form)) == 0.0
-    assert jet.ric_nn == 0.0
-
-
-def test_metric_jet_finite_difference_fallback():
-    sp = round_sphere(3)
-    del sp.aux["shape_kappa"]
-    jet = metric_jet(sp)
-    assert jet.trust == "finite_difference"
-    # unit sphere: |A|^2 = 2 with O(edge) normals differencing
-    assert np.median(jet.a_norm2) == pytest.approx(2.0, rel=5e-2)
-
-
-def _random_jet(rng, n=64):
-    m = rng.normal(size=(n, 2, 2))
-    g = np.einsum("nij,nkj->nik", m, m) + 0.3 * np.eye(2)
-    a = np.empty((n, 2, 2))
-    t = np.empty((n, 2, 2))
-    for arr in (a, t):
-        s = rng.normal(size=(n, 2, 2))
-        arr[:] = 0.5 * (s + np.transpose(s, (0, 2, 1)))
-    return MetricJet(
-        g0=g, a_form=a, t_form=t,
-        a_norm2=np.zeros(n), ric_nn=0.0, minimal_residual=1.0, trust="synthetic",
-    )
-
-
-def test_det_inverse_expansion_matches_brute_force():
-    rng = np.random.default_rng(3)
-    jet = _random_jet(rng)
-    exp = det_and_inverse_expansion(jet, 1e-3)
-    worst = {1e-3: 0.0, 5e-4: 0.0}
-    worst_inv = {1e-3: 0.0, 5e-4: 0.0}
-    for eps in (1e-3, 5e-4):
-        gz = jet.g0 - 2.0 * eps * jet.a_form + eps * eps * jet.t_form
-        det_gz = np.linalg.det(gz) / np.linalg.det(jet.g0)
-        series = exp.det_coeffs[:, 0] + eps * exp.det_coeffs[:, 1] + eps * eps * exp.det_coeffs[:, 2]
-        worst[eps] = np.max(np.abs(det_gz - series))
-        inv = np.linalg.inv(gz)
-        inv_series = (
-            exp.inv_coeffs[:, 0] + eps * exp.inv_coeffs[:, 1] + eps * eps * exp.inv_coeffs[:, 2]
-        )
-        worst_inv[eps] = np.max(np.abs(inv - inv_series))
-    assert worst[1e-3] < 5e-8
-    assert worst_inv[1e-3] < 1e-4
-    # third-order remainder: halving eps cuts the mismatch by about 8
-    assert 5.0 < worst[1e-3] / worst[5e-4] < 11.0
-    assert 5.0 < worst_inv[1e-3] / worst_inv[5e-4] < 11.0
-
-
-def test_det_expansion_identity_case():
-    jet = MetricJet(
-        g0=np.tile(np.eye(2), (4, 1, 1)),
-        a_form=np.zeros((4, 2, 2)),
-        t_form=np.zeros((4, 2, 2)),
-        a_norm2=np.zeros(4),
-        ric_nn=0.0,
-        minimal_residual=0.0,
-        trust="synthetic",
-    )
-    exp = det_and_inverse_expansion(jet, 0.1)
-    assert np.allclose(exp.det_coeffs[:, 0], 1.0)
-    assert np.max(np.abs(exp.det_coeffs[:, 1:])) == 0.0
-    assert np.allclose(exp.inv_coeffs[:, 0], np.eye(2))
-
-
-def test_det_expansion_clifford_identities():
-    jet = metric_jet(clifford_torus(64))
-    exp = det_and_inverse_expansion(jet, 1e-3)
-    assert np.max(np.abs(exp.tr_g_inv_a)) < 1e-9
-    # tr(g^-1 T) = |A|^2 - Ric and tr2 = -|A|^2 / 2 on a minimal base
-    assert np.max(np.abs(exp.tr_g_inv_t - (jet.a_norm2 - jet.ric_nn))) < 1e-10
-    assert np.max(np.abs(exp.tr2_g_inv_a + 0.5 * jet.a_norm2)) < 1e-10
-    order2 = exp.det_coeffs[:, 2]
-    assert np.max(np.abs(order2 + 4.0)) < 5e-2
-
-
-def test_det_expansion_positivity_guard():
-    jet = metric_jet(clifford_torus(16))
-    with pytest.raises(NotPositiveDefinite):
-        det_and_inverse_expansion(jet, 10.0)
 
 
 def test_cutoff_field_cases():

@@ -21,7 +21,6 @@ from catsweep.mesh import (
     triangle_areas,
 )
 from catsweep.surfaces import (
-    catenoid_patch,
     clifford_torus,
     disk_rings_for_cutoff,
     flat_disk,
@@ -83,14 +82,12 @@ def test_euler_characteristics():
     assert euler_characteristic(flat_disk().triangles) == 1
 
 
-def _loop_grid_triangles(n_rows, n_cols, wrap_rows, wrap_cols):
+def _loop_grid_triangles(n_rows, n_cols):
     # reference: the cell-by-cell loop the array mesher replaced
     tris = []
-    row_max = n_rows if wrap_rows else n_rows - 1
-    col_max = n_cols if wrap_cols else n_cols - 1
-    for j in range(row_max):
+    for j in range(n_rows):
         j1 = (j + 1) % n_rows
-        for k in range(col_max):
+        for k in range(n_cols):
             k1 = (k + 1) % n_cols
             v00 = j * n_cols + k
             v10 = j1 * n_cols + k
@@ -118,17 +115,12 @@ def _loop_chart_corners(n):
 @pytest.mark.parametrize("n", [3, 5, 64, 66])
 def test_torus_mesher_matches_loop_bytes(n):
     m = product_torus(0.3, n)
-    want_tris = _loop_grid_triangles(n, n, True, True)
+    want_tris = _loop_grid_triangles(n, n)
     assert m.triangles.dtype == want_tris.dtype
     assert m.triangles.tobytes() == want_tris.tobytes()
     want_uv = _loop_chart_corners(n)
     assert m.chart_uv_corners.shape == want_uv.shape
     assert m.chart_uv_corners.tobytes() == want_uv.tobytes()
-
-
-def test_catenoid_patch_mesher_matches_loop_bytes():
-    tris = catenoid_patch().triangles
-    assert tris.tobytes() == _loop_grid_triangles(97, 96, False, True).tobytes()
 
 
 # triangles over a few vertex ids: some ids go unused, and a triangle may

@@ -26,7 +26,6 @@ from catsweep.revolution import (
     excess_scaling_comparison,
     initial_path,
     mountain_pass_width,
-    naive_sweepout,
     pinched_profile,
     revolution_area,
 )
@@ -136,29 +135,6 @@ def test_path_grid_mismatch_rejected():
     b = pinched_profile(1.0, 0.4, 21)
     with pytest.raises(DomainError):
         RevolutionPath(slices=(a, b))
-
-
-def test_naive_sweepout_report():
-    rep = naive_sweepout(1.0, 0.3)
-    budget = 2.0 * math.pi + 2.0 * math.pi * 0.09
-    assert rep.summary["budget"] == pytest.approx(budget, rel=1e-9)
-    assert rep.summary["passed"] is True
-    areas = [row["area"] for row in rep.rows]
-    ts = [row["t"] for row in rep.rows]
-    assert ts == sorted(ts)
-    imax = int(np.argmax(areas))
-    # peak of 2*pi*r^2 + 4*pi*h*t - 2*pi*t^2 sits at t = h
-    assert abs(ts[imax] - 0.3) < 0.005
-    assert max(areas) <= rep.summary["budget"]
-    assert max(areas) == pytest.approx(budget, rel=1e-4)
-    at0 = rep.rows[0]
-    assert at0["area"] == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert at0["cylinder"] == 0.0
-
-
-def test_naive_sweepout_rejects_bad_grid():
-    with pytest.raises(DomainError):
-        naive_sweepout(1.0, 0.3, t_grid=np.array([0.0, 0.5, 1.5]))
 
 
 @pytest.mark.parametrize("r,h", [(1.0, 0.5), (1.0, 0.3)])

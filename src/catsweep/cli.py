@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import acceptance
-from .catenoid import CatenoidSpec, estimate_bound, solve_parameters
+from .catenoid import CatenoidSpec, estimate_bound, excess_over_disks, solve_parameters
 from .doubling import assemble_doubled_sweepout, default_schedule
 from .errors import BudgetViolated, CatsweepError, NonConvergence, SolverFailure
 from .report import make_report, report_to_csv, report_to_json, write_atomic
@@ -29,11 +29,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_catenoid_solve(args):
-    sol = solve_parameters(CatenoidSpec(r=args.r, h=args.h))
-    bound = estimate_bound(args.r, args.h)
+    r, h = args.r, args.h
+    sol = solve_parameters(CatenoidSpec(r=r, h=h))
+    bound = estimate_bound(r, h)
     rows = [
         {
-            "t": args.h,
+            "t": h,
             "area": sol.area_unstable,
             "c_unstable": sol.c_unstable,
             "c_stable": sol.c_stable,
@@ -41,7 +42,13 @@ def _cmd_catenoid_solve(args):
             "bound_value": bound,
         }
     ]
-    return make_report("catenoid-solve", {"r": args.r, "h": args.h}, rows, bound)
+    rep = make_report("catenoid-solve", {"r": r, "h": h}, rows, bound)
+    # the verdict compares excesses over the two disks: below h ~ 1e-7 the
+    # area and the bound both round to 2*pi*r^2, and their margin is rounding
+    rep.summary["passed"] = bool(
+        excess_over_disks(r, h, sol.c_unstable) <= 4.0 * math.pi * h * h / (-math.log(h))
+    )
+    return rep
 
 
 def _cmd_doubling_sweep(args):

@@ -572,15 +572,24 @@ def _chart_center_gap(m, theta, phi):
     )
 
 
-def _collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):
+def _collapse_embed(m, s, h_eff, t_neck, theta, phi):
+    """Both sheets of the collapsing double sheet at chart points.
+
+    Returns the images of the offsets +f and -f: the offset is odd in the
+    sheet, cos even and sin odd, so one pass of retraction, cutoff and trig
+    gives both as cos(f) p + sin(f) nu and cos(f) p - sin(f) nu.
+    """
     # the cutoff rides at the image position, so the transition band keeps
     # a fixed width instead of being stretched along with the cells
     th2, ph2 = _retract_uv(m, s, theta, phi)
-    f = sheet * (1.0 - s) * h_eff * log_cutoff(_chart_center_gap(m, th2, ph2), t_neck)
+    f = (1.0 - s) * h_eff * log_cutoff(_chart_center_gap(m, th2, ph2), t_neck)
     rt = 1.0 / math.sqrt(2.0)
-    p = rt * np.column_stack([np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)])
-    nu = rt * np.column_stack([np.cos(th2), np.sin(th2), -np.cos(ph2), -np.sin(ph2)])
-    return np.cos(f)[:, None] * p + np.sin(f)[:, None] * nu
+    ct, st, cp, sp = np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)
+    p = rt * np.column_stack([ct, st, cp, sp])
+    nu = rt * np.column_stack([ct, st, -cp, -sp])
+    cf = np.cos(f)[:, None] * p
+    sf = np.sin(f)[:, None] * nu
+    return cf + sf, cf - sf
 
 
 def _collapse_area(cl, m, s, h_eff, t_neck):
@@ -602,16 +611,14 @@ def _collapse_area(cl, m, s, h_eff, t_neck):
     bph = bph[keep]
     w = uv_area[keep]
     eps = 1e-5
+    th_hi = _collapse_embed(m, s, h_eff, t_neck, bth + eps, bph)
+    th_lo = _collapse_embed(m, s, h_eff, t_neck, bth - eps, bph)
+    ph_hi = _collapse_embed(m, s, h_eff, t_neck, bth, bph + eps)
+    ph_lo = _collapse_embed(m, s, h_eff, t_neck, bth, bph - eps)
     total = 0.0
-    for sheet in (1.0, -1.0):
-        d1 = (
-            _collapse_embed(m, s, h_eff, t_neck, bth + eps, bph, sheet)
-            - _collapse_embed(m, s, h_eff, t_neck, bth - eps, bph, sheet)
-        ) / (2.0 * eps)
-        d2 = (
-            _collapse_embed(m, s, h_eff, t_neck, bth, bph + eps, sheet)
-            - _collapse_embed(m, s, h_eff, t_neck, bth, bph - eps, sheet)
-        ) / (2.0 * eps)
+    for sheet in (0, 1):
+        d1 = (th_hi[sheet] - th_lo[sheet]) / (2.0 * eps)
+        d2 = (ph_hi[sheet] - ph_lo[sheet]) / (2.0 * eps)
         g11 = np.sum(d1 * d1, axis=1)
         g22 = np.sum(d2 * d2, axis=1)
         g12 = np.sum(d1 * d2, axis=1)

@@ -210,6 +210,11 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
     base_areas = triangle_areas(m)
     base_area = float(np.sum(base_areas))
     dists = [_distances_from(m, p) for p in p_list]
+    # a triangle survives while its barycentric distance to every puncture
+    # stays above t^2, that is while the nearest one does
+    bary = np.full(len(m.triangles), np.inf)
+    for dist in dists:
+        bary = np.minimum(bary, np.mean(dist[m.triangles], axis=1))
     bound = m.aux.get("disk_radius_bound", math.inf)
     rows = []
     for t in np.asarray(t_grid, dtype=float):
@@ -225,10 +230,7 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
         off = field.offsets()
         plus = push_along_normals(m, off)
         minus = push_along_normals(m, -off)
-        keep = np.ones(len(m.triangles), dtype=bool)
-        for dist in dists:
-            bary = np.mean(dist[m.triangles], axis=1)
-            keep &= bary > t * t
+        keep = bary > t * t
         a_plus = float(np.sum(triangle_areas(m, vertices=plus)[keep]))
         a_minus = float(np.sum(triangle_areas(m, vertices=minus)[keep]))
         removed = float(np.sum(base_areas[~keep]))

@@ -8,6 +8,12 @@ the vertex/triangle arrays alone; the optional chart fields, which the
 product tori carry, let a surface be measured by quadrature of its
 analytic area element instead of through the piecewise-flat geometry.
 
+Spherical triangle areas, the hot path of every doubled slice, gather each
+coordinate from one coordinate-major copy of the vertices and add the
+squared chords coordinate by coordinate, in the order a row norm sums
+them, so areas match the row-gather form bit for bit.  The Euler
+characteristic counts distinct edge keys after one sort.
+
 The package measures distances in closed form (the flat metric of a
 product torus, the radius on a radial disk).  The mesh geodesic
 `geodesic_distances` and its `edge_lengths` serve only the tests, as the
@@ -105,11 +111,18 @@ def _chordal_triangle_areas(verts, tris):
 
 def _spherical_triangle_areas(verts, tris):
     # three points of S^3 span a great 2-sphere; the geodesic triangle area
-    # is the spherical excess there, computed from side arcs (l'Huilier)
-    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    a = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(p1 - p2, axis=1), 0.0, 1.0))
-    b = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(p0 - p2, axis=1), 0.0, 1.0))
-    c = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(p0 - p1, axis=1), 0.0, 1.0))
+    # is the spherical excess there, computed from side arcs (l'Huilier).
+    # The squared chords add up over the coordinates left to right; that
+    # order fixes the last bit of every area
+    i0, i1, i2 = np.ascontiguousarray(tris.T)
+    sq = np.zeros((3, len(tris)))
+    for x in np.ascontiguousarray(verts.T):
+        x0, x1, x2 = x[i0], x[i1], x[i2]
+        for k, (p, q) in enumerate(((x1, x2), (x0, x2), (x0, x1))):
+            d = p - q
+            d *= d
+            sq[k] += d
+    a, b, c = 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(sq), 0.0, 1.0))
     s = 0.5 * (a + b + c)
     prod = (
         np.tan(0.5 * s)
@@ -316,12 +329,23 @@ def level_set_perimeter(m, values, level):
 
 
 def euler_characteristic(triangles):
-    """V - E + F from a triangle list; counts only referenced vertices."""
+    """V - E + F from a triangle list; counts only referenced vertices.
+
+    Each triangle side is keyed as the single integer lo * base + hi; after
+    one sort, an edge starts wherever a key differs from its predecessor.
+    """
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:
         return 0
     n_referenced = np.count_nonzero(np.bincount(tris.ravel()))
-    return int(n_referenced - len(_unique_edges(tris)) + len(tris))
+    base = int(tris.max()) + 1
+    c0, c1, c2 = tris.T
+    keys = np.concatenate(
+        [np.minimum(a, b) * base + np.maximum(a, b) for a, b in ((c0, c1), (c1, c2), (c2, c0))]
+    )
+    keys.sort()
+    n_edges = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+    return int(n_referenced - n_edges + len(tris))
 
 
 def push_along_normals(m, offsets):

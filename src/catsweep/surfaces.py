@@ -119,11 +119,15 @@ def product_torus(t, n=64):
     ang = 2.0 * np.pi * np.arange(n) / n
     th = np.repeat(ang, n)
     ph = np.tile(ang, n)
+    # trig of the n grid angles, spread over the n^2 vertices
+    cos_a, sin_a = np.cos(ang), np.sin(ang)
     verts = np.column_stack(
-        [a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)]
+        [np.repeat(a * cos_a, n), np.repeat(a * sin_a, n),
+         np.tile(b * cos_a, n), np.tile(b * sin_a, n)]
     )
     normals = np.column_stack(
-        [b * np.cos(th), b * np.sin(th), -a * np.cos(ph), -a * np.sin(ph)]
+        [np.repeat(b * cos_a, n), np.repeat(b * sin_a, n),
+         np.tile(-a * cos_a, n), np.tile(-a * sin_a, n)]
     )
     tris = _grid_triangles(n, n)
     n_v = n * n

@@ -49,6 +49,15 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("h", ["1e-20", "1e-200", "1e-300"])
+def test_solve_passes_at_tiny_h(h, capsys):
+    # area and bound both round to 2*pi here; the verdict reads the excesses
+    code = cli.run(["catenoid", "solve", "--r", "1", "--h", h, "--json"])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert body["summary"]["passed"] is True
+
+
 def test_config_error_exit_one(capsys):
     code = cli.run(["catenoid", "solve", "--r", "1", "--h", "0.9"])
     assert code == 1
@@ -105,8 +114,19 @@ FROZEN_JSON_SHA256 = {
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "a4c4fb86040e6adf28c5ba3cb868dba9e0ce6945d0af8830322154cef56df32e",
     "doubling-sweep": "e1486b591334b51c62dcd2d52cd31fa987b002aa780864a9afda12c940379075",
+    "doubling-sweep-m3": "bdbf6a81f9b6905664637d42c5f74080ed4d56ef327abae33463f017358d1b0a",
+    "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
+    "fermi-tubes": "ff5df30f70da128be37d2ebc93bf575ffab8aeb814f2cfa2cfb7aff92010da8d",
 }
-BYTE_STABLE_COMMANDS = dict(FAST_COMMANDS, **{"doubling-sweep": ["doubling", "sweep", "--m", "2"]})
+BYTE_STABLE_COMMANDS = dict(
+    FAST_COMMANDS,
+    **{
+        "doubling-sweep": ["doubling", "sweep", "--m", "2"],
+        "doubling-sweep-m3": ["doubling", "sweep", "--m", "3"],
+        "cutoff-torus": ["cutoff", "torus"],
+        "fermi-tubes": ["fermi", "tubes"],
+    },
+)
 
 
 @pytest.mark.parametrize("name", BYTE_STABLE_COMMANDS)

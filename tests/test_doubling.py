@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from catsweep import fermi
@@ -12,6 +14,7 @@ from catsweep.doubling import (
     NeckSchedule,
     S3Point,
     _retract_uv,
+    _slice_index_map,
     assemble_doubled_sweepout,
     cmc_area,
     default_resolution,
@@ -203,6 +206,33 @@ def test_doubled_slice_equivariance(slice2):
     for g in group_elements(2):
         dist, _ = tree.query(bary @ g.matrix().T)
         assert dist.max() < 1e-9
+
+
+def _triangle_keys(tris, n_vertices):
+    # one integer per unordered triangle, sorted: equal arrays are equal sets
+    a, b, c = tris.T
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    return np.sort((lo * n_vertices + (a + b + c - lo - hi)) * n_vertices + hi)
+
+
+_CLOSE = 0.5 - default_schedule().delta
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.sampled_from([3, 4]),
+    t=st.floats(min_value=0.005, max_value=_CLOSE - 0.005),
+)
+def test_doubled_slice_index_map_is_a_symmetry(m, t):
+    sl = doubled_slice(t, m)
+    n_v = len(sl.vertices)
+    keys = _triangle_keys(sl.triangles, n_v)
+    assert np.all(keys[1:] != keys[:-1])
+    for g in group_elements(m):
+        perm = _slice_index_map(m, default_resolution(m), g, np.arange(n_v))
+        assert np.array_equal(_triangle_keys(perm[sl.triangles], n_v), keys)
+        assert np.max(np.abs(sl.vertices[perm] - sl.vertices @ g.matrix().T)) < 1e-12
 
 
 def test_doubled_slice_rejects_bad_input():

@@ -1,0 +1,197 @@
+"""Bit-identity of the fast mesh and doubling kernels against plain references.
+
+The references below are the straightforward forms the kernels replaced:
+row gathers and np.linalg.norm for the spherical areas, (lo, hi) edge rows
+for the Euler characteristic, one pass per sheet for the collapse stage,
+trig over every vertex for the torus mesher.  The fast kernels compute the
+same floating-point operations in the same order, so every comparison is
+exact (np.array_equal or ==), never approximate.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catsweep.doubling import (
+    HANDOFF_NECK_MAX,
+    _chart_center_gap,
+    _collapse_area,
+    _collapse_embed,
+    _retract_uv,
+    default_resolution,
+    default_schedule,
+    doubled_slice,
+    handoff_offset,
+)
+from catsweep.fermi import log_cutoff
+from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
+from catsweep.surfaces import clifford_torus, flat_disk, product_torus
+
+
+def _ref_spherical_triangle_areas(verts, tris):
+    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+    a = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(p1 - p2, axis=1), 0.0, 1.0))
+    b = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(p0 - p2, axis=1), 0.0, 1.0))
+    c = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(p0 - p1, axis=1), 0.0, 1.0))
+    s = 0.5 * (a + b + c)
+    prod = (
+        np.tan(0.5 * s)
+        * np.tan(0.5 * (s - a))
+        * np.tan(0.5 * (s - b))
+        * np.tan(0.5 * (s - c))
+    )
+    return 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))
+
+
+def _ref_euler_characteristic(triangles):
+    tris = np.asarray(triangles, dtype=np.int64)
+    if tris.size == 0:
+        return 0
+    pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    base = int(tris.max(initial=0)) + 1
+    keys = np.sort(pairs.min(axis=1) * base + pairs.max(axis=1))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    edges = np.column_stack([keys // base, keys % base])
+    n_referenced = np.count_nonzero(np.bincount(tris.ravel()))
+    return int(n_referenced - len(edges) + len(tris))
+
+
+def _ref_collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):
+    th2, ph2 = _retract_uv(m, s, theta, phi)
+    f = sheet * (1.0 - s) * h_eff * log_cutoff(_chart_center_gap(m, th2, ph2), t_neck)
+    rt = 1.0 / math.sqrt(2.0)
+    p = rt * np.column_stack([np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)])
+    nu = rt * np.column_stack([np.cos(th2), np.sin(th2), -np.cos(ph2), -np.sin(ph2)])
+    return np.cos(f)[:, None] * p + np.sin(f)[:, None] * nu
+
+
+def _ref_collapse_area(cl, m, s, h_eff, t_neck):
+    uv = cl.chart_uv_corners
+    bth = uv[:, :, 0].mean(axis=1)
+    bph = uv[:, :, 1].mean(axis=1)
+    du = uv[:, 1, :] - uv[:, 0, :]
+    dv = uv[:, 2, :] - uv[:, 0, :]
+    uv_area = 0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0])
+    keep = _chart_center_gap(m, bth, bph) > t_neck * t_neck
+    bth = bth[keep]
+    bph = bph[keep]
+    w = uv_area[keep]
+    eps = 1e-5
+    total = 0.0
+    for sheet in (1.0, -1.0):
+        d1 = (
+            _ref_collapse_embed(m, s, h_eff, t_neck, bth + eps, bph, sheet)
+            - _ref_collapse_embed(m, s, h_eff, t_neck, bth - eps, bph, sheet)
+        ) / (2.0 * eps)
+        d2 = (
+            _ref_collapse_embed(m, s, h_eff, t_neck, bth, bph + eps, sheet)
+            - _ref_collapse_embed(m, s, h_eff, t_neck, bth, bph - eps, sheet)
+        ) / (2.0 * eps)
+        g11 = np.sum(d1 * d1, axis=1)
+        g22 = np.sum(d2 * d2, axis=1)
+        g12 = np.sum(d1 * d2, axis=1)
+        total += float(np.sum(w * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))))
+    return total
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["m2", "m3"])
+def welded(request):
+    return doubled_slice(0.15, request.param)
+
+
+def test_slice_areas_match_reference(welded):
+    got = _spherical_triangle_areas(welded.vertices, welded.triangles)
+    want = _ref_spherical_triangle_areas(welded.vertices, welded.triangles)
+    assert np.array_equal(got, want)
+    for copy in (welded.copy_low, welded.copy_high):
+        assert np.array_equal(copy.areas, _ref_spherical_triangle_areas(copy.vertices, copy.triangles))
+
+
+def test_slice_euler_characteristic_matches_reference(welded):
+    assert euler_characteristic(welded.triangles) == _ref_euler_characteristic(welded.triangles)
+    assert welded.chi == 2 - 2 * (welded.m ** 2 + 1)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+_VEC4 = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda v: sum(x * x for x in v) > 1e-3)
+_TINY = st.one_of(st.just(0.0), st.floats(1e-15, 1e-3))
+
+
+@st.composite
+def _s3_triangle(draw):
+    """Three points of S^3: spread out, clustered, nearly on one great
+    circle, or with an antipodal pair."""
+    kind = draw(st.sampled_from(["spread", "cluster", "collinear", "antipodal"]))
+    p0 = _unit(draw(_VEC4))
+    u, v = np.asarray(draw(_VEC4)), np.asarray(draw(_VEC4))
+    if kind == "spread":
+        return [p0, _unit(u), _unit(v)]
+    if kind == "antipodal":
+        return [p0, -p0, _unit(v)]
+    p1 = _unit(p0 + draw(_TINY) * u)
+    if kind == "cluster":
+        return [p0, p1, _unit(p0 + draw(_TINY) * v)]
+    # a point on the chord through p0 and p1, off it by a tiny normal push
+    e = draw(st.floats(0.0, 1.0))
+    return [p0, p1, _unit(p0 + e * (p1 - p0) + draw(_TINY) * v)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tris=st.lists(_s3_triangle(), min_size=1, max_size=8))
+def test_s3_triangle_areas_match_reference(tris):
+    verts = np.array([p for tri in tris for p in tri])
+    idx = np.arange(len(verts), dtype=np.int64).reshape(-1, 3)
+    # every corner order, so each side takes each role
+    for order in ([0, 1, 2], [1, 2, 0], [2, 1, 0]):
+        got = _spherical_triangle_areas(verts, idx[:, order])
+        want = _ref_spherical_triangle_areas(verts, idx[:, order])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_collapse_stage_matches_per_sheet_reference(m, s):
+    cl = clifford_torus(default_resolution(m))
+    h_eff = handoff_offset(default_schedule().delta)
+    theta = np.linspace(0.01, 2.0 * math.pi - 0.02, 97)
+    phi = np.linspace(0.03, 2.0 * math.pi - 0.01, 97)[::-1]
+    plus, minus = _collapse_embed(m, s, h_eff, HANDOFF_NECK_MAX, theta, phi)
+    assert np.array_equal(plus, _ref_collapse_embed(m, s, h_eff, HANDOFF_NECK_MAX, theta, phi, 1.0))
+    assert np.array_equal(minus, _ref_collapse_embed(m, s, h_eff, HANDOFF_NECK_MAX, theta, phi, -1.0))
+    got = _collapse_area(cl, m, s, h_eff, HANDOFF_NECK_MAX)
+    assert got == _ref_collapse_area(cl, m, s, h_eff, HANDOFF_NECK_MAX)
+
+
+def test_euler_characteristic_small_cases():
+    # empty, one triangle, the open flat disk, and three triangles on one edge
+    nonmanifold = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    cases = [
+        (np.zeros((0, 3), dtype=np.int64), 0),
+        (np.array([[0, 1, 2]]), 1),
+        (flat_disk().triangles, 1),
+        (nonmanifold, 5 - 7 + 3),
+    ]
+    for tris, chi in cases:
+        assert euler_characteristic(tris) == _ref_euler_characteristic(tris) == chi
+
+
+@pytest.mark.parametrize("n", [3, 64, 66])
+def test_torus_vertices_match_trig_over_every_vertex(n):
+    t = 0.3
+    a, b = math.sqrt(t), math.sqrt(1.0 - t)
+    ang = 2.0 * np.pi * np.arange(n) / n
+    th, ph = np.repeat(ang, n), np.tile(ang, n)
+    verts = np.column_stack([a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)])
+    normals = np.column_stack([b * np.cos(th), b * np.sin(th), -a * np.cos(ph), -a * np.sin(ph)])
+    m = product_torus(t, n)
+    assert np.array_equal(m.vertices, verts)
+    assert np.array_equal(m.vertex_normals, normals)

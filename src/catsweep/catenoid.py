@@ -163,10 +163,27 @@ def excess_over_disks(r, h, c):
     drops below float eps * 2*pi*r^2 (h around 1e-6 and smaller), so the
     difference is rearranged into a cancellation-free product form.
     """
+    root = _neck_root(r, c)
+    return _TWO_PI * (h * c - r * c * c / (r + root))
+
+
+def excess_over_disks_scaled(r, h, c):
+    """excess_over_disks(r, h, c) / h^2, in the same product form in y = c/h.
+
+    The excess is of order h^2/(-log h) and underflows to 0 from h of about
+    1e-161 down; this quotient stays of order 1/(-log h) for every h that
+    solve_parameters accepts.
+    """
+    root = _neck_root(r, c)
+    y = c / h
+    return _TWO_PI * (y - r * y * y / (r + root))
+
+
+def _neck_root(r, c):
+    # sqrt(r^2 - c^2), defined for a neck strictly inside the circles
     if not (0.0 < c < r):
         raise DomainError("need 0 < c < r, got c=%g, r=%g" % (c, r))
-    root = math.sqrt(r * r - c * c)
-    return _TWO_PI * (h * c - r * c * c / (r + root))
+    return math.sqrt(r * r - c * c)
 
 
 def estimate_bound(r, h):

@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import acceptance
-from .catenoid import CatenoidSpec, estimate_bound, excess_over_disks, solve_parameters
+from .catenoid import CatenoidSpec, estimate_bound, excess_over_disks_scaled, solve_parameters
 from .doubling import assemble_doubled_sweepout, default_schedule
 from .errors import BudgetViolated, CatsweepError, NonConvergence, SolverFailure
 from .report import make_report, report_to_csv, report_to_json, write_atomic
@@ -43,11 +43,11 @@ def _cmd_catenoid_solve(args):
         }
     ]
     rep = make_report("catenoid-solve", {"r": r, "h": h}, rows, bound)
-    # the verdict compares excesses over the two disks: below h ~ 1e-7 the
-    # area and the bound both round to 2*pi*r^2, and their margin is rounding
-    rep.summary["passed"] = bool(
-        excess_over_disks(r, h, sol.c_unstable) <= 4.0 * math.pi * h * h / (-math.log(h))
-    )
+    # the verdict compares excesses over the two disks, divided by h^2: below
+    # h ~ 1e-7 the area and the bound both round to 2*pi*r^2, and below
+    # h ~ 1e-161 the unscaled excesses both underflow to 0
+    scaled = excess_over_disks_scaled(r, h, sol.c_unstable)
+    rep.summary["passed"] = bool(0.0 < scaled <= 4.0 * math.pi / (-math.log(h)))
     return rep
 
 

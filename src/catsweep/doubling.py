@@ -10,6 +10,9 @@ onto the coordinate grid.  Every slice stays strictly below twice the
 middle torus area, and the whole family is symmetric under the order-2m^2
 group generated by discrete rotations of the two circle factors and the
 swap of the factors.
+
+The paired slices are reported by their continuum areas, in closed form;
+one welded mesh per family is built as the witness of its genus.
 """
 
 import math
@@ -263,13 +266,14 @@ def _tube_strips(ids):
 
 
 def tube_area(t, radius):
-    """Mesh area of the lateral tube surface around the joining curve.
+    """Lateral area of the tube of the given radius about the joining curve.
 
-    The curve from parameter t to the middle torus is half of the joining
-    arc between the tori at t and 1 - t, so this is half the lateral area
-    of the tube that the welded slices mesh around that arc; end caps are
-    not included (in the assembled family the ends are welded open).
-    Vanishes linearly in the radius with slope 2 pi times the arc length.
+    The curve from parameter t to the middle torus is a great-circle arc of
+    length L = neck_arc_length(t), and half of the full joining arc between
+    the tori at t and 1 - t that each welded tube runs along.  The tube
+    point cos(r) c(s) + sin(r) u(psi) has area element cos(r) sin(r) ds
+    dpsi, so the area is exactly pi sin(2r) L; end caps are not included
+    (in the assembled family the ends are welded open).
     """
     arc = neck_arc_length(t)
     if radius <= 0.0:
@@ -279,10 +283,7 @@ def tube_area(t, radius):
                              % (radius, TUBE_RADIUS_BOUND))
     if arc < 1e-15:
         return 0.0
-    # any symmetry order gives the same arc up to a rotation of S^3
-    _, _, rings = _composite_tube_base(t, 2, radius)
-    ids = np.arange(rings.shape[0] * rings.shape[1]).reshape(rings.shape[:2])
-    return 0.5 * float(np.sum(_spherical_triangle_areas(rings.reshape(-1, 4), _tube_strips(ids))))
+    return math.pi * math.sin(2.0 * radius) * arc
 
 
 def _composite_tube_base(t, m, radius):
@@ -636,14 +637,41 @@ def _grid_center_vertices(m, n):
     ]
 
 
+def _pair_row(t, m, schedule):
+    """Continuum area of the paired slice at t in (0, 1/2 - delta].
+
+    The two flat tori, less the m^2 flat weld disks of the tube radius on
+    each, plus the m^2 tubes along the full joining arcs.
+    """
+    t_c = min(t, 0.5 - schedule.delta)
+    radius = float(schedule.eta(t_c))
+    pair = 2.0 * cmc_area(t_c)
+    if radius <= 0.0:
+        return {"t": t, "area": pair, "stage": "pair", "tube_area": 0.0,
+                "removed_disk_area": 0.0}
+    removed = 2.0 * m * m * math.pi * radius * radius
+    tubes = 2.0 * m * m * tube_area(t_c, radius)
+    return {"t": t, "area": pair - removed + tubes, "stage": "pair_tubes",
+            "tube_area": tubes, "removed_disk_area": removed}
+
+
 def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     """Run the full doubled family and report per-slice areas.
 
-    Slices at parameters up to 1/2 - delta are welded torus pairs; the
-    next quarter of the closing window opens punctures in the two-sided
-    graph pair over the middle torus at the matching normal offset; the
-    final quarter collapses the punctured double sheet onto the grid.
-    The budget is twice the middle torus area and must never be reached.
+    Slices at parameters up to 1/2 - delta are welded torus pairs, whose
+    rows carry the continuum area of _pair_row: removed_disk_area is the
+    flat area of the 2 m^2 weld disks and tube_area the exact lateral area
+    of the m^2 tubes.  The next quarter of the closing window opens
+    punctures in the two-sided graph pair over the middle torus at the
+    matching normal offset; the final quarter collapses the punctured
+    double sheet onto the grid.  The budget is twice the middle torus area
+    and must never be reached.
+
+    One welded slice, at the last paired parameter with a positive tube
+    radius, witnesses the topology: its Euler characteristic is the
+    summary's regular_chi, and witness_mesh_rel_excess is its mesh area
+    over the continuum area, minus 1 (the discretization error the rows
+    no longer carry).
     """
     m, schedule, n = _family_args(m, schedule, n)
     delta = schedule.delta
@@ -676,23 +704,15 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
         if necks else ()
     )
     rows = []
-    chi_regular = None
+    witness = None
     for t in ts:
         if t <= t_a + 1e-15:
             if t <= 0.0:
                 row = {"t": 0.0, "area": 0.0, "stage": "pair"}
             else:
-                sl = doubled_slice(t, m, schedule, n)
-                row = {
-                    "t": t,
-                    "area": sl.area,
-                    "stage": sl.stage,
-                    "tube_area": sl.tube_lateral_area,
-                    "removed_disk_area": sl.removed_disk_area,
-                    "chi": sl.chi,
-                }
-                if sl.n_tubes:
-                    chi_regular = sl.chi
+                row = _pair_row(t, m, schedule)
+                if row["stage"] == "pair_tubes":
+                    witness = row
         elif t <= t_b + 1e-15:
             r0 = next(neck_rows)
             row = {
@@ -730,6 +750,8 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
         rows=rows,
         budget=budget,
     )
-    if chi_regular is not None:
-        report.summary["regular_chi"] = int(chi_regular)
+    if witness is not None:
+        sl = doubled_slice(witness["t"], m, schedule, n)
+        report.summary["regular_chi"] = int(sl.chi)
+        report.summary["witness_mesh_rel_excess"] = sl.area / witness["area"] - 1.0
     return report

@@ -21,6 +21,7 @@ from catsweep.catenoid import (
     critical_ratio,
     estimate_bound,
     excess_over_disks,
+    excess_over_disks_scaled,
     solve_parameters,
     tangency_abscissa,
 )
@@ -221,6 +222,23 @@ def test_excess_stable_form():
     assert ex == pytest.approx(3.514513e-13, rel=1e-5)
     # sharpened-constant check: excess <= 2*pi*(1 + 0.5)*h^2/(-log h) at h = 1e-6
     assert ex <= TWO_PI * 1.5 * 1e-12 / (-math.log(1e-6))
+
+
+def test_scaled_excess_survives_underflow():
+    # equal to excess / h^2 where the excess is a normal double
+    for h in (0.1, 1e-6, 1e-100):
+        c = solve_parameters(CatenoidSpec(r=1.0, h=h)).c_unstable
+        assert excess_over_disks_scaled(1.0, h, c) == pytest.approx(
+            excess_over_disks(1.0, h, c) / (h * h), rel=1e-12
+        )
+    # and of order 1/(-log h) where the excess itself underflows to 0
+    for h in (1e-200, 1e-300):
+        c = solve_parameters(CatenoidSpec(r=1.0, h=h)).c_unstable
+        assert excess_over_disks(1.0, h, c) == 0.0
+        scaled = excess_over_disks_scaled(1.0, h, c)
+        assert 0.5 * TWO_PI / (-math.log(h)) < scaled <= 4.0 * math.pi / (-math.log(h))
+    with pytest.raises(DomainError):
+        excess_over_disks_scaled(1.0, 0.1, 1.0)
 
 
 def test_asymptotic_ratio_scan():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,6 +59,22 @@ def test_solve_passes_at_tiny_h(h, capsys):
     assert body["summary"]["passed"] is True
 
 
+def test_solve_fails_a_wide_neck_at_tiny_h(capsys, monkeypatch):
+    # a neck three times too wide breaks the bound; below h ~ 1e-161 both
+    # unscaled excesses underflow to 0, so only the scaled verdict sees it
+    solve = cli.solve_parameters
+
+    def widened(spec):
+        sol = solve(spec)
+        return dataclasses.replace(sol, c_unstable=3.0 * sol.c_unstable)
+
+    monkeypatch.setattr(cli, "solve_parameters", widened)
+    code = cli.run(["catenoid", "solve", "--r", "1", "--h", "1e-200", "--json"])
+    body = json.loads(capsys.readouterr().out)
+    assert body["summary"]["passed"] is False
+    assert code == 2
+
+
 def test_config_error_exit_one(capsys):
     code = cli.run(["catenoid", "solve", "--r", "1", "--h", "0.9"])
     assert code == 1
@@ -113,8 +130,8 @@ FROZEN_JSON_SHA256 = {
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "a4c4fb86040e6adf28c5ba3cb868dba9e0ce6945d0af8830322154cef56df32e",
-    "doubling-sweep": "e1486b591334b51c62dcd2d52cd31fa987b002aa780864a9afda12c940379075",
-    "doubling-sweep-m3": "bdbf6a81f9b6905664637d42c5f74080ed4d56ef327abae33463f017358d1b0a",
+    "doubling-sweep": "985ebc8a125d0da1eb83994502cbc05003cd0d3ba85889b9229942de96c9f280",
+    "doubling-sweep-m3": "f6bd372eab630ec00dc291eb0a49f8a3b779677de6512b181c49338e9a50e028",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
     "fermi-tubes": "ff5df30f70da128be37d2ebc93bf575ffab8aeb814f2cfa2cfb7aff92010da8d",
 }

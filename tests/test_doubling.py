@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from catsweep import fermi
+from catsweep import doubling, fermi
 from catsweep.doubling import (
     DoubledSlice,
     GroupElement,
     NeckSchedule,
     S3Point,
+    _composite_tube_base,
     _retract_uv,
     _slice_index_map,
+    _tube_strips,
     assemble_doubled_sweepout,
     cmc_area,
     default_resolution,
@@ -26,7 +28,7 @@ from catsweep.doubling import (
     tube_area,
 )
 from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
-from catsweep.mesh import mesh_area
+from catsweep.mesh import _spherical_triangle_areas, mesh_area
 from catsweep.surfaces import product_torus, torus_distances
 
 BUDGET = 4.0 * math.pi ** 2
@@ -120,6 +122,18 @@ def test_tube_area_slope_and_linear_vanish():
     ratio = tube_area(0.25, 0.01) / tube_area(0.25, 0.005)
     assert abs(ratio - 2.0) < 0.02
     assert tube_area(0.5, 0.01) == 0.0
+
+
+@pytest.mark.parametrize("t, radius", [(0.1, 0.15), (0.25, 0.01), (0.3, 0.12)])
+def test_tube_area_matches_the_tube_mesh(t, radius):
+    # the strip mesh a welded slice lays along one full joining arc, twice
+    # the curve tube_area measures: its ring polygons undershoot by about
+    # (pi/64)^2/6 = 4e-4, far less than the factor sin(2r)/(2r) (1.5% at
+    # r = 0.15)
+    _, _, rings = _composite_tube_base(t, 2, radius)
+    ids = np.arange(rings.shape[0] * rings.shape[1]).reshape(rings.shape[:2])
+    mesh = np.sum(_spherical_triangle_areas(rings.reshape(-1, 4), _tube_strips(ids)))
+    assert abs(0.5 * mesh / tube_area(t, radius) - 1.0) < 6e-4
 
 
 def test_tube_area_rejects_bad_input():
@@ -383,10 +397,82 @@ def test_assembly_computes_puncture_distances_once(monkeypatch):
     assert len(calls) == 4
 
 
+def _pair_closed_form(t, m, schedule):
+    rho = schedule.eta(t)
+    if rho == 0.0:
+        return 2.0 * cmc_area(t)
+    return (2.0 * cmc_area(t) - 2.0 * m * m * math.pi * rho * rho
+            + 2.0 * m * m * tube_area(t, rho))
+
+
+def test_paired_rows_are_the_continuum_limit_of_the_mesh():
+    # the welded mesh area converges to the closed form at second order
+    sched = default_schedule()
+    t = 16.0 / 17.0 * (0.5 - sched.delta)
+    closed = _pair_closed_form(t, 2, sched)
+    coarse = doubled_slice(t, 2, n=64)
+    fine = doubled_slice(t, 2, n=128)
+    excess64 = coarse.area / closed - 1.0
+    excess128 = fine.area / closed - 1.0
+    assert 3.5e-4 <= excess64 <= 4.5e-4
+    assert 3.5 <= excess64 / excess128 <= 4.5
+    tubes = 8.0 * tube_area(t, sched.eta(t))
+    assert abs(coarse.tube_lateral_area / tubes - 1.0) < 2e-3
+
+
+def test_paired_rows_match_the_closed_form(report2):
+    sched = default_schedule()
+    pairs = [r for r in report2.rows if r["stage"] in ("pair", "pair_tubes") and r["t"] > 0.0]
+    assert len(pairs) == 17
+    for row in pairs:
+        rho = sched.eta(row["t"])
+        assert row["area"] == _pair_closed_form(row["t"], 2, sched)
+        assert row["removed_disk_area"] == 8.0 * math.pi * rho * rho
+        assert "chi" not in row
+    # the witness keeps the mesh's second-order error on record
+    assert 3.5e-4 <= report2.summary["witness_mesh_rel_excess"] <= 4.5e-4
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_assembly_builds_one_welded_slice(m, monkeypatch):
+    calls = []
+
+    def counted(t, m, schedule=None, n=None):
+        calls.append(t)
+        return doubled_slice(t, m, schedule, n)
+
+    monkeypatch.setattr(doubling, "doubled_slice", counted)
+    rep = assemble_doubled_sweepout(m)
+    assert rep.summary["regular_chi"] == 2 - 2 * (m * m + 1)
+    # the witness is the last paired slice with tubes
+    assert calls == [max(r["t"] for r in rep.rows if r["stage"] == "pair_tubes")]
+
+
+def test_assembly_refines_past_the_weld_capacity():
+    # n = 128 leaves the tube radius of the middle paired slices above the
+    # weld collar capacity; only the witness slice is meshed
+    rep = assemble_doubled_sweepout(2, n=128)
+    assert rep.summary["passed"] is True
+    assert rep.summary["regular_chi"] == -8
+    assert len(rep.rows) == 32
+
+
 def test_assembly_budget_violation_detected():
-    sched = default_schedule(epsilon=0.001, delta=0.004)
+    # near the middle torus the tubes add about 2 m^2 pi d^2 over the weld
+    # disks, d = 1/2 - t, against a gap of 8 pi^2 d^2 under the budget, so
+    # only m >= 4 with fat tubes crosses it (by 0.73 here)
+    sched = default_schedule(epsilon=0.19, delta=0.004)
     with pytest.raises(BudgetViolated):
-        assemble_doubled_sweepout(2, schedule=sched, t_grid=[0.496])
+        assemble_doubled_sweepout(4, schedule=sched, t_grid=[0.3])
+
+
+def test_closing_pair_stays_under_budget():
+    # the torus pair at t = 0.496 is 1.26e-3 under the budget; the n = 64
+    # mesh area, 4.0e-4 relative high, put it 1.46e-2 over
+    sched = default_schedule(epsilon=0.001, delta=0.004)
+    rep = assemble_doubled_sweepout(2, schedule=sched, t_grid=[0.496])
+    assert rep.summary["sup_area"] == 2.0 * cmc_area(0.496)
+    assert rep.summary["passed"] is True
 
 
 def test_assembly_rejects_bad_input():

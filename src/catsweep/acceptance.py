@@ -79,7 +79,6 @@ def width_run(r, h, tolerance):
             "argmax_t": res.argmax_t,
             "iterations": res.iterations,
             "backtracks": res.backtracks,
-            "legs": res.legs,
             "newton_iterations": res.newton_iterations,
             "classify_calls": res.classify_calls,
             "morse_index": res.morse_index,

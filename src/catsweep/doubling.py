@@ -47,38 +47,14 @@ TUBE_RADIUS_BOUND = 0.2
 TUBE_SEGMENTS = 48
 TUBE_RING_POINTS = 64
 
-_POINT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class S3Point:
-    """A point of the unit 3-sphere, stored as two complex coordinates."""
-
-    z: complex
-    w: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "w", complex(self.w))
-        r = abs(self.z) ** 2 + abs(self.w) ** 2
-        if abs(r - 1.0) > _POINT_TOL:
-            raise DomainError("point misses the unit sphere by %.3g" % abs(r - 1.0))
-
-    def as_vector(self):
-        return np.array([self.z.real, self.z.imag, self.w.real, self.w.imag])
-
-    @staticmethod
-    def from_vector(v):
-        return S3Point(complex(v[0], v[1]), complex(v[2], v[3]))
-
 
 @dataclass(frozen=True)
 class GroupElement:
     """One symmetry of the doubled family: swap the factors, then rotate.
 
     The element acts as (z, w) -> (e^{2 pi i k/m} z', e^{2 pi i l/m} w')
-    where (z', w') is (w, z) when swap is set and (z, w) otherwise.  The
-    2 m^2 elements form a group under compose().
+    where (z', w') is (w, z) when swap is set and (z, w) otherwise; the
+    2 m^2 elements form a group, and matrix() is the action on R^4.
     """
 
     m: int
@@ -91,14 +67,6 @@ class GroupElement:
             raise DomainError("symmetry order must be at least 2, got m = %s" % self.m)
         object.__setattr__(self, "k", int(self.k) % self.m)
         object.__setattr__(self, "l", int(self.l) % self.m)
-
-    def apply(self, p):
-        z, w = (p.w, p.z) if self.swap else (p.z, p.w)
-        cz = complex(math.cos(2.0 * math.pi * self.k / self.m),
-                     math.sin(2.0 * math.pi * self.k / self.m))
-        cw = complex(math.cos(2.0 * math.pi * self.l / self.m),
-                     math.sin(2.0 * math.pi * self.l / self.m))
-        return S3Point(cz * z, cw * w)
 
     def matrix(self):
         ak = 2.0 * math.pi * self.k / self.m
@@ -115,17 +83,6 @@ class GroupElement:
         sw = np.zeros((4, 4))
         sw[0, 2] = sw[1, 3] = sw[2, 0] = sw[3, 1] = 1.0
         return rot @ sw
-
-    def compose(self, other):
-        """The element acting as self after other."""
-        if self.swap:
-            k2, l2 = other.l, other.k
-        else:
-            k2, l2 = other.k, other.l
-        return GroupElement(
-            self.m, (self.k + k2) % self.m, (self.l + l2) % self.m,
-            self.swap != other.swap,
-        )
 
 
 def group_elements(m):

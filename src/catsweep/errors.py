@@ -21,10 +21,6 @@ class DomainError(CatsweepError):
     """An argument lies outside the documented domain of the operation."""
 
 
-class DegenerateProfile(CatsweepError):
-    """A profile curve has negative radii or an otherwise unusable shape."""
-
-
 class ChartOverflow(CatsweepError):
     """A normal offset left the validity region of the ambient chart."""
 

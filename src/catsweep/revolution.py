@@ -1,19 +1,20 @@
 """One-parameter min-max over surfaces of revolution spanning two circles.
 
-A path of profile curves runs from a pinched two-disk surrogate to the
-stable catenoid; the mountain pass between those basins is the unstable
-catenoid, whose area is the numerical width.  The initial path is bisected
-against the basin boundary; a bracket pair straddling that boundary then
-tracks the separatrix of the area descent flow, one leg at a time.  After
-each leg, Newton's method on the exact tridiagonal Hessian of the frustum
-area runs from the stable-side member of the pair.  It is damped: a step is
-halved until the radii stay above the pinch floor and the merit |g|^2 of
-the area gradient g decreases, which the Newton direction guarantees for
-small enough steps even though the Hessian is indefinite.  Its limit is
-accepted only with a mountain-pass certificate: the Hessian has exactly one
-negative eigenvalue (a Sturm count of its pivots), and a nudge along that
-eigenvector falls into the pinched basin one way and the stable basin the
-other.  The width is the area of that certified index-1 critical point.
+The sweep is the straight segment of profile curves from a pinched
+two-disk surrogate to the stable catenoid; the mountain pass between
+those basins is the unstable catenoid, whose area is the numerical width.
+The segment is bisected against the basin boundary of the area descent
+flow down to adjacent doubles.  Newton's method on the exact tridiagonal
+Hessian of the frustum area then runs from the stable-side end of that
+bracket.  It is damped: a step is halved until the radii stay above the
+pinch floor and the merit |g|^2 of the area gradient g decreases, which
+the Newton direction guarantees for small enough steps even though the
+Hessian is indefinite.  Its limit is accepted only with a mountain-pass
+certificate: the Hessian has exactly one negative eigenvalue (a Sturm
+count of its pivots), and a nudge along that eigenvector falls into the
+pinched basin one way and the stable basin the other.  The width is the
+area of that certified index-1 critical point; when Newton's method or the
+certificate fails, no width is reported.
 
 A basin classification stops on the stable side as soon as the area falls
 below 2*pi*(r^2 - e^2), e the pinch threshold of the neck: by the frustum
@@ -29,16 +30,13 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .catenoid import CatenoidSpec, excess_over_disks, solve_parameters, tangency_abscissa
-from .errors import DegenerateProfile, DomainError, NonConvergence
+from .errors import DomainError, NonConvergence
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
 
-# area descent and edge tracking
+# area descent and basin classification
 STEP0 = 0.25
 STEP_MAX = 0.5
-SEP_TARGET = 2e-3      # pair separation (relative to r) triggering re-bracketing
-MAX_LEGS = 200
-MAX_LEG_ITERS = 30000
 CLASSIFY_ITERS = 20000
 HALVINGS = 60          # step halvings before a descent or Newton step gives up
 
@@ -87,18 +85,6 @@ def _frustum_area(f, dx):
     return _frustum_geometry(f, dx)[0]
 
 
-def revolution_area(p):
-    """Surface area of the profile of revolution, swept as a polyline.
-
-    Each grid interval contributes the lateral area of its cone frustum;
-    exact on piecewise-linear profiles and second-order accurate on smooth
-    ones.  This is the area the width engine descends.
-    """
-    if np.any(p.f_values < 0.0):
-        raise DegenerateProfile("negative radius in profile")
-    return _frustum_area(p.f_values, p.dx)
-
-
 def catenoid_profile(r, h, c, n_nodes=201):
     x = np.linspace(-h, h, n_nodes)
     f = c * np.cosh(x / c)
@@ -117,34 +103,6 @@ def pinched_profile(r, h, n_nodes=201):
 
 
 @dataclass(frozen=True)
-class RevolutionPath:
-    slices: tuple
-
-    def __post_init__(self):
-        if len(self.slices) < 2:
-            raise DomainError("a path needs at least two slices")
-        x0 = self.slices[0].x_nodes
-        for p in self.slices[1:]:
-            if p.x_nodes.shape != x0.shape or np.any(p.x_nodes != x0):
-                raise DomainError("all slices must share one node grid")
-
-
-def initial_path(r, h, n_nodes=201, n_slices=41):
-    """Straight-line interpolation from the pinched surrogate to the stable catenoid."""
-    sol = solve_parameters(CatenoidSpec(r=r, h=h))
-    a = pinched_profile(r, h, n_nodes).f_values
-    b = catenoid_profile(r, h, sol.c_stable, n_nodes).f_values
-    x = np.linspace(-h, h, n_nodes)
-    slices = []
-    for t in np.linspace(0.0, 1.0, n_slices):
-        f = (1.0 - t) * a + t * b
-        f[0] = r
-        f[-1] = r
-        slices.append(ProfileCurve(x_nodes=x, f_values=f))
-    return RevolutionPath(slices=tuple(slices))
-
-
-@dataclass(frozen=True)
 class WidthResult:
     width: float
     argmax_t: float
@@ -154,8 +112,7 @@ class WidthResult:
     residual: float        # L2 norm of the area gradient density at the saddle
     classify_calls: int    # basin classifications the saddle search ran
     morse_index: int       # negative Hessian eigenvalues at the saddle
-    legs: int              # edge-tracking legs run before the certificate held
-    newton_iterations: int # Newton steps over every attempt, failed ones included
+    newton_iterations: int # Newton steps of the saddle solve
 
 
 def _negative_pivots(diag, off):
@@ -176,8 +133,8 @@ def _negative_pivots(diag, off):
     return count
 
 
-class _Descent:
-    """Preconditioned area descent of profiles on one uniform grid.
+class _WidthEngine:
+    """Area descent, the two basins and the certified Newton saddle.
 
     The descent direction is the area gradient smoothed by an inverse
     Sobolev operator (I - d^2/dx^2), which equalizes time scales across
@@ -191,22 +148,32 @@ class _Descent:
     step reuses the geometry its accepted trial computed for the area.
     """
 
-    def __init__(self, dx, n_nodes, r):
-        if n_nodes < 5:
-            # scipy's dgttrf wrapper needs at least 3 unknowns
-            raise DomainError("descent needs at least 5 grid nodes, got n = %d" % n_nodes)
-        self.dx = dx
+    def __init__(self, r, h, n_nodes):
+        sol = solve_parameters(CatenoidSpec(r=r, h=h))
+        pinched = pinched_profile(r, h, n_nodes)
+        self.x = pinched.x_nodes
+        self.dx = pinched.dx
+        self.pinched = pinched.f_values
+        self.stable = catenoid_profile(r, h, sol.c_stable, n_nodes).f_values
+        self.r = r
+        self.where = "r = %s, h = %s" % (r, h)
         self.floor = PINCH_FLOOR * r
-        off = np.full(n_nodes - 3, -1.0 / dx ** 2)
-        diag = np.full(n_nodes - 2, 1.0 + 2.0 / dx ** 2)
+        off = np.full(n_nodes - 3, -1.0 / self.dx ** 2)
+        diag = np.full(n_nodes - 2, 1.0 + 2.0 / self.dx ** 2)
         # strictly diagonally dominant, so no pivot vanishes (info is 0)
         *self.lu, _ = dgttrf(off, diag, off)
+        self.mid = n_nodes // 2
+        # basin thresholds: h/x_tangent bounds the unstable neck from above,
+        # so the midpoint against c_stable cannot fire during a saddle linger
+        self.neck_floor = max(2.0 * self.floor, 1e-3 * r)
+        self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
+        # the frustum bound (module docstring): below this area no radius can
+        # reach neck_floor again; the factor absorbs the area's rounding
+        self.no_pinch_area = 2.0 * np.pi * (r * r - self.neck_floor ** 2) * (1.0 - 1e-12)
         self.steps_taken = 0
         self.newton_iterations = 0
         self.backtracks = 0
-
-    def area(self, f):
-        return _frustum_area(f, self.dx)
+        self.classify_calls = 0
 
     def geometry(self, f):
         return _frustum_geometry(f, self.dx)
@@ -288,29 +255,6 @@ class _Descent:
             st *= 0.5
         return f, geo, st, False
 
-
-class _WidthEngine(_Descent):
-    """Area descent plus the two basins, separatrix edge tracking and the
-    certified Newton saddle."""
-
-    def __init__(self, r, h, n_nodes):
-        self.x = np.linspace(-h, h, n_nodes)
-        super().__init__(self.x[1] - self.x[0], n_nodes, r)
-        self.r = r
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
-        self.mid = n_nodes // 2
-        self.stable = sol.c_stable * np.cosh(self.x / sol.c_stable)
-        self.stable[0] = r
-        self.stable[-1] = r
-        # basin thresholds: h/x_tangent bounds the unstable neck from above,
-        # so the midpoint against c_stable cannot fire during a saddle linger
-        self.neck_floor = max(2.0 * self.floor, 1e-3 * r)
-        self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
-        # the frustum bound (module docstring): below this area no radius can
-        # reach neck_floor again; the factor absorbs the area's rounding
-        self.no_pinch_area = 2.0 * np.pi * (r * r - self.neck_floor ** 2) * (1.0 - 1e-12)
-        self.classify_calls = 0
-
     def classify(self, f):
         """Which basin a state falls into: -1 pinched floor, +1 stable catenoid."""
         self.classify_calls += 1
@@ -322,7 +266,7 @@ class _WidthEngine(_Descent):
             if not moved:
                 if np.max(np.abs(f - self.stable)) < 0.05 * self.r:
                     return 1
-                raise NonConvergence("descent stalled away from both basins")
+                raise NonConvergence("descent stalled away from both basins at %s" % self.where)
             neck = f[self.mid]
             if neck <= self.neck_floor:
                 return -1
@@ -331,85 +275,49 @@ class _WidthEngine(_Descent):
             if neck >= self.neck_stable and neck > neck_prev:
                 return 1
             neck_prev = neck
-        raise NonConvergence("basin classification exceeded its iteration cap")
+        raise NonConvergence(
+            "basin classification exceeded its iteration cap at %s" % self.where
+        )
 
-    def bisect(self, profile_at):
-        """Bisect [0, 1] against the basin boundary along profile_at(t).
+    def at(self, t):
+        """The profile at t on the straight segment from pinched to stable."""
+        f = (1.0 - t) * self.pinched + t * self.stable
+        f[0] = self.r
+        f[-1] = self.r
+        return f
 
-        profile_at(0) is pinched-side and profile_at(1) stable-side; returns
-        the bracket (lo, hi) once they are adjacent doubles, when the
-        midpoint rounds to one of them, so no parameter is classified twice.
+    def run(self):
+        """The certified saddle: (profile, geometry, argmax_t, Morse index).
+
+        The segment is bisected against the basin boundary until its
+        bracket is adjacent doubles, when the midpoint rounds to one of
+        them, so no parameter is classified twice; Newton's method then
+        runs from the stable-side end.
         """
+        if self.classify(self.pinched) != -1 or self.classify(self.stable) != 1:
+            raise NonConvergence(
+                "path endpoints must fall into the pinched and stable basins at %s"
+                % self.where
+            )
         lo, hi = 0.0, 1.0
         while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
-                return lo, hi
-            if self.classify(profile_at(mid)) == -1:
+                break
+            if self.classify(self.at(mid)) == -1:
                 lo = mid
             else:
                 hi = mid
-
-    def run(self, path):
-        profiles = [p.f_values.copy() for p in path.slices]
-        for f in profiles:
-            if abs(f[0] - self.r) > 1e-12 * self.r or abs(f[-1] - self.r) > 1e-12 * self.r:
-                raise DomainError("path slices must pin boundary radii to r")
-        # arc-length parametrization of the path polyline; duplicate slices
-        # contribute zero length and so do not move the parametrization
-        diffs = [np.linalg.norm(b - a) for a, b in zip(profiles, profiles[1:])]
-        cum = np.concatenate([[0.0], np.cumsum(diffs)])
-        if cum[-1] <= 0.0:
-            raise DomainError("path is a single point")
-        cum /= cum[-1]
-
-        def at(t):
-            k = int(np.searchsorted(cum, t, side="right")) - 1
-            k = min(max(k, 0), len(profiles) - 2)
-            width_k = cum[k + 1] - cum[k]
-            lam = 0.0 if width_k == 0.0 else (t - cum[k]) / width_k
-            f = (1.0 - lam) * profiles[k] + lam * profiles[k + 1]
-            f[0] = self.r
-            f[-1] = self.r
-            return f
-
-        if self.classify(at(0.0)) != -1 or self.classify(at(1.0)) != 1:
+        saddle = self.newton(self.at(hi))
+        if saddle is None:
+            raise NonConvergence("Newton's method found no critical profile at %s" % self.where)
+        geo = self.geometry(saddle)
+        index = self.certify(saddle, geo)
+        if index is None:
             raise NonConvergence(
-                "path endpoints must fall into the pinched and stable basins"
+                "the critical profile at %s is no certified mountain pass" % self.where
             )
-        lo, hi = self.bisect(at)
-        argmax_t = 0.5 * (lo + hi)
-
-        f_a, f_b = at(lo), at(hi)
-        sep = SEP_TARGET * self.r
-        for leg in range(1, MAX_LEGS + 1):
-            geo_a, geo_b = self.geometry(f_a), self.geometry(f_b)
-            st_a = st_b = STEP0
-            stalled = False
-            for _ in range(MAX_LEG_ITERS):
-                f_a, geo_a, st_a, ok_a = self.step(f_a, geo_a, st_a)
-                f_b, geo_b, st_b, ok_b = self.step(f_b, geo_b, st_b)
-                if np.max(np.abs(f_a - f_b)) > sep:
-                    break
-                if not ok_a and not ok_b:
-                    stalled = True  # both stalled without separating
-                    break
-            saddle = self.newton(f_b)
-            if saddle is not None:
-                geo = self.geometry(saddle)
-                index = self.certify(saddle, geo)
-                if index is not None:
-                    return saddle, geo, argmax_t, index, leg
-            if stalled:
-                raise NonConvergence(
-                    "bracket pair stalled on leg %d with no certified saddle" % leg
-                )
-            lam_lo, lam_hi = self.bisect(lambda lam: (1.0 - lam) * f_a + lam * f_b)
-            f_a, f_b = (
-                (1.0 - lam_lo) * f_a + lam_lo * f_b,
-                (1.0 - lam_hi) * f_a + lam_hi * f_b,
-            )
-        raise NonConvergence("no certified index-1 saddle within %d legs" % MAX_LEGS)
+        return saddle, geo, 0.5 * (lo + hi), index
 
     def certify(self, f, geo):
         """Mountain-pass certificate of the critical profile f.
@@ -435,24 +343,18 @@ class _WidthEngine(_Descent):
         return index
 
 
-def mountain_pass_width(r, h, path0=None):
+def mountain_pass_width(r, h):
     """Saddle area of the two-circle problem found from an actual sweep.
 
-    The initial path must connect the two stable competitors; the returned
-    width matches the closed-form unstable catenoid area to the engine's
-    discretization error, with the realizing profile attached.
+    The sweep is the straight segment from the pinched surrogate to the
+    stable catenoid on 201 nodes; the returned width matches the
+    closed-form unstable catenoid area to the engine's discretization
+    error, with the realizing profile attached.
     """
-    if path0 is None:
-        path0 = initial_path(r, h)
-    n_nodes = path0.slices[0].x_nodes.size
-    span = path0.slices[0].x_nodes
-    if abs(span[0] + h) > 1e-12 or abs(span[-1] - h) > 1e-12:
-        raise DomainError("path slices must span [-h, h]")
-    engine = _WidthEngine(r, h, n_nodes)
-    endpoint_areas = (engine.area(path0.slices[0].f_values), engine.area(path0.slices[-1].f_values))
-    profile, geo, argmax_t, index, legs = engine.run(path0)
-    if geo[0] < max(endpoint_areas):
-        raise NonConvergence("width fell below an endpoint area; path degenerated")
+    engine = _WidthEngine(r, h, 201)
+    profile, geo, argmax_t, index = engine.run()
+    if geo[0] < max(_frustum_area(f, engine.dx) for f in (engine.pinched, engine.stable)):
+        raise NonConvergence("width fell below an endpoint area at %s" % engine.where)
     # the gradient per unit length is the discrete first variation, so its
     # L2 norm is comparable across resolutions
     g = engine.gradient(geo)
@@ -465,25 +367,8 @@ def mountain_pass_width(r, h, path0=None):
         residual=math.sqrt(float(g @ g) / engine.dx),
         classify_calls=engine.classify_calls,
         morse_index=index,
-        legs=legs,
         newton_iterations=engine.newton_iterations,
     )
-
-
-def descend_profile(p, r, steps):
-    """Expose single-profile area descent; returns (profile, per-step areas).
-
-    The pinch floor scales with r; no catenoid need span the profile's ends.
-    """
-    descent = _Descent(p.dx, p.x_nodes.size, r)
-    f = p.f_values.copy()
-    geo = descent.geometry(f)
-    st = STEP0
-    areas = [geo[0]]
-    for _ in range(steps):
-        f, geo, st, _ = descent.step(f, geo, st)
-        areas.append(geo[0])
-    return ProfileCurve(x_nodes=p.x_nodes.copy(), f_values=f), areas
 
 
 @dataclass(frozen=True)

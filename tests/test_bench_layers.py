@@ -1,0 +1,34 @@
+"""The benchmark tracer's view of the package.
+
+`perfbench/tracing.py` rebinds the `(module, function)` pairs it lists and
+reads counts off their results; a rename or deletion in the package would
+crash a traced benchmark run, so these names are checked here.
+"""
+
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+from catsweep.doubling import doubled_slice
+from catsweep.revolution import WidthResult
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
+
+
+def test_traced_layers_exist(tracing):
+    for module, name in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module("catsweep." + module), name))
+
+
+def test_traced_results_carry_their_counts(tracing):
+    assert "iterations" in {f.name for f in dataclasses.fields(WidthResult)}
+    sl = doubled_slice(0.2, 2)
+    assert len(sl.vertices) > 0 and len(sl.triangles) > 0

@@ -129,7 +129,7 @@ FROZEN_JSON_SHA256 = {
     "fermi-quad": "2666be31fa514c67d7ce9de89a37d82a72f64260229a6cdca2544adb51b2dc73",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
-    "width-run": "a4c4fb86040e6adf28c5ba3cb868dba9e0ce6945d0af8830322154cef56df32e",
+    "width-run": "3217160162e723ae93b9418abfcee075d4a926f11e477ad7258e280021c6a53b",
     "doubling-sweep": "985ebc8a125d0da1eb83994502cbc05003cd0d3ba85889b9229942de96c9f280",
     "doubling-sweep-m3": "f6bd372eab630ec00dc291eb0a49f8a3b779677de6512b181c49338e9a50e028",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
@@ -218,6 +218,17 @@ def test_bad_input_one_line_exit_one(argv, named, capsys):
     except SystemExit as exc:
         code = exc.code
     _assert_one_line_error(code, capsys.readouterr().err, named)
+
+
+def test_width_run_near_the_critical_ratio_fails_by_name(capsys):
+    # a known failure, kept visible: for h in about (0.645, 0.6627] the late
+    # bisection midpoints start so near the separatrix that one basin
+    # classification runs into CLASSIFY_ITERS
+    code = cli.run(["width", "run", "--h", "0.65"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("verification failure:")
+    assert "h = 0.65" in err[0]
 
 
 def test_bad_input_through_module_entry_point():

@@ -10,9 +10,7 @@ from scipy.spatial import cKDTree
 from catsweep import doubling, fermi
 from catsweep.doubling import (
     DoubledSlice,
-    GroupElement,
     NeckSchedule,
-    S3Point,
     _composite_tube_base,
     _retract_uv,
     _slice_index_map,
@@ -49,45 +47,11 @@ def report3():
     return assemble_doubled_sweepout(3)
 
 
-def test_point_validation():
-    p = S3Point(complex(0.6, 0.0), complex(0.0, 0.8))
-    assert np.allclose(p.as_vector(), [0.6, 0.0, 0.0, 0.8])
-    q = S3Point.from_vector(p.as_vector())
-    assert q == p
-    with pytest.raises(DomainError):
-        S3Point(1.0, 1.0)
-
-
 def test_group_has_order_two_m_squared():
     for m in (2, 3):
         els = group_elements(m)
         assert len(els) == 2 * m * m
         assert len(set(els)) == 2 * m * m
-
-
-def test_group_closure_and_inverses():
-    els = group_elements(3)
-    table = set(els)
-    for g in els:
-        assert any(g.compose(h) == GroupElement(3, 0, 0, False) for h in els)
-        for h in els[:5]:
-            assert g.compose(h) in table
-
-
-def test_compose_matches_matrix_product():
-    els = group_elements(3)
-    rng = np.random.default_rng(5)
-    for g in rng.choice(len(els), size=6):
-        for h in rng.choice(len(els), size=6):
-            a, b = els[int(g)], els[int(h)]
-            prod = a.compose(b).matrix()
-            assert np.allclose(prod, a.matrix() @ b.matrix(), atol=1e-12)
-
-
-def test_apply_matches_matrix():
-    p = S3Point(complex(0.3, 0.4), complex(0.5, math.sqrt(1 - 0.5)))
-    for g in group_elements(2):
-        assert np.allclose(g.apply(p).as_vector(), g.matrix() @ p.as_vector(), atol=1e-12)
 
 
 def test_neck_arc_length():

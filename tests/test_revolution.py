@@ -7,27 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
+from catsweep import cli
 from catsweep.acceptance import width_run
 from catsweep.catenoid import CatenoidSpec, excess_over_disks, solve_parameters
-from catsweep.errors import DegenerateProfile, DomainError, NoCatenoid, NonConvergence
+from catsweep.errors import DomainError, NoCatenoid, NonConvergence
 from catsweep.revolution import (
     CLASSIFY_ITERS,
     PINCH_FLOOR,
     STEP0,
     STEP_MAX,
     ProfileCurve,
-    _Descent,
     _negative_pivots,
     _WidthEngine,
     _frustum_area,
-    RevolutionPath,
     catenoid_profile,
-    descend_profile,
     excess_scaling_comparison,
-    initial_path,
     mountain_pass_width,
-    pinched_profile,
-    revolution_area,
 )
 
 # closed-form unstable-catenoid areas, regenerated with an independent
@@ -48,11 +43,14 @@ EXCESS_RATIO_TABLE = {
 }
 EXCESS_SLOPE = 0.7623457020
 
-# engine outputs (width, argmax_t) at r = 1, frozen when the saddle was first
-# certified; faster saddle searches must reproduce them bit for bit
+# engine outputs (width, argmax_t) at r = 1; the widths were frozen when the
+# saddle was first certified, and faster or smaller saddle searches must
+# reproduce them bit for bit; argmax_t is the bracket midpoint on the segment
 FROZEN_WIDTHS = {
-    0.5: (6.845683234092074, 0.7207348560962208),
-    0.3: (6.4406273673757255, 0.4311614074226311),
+    0.5: (6.845683234092074, 0.7207348560962206),
+    0.3: (6.4406273673757255, 0.43116140742263087),
+    0.2: (6.343639028936107, 0.2871111863929462),
+    0.1: (6.2955996755467485, 0.1433591776275105),
 }
 
 
@@ -65,7 +63,7 @@ def _width(r, h):
 def test_cylinder_area_exact():
     x = np.linspace(-0.1, 0.1, 51)
     p = ProfileCurve(x_nodes=x, f_values=np.ones_like(x))
-    assert revolution_area(p) == pytest.approx(0.4 * math.pi, rel=1e-14)
+    assert _frustum_area(p.f_values, p.dx) == pytest.approx(0.4 * math.pi, rel=1e-14)
 
 
 def test_cone_area_exact():
@@ -75,7 +73,7 @@ def test_cone_area_exact():
     p = ProfileCurve(x_nodes=x, f_values=f)
     # frustum: pi*(r1+r2)*slant
     expect = math.pi * (1.0 + 1.5) * math.sqrt(1.0 + 0.25)
-    assert revolution_area(p) == pytest.approx(expect, rel=1e-12)
+    assert _frustum_area(p.f_values, p.dx) == pytest.approx(expect, rel=1e-12)
 
 
 def test_revolution_area_second_order():
@@ -83,7 +81,8 @@ def test_revolution_area_second_order():
     exact = WIDTH_TABLE[(1.0, 0.3)]
     errs = []
     for n in (101, 201, 401):
-        err = abs(revolution_area(catenoid_profile(1.0, 0.3, sol.c_unstable, n)) - exact)
+        p = catenoid_profile(1.0, 0.3, sol.c_unstable, n)
+        err = abs(_frustum_area(p.f_values, p.dx) - exact)
         errs.append(err)
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -109,32 +108,17 @@ def test_profile_validation():
         ProfileCurve(x_nodes=x, f_values=f)
 
 
-def test_negative_radius_rejected():
-    x = np.linspace(-0.1, 0.1, 21)
-    f = np.ones_like(x)
-    f[10] = -0.2
-    with pytest.raises(DegenerateProfile):
-        revolution_area(ProfileCurve(x_nodes=x, f_values=f))
-
-
-def test_initial_path_shape():
-    path = initial_path(1.0, 0.3, n_nodes=101, n_slices=11)
-    assert len(path.slices) == 11
-    first = path.slices[0].f_values
-    last = path.slices[-1].f_values
-    assert first[0] == 1.0 and first[-1] == 1.0
-    # interior of the first slice sits on the pinch floor
+def test_segment_ends():
+    engine = _WidthEngine(1.0, 0.3, 101)
+    first, last = engine.at(0.0), engine.at(1.0)
+    for t in (0.0, 0.37, 1.0):
+        f = engine.at(t)
+        assert f[0] == 1.0 and f[-1] == 1.0
+    # interior of the pinched end sits on the pinch floor
     assert np.all(first[1:-1] <= 1e-4 + 1e-12)
     sol = solve_parameters(CatenoidSpec(r=1.0, h=0.3))
-    x = path.slices[0].x_nodes
+    x = engine.x
     assert np.max(np.abs(last[1:-1] - sol.c_stable * np.cosh(x[1:-1] / sol.c_stable))) < 1e-12
-
-
-def test_path_grid_mismatch_rejected():
-    a = pinched_profile(1.0, 0.3, 21)
-    b = pinched_profile(1.0, 0.4, 21)
-    with pytest.raises(DomainError):
-        RevolutionPath(slices=(a, b))
 
 
 @pytest.mark.parametrize("r,h", [(1.0, 0.5), (1.0, 0.3)])
@@ -152,7 +136,6 @@ def test_mountain_pass_width_matches_closed_form(r, h):
     assert res.iterations > 0
     assert res.residual <= 1e-4
     assert res.classify_calls > 0
-    assert (res.width, res.argmax_t) == FROZEN_WIDTHS[h]
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.1])
@@ -165,8 +148,8 @@ def test_width_excess_within_discretization_error(h):
     assert abs((res.width - 2.0 * math.pi) / excess_ref - 1.0) <= 2e-4
     assert res.morse_index == 1
     assert res.residual <= 1e-10
-    # the damped Newton step certifies the saddle after the first leg
-    assert res.legs == 1 and res.newton_iterations >= 1
+    assert res.newton_iterations >= 1
+    assert (res.width, res.argmax_t) == FROZEN_WIDTHS[h]
 
 
 def _recording_classify(monkeypatch):
@@ -193,26 +176,23 @@ def test_no_profile_classified_twice(monkeypatch):
 def test_width_counts_are_deterministic():
     res = mountain_pass_width(1.0, 0.5)
     ref = _width(1.0, 0.5)
-    counts = ("iterations", "backtracks", "classify_calls", "newton_iterations", "legs")
+    counts = ("iterations", "backtracks", "classify_calls", "newton_iterations")
     assert [getattr(res, k) for k in counts] == [getattr(ref, k) for k in counts]
     row = width_run(1.0, 0.5, 5e-3).rows[0]
     assert [row[k] for k in counts] == [getattr(ref, k) for k in counts]
 
 
-def test_failed_newton_leg_rebrackets(monkeypatch):
-    # a leg whose Newton attempt fails rebrackets the pair by bisection and
-    # tracks on; the next leg certifies the same saddle
-    plain = _WidthEngine.newton
-    calls = []
-
-    def newton_failing_once(self, f):
-        calls.append(1)
-        return None if len(calls) == 1 else plain(self, f)
-
-    monkeypatch.setattr(_WidthEngine, "newton", newton_failing_once)
-    res = mountain_pass_width(1.0, 0.5)
-    assert res.legs == 2 and res.morse_index == 1
-    assert res.width == pytest.approx(_width(1.0, 0.5).width, rel=1e-12)
+@pytest.mark.parametrize("stage", ["newton", "certify"])
+def test_failed_saddle_is_a_named_failure(stage, monkeypatch, capsys):
+    # a failed Newton solve or certificate reports no width; the error
+    # names the problem, and the CLI gives one verification-failure line
+    monkeypatch.setattr(_WidthEngine, stage, lambda self, *args: None)
+    with pytest.raises(NonConvergence, match="h = 0.5"):
+        mountain_pass_width(1.0, 0.5)
+    assert cli.run(["width", "run", "--h", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification failure:")
+    assert "h = 0.5" in err[0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -268,25 +248,16 @@ def test_no_pinch_exit_keeps_every_verdict(h, monkeypatch):
 @given(s=st.floats(min_value=0.5, max_value=2.0))
 def test_width_scales_with_the_circles(s):
     # area is 2-homogeneous, so the certified saddle of the scaled problem
-    # is the scaled saddle, whatever path the descent legs take to it
+    # is the scaled saddle, whatever bracket the bisection ends on
     scaled = mountain_pass_width(s * 1.0, s * 0.5)
     assert scaled.width == pytest.approx(s * s * _width(1.0, 0.5).width, rel=1e-9)
 
 
 def test_width_exceeds_endpoint_areas():
     res = _width(1.0, 0.5)
-    path = initial_path(1.0, 0.5)
-    assert res.width > revolution_area(path.slices[-1]) - 1e-9
+    stable = catenoid_profile(1.0, 0.5, solve_parameters(CatenoidSpec(r=1.0, h=0.5)).c_stable)
+    assert res.width > _frustum_area(stable.f_values, stable.dx) - 1e-9
     assert res.width > 2.0 * math.pi * 1.0 ** 2 * 0.9  # near two disks from the pinched end
-
-
-def test_width_invariant_under_reparametrization():
-    base = initial_path(1.0, 0.5)
-    sl = list(base.slices)
-    dup = tuple(sl[:7] + [sl[7]] + sl[7:21] + [sl[21], sl[21]] + sl[21:])
-    res_a = mountain_pass_width(1.0, 0.5, path0=base)
-    res_b = mountain_pass_width(1.0, 0.5, path0=RevolutionPath(slices=dup))
-    assert res_b.width == res_a.width
 
 
 def test_width_rejects_overtall_gap():
@@ -346,9 +317,27 @@ def _reference_descent(p, r, steps):
     return f, areas
 
 
+def _engine_on_grid(p):
+    # an engine at r = 1 whose grid is p's
+    return _WidthEngine(1.0, float(p.x_nodes[-1]), p.x_nodes.size)
+
+
+def _descend(p, steps):
+    # the engine's area descent from p: (final radii, per-step areas)
+    engine = _engine_on_grid(p)
+    f = p.f_values.copy()
+    geo = engine.geometry(f)
+    st = STEP0
+    areas = [geo[0]]
+    for _ in range(steps):
+        f, geo, st, _ = engine.step(f, geo, st)
+        areas.append(geo[0])
+    return f, areas
+
+
 def _interior_hessian(p):
-    descent = _Descent(p.dx, p.x_nodes.size, 1.0)
-    return descent, descent.hessian(descent.geometry(p.f_values))
+    engine = _engine_on_grid(p)
+    return engine, engine.hessian(engine.geometry(p.f_values))
 
 
 def test_hessian_matches_central_differences():
@@ -392,39 +381,15 @@ def test_certificate_accepts_only_the_saddle():
 
 def test_descent_matches_reference_bit_for_bit():
     for p in _random_profiles():
-        out, areas = descend_profile(p, 1.0, steps=200)
+        out, areas = _descend(p, steps=200)
         ref_f, ref_areas = _reference_descent(p, 1.0, steps=200)
         assert np.array(areas).tobytes() == np.array(ref_areas).tobytes()
-        assert out.f_values.tobytes() == ref_f.tobytes()
-
-
-def test_descent_needs_no_catenoid():
-    # h/r = 1 is past the critical ratio, so no catenoid spans the two
-    # circles; descending a profile between them still makes sense
-    x = np.linspace(-0.5, 0.5, 51)
-    f = np.full(51, 0.4)
-    f[0] = 0.5
-    f[-1] = 0.5
-    with pytest.raises(NoCatenoid):
-        solve_parameters(CatenoidSpec(r=0.5, h=0.5))
-    out, areas = descend_profile(ProfileCurve(x_nodes=x, f_values=f), 0.5, steps=100)
-    assert np.all(np.diff(areas) <= 0.0)
-    assert areas[-1] < areas[0]
-    assert out.f_values[0] == 0.5 and out.f_values[-1] == 0.5
-
-
-def test_descent_rejects_too_few_nodes():
-    x = np.linspace(-0.1, 0.1, 4)
-    with pytest.raises(DomainError, match="n = 4"):
-        descend_profile(ProfileCurve(x_nodes=x, f_values=np.ones(4)), 1.0, steps=1)
-    x = np.linspace(-0.1, 0.1, 5)
-    out, _ = descend_profile(ProfileCurve(x_nodes=x, f_values=np.ones(5)), 1.0, steps=1)
-    assert out.f_values.size == 5
+        assert out.tobytes() == ref_f.tobytes()
 
 
 def test_descent_never_increases_area():
     for p in _random_profiles():
-        _, areas = descend_profile(p, 1.0, steps=200)
+        _, areas = _descend(p, steps=200)
         diffs = np.diff(areas)
         assert np.all(diffs <= 1e-12)
         assert areas[-1] < areas[0]
@@ -435,9 +400,9 @@ def test_descent_respects_boundary():
     f = np.full(101, 0.9)
     f[0] = 1.0
     f[-1] = 1.0
-    out, _ = descend_profile(ProfileCurve(x_nodes=x, f_values=f), 1.0, steps=50)
-    assert out.f_values[0] == 1.0
-    assert out.f_values[-1] == 1.0
+    out, _ = _descend(ProfileCurve(x_nodes=x, f_values=f), steps=50)
+    assert out[0] == 1.0
+    assert out[-1] == 1.0
 
 
 def test_excess_ratio_table():

@@ -361,10 +361,6 @@ _CRITERIA = (
 )
 
 
-def criterion_count():
-    return len(_CRITERIA)
-
-
 def run_criterion(index):
     """Run one criterion (1-based); the wall clock is part of the verdict."""
     title, fn, limit = _CRITERIA[index - 1]

@@ -12,7 +12,10 @@ group generated by discrete rotations of the two circle factors and the
 swap of the factors.
 
 The paired slices are reported by their continuum areas, in closed form;
-one welded mesh per family is built as the witness of its genus.
+one welded mesh per family is built as the witness of its genus.  The
+graph-neck and collapse stages are one surface, the two-sided offset of
+the punctured middle torus, and one chart quadrature with the exact area
+element measures both.
 """
 
 import math
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetViolated, DomainError, RadiusTooLarge
-from .fermi import log_cutoff, two_sided_tube_family
+from .fermi import log_cutoff
 from .mesh import (
     AMBIENT_S3,
     MeshSurface,
@@ -530,58 +533,59 @@ def _chart_center_gap(m, theta, phi):
     )
 
 
-def _collapse_embed(m, s, h_eff, t_neck, theta, phi):
-    """Both sheets of the collapsing double sheet at chart points.
+def _sheet_area(cl, m, s, h_eff, t_neck):
+    """Continuum area of the punctured double sheet, by midpoint quadrature.
 
-    Returns the images of the offsets +f and -f: the offset is odd in the
-    sheet, cos even and sin odd, so one pass of retraction, cutoff and trig
-    gives both as cos(f) p + sin(f) nu and cos(f) p - sin(f) nu.
-    """
-    # the cutoff rides at the image position, so the transition band keeps
-    # a fixed width instead of being stretched along with the cells
-    th2, ph2 = _retract_uv(m, s, theta, phi)
-    f = (1.0 - s) * h_eff * log_cutoff(_chart_center_gap(m, th2, ph2), t_neck)
-    rt = 1.0 / math.sqrt(2.0)
-    ct, st, cp, sp = np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)
-    p = rt * np.column_stack([ct, st, cp, sp])
-    nu = rt * np.column_stack([ct, st, -cp, -sp])
-    cf = np.cos(f)[:, None] * p
-    sf = np.sin(f)[:, None] * nu
-    return cf + sf, cf - sf
+    The sheets are the offsets +-f of the middle torus, f = (1 - s) h_eff
+    log_cutoff(gap, t_neck), composed with the chart retraction; s = 0 is
+    the graph-neck slice with neck t_neck and s > 0 the collapse.  Nodes
+    are the chart triangle barycenters of cl weighted by chart area, and a
+    node within t_neck^2 of a puncture center is excised.  The cutoff rides
+    at the retracted point, so the transition band keeps a fixed width
+    instead of being stretched along with the cells.
 
+    In the chart of the image point the sheet sigma f (sigma = +-1) has
+    area element
 
-def _collapse_area(cl, m, s, h_eff, t_neck):
-    """Continuum area of the collapsing double sheet, by midpoint quadrature.
+        sqrt(cos(2f)^2/4 + (1 + sigma sin 2f) f_phi^2/2 + (1 - sigma sin 2f) f_theta^2/2),
 
-    The map composes the chart retraction with the two-sided normal offset
-    scaled down by 1 - s; the area element is the Gram determinant of a
-    finite-difference Jacobian at each chart triangle barycenter, so the
-    reported area genuinely vanishes as the image degenerates to the grid.
+    and inside the band t^2 < gap < t the cutoff gradient is f_theta^2 =
+    ((1 - s) h_eff / log t)^2 a^2 / (4 gap^4), with a, b the wrapped chart
+    offsets to the nearest center (b in place of a for f_phi^2).  The
+    retraction u -> u ((1 - s) + s/rho), with rho the sup norm of u over
+    pi/m, has Jacobian (1 - s) ((1 - s) + s/rho) by Euler's identity for
+    the 1-homogeneous rho, so the area vanishes exactly at s = 1.
+
+    Returns the area of both sheets and the flat area of the nodes one
+    sheet excises.
     """
     uv = cl.chart_uv_corners
-    bth = uv[:, :, 0].mean(axis=1)
-    bph = uv[:, :, 1].mean(axis=1)
+    th = uv[:, :, 0].mean(axis=1)
+    ph = uv[:, :, 1].mean(axis=1)
     du = uv[:, 1, :] - uv[:, 0, :]
     dv = uv[:, 2, :] - uv[:, 0, :]
     uv_area = 0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0])
-    keep = _chart_center_gap(m, bth, bph) > t_neck * t_neck
-    bth = bth[keep]
-    bph = bph[keep]
-    w = uv_area[keep]
-    eps = 1e-5
-    th_hi = _collapse_embed(m, s, h_eff, t_neck, bth + eps, bph)
-    th_lo = _collapse_embed(m, s, h_eff, t_neck, bth - eps, bph)
-    ph_hi = _collapse_embed(m, s, h_eff, t_neck, bth, bph + eps)
-    ph_lo = _collapse_embed(m, s, h_eff, t_neck, bth, bph - eps)
-    total = 0.0
-    for sheet in (0, 1):
-        d1 = (th_hi[sheet] - th_lo[sheet]) / (2.0 * eps)
-        d2 = (ph_hi[sheet] - ph_lo[sheet]) / (2.0 * eps)
-        g11 = np.sum(d1 * d1, axis=1)
-        g22 = np.sum(d2 * d2, axis=1)
-        g12 = np.sum(d1 * d2, axis=1)
-        total += float(np.sum(w * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))))
-    return total
+    keep = _chart_center_gap(m, th, ph) > t_neck * t_neck
+    th, ph, w = th[keep], ph[keep], uv_area[keep]
+    th2, ph2 = _retract_uv(m, s, th, ph)
+    half = math.pi / m
+    cell = 2.0 * half
+    rho = np.maximum(np.abs(th % cell - half), np.abs(ph % cell - half)) / half
+    jac = (1.0 - s) * ((1.0 - s) + s / rho)
+    gap = _chart_center_gap(m, th2, ph2)
+    scale = (1.0 - s) * h_eff
+    f = scale * log_cutoff(gap, t_neck)
+    band = (gap > t_neck * t_neck) & (gap < t_neck)
+    k = np.where(band, (scale / math.log(t_neck)) ** 2 / (4.0 * gap ** 4), 0.0)
+    a = th2 % cell - half
+    b = ph2 % cell - half
+    ft2 = k * a * a
+    fp2 = k * b * b
+    c2 = 0.25 * np.cos(2.0 * f) ** 2
+    s2 = np.sin(2.0 * f)
+    elem = (np.sqrt(c2 + 0.5 * (1.0 + s2) * fp2 + 0.5 * (1.0 - s2) * ft2)
+            + np.sqrt(c2 + 0.5 * (1.0 - s2) * fp2 + 0.5 * (1.0 + s2) * ft2))
+    return float(np.sum(w * jac * elem)), 0.5 * float(np.sum(uv_area[~keep]))
 
 
 def _grid_center_vertices(m, n):
@@ -621,8 +625,11 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     of the m^2 tubes.  The next quarter of the closing window opens
     punctures in the two-sided graph pair over the middle torus at the
     matching normal offset; the final quarter collapses the punctured
-    double sheet onto the grid.  The budget is twice the middle torus area
-    and must never be reached.
+    double sheet onto the grid.  Both stages are one surface and take
+    their areas from the same chart quadrature, _sheet_area: a graph-neck
+    row carries its neck_radius and, as removed_disk_area, the flat area
+    of the nodes one sheet excises.  The budget is twice the middle torus
+    area and must never be reached.
 
     One welded slice, at the last paired parameter with a positive tube
     radius, witnesses the topology: its Euler characteristic is the
@@ -650,19 +657,9 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
         raise DomainError("slice parameters must sit in [0, 1/2]")
     budget = 4.0 * math.pi ** 2
     cl = clifford_torus(n)
-    centers = _grid_center_vertices(m, n)
-    ts = sorted(float(t) for t in t_grid)
-    # one tube family over all neck radii, so the puncture distance fields
-    # are computed once per assembly
-    necks = [(t - t_a) / (0.5 * delta) * HANDOFF_NECK_MAX for t in ts
-             if t_a + 1e-15 < t <= t_b + 1e-15]
-    neck_rows = iter(
-        two_sided_tube_family(cl, np.ones(cl.n_vertices), centers, h_eff, t_grid=necks).rows
-        if necks else ()
-    )
     rows = []
     witness = None
-    for t in ts:
+    for t in sorted(float(t) for t in t_grid):
         if t <= t_a + 1e-15:
             if t <= 0.0:
                 row = {"t": 0.0, "area": 0.0, "stage": "pair"}
@@ -671,19 +668,20 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
                 if row["stage"] == "pair_tubes":
                     witness = row
         elif t <= t_b + 1e-15:
-            r0 = next(neck_rows)
+            neck = (t - t_a) / (0.5 * delta) * HANDOFF_NECK_MAX
+            area, removed = _sheet_area(cl, m, 0.0, h_eff, neck)
             row = {
                 "t": t,
-                "area": r0["area"],
+                "area": area,
                 "stage": "graph_necks",
-                "neck_radius": r0["t"],
-                "removed_disk_area": r0["removed_base_area"],
+                "neck_radius": neck,
+                "removed_disk_area": removed,
             }
         else:
             sc = min((t - t_b) / (0.5 * delta), 1.0)
             row = {
                 "t": t,
-                "area": _collapse_area(cl, m, sc, h_eff, HANDOFF_NECK_MAX),
+                "area": _sheet_area(cl, m, sc, h_eff, HANDOFF_NECK_MAX)[0],
                 "stage": "collapse",
                 "collapse_s": sc,
             }

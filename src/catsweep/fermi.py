@@ -3,7 +3,9 @@
 Covers the area of normal graphs (exact pushes, and the quadratic form
 of the second variation), logarithmic cutoff fields with their Dirichlet
 energy, the lowest Jacobi eigenpair, and the two-sided punctured graph
-family whose maximal area stays below twice the base area.
+family whose maximal area stays below twice the base area.  The tube
+family serves criterion 8 and `fermi tubes` only; the doubled sweepout
+measures its graph-neck stage by chart quadrature (`doubling._sheet_area`).
 
 Cutoffs and tube families read exact distance fields: the flat metric of a
 product torus (`surfaces.torus_distances`) or the radius about a radial

@@ -1,8 +1,10 @@
-"""The benchmark tracer's view of the package.
+"""The benchmark's view of the package.
 
 `perfbench/tracing.py` rebinds the `(module, function)` pairs it lists and
 reads counts off their results; a rename or deletion in the package would
-crash a traced benchmark run, so these names are checked here.
+crash a traced benchmark run, so these names are checked here.  The
+`doubling` workload's own check runs here too, so that a regression it
+would catch fails the suite before it fails a benchmark run.
 """
 
 import dataclasses
@@ -23,6 +25,12 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
+@pytest.fixture()
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
 def test_traced_layers_exist(tracing):
     for module, name in tracing.LAYERS:
         assert callable(getattr(importlib.import_module("catsweep." + module), name))
@@ -32,3 +40,9 @@ def test_traced_results_carry_their_counts(tracing):
     assert "iterations" in {f.name for f in dataclasses.fields(WidthResult)}
     sl = doubled_slice(0.2, 2)
     assert len(sl.vertices) > 0 and len(sl.triangles) > 0
+
+
+def test_doubling_workload_passes_its_check(workloads):
+    for op in workloads.build("doubling", 0):
+        verdict = op.check(op.run())
+        assert verdict.status == "pass", verdict.detail

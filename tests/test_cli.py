@@ -130,8 +130,8 @@ FROZEN_JSON_SHA256 = {
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "3217160162e723ae93b9418abfcee075d4a926f11e477ad7258e280021c6a53b",
-    "doubling-sweep": "985ebc8a125d0da1eb83994502cbc05003cd0d3ba85889b9229942de96c9f280",
-    "doubling-sweep-m3": "f6bd372eab630ec00dc291eb0a49f8a3b779677de6512b181c49338e9a50e028",
+    "doubling-sweep": "d66b27245ba2a31e4161257b7884f033205d4549e3ee83741407b9407078f2c5",
+    "doubling-sweep-m3": "d713ec61df657cbea4162077fb7758b6546aa813787312465e9f1061e2b18bf1",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
     "fermi-tubes": "ff5df30f70da128be37d2ebc93bf575ffab8aeb814f2cfa2cfb7aff92010da8d",
 }

@@ -278,8 +278,9 @@ def _criterion_5():
 
 
 def _criterion_6():
-    mu64 = jacobi_lowest(clifford_torus(64)).lowest_pair[0]
-    mu128 = jacobi_lowest(clifford_torus(128)).lowest_pair[0]
+    jd64 = jacobi_lowest(clifford_torus(64))
+    jd128 = jacobi_lowest(clifford_torus(128))
+    mu64, mu128 = jd64.lowest_pair[0], jd128.lowest_pair[0]
     e64 = abs(mu64 + 4.0)
     e128 = abs(mu128 + 4.0)
     within = e64 / 4.0 <= 0.02
@@ -295,8 +296,8 @@ def _criterion_6():
         order_ok = order >= 1.8
         order_note = "refinement order %.2f" % order
     ok = within and order_ok
-    detail = "lowest eigenvalue %.10f (rel err %.2e, tol 2e-2); %s" % (
-        mu64, e64 / 4.0, order_note
+    detail = "lowest eigenvalue %.10f (rel err %.2e, tol 2e-2); %s; %d, %d solves (n = 64, 128)" % (
+        mu64, e64 / 4.0, order_note, jd64.iterations, jd128.iterations
     )
     return ok, detail
 

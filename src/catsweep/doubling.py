@@ -678,7 +678,9 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
                 "removed_disk_area": removed,
             }
         else:
-            sc = min((t - t_b) / (0.5 * delta), 1.0)
+            # over 1/2 - t_b so that t = 1/2 gives s = 1 exactly; the clamp
+            # holds s at 1 on the grid's 1e-12 slack past 1/2
+            sc = min((t - t_b) / (0.5 - t_b), 1.0)
             row = {
                 "t": t,
                 "area": _sheet_area(cl, m, sc, h_eff, HANDOFF_NECK_MAX)[0],

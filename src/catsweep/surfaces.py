@@ -64,27 +64,25 @@ def flat_disk(n_theta=64, rings=None):
     if rings.ndim != 1 or rings.size < 2 or np.any(np.diff(rings) <= 0) or rings[0] <= 0:
         raise DomainError("ring radii must be positive and increasing")
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    verts = [np.zeros(3)]
-    ring_of = [-1]
-    radius_of = [0.0]
-    for ri, r in enumerate(rings):
-        for th in theta:
-            verts.append(np.array([r * math.cos(th), r * math.sin(th), 0.0]))
-            ring_of.append(ri)
-            radius_of.append(r)
-    verts = np.array(verts)
-    tris = []
-    for k in range(n_theta):
-        k1 = (k + 1) % n_theta
-        tris.append((0, 1 + k, 1 + k1))
-    for ri in range(len(rings) - 1):
-        base0 = 1 + ri * n_theta
-        base1 = 1 + (ri + 1) * n_theta
-        for k in range(n_theta):
-            k1 = (k + 1) % n_theta
-            tris.append((base0 + k, base1 + k, base1 + k1))
-            tris.append((base0 + k, base1 + k1, base0 + k1))
-    tris = np.array(tris, dtype=np.int64)
+    # math.cos/math.sin once per angle, broadcast over the rings
+    cos_t = np.array([math.cos(th) for th in theta])
+    sin_t = np.array([math.sin(th) for th in theta])
+    n_rings = len(rings)
+    verts = np.zeros((1 + n_rings * n_theta, 3))
+    verts[1:, 0] = (rings[:, None] * cos_t).ravel()
+    verts[1:, 1] = (rings[:, None] * sin_t).ravel()
+    ring_of = np.concatenate([[-1], np.repeat(np.arange(n_rings), n_theta)])
+    radius_of = np.concatenate([[0.0], np.repeat(rings, n_theta)])
+    # the center fan, then two triangles per cell between rings ri and ri + 1
+    k = np.arange(n_theta, dtype=np.int64)
+    k1 = (k + 1) % n_theta
+    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64), 1 + k, 1 + k1])
+    base0 = (1 + np.arange(n_rings - 1, dtype=np.int64) * n_theta)[:, None]
+    base1 = base0 + n_theta
+    cells = np.stack(
+        [base0 + k, base1 + k, base1 + k1, base0 + k, base1 + k1, base0 + k1], axis=-1
+    )
+    tris = np.concatenate([fan, cells.reshape(-1, 3)])
     n = len(verts)
     normals = np.tile([0.0, 0.0, 1.0], (n, 1))
     mesh = MeshSurface(
@@ -98,8 +96,8 @@ def flat_disk(n_theta=64, rings=None):
     mesh.aux.update(
         radial=True,
         rings=rings,
-        ring_of=np.array(ring_of),
-        radius_of=np.array(radius_of),
+        ring_of=ring_of,
+        radius_of=radius_of,
         center_vertex=0,
         n_theta=n_theta,
         disk_radius_bound=float(rings[-1]),

@@ -130,8 +130,8 @@ FROZEN_JSON_SHA256 = {
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "3217160162e723ae93b9418abfcee075d4a926f11e477ad7258e280021c6a53b",
-    "doubling-sweep": "d66b27245ba2a31e4161257b7884f033205d4549e3ee83741407b9407078f2c5",
-    "doubling-sweep-m3": "d713ec61df657cbea4162077fb7758b6546aa813787312465e9f1061e2b18bf1",
+    "doubling-sweep": "8a9114a711fd13a310b75c385806cf98cf81571c2bc60c7259b3dd0edd1ad4d0",
+    "doubling-sweep-m3": "07814ad330f9dd283afeadc80159fe47034803d6649b468e8fe45babd74562d3",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
     "fermi-tubes": "ff5df30f70da128be37d2ebc93bf575ffab8aeb814f2cfa2cfb7aff92010da8d",
 }
@@ -190,6 +190,9 @@ BAD_INPUTS = {
     "width-h-negative": (["width", "run", "--h", "-0.1"], "h = -0.1"),
     "width-h-overtall": (["width", "run", "--h", "0.7"], "h/r = 0.7 exceeds"),
     "scan-r-negative": (["catenoid", "scan", "--r", "-1"], "r = -1.0"),
+    "solve-r-0": (["catenoid", "solve", "--r", "0", "--h", "0.1"], "r = 0.0"),
+    "excess-r-negative": (["width", "excess", "--r", "-1"], "r = -1.0"),
+    "cutoff-torus-t-2": (["cutoff", "torus", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-tiny": (["cutoff", "disk", "--t", "1e-300"], "got t = 1e-300"),
     "neck-fit-n-1": (["neck", "fit", "--n", "1"], "got n = 1"),

@@ -324,6 +324,16 @@ def test_assembly_row_structure(report2):
     assert report2.summary["budget"] == BUDGET
 
 
+def test_last_collapse_row_is_exact(report2, report3):
+    # t = 1/2 closes the collapse exactly: s is 1.0, not 1 - 1.1e-16, and
+    # the sheets have no area left
+    for rep in (report2, report3):
+        last = rep.rows[-1]
+        assert last["t"] == 0.5 and last["stage"] == "collapse"
+        assert last["collapse_s"] == 1.0
+        assert last["area"] == 0.0
+
+
 def test_assembly_continuity_improves_under_refinement(report2):
     sched = default_schedule()
     delta = sched.delta
@@ -424,6 +434,8 @@ def test_small_delta_assembly_stays_under_budget():
     rep = assemble_doubled_sweepout(2, schedule=sched)
     assert rep.summary["passed"] is True
     assert rep.summary["margin"] > 0.0
+    # the closing slice is exact at a small delta too
+    assert rep.rows[-1]["collapse_s"] == 1.0
 
 
 def test_order_five_reaches_the_budget():

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
-from catsweep.errors import ChartOverflow, DomainError, RadiusTooLarge
+from catsweep import fermi
+from catsweep.errors import ChartOverflow, DomainError, RadiusTooLarge, SolverFailure
 from catsweep.fermi import (
+    JACOBI_MAX_ITERS,
+    JACOBI_TOL,
     NormalGraphField,
     build_cutoff,
     cutoff_energy,
@@ -13,7 +19,13 @@ from catsweep.fermi import (
     quadratic_form,
     two_sided_tube_family,
 )
-from catsweep.mesh import geodesic_distances, level_set_perimeter, lumped_mass, mesh_area
+from catsweep.mesh import (
+    cotan_stiffness,
+    geodesic_distances,
+    level_set_perimeter,
+    lumped_mass,
+    mesh_area,
+)
 from catsweep.surfaces import (
     clifford_torus,
     disk_rings_for_cutoff,
@@ -215,8 +227,86 @@ def test_jacobi_lowest_clifford():
     assert np.sum(jd.mass * phi * phi) == pytest.approx(1.0, rel=1e-12)
     # constant potential: the eigenfunction is constant
     assert phi.max() - phi.min() < 1e-10
-    mu2 = jacobi_lowest(clifford_torus(128)).lowest_pair[0]
-    assert abs(mu2 + 4.0) < 1e-8
+    jd2 = jacobi_lowest(clifford_torus(128))
+    assert abs(jd2.lowest_pair[0] + 4.0) < 1e-8
+    # the start vector is the eigenfunction: the second solve confirms it
+    assert jd.iterations == jd2.iterations == 2
+
+
+def test_jacobi_fill_stays_bounded():
+    # no pivoting, minimum degree on A + A^T: 270,836 nonzeros in L + U;
+    # SuperLU's default column ordering with partial pivoting takes 552,080
+    assert jacobi_lowest(clifford_torus(64)).factor_nnz <= 300_000
+
+
+def _clifford_with_varying_potential(n):
+    # |A|^2 = 2 + cos(u1): the lowest eigenfunction is no longer constant
+    cl = clifford_torus(n)
+    cl.a_norm2 = 2.0 + math.sqrt(2.0) * cl.vertices[:, 0]
+    return cl
+
+
+def test_jacobi_lowest_matches_dense_eigh():
+    cl = _clifford_with_varying_potential(16)
+    jd = jacobi_lowest(cl)
+    mu, phi = jd.lowest_pair
+    s = cotan_stiffness(cl).toarray()
+    mass = lumped_mass(cl)
+    q = cl.a_norm2 + cl.ric_nn
+    w, v = scipy.linalg.eigh(s - np.diag(mass * q), np.diag(mass))
+    ref = v[:, 0] * np.sign(np.sum(mass * v[:, 0]))
+    assert np.ptp(ref) > 0.1
+    assert abs(mu / w[0] - 1.0) < 1e-8
+    # the iteration stops once mu changes by at most JACOBI_TOL * |mu|; with
+    # contraction r = (mu0 - sigma)/(mu1 - sigma) per solve and the Rayleigh
+    # quotient's error gap * e^2, that leaves the vector's M-norm error e
+    # below sqrt(JACOBI_TOL * |mu| / (gap * (1/r^2 - 1)))
+    sigma = -float(np.max(q)) - 1.0
+    r = (w[0] - sigma) / (w[1] - sigma)
+    gap = w[1] - w[0]
+    e_tol = math.sqrt(JACOBI_TOL * abs(w[0]) / (gap * (1.0 / r ** 2 - 1.0)))
+    assert math.sqrt(np.sum(mass * (phi - ref) ** 2)) < e_tol
+
+
+def _ref_default_ordering_lowest(m):
+    # jacobi_lowest with SuperLU's default ordering and partial pivoting
+    s = cotan_stiffness(m)
+    mass = lumped_mass(m)
+    q = m.a_norm2 + m.ric_nn
+    sigma = -float(np.max(q)) - 1.0
+    diag = csc_matrix(
+        (mass * (-q - sigma), (np.arange(m.n_vertices), np.arange(m.n_vertices))),
+        shape=s.shape,
+    )
+    solver = splu(csc_matrix(s + diag))
+    x = np.ones(m.n_vertices)
+    x /= math.sqrt(float(np.sum(mass * x * x)))
+    mu_prev = math.inf
+    for _ in range(JACOBI_MAX_ITERS):
+        y = solver.solve(mass * x)
+        y /= math.sqrt(float(np.sum(mass * y * y)))
+        mu = float((y @ (s @ y)) - np.sum(mass * q * y * y))
+        x = y
+        if abs(mu - mu_prev) <= JACOBI_TOL * max(1.0, abs(mu)):
+            return mu
+        mu_prev = mu
+    raise AssertionError("reference iteration missed its tolerance")
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_jacobi_lowest_matches_default_ordering(varying):
+    cl = _clifford_with_varying_potential(64) if varying else clifford_torus(64)
+    mu = jacobi_lowest(cl).lowest_pair[0]
+    assert abs(mu / _ref_default_ordering_lowest(cl) - 1.0) < 1e-13
+
+
+def test_jacobi_factor_failure_is_named(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fermi, "splu", singular)
+    with pytest.raises(SolverFailure, match="256 vertices: Factor is exactly singular"):
+        jacobi_lowest(clifford_torus(16))
 
 
 def test_jacobi_pure_laplacian_sphere():

@@ -2,10 +2,11 @@
 
 The references below are the straightforward forms the kernels replaced:
 row gathers and np.linalg.norm for the spherical areas, (lo, hi) edge rows
-for the Euler characteristic, trig over every vertex for the torus mesher.
-The fast kernels compute the same floating-point operations in the same
-order, so those comparisons are exact (np.array_equal or ==), never
-approximate.  The one exception is the sheet quadrature of the graph-neck
+for the Euler characteristic, trig over every vertex for the torus mesher,
+per-vertex and per-triangle loops for the flat disk.  The fast kernels
+compute the same floating-point operations in the same order, so those
+comparisons are exact (np.array_equal or ==), never approximate.  The
+one exception is the sheet quadrature of the graph-neck
 and collapse stages: its exact area element replaced a finite-difference
 Jacobian, kept here as the reference, and the two agree to the truncation
 error of the differences.
@@ -30,7 +31,7 @@ from catsweep.doubling import (
 )
 from catsweep.fermi import log_cutoff
 from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
-from catsweep.surfaces import clifford_torus, flat_disk, product_torus
+from catsweep.surfaces import clifford_torus, disk_rings_for_cutoff, flat_disk, product_torus
 
 
 def _ref_spherical_triangle_areas(verts, tris):
@@ -61,6 +62,34 @@ def _ref_euler_characteristic(triangles):
     edges = np.column_stack([keys // base, keys % base])
     n_referenced = np.count_nonzero(np.bincount(tris.ravel()))
     return int(n_referenced - len(edges) + len(tris))
+
+
+def _ref_flat_disk(n_theta, rings):
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    verts = [np.zeros(3)]
+    ring_of = [-1]
+    radius_of = [0.0]
+    for ri, r in enumerate(rings):
+        for th in theta:
+            verts.append(np.array([r * math.cos(th), r * math.sin(th), 0.0]))
+            ring_of.append(ri)
+            radius_of.append(r)
+    tris = []
+    for k in range(n_theta):
+        tris.append((0, 1 + k, 1 + (k + 1) % n_theta))
+    for ri in range(len(rings) - 1):
+        base0 = 1 + ri * n_theta
+        base1 = 1 + (ri + 1) * n_theta
+        for k in range(n_theta):
+            k1 = (k + 1) % n_theta
+            tris.append((base0 + k, base1 + k, base1 + k1))
+            tris.append((base0 + k, base1 + k1, base0 + k1))
+    return (
+        np.array(verts),
+        np.array(tris, dtype=np.int64),
+        np.array(ring_of),
+        np.array(radius_of),
+    )
 
 
 def _ref_collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):
@@ -205,3 +234,22 @@ def test_torus_vertices_match_trig_over_every_vertex(n):
     m = product_torus(t, n)
     assert np.array_equal(m.vertices, verts)
     assert np.array_equal(m.vertex_normals, normals)
+
+
+@pytest.mark.parametrize(
+    "n_theta, rings",
+    [
+        (64, np.linspace(1.0 / 16, 1.0, 16)),
+        (3, np.array([0.5, 1.0])),
+        (64, disk_rings_for_cutoff(1e-2)),
+        (64, disk_rings_for_cutoff(1e-3)),
+    ],
+)
+def test_flat_disk_matches_loop_reference(n_theta, rings):
+    d = flat_disk(n_theta, rings)
+    verts, tris, ring_of, radius_of = _ref_flat_disk(n_theta, rings)
+    assert np.array_equal(d.vertices, verts)
+    assert np.array_equal(d.triangles, tris)
+    assert np.array_equal(d.aux["ring_of"], ring_of)
+    assert np.array_equal(d.aux["radius_of"], radius_of)
+    assert d.triangles.dtype == tris.dtype and d.aux["ring_of"].dtype == ring_of.dtype

@@ -1,11 +1,11 @@
 """Normal-offset machinery over meshed surfaces.
 
-Covers the area of normal graphs (exact pushes, and the quadratic form
-of the second variation), logarithmic cutoff fields with their Dirichlet
-energy, the lowest Jacobi eigenpair, and the two-sided punctured graph
-family whose maximal area stays below twice the base area.  The tube
-family serves criterion 8 and `fermi tubes` only; the doubled sweepout
-measures its graph-neck stage by chart quadrature (`doubling._sheet_area`).
+Covers the area of normal graphs by exact pushes, logarithmic cutoff
+fields with their Dirichlet energy, the lowest Jacobi eigenpair, and the
+two-sided punctured graph family whose maximal area stays below twice the
+base area.  The tube family serves criterion 8 and `fermi tubes` only; the
+doubled sweepout measures its graph-neck stage by chart quadrature
+(`doubling._sheet_area`).
 
 Cutoffs and tube families read exact distance fields: the flat metric of a
 product torus (`surfaces.torus_distances`) or the radius about a radial
@@ -74,14 +74,6 @@ def graph_area_exact(g):
     _check_validity(g)
     pushed = push_along_normals(g.base, g.offsets())
     return float(np.sum(triangle_areas(g.base, vertices=pushed)))
-
-
-def quadratic_form(m, phi):
-    """Q(phi) = integral of |grad phi|^2 - phi^2 (|A|^2 + Ric(N,N))."""
-    phi = np.asarray(phi, dtype=float)
-    mass = lumped_mass(m)
-    q = m.a_norm2 + m.ric_nn
-    return dirichlet_energy(m, phi) - float(np.sum(mass * phi * phi * q))
 
 
 @dataclass

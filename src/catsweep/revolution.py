@@ -4,12 +4,13 @@ The sweep is the straight segment of profile curves from a pinched
 two-disk surrogate to the stable catenoid; the mountain pass between
 those basins is the unstable catenoid, whose area is the numerical width.
 The segment is bisected against the basin boundary of the area descent
-flow down to adjacent doubles.  Newton's method on the exact tridiagonal
-Hessian of the frustum area then runs from the stable-side end of that
-bracket.  It is damped: a step is halved until the radii stay above the
-pinch floor and the merit |g|^2 of the area gradient g decreases, which
-the Newton direction guarantees for small enough steps even though the
-Hessian is indefinite.  Its limit is accepted only with a mountain-pass
+flow until a narrower bracket would move a profile by less than Newton's
+own stopping test sees.  Newton's method on the exact tridiagonal Hessian
+of the frustum area then runs from the stable-side end of that bracket.
+It is damped: a step is halved until the radii stay above the pinch floor
+and the merit |g|^2 of the area gradient g decreases, which the Newton
+direction guarantees for small enough steps even though the Hessian is
+indefinite.  Its limit is accepted only with a mountain-pass
 certificate: the Hessian has exactly one negative eigenvalue (a Sturm
 count of its pivots), and a nudge along that eigenvector falls into the
 pinched basin one way and the stable basin the other.  The width is the
@@ -105,7 +106,7 @@ def pinched_profile(r, h, n_nodes=201):
 @dataclass(frozen=True)
 class WidthResult:
     width: float
-    argmax_t: float
+    argmax_t: float        # midpoint of the final bisection bracket on the segment
     profile_at_max: ProfileCurve
     iterations: int        # area descent steps, basin classifications included
     backtracks: int        # step halvings: descent backtracking plus Newton damping
@@ -289,21 +290,22 @@ class _WidthEngine:
     def run(self):
         """The certified saddle: (profile, geometry, argmax_t, Morse index).
 
-        The segment is bisected against the basin boundary until its
-        bracket is adjacent doubles, when the midpoint rounds to one of
-        them, so no parameter is classified twice; Newton's method then
-        runs from the stable-side end.
+        The segment is bisected against the basin boundary until the
+        bracket's width times the largest radius change along the segment
+        is at most NEWTON_RTOL times the largest radius: a narrower bracket
+        would move Newton's start by less than its stopping test sees.
+        Newton's method then runs from the stable-side end.
         """
         if self.classify(self.pinched) != -1 or self.classify(self.stable) != 1:
             raise NonConvergence(
                 "path endpoints must fall into the pinched and stable basins at %s"
                 % self.where
             )
+        span = np.max(np.abs(self.stable - self.pinched))
+        tol = NEWTON_RTOL * np.max(self.stable)
         lo, hi = 0.0, 1.0
-        while True:
+        while (hi - lo) * span > tol:
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
             if self.classify(self.at(mid)) == -1:
                 lo = mid
             else:

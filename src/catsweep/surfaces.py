@@ -193,63 +193,3 @@ def clifford_torus(n=64):
     mesh = product_torus(0.5, n)
     mesh.aux["name"] = "clifford_torus"
     return mesh
-
-
-def round_sphere(subdiv=4, radius=1.0):
-    """Unit-style sphere in R^3 from a subdivided icosahedron."""
-    if radius <= 0:
-        raise DomainError("sphere radius must be positive")
-    g = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = np.array(
-        [
-            (-1, g, 0), (1, g, 0), (-1, -g, 0), (1, -g, 0),
-            (0, -1, g), (0, 1, g), (0, -1, -g), (0, 1, -g),
-            (g, 0, -1), (g, 0, 1), (-g, 0, -1), (-g, 0, 1),
-        ],
-        dtype=float,
-    )
-    verts /= np.linalg.norm(verts, axis=1)[:, None]
-    tris = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [tuple(v) for v in verts]
-    for _ in range(subdiv):
-        cache = {}
-        new_tris = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                v = np.array(verts[i]) + np.array(verts[j])
-                v /= np.linalg.norm(v)
-                verts.append(tuple(v))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for (i, j, k) in tris:
-            a = midpoint(i, j)
-            b = midpoint(j, k)
-            c = midpoint(k, i)
-            new_tris.extend([(i, a, c), (j, b, a), (k, c, b), (a, b, c)])
-        tris = new_tris
-    verts = np.array(verts) * radius
-    tris = np.array(tris, dtype=np.int64)
-    n_v = len(verts)
-    normals = verts / radius
-    mesh = MeshSurface(
-        vertices=verts,
-        triangles=tris,
-        ambient=AMBIENT_R3,
-        vertex_normals=normals,
-        a_norm2=np.full(n_v, 2.0 / radius ** 2),
-        ric_nn=np.zeros(n_v),
-    )
-    mesh.normal_validity = float(radius)
-    mesh.aux.update(
-        disk_radius_bound=0.5 * math.pi * radius,
-        name="round_sphere",
-    )
-    return mesh

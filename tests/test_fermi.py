@@ -16,7 +16,6 @@ from catsweep.fermi import (
     cutoff_energy,
     graph_area_exact,
     jacobi_lowest,
-    quadratic_form,
     two_sided_tube_family,
 )
 from catsweep.mesh import (
@@ -31,9 +30,10 @@ from catsweep.surfaces import (
     disk_rings_for_cutoff,
     flat_disk,
     product_torus,
-    round_sphere,
     torus_distances,
 )
+
+from reference_geometry import quadratic_form, round_sphere
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 

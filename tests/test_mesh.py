@@ -25,8 +25,9 @@ from catsweep.surfaces import (
     disk_rings_for_cutoff,
     flat_disk,
     product_torus,
-    round_sphere,
 )
+
+from reference_geometry import round_sphere
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 

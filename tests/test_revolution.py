@@ -13,6 +13,7 @@ from catsweep.catenoid import CatenoidSpec, excess_over_disks, solve_parameters
 from catsweep.errors import DomainError, NoCatenoid, NonConvergence
 from catsweep.revolution import (
     CLASSIFY_ITERS,
+    NEWTON_RTOL,
     PINCH_FLOOR,
     STEP0,
     STEP_MAX,
@@ -43,14 +44,17 @@ EXCESS_RATIO_TABLE = {
 }
 EXCESS_SLOPE = 0.7623457020
 
-# engine outputs (width, argmax_t) at r = 1; the widths were frozen when the
-# saddle was first certified, and faster or smaller saddle searches must
-# reproduce them bit for bit; argmax_t is the bracket midpoint on the segment
+# engine outputs (width, argmax_t) at (r, h); the widths were frozen when the
+# saddle was first certified there (h = 0.65 once the bisection stopped at
+# Newton's tolerance), and faster or smaller saddle searches must reproduce
+# them bit for bit; argmax_t is the midpoint of the final bisection bracket
 FROZEN_WIDTHS = {
-    0.5: (6.845683234092074, 0.7207348560962206),
-    0.3: (6.4406273673757255, 0.43116140742263087),
-    0.2: (6.343639028936107, 0.2871111863929462),
-    0.1: (6.2955996755467485, 0.1433591776275105),
+    (1.0, 0.5): (6.845683234092074, 0.7207348561205436),
+    (1.0, 0.3): (6.4406273673757255, 0.4311614074104),
+    (1.0, 0.2): (6.343639028936107, 0.2871111863933038),
+    (1.0, 0.1): (6.2955996755467485, 0.14335917760035954),
+    (1.0, 0.65): (7.4590498234972475, 0.9488069875806104),
+    (2.0, 1.0): (27.382732936368296, 0.7181160297768656),
 }
 
 
@@ -138,28 +142,34 @@ def test_mountain_pass_width_matches_closed_form(r, h):
     assert res.classify_calls > 0
 
 
-@pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.1])
-def test_width_excess_within_discretization_error(h):
+@pytest.mark.parametrize(
+    "r,h", [pytest.param(1.0, h, id=str(h)) for h in (0.5, 0.3, 0.2, 0.1, 0.65)] + [(2.0, 1.0)]
+)
+def test_width_excess_within_discretization_error(r, h):
     # the excess over two disks is the quantity the estimate is about; at
-    # 201 nodes the frustum rule alone puts it within 2e-4 of the closed form
-    res = _width(1.0, h)
-    sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
-    excess_ref = excess_over_disks(1.0, h, sol.c_unstable)
-    assert abs((res.width - 2.0 * math.pi) / excess_ref - 1.0) <= 2e-4
+    # 201 nodes the frustum rule alone puts it within 2e-4 of the closed form,
+    # also at h = 0.65, just under the critical ratio 0.6627
+    res = _width(r, h)
+    sol = solve_parameters(CatenoidSpec(r=r, h=h))
+    excess_ref = excess_over_disks(r, h, sol.c_unstable)
+    assert abs((res.width - 2.0 * math.pi * r * r) / excess_ref - 1.0) <= 2e-4
     assert res.morse_index == 1
     assert res.residual <= 1e-10
     assert res.newton_iterations >= 1
-    assert (res.width, res.argmax_t) == FROZEN_WIDTHS[h]
+    assert (res.width, res.argmax_t) == FROZEN_WIDTHS[(r, h)]
 
 
 def _recording_classify(monkeypatch):
-    # wrap the basin classification, keeping a copy of every profile it sees
+    # wrap the basin classification, keeping a copy of every profile it
+    # sees with its verdict
     seen = []
     plain = _WidthEngine.classify
 
     def classify(self, f):
-        seen.append(f.copy())
-        return plain(self, f)
+        g = f.copy()
+        verdict = plain(self, f)
+        seen.append((g, verdict))
+        return verdict
 
     monkeypatch.setattr(_WidthEngine, "classify", classify)
     return seen
@@ -168,9 +178,31 @@ def _recording_classify(monkeypatch):
 def test_no_profile_classified_twice(monkeypatch):
     seen = _recording_classify(monkeypatch)
     res = mountain_pass_width(1.0, 0.5)
-    keys = [f.tobytes() for f in seen]
+    keys = [f.tobytes() for f, _ in seen]
     assert len(keys) == res.classify_calls
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3])
+def test_bisection_stops_once_newton_cannot_see_the_bracket(h, monkeypatch):
+    # replay the bisection from the classified profiles (the path ends
+    # first, the certificate's two nudges last): its final bracket moves
+    # Newton's start by at most NEWTON_RTOL of the profile, the one before
+    # it by more
+    seen = _recording_classify(monkeypatch)
+    res = mountain_pass_width(1.0, h)
+    engine = _WidthEngine(1.0, h, 201)
+    span = np.max(np.abs(engine.stable - engine.pinched))
+    brackets = [(0.0, 1.0)]
+    for f, verdict in seen[2:-2]:
+        lo, hi = brackets[-1]
+        mid = 0.5 * (lo + hi)
+        assert f.tobytes() == engine.at(mid).tobytes()
+        brackets.append((mid, hi) if verdict == -1 else (lo, mid))
+    (lo, hi), (lo_up, hi_up) = brackets[-1], brackets[-2]
+    bound = NEWTON_RTOL * np.max(engine.stable)
+    assert (hi - lo) * span <= bound < (hi_up - lo_up) * span
+    assert res.argmax_t == 0.5 * (lo + hi)
 
 
 def test_width_counts_are_deterministic():
@@ -239,8 +271,8 @@ def test_no_pinch_exit_keeps_every_verdict(h, monkeypatch):
     mountain_pass_width(1.0, h)
     monkeypatch.undo()
     engine = _WidthEngine(1.0, h, 201)
-    verdicts = [engine.classify(f) for f in seen]
-    assert verdicts == [_classify_to_a_basin(engine, f) for f in seen]
+    verdicts = [engine.classify(f) for f, _ in seen]
+    assert verdicts == [_classify_to_a_basin(engine, f) for f, _ in seen]
     assert verdicts.count(-1) > 5 and verdicts.count(1) > 5
 
 

@@ -20,10 +20,11 @@ from .catenoid import (
     HALVING_GRID,
     CatenoidSpec,
     asymptotic_ratio_scan,
+    excess_over_disks,
     solve_parameters,
 )
 from .doubling import assemble_doubled_sweepout
-from .errors import DomainError
+from .errors import CatsweepError, DomainError
 from .fermi import (
     NormalGraphField,
     build_cutoff,
@@ -39,6 +40,7 @@ from .revolution import excess_scaling_comparison, mountain_pass_width
 from .surfaces import clifford_torus, disk_rings_for_cutoff, flat_disk
 
 WIDTH_TOL = 5e-3            # relative width error against the closed form
+WIDTH_EXCESS_TOL = 2e-4     # relative error of the width's excess over the two disks
 EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))
 EXCESS_SLOPE_TOL = 0.25     # log-log slope of naive over optimal excess, target 1
 QUAD_TOL = 0.01             # quadratic area coefficient against -4*pi^2
@@ -68,15 +70,18 @@ def width_run(r, h, tolerance):
     """`width run`: mountain-pass width against the unstable catenoid area."""
     if not tolerance > 0.0:
         raise DomainError("width tolerance must be positive, got tolerance = %s" % tolerance)
-    ref = solve_parameters(CatenoidSpec(r=r, h=h)).area_unstable
+    sol = solve_parameters(CatenoidSpec(r=r, h=h))
     res = mountain_pass_width(r, h)
+    excess = res.width - 2.0 * math.pi * r * r
     rows = [
         {
             "t": h,
-            "area": abs(res.width / ref - 1.0),
+            "area": abs(res.width / sol.area_unstable - 1.0),
             "width": res.width,
-            "reference_area": ref,
+            "reference_area": sol.area_unstable,
+            "excess_error": abs(excess / excess_over_disks(r, h, sol.c_unstable) - 1.0),
             "argmax_t": res.argmax_t,
+            "sweep_max": res.sweep_max,
             "iterations": res.iterations,
             "backtracks": res.backtracks,
             "newton_iterations": res.newton_iterations,
@@ -251,9 +256,10 @@ def _criterion_2():
 
 
 def _criterion_3():
-    rels = [width_run(1.0, h, WIDTH_TOL).summary["sup_area"] for h in (0.3, 0.5)]
-    ok = max(rels) <= WIDTH_TOL
-    detail = "width rel errors %.2e, %.2e (tol 5e-3)" % tuple(rels)
+    # the excess over the two disks is what the estimate bounds
+    errs = [width_run(1.0, h, WIDTH_TOL).rows[0]["excess_error"] for h in (0.3, 0.5)]
+    ok = max(errs) <= WIDTH_EXCESS_TOL
+    detail = "width excess rel errors %.2e, %.2e (tol 2e-4)" % tuple(errs)
     return ok, detail
 
 
@@ -363,10 +369,14 @@ _CRITERIA = (
 
 
 def run_criterion(index):
-    """Run one criterion (1-based); the wall clock is part of the verdict."""
+    """Run one criterion (1-based); the wall clock is part of the verdict,
+    and a CatsweepError it raises is a FAIL naming the error."""
     title, fn, limit = _CRITERIA[index - 1]
     start = time.perf_counter()
-    ok, detail = fn()
+    try:
+        ok, detail = fn()
+    except CatsweepError as exc:
+        ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
     elapsed = time.perf_counter() - start
     if elapsed >= limit:
         ok = False

@@ -3,24 +3,19 @@
 The sweep is the straight segment of profile curves from a pinched
 two-disk surrogate to the stable catenoid; the mountain pass between
 those basins is the unstable catenoid, whose area is the numerical width.
-The segment is bisected against the basin boundary of the area descent
-flow until a narrower bracket would move a profile by less than Newton's
-own stopping test sees.  Newton's method on the exact tridiagonal Hessian
-of the frustum area then runs from the stable-side end of that bracket.
+Newton's method on the exact tridiagonal Hessian of the frustum area
+runs from the largest of the areas sampled at SWEEP_T on the segment.
 It is damped: a step is halved until the radii stay above the pinch floor
 and the merit |g|^2 of the area gradient g decreases, which the Newton
 direction guarantees for small enough steps even though the Hessian is
 indefinite.  Its limit is accepted only with a mountain-pass
 certificate: the Hessian has exactly one negative eigenvalue (a Sturm
-count of its pivots), and a nudge along that eigenvector falls into the
-pinched basin one way and the stable basin the other.  The width is the
-area of that certified index-1 critical point; when Newton's method or the
-certificate fails, no width is reported.
-
-A basin classification stops on the stable side as soon as the area falls
-below 2*pi*(r^2 - e^2), e the pinch threshold of the neck: by the frustum
-bound pi*(a+b)*slant >= pi*|b^2 - a^2|, no profile with a radius <= e has
-less area, and the descent never raises it.
+count of its pivots), and a nudge along that eigenvector descends into
+the pinched basin one way and the stable basin the other.  The width is
+the area of that certified index-1 critical point; it is checked against
+the sampled maximum, since the segment is itself a sweepout whose largest
+area bounds the width.  When Newton's method, the certificate or a check
+fails, no width is reported.
 """
 
 import math
@@ -45,6 +40,10 @@ HALVINGS = 60          # step halvings before a descent or Newton step gives up
 NEWTON_ITERS = 30
 NEWTON_RTOL = 1e-10    # last step (sup norm) relative to the profile's sup norm
 CERT_NUDGE = 1e-2      # certificate nudge along the negative eigenvector, relative to the neck
+
+# where the area is sampled on the segment: uniform, plus geometric toward
+# the pinched end, where the maximum sits once h is small
+SWEEP_T = np.union1d(np.linspace(0.0, 1.0, 17), np.geomspace(1e-6, 1.0, 25))
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def pinched_profile(r, h, n_nodes=201):
 @dataclass(frozen=True)
 class WidthResult:
     width: float
-    argmax_t: float        # midpoint of the final bisection bracket on the segment
+    argmax_t: float        # the sample of SWEEP_T with the largest area, Newton's start
+    sweep_max: float       # that largest sampled area, a lower bound of the segment's maximum
     profile_at_max: ProfileCurve
     iterations: int        # area descent steps, basin classifications included
     backtracks: int        # step halvings: descent backtracking plus Newton damping
@@ -168,9 +168,6 @@ class _WidthEngine:
         # so the midpoint against c_stable cannot fire during a saddle linger
         self.neck_floor = max(2.0 * self.floor, 1e-3 * r)
         self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
-        # the frustum bound (module docstring): below this area no radius can
-        # reach neck_floor again; the factor absorbs the area's rounding
-        self.no_pinch_area = 2.0 * np.pi * (r * r - self.neck_floor ** 2) * (1.0 - 1e-12)
         self.steps_taken = 0
         self.newton_iterations = 0
         self.backtracks = 0
@@ -271,8 +268,6 @@ class _WidthEngine:
             neck = f[self.mid]
             if neck <= self.neck_floor:
                 return -1
-            if geo[0] < self.no_pinch_area:
-                return 1
             if neck >= self.neck_stable and neck > neck_prev:
                 return 1
             neck_prev = neck
@@ -288,29 +283,15 @@ class _WidthEngine:
         return f
 
     def run(self):
-        """The certified saddle: (profile, geometry, argmax_t, Morse index).
-
-        The segment is bisected against the basin boundary until the
-        bracket's width times the largest radius change along the segment
-        is at most NEWTON_RTOL times the largest radius: a narrower bracket
-        would move Newton's start by less than its stopping test sees.
-        Newton's method then runs from the stable-side end.
-        """
+        """The certified saddle: (profile, geometry, argmax_t, sweep_max, Morse index)."""
         if self.classify(self.pinched) != -1 or self.classify(self.stable) != 1:
             raise NonConvergence(
                 "path endpoints must fall into the pinched and stable basins at %s"
                 % self.where
             )
-        span = np.max(np.abs(self.stable - self.pinched))
-        tol = NEWTON_RTOL * np.max(self.stable)
-        lo, hi = 0.0, 1.0
-        while (hi - lo) * span > tol:
-            mid = 0.5 * (lo + hi)
-            if self.classify(self.at(mid)) == -1:
-                lo = mid
-            else:
-                hi = mid
-        saddle = self.newton(self.at(hi))
+        areas = [self.geometry(self.at(t))[0] for t in SWEEP_T]
+        best = int(np.argmax(areas))
+        saddle = self.newton(self.at(SWEEP_T[best]))
         if saddle is None:
             raise NonConvergence("Newton's method found no critical profile at %s" % self.where)
         geo = self.geometry(saddle)
@@ -319,7 +300,7 @@ class _WidthEngine:
             raise NonConvergence(
                 "the critical profile at %s is no certified mountain pass" % self.where
             )
-        return saddle, geo, 0.5 * (lo + hi), index
+        return saddle, geo, float(SWEEP_T[best]), areas[best], index
 
     def certify(self, f, geo):
         """Mountain-pass certificate of the critical profile f.
@@ -354,15 +335,18 @@ def mountain_pass_width(r, h):
     error, with the realizing profile attached.
     """
     engine = _WidthEngine(r, h, 201)
-    profile, geo, argmax_t, index = engine.run()
+    profile, geo, argmax_t, sweep_max, index = engine.run()
     if geo[0] < max(_frustum_area(f, engine.dx) for f in (engine.pinched, engine.stable)):
         raise NonConvergence("width fell below an endpoint area at %s" % engine.where)
+    if not geo[0] <= sweep_max:
+        raise NonConvergence("width exceeds the sweep's sampled maximum at %s" % engine.where)
     # the gradient per unit length is the discrete first variation, so its
     # L2 norm is comparable across resolutions
     g = engine.gradient(geo)
     return WidthResult(
         width=geo[0],
         argmax_t=argmax_t,
+        sweep_max=sweep_max,
         profile_at_max=ProfileCurve(x_nodes=engine.x.copy(), f_values=profile),
         iterations=engine.steps_taken,
         backtracks=engine.backtracks,

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import catsweep
-from catsweep import cli
+from catsweep import acceptance, cli
 from catsweep.acceptance import CriterionResult
-from catsweep.errors import BudgetViolated
+from catsweep.errors import BudgetViolated, RegimeViolation
 
 
 def _run_from_source(argv):
@@ -129,7 +129,7 @@ FROZEN_JSON_SHA256 = {
     "fermi-quad": "2666be31fa514c67d7ce9de89a37d82a72f64260229a6cdca2544adb51b2dc73",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
-    "width-run": "d607c5fee0ac377c80e1293c8753653bc5c5e3629f2c6c03fd57532298148970",
+    "width-run": "dc2f22f93b33ac01f5ebf61ac663a92ed5ad463d3da66e9a31144067636aa9ca",
     "doubling-sweep": "8a9114a711fd13a310b75c385806cf98cf81571c2bc60c7259b3dd0edd1ad4d0",
     "doubling-sweep-m3": "07814ad330f9dd283afeadc80159fe47034803d6649b468e8fe45babd74562d3",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
@@ -223,15 +223,16 @@ def test_bad_input_one_line_exit_one(argv, named, capsys):
     _assert_one_line_error(code, capsys.readouterr().err, named)
 
 
-def test_width_run_near_the_critical_ratio_fails_by_name(capsys):
-    # a known failure, kept visible: for h in about (0.6595, 0.6627] the
-    # bisection midpoints start so near the separatrix that one basin
-    # classification runs into CLASSIFY_ITERS
-    code = cli.run(["width", "run", "--h", "0.66"])
+def test_width_run_below_the_domain_fails_by_name(capsys):
+    # the width engine's domain at r = 1 ends between h = 0.008 and 0.007:
+    # below it the saddle found is no certified mountain pass
+    assert cli.run(["width", "run", "--h", "0.008"]) == 0
+    capsys.readouterr()
+    code = cli.run(["width", "run", "--h", "0.007"])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("verification failure:")
-    assert "h = 0.66" in err[0]
+    assert "h = 0.007" in err[0]
 
 
 def test_bad_input_through_module_entry_point():
@@ -273,6 +274,38 @@ def test_verify_all_exit_codes(monkeypatch, capsys):
     assert cli.run(["verify-all"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "1/2" in out
+
+
+def test_verify_all_reports_a_raised_error_as_a_failure(monkeypatch, capsys):
+    # a CatsweepError inside one criterion is that criterion's FAIL line;
+    # the others still run, and nothing reaches stderr
+    def raising():
+        raise RegimeViolation("neck cost left its regime at h = 0.1")
+
+    monkeypatch.setattr(
+        acceptance,
+        "_CRITERIA",
+        (("raises", raising, 1.0), ("passes", lambda: (True, "fine"), 1.0)),
+    )
+    assert cli.run(["verify-all"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("[ 1] FAIL")
+    assert lines[0].endswith("raises: RegimeViolation: neck cost left its regime at h = 0.1")
+    assert lines[1].startswith("[ 2] PASS")
+    assert lines[2] == "1/2 criteria passed"
+    assert captured.err == ""
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a quarter second to import, which every
+    # command would pay before it starts
+    code = (
+        "import sys, catsweep.cli; "
+        "sys.exit(any(m.startswith('scipy.optimize') for m in sys.modules))"
+    )
+    proc = _run_from_source(["-c", code])
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(

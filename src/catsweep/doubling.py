@@ -15,7 +15,9 @@ The paired slices are reported by their continuum areas, in closed form;
 one welded mesh per family is built as the witness of its genus.  The
 graph-neck and collapse stages are one surface, the two-sided offset of
 the punctured middle torus, and one chart quadrature with the exact area
-element measures both.
+element measures both.  Every slice is invariant under the group, so the
+quadrature runs over one symmetry cell of the chart and the witness
+measures one of its congruent tubes, each times m^2.
 """
 
 import math
@@ -488,7 +490,10 @@ def doubled_slice(t, m, schedule=None, n=None):
     )
     area_tori = float(low.areas[keep_low].sum() + high.areas[keep_high].sum())
     area_collars = float(np.sum(_spherical_triangle_areas(verts, collar_tris)))
-    area_tubes = float(np.sum(_spherical_triangle_areas(verts, strip_tris)))
+    # every tube's rings are tube 0's under a rotation of the group, so
+    # the m^2 tubes have one area
+    tube0 = strip_tris[:len(strip_tris) // (m * m)]
+    area_tubes = m * m * float(np.sum(_spherical_triangle_areas(verts, tube0)))
     return DoubledSlice(
         t=t, m=m, stage="pair_tubes", vertices=verts, triangles=tris,
         area=area_tori + area_collars + area_tubes,
@@ -533,16 +538,57 @@ def _chart_center_gap(m, theta, phi):
     )
 
 
-def _sheet_area(cl, m, s, h_eff, t_neck):
+@dataclass(frozen=True)
+class _CellNodes:
+    """Midpoint nodes of the symmetry cell [0, 2 pi/m)^2 of the chart.
+
+    theta, phi are the chart barycenters of the triangles in the cell,
+    weight their chart areas, gap their unretracted flat distance to the
+    cell's puncture center and rho their sup radius about it over pi/m.
+    """
+
+    m: int
+    theta: np.ndarray
+    phi: np.ndarray
+    weight: np.ndarray
+    gap: np.ndarray
+    rho: np.ndarray
+
+
+def _cell_nodes(cl, m):
+    """The quadrature nodes of one cell of the middle torus cl.
+
+    With 2m | n no chart triangle straddles two cells, so the cell holds
+    2 (n/m)^2 triangles, and every other cell is its translate under a
+    rotation of the symmetry group.
+    """
+    uv = cl.chart_uv_corners
+    th = uv[:, :, 0].mean(axis=1)
+    ph = uv[:, :, 1].mean(axis=1)
+    half = math.pi / m
+    inside = (th < 2.0 * half) & (ph < 2.0 * half)
+    uv, th, ph = uv[inside], th[inside], ph[inside]
+    du = uv[:, 1, :] - uv[:, 0, :]
+    dv = uv[:, 2, :] - uv[:, 0, :]
+    return _CellNodes(
+        m=m, theta=th, phi=ph,
+        weight=0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]),
+        gap=_chart_center_gap(m, th, ph),
+        rho=np.maximum(np.abs(th - half), np.abs(ph - half)) / half,
+    )
+
+
+def _sheet_area(cell, s, h_eff, t_neck):
     """Continuum area of the punctured double sheet, by midpoint quadrature.
 
     The sheets are the offsets +-f of the middle torus, f = (1 - s) h_eff
     log_cutoff(gap, t_neck), composed with the chart retraction; s = 0 is
     the graph-neck slice with neck t_neck and s > 0 the collapse.  Nodes
-    are the chart triangle barycenters of cl weighted by chart area, and a
-    node within t_neck^2 of a puncture center is excised.  The cutoff rides
-    at the retracted point, so the transition band keeps a fixed width
-    instead of being stretched along with the cells.
+    are the _CellNodes of one symmetry cell weighted by chart area, and a
+    node within t_neck^2 of the puncture center is excised.  The cutoff
+    rides at the retracted point, so the transition band keeps a fixed
+    width instead of being stretched along with the cells.  The sheet is
+    invariant under the symmetry group, so the m^2 cells contribute alike.
 
     In the chart of the image point the sheet sigma f (sigma = +-1) has
     area element
@@ -557,35 +603,29 @@ def _sheet_area(cl, m, s, h_eff, t_neck):
     the 1-homogeneous rho, so the area vanishes exactly at s = 1.
 
     Returns the area of both sheets and the flat area of the nodes one
-    sheet excises.
+    sheet excises, each m^2 times the cell's.
     """
-    uv = cl.chart_uv_corners
-    th = uv[:, :, 0].mean(axis=1)
-    ph = uv[:, :, 1].mean(axis=1)
-    du = uv[:, 1, :] - uv[:, 0, :]
-    dv = uv[:, 2, :] - uv[:, 0, :]
-    uv_area = 0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0])
-    keep = _chart_center_gap(m, th, ph) > t_neck * t_neck
-    th, ph, w = th[keep], ph[keep], uv_area[keep]
-    th2, ph2 = _retract_uv(m, s, th, ph)
-    half = math.pi / m
-    cell = 2.0 * half
-    rho = np.maximum(np.abs(th % cell - half), np.abs(ph % cell - half)) / half
-    jac = (1.0 - s) * ((1.0 - s) + s / rho)
+    m = cell.m
+    keep = cell.gap > t_neck * t_neck
+    th2, ph2 = _retract_uv(m, s, cell.theta[keep], cell.phi[keep])
+    jac = (1.0 - s) * ((1.0 - s) + s / cell.rho[keep])
     gap = _chart_center_gap(m, th2, ph2)
     scale = (1.0 - s) * h_eff
     f = scale * log_cutoff(gap, t_neck)
     band = (gap > t_neck * t_neck) & (gap < t_neck)
     k = np.where(band, (scale / math.log(t_neck)) ** 2 / (4.0 * gap ** 4), 0.0)
-    a = th2 % cell - half
-    b = ph2 % cell - half
+    half = math.pi / m
+    a = th2 % (2.0 * half) - half
+    b = ph2 % (2.0 * half) - half
     ft2 = k * a * a
     fp2 = k * b * b
     c2 = 0.25 * np.cos(2.0 * f) ** 2
     s2 = np.sin(2.0 * f)
     elem = (np.sqrt(c2 + 0.5 * (1.0 + s2) * fp2 + 0.5 * (1.0 - s2) * ft2)
             + np.sqrt(c2 + 0.5 * (1.0 - s2) * fp2 + 0.5 * (1.0 + s2) * ft2))
-    return float(np.sum(w * jac * elem)), 0.5 * float(np.sum(uv_area[~keep]))
+    copies = m * m
+    return (copies * float(np.sum(cell.weight[keep] * jac * elem)),
+            0.5 * copies * float(np.sum(cell.weight[~keep])))
 
 
 def _grid_center_vertices(m, n):
@@ -626,16 +666,19 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     punctures in the two-sided graph pair over the middle torus at the
     matching normal offset; the final quarter collapses the punctured
     double sheet onto the grid.  Both stages are one surface and take
-    their areas from the same chart quadrature, _sheet_area: a graph-neck
-    row carries its neck_radius and, as removed_disk_area, the flat area
-    of the nodes one sheet excises.  The budget is twice the middle torus
-    area and must never be reached.
+    their areas from the same chart quadrature, _sheet_area, over the
+    nodes of one symmetry cell, built once per call (the summary's
+    cell_nodes counts them): a graph-neck row carries its neck_radius
+    and, as removed_disk_area, the flat area of the nodes one sheet
+    excises.  The budget is twice the middle torus area and must never be
+    reached.
 
     One welded slice, at the last paired parameter with a positive tube
     radius, witnesses the topology: its Euler characteristic is the
-    summary's regular_chi, and witness_mesh_rel_excess is its mesh area
-    over the continuum area, minus 1 (the discretization error the rows
-    no longer carry).
+    summary's regular_chi, witness_vertices and witness_triangles are its
+    mesh sizes, and witness_mesh_rel_excess is its mesh area over the
+    continuum area, minus 1 (the discretization error the rows no longer
+    carry).
     """
     m, schedule, n = _family_args(m, schedule, n)
     delta = schedule.delta
@@ -656,7 +699,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     if np.any(t_grid < 0.0) or np.any(t_grid > 0.5 + 1e-12):
         raise DomainError("slice parameters must sit in [0, 1/2]")
     budget = 4.0 * math.pi ** 2
-    cl = clifford_torus(n)
+    cell = _cell_nodes(clifford_torus(n), m)
     rows = []
     witness = None
     for t in sorted(float(t) for t in t_grid):
@@ -669,7 +712,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
                     witness = row
         elif t <= t_b + 1e-15:
             neck = (t - t_a) / (0.5 * delta) * HANDOFF_NECK_MAX
-            area, removed = _sheet_area(cl, m, 0.0, h_eff, neck)
+            area, removed = _sheet_area(cell, 0.0, h_eff, neck)
             row = {
                 "t": t,
                 "area": area,
@@ -683,7 +726,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
             sc = min((t - t_b) / (0.5 - t_b), 1.0)
             row = {
                 "t": t,
-                "area": _sheet_area(cl, m, sc, h_eff, HANDOFF_NECK_MAX)[0],
+                "area": _sheet_area(cell, sc, h_eff, HANDOFF_NECK_MAX)[0],
                 "stage": "collapse",
                 "collapse_s": sc,
             }
@@ -707,8 +750,11 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
         rows=rows,
         budget=budget,
     )
+    report.summary["cell_nodes"] = int(cell.theta.size)
     if witness is not None:
         sl = doubled_slice(witness["t"], m, schedule, n)
         report.summary["regular_chi"] = int(sl.chi)
+        report.summary["witness_vertices"] = len(sl.vertices)
+        report.summary["witness_triangles"] = len(sl.triangles)
         report.summary["witness_mesh_rel_excess"] = sl.area / witness["area"] - 1.0
     return report

@@ -130,8 +130,8 @@ FROZEN_JSON_SHA256 = {
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "dc2f22f93b33ac01f5ebf61ac663a92ed5ad463d3da66e9a31144067636aa9ca",
-    "doubling-sweep": "8a9114a711fd13a310b75c385806cf98cf81571c2bc60c7259b3dd0edd1ad4d0",
-    "doubling-sweep-m3": "07814ad330f9dd283afeadc80159fe47034803d6649b468e8fe45babd74562d3",
+    "doubling-sweep": "1acc3d96c9421cbb6154af2ce27329ee57d2ccb1b791b8cf2e74e80d6e32bf89",
+    "doubling-sweep-m3": "956831a0115d3d13dd3d1d17e0a35d1679ee4b016297317d57fde0c3b15ad44e",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
     "fermi-tubes": "ff5df30f70da128be37d2ebc93bf575ffab8aeb814f2cfa2cfb7aff92010da8d",
 }

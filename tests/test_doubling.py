@@ -313,6 +313,17 @@ def test_assembly_order_three_margin(report3):
     assert s["regular_chi"] == -18
 
 
+@pytest.mark.parametrize("m, cell_nodes, vertices, triangles",
+                         [(2, 2048, 21248, 42496), (3, 968, 38088, 76176)])
+def test_assembly_summary_counts(m, cell_nodes, vertices, triangles, request):
+    # the cell holds 2 (n/m)^2 chart triangles; the witness slice has the
+    # 2 n^2 torus vertices plus (TUBE_SEGMENTS + 3) TUBE_RING_POINTS per tube
+    s = request.getfixturevalue("report%d" % m).summary
+    assert s["cell_nodes"] == cell_nodes
+    assert s["witness_vertices"] == vertices
+    assert s["witness_triangles"] == triangles
+
+
 def test_assembly_row_structure(report2):
     rows = report2.rows
     stages = {r["stage"] for r in rows}

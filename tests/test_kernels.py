@@ -6,10 +6,13 @@ for the Euler characteristic, trig over every vertex for the torus mesher,
 per-vertex and per-triangle loops for the flat disk.  The fast kernels
 compute the same floating-point operations in the same order, so those
 comparisons are exact (np.array_equal or ==), never approximate.  The
-one exception is the sheet quadrature of the graph-neck
-and collapse stages: its exact area element replaced a finite-difference
-Jacobian, kept here as the reference, and the two agree to the truncation
-error of the differences.
+exceptions are the doubled family's symmetry reductions and its sheet
+quadrature.  The graph-neck and collapse stages sum one symmetry cell
+and the witness slice measures one tube, each times m^2; they match the
+full-grid quadrature (tests/reference_geometry.py) and the all-tubes sum
+to roundoff.  The quadrature's exact area element replaced a
+finite-difference Jacobian, kept here as the reference, and the two agree
+to the truncation error of the differences.
 """
 
 import math
@@ -21,9 +24,13 @@ from hypothesis import strategies as st
 
 from catsweep.doubling import (
     HANDOFF_NECK_MAX,
+    TUBE_RING_POINTS,
+    TUBE_SEGMENTS,
+    _cell_nodes,
     _chart_center_gap,
     _retract_uv,
     _sheet_area,
+    assemble_doubled_sweepout,
     default_resolution,
     default_schedule,
     doubled_slice,
@@ -32,6 +39,7 @@ from catsweep.doubling import (
 from catsweep.fermi import log_cutoff
 from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
 from catsweep.surfaces import clifford_torus, disk_rings_for_cutoff, flat_disk, product_torus
+from reference_geometry import full_grid_sheet_area
 
 
 def _ref_spherical_triangle_areas(verts, tris):
@@ -196,18 +204,52 @@ def test_s3_triangle_areas_match_reference(tris):
 @pytest.mark.parametrize("m", [2, 3])
 def test_collapse_stage_matches_per_sheet_reference(m, s):
     cl = clifford_torus(default_resolution(m))
+    cell = _cell_nodes(cl, m)
     h_eff = handoff_offset(default_schedule().delta)
     if s == 0.0:
         for k in range(1, 8):
             neck = k / 7.0 * HANDOFF_NECK_MAX
-            got, _ = _sheet_area(cl, m, 0.0, h_eff, neck)
+            got, _ = _sheet_area(cell, 0.0, h_eff, neck)
             assert got == pytest.approx(_ref_collapse_area(cl, m, 0.0, h_eff, neck), rel=1e-9)
     elif s == 1.0:
-        assert _sheet_area(cl, m, 1.0, h_eff, HANDOFF_NECK_MAX)[0] == 0.0
+        assert _sheet_area(cell, 1.0, h_eff, HANDOFF_NECK_MAX)[0] == 0.0
     else:
-        got, _ = _sheet_area(cl, m, s, h_eff, HANDOFF_NECK_MAX)
+        got, _ = _sheet_area(cell, s, h_eff, HANDOFF_NECK_MAX)
         ref = _ref_collapse_area(cl, m, s, h_eff, HANDOFF_NECK_MAX)
         assert ref - 2.5e-3 <= got <= ref
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want) if want != 0.0 else abs(got)
+
+
+# the one-cell quadrature sums the same integrand as the full grid, times
+# m^2; nodes in other cells are translates only up to roundoff
+@pytest.mark.parametrize("m, n", [(2, None), (3, None), (4, None), (2, 128)],
+                         ids=["m2", "m3", "m4", "m2-n128"])
+def test_sheet_rows_match_the_full_grid_reference(m, n):
+    rep = assemble_doubled_sweepout(m, n=n)
+    cl = clifford_torus(rep.meta["params"]["resolution"])
+    h_eff = rep.meta["params"]["handoff_offset"]
+    rows = [r for r in rep.rows if r["stage"] in ("graph_necks", "collapse")]
+    assert len(rows) == 14
+    for row in rows:
+        if row["stage"] == "graph_necks":
+            area, removed = full_grid_sheet_area(cl, m, 0.0, h_eff, row["neck_radius"])
+            assert _rel_err(row["removed_disk_area"], removed) <= 1e-13
+        else:
+            area, _ = full_grid_sheet_area(cl, m, row["collapse_s"], h_eff, HANDOFF_NECK_MAX)
+        assert _rel_err(row["area"], area) <= 1e-13
+    assert rep.summary["cell_nodes"] == 2 * (len(cl.vertices) // m ** 2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_one_tube_area_is_the_all_tubes_sum(m):
+    sl = doubled_slice(0.2, m)
+    # the strips of the m^2 tubes close the slice's triangle list
+    strips = sl.triangles[-m * m * 2 * TUBE_SEGMENTS * TUBE_RING_POINTS:]
+    every = float(np.sum(_spherical_triangle_areas(sl.vertices, strips)))
+    assert _rel_err(sl.tube_lateral_area, every) <= 1e-13
 
 
 def test_euler_characteristic_small_cases():

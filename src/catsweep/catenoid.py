@@ -15,7 +15,7 @@ from .errors import DomainError, NoCatenoid, NonConvergence
 
 TOL_ROOT = 1e-10     # relative residual demanded of c*cosh(h/c) = r
 
-# separations 0.1*2^-k down to 1e-6 (17 points) on which the area bound
+# separations 0.1*2^-k down to 1e-6 (17 points) on which the estimate
 # is checked; halving is exact, so the points are bit-identical however built
 HALVING_GRID = tuple(0.1 * 0.5 ** k for k in range(17))
 
@@ -186,43 +186,17 @@ def _neck_root(r, c):
     return math.sqrt(r * r - c * c)
 
 
-def estimate_bound(r, h):
-    """Area budget 2*pi*r^2 + 4*pi*h^2/(-log h) for the unstable catenoid."""
-    if not (0.0 < h < 1.0):
-        raise DomainError("the bound needs 0 < h < 1 so that -log h > 0")
-    return _TWO_PI * r * r + 4.0 * math.pi * h * h / (-math.log(h))
-
-
 @dataclass(frozen=True)
 class ScanRow:
     h: float
     c_unstable: float
-    area_unstable: float
-    bound_value: float
     asymptotic_ratio: float
 
 
 @dataclass(frozen=True)
 class EstimateScan:
     r: float
-    h_grid: tuple
     rows: tuple
-
-    def bound_threshold(self):
-        """Largest grid h with the area bound holding there and at every
-        smaller grid point; raises NonConvergence when there is none."""
-        h0 = None
-        for row in self.rows:
-            if row.area_unstable <= row.bound_value:
-                if h0 is None:
-                    h0 = row.h
-            else:
-                h0 = None
-        if h0 is None:
-            raise NonConvergence(
-                "bound failed on the whole grid down to %g" % self.h_grid[-1]
-            )
-        return h0
 
 
 def asymptotic_ratio_scan(r, h_grid):
@@ -241,9 +215,7 @@ def asymptotic_ratio_scan(r, h_grid):
             ScanRow(
                 h=h,
                 c_unstable=sol.c_unstable,
-                area_unstable=sol.area_unstable,
-                bound_value=estimate_bound(r, h),
                 asymptotic_ratio=sol.c_unstable * (-math.log(h)) / h,
             )
         )
-    return EstimateScan(r=r, h_grid=h_grid, rows=tuple(rows))
+    return EstimateScan(r=r, rows=tuple(rows))

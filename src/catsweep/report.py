@@ -49,11 +49,12 @@ def config_hash(params):
     return hashlib.sha256(_canonical(params).encode()).hexdigest()[:16]
 
 
-def make_report(command, params, rows, budget, stamp=None):
+def make_report(command, params, rows, budget):
     """Assemble a report with a computed summary.
 
     rows: list of dicts each holding at least 't' and 'area'.  The summary
     records the sup over rows, the stated budget, the margin and a pass flag.
+    The timestamp starts empty; the caller may set it, outside the hash.
     """
     rows = sorted(rows, key=lambda row: row["t"])
     sup = max(row["area"] for row in rows) if rows else 0.0
@@ -67,7 +68,7 @@ def make_report(command, params, rows, budget, stamp=None):
         "command": command,
         "config_hash": config_hash(params),
         "params": params,
-        "timestamp": stamp,
+        "timestamp": None,
     }
     return SweepoutReport(meta=meta, rows=rows, summary=summary)
 

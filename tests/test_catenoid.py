@@ -19,12 +19,13 @@ from catsweep.catenoid import (
     CatenoidSpec,
     asymptotic_ratio_scan,
     critical_ratio,
-    estimate_bound,
     excess_over_disks,
     excess_over_disks_scaled,
     solve_parameters,
     tangency_abscissa,
 )
+from catsweep import acceptance
+from catsweep.acceptance import catenoid_scan
 from catsweep.errors import DomainError, NoCatenoid
 
 TWO_PI = 2.0 * math.pi
@@ -186,29 +187,35 @@ def test_spec_validation():
         CatenoidSpec(r=1.0, h=0.0)
 
 
-def test_estimate_bound_values():
-    assert estimate_bound(1.0, 0.01) == pytest.approx(
-        TWO_PI + 4.0 * math.pi * 1e-4 / math.log(100.0), rel=1e-14
-    )
-    assert estimate_bound(1.0, 0.1) == pytest.approx(
-        TWO_PI + 4.0 * math.pi * 0.01 / math.log(10.0), rel=1e-14
-    )
-    with pytest.raises(DomainError):
-        estimate_bound(1.0, 1.0)
-    with pytest.raises(DomainError):
-        estimate_bound(1.0, -0.5)
-
-
 def test_estimate_bound_dominates_on_grid():
+    # the total area under 2*pi*r^2 + 4*pi*h^2/(-log h), the estimate unscaled
     h = 0.1
     while h >= 1e-6:
         sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
-        assert sol.area_unstable <= estimate_bound(1.0, h)
+        assert sol.area_unstable <= TWO_PI + 4.0 * math.pi * h * h / (-math.log(h))
         h *= 0.5
 
 
 def test_empirical_threshold_is_grid_top():
-    assert asymptotic_ratio_scan(1.0, HALVING_GRID).bound_threshold() == pytest.approx(0.1)
+    rep = catenoid_scan(1.0)
+    assert rep.summary["h_threshold"] == HALVING_GRID[0]
+    # the excess over the estimate, 0.227 at h = 0.1 rising to 0.384 at
+    # the grid's smallest h
+    assert [row["t"] for row in rep.rows] == sorted(HALVING_GRID)
+    assert 0.2 < rep.rows[-1]["area"] < rep.rows[0]["area"] < 0.4
+
+
+def test_threshold_is_the_last_row_of_the_passing_run(monkeypatch):
+    # excesses quadrupled above h = 0.01 fail the estimate there only
+    real = acceptance.excess_over_disks_scaled
+    monkeypatch.setattr(
+        acceptance,
+        "excess_over_disks_scaled",
+        lambda r, h, c: real(r, h, c) * (4.0 if h > 0.01 else 1.0),
+    )
+    rep = catenoid_scan(1.0)
+    assert rep.summary["passed"] is False
+    assert rep.summary["h_threshold"] == HALVING_GRID[4] == 0.00625
 
 
 def test_excess_stable_form():

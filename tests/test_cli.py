@@ -31,7 +31,8 @@ def test_solve_pass_exit_zero(capsys):
     assert code == 0
     body = json.loads(capsys.readouterr().out)
     row = body["rows"][0]
-    assert set(row) >= {"area", "c_unstable", "c_stable", "area_stable", "bound_value"}
+    assert set(row) >= {"area", "c_unstable", "c_stable", "area_unstable", "area_stable"}
+    assert body["summary"]["budget"] == 1.0
     assert body["summary"]["passed"] is True
 
 
@@ -57,18 +58,19 @@ def test_solve_passes_at_tiny_h(h, capsys):
     body = json.loads(capsys.readouterr().out)
     assert code == 0
     assert body["summary"]["passed"] is True
+    assert body["summary"]["margin"] > 0.0
 
 
 def test_solve_fails_a_wide_neck_at_tiny_h(capsys, monkeypatch):
     # a neck three times too wide breaks the bound; below h ~ 1e-161 both
     # unscaled excesses underflow to 0, so only the scaled verdict sees it
-    solve = cli.solve_parameters
+    solve = acceptance.solve_parameters
 
     def widened(spec):
         sol = solve(spec)
         return dataclasses.replace(sol, c_unstable=3.0 * sol.c_unstable)
 
-    monkeypatch.setattr(cli, "solve_parameters", widened)
+    monkeypatch.setattr(acceptance, "solve_parameters", widened)
     code = cli.run(["catenoid", "solve", "--r", "1", "--h", "1e-200", "--json"])
     body = json.loads(capsys.readouterr().out)
     assert body["summary"]["passed"] is False
@@ -82,12 +84,12 @@ def test_config_error_exit_one(capsys):
 
 
 def test_tolerance_miss_exit_two(capsys):
-    code = cli.run(
-        ["width", "run", "--r", "1", "--h", "0.3", "--tolerance", "1e-9", "--json"]
-    )
+    # a real shortfall: at h = 0.05 the width's excess is 2.65e-4 off
+    code = cli.run(["width", "run", "--h", "0.05", "--json"])
     assert code == 2
     body = json.loads(capsys.readouterr().out)
     assert body["summary"]["passed"] is False
+    assert body["rows"][0]["area"] > acceptance.WIDTH_EXCESS_TOL
 
 
 def test_budget_violation_exit_two(monkeypatch, capsys):
@@ -123,17 +125,17 @@ FAST_COMMANDS = {
 # sha256 of each command's --json bytes: a change that only deletes or
 # reorganizes code must not move a report byte
 FROZEN_JSON_SHA256 = {
-    "catenoid-solve": "6c330a9b90311255c2230f12d07b6f1082961debb30384f37ae15d270344ccbd",
-    "catenoid-scan": "db45b79af2f816cd1a4e98ec9ffe0770cb447107f7939509686003f038e0aa0f",
+    "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
+    "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
     "width-excess": "97bdacb0cf795ef16854ba5d47c8a28ff9e240bc3c26752244d9e0959d0c141e",
     "fermi-quad": "2666be31fa514c67d7ce9de89a37d82a72f64260229a6cdca2544adb51b2dc73",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
-    "width-run": "dc2f22f93b33ac01f5ebf61ac663a92ed5ad463d3da66e9a31144067636aa9ca",
+    "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
     "doubling-sweep": "1acc3d96c9421cbb6154af2ce27329ee57d2ccb1b791b8cf2e74e80d6e32bf89",
     "doubling-sweep-m3": "956831a0115d3d13dd3d1d17e0a35d1679ee4b016297317d57fde0c3b15ad44e",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
-    "fermi-tubes": "ff5df30f70da128be37d2ebc93bf575ffab8aeb814f2cfa2cfb7aff92010da8d",
+    "fermi-tubes": "65423e938fb3b148bbdb42d96cf6c90a77ea29d7e7e9459a474706623e0932e6",
 }
 BYTE_STABLE_COMMANDS = dict(
     FAST_COMMANDS,
@@ -178,19 +180,15 @@ BAD_INPUTS = {
     ),
     "tubes-h-negative": (["fermi", "tubes", "--h", "-1"], "got h = -1.0"),
     "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
-    "width-tolerance-nan": (
-        ["width", "run", "--h", "0.5", "--tolerance", "nan"],
-        "--tolerance must be finite, got tolerance = nan",
-    ),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
     "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
-    "width-tolerance-negative": (
-        ["width", "run", "--h", "0.5", "--tolerance", "-1"], "tolerance = -1.0"
-    ),
     "width-h-negative": (["width", "run", "--h", "-0.1"], "h = -0.1"),
     "width-h-overtall": (["width", "run", "--h", "0.7"], "h/r = 0.7 exceeds"),
     "scan-r-negative": (["catenoid", "scan", "--r", "-1"], "r = -1.0"),
     "solve-r-0": (["catenoid", "solve", "--r", "0", "--h", "0.1"], "r = 0.0"),
+    "solve-h-1": (
+        ["catenoid", "solve", "--r", "10", "--h", "1"], "-log h > 0, got h = 1.0"
+    ),
     "excess-r-negative": (["width", "excess", "--r", "-1"], "r = -1.0"),
     "cutoff-torus-t-2": (["cutoff", "torus", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
@@ -225,9 +223,12 @@ def test_bad_input_one_line_exit_one(argv, named, capsys):
 
 def test_width_run_below_the_domain_fails_by_name(capsys):
     # the width engine's domain at r = 1 ends between h = 0.008 and 0.007:
-    # below it the saddle found is no certified mountain pass
-    assert cli.run(["width", "run", "--h", "0.008"]) == 0
-    capsys.readouterr()
+    # below it the saddle found is no certified mountain pass.  At 0.008 the
+    # saddle certifies, but its excess misses the tolerance: a printed report
+    assert cli.run(["width", "run", "--h", "0.008", "--json"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["rows"][0]["morse_index"] == 1
+    assert body["summary"]["passed"] is False
     code = cli.run(["width", "run", "--h", "0.007"])
     err = capsys.readouterr().err.splitlines()
     assert code == 2

@@ -11,13 +11,13 @@ from catsweep.report import (
 )
 
 
-def _sample(stamp=None):
+def _sample():
     rows = [
         {"t": 0.3, "area": 1.5},
         {"t": 0.1, "area": 2.0},
         {"t": 0.2, "area": 1.75},
     ]
-    return make_report("demo", {"r": 1.0, "h": 0.3}, rows, budget=2.5, stamp=stamp)
+    return make_report("demo", {"r": 1.0, "h": 0.3}, rows, budget=2.5)
 
 
 def test_summary_fields():
@@ -55,7 +55,10 @@ def test_float_format_repr_roundtrip():
 
 
 def test_hash_ignores_timestamp():
-    assert _sample().meta["config_hash"] == _sample(stamp="2024-01-01T00:00:00Z").meta["config_hash"]
+    stamped = _sample()
+    stamped.meta["timestamp"] = "2024-01-01T00:00:00Z"
+    assert _sample().meta["timestamp"] is None
+    assert _sample().meta["config_hash"] == stamped.meta["config_hash"]
     assert config_hash({"a": 1}) != config_hash({"a": 2})
     assert len(config_hash({})) == 16
 

@@ -193,7 +193,7 @@ def test_width_counts_are_deterministic():
     ref = _width(1.0, 0.5)
     counts = ("iterations", "backtracks", "classify_calls", "newton_iterations")
     assert [getattr(res, k) for k in counts] == [getattr(ref, k) for k in counts]
-    row = width_run(1.0, 0.5, 5e-3).rows[0]
+    row = width_run(1.0, 0.5).rows[0]
     assert [row[k] for k in counts] == [getattr(ref, k) for k in counts]
 
 

@@ -21,6 +21,11 @@ HALVING_GRID = tuple(0.1 * 0.5 ** k for k in range(17))
 
 _TWO_PI = 2.0 * math.pi
 
+# largest circle radius: a catenoid's area is 2*pi*(r*sqrt(r^2 - c^2) + h*c),
+# below 2*pi*r^2*(1 + h/r), and h/r stays under the critical ratio 0.663,
+# so every area stays below 4*pi*r^2, which must be a finite double
+R_MAX = math.sqrt(sys.float_info.max / (4.0 * math.pi))
+
 
 def _log_cosh(x):
     # log(cosh x) evaluated without overflow; math.cosh dies near x = 710
@@ -75,6 +80,9 @@ class CatenoidSpec:
             raise DomainError(
                 "circle radius and half-separation must be positive, got " + ", ".join(bad)
             )
+        if not self.r <= R_MAX:
+            raise DomainError("circle radius r = %s exceeds %.6g, past which the areas overflow"
+                              % (self.r, R_MAX))
 
 
 @dataclass(frozen=True)

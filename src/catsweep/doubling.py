@@ -14,10 +14,11 @@ swap of the factors.
 The paired slices are reported by their continuum areas, in closed form;
 one welded mesh per family is built as the witness of its genus.  The
 graph-neck and collapse stages are one surface, the two-sided offset of
-the punctured middle torus, and one chart quadrature with the exact area
-element measures both.  Every slice is invariant under the group, so the
-quadrature runs over one symmetry cell of the chart and the witness
-measures one of its congruent tubes, each times m^2.
+the punctured middle torus, and both are measured by the chart
+quadrature of its exact area element, `fermi.sheet_elements`, the one
+element criteria 5 and 8 check.  Every slice is invariant under the
+group, so the quadrature runs over one symmetry cell of the chart and
+the witness measures one of its congruent tubes, each times m^2.
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetViolated, DomainError, RadiusTooLarge
-from .fermi import log_cutoff
+from .fermi import chart_nodes, log_cutoff, sheet_elements
 from .mesh import (
     AMBIENT_S3,
     MeshSurface,
@@ -559,20 +560,15 @@ def _cell_nodes(cl, m):
     """The quadrature nodes of one cell of the middle torus cl.
 
     With 2m | n no chart triangle straddles two cells, so the cell holds
-    2 (n/m)^2 triangles, and every other cell is its translate under a
-    rotation of the symmetry group.
+    2 (n/m)^2 of the chart_nodes, and every other cell is its translate
+    under a rotation of the symmetry group.
     """
-    uv = cl.chart_uv_corners
-    th = uv[:, :, 0].mean(axis=1)
-    ph = uv[:, :, 1].mean(axis=1)
+    th, ph, weight = chart_nodes(cl)
     half = math.pi / m
     inside = (th < 2.0 * half) & (ph < 2.0 * half)
-    uv, th, ph = uv[inside], th[inside], ph[inside]
-    du = uv[:, 1, :] - uv[:, 0, :]
-    dv = uv[:, 2, :] - uv[:, 0, :]
+    th, ph = th[inside], ph[inside]
     return _CellNodes(
-        m=m, theta=th, phi=ph,
-        weight=0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]),
+        m=m, theta=th, phi=ph, weight=weight[inside],
         gap=_chart_center_gap(m, th, ph),
         rho=np.maximum(np.abs(th - half), np.abs(ph - half)) / half,
     )
@@ -590,17 +586,14 @@ def _sheet_area(cell, s, h_eff, t_neck):
     width instead of being stretched along with the cells.  The sheet is
     invariant under the symmetry group, so the m^2 cells contribute alike.
 
-    In the chart of the image point the sheet sigma f (sigma = +-1) has
-    area element
-
-        sqrt(cos(2f)^2/4 + (1 + sigma sin 2f) f_phi^2/2 + (1 - sigma sin 2f) f_theta^2/2),
-
-    and inside the band t^2 < gap < t the cutoff gradient is f_theta^2 =
-    ((1 - s) h_eff / log t)^2 a^2 / (4 gap^4), with a, b the wrapped chart
-    offsets to the nearest center (b in place of a for f_phi^2).  The
-    retraction u -> u ((1 - s) + s/rho), with rho the sup norm of u over
-    pi/m, has Jacobian (1 - s) ((1 - s) + s/rho) by Euler's identity for
-    the 1-homogeneous rho, so the area vanishes exactly at s = 1.
+    In the chart of the image point the sheets have the area elements of
+    fermi.sheet_elements, and inside the band t^2 < gap < t the cutoff
+    gradient is f_theta^2 = ((1 - s) h_eff / log t)^2 a^2 / (4 gap^4), with
+    a, b the wrapped chart offsets to the nearest center (b in place of a
+    for f_phi^2).  The retraction u -> u ((1 - s) + s/rho), with rho the
+    sup norm of u over pi/m, has Jacobian (1 - s) ((1 - s) + s/rho) by
+    Euler's identity for the 1-homogeneous rho, so the area vanishes
+    exactly at s = 1.
 
     Returns the area of both sheets and the flat area of the nodes one
     sheet excises, each m^2 times the cell's.
@@ -617,14 +610,9 @@ def _sheet_area(cell, s, h_eff, t_neck):
     half = math.pi / m
     a = th2 % (2.0 * half) - half
     b = ph2 % (2.0 * half) - half
-    ft2 = k * a * a
-    fp2 = k * b * b
-    c2 = 0.25 * np.cos(2.0 * f) ** 2
-    s2 = np.sin(2.0 * f)
-    elem = (np.sqrt(c2 + 0.5 * (1.0 + s2) * fp2 + 0.5 * (1.0 - s2) * ft2)
-            + np.sqrt(c2 + 0.5 * (1.0 - s2) * fp2 + 0.5 * (1.0 + s2) * ft2))
+    plus, minus = sheet_elements(f, k * a * a, k * b * b)
     copies = m * m
-    return (copies * float(np.sum(cell.weight[keep] * jac * elem)),
+    return (copies * float(np.sum(cell.weight[keep] * jac * (plus + minus))),
             0.5 * copies * float(np.sum(cell.weight[~keep])))
 
 

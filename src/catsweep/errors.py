@@ -21,10 +21,6 @@ class DomainError(CatsweepError):
     """An argument lies outside the documented domain of the operation."""
 
 
-class ChartOverflow(CatsweepError):
-    """A normal offset left the validity region of the ambient chart."""
-
-
 class RadiusTooLarge(CatsweepError):
     """A requested ball or tube radius exceeds what the geometry supports."""
 

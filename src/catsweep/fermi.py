@@ -1,79 +1,87 @@
-"""Normal-offset machinery over meshed surfaces.
+"""The middle torus's two-sided offset, log cutoffs and the Jacobi operator.
 
-Covers the area of normal graphs by exact pushes, logarithmic cutoff
-fields with their Dirichlet energy, the lowest Jacobi eigenpair, and the
-two-sided punctured graph family whose maximal area stays below twice the
-base area.  The tube family serves criterion 8 and `fermi tubes` only; the
-doubled sweepout measures its graph-neck stage by chart quadrature
-(`doubling._sheet_area`).
+Claim (iii) rests on one formula, `sheet_elements`: the area element of
+the sheets +-f of the two-sided normal offset of the Clifford torus.
+Every such area is its midpoint quadrature on the `chart_nodes`: the
+doubled sweepout's graph-neck and collapse rows (`doubling._sheet_area`,
+on one symmetry cell), criterion 5's second variation
+(`acceptance.fermi_quad`) and criterion 8's punctured tube family
+(`two_sided_tube_family`).
 
-Cutoffs and tube families read exact distance fields: the flat metric of a
-product torus (`surfaces.torus_distances`) or the radius about a radial
-disk's center.  Other meshes raise DomainError; the mesh geodesic
+Cutoffs read exact distance fields: the flat metric of a product torus
+(`surfaces.torus_distances`) or the radius about a radial disk's center.
+Other meshes raise DomainError; the mesh geodesic
 `mesh.geodesic_distances` now serves only the tests and the benchmark's
 tracer.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import ChartOverflow, DomainError, RadiusTooLarge, SolverFailure
-from .mesh import (
-    cotan_stiffness,
-    dirichlet_energy,
-    lumped_mass,
-    push_along_normals,
-    triangle_areas,
-)
+from .errors import DomainError, RadiusTooLarge, SolverFailure
+from .mesh import cotan_stiffness, dirichlet_energy, lumped_mass
 from .report import make_report
-from .surfaces import torus_distances
+from .surfaces import flat_torus_gap, torus_distances
 
 JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
 JACOBI_MAX_ITERS = 200
 
-
-@dataclass
-class NormalGraphField:
-    """Scalar field phi on a base mesh, deployed at normal offset scale h."""
-
-    base: object
-    phi: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.shape != (self.base.n_vertices,):
-            raise DomainError("phi must be a per-vertex scalar field")
-        if not np.all(np.isfinite(self.phi)):
-            raise DomainError("phi contains non-finite values")
-
-    def offsets(self):
-        return self.h * self.phi
+# neck radii t of the tube family's rows
+TUBE_T_GRID = np.linspace(0.05, 0.35, 13)
 
 
-def _check_validity(g):
-    reach = abs(g.h) * float(np.max(np.abs(g.phi))) if g.phi.size else 0.0
-    if reach >= g.base.normal_validity:
-        raise ChartOverflow(
-            "offset %.3g exceeds the normal chart radius %.3g"
-            % (reach, g.base.normal_validity)
-        )
+def chart_nodes(m):
+    """Midpoint nodes of a product torus's chart: the chart barycenters
+    (theta, phi) of its triangles, and their chart areas as weights."""
+    uv = m.chart_uv_corners
+    du = uv[:, 1, :] - uv[:, 0, :]
+    dv = uv[:, 2, :] - uv[:, 0, :]
+    return (
+        uv[:, :, 0].mean(axis=1),
+        uv[:, :, 1].mean(axis=1),
+        0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]),
+    )
 
 
-def graph_area_exact(g):
-    """Area of the normal graph, by pushing vertices and re-measuring.
+def sheet_elements(f, f_theta2, f_phi2):
+    """Area elements of the sheets +f and -f over the middle torus.
 
-    The push follows ambient geodesics (straight lines in R^3, great
-    circles in the round S^3); the area is that of the pushed piecewise
-    geometry, so it converges to the smooth graph area under refinement.
+    The sheet sigma f (sigma = +-1) is the point cos(f) p + sigma sin(f) N
+    over p = (cos theta, sin theta, cos phi, sin phi)/sqrt(2) with unit
+    normal N; per unit chart area (dtheta dphi) its element is
+
+        sqrt(cos(2f)^2/4 + (1 + sigma sin 2f) f_phi^2/2 + (1 - sigma sin 2f) f_theta^2/2),
+
+    given f and its squared chart partials at the nodes.  At f = 0 both
+    are 1/2, the element of the middle torus itself.
     """
-    _check_validity(g)
-    pushed = push_along_normals(g.base, g.offsets())
-    return float(np.sum(triangle_areas(g.base, vertices=pushed)))
+    c2 = 0.25 * np.cos(2.0 * f) ** 2
+    s2 = np.sin(2.0 * f)
+    return (np.sqrt(c2 + 0.5 * (1.0 + s2) * f_phi2 + 0.5 * (1.0 - s2) * f_theta2),
+            np.sqrt(c2 + 0.5 * (1.0 - s2) * f_phi2 + 0.5 * (1.0 + s2) * f_theta2))
+
+
+def check_offset(name, value, peak=1.0):
+    """Refuse an offset scale at which no second variation can be read.
+
+    The scale must be positive with a normal square, since margins are
+    divided by it, and the offset peak * value must stay below pi/4: there
+    each sheet of the middle torus's two-sided offset collapses onto a
+    core circle, so the sheets are normal graphs only below it.
+    """
+    if not value > 0.0:
+        raise DomainError("offset scale must be positive, got %s = %s" % (name, value))
+    if value * value < sys.float_info.min:
+        raise DomainError("offset scale %s = %s is too small: its square is no normal double"
+                          % (name, value))
+    if not peak * value < 0.25 * math.pi:
+        raise DomainError("an offset must stay below pi/4, got %s = %s (offset %.6g)"
+                          % (name, value, peak * value))
 
 
 @dataclass
@@ -215,55 +223,51 @@ def jacobi_lowest(m):
     )
 
 
-def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
-    """Family of paired normal graphs +/- h*(phi*eta_t), punctured at p_list.
+def two_sided_tube_family(m, p_list, h):
+    """Family of paired normal graphs +-h*eta_t over the middle torus m,
+    punctured at the vertices p_list.
 
-    For each t the cutoff eta_t (product over the punctures) shapes the
-    offset field, triangles whose barycenter falls inside a puncture disk
-    B_{t^2} are dropped, and both pushed copies are measured.  The report's
-    budget is twice the base area; the margin must come out positive.
+    For each neck radius t of TUBE_T_GRID the offset field is h times the
+    product of the log cutoffs about the punctures, the same cutoff and
+    band t^2 < gap < t that doubling._sheet_area uses; its chart partials
+    follow in closed form by the product rule.  Both sheets are measured
+    by the midpoint quadrature of sheet_elements on chart_nodes, and a
+    node within t^2 of a puncture is excised; removed_base_area is the
+    area one sheet excises.  The budget is twice the base area, the chart
+    area 2*pi^2 of the middle torus, and kappa is the margin over h^2.
     """
-    if not h > 0.0:
-        raise DomainError("tube offset scale must be positive, got h = %s" % h)
-    phi = np.asarray(phi, dtype=float)
-    if t_grid is None:
-        t_grid = np.linspace(0.05, 0.35, 13)
-    base_areas = triangle_areas(m)
-    base_area = float(np.sum(base_areas))
-    dists = [_distances_from(m, p) for p in p_list]
-    # a triangle survives while its barycentric distance to every puncture
-    # stays above t^2, that is while the nearest one does
-    bary = np.full(len(m.triangles), np.inf)
-    for dist in dists:
-        bary = np.minimum(bary, np.mean(dist[m.triangles], axis=1))
-    bound = m.aux.get("disk_radius_bound", math.inf)
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        if not 0.0 < t < 1.0:
-            raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
-        if t >= bound:
-            raise RadiusTooLarge("radius %.3g is no embedded disk here" % t)
-        eta = np.ones(m.n_vertices)
-        for dist in dists:
-            eta *= log_cutoff(dist, t)
-        field = NormalGraphField(base=m, phi=phi * eta, h=h)
-        _check_validity(field)
-        off = field.offsets()
-        plus = push_along_normals(m, off)
-        minus = push_along_normals(m, -off)
-        keep = bary > t * t
-        a_plus = float(np.sum(triangle_areas(m, vertices=plus)[keep]))
-        a_minus = float(np.sum(triangle_areas(m, vertices=minus)[keep]))
-        removed = float(np.sum(base_areas[~keep]))
-        rows.append(
-            {
-                "t": float(t),
-                "area": a_plus + a_minus,
-                "area_plus": a_plus,
-                "area_minus": a_minus,
-                "removed_base_area": removed,
-            }
+    check_offset("h", h)
+    if m.aux.get("torus_t") != 0.5:
+        raise DomainError(
+            "the tube family lives on the middle torus, got mesh %r" % m.aux.get("name", "mesh")
         )
+    th, ph, w = chart_nodes(m)
+    # signed chart offsets from each puncture, wrapped to [-pi, pi)
+    offsets = []
+    for p in p_list:
+        a = (th - m.aux["chart_theta"][p] + math.pi) % (2.0 * math.pi) - math.pi
+        b = (ph - m.aux["chart_phi"][p] + math.pi) % (2.0 * math.pi) - math.pi
+        offsets.append((a, b, flat_torus_gap(0.5, a, b, 2.0 * math.pi)))
+    nearest = np.min([gap for _, _, gap in offsets], axis=0)
+    base_area = 0.5 * float(np.sum(w))
+    rows = []
+    for t in TUBE_T_GRID:
+        f = np.full(th.size, float(h))
+        f_th = np.zeros(th.size)
+        f_ph = np.zeros(th.size)
+        for a, b, gap in offsets:
+            eta = log_cutoff(gap, t)
+            # the cutoff's partials are -(a, b) / (2 gap^2 log t) in the band
+            slope = np.where((gap > t * t) & (gap < t), -0.5 / (math.log(t) * gap * gap), 0.0)
+            f_th = f_th * eta + f * slope * a
+            f_ph = f_ph * eta + f * slope * b
+            f = f * eta
+        keep = nearest > t * t
+        plus, minus = sheet_elements(f[keep], f_th[keep] ** 2, f_ph[keep] ** 2)
+        a_plus = float(np.sum(w[keep] * plus))
+        a_minus = float(np.sum(w[keep] * minus))
+        rows.append({"t": float(t), "area": a_plus + a_minus, "area_plus": a_plus,
+                     "area_minus": a_minus, "removed_base_area": 0.5 * float(np.sum(w[~keep]))})
     report = make_report(
         command="tube-family",
         params={
@@ -275,6 +279,5 @@ def two_sided_tube_family(m, phi, p_list, h, t_grid=None):
         rows=rows,
         budget=2.0 * base_area,
     )
-    sup = report.summary["sup_area"]
-    report.summary["kappa"] = (2.0 * base_area - sup) / (h * h) if h != 0 else 0.0
+    report.summary["kappa"] = report.summary["margin"] / (h * h)
     return report

@@ -4,9 +4,9 @@ Vertices live in the ambient chart (R^3, or R^4 restricted to the unit
 sphere), each with its unit normal and the two curvature terms of the
 Jacobi potential, |A|^2 and Ric(N, N).  Areas, stiffness and mass
 matrices, level-set lengths, and the Euler characteristic all work from
-the vertex/triangle arrays alone; the optional chart fields, which the
-product tori carry, let a surface be measured by quadrature of its
-analytic area element instead of through the piecewise-flat geometry.
+the vertex/triangle arrays alone.  The product tori also carry the
+corners of their chart triangles, from which `fermi.chart_nodes` builds
+the quadrature nodes of the middle torus's offset area element.
 
 Spherical triangle areas, the hot path of every doubled slice, gather each
 coordinate from one coordinate-major copy of the vertices and add the
@@ -39,8 +39,7 @@ class MeshSurface:
     """Indexed triangle mesh with a unit normal, |A|^2 and Ric(N, N) per vertex.
 
     chart_uv_corners carries per-triangle corner coordinates of a parametric
-    chart (unwrapped, so periodic seams stay consistent) and chart_sqrtg the
-    analytic area element sampled at vertices; both may be None.  areas
+    chart (unwrapped, so periodic seams stay consistent), or None.  areas
     holds the per-triangle metric areas, measured once at construction;
     the vertex and triangle arrays are not changed after it.
     """
@@ -52,8 +51,6 @@ class MeshSurface:
     a_norm2: np.ndarray
     ric_nn: np.ndarray
     chart_uv_corners: np.ndarray = None
-    chart_sqrtg: np.ndarray = None
-    normal_validity: float = math.inf
     aux: dict = field(default_factory=dict)
     areas: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -141,29 +138,6 @@ def triangle_areas(m, vertices=None):
     if m.ambient == AMBIENT_S3:
         return _spherical_triangle_areas(verts, m.triangles)
     return _chordal_triangle_areas(verts, m.triangles)
-
-
-def mesh_area(m, method="auto"):
-    """Total surface area.
-
-    method "triangle" sums per-triangle geodesic areas; "chart" integrates
-    the analytic area element over the chart triangles (available only when
-    the mesh carries chart data); "auto" prefers the chart when present.
-    """
-    if method not in ("auto", "triangle", "chart"):
-        raise DomainError("unknown area method %r" % (method,))
-    if method == "auto":
-        method = "chart" if m.chart_sqrtg is not None else "triangle"
-    if method == "chart":
-        if m.chart_sqrtg is None or m.chart_uv_corners is None:
-            raise DomainError("mesh carries no chart data")
-        uv = m.chart_uv_corners
-        u = uv[:, 1, :] - uv[:, 0, :]
-        v = uv[:, 2, :] - uv[:, 0, :]
-        uv_area = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-        w = np.mean(m.chart_sqrtg[m.triangles], axis=1)
-        return float(np.sum(uv_area * w))
-    return float(np.sum(triangle_areas(m)))
 
 
 def _unique_edges(tris):
@@ -346,21 +320,3 @@ def euler_characteristic(triangles):
     keys.sort()
     n_edges = 1 + np.count_nonzero(keys[1:] != keys[:-1])
     return int(n_referenced - n_edges + len(tris))
-
-
-def push_along_normals(m, offsets):
-    """Move vertices along their unit normals by per-vertex distances.
-
-    In R^3 the push is a straight translation; in the round S^3 it follows
-    the unit-speed great circle cos(s)p + sin(s)N.
-    """
-    off = np.asarray(offsets, dtype=float)
-    if off.ndim == 0:
-        off = np.full(m.n_vertices, float(off))
-    if off.shape != (m.n_vertices,):
-        raise DomainError("offset array must be per-vertex")
-    if m.ambient == AMBIENT_S3:
-        c = np.cos(off)[:, None]
-        s = np.sin(off)[:, None]
-        return c * m.vertices + s * m.vertex_normals
-    return m.vertices + off[:, None] * m.vertex_normals

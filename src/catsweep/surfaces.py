@@ -150,9 +150,6 @@ def product_torus(t, n=64):
     uv_corners = np.stack([u0, v0, u1, v0, u1, v1, u0, v0, u1, v1, u0, v1], axis=-1)
     uv_corners = uv_corners.reshape(-1, 3, 2)
     mesh.chart_uv_corners = uv_corners
-    mesh.chart_sqrtg = np.full(n_v, a * b)
-    omega = math.asin(2.0 * t - 1.0)
-    mesh.normal_validity = 0.5 * (0.5 * math.pi - abs(omega))
     mesh.aux.update(
         chart_theta=th,
         chart_phi=ph,

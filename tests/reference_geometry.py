@@ -1,9 +1,10 @@
 """Test-only references no package code calls.
 
 The round sphere gives meshes with known area, Euler characteristic and
-Jacobi spectrum; the quadratic form of the second variation is what the
-exact normal-graph area is checked against; the full-grid sheet
-quadrature is what the doubled family's one-cell quadrature replaced.
+Jacobi spectrum; the cotangent quadratic form of the second variation is
+what the chart quadrature of the offset area is checked against; the
+full-grid sheet quadrature is what the doubled family's one-cell
+quadrature replaced.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from catsweep.doubling import _chart_center_gap, _retract_uv
-from catsweep.fermi import log_cutoff
+from catsweep.fermi import chart_nodes, log_cutoff, sheet_elements
 from catsweep.mesh import AMBIENT_R3, MeshSurface, dirichlet_energy, lumped_mass
 
 
@@ -63,24 +64,18 @@ def round_sphere(subdiv=4):
         a_norm2=np.full(n_v, 2.0),
         ric_nn=np.zeros(n_v),
     )
-    mesh.normal_validity = 1.0
     mesh.aux.update(disk_radius_bound=0.5 * math.pi, name="round_sphere")
     return mesh
 
 
 def full_grid_sheet_area(cl, m, s, h_eff, t_neck):
-    """doubling._sheet_area over every chart triangle of cl, not one cell.
+    """doubling._sheet_area over every chart node of cl, not one cell.
 
     Same integrand and excision; nodes are the barycenters of all 2 n^2
     chart triangles, and every row recomputes them.  Returns the area of
     both sheets and the flat area of the nodes one sheet excises.
     """
-    uv = cl.chart_uv_corners
-    th = uv[:, :, 0].mean(axis=1)
-    ph = uv[:, :, 1].mean(axis=1)
-    du = uv[:, 1, :] - uv[:, 0, :]
-    dv = uv[:, 2, :] - uv[:, 0, :]
-    uv_area = 0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0])
+    th, ph, uv_area = chart_nodes(cl)
     keep = _chart_center_gap(m, th, ph) > t_neck * t_neck
     th, ph, w = th[keep], ph[keep], uv_area[keep]
     th2, ph2 = _retract_uv(m, s, th, ph)
@@ -95,10 +90,5 @@ def full_grid_sheet_area(cl, m, s, h_eff, t_neck):
     k = np.where(band, (scale / math.log(t_neck)) ** 2 / (4.0 * gap ** 4), 0.0)
     a = th2 % cell - half
     b = ph2 % cell - half
-    ft2 = k * a * a
-    fp2 = k * b * b
-    c2 = 0.25 * np.cos(2.0 * f) ** 2
-    s2 = np.sin(2.0 * f)
-    elem = (np.sqrt(c2 + 0.5 * (1.0 + s2) * fp2 + 0.5 * (1.0 - s2) * ft2)
-            + np.sqrt(c2 + 0.5 * (1.0 - s2) * fp2 + 0.5 * (1.0 + s2) * ft2))
-    return float(np.sum(w * jac * elem)), 0.5 * float(np.sum(uv_area[~keep]))
+    plus, minus = sheet_elements(f, k * a * a, k * b * b)
+    return float(np.sum(w * jac * (plus + minus))), 0.5 * float(np.sum(uv_area[~keep]))

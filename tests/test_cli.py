@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import catsweep
 from catsweep import acceptance, cli
 from catsweep.acceptance import CriterionResult
+from catsweep.catenoid import R_MAX
 from catsweep.errors import BudgetViolated, RegimeViolation
 
 
@@ -128,14 +130,14 @@ FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
     "width-excess": "97bdacb0cf795ef16854ba5d47c8a28ff9e240bc3c26752244d9e0959d0c141e",
-    "fermi-quad": "2666be31fa514c67d7ce9de89a37d82a72f64260229a6cdca2544adb51b2dc73",
+    "fermi-quad": "340a25ac54c9097f14068ab958b4f66efc80f1627e7df9ae84f347be4e55b35c",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
     "doubling-sweep": "1acc3d96c9421cbb6154af2ce27329ee57d2ccb1b791b8cf2e74e80d6e32bf89",
     "doubling-sweep-m3": "956831a0115d3d13dd3d1d17e0a35d1679ee4b016297317d57fde0c3b15ad44e",
     "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
-    "fermi-tubes": "65423e938fb3b148bbdb42d96cf6c90a77ea29d7e7e9459a474706623e0932e6",
+    "fermi-tubes": "4f56b6498d5b00150f368edf0bb8282542e234374453875898963c816989c8fe",
 }
 BYTE_STABLE_COMMANDS = dict(
     FAST_COMMANDS,
@@ -179,6 +181,10 @@ BAD_INPUTS = {
         ["doubling", "sweep", "--m", "2", "--n", "7"], "got n = 7, m = 2"
     ),
     "tubes-h-negative": (["fermi", "tubes", "--h", "-1"], "got h = -1.0"),
+    "tubes-h-underflow": (["fermi", "tubes", "--h", "1e-300"], "h = 1e-300 is too small"),
+    "tubes-h-0.8": (["fermi", "tubes", "--h", "0.8"], "below pi/4, got h = 0.8"),
+    "quad-step-underflow": (["fermi", "quad", "--step", "1e-170"], "step = 1e-170 is too small"),
+    "quad-step-0.8": (["fermi", "quad", "--step", "0.8"], "below pi/4, got step = 0.8"),
     "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
     "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
@@ -186,6 +192,8 @@ BAD_INPUTS = {
     "width-h-overtall": (["width", "run", "--h", "0.7"], "h/r = 0.7 exceeds"),
     "scan-r-negative": (["catenoid", "scan", "--r", "-1"], "r = -1.0"),
     "solve-r-0": (["catenoid", "solve", "--r", "0", "--h", "0.1"], "r = 0.0"),
+    "solve-r-overflow": (["catenoid", "solve", "--r", "1e200", "--h", "0.5"], "r = 1e+200 exceeds"),
+    "scan-r-overflow": (["catenoid", "scan", "--r", "1e160"], "r = 1e+160 exceeds"),
     "solve-h-1": (
         ["catenoid", "solve", "--r", "10", "--h", "1"], "-log h > 0, got h = 1.0"
     ),
@@ -219,6 +227,18 @@ def test_bad_input_one_line_exit_one(argv, named, capsys):
     except SystemExit as exc:
         code = exc.code
     _assert_one_line_error(code, capsys.readouterr().err, named)
+
+
+def test_largest_accepted_radius(capsys):
+    # at R_MAX the areas reach 2*pi*R_MAX^2 = max/2 and stay finite
+    r = repr(R_MAX)
+    assert cli.run(["catenoid", "scan", "--r", r, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["passed"] is True
+    assert cli.run(["catenoid", "solve", "--r", r, "--h", "0.5", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert math.isfinite(row["area_unstable"]) and row["area_unstable"] > 1e307
+    code = cli.run(["catenoid", "scan", "--r", repr(math.nextafter(R_MAX, math.inf))])
+    _assert_one_line_error(code, capsys.readouterr().err, "exceeds")
 
 
 def test_width_run_below_the_domain_fails_by_name(capsys):

@@ -27,7 +27,7 @@ from catsweep.doubling import (
     tube_area,
 )
 from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
-from catsweep.mesh import _spherical_triangle_areas, mesh_area
+from catsweep.mesh import _spherical_triangle_areas
 from catsweep.surfaces import product_torus
 
 BUDGET = 4.0 * math.pi ** 2
@@ -72,7 +72,11 @@ def test_cmc_area_closed_forms():
 
 
 def test_cmc_slice_mesh_matches_closed_form():
-    assert abs(mesh_area(product_torus(0.3)) / cmc_area(0.3) - 1.0) < 1e-4
+    # the geodesic triangle sum, second order in the grid spacing
+    rel64 = float(np.sum(product_torus(0.3).areas)) / cmc_area(0.3) - 1.0
+    rel128 = float(np.sum(product_torus(0.3, 128).areas)) / cmc_area(0.3) - 1.0
+    assert 0.0 < rel64 < 5e-4
+    assert 3.0 < rel64 / rel128 < 5.0
     with pytest.raises(DomainError):
         product_torus(0.0)
     with pytest.raises(DomainError):

@@ -7,15 +7,18 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from catsweep import fermi
-from catsweep.errors import ChartOverflow, DomainError, RadiusTooLarge, SolverFailure
+from catsweep.doubling import cmc_area
+from catsweep.errors import DomainError, RadiusTooLarge, SolverFailure
 from catsweep.fermi import (
     JACOBI_MAX_ITERS,
     JACOBI_TOL,
-    NormalGraphField,
+    TUBE_T_GRID,
     build_cutoff,
+    chart_nodes,
     cutoff_energy,
-    graph_area_exact,
     jacobi_lowest,
+    log_cutoff,
+    sheet_elements,
     two_sided_tube_family,
 )
 from catsweep.mesh import (
@@ -23,12 +26,12 @@ from catsweep.mesh import (
     geodesic_distances,
     level_set_perimeter,
     lumped_mass,
-    mesh_area,
 )
 from catsweep.surfaces import (
     clifford_torus,
     disk_rings_for_cutoff,
     flat_disk,
+    flat_torus_gap,
     product_torus,
     torus_distances,
 )
@@ -36,46 +39,59 @@ from catsweep.surfaces import (
 from reference_geometry import quadratic_form, round_sphere
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
+TWO_PI_SQ = 2.0 * math.pi ** 2
+
+
+def _sheet_areas(cl, h, phi, phi_theta, phi_phi):
+    """Areas of the sheets +-h*phi over the middle torus cl, by the chart
+    quadrature of the area element; phi and its partials at chart nodes."""
+    _, _, w = chart_nodes(cl)
+    plus, minus = sheet_elements(h * phi, (h * phi_theta) ** 2, (h * phi_phi) ** 2)
+    return float(np.sum(w * plus)), float(np.sum(w * minus))
+
+
+def _constant_offset(cl, s):
+    ones = np.ones(2 * cl.aux["grid_n"] ** 2)
+    return _sheet_areas(cl, s, ones, 0.0 * ones, 0.0 * ones)
 
 
 def test_zero_field_keeps_base_area():
+    # the element of the middle torus is 1/2 per unit chart area
     cl = clifford_torus(32)
-    g = NormalGraphField(base=cl, phi=np.zeros(cl.n_vertices), h=0.3)
-    assert graph_area_exact(g) == mesh_area(cl, "triangle")
+    plus, minus = _constant_offset(cl, 0.0)
+    assert plus == minus == pytest.approx(TWO_PI_SQ, rel=1e-14)
 
 
 def test_clifford_offsets_match_closed_form():
+    # the offset at distance s is the product torus at (1 + sin 2s)/2, of
+    # area 2*pi^2 cos 2s, on either side
     cl = clifford_torus(64)
-    ones = np.ones(cl.n_vertices)
     for s in (0.05, 0.1, 0.2):
-        area = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=s))
-        exact = 2.0 * math.pi ** 2 * math.cos(2.0 * s)
-        assert abs(area - exact) / exact < 6e-4
-
-
-def test_flat_disk_translation_keeps_area():
-    d = flat_disk()
-    base = mesh_area(d, "triangle")
-    g = NormalGraphField(base=d, phi=np.ones(d.n_vertices), h=0.7)
-    assert graph_area_exact(g) == pytest.approx(base, rel=1e-14)
+        exact = TWO_PI_SQ * math.cos(2.0 * s)
+        assert cmc_area(0.5 * (1.0 + math.sin(2.0 * s))) == pytest.approx(exact, rel=1e-14)
+        for area in _constant_offset(cl, s):
+            assert area == pytest.approx(exact, rel=1e-14)
 
 
 def test_chart_overflow():
+    # each sheet collapses onto a core circle at offset pi/4
     cl = clifford_torus(16)
-    g = NormalGraphField(base=cl, phi=np.ones(cl.n_vertices), h=0.8)
-    with pytest.raises(ChartOverflow):
-        graph_area_exact(g)
+    with pytest.raises(DomainError, match="below pi/4, got h = 0.8"):
+        two_sided_tube_family(cl, [0], 0.8)
+    with pytest.raises(DomainError, match="h = 1e-300 is too small"):
+        two_sided_tube_family(cl, [0], 1e-300)
+    with pytest.raises(DomainError, match="middle torus"):
+        two_sided_tube_family(product_torus(0.3, 16), [0], 0.05)
 
 
 def test_quadratic_coefficient_of_offset_area():
     cl = clifford_torus(64)
-    ones = np.ones(cl.n_vertices)
-    base = mesh_area(cl, "triangle")
     d = 0.05
-    ap = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=d))
-    am = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=-d))
-    coeff = 0.5 * (ap - 2.0 * base + am) / (d * d)
+    base = sum(_constant_offset(cl, 0.0))
+    coeff = 0.5 * (sum(_constant_offset(cl, d)) - base) / (d * d)
     assert abs(coeff + FOUR_PI_SQ) / FOUR_PI_SQ < 1e-2
+    # 2*pi^2 (cos 2d - 1)/d^2: the difference's truncation alone
+    assert coeff == pytest.approx(TWO_PI_SQ * (math.cos(2.0 * d) - 1.0) / (d * d), rel=1e-10)
 
 
 def test_quadratic_form_constant_field():
@@ -85,37 +101,42 @@ def test_quadratic_form_constant_field():
 
 
 def test_expansion_error_is_fourth_order_here():
-    # symmetric surface kills the cubic term, so the exact area minus the
-    # two-term expansion |base| + (h^2/2) Q(phi) is ~ h^4
+    # symmetric surface kills the cubic term, so the area minus the
+    # two-term expansion |base| + (h^2/2) Q(1), Q(1) = -8*pi^2, is ~ h^4
     cl = clifford_torus(64)
-    ones = np.ones(cl.n_vertices)
-    base = mesh_area(cl, "triangle")
-    q = quadratic_form(cl, ones)
     errs = []
     for h in (0.1, 0.05, 0.025):
-        a = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=h))
-        errs.append(abs(a - (base + 0.5 * h * h * q)))
-    assert math.log2(errs[0] / errs[1]) > 3.0
-    assert math.log2(errs[1] / errs[2]) > 3.0
+        a = _constant_offset(cl, h)[0]
+        errs.append(abs(a - (TWO_PI_SQ - 4.0 * math.pi ** 2 * h * h)))
+    assert math.log2(errs[0] / errs[1]) > 3.9
+    assert math.log2(errs[1] / errs[2]) > 3.9
 
 
 def test_second_variation_against_quadratic_form():
     cl = clifford_torus(64)
-    th = cl.aux["chart_theta"]
-    ph = cl.aux["chart_phi"]
+    th, ph, _ = chart_nodes(cl)
     rng = np.random.default_rng(11)
-    base = mesh_area(cl, "triangle")
     for _ in range(3):
         # modes with a, b >= 2 stay clear of the kernel of the second variation
         a, b = rng.integers(2, 4, size=2)
         c0, c1 = rng.normal(size=2)
-        phi = c0 * np.cos(a * th) * np.cos(b * ph) + c1 * np.sin(a * th + b * ph)
+        def mode(th, ph):
+            return c0 * np.cos(a * th) * np.cos(b * ph) + c1 * np.sin(a * th + b * ph)
+
+        phi = mode(th, ph)
+        phi_th = -a * c0 * np.sin(a * th) * np.cos(b * ph) + a * c1 * np.cos(a * th + b * ph)
+        phi_ph = -b * c0 * np.cos(a * th) * np.sin(b * ph) + b * c1 * np.cos(a * th + b * ph)
         h = 1e-3
-        ap = graph_area_exact(NormalGraphField(base=cl, phi=phi, h=h))
-        am = graph_area_exact(NormalGraphField(base=cl, phi=phi, h=-h))
-        measured = 0.5 * (ap + am - 2.0 * base) / (h * h)
-        expect = 0.5 * quadratic_form(cl, phi)
-        assert abs(measured - expect) / abs(expect) < 2e-2
+        # the sheets +-h*phi together are A(h phi) + A(-h phi)
+        measured = 0.5 * (sum(_sheet_areas(cl, h, phi, phi_th, phi_ph)) - 2.0 * TWO_PI_SQ) / (h * h)
+        # each term is a Laplacian eigenfunction of eigenvalue 2(a^2 + b^2)
+        # in the metric (dtheta^2 + dphi^2)/2, so Q(phi) = (2(a^2 + b^2) - 4)
+        # times the L^2 norm (c0^2 + 2 c1^2) pi^2 / 2
+        expect = 0.5 * (2.0 * (a * a + b * b) - 4.0) * 0.5 * (c0 * c0 + 2.0 * c1 * c1) * math.pi ** 2
+        assert abs(measured - expect) / abs(expect) < 1e-4
+        # the cotangent form of the same mode, on the vertices
+        on_vertices = mode(cl.aux["chart_theta"], cl.aux["chart_phi"])
+        assert abs(measured - 0.5 * quadratic_form(cl, on_vertices)) / abs(expect) < 2e-2
 
 
 def test_cutoff_field_cases():
@@ -322,33 +343,62 @@ def test_tube_family_margins():
     n = cl.aux["grid_n"]
     p = 16 * n + 48
     tau_p = 48 * n + 16
-    ones = np.ones(cl.n_vertices)
-    base2 = 2.0 * mesh_area(cl, "triangle")
     for h in (0.02, 0.05):
-        rep = two_sided_tube_family(cl, ones, [p, tau_p], h)
-        assert rep.summary["budget"] == pytest.approx(base2, rel=1e-12)
-        assert rep.summary["sup_area"] < base2
+        rep = two_sided_tube_family(cl, [p, tau_p], h)
+        assert rep.summary["budget"] == pytest.approx(2.0 * TWO_PI_SQ, rel=1e-15)
+        assert rep.summary["sup_area"] < rep.summary["budget"]
         assert rep.summary["margin"] > 0.0
         assert rep.summary["kappa"] >= 0.05
-        # triangle removal proceeds in discrete jumps, so areas are only
-        # roughly decreasing; the sup must sit at the smallest neck radius
-        areas = [row["area"] for row in rep.rows]
-        assert areas[0] == max(areas)
-        assert min(areas) < areas[0]
+        # the swap maps the pair and the sheets onto each other
+        for row in rep.rows:
+            assert row["area_plus"] == pytest.approx(row["area_minus"], rel=1e-14)
 
 
 def test_tube_family_limits():
     cl = clifford_torus(64)
     n = cl.aux["grid_n"]
     p = 16 * n + 48
-    ones = np.ones(cl.n_vertices)
-    base = mesh_area(cl, "triangle")
-    # zero offset at fixed t: exactly twice the punctured base area
-    rep = two_sided_tube_family(cl, ones, [p], 1e-9, t_grid=[0.25])
-    row = rep.rows[0]
-    assert row["area"] == pytest.approx(2.0 * (base - row["removed_base_area"]), rel=1e-9)
-    # tiny t: no triangles removed, both graphs nearly full offset surfaces
-    rep0 = two_sided_tube_family(cl, ones, [p], 0.05, t_grid=[0.02])
-    g = graph_area_exact(NormalGraphField(base=cl, phi=ones, h=0.05))
-    assert rep0.rows[0]["removed_base_area"] == 0.0
-    assert rep0.rows[0]["area"] == pytest.approx(2.0 * g, rel=1e-3)
+    # zero offset: exactly twice the punctured base area on every row
+    rep = two_sided_tube_family(cl, [p], 1e-9)
+    for row in rep.rows:
+        assert row["area"] == pytest.approx(2.0 * (TWO_PI_SQ - row["removed_base_area"]), rel=1e-15)
+    assert rep.rows[-1]["removed_base_area"] > 0.0
+    # the smallest neck removes no node, and both graphs are nearly the
+    # full offset surfaces 2*pi^2 cos 2h
+    row0 = two_sided_tube_family(cl, [p], 0.05).rows[0]
+    assert row0["t"] == TUBE_T_GRID[0]
+    assert row0["removed_base_area"] == 0.0
+    assert row0["area"] == pytest.approx(2.0 * TWO_PI_SQ * math.cos(0.1), rel=1e-3)
+
+
+def test_tube_family_gradient_matches_central_differences():
+    # the rows' closed-form cutoff partials against central differences of
+    # h * prod log_cutoff(gap_p, t) in the chart, through the same element
+    cl = clifford_torus(64)
+    n = cl.aux["grid_n"]
+    pair = [16 * n + 48, 48 * n + 16]
+    h = 0.05
+    th, ph, w = chart_nodes(cl)
+    centers = [(cl.aux["chart_theta"][p], cl.aux["chart_phi"][p]) for p in pair]
+
+    def field(th, ph, t):
+        f = np.full(th.shape, h)
+        for tc, pc in centers:
+            f = f * log_cutoff(flat_torus_gap(0.5, th - tc, ph - pc, 2.0 * math.pi), t)
+        return f
+
+    def gap_min(t):
+        return np.min([flat_torus_gap(0.5, th - tc, ph - pc, 2.0 * math.pi)
+                       for tc, pc in centers], axis=0)
+
+    rep = two_sided_tube_family(cl, pair, h)
+    eps = 1e-7
+    for row in rep.rows:
+        t = row["t"]
+        keep = gap_min(t) > t * t
+        f = field(th, ph, t)
+        f_th = (field(th + eps, ph, t) - field(th - eps, ph, t)) / (2.0 * eps)
+        f_ph = (field(th, ph + eps, t) - field(th, ph - eps, t)) / (2.0 * eps)
+        plus, minus = sheet_elements(f[keep], f_th[keep] ** 2, f_ph[keep] ** 2)
+        want = float(np.sum(w[keep] * (plus + minus)))
+        assert row["area"] == pytest.approx(want, rel=1e-10)

@@ -16,8 +16,6 @@ from catsweep.mesh import (
     geodesic_distances,
     level_set_perimeter,
     lumped_mass,
-    mesh_area,
-    push_along_normals,
     triangle_areas,
 )
 from catsweep.surfaces import (
@@ -32,14 +30,13 @@ from reference_geometry import round_sphere
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
 
-def test_clifford_chart_area_exact():
-    cl = clifford_torus(64)
-    assert mesh_area(cl) == pytest.approx(TWO_PI_SQ, rel=1e-12)
+def _area(m):
+    return float(np.sum(m.areas))
 
 
 def test_clifford_triangle_area_second_order():
-    rel64 = mesh_area(clifford_torus(64), "triangle") / TWO_PI_SQ - 1.0
-    rel128 = mesh_area(clifford_torus(128), "triangle") / TWO_PI_SQ - 1.0
+    rel64 = _area(clifford_torus(64)) / TWO_PI_SQ - 1.0
+    rel128 = _area(clifford_torus(128)) / TWO_PI_SQ - 1.0
     assert abs(rel64) < 6e-4
     assert 3.0 < rel64 / rel128 < 5.0
 
@@ -47,13 +44,12 @@ def test_clifford_triangle_area_second_order():
 def test_product_torus_areas():
     for t in (0.25, 0.5, 0.7):
         exact = 4.0 * math.pi ** 2 * math.sqrt(t * (1.0 - t))
-        assert mesh_area(product_torus(t, 48)) == pytest.approx(exact, rel=1e-12)
-        assert mesh_area(product_torus(t, 64), "triangle") == pytest.approx(exact, rel=1e-3)
+        assert _area(product_torus(t, 64)) == pytest.approx(exact, rel=1e-3)
 
 
 def test_disk_and_sphere_areas():
-    assert mesh_area(flat_disk()) == pytest.approx(math.pi, rel=2e-3)
-    assert mesh_area(round_sphere(4)) == pytest.approx(4.0 * math.pi, rel=2e-3)
+    assert _area(flat_disk()) == pytest.approx(math.pi, rel=2e-3)
+    assert _area(round_sphere(4)) == pytest.approx(4.0 * math.pi, rel=2e-3)
 
 
 def test_octant_triangle_spherical_area():
@@ -183,14 +179,14 @@ def test_cotan_energy_of_linear_field():
     # PL interpolation reproduces linear fields, so the energy is the area
     d = flat_disk()
     f = d.vertices[:, 0]
-    assert dirichlet_energy(d, f) == pytest.approx(mesh_area(d), rel=1e-12)
+    assert dirichlet_energy(d, f) == pytest.approx(_area(d), rel=1e-12)
     s = cotan_stiffness(d)
     assert np.max(np.abs(s @ np.ones(d.n_vertices))) < 1e-12
 
 
 def test_lumped_mass_totals_area():
     cl = clifford_torus(32)
-    assert np.sum(lumped_mass(cl)) == pytest.approx(mesh_area(cl, "triangle"), rel=1e-12)
+    assert np.sum(lumped_mass(cl)) == pytest.approx(_area(cl), rel=1e-12)
 
 
 def test_geodesic_distance_radial_disk_exact():
@@ -217,16 +213,3 @@ def test_level_set_perimeter_circle():
     assert per == pytest.approx(2.0 * math.pi * 0.37, rel=2e-2)
     # the value of the triangle-by-triangle loop the array form replaced
     assert per == pytest.approx(2.323845056146516, rel=1e-14)
-
-
-def test_push_preserves_sphere():
-    cl = clifford_torus(16)
-    pushed = push_along_normals(cl, 0.3)
-    assert np.max(np.abs(np.linalg.norm(pushed, axis=1) - 1.0)) < 1e-12
-
-
-def test_push_matches_parallel_torus():
-    cl = clifford_torus(32)
-    s = 0.1
-    t_new = 0.5 * (1.0 + math.sin(2.0 * s))
-    assert np.max(np.abs(push_along_normals(cl, s) - product_torus(t_new, 32).vertices)) < 1e-12

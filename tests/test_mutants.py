@@ -64,6 +64,22 @@ def test_criterion_3_fails_on_a_width_excess_six_percent_low(monkeypatch):
     assert cli.run(["width", "run", "--h", "0.5"]) == 2
 
 
+def test_criterion_5_fails_on_gradient_terms_five_percent_high(monkeypatch, capsys):
+    # the constant mode has no gradient and cannot see it; the invariant
+    # mode cos 2theta + cos 2phi reads +9.6e-2 against 4*pi^2
+    real = acceptance.sheet_elements
+
+    def steep(f, f_theta2, f_phi2):
+        return real(f, 1.05 * f_theta2, 1.05 * f_phi2)
+
+    monkeypatch.setattr(acceptance, "sheet_elements", steep)
+    res = acceptance.run_criterion(5)
+    assert not res.ok
+    assert "(rel 8.33e-04)" in res.detail and "(rel 9.6" in res.detail
+    assert cli.run(["fermi", "quad"]) == 2
+    assert "result: FAIL" in capsys.readouterr().out
+
+
 def test_criterion_9_fails_on_a_wrong_genus(monkeypatch):
     # the witness slice of genus m^2 + 1 reads chi + 2, one handle short
     real = doubling.euler_characteristic

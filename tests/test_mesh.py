@@ -213,3 +213,13 @@ def test_level_set_perimeter_circle():
     assert per == pytest.approx(2.0 * math.pi * 0.37, rel=2e-2)
     # the value of the triangle-by-triangle loop the array form replaced
     assert per == pytest.approx(2.323845056146516, rel=1e-14)
+
+
+def test_push_matches_parallel_torus():
+    # the great circles cos(s)p + sin(s)N from the Clifford torus's analytic
+    # normals land on the product torus at (1 + sin 2s)/2
+    cl = clifford_torus(32)
+    s = 0.1
+    t_new = 0.5 * (1.0 + math.sin(2.0 * s))
+    pushed = math.cos(s) * cl.vertices + math.sin(s) * cl.vertex_normals
+    assert np.max(np.abs(pushed - product_torus(t_new, 32).vertices)) < 1e-12

@@ -14,6 +14,7 @@ criterion.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -138,16 +139,21 @@ def width_excess(r):
     )
 
 
-def fermi_quad(cl, step):
+def fermi_quad(n, step):
     """`fermi quad`: the second difference of the area of the offsets
-    +-step*phi of the middle torus cl, against half of Q(phi), for the
-    constant mode and the invariant mode cos 2theta + cos 2phi.  Both
-    sheets are measured at once by the chart quadrature of sheet_elements,
-    so their sum at step s is A(s phi) + A(-s phi), and base_area is A(0),
-    the chart area."""
+    +-step*phi of the middle torus on the n-by-n chart grid, against half
+    of Q(phi), for the constant mode and the invariant mode cos 2theta +
+    cos 2phi.  Both sheets are measured at once by the chart quadrature of
+    sheet_elements, so their sum at step s is A(s phi) + A(-s phi), and
+    base_area is A(0), the chart area."""
     # the invariant mode peaks at 2
     check_offset("step", step, peak=2.0)
-    th, ph, w = chart_nodes(cl)
+    # the difference subtracts sums of about 4*pi^2, so its rounding error
+    # grows like eps/step^2; past QUAD_TOL/10 rounding would set the verdict
+    if sys.float_info.epsilon / (step * step) > 0.1 * QUAD_TOL:
+        raise DomainError("step = %s is so small that rounding (eps/step^2) sets the verdict"
+                          % step)
+    th, ph, w = chart_nodes(n)
     zero = np.zeros_like(th)
     # each mode with its chart partials and half of Q(phi) = int |grad phi|^2
     # - 4 phi^2, where |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2)
@@ -169,20 +175,19 @@ def fermi_quad(cl, step):
                      "coefficient": coeff, "target": target, "base_area": 0.5 * a0})
     return make_report(
         "fermi-quad",
-        {"n": cl.aux["grid_n"], "step": step, "tolerance": QUAD_TOL},
+        {"n": n, "step": step, "tolerance": QUAD_TOL},
         rows,
         QUAD_TOL,
     )
 
 
-def fermi_tubes(cl, h):
-    """`fermi tubes`: two-sided tube family over the middle torus cl with
-    one swap-symmetric puncture pair: every slice under the doubled base
-    area, and the margin at least KAPPA_FLOOR * h^2."""
-    n = cl.aux["grid_n"]
+def fermi_tubes(n, h):
+    """`fermi tubes`: two-sided tube family over the middle torus on the
+    n-by-n chart grid with one swap-symmetric puncture pair: every slice
+    under the doubled base area, and the margin at least KAPPA_FLOOR * h^2."""
     p = n // 4 * n + 3 * n // 4
     p_swap = 3 * n // 4 * n + n // 4
-    rep = two_sided_tube_family(cl, [p, p_swap], h)
+    rep = two_sided_tube_family(n, [p, p_swap], h)
     rep.summary["kappa_floor"] = KAPPA_FLOOR
     rep.summary["passed"] = rep.summary["passed"] and rep.summary["kappa"] >= KAPPA_FLOOR
     return rep
@@ -312,7 +317,7 @@ def _criterion_4():
 
 
 def _criterion_5():
-    rep = fermi_quad(clifford_torus(64), 0.05)
+    rep = fermi_quad(64, 0.05)
     # the chart area of the flat product metric, exact up to rounding
     rel_area = abs(rep.rows[0]["base_area"] / (2.0 * math.pi ** 2) - 1.0)
     ok = rep.summary["passed"] and rel_area <= 1e-4
@@ -360,8 +365,7 @@ def _criterion_7():
 
 
 def _criterion_8():
-    cl = clifford_torus(64)
-    summaries = [fermi_tubes(cl, h).summary for h in (0.02, 0.05)]
+    summaries = [fermi_tubes(64, h).summary for h in (0.02, 0.05)]
     ok = all(s["passed"] for s in summaries)
     detail = "sup under doubled budget and margin/h^2 = %.3f, %.3f over floor 0.05: %s" % (
         summaries[0]["kappa"], summaries[1]["kappa"], "yes" if ok else "NO"

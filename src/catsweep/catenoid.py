@@ -25,6 +25,8 @@ _TWO_PI = 2.0 * math.pi
 # below 2*pi*r^2*(1 + h/r), and h/r stays under the critical ratio 0.663,
 # so every area stays below 4*pi*r^2, which must be a finite double
 R_MAX = math.sqrt(sys.float_info.max / (4.0 * math.pi))
+# smallest circle radius: areas scale like r^2, which must be a normal double
+R_MIN = math.sqrt(sys.float_info.min)
 
 
 def _log_cosh(x):
@@ -83,6 +85,9 @@ class CatenoidSpec:
         if not self.r <= R_MAX:
             raise DomainError("circle radius r = %s exceeds %.6g, past which the areas overflow"
                               % (self.r, R_MAX))
+        if not self.r >= R_MIN:
+            raise DomainError("circle radius r = %s is below %.6g, where r^2 is no normal double"
+                              % (self.r, R_MIN))
 
 
 @dataclass(frozen=True)
@@ -169,10 +174,13 @@ def excess_over_disks(r, h, c):
 
     The direct subtraction loses every significant digit once the excess
     drops below float eps * 2*pi*r^2 (h around 1e-6 and smaller), so the
-    difference is rearranged into a cancellation-free product form.
+    difference is rearranged into a cancellation-free product form.  It is
+    evaluated in units of r and scaled back by r^2: r*c*c itself overflows
+    from r of about 5e102.
     """
-    root = _neck_root(r, c)
-    return _TWO_PI * (h * c - r * c * c / (r + root))
+    y = c / r
+    root = _neck_root(r, c) / r
+    return _TWO_PI * (h / r * y - y * y / (1.0 + root)) * r * r
 
 
 def excess_over_disks_scaled(r, h, c):

@@ -106,12 +106,12 @@ def build_parser():
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--step", type=float, default=0.05)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.fermi_quad(clifford_torus(a.n), a.step))
+    p.set_defaults(handler=lambda a: acceptance.fermi_quad(a.n, a.step))
     p = fer_sub.add_parser("tubes", help="two-sided tube family with one puncture pair")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--h", type=float, default=0.05)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.fermi_tubes(clifford_torus(a.n), a.h))
+    p.set_defaults(handler=lambda a: acceptance.fermi_tubes(a.n, a.h))
 
     cut = subs.add_parser("cutoff", help="log-cutoff energies")
     cut_sub = cut.add_subparsers(dest="action", required=True, parser_class=_Parser)

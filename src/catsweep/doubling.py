@@ -15,27 +15,24 @@ The paired slices are reported by their continuum areas, in closed form;
 one welded mesh per family is built as the witness of its genus.  The
 graph-neck and collapse stages are one surface, the two-sided offset of
 the punctured middle torus, and both are measured by the chart
-quadrature of its exact area element, `fermi.sheet_elements`, the one
-element criteria 5 and 8 check.  Every slice is invariant under the
-group, so the quadrature runs over one symmetry cell of the chart and
-the witness measures one of its congruent tubes, each times m^2.
+quadrature of its exact area element: `fermi.punctured_sheets`, the
+field and element criterion 8 checks, on `fermi.chart_nodes`, the nodes
+criterion 5 checks.  Every slice is invariant under the group, so the
+quadrature runs over the nodes of one symmetry cell of the chart grid,
+built without a mesh, and the witness measures one of its congruent
+tubes, each times m^2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetViolated, DomainError, RadiusTooLarge
-from .fermi import chart_nodes, log_cutoff, sheet_elements
-from .mesh import (
-    AMBIENT_S3,
-    MeshSurface,
-    _spherical_triangle_areas,
-    euler_characteristic,
-)
+from .fermi import chart_nodes, punctured_sheets
+from .mesh import _spherical_triangle_areas, euler_characteristic
 from .report import make_report
-from .surfaces import clifford_torus, flat_torus_gap, product_torus
+from .surfaces import flat_torus_gap, product_torus
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -384,12 +381,7 @@ class DoubledSlice:
     area_parts: dict
     chi: int
     removed_disk_area: float
-    tube_lateral_area: float
     n_tubes: int
-    ambient: str = AMBIENT_S3
-    copy_low: MeshSurface = None
-    copy_high: MeshSurface = None
-    aux: dict = field(default_factory=dict)
 
 
 def doubled_slice(t, m, schedule=None, n=None):
@@ -418,8 +410,7 @@ def doubled_slice(t, m, schedule=None, n=None):
         return DoubledSlice(
             t=t, m=m, stage="pair", vertices=verts, triangles=tris, area=total,
             area_parts={"tori": total, "collars": 0.0, "tubes": 0.0},
-            chi=euler_characteristic(tris), removed_disk_area=0.0,
-            tube_lateral_area=0.0, n_tubes=0, copy_low=low, copy_high=high,
+            chi=euler_characteristic(tris), removed_disk_area=0.0, n_tubes=0,
         )
     cap = 0.6 * min(_weld_capacity(t, n), _weld_capacity(1.0 - t, n))
     if radius >= cap:
@@ -499,10 +490,7 @@ def doubled_slice(t, m, schedule=None, n=None):
         t=t, m=m, stage="pair_tubes", vertices=verts, triangles=tris,
         area=area_tori + area_collars + area_tubes,
         area_parts={"tori": area_tori, "collars": area_collars, "tubes": area_tubes},
-        chi=euler_characteristic(tris), removed_disk_area=removed,
-        tube_lateral_area=area_tubes, n_tubes=m * m,
-        copy_low=low, copy_high=high,
-        aux={"tube_radius": radius},
+        chi=euler_characteristic(tris), removed_disk_area=removed, n_tubes=m * m,
     )
 
 
@@ -556,19 +544,17 @@ class _CellNodes:
     rho: np.ndarray
 
 
-def _cell_nodes(cl, m):
-    """The quadrature nodes of one cell of the middle torus cl.
+def _cell_nodes(n, m):
+    """The quadrature nodes of one cell of the middle torus's n-by-n grid.
 
     With 2m | n no chart triangle straddles two cells, so the cell holds
-    2 (n/m)^2 of the chart_nodes, and every other cell is its translate
-    under a rotation of the symmetry group.
+    the 2 (n/m)^2 chart_nodes of its n/m-by-n/m cells, and every other
+    cell is its translate under a rotation of the symmetry group.
     """
-    th, ph, weight = chart_nodes(cl)
+    th, ph, weight = chart_nodes(n, n // m)
     half = math.pi / m
-    inside = (th < 2.0 * half) & (ph < 2.0 * half)
-    th, ph = th[inside], ph[inside]
     return _CellNodes(
-        m=m, theta=th, phi=ph, weight=weight[inside],
+        m=m, theta=th, phi=ph, weight=weight,
         gap=_chart_center_gap(m, th, ph),
         rho=np.maximum(np.abs(th - half), np.abs(ph - half)) / half,
     )
@@ -587,13 +573,11 @@ def _sheet_area(cell, s, h_eff, t_neck):
     invariant under the symmetry group, so the m^2 cells contribute alike.
 
     In the chart of the image point the sheets have the area elements of
-    fermi.sheet_elements, and inside the band t^2 < gap < t the cutoff
-    gradient is f_theta^2 = ((1 - s) h_eff / log t)^2 a^2 / (4 gap^4), with
-    a, b the wrapped chart offsets to the nearest center (b in place of a
-    for f_phi^2).  The retraction u -> u ((1 - s) + s/rho), with rho the
-    sup norm of u over pi/m, has Jacobian (1 - s) ((1 - s) + s/rho) by
-    Euler's identity for the 1-homogeneous rho, so the area vanishes
-    exactly at s = 1.
+    fermi.punctured_sheets, with scale (1 - s) h_eff and a, b the wrapped
+    chart offsets to the nearest center.  The retraction u -> u ((1 - s) +
+    s/rho), with rho the sup norm of u over pi/m, has Jacobian (1 - s)
+    ((1 - s) + s/rho) by Euler's identity for the 1-homogeneous rho, so
+    the area vanishes exactly at s = 1.
 
     Returns the area of both sheets and the flat area of the nodes one
     sheet excises, each m^2 times the cell's.
@@ -602,15 +586,9 @@ def _sheet_area(cell, s, h_eff, t_neck):
     keep = cell.gap > t_neck * t_neck
     th2, ph2 = _retract_uv(m, s, cell.theta[keep], cell.phi[keep])
     jac = (1.0 - s) * ((1.0 - s) + s / cell.rho[keep])
-    gap = _chart_center_gap(m, th2, ph2)
-    scale = (1.0 - s) * h_eff
-    f = scale * log_cutoff(gap, t_neck)
-    band = (gap > t_neck * t_neck) & (gap < t_neck)
-    k = np.where(band, (scale / math.log(t_neck)) ** 2 / (4.0 * gap ** 4), 0.0)
     half = math.pi / m
-    a = th2 % (2.0 * half) - half
-    b = ph2 % (2.0 * half) - half
-    plus, minus = sheet_elements(f, k * a * a, k * b * b)
+    plus, minus = punctured_sheets(th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half,
+                                   _chart_center_gap(m, th2, ph2), (1.0 - s) * h_eff, t_neck)
     copies = m * m
     return (copies * float(np.sum(cell.weight[keep] * jac * (plus + minus))),
             0.5 * copies * float(np.sum(cell.weight[~keep])))
@@ -687,7 +665,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     if np.any(t_grid < 0.0) or np.any(t_grid > 0.5 + 1e-12):
         raise DomainError("slice parameters must sit in [0, 1/2]")
     budget = 4.0 * math.pi ** 2
-    cell = _cell_nodes(clifford_torus(n), m)
+    cell = _cell_nodes(n, m)
     rows = []
     witness = None
     for t in sorted(float(t) for t in t_grid):

@@ -2,11 +2,13 @@
 
 Claim (iii) rests on one formula, `sheet_elements`: the area element of
 the sheets +-f of the two-sided normal offset of the Clifford torus.
-Every such area is its midpoint quadrature on the `chart_nodes`: the
-doubled sweepout's graph-neck and collapse rows (`doubling._sheet_area`,
-on one symmetry cell), criterion 5's second variation
-(`acceptance.fermi_quad`) and criterion 8's punctured tube family
-(`two_sided_tube_family`).
+Every such area is its midpoint quadrature on the `chart_nodes`, built
+from the chart grid alone: the doubled sweepout's graph-neck and collapse
+rows (`doubling._sheet_area`, on one symmetry cell), criterion 5's second
+variation (`acceptance.fermi_quad`) and criterion 8's punctured tube
+family (`two_sided_tube_family`).  The punctured rows share one field,
+`punctured_sheets`: the offset scaled by the log cutoff about the
+nearest puncture, with its band gradient in closed form.
 
 Cutoffs read exact distance fields: the flat metric of a product torus
 (`surfaces.torus_distances`) or the radius about a radial disk's center.
@@ -26,7 +28,7 @@ from scipy.sparse.linalg import splu
 from .errors import DomainError, RadiusTooLarge, SolverFailure
 from .mesh import cotan_stiffness, dirichlet_energy, lumped_mass
 from .report import make_report
-from .surfaces import flat_torus_gap, torus_distances
+from .surfaces import check_grid, flat_torus_gap, torus_distances
 
 JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
 JACOBI_MAX_ITERS = 200
@@ -35,16 +37,27 @@ JACOBI_MAX_ITERS = 200
 TUBE_T_GRID = np.linspace(0.05, 0.35, 13)
 
 
-def chart_nodes(m):
-    """Midpoint nodes of a product torus's chart: the chart barycenters
-    (theta, phi) of its triangles, and their chart areas as weights."""
-    uv = m.chart_uv_corners
-    du = uv[:, 1, :] - uv[:, 0, :]
-    dv = uv[:, 2, :] - uv[:, 0, :]
+def chart_nodes(n, cells=None):
+    """Midpoint nodes of the n-by-n chart grid of the middle torus: the
+    barycenters (theta, phi) of its triangles and their chart areas.
+
+    Each cell [j d, (j+1) d) x [k d, (k+1) d), d = 2 pi/n, in row-major
+    order holds two triangles, (u0, v0) (u1, v0) (u1, v1) then (u0, v0)
+    (u1, v1) (u0, v1), the triangles of the product torus mesh.  With
+    cells = c only the c-by-c cells of the first rows and columns are
+    built, the same nodes in the same order.
+    """
+    check_grid(n)
+    c = n if cells is None else cells
+    d = 2.0 * np.pi / n
+    lo = np.arange(c) * d
+    hi = np.arange(1, c + 1) * d
+    u0, u1 = np.repeat(lo, c), np.repeat(hi, c)
+    v0, v1 = np.tile(lo, c), np.tile(hi, c)
     return (
-        uv[:, :, 0].mean(axis=1),
-        uv[:, :, 1].mean(axis=1),
-        0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]),
+        np.stack([(u0 + u1 + u1) / 3.0, (u0 + u1 + u0) / 3.0], axis=-1).ravel(),
+        np.stack([(v0 + v0 + v1) / 3.0, (v0 + v1 + v1) / 3.0], axis=-1).ravel(),
+        np.repeat(0.5 * ((u1 - u0) * (v1 - v0)), 2),
     )
 
 
@@ -89,8 +102,6 @@ class CutoffField:
     """Log-interpolated cutoff: 0 inside B_{t^2}, 1 outside B_t."""
 
     mesh: object
-    center: int
-    t: float
     values: np.ndarray
     dist: np.ndarray
 
@@ -124,7 +135,7 @@ def build_cutoff(m, p, t):
             "radius %.3g is no embedded disk here (bound %.3g)" % (t, bound)
         )
     dist = _distances_from(m, p)
-    return CutoffField(mesh=m, center=p, t=t, values=log_cutoff(dist, t), dist=dist)
+    return CutoffField(mesh=m, values=log_cutoff(dist, t), dist=dist)
 
 
 def cutoff_energy(c):
@@ -156,9 +167,6 @@ def cutoff_energy(c):
 
 @dataclass
 class JacobiData:
-    stiffness: object
-    potential: np.ndarray
-    mass: np.ndarray
     lowest_pair: tuple
     iterations: int     # inverse-iteration solves
     factor_nnz: int     # nonzeros of the L and U factors
@@ -214,56 +222,50 @@ def jacobi_lowest(m):
     if float(np.sum(mass * x)) < 0.0:
         x = -x
     return JacobiData(
-        stiffness=s,
-        potential=q,
-        mass=mass,
-        lowest_pair=(mu, x),
-        iterations=it,
-        factor_nnz=int(solver.L.nnz + solver.U.nnz),
+        lowest_pair=(mu, x), iterations=it, factor_nnz=int(solver.L.nnz + solver.U.nnz)
     )
 
 
-def two_sided_tube_family(m, p_list, h):
-    """Family of paired normal graphs +-h*eta_t over the middle torus m,
-    punctured at the vertices p_list.
+def punctured_sheets(a, b, gap, scale, t):
+    """Area elements of the sheets +-f, f = scale * log_cutoff(gap, t), over
+    the middle torus, given each node's chart offsets a, b (theta, phi)
+    from its puncture and their flat length gap.  In the band t^2 < gap < t
+    f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives f_phi^2.
+    """
+    band = (gap > t * t) & (gap < t)
+    k = np.where(band, (scale / math.log(t)) ** 2 / (4.0 * gap ** 4), 0.0)
+    return sheet_elements(scale * log_cutoff(gap, t), k * a * a, k * b * b)
 
-    For each neck radius t of TUBE_T_GRID the offset field is h times the
-    product of the log cutoffs about the punctures, the same cutoff and
-    band t^2 < gap < t that doubling._sheet_area uses; its chart partials
-    follow in closed form by the product rule.  Both sheets are measured
-    by the midpoint quadrature of sheet_elements on chart_nodes, and a
-    node within t^2 of a puncture is excised; removed_base_area is the
-    area one sheet excises.  The budget is twice the base area, the chart
-    area 2*pi^2 of the middle torus, and kappa is the margin over h^2.
+
+def two_sided_tube_family(n, p_list, h):
+    """Family of paired normal graphs +-h*eta_t over the middle torus on the
+    n-by-n chart grid, punctured at the grid vertices p_list.
+
+    For each neck radius t of TUBE_T_GRID both sheets are the
+    punctured_sheets about the nearest puncture, the field and band
+    doubling._sheet_area uses; while the punctures' t-balls are disjoint
+    this is h times the product of their cutoffs.  They are measured by
+    the midpoint quadrature on chart_nodes, and a node within t^2 of a
+    puncture is excised; removed_base_area is the area one sheet excises.
+    The budget is twice the base area, the chart area 2*pi^2 of the middle
+    torus, and kappa is the margin over h^2.
     """
     check_offset("h", h)
-    if m.aux.get("torus_t") != 0.5:
-        raise DomainError(
-            "the tube family lives on the middle torus, got mesh %r" % m.aux.get("name", "mesh")
-        )
-    th, ph, w = chart_nodes(m)
-    # signed chart offsets from each puncture, wrapped to [-pi, pi)
+    th, ph, w = chart_nodes(n)
+    # signed chart offsets from each puncture, wrapped to [-pi, pi), and the
+    # flat gap; each node keeps those of its nearest puncture
     offsets = []
     for p in p_list:
-        a = (th - m.aux["chart_theta"][p] + math.pi) % (2.0 * math.pi) - math.pi
-        b = (ph - m.aux["chart_phi"][p] + math.pi) % (2.0 * math.pi) - math.pi
+        a = (th - 2.0 * math.pi * (p // n) / n + math.pi) % (2.0 * math.pi) - math.pi
+        b = (ph - 2.0 * math.pi * (p % n) / n + math.pi) % (2.0 * math.pi) - math.pi
         offsets.append((a, b, flat_torus_gap(0.5, a, b, 2.0 * math.pi)))
-    nearest = np.min([gap for _, _, gap in offsets], axis=0)
+    offsets = np.array(offsets)
+    a, b, gap = offsets[np.argmin(offsets[:, 2], axis=0), :, np.arange(th.size)].T
     base_area = 0.5 * float(np.sum(w))
     rows = []
     for t in TUBE_T_GRID:
-        f = np.full(th.size, float(h))
-        f_th = np.zeros(th.size)
-        f_ph = np.zeros(th.size)
-        for a, b, gap in offsets:
-            eta = log_cutoff(gap, t)
-            # the cutoff's partials are -(a, b) / (2 gap^2 log t) in the band
-            slope = np.where((gap > t * t) & (gap < t), -0.5 / (math.log(t) * gap * gap), 0.0)
-            f_th = f_th * eta + f * slope * a
-            f_ph = f_ph * eta + f * slope * b
-            f = f * eta
-        keep = nearest > t * t
-        plus, minus = sheet_elements(f[keep], f_th[keep] ** 2, f_ph[keep] ** 2)
+        keep = gap > t * t
+        plus, minus = punctured_sheets(a[keep], b[keep], gap[keep], float(h), t)
         a_plus = float(np.sum(w[keep] * plus))
         a_minus = float(np.sum(w[keep] * minus))
         rows.append({"t": float(t), "area": a_plus + a_minus, "area_plus": a_plus,
@@ -274,7 +276,7 @@ def two_sided_tube_family(m, p_list, h):
             "h": float(h),
             "punctures": [int(p) for p in p_list],
             "n_t": len(rows),
-            "surface": m.aux.get("name", "mesh"),
+            "surface": "clifford_torus",
         },
         rows=rows,
         budget=2.0 * base_area,

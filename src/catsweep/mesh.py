@@ -1,12 +1,10 @@
 """Triangle meshes in flat space and in the round 3-sphere.
 
 Vertices live in the ambient chart (R^3, or R^4 restricted to the unit
-sphere), each with its unit normal and the two curvature terms of the
-Jacobi potential, |A|^2 and Ric(N, N).  Areas, stiffness and mass
-matrices, level-set lengths, and the Euler characteristic all work from
-the vertex/triangle arrays alone.  The product tori also carry the
-corners of their chart triangles, from which `fermi.chart_nodes` builds
-the quadrature nodes of the middle torus's offset area element.
+sphere), each with the two curvature terms of the Jacobi potential,
+|A|^2 and Ric(N, N).  Areas, stiffness and mass matrices, level-set
+lengths, and the Euler characteristic all work from the vertex/triangle
+arrays alone.
 
 Spherical triangle areas, the hot path of every doubled slice, gather each
 coordinate from one coordinate-major copy of the vertices and add the
@@ -36,21 +34,17 @@ AMBIENT_S3 = "round_s3"
 
 @dataclass
 class MeshSurface:
-    """Indexed triangle mesh with a unit normal, |A|^2 and Ric(N, N) per vertex.
+    """Indexed triangle mesh with |A|^2 and Ric(N, N) per vertex.
 
-    chart_uv_corners carries per-triangle corner coordinates of a parametric
-    chart (unwrapped, so periodic seams stay consistent), or None.  areas
-    holds the per-triangle metric areas, measured once at construction;
-    the vertex and triangle arrays are not changed after it.
+    areas holds the per-triangle metric areas, measured once at
+    construction; the vertex and triangle arrays are not changed after it.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     ambient: str
-    vertex_normals: np.ndarray
     a_norm2: np.ndarray
     ric_nn: np.ndarray
-    chart_uv_corners: np.ndarray = None
     aux: dict = field(default_factory=dict)
     areas: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -68,26 +62,16 @@ class MeshSurface:
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
             raise DomainError("triangle index out of range")
-        self.vertex_normals = np.asarray(self.vertex_normals, dtype=float)
-        if self.vertex_normals.shape != self.vertices.shape:
-            raise DomainError("normals must match vertex array shape")
         self.a_norm2 = np.asarray(self.a_norm2, dtype=float)
         self.ric_nn = np.asarray(self.ric_nn, dtype=float)
         if self.a_norm2.shape != (len(self.vertices),) or self.ric_nn.shape != (
             len(self.vertices),
         ):
             raise DomainError("curvature arrays must be per-vertex scalars")
-        norms = np.linalg.norm(self.vertex_normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise DomainError("vertex normals must be unit to 1e-10")
         if self.ambient == AMBIENT_S3:
             radii = np.linalg.norm(self.vertices, axis=1)
             if np.any(np.abs(radii - 1.0) > 1e-12):
                 raise DomainError("round_s3 vertices must satisfy |z|^2+|w|^2 = 1 to 1e-12")
-            # normals must also be tangent to the sphere
-            dots = np.abs(np.sum(self.vertices * self.vertex_normals, axis=1))
-            if np.any(dots > 1e-10):
-                raise DomainError("round_s3 normals must be tangent to the sphere")
         self.areas = triangle_areas(self)
         if self.triangles.size and np.any(self.areas <= 0.0):
             raise DomainError("every triangle needs positive metric area")

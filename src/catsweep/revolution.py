@@ -135,7 +135,8 @@ def _negative_pivots(diag, off):
 
 
 class _WidthEngine:
-    """Area descent, the two basins and the certified Newton saddle.
+    """Area descent, the two basins and the certified Newton saddle of the
+    circles of radius 1 at heights +-h, that is, in units of r.
 
     The descent direction is the area gradient smoothed by an inverse
     Sobolev operator (I - d^2/dx^2), which equalizes time scales across
@@ -149,16 +150,15 @@ class _WidthEngine:
     step reuses the geometry its accepted trial computed for the area.
     """
 
-    def __init__(self, r, h, n_nodes):
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
-        pinched = pinched_profile(r, h, n_nodes)
+    def __init__(self, h, n_nodes):
+        sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
+        pinched = pinched_profile(1.0, h, n_nodes)
         self.x = pinched.x_nodes
         self.dx = pinched.dx
         self.pinched = pinched.f_values
-        self.stable = catenoid_profile(r, h, sol.c_stable, n_nodes).f_values
-        self.r = r
-        self.where = "r = %s, h = %s" % (r, h)
-        self.floor = PINCH_FLOOR * r
+        self.stable = catenoid_profile(1.0, h, sol.c_stable, n_nodes).f_values
+        self.where = "h/r = %s" % h
+        self.floor = PINCH_FLOOR
         off = np.full(n_nodes - 3, -1.0 / self.dx ** 2)
         diag = np.full(n_nodes - 2, 1.0 + 2.0 / self.dx ** 2)
         # strictly diagonally dominant, so no pivot vanishes (info is 0)
@@ -166,7 +166,7 @@ class _WidthEngine:
         self.mid = n_nodes // 2
         # basin thresholds: h/x_tangent bounds the unstable neck from above,
         # so the midpoint against c_stable cannot fire during a saddle linger
-        self.neck_floor = max(2.0 * self.floor, 1e-3 * r)
+        self.neck_floor = max(2.0 * self.floor, 1e-3)
         self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
         self.steps_taken = 0
         self.newton_iterations = 0
@@ -262,7 +262,7 @@ class _WidthEngine:
         for _ in range(CLASSIFY_ITERS):
             f, geo, st, moved = self.step(f, geo, st)
             if not moved:
-                if np.max(np.abs(f - self.stable)) < 0.05 * self.r:
+                if np.max(np.abs(f - self.stable)) < 0.05:
                     return 1
                 raise NonConvergence("descent stalled away from both basins at %s" % self.where)
             neck = f[self.mid]
@@ -278,8 +278,8 @@ class _WidthEngine:
     def at(self, t):
         """The profile at t on the straight segment from pinched to stable."""
         f = (1.0 - t) * self.pinched + t * self.stable
-        f[0] = self.r
-        f[-1] = self.r
+        f[0] = 1.0
+        f[-1] = 1.0
         return f
 
     def run(self):
@@ -332,9 +332,13 @@ def mountain_pass_width(r, h):
     The sweep is the straight segment from the pinched surrogate to the
     stable catenoid on 201 nodes; the returned width matches the
     closed-form unstable catenoid area to the engine's discretization
-    error, with the realizing profile attached.
+    error, with the realizing profile attached.  The engine runs in units
+    of r, at (1, h/r), where no area overflows; the width and sweep_max
+    scale back by r^2, the profile by r and the residual by sqrt(r).
     """
-    engine = _WidthEngine(r, h, 201)
+    CatenoidSpec(r=r, h=h)  # refuses r and h outside the domain by name
+    engine = _WidthEngine(h / r, 201)
+    engine.where = "r = %s, h = %s" % (r, h)
     profile, geo, argmax_t, sweep_max, index = engine.run()
     if geo[0] < max(_frustum_area(f, engine.dx) for f in (engine.pinched, engine.stable)):
         raise NonConvergence("width fell below an endpoint area at %s" % engine.where)
@@ -344,13 +348,13 @@ def mountain_pass_width(r, h):
     # L2 norm is comparable across resolutions
     g = engine.gradient(geo)
     return WidthResult(
-        width=geo[0],
+        width=r * r * geo[0],
         argmax_t=argmax_t,
-        sweep_max=sweep_max,
-        profile_at_max=ProfileCurve(x_nodes=engine.x.copy(), f_values=profile),
+        sweep_max=r * r * sweep_max,
+        profile_at_max=ProfileCurve(x_nodes=r * engine.x, f_values=r * profile),
         iterations=engine.steps_taken,
         backtracks=engine.backtracks,
-        residual=math.sqrt(float(g @ g) / engine.dx),
+        residual=math.sqrt(r) * math.sqrt(float(g @ g) / engine.dx),
         classify_calls=engine.classify_calls,
         morse_index=index,
         newton_iterations=engine.newton_iterations,

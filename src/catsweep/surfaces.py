@@ -1,4 +1,4 @@
-"""Built-in meshed surfaces with analytic normals and curvature.
+"""Built-in meshed surfaces with analytic curvature.
 
 Each builder returns a MeshSurface with the analytic |A|^2 and Ric(N, N)
 per vertex; its aux dictionary carries the radius of the largest embedded
@@ -84,12 +84,10 @@ def flat_disk(n_theta=64, rings=None):
     )
     tris = np.concatenate([fan, cells.reshape(-1, 3)])
     n = len(verts)
-    normals = np.tile([0.0, 0.0, 1.0], (n, 1))
     mesh = MeshSurface(
         vertices=verts,
         triangles=tris,
         ambient=AMBIENT_R3,
-        vertex_normals=normals,
         a_norm2=np.zeros(n),
         ric_nn=np.zeros(n),
     )
@@ -106,12 +104,17 @@ def flat_disk(n_theta=64, rings=None):
     return mesh
 
 
+def check_grid(n):
+    """Refuse a chart grid too coarse to triangulate the torus."""
+    if n < 3:
+        raise DomainError("torus grid size n must be at least 3, got n = %d" % n)
+
+
 def product_torus(t, n=64):
     """The torus {|z|^2 = t} in the round S^3 on an n-by-n chart grid."""
     if not 0.0 < t < 1.0:
         raise DomainError("torus parameter must sit strictly inside (0, 1)")
-    if n < 3:
-        raise DomainError("torus grid size n must be at least 3, got n = %d" % n)
+    check_grid(n)
     a = math.sqrt(t)
     b = math.sqrt(1.0 - t)
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -123,10 +126,6 @@ def product_torus(t, n=64):
         [np.repeat(a * cos_a, n), np.repeat(a * sin_a, n),
          np.tile(b * cos_a, n), np.tile(b * sin_a, n)]
     )
-    normals = np.column_stack(
-        [np.repeat(b * cos_a, n), np.repeat(b * sin_a, n),
-         np.tile(-a * cos_a, n), np.tile(-a * sin_a, n)]
-    )
     tris = _grid_triangles(n, n)
     n_v = n * n
     k1 = -b / a  # curvature of the theta circles toward the chosen normal
@@ -136,20 +135,9 @@ def product_torus(t, n=64):
         vertices=verts,
         triangles=tris,
         ambient=AMBIENT_S3,
-        vertex_normals=normals,
         a_norm2=np.full(n_v, a2),
         ric_nn=np.full(n_v, 2.0),
     )
-    # chart corners per triangle, unwrapped across the periodic seam, in
-    # the cell order of _grid_triangles
-    d = 2.0 * np.pi / n
-    lo = np.arange(n) * d
-    hi = np.arange(1, n + 1) * d
-    u0, u1 = np.repeat(lo, n), np.repeat(hi, n)
-    v0, v1 = np.tile(lo, n), np.tile(hi, n)
-    uv_corners = np.stack([u0, v0, u1, v0, u1, v1, u0, v0, u1, v1, u0, v1], axis=-1)
-    uv_corners = uv_corners.reshape(-1, 3, 2)
-    mesh.chart_uv_corners = uv_corners
     mesh.aux.update(
         chart_theta=th,
         chart_phi=ph,

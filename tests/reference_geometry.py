@@ -3,8 +3,9 @@
 The round sphere gives meshes with known area, Euler characteristic and
 Jacobi spectrum; the cotangent quadratic form of the second variation is
 what the chart quadrature of the offset area is checked against; the
-full-grid sheet quadrature is what the doubled family's one-cell
-quadrature replaced.
+chart triangles' corners, cell by cell, are what the chart quadrature's
+nodes were first read off; the full-grid sheet quadrature is what the
+doubled family's one-cell quadrature replaced.
 """
 
 import math
@@ -60,7 +61,6 @@ def round_sphere(subdiv=4):
         vertices=verts,
         triangles=np.array(tris, dtype=np.int64),
         ambient=AMBIENT_R3,
-        vertex_normals=verts.copy(),
         a_norm2=np.full(n_v, 2.0),
         ric_nn=np.zeros(n_v),
     )
@@ -68,14 +68,43 @@ def round_sphere(subdiv=4):
     return mesh
 
 
-def full_grid_sheet_area(cl, m, s, h_eff, t_neck):
-    """doubling._sheet_area over every chart node of cl, not one cell.
+def chart_corners(n):
+    """Chart corners (theta, phi) of the 2 n^2 triangles of the n-by-n torus
+    grid, unwrapped across the periodic seam: per cell, in row-major order,
+    (u0, v0) (u1, v0) (u1, v1) then (u0, v0) (u1, v1) (u0, v1)."""
+    d = 2.0 * np.pi / n
+    uv_corners = np.zeros((2 * n * n, 3, 2))
+    idx = 0
+    for j in range(n):
+        for k in range(n):
+            u0, u1 = j * d, (j + 1) * d
+            v0, v1 = k * d, (k + 1) * d
+            uv_corners[idx] = [[u0, v0], [u1, v0], [u1, v1]]
+            uv_corners[idx + 1] = [[u0, v0], [u1, v1], [u0, v1]]
+            idx += 2
+    return uv_corners
+
+
+def corner_chart_nodes(n):
+    """The barycenters and chart areas of the chart_corners triangles."""
+    uv = chart_corners(n)
+    du = uv[:, 1, :] - uv[:, 0, :]
+    dv = uv[:, 2, :] - uv[:, 0, :]
+    return (
+        uv[:, :, 0].mean(axis=1),
+        uv[:, :, 1].mean(axis=1),
+        0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]),
+    )
+
+
+def full_grid_sheet_area(n, m, s, h_eff, t_neck):
+    """doubling._sheet_area over every chart node of the n-grid, not one cell.
 
     Same integrand and excision; nodes are the barycenters of all 2 n^2
     chart triangles, and every row recomputes them.  Returns the area of
     both sheets and the flat area of the nodes one sheet excises.
     """
-    th, ph, uv_area = chart_nodes(cl)
+    th, ph, uv_area = chart_nodes(n)
     keep = _chart_center_gap(m, th, ph) > t_neck * t_neck
     th, ph, w = th[keep], ph[keep], uv_area[keep]
     th2, ph2 = _retract_uv(m, s, th, ph)

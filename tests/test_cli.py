@@ -185,6 +185,8 @@ BAD_INPUTS = {
     "tubes-h-0.8": (["fermi", "tubes", "--h", "0.8"], "below pi/4, got h = 0.8"),
     "quad-step-underflow": (["fermi", "quad", "--step", "1e-170"], "step = 1e-170 is too small"),
     "quad-step-0.8": (["fermi", "quad", "--step", "0.8"], "below pi/4, got step = 0.8"),
+    # the second difference's rounding error eps/step^2 passes QUAD_TOL/10
+    "quad-step-rounding": (["fermi", "quad", "--step", "1e-7"], "step = 1e-07 is so small"),
     "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
     "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
@@ -194,6 +196,7 @@ BAD_INPUTS = {
     "solve-r-0": (["catenoid", "solve", "--r", "0", "--h", "0.1"], "r = 0.0"),
     "solve-r-overflow": (["catenoid", "solve", "--r", "1e200", "--h", "0.5"], "r = 1e+200 exceeds"),
     "scan-r-overflow": (["catenoid", "scan", "--r", "1e160"], "r = 1e+160 exceeds"),
+    "width-r-underflow": (["width", "run", "--r", "1e-160", "--h", "5e-161"], "r = 1e-160 is below"),
     "solve-h-1": (
         ["catenoid", "solve", "--r", "10", "--h", "1"], "-log h > 0, got h = 1.0"
     ),
@@ -239,6 +242,16 @@ def test_largest_accepted_radius(capsys):
     assert math.isfinite(row["area_unstable"]) and row["area_unstable"] > 1e307
     code = cli.run(["catenoid", "scan", "--r", repr(math.nextafter(R_MAX, math.inf))])
     _assert_one_line_error(code, capsys.readouterr().err, "exceeds")
+
+
+@pytest.mark.parametrize("r", [1000.0, 1e-3, R_MAX], ids=["1000", "1e-3", "R_MAX"])
+def test_width_run_in_units_of_r(r, capsys):
+    # the width engine runs at (1, h/r) and the excess in units of r, so
+    # every r gives the excess error of r = 1, up to the rounding of h/r
+    assert cli.run(["width", "run", "--r", repr(r), "--h", repr(0.5 * r), "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["morse_index"] == 1 and math.isfinite(row["width"])
+    assert row["area"] == pytest.approx(acceptance.width_run(1.0, 0.5).rows[0]["area"], rel=1e-9)
 
 
 def test_width_run_below_the_domain_fails_by_name(capsys):

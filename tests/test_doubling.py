@@ -393,7 +393,7 @@ def test_paired_rows_are_the_continuum_limit_of_the_mesh():
     assert 3.5e-4 <= excess64 <= 4.5e-4
     assert 3.5 <= excess64 / excess128 <= 4.5
     tubes = 8.0 * tube_area(t, sched.eta(t))
-    assert abs(coarse.tube_lateral_area / tubes - 1.0) < 2e-3
+    assert abs(coarse.area_parts["tubes"] / tubes - 1.0) < 2e-3
 
 
 def test_paired_rows_match_the_closed_form(report2):

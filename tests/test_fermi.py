@@ -42,53 +42,48 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
 
-def _sheet_areas(cl, h, phi, phi_theta, phi_phi):
-    """Areas of the sheets +-h*phi over the middle torus cl, by the chart
-    quadrature of the area element; phi and its partials at chart nodes."""
-    _, _, w = chart_nodes(cl)
+def _sheet_areas(n, h, phi, phi_theta, phi_phi):
+    """Areas of the sheets +-h*phi over the middle torus's n-grid, by the
+    chart quadrature of the area element; phi and its partials at chart
+    nodes."""
+    _, _, w = chart_nodes(n)
     plus, minus = sheet_elements(h * phi, (h * phi_theta) ** 2, (h * phi_phi) ** 2)
     return float(np.sum(w * plus)), float(np.sum(w * minus))
 
 
-def _constant_offset(cl, s):
-    ones = np.ones(2 * cl.aux["grid_n"] ** 2)
-    return _sheet_areas(cl, s, ones, 0.0 * ones, 0.0 * ones)
+def _constant_offset(n, s):
+    ones = np.ones(2 * n * n)
+    return _sheet_areas(n, s, ones, 0.0 * ones, 0.0 * ones)
 
 
 def test_zero_field_keeps_base_area():
     # the element of the middle torus is 1/2 per unit chart area
-    cl = clifford_torus(32)
-    plus, minus = _constant_offset(cl, 0.0)
+    plus, minus = _constant_offset(32, 0.0)
     assert plus == minus == pytest.approx(TWO_PI_SQ, rel=1e-14)
 
 
 def test_clifford_offsets_match_closed_form():
     # the offset at distance s is the product torus at (1 + sin 2s)/2, of
     # area 2*pi^2 cos 2s, on either side
-    cl = clifford_torus(64)
     for s in (0.05, 0.1, 0.2):
         exact = TWO_PI_SQ * math.cos(2.0 * s)
         assert cmc_area(0.5 * (1.0 + math.sin(2.0 * s))) == pytest.approx(exact, rel=1e-14)
-        for area in _constant_offset(cl, s):
+        for area in _constant_offset(64, s):
             assert area == pytest.approx(exact, rel=1e-14)
 
 
 def test_chart_overflow():
     # each sheet collapses onto a core circle at offset pi/4
-    cl = clifford_torus(16)
     with pytest.raises(DomainError, match="below pi/4, got h = 0.8"):
-        two_sided_tube_family(cl, [0], 0.8)
+        two_sided_tube_family(16, [0], 0.8)
     with pytest.raises(DomainError, match="h = 1e-300 is too small"):
-        two_sided_tube_family(cl, [0], 1e-300)
-    with pytest.raises(DomainError, match="middle torus"):
-        two_sided_tube_family(product_torus(0.3, 16), [0], 0.05)
+        two_sided_tube_family(16, [0], 1e-300)
 
 
 def test_quadratic_coefficient_of_offset_area():
-    cl = clifford_torus(64)
     d = 0.05
-    base = sum(_constant_offset(cl, 0.0))
-    coeff = 0.5 * (sum(_constant_offset(cl, d)) - base) / (d * d)
+    base = sum(_constant_offset(64, 0.0))
+    coeff = 0.5 * (sum(_constant_offset(64, d)) - base) / (d * d)
     assert abs(coeff + FOUR_PI_SQ) / FOUR_PI_SQ < 1e-2
     # 2*pi^2 (cos 2d - 1)/d^2: the difference's truncation alone
     assert coeff == pytest.approx(TWO_PI_SQ * (math.cos(2.0 * d) - 1.0) / (d * d), rel=1e-10)
@@ -103,10 +98,9 @@ def test_quadratic_form_constant_field():
 def test_expansion_error_is_fourth_order_here():
     # symmetric surface kills the cubic term, so the area minus the
     # two-term expansion |base| + (h^2/2) Q(1), Q(1) = -8*pi^2, is ~ h^4
-    cl = clifford_torus(64)
     errs = []
     for h in (0.1, 0.05, 0.025):
-        a = _constant_offset(cl, h)[0]
+        a = _constant_offset(64, h)[0]
         errs.append(abs(a - (TWO_PI_SQ - 4.0 * math.pi ** 2 * h * h)))
     assert math.log2(errs[0] / errs[1]) > 3.9
     assert math.log2(errs[1] / errs[2]) > 3.9
@@ -114,7 +108,7 @@ def test_expansion_error_is_fourth_order_here():
 
 def test_second_variation_against_quadratic_form():
     cl = clifford_torus(64)
-    th, ph, _ = chart_nodes(cl)
+    th, ph, _ = chart_nodes(64)
     rng = np.random.default_rng(11)
     for _ in range(3):
         # modes with a, b >= 2 stay clear of the kernel of the second variation
@@ -128,7 +122,7 @@ def test_second_variation_against_quadratic_form():
         phi_ph = -b * c0 * np.cos(a * th) * np.sin(b * ph) + b * c1 * np.cos(a * th + b * ph)
         h = 1e-3
         # the sheets +-h*phi together are A(h phi) + A(-h phi)
-        measured = 0.5 * (sum(_sheet_areas(cl, h, phi, phi_th, phi_ph)) - 2.0 * TWO_PI_SQ) / (h * h)
+        measured = 0.5 * (sum(_sheet_areas(64, h, phi, phi_th, phi_ph)) - 2.0 * TWO_PI_SQ) / (h * h)
         # each term is a Laplacian eigenfunction of eigenvalue 2(a^2 + b^2)
         # in the metric (dtheta^2 + dphi^2)/2, so Q(phi) = (2(a^2 + b^2) - 4)
         # times the L^2 norm (c0^2 + 2 c1^2) pi^2 / 2
@@ -241,11 +235,12 @@ def test_distances_only_on_exact_meshes():
 
 
 def test_jacobi_lowest_clifford():
-    jd = jacobi_lowest(clifford_torus(64))
+    cl = clifford_torus(64)
+    jd = jacobi_lowest(cl)
     mu, phi = jd.lowest_pair
     assert abs(mu + 4.0) < 1e-8
     assert phi.min() * phi.max() > 0.0
-    assert np.sum(jd.mass * phi * phi) == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(lumped_mass(cl) * phi * phi) == pytest.approx(1.0, rel=1e-12)
     # constant potential: the eigenfunction is constant
     assert phi.max() - phi.min() < 1e-10
     jd2 = jacobi_lowest(clifford_torus(128))
@@ -339,12 +334,11 @@ def test_jacobi_pure_laplacian_sphere():
 
 
 def test_tube_family_margins():
-    cl = clifford_torus(64)
-    n = cl.aux["grid_n"]
+    n = 64
     p = 16 * n + 48
     tau_p = 48 * n + 16
     for h in (0.02, 0.05):
-        rep = two_sided_tube_family(cl, [p, tau_p], h)
+        rep = two_sided_tube_family(n, [p, tau_p], h)
         assert rep.summary["budget"] == pytest.approx(2.0 * TWO_PI_SQ, rel=1e-15)
         assert rep.summary["sup_area"] < rep.summary["budget"]
         assert rep.summary["margin"] > 0.0
@@ -355,17 +349,16 @@ def test_tube_family_margins():
 
 
 def test_tube_family_limits():
-    cl = clifford_torus(64)
-    n = cl.aux["grid_n"]
+    n = 64
     p = 16 * n + 48
     # zero offset: exactly twice the punctured base area on every row
-    rep = two_sided_tube_family(cl, [p], 1e-9)
+    rep = two_sided_tube_family(n, [p], 1e-9)
     for row in rep.rows:
         assert row["area"] == pytest.approx(2.0 * (TWO_PI_SQ - row["removed_base_area"]), rel=1e-15)
     assert rep.rows[-1]["removed_base_area"] > 0.0
     # the smallest neck removes no node, and both graphs are nearly the
     # full offset surfaces 2*pi^2 cos 2h
-    row0 = two_sided_tube_family(cl, [p], 0.05).rows[0]
+    row0 = two_sided_tube_family(n, [p], 0.05).rows[0]
     assert row0["t"] == TUBE_T_GRID[0]
     assert row0["removed_base_area"] == 0.0
     assert row0["area"] == pytest.approx(2.0 * TWO_PI_SQ * math.cos(0.1), rel=1e-3)
@@ -373,13 +366,17 @@ def test_tube_family_limits():
 
 def test_tube_family_gradient_matches_central_differences():
     # the rows' closed-form cutoff partials against central differences of
-    # h * prod log_cutoff(gap_p, t) in the chart, through the same element
-    cl = clifford_torus(64)
-    n = cl.aux["grid_n"]
+    # h * prod log_cutoff(gap_p, t) in the chart, through the same element;
+    # the rows take the cutoff about the nearest puncture, which is that
+    # product while the punctures' t-balls are disjoint
+    n = 64
     pair = [16 * n + 48, 48 * n + 16]
     h = 0.05
-    th, ph, w = chart_nodes(cl)
-    centers = [(cl.aux["chart_theta"][p], cl.aux["chart_phi"][p]) for p in pair]
+    th, ph, w = chart_nodes(n)
+    ang = 2.0 * np.pi * np.arange(n) / n
+    centers = [(ang[p // n], ang[p % n]) for p in pair]
+    (tc0, pc0), (tc1, pc1) = centers
+    assert flat_torus_gap(0.5, tc0 - tc1, pc0 - pc1, 2.0 * math.pi) > 2.0 * TUBE_T_GRID[-1]
 
     def field(th, ph, t):
         f = np.full(th.shape, h)
@@ -391,7 +388,7 @@ def test_tube_family_gradient_matches_central_differences():
         return np.min([flat_torus_gap(0.5, th - tc, ph - pc, 2.0 * math.pi)
                        for tc, pc in centers], axis=0)
 
-    rep = two_sided_tube_family(cl, pair, h)
+    rep = two_sided_tube_family(n, pair, h)
     eps = 1e-7
     for row in rep.rows:
         t = row["t"]

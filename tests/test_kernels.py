@@ -3,9 +3,11 @@
 The references below are the straightforward forms the kernels replaced:
 row gathers and np.linalg.norm for the spherical areas, (lo, hi) edge rows
 for the Euler characteristic, trig over every vertex for the torus mesher,
-per-vertex and per-triangle loops for the flat disk.  The fast kernels
-compute the same floating-point operations in the same order, so those
-comparisons are exact (np.array_equal or ==), never approximate.  The
+per-vertex and per-triangle loops for the flat disk, and the chart
+triangles' corners (tests/reference_geometry.py) for the chart
+quadrature's nodes.  The fast kernels compute the same floating-point
+operations in the same order, so those comparisons are exact
+(np.array_equal, == or equal bytes), never approximate.  The
 exceptions are the doubled family's symmetry reductions and its sheet
 quadrature.  The graph-neck and collapse stages sum one symmetry cell
 and the witness slice measures one tube, each times m^2; they match the
@@ -36,10 +38,10 @@ from catsweep.doubling import (
     doubled_slice,
     handoff_offset,
 )
-from catsweep.fermi import log_cutoff
+from catsweep.fermi import chart_nodes, log_cutoff
 from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
-from catsweep.surfaces import clifford_torus, disk_rings_for_cutoff, flat_disk, product_torus
-from reference_geometry import full_grid_sheet_area
+from catsweep.surfaces import disk_rings_for_cutoff, flat_disk, product_torus
+from reference_geometry import corner_chart_nodes, full_grid_sheet_area
 
 
 def _ref_spherical_triangle_areas(verts, tris):
@@ -109,13 +111,8 @@ def _ref_collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):
     return np.cos(f)[:, None] * p + np.sin(f)[:, None] * nu
 
 
-def _ref_collapse_area(cl, m, s, h_eff, t_neck):
-    uv = cl.chart_uv_corners
-    bth = uv[:, :, 0].mean(axis=1)
-    bph = uv[:, :, 1].mean(axis=1)
-    du = uv[:, 1, :] - uv[:, 0, :]
-    dv = uv[:, 2, :] - uv[:, 0, :]
-    uv_area = 0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0])
+def _ref_collapse_area(n, m, s, h_eff, t_neck):
+    bth, bph, uv_area = corner_chart_nodes(n)
     keep = _chart_center_gap(m, bth, bph) > t_neck * t_neck
     bth = bth[keep]
     bph = bph[keep]
@@ -147,7 +144,8 @@ def test_slice_areas_match_reference(welded):
     got = _spherical_triangle_areas(welded.vertices, welded.triangles)
     want = _ref_spherical_triangle_areas(welded.vertices, welded.triangles)
     assert np.array_equal(got, want)
-    for copy in (welded.copy_low, welded.copy_high):
+    for t in (welded.t, 1.0 - welded.t):
+        copy = product_torus(t, default_resolution(welded.m))
         assert np.array_equal(copy.areas, _ref_spherical_triangle_areas(copy.vertices, copy.triangles))
 
 
@@ -203,19 +201,19 @@ def test_s3_triangle_areas_match_reference(tris):
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0] + [k / 7.0 for k in range(1, 7)])
 @pytest.mark.parametrize("m", [2, 3])
 def test_collapse_stage_matches_per_sheet_reference(m, s):
-    cl = clifford_torus(default_resolution(m))
-    cell = _cell_nodes(cl, m)
+    n = default_resolution(m)
+    cell = _cell_nodes(n, m)
     h_eff = handoff_offset(default_schedule().delta)
     if s == 0.0:
         for k in range(1, 8):
             neck = k / 7.0 * HANDOFF_NECK_MAX
             got, _ = _sheet_area(cell, 0.0, h_eff, neck)
-            assert got == pytest.approx(_ref_collapse_area(cl, m, 0.0, h_eff, neck), rel=1e-9)
+            assert got == pytest.approx(_ref_collapse_area(n, m, 0.0, h_eff, neck), rel=1e-9)
     elif s == 1.0:
         assert _sheet_area(cell, 1.0, h_eff, HANDOFF_NECK_MAX)[0] == 0.0
     else:
         got, _ = _sheet_area(cell, s, h_eff, HANDOFF_NECK_MAX)
-        ref = _ref_collapse_area(cl, m, s, h_eff, HANDOFF_NECK_MAX)
+        ref = _ref_collapse_area(n, m, s, h_eff, HANDOFF_NECK_MAX)
         assert ref - 2.5e-3 <= got <= ref
 
 
@@ -229,18 +227,18 @@ def _rel_err(got, want):
                          ids=["m2", "m3", "m4", "m2-n128"])
 def test_sheet_rows_match_the_full_grid_reference(m, n):
     rep = assemble_doubled_sweepout(m, n=n)
-    cl = clifford_torus(rep.meta["params"]["resolution"])
+    n = rep.meta["params"]["resolution"]
     h_eff = rep.meta["params"]["handoff_offset"]
     rows = [r for r in rep.rows if r["stage"] in ("graph_necks", "collapse")]
     assert len(rows) == 14
     for row in rows:
         if row["stage"] == "graph_necks":
-            area, removed = full_grid_sheet_area(cl, m, 0.0, h_eff, row["neck_radius"])
+            area, removed = full_grid_sheet_area(n, m, 0.0, h_eff, row["neck_radius"])
             assert _rel_err(row["removed_disk_area"], removed) <= 1e-13
         else:
-            area, _ = full_grid_sheet_area(cl, m, row["collapse_s"], h_eff, HANDOFF_NECK_MAX)
+            area, _ = full_grid_sheet_area(n, m, row["collapse_s"], h_eff, HANDOFF_NECK_MAX)
         assert _rel_err(row["area"], area) <= 1e-13
-    assert rep.summary["cell_nodes"] == 2 * (len(cl.vertices) // m ** 2)
+    assert rep.summary["cell_nodes"] == 2 * (n * n // m ** 2)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -249,7 +247,7 @@ def test_one_tube_area_is_the_all_tubes_sum(m):
     # the strips of the m^2 tubes close the slice's triangle list
     strips = sl.triangles[-m * m * 2 * TUBE_SEGMENTS * TUBE_RING_POINTS:]
     every = float(np.sum(_spherical_triangle_areas(sl.vertices, strips)))
-    assert _rel_err(sl.tube_lateral_area, every) <= 1e-13
+    assert _rel_err(sl.area_parts["tubes"], every) <= 1e-13
 
 
 def test_euler_characteristic_small_cases():
@@ -272,10 +270,17 @@ def test_torus_vertices_match_trig_over_every_vertex(n):
     ang = 2.0 * np.pi * np.arange(n) / n
     th, ph = np.repeat(ang, n), np.tile(ang, n)
     verts = np.column_stack([a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)])
-    normals = np.column_stack([b * np.cos(th), b * np.sin(th), -a * np.cos(ph), -a * np.sin(ph)])
-    m = product_torus(t, n)
-    assert np.array_equal(m.vertices, verts)
-    assert np.array_equal(m.vertex_normals, normals)
+    assert np.array_equal(product_torus(t, n).vertices, verts)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 1), (64, 1), (66, 1), (64, 2), (66, 3), (64, 4)])
+def test_chart_nodes_match_the_corner_reference_bytes(n, m):
+    # the full grid (m = 1), or the cells of the first n/m rows and columns:
+    # the masked subset of the corner nodes in one symmetry cell
+    want = corner_chart_nodes(n)
+    inside = (want[0] < 2.0 * math.pi / m) & (want[1] < 2.0 * math.pi / m)
+    for got, ref in zip(chart_nodes(n, n // m if m > 1 else None), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref[inside].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -61,12 +61,10 @@ def test_octant_triangle_spherical_area():
             [0.0, 0.0, 1.0, 0.0],
         ]
     )
-    normals = np.tile([0.0, 0.0, 0.0, 1.0], (3, 1))
     m = MeshSurface(
         vertices=verts,
         triangles=np.array([[0, 1, 2]]),
         ambient=AMBIENT_S3,
-        vertex_normals=normals,
         a_norm2=np.zeros(3),
         ric_nn=np.zeros(3),
     )
@@ -95,29 +93,12 @@ def _loop_grid_triangles(n_rows, n_cols):
     return np.array(tris, dtype=np.int64)
 
 
-def _loop_chart_corners(n):
-    d = 2.0 * np.pi / n
-    uv_corners = np.zeros((2 * n * n, 3, 2))
-    idx = 0
-    for j in range(n):
-        for k in range(n):
-            u0, u1 = j * d, (j + 1) * d
-            v0, v1 = k * d, (k + 1) * d
-            uv_corners[idx] = [[u0, v0], [u1, v0], [u1, v1]]
-            uv_corners[idx + 1] = [[u0, v0], [u1, v1], [u0, v1]]
-            idx += 2
-    return uv_corners
-
-
 @pytest.mark.parametrize("n", [3, 5, 64, 66])
 def test_torus_mesher_matches_loop_bytes(n):
     m = product_torus(0.3, n)
     want_tris = _loop_grid_triangles(n, n)
     assert m.triangles.dtype == want_tris.dtype
     assert m.triangles.tobytes() == want_tris.tobytes()
-    want_uv = _loop_chart_corners(n)
-    assert m.chart_uv_corners.shape == want_uv.shape
-    assert m.chart_uv_corners.tobytes() == want_uv.tobytes()
 
 
 # triangles over a few vertex ids: some ids go unused, and a triangle may
@@ -150,17 +131,6 @@ def test_validation_rejects_bad_input():
             vertices=cl.vertices * 1.001,  # off the sphere
             triangles=cl.triangles,
             ambient=AMBIENT_S3,
-            vertex_normals=cl.vertex_normals,
-            a_norm2=cl.a_norm2,
-            ric_nn=cl.ric_nn,
-        )
-    bad_normals = cl.vertex_normals * 2.0
-    with pytest.raises(DomainError):
-        MeshSurface(
-            vertices=cl.vertices,
-            triangles=cl.triangles,
-            ambient=AMBIENT_S3,
-            vertex_normals=bad_normals,
             a_norm2=cl.a_norm2,
             ric_nn=cl.ric_nn,
         )
@@ -169,7 +139,6 @@ def test_validation_rejects_bad_input():
             vertices=cl.vertices,
             triangles=np.array([[0, 1, 1]]),  # zero-area triangle
             ambient=AMBIENT_S3,
-            vertex_normals=cl.vertex_normals,
             a_norm2=cl.a_norm2,
             ric_nn=cl.ric_nn,
         )
@@ -217,9 +186,11 @@ def test_level_set_perimeter_circle():
 
 def test_push_matches_parallel_torus():
     # the great circles cos(s)p + sin(s)N from the Clifford torus's analytic
-    # normals land on the product torus at (1 + sin 2s)/2
+    # normals land on the product torus at (1 + sin 2s)/2; at p = (z, w) the
+    # unit normal tangent to S^3 is (z, -w)
     cl = clifford_torus(32)
     s = 0.1
     t_new = 0.5 * (1.0 + math.sin(2.0 * s))
-    pushed = math.cos(s) * cl.vertices + math.sin(s) * cl.vertex_normals
+    normals = cl.vertices * np.array([1.0, 1.0, -1.0, -1.0])
+    pushed = math.cos(s) * cl.vertices + math.sin(s) * normals
     assert np.max(np.abs(pushed - product_torus(t_new, 32).vertices)) < 1e-12

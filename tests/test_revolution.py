@@ -113,7 +113,7 @@ def test_profile_validation():
 
 
 def test_segment_ends():
-    engine = _WidthEngine(1.0, 0.3, 101)
+    engine = _WidthEngine(0.3, 101)
     first, last = engine.at(0.0), engine.at(1.0)
     for t in (0.0, 0.37, 1.0):
         f = engine.at(t)
@@ -299,7 +299,7 @@ def _reference_descent(p, r, steps):
 
 def _engine_on_grid(p):
     # an engine at r = 1 whose grid is p's
-    return _WidthEngine(1.0, float(p.x_nodes[-1]), p.x_nodes.size)
+    return _WidthEngine(float(p.x_nodes[-1]), p.x_nodes.size)
 
 
 def _descend(p, steps):
@@ -352,7 +352,7 @@ def test_sturm_count_matches_eigenvalues():
 
 
 def test_certificate_accepts_only_the_saddle():
-    engine = _WidthEngine(1.0, 0.5, 201)
+    engine = _WidthEngine(0.5, 201)
     saddle = _width(1.0, 0.5).profile_at_max.f_values
     assert engine.certify(saddle, engine.geometry(saddle)) == 1
     # index 0: the stable catenoid is no mountain pass

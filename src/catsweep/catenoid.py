@@ -200,38 +200,3 @@ def _neck_root(r, c):
     if not (0.0 < c < r):
         raise DomainError("need 0 < c < r, got c=%g, r=%g" % (c, r))
     return math.sqrt(r * r - c * c)
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    h: float
-    c_unstable: float
-    asymptotic_ratio: float
-
-
-@dataclass(frozen=True)
-class EstimateScan:
-    r: float
-    rows: tuple
-
-
-def asymptotic_ratio_scan(r, h_grid):
-    """Per-h record of the neck parameter against its h/(-log h) asymptote.
-
-    asymptotic_ratio is c_unstable*(-log h)/h, which tends to 1 from below
-    as h -> 0 (the approach is logarithmically slow).
-    """
-    h_grid = tuple(float(h) for h in h_grid)
-    if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
-        raise DomainError("h_grid must be strictly decreasing")
-    rows = []
-    for h in h_grid:
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
-        rows.append(
-            ScanRow(
-                h=h,
-                c_unstable=sol.c_unstable,
-                asymptotic_ratio=sol.c_unstable * (-math.log(h)) / h,
-            )
-        )
-    return EstimateScan(r=r, rows=tuple(rows))

@@ -10,11 +10,10 @@ family (`two_sided_tube_family`).  The punctured rows share one field,
 `punctured_sheets`: the offset scaled by the log cutoff about the
 nearest puncture, with its band gradient in closed form.
 
-Cutoffs read exact distance fields: the flat metric of a product torus
-(`surfaces.torus_distances`) or the radius about a radial disk's center.
-Other meshes raise DomainError; the mesh geodesic
-`mesh.geodesic_distances` now serves only the tests and the benchmark's
-tracer.
+A mesh cutoff (`build_cutoff`) reads the exact distance field of a
+product torus (`surfaces.torus_distances`); other meshes raise
+DomainError.  The mesh geodesic `mesh.geodesic_distances` serves only the
+tests and the benchmark's tracer.
 """
 
 import math
@@ -26,7 +25,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, RadiusTooLarge, SolverFailure
-from .mesh import cotan_stiffness, dirichlet_energy, lumped_mass
+from .mesh import cotan_stiffness, lumped_mass
 from .report import make_report
 from .surfaces import check_grid, flat_torus_gap, torus_distances
 
@@ -101,17 +100,8 @@ def check_offset(name, value, peak=1.0):
 class CutoffField:
     """Log-interpolated cutoff: 0 inside B_{t^2}, 1 outside B_t."""
 
-    mesh: object
     values: np.ndarray
     dist: np.ndarray
-
-
-def _distances_from(m, p):
-    # exact fields only: the radius about a radial disk's center, or the
-    # flat metric of a product torus (any other mesh raises DomainError)
-    if m.aux.get("radial") and p == m.aux.get("center_vertex"):
-        return np.array(m.aux["radius_of"], dtype=float)
-    return torus_distances(m, p)
 
 
 def log_cutoff(dist, t):
@@ -127,6 +117,8 @@ def log_cutoff(dist, t):
 
 
 def build_cutoff(m, p, t):
+    """The log cutoff about vertex p of a product torus mesh m, with the
+    exact distance field it reads."""
     if not 0.0 < t < 1.0:
         raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
     bound = m.aux.get("disk_radius_bound", math.inf)
@@ -134,35 +126,8 @@ def build_cutoff(m, p, t):
         raise RadiusTooLarge(
             "radius %.3g is no embedded disk here (bound %.3g)" % (t, bound)
         )
-    dist = _distances_from(m, p)
-    return CutoffField(mesh=m, values=log_cutoff(dist, t), dist=dist)
-
-
-def cutoff_energy(c):
-    """Dirichlet energy of the cutoff.
-
-    On ring-structured radial meshes the field depends on radius alone, and
-    the energy of its log-linear radial interpolant has the closed ring-sum
-    form 2*pi*sum (d eta)^2 / (d log r); otherwise the cotangent stiffness
-    quadratic form is used.
-    """
-    m = c.mesh
-    if m.aux.get("radial"):
-        rings = m.aux["rings"]
-        ring_of = m.aux["ring_of"]
-        n_theta = m.aux["n_theta"]
-        ring_vals = np.empty(len(rings))
-        for ri in range(len(rings)):
-            vals = c.values[ring_of == ri]
-            ring_vals[ri] = vals[0]
-            if np.max(np.abs(vals - vals[0])) > 1e-13:
-                # field breaks the radial symmetry; fall through to cotan
-                return dirichlet_energy(m, c.values)
-        d_eta = np.diff(ring_vals)
-        d_log = np.diff(np.log(rings))
-        keep = d_eta != 0.0
-        return float(2.0 * math.pi * np.sum(d_eta[keep] ** 2 / d_log[keep]))
-    return dirichlet_energy(m, c.values)
+    dist = torus_distances(m, p)
+    return CutoffField(values=log_cutoff(dist, t), dist=dist)
 
 
 @dataclass

@@ -12,11 +12,12 @@ squared chords coordinate by coordinate, in the order a row norm sums
 them, so areas match the row-gather form bit for bit.  The Euler
 characteristic counts distinct edge keys after one sort.
 
-The package measures distances in closed form (the flat metric of a
-product torus, the radius on a radial disk).  The mesh geodesic
-`geodesic_distances` and its `edge_lengths` serve only the tests, as the
-approximation those closed forms are checked against, and the benchmark's
-per-layer tracer.
+The package builds only product tori in S^3 (`surfaces`); flat-space
+meshes, the tests' disk and sphere, check the kernels.  Distances are
+measured in closed form, in the flat metric of a product torus.  The mesh
+geodesic `geodesic_distances` and its `edge_lengths` serve only the tests,
+as the approximation that closed form is checked against, and the
+benchmark's per-layer tracer.
 """
 
 import math

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .catenoid import CatenoidSpec, excess_over_disks, solve_parameters, tangency_abscissa
+from .catenoid import CatenoidSpec, solve_parameters, tangency_abscissa
 from .errors import DomainError, NonConvergence
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
@@ -359,43 +359,3 @@ def mountain_pass_width(r, h):
         morse_index=index,
         newton_iterations=engine.newton_iterations,
     )
-
-
-@dataclass(frozen=True)
-class ExcessRow:
-    h: float
-    naive_excess: float
-    optimal_excess: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class ExcessComparison:
-    r: float
-    rows: tuple
-    slope: float
-
-
-def excess_scaling_comparison(r, h_grid):
-    """Naive 2*pi*h^2 excess against the true saddle excess, with a slope fit.
-
-    The naive family cuts radius-t disks out of both end disks and joins
-    them by a cylinder: its area 2*pi*r^2 + 4*pi*h*t - 2*pi*t^2 peaks at
-    t = h, with excess 2*pi*h^2.  The ratio grows like a multiple of
-    -log h; the fit regresses log(ratio) on log(-log h), so a slope near 1
-    confirms the logarithmic gain.
-    """
-    rows = []
-    lognl = []
-    logratio = []
-    for h in h_grid:
-        sol = solve_parameters(CatenoidSpec(r=r, h=float(h)))
-        naive = 2.0 * math.pi * h * h
-        optimal = excess_over_disks(r, float(h), sol.c_unstable)
-        rows.append(
-            ExcessRow(h=float(h), naive_excess=naive, optimal_excess=optimal, ratio=naive / optimal)
-        )
-        lognl.append(math.log(-math.log(h)))
-        logratio.append(math.log(naive / optimal))
-    slope = float(np.polyfit(lognl, logratio, 1)[0])
-    return ExcessComparison(r=float(r), rows=tuple(rows), slope=slope)

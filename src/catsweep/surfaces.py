@@ -1,9 +1,11 @@
-"""Built-in meshed surfaces with analytic curvature.
+"""Built-in meshed surfaces with analytic curvature, and the ring radii of
+the flat disk's cutoff band.
 
-Each builder returns a MeshSurface with the analytic |A|^2 and Ric(N, N)
-per vertex; its aux dictionary carries the radius of the largest embedded
-disk and whatever structural extras the surface supports: ring layout on
-the flat disk, chart coordinates and exact distances on product tori.
+Each builder returns a MeshSurface of a product torus in the round S^3,
+with the analytic |A|^2 and Ric(N, N) per vertex; its aux dictionary
+carries the radius of the largest embedded disk and the chart coordinates
+the exact distances read.  The flat disk is not meshed: criterion 7 sums
+its cutoff energy over `disk_rings_for_cutoff`.
 """
 
 import math
@@ -12,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError
-from .mesh import AMBIENT_R3, AMBIENT_S3, MeshSurface
+from .mesh import AMBIENT_S3, MeshSurface
 
 
 def _grid_triangles(n_rows, n_cols):
@@ -33,75 +35,18 @@ def _grid_triangles(n_rows, n_cols):
     return cells.reshape(-1, 3)
 
 
-def disk_rings_for_cutoff(t, per_decade=8):
-    """Ring radii resolving the annulus [t^2, t] in log scale, out to 1.
+def disk_rings_for_cutoff(t):
+    """Ring radii of the cutoff band [t^2, t] of the flat disk, t^2 and t
+    included: log-spaced, 8 a decade and at least 4 intervals.
 
-    Includes t^2 and t exactly, plus a couple of interior rings below t^2,
-    so a cutoff at outer radius t is piecewise log-linear on ring values.
+    A log cutoff is linear in log r between them, so its Dirichlet energy
+    is a ring sum over them (`acceptance.cutoff_disk`).
     """
     if not 0.0 < t < 1.0:
         raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
-    if (0.25 * t * t) ** 4 < sys.float_info.min:
-        # triangle areas multiply four coordinates of the innermost ring
-        raise DomainError(
-            "cutoff radius too small for the disk mesh (the innermost ring"
-            " 0.25*t^2 needs a normal 4th power), got t = %s" % t
-        )
-    inner = [0.25 * t * t, 0.5 * t * t]
-    n1 = max(4, int(math.ceil(per_decade * (-math.log10(t)))))
-    annulus = np.geomspace(t * t, t, n1 + 1)
-    n2 = max(4, int(math.ceil(per_decade * (-math.log10(t)))))
-    outer = np.geomspace(t, 1.0, n2 + 1)
-    rings = np.concatenate([inner, annulus, outer[1:]])
-    return np.unique(rings)
-
-
-def flat_disk(n_theta=64, rings=None):
-    """Unit disk in the z = 0 plane, center vertex plus concentric rings."""
-    if rings is None:
-        rings = np.linspace(1.0 / 16, 1.0, 16)
-    rings = np.asarray(rings, dtype=float)
-    if rings.ndim != 1 or rings.size < 2 or np.any(np.diff(rings) <= 0) or rings[0] <= 0:
-        raise DomainError("ring radii must be positive and increasing")
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    # math.cos/math.sin once per angle, broadcast over the rings
-    cos_t = np.array([math.cos(th) for th in theta])
-    sin_t = np.array([math.sin(th) for th in theta])
-    n_rings = len(rings)
-    verts = np.zeros((1 + n_rings * n_theta, 3))
-    verts[1:, 0] = (rings[:, None] * cos_t).ravel()
-    verts[1:, 1] = (rings[:, None] * sin_t).ravel()
-    ring_of = np.concatenate([[-1], np.repeat(np.arange(n_rings), n_theta)])
-    radius_of = np.concatenate([[0.0], np.repeat(rings, n_theta)])
-    # the center fan, then two triangles per cell between rings ri and ri + 1
-    k = np.arange(n_theta, dtype=np.int64)
-    k1 = (k + 1) % n_theta
-    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64), 1 + k, 1 + k1])
-    base0 = (1 + np.arange(n_rings - 1, dtype=np.int64) * n_theta)[:, None]
-    base1 = base0 + n_theta
-    cells = np.stack(
-        [base0 + k, base1 + k, base1 + k1, base0 + k, base1 + k1, base0 + k1], axis=-1
-    )
-    tris = np.concatenate([fan, cells.reshape(-1, 3)])
-    n = len(verts)
-    mesh = MeshSurface(
-        vertices=verts,
-        triangles=tris,
-        ambient=AMBIENT_R3,
-        a_norm2=np.zeros(n),
-        ric_nn=np.zeros(n),
-    )
-    mesh.aux.update(
-        radial=True,
-        rings=rings,
-        ring_of=ring_of,
-        radius_of=radius_of,
-        center_vertex=0,
-        n_theta=n_theta,
-        disk_radius_bound=float(rings[-1]),
-        name="flat_disk",
-    )
-    return mesh
+    if t * t < sys.float_info.min:
+        raise DomainError("cutoff radius too small: t^2 is no normal double, got t = %s" % t)
+    return np.geomspace(t * t, t, max(4, math.ceil(8 * (-math.log10(t)))) + 1)
 
 
 def check_grid(n):

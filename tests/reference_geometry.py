@@ -1,11 +1,12 @@
 """Test-only references no package code calls.
 
-The round sphere gives meshes with known area, Euler characteristic and
-Jacobi spectrum; the cotangent quadratic form of the second variation is
-what the chart quadrature of the offset area is checked against; the
-chart triangles' corners, cell by cell, are what the chart quadrature's
-nodes were first read off; the full-grid sheet quadrature is what the
-doubled family's one-cell quadrature replaced.
+The flat disk and the round sphere give meshes with known area, Euler
+characteristic, distances and (the sphere) Jacobi spectrum; the cotangent
+quadratic form of the second variation is what the chart quadrature of
+the offset area is checked against; the chart triangles' corners, cell by
+cell, are what the chart quadrature's nodes were first read off; the
+full-grid sheet quadrature is what the doubled family's one-cell
+quadrature replaced.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from catsweep.doubling import _chart_center_gap, _retract_uv
 from catsweep.fermi import chart_nodes, log_cutoff, sheet_elements
 from catsweep.mesh import AMBIENT_R3, MeshSurface, dirichlet_energy, lumped_mass
+from catsweep.surfaces import disk_rings_for_cutoff
 
 
 def quadratic_form(m, phi):
@@ -22,6 +24,51 @@ def quadratic_form(m, phi):
     phi = np.asarray(phi, dtype=float)
     q = m.a_norm2 + m.ric_nn
     return dirichlet_energy(m, phi) - float(np.sum(lumped_mass(m) * phi * phi * q))
+
+
+def disk_mesh_rings(t):
+    """Rings of a flat disk mesh about a cutoff at t: two inside t^2, the
+    band disk_rings_for_cutoff(t), and as many log-spaced from t out to 1."""
+    band = disk_rings_for_cutoff(t)
+    outer = np.geomspace(t, 1.0, len(band))
+    return np.unique(np.concatenate([[0.25 * t * t, 0.5 * t * t], band, outer[1:]]))
+
+
+def flat_disk(n_theta=64, rings=None):
+    """Unit disk in the z = 0 plane, center vertex plus concentric rings."""
+    if rings is None:
+        rings = np.linspace(1.0 / 16, 1.0, 16)
+    rings = np.asarray(rings, dtype=float)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    # math.cos/math.sin once per angle, broadcast over the rings
+    cos_t = np.array([math.cos(th) for th in theta])
+    sin_t = np.array([math.sin(th) for th in theta])
+    n_rings = len(rings)
+    verts = np.zeros((1 + n_rings * n_theta, 3))
+    verts[1:, 0] = (rings[:, None] * cos_t).ravel()
+    verts[1:, 1] = (rings[:, None] * sin_t).ravel()
+    ring_of = np.concatenate([[-1], np.repeat(np.arange(n_rings), n_theta)])
+    radius_of = np.concatenate([[0.0], np.repeat(rings, n_theta)])
+    # the center fan, then two triangles per cell between rings ri and ri + 1
+    k = np.arange(n_theta, dtype=np.int64)
+    k1 = (k + 1) % n_theta
+    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64), 1 + k, 1 + k1])
+    base0 = (1 + np.arange(n_rings - 1, dtype=np.int64) * n_theta)[:, None]
+    base1 = base0 + n_theta
+    cells = np.stack(
+        [base0 + k, base1 + k, base1 + k1, base0 + k, base1 + k1, base0 + k1], axis=-1
+    )
+    tris = np.concatenate([fan, cells.reshape(-1, 3)])
+    n = len(verts)
+    mesh = MeshSurface(
+        vertices=verts,
+        triangles=tris,
+        ambient=AMBIENT_R3,
+        a_norm2=np.zeros(n),
+        ric_nn=np.zeros(n),
+    )
+    mesh.aux.update(ring_of=ring_of, radius_of=radius_of, name="flat_disk")
+    return mesh
 
 
 def round_sphere(subdiv=4):

@@ -17,7 +17,6 @@ from catsweep.catenoid import (
     HALVING_GRID,
     TOL_ROOT,
     CatenoidSpec,
-    asymptotic_ratio_scan,
     critical_ratio,
     excess_over_disks,
     excess_over_disks_scaled,
@@ -249,10 +248,10 @@ def test_scaled_excess_survives_underflow():
 
 
 def test_asymptotic_ratio_scan():
-    grid = [h for h, _ in RATIO_TABLE]
-    scan = asymptotic_ratio_scan(1.0, grid)
-    assert scan.r == 1.0
-    got = [row.asymptotic_ratio for row in scan.rows]
+    # the neck parameter against its asymptote: c_unstable*(-log h)/h,
+    # the ratio criterion 2 reads
+    necks = [solve_parameters(CatenoidSpec(r=1.0, h=h)).c_unstable for h, _ in RATIO_TABLE]
+    got = [c * (-math.log(h)) / h for c, (h, _) in zip(necks, RATIO_TABLE)]
     for val, (_, expect) in zip(got, RATIO_TABLE):
         assert val == pytest.approx(expect, abs=1e-6)
     # the gap to the limit shrinks monotonically along the grid
@@ -260,11 +259,5 @@ def test_asymptotic_ratio_scan():
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     # every row also keeps the bound ordering; compare excesses over the
     # two-disk area since below h ~ 1e-7 both sides round to 2*pi itself
-    for row in scan.rows:
-        excess = excess_over_disks(1.0, row.h, row.c_unstable)
-        assert excess <= 4.0 * math.pi * row.h ** 2 / (-math.log(row.h))
-
-
-def test_scan_rejects_non_decreasing_grid():
-    with pytest.raises(DomainError):
-        asymptotic_ratio_scan(1.0, [1e-3, 1e-2])
+    for c, (h, _) in zip(necks, RATIO_TABLE):
+        assert excess_over_disks(1.0, h, c) <= 4.0 * math.pi * h ** 2 / (-math.log(h))

@@ -254,6 +254,23 @@ def test_width_run_in_units_of_r(r, capsys):
     assert row["area"] == pytest.approx(acceptance.width_run(1.0, 0.5).rows[0]["area"], rel=1e-9)
 
 
+@pytest.mark.parametrize("r", [1e-150, 0.1, 10.0, 1e150, R_MAX],
+                         ids=["1e-150", "0.1", "10", "1e150", "R_MAX"])
+def test_width_excess_in_units_of_r(r, capsys):
+    # the grid is read as h/r and the excesses are taken at (1, h/r), so
+    # every r gives the slope of r = 1 bit for bit
+    assert cli.run(["width", "excess", "--r", repr(r), "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["slope"] == acceptance.width_excess(1.0).rows[0]["slope"]
+
+
+@pytest.mark.parametrize("t", [5e-39, 1e-100])
+def test_cutoff_disk_down_to_a_normal_t_squared(t, capsys):
+    # the ring sum needs only t^2 to be a normal double
+    assert cli.run(["cutoff", "disk", "--t", repr(t), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["area"] <= 1e-15
+
+
 def test_width_run_below_the_domain_fails_by_name(capsys):
     # the width engine's domain at r = 1 ends between h = 0.008 and 0.007:
     # below it the saddle found is no certified mountain pass.  At 0.008 the

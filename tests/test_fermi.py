@@ -7,6 +7,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from catsweep import fermi
+from catsweep.acceptance import cutoff_disk
 from catsweep.doubling import cmc_area
 from catsweep.errors import DomainError, RadiusTooLarge, SolverFailure
 from catsweep.fermi import (
@@ -15,7 +16,6 @@ from catsweep.fermi import (
     TUBE_T_GRID,
     build_cutoff,
     chart_nodes,
-    cutoff_energy,
     jacobi_lowest,
     log_cutoff,
     sheet_elements,
@@ -23,6 +23,7 @@ from catsweep.fermi import (
 )
 from catsweep.mesh import (
     cotan_stiffness,
+    dirichlet_energy,
     geodesic_distances,
     level_set_perimeter,
     lumped_mass,
@@ -30,13 +31,12 @@ from catsweep.mesh import (
 from catsweep.surfaces import (
     clifford_torus,
     disk_rings_for_cutoff,
-    flat_disk,
     flat_torus_gap,
     product_torus,
     torus_distances,
 )
 
-from reference_geometry import quadratic_form, round_sphere
+from reference_geometry import disk_mesh_rings, flat_disk, quadratic_form, round_sphere
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -135,39 +135,41 @@ def test_second_variation_against_quadratic_form():
 
 def test_cutoff_field_cases():
     t = 0.01
-    dk = flat_disk(64, disk_rings_for_cutoff(t))
-    c = build_cutoff(dk, 0, t)
-    r = dk.aux["radius_of"]
-    outer = r >= t
-    assert np.all(c.values[outer] == 1.0)
-    assert np.all(c.values[r <= t * t] == 0.0)
-    # log-midpoint radius t^{3/2} sits on a ring by construction
+    r = disk_mesh_rings(t)
+    values = log_cutoff(r, t)
+    assert np.all(values[r >= t] == 1.0)
+    assert np.all(values[r <= t * t] == 0.0)
+    # log-midpoint radius t^{3/2} sits on a ring of the band by construction
     mid = np.isclose(r, t ** 1.5, rtol=1e-12)
-    assert np.any(mid)
-    assert np.allclose(c.values[mid], 0.5, atol=1e-12)
-    assert np.all((0.0 <= c.values) & (c.values <= 1.0))
+    assert np.any(mid) and np.any(np.isclose(disk_rings_for_cutoff(t), t ** 1.5, rtol=1e-12))
+    assert np.allclose(values[mid], 0.5, atol=1e-12)
+    assert np.all((0.0 <= values) & (values <= 1.0))
 
 
 def test_cutoff_radius_guards():
-    dk = flat_disk(32, np.linspace(0.05, 0.5, 8))
+    # the largest embedded disk of the product torus |z|^2 = 0.05 has radius 0.35
+    m = product_torus(0.05, 16)
     with pytest.raises(RadiusTooLarge):
-        build_cutoff(dk, 0, 0.6)
-    with pytest.raises(DomainError):
-        build_cutoff(dk, 0, 1.5)
+        build_cutoff(m, 0, 0.6)
+    for t in (1.5, 0.0):
+        with pytest.raises(DomainError):
+            build_cutoff(m, 0, t)
+        with pytest.raises(DomainError):
+            disk_rings_for_cutoff(t)
+    # the ring sum needs a normal t^2: t = 1.4e-154 is just below that floor
+    disk_rings_for_cutoff(1.5e-154)
+    with pytest.raises(DomainError, match="t = 1.4e-154"):
+        disk_rings_for_cutoff(1.4e-154)
 
 
 def test_flat_disk_cutoff_energy_closed_form():
     for t in (1e-2, 1e-3):
-        dk = flat_disk(64, disk_rings_for_cutoff(t))
-        e = cutoff_energy(build_cutoff(dk, 0, t))
+        e = cutoff_disk(t).rows[0]["energy"]
         assert e == pytest.approx(2.0 * math.pi / (-math.log(t)), rel=1e-12)
 
 
 def test_cutoff_energy_decay_rate():
-    prods = []
-    for t in (1e-2, 1e-3, 1e-4):
-        dk = flat_disk(64, disk_rings_for_cutoff(t))
-        prods.append(cutoff_energy(build_cutoff(dk, 0, t)) * (-math.log(t)))
+    prods = [cutoff_disk(t).rows[0]["energy"] * (-math.log(t)) for t in (1e-2, 1e-3, 1e-4)]
     assert np.allclose(prods, 2.0 * math.pi, rtol=1e-12)
 
 
@@ -179,7 +181,7 @@ def test_clifford_cutoff_energy_bound():
     radii = (0.2, 0.3, 0.5, 0.8)
     d_const = 2.0 * max(level_set_perimeter(cl, dist, lam) / lam for lam in radii)
     t = 0.05
-    e = cutoff_energy(build_cutoff(cl, center, t))
+    e = dirichlet_energy(cl, build_cutoff(cl, center, t).values)
     assert e <= d_const / (-math.log(t))
     assert d_const == pytest.approx(4.0 * math.pi, rel=2e-2)
 
@@ -227,11 +229,12 @@ def test_torus_distance_matches_mesh_geodesic_near_source(t):
 
 
 def test_distances_only_on_exact_meshes():
+    # a mesh cutoff reads the distances of a product torus; even the center
+    # of a flat disk is refused
     with pytest.raises(DomainError, match="round_sphere"):
         build_cutoff(round_sphere(2), 0, 0.1)
-    dk = flat_disk(32, np.linspace(0.05, 0.5, 8))
     with pytest.raises(DomainError, match="flat_disk"):
-        build_cutoff(dk, 5, 0.1)
+        build_cutoff(flat_disk(32, np.linspace(0.05, 0.5, 8)), 0, 0.1)
 
 
 def test_jacobi_lowest_clifford():

@@ -3,11 +3,11 @@
 The references below are the straightforward forms the kernels replaced:
 row gathers and np.linalg.norm for the spherical areas, (lo, hi) edge rows
 for the Euler characteristic, trig over every vertex for the torus mesher,
-per-vertex and per-triangle loops for the flat disk, and the chart
-triangles' corners (tests/reference_geometry.py) for the chart
-quadrature's nodes.  The fast kernels compute the same floating-point
-operations in the same order, so those comparisons are exact
-(np.array_equal, == or equal bytes), never approximate.  The
+per-vertex and per-triangle loops for the mesh tests' flat disk fixture,
+and the chart triangles' corners for the chart quadrature's nodes (both
+in tests/reference_geometry.py).  The fast forms compute the same
+floating-point operations in the same order, so those comparisons are
+exact (np.array_equal, == or equal bytes), never approximate.  The
 exceptions are the doubled family's symmetry reductions and its sheet
 quadrature.  The graph-neck and collapse stages sum one symmetry cell
 and the witness slice measures one tube, each times m^2; they match the
@@ -40,8 +40,8 @@ from catsweep.doubling import (
 )
 from catsweep.fermi import chart_nodes, log_cutoff
 from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
-from catsweep.surfaces import disk_rings_for_cutoff, flat_disk, product_torus
-from reference_geometry import corner_chart_nodes, full_grid_sheet_area
+from catsweep.surfaces import product_torus
+from reference_geometry import corner_chart_nodes, disk_mesh_rings, flat_disk, full_grid_sheet_area
 
 
 def _ref_spherical_triangle_areas(verts, tris):
@@ -288,8 +288,8 @@ def test_chart_nodes_match_the_corner_reference_bytes(n, m):
     [
         (64, np.linspace(1.0 / 16, 1.0, 16)),
         (3, np.array([0.5, 1.0])),
-        (64, disk_rings_for_cutoff(1e-2)),
-        (64, disk_rings_for_cutoff(1e-3)),
+        (64, disk_mesh_rings(1e-2)),
+        (64, disk_mesh_rings(1e-3)),
     ],
 )
 def test_flat_disk_matches_loop_reference(n_theta, rings):

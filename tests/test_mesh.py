@@ -18,14 +18,9 @@ from catsweep.mesh import (
     lumped_mass,
     triangle_areas,
 )
-from catsweep.surfaces import (
-    clifford_torus,
-    disk_rings_for_cutoff,
-    flat_disk,
-    product_torus,
-)
+from catsweep.surfaces import clifford_torus, product_torus
 
-from reference_geometry import round_sphere
+from reference_geometry import disk_mesh_rings, flat_disk, round_sphere
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -159,7 +154,7 @@ def test_lumped_mass_totals_area():
 
 
 def test_geodesic_distance_radial_disk_exact():
-    dk = flat_disk(64, disk_rings_for_cutoff(0.1))
+    dk = flat_disk(64, disk_mesh_rings(0.1))
     dist = geodesic_distances(dk, 0)
     r = dk.aux["radius_of"]
     assert np.max(np.abs(dist[1:] - r[1:])) < 1e-12
@@ -175,7 +170,7 @@ def test_geodesic_distance_on_torus():
 
 
 def test_level_set_perimeter_circle():
-    dk = flat_disk(64, disk_rings_for_cutoff(0.1))
+    dk = flat_disk(64, disk_mesh_rings(0.1))
     dist = geodesic_distances(dk, 0)
     per = level_set_perimeter(dk, dist, 0.37)
     assert isinstance(per, float)

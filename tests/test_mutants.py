@@ -9,6 +9,9 @@ Where the criterion reads a command's report, the command exits 2 too.
 import dataclasses
 import math
 
+import numpy as np
+import pytest
+
 from catsweep import acceptance, cli, doubling
 
 
@@ -49,6 +52,22 @@ def test_criterion_1_fails_on_a_wide_neck(monkeypatch):
     assert "estimate fails at the smallest grid h" in res.detail
 
 
+@pytest.mark.parametrize("factor, gap", [(1.05, "4.80e-02"), (0.95, "5.80e-02")])
+def test_criterion_2_fails_on_a_neck_five_percent_off(monkeypatch, factor, gap):
+    # the ratio c*(-log h)/h leaves the two-term law L/(L + log(2rL)) by
+    # about the factor, five times the law's tolerance
+    real = acceptance.solve_parameters
+
+    def scaled(spec):
+        sol = real(spec)
+        return dataclasses.replace(sol, c_unstable=factor * sol.c_unstable)
+
+    monkeypatch.setattr(acceptance, "solve_parameters", scaled)
+    res = acceptance.run_criterion(2)
+    assert not res.ok
+    assert "two-term law gap %s" % gap in res.detail
+
+
 def test_criterion_3_fails_on_a_width_excess_six_percent_low(monkeypatch):
     # 6% of the excess is 4.9e-3 of the total area at h = 0.5: a check of
     # the total area at 5e-3 would pass it
@@ -77,6 +96,19 @@ def test_criterion_5_fails_on_gradient_terms_five_percent_high(monkeypatch, caps
     assert not res.ok
     assert "(rel 8.33e-04)" in res.detail and "(rel 9.6" in res.detail
     assert cli.run(["fermi", "quad"]) == 2
+    assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_criterion_7_fails_on_a_cutoff_linear_in_distance(monkeypatch, capsys):
+    # the same 0-to-1 ramp over [t^2, t], linear in the distance rather
+    # than in its log: the disk energy is no longer 2*pi/(-log t)
+    monkeypatch.setattr(
+        acceptance, "log_cutoff", lambda dist, t: np.clip((dist - t * t) / (t - t * t), 0.0, 1.0)
+    )
+    res = acceptance.run_criterion(7)
+    assert not res.ok
+    assert "disk energy rel errors 1.33e+00, 2.44e+00" in res.detail
+    assert cli.run(["cutoff", "disk", "--t", "0.01"]) == 2
     assert "result: FAIL" in capsys.readouterr().out
 
 

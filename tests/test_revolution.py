@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from catsweep import cli
-from catsweep.acceptance import width_run
+from catsweep.acceptance import EXCESS_GRID, width_excess, width_run
 from catsweep.catenoid import CatenoidSpec, excess_over_disks, solve_parameters
 from catsweep.errors import DomainError, NoCatenoid, NonConvergence
 from catsweep.revolution import (
@@ -20,7 +20,6 @@ from catsweep.revolution import (
     _WidthEngine,
     _frustum_area,
     catenoid_profile,
-    excess_scaling_comparison,
     mountain_pass_width,
 )
 
@@ -387,15 +386,15 @@ def test_descent_respects_boundary():
 
 def test_excess_ratio_table():
     grid = sorted(EXCESS_RATIO_TABLE, reverse=True)
-    comp = excess_scaling_comparison(1.0, grid)
-    for row in comp.rows:
-        assert row.ratio == pytest.approx(EXCESS_RATIO_TABLE[row.h], abs=1e-6)
-        assert row.naive_excess == pytest.approx(2.0 * math.pi * row.h ** 2, rel=1e-14)
-    ratios = [row.ratio for row in comp.rows]
-    assert ratios == sorted(ratios, reverse=True) or ratios == sorted(ratios)
-    assert comp.slope == pytest.approx(EXCESS_SLOPE, abs=1e-8)
+    assert tuple(grid) == EXCESS_GRID
+    ratios = []
+    for h in grid:
+        c = solve_parameters(CatenoidSpec(r=1.0, h=h)).c_unstable
+        ratios.append(2.0 * math.pi * h * h / excess_over_disks(1.0, h, c))
+        assert ratios[-1] == pytest.approx(EXCESS_RATIO_TABLE[h], abs=1e-6)
+    assert ratios == sorted(ratios)
+    assert width_excess(1.0).rows[0]["slope"] == pytest.approx(EXCESS_SLOPE, abs=1e-8)
 
 
 def test_excess_slope_in_log_band():
-    comp = excess_scaling_comparison(1.0, [10.0 ** -k for k in range(2, 8)])
-    assert 0.75 <= comp.slope <= 1.25
+    assert 0.75 <= width_excess(1.0).rows[0]["slope"] <= 1.25

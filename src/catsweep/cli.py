@@ -14,7 +14,6 @@ import math
 import sys
 
 from . import acceptance
-from .doubling import assemble_doubled_sweepout, default_schedule
 from .errors import BudgetViolated, CatsweepError, NonConvergence, SolverFailure
 from .report import report_to_csv, report_to_json, write_atomic
 from .surfaces import clifford_torus
@@ -26,11 +25,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(1)
-
-
-def _cmd_doubling_sweep(args):
-    given = {k: getattr(args, k) for k in ("epsilon", "delta") if getattr(args, k) is not None}
-    return assemble_doubled_sweepout(args.m, schedule=default_schedule(**given), n=args.n)
 
 
 def _emit(rep, args):
@@ -133,7 +127,7 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_doubling_sweep)
+    p.set_defaults(handler=lambda a: acceptance.doubling_sweep(a.m, a.n, a.epsilon, a.delta))
 
     nek = subs.add_parser("neck", help="higher-dimensional neck cost scaling")
     nek_sub = nek.add_subparsers(dest="action", required=True, parser_class=_Parser)

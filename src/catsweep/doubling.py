@@ -44,6 +44,12 @@ HANDOFF_NECK_MAX = 0.25
 # of neighbouring orbit arcs for every supported symmetry order)
 TUBE_RADIUS_BOUND = 0.2
 
+# smallest accepted radius cap: the witness collar's frame is a weld-ring
+# point minus an arc point, which is rounding noise in unit-sphere
+# coordinates near a radius of 1e-15 (the genus reads wrong there) and
+# zero below it; the genus is right down to 1e-14
+TUBE_RADIUS_FLOOR = 1e-12
+
 # resolution of every tube mesh: rings along the full joining arc, points
 # per ring; the factor swap turns weld rings by a quarter, so the ring
 # resolution must be a multiple of 4
@@ -125,7 +131,8 @@ class NeckSchedule:
 
     eta gives the radius as a function of the foliation parameter; it must
     vanish at 0, stay positive up to the closing parameter 1/2 - delta,
-    vanish beyond it, and never exceed epsilon.
+    vanish beyond it, and never exceed epsilon, itself at least
+    TUBE_RADIUS_FLOOR.
     """
 
     eta: object
@@ -135,8 +142,12 @@ class NeckSchedule:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise DomainError("closing parameter must sit in (0, 1/2), got delta = %s" % self.delta)
-        if self.epsilon <= 0.0:
-            raise DomainError("maximum tube radius must be positive, got epsilon = %s" % self.epsilon)
+        if not self.epsilon >= TUBE_RADIUS_FLOOR:
+            raise DomainError(
+                "maximum tube radius --epsilon must be at least %g, the smallest radius"
+                " unit-sphere coordinates resolve, got epsilon = %s"
+                % (TUBE_RADIUS_FLOOR, self.epsilon)
+            )
         close = 0.5 - self.delta
         if abs(self.eta(0.0)) > 1e-12:
             raise DomainError("tube radius must vanish at t = 0")

@@ -13,7 +13,8 @@ nearest puncture, with its band gradient in closed form.
 A mesh cutoff (`build_cutoff`) reads the exact distance field of a
 product torus (`surfaces.torus_distances`); other meshes raise
 DomainError.  The mesh geodesic `mesh.geodesic_distances` serves only the
-tests and the benchmark's tracer.
+tests and the benchmark's tracer.  Only `jacobi_lowest` needs scipy (a
+sparse LU), and it imports it itself.
 """
 
 import math
@@ -21,8 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError, RadiusTooLarge, SolverFailure
 from .mesh import cotan_stiffness, lumped_mass
@@ -152,6 +151,9 @@ def jacobi_lowest(m):
     factored without, in a minimum-degree ordering of A + A^T that keeps the
     fill about half that of SuperLU's default column ordering.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     s = cotan_stiffness(m)
     mass = lumped_mass(m)
     q = m.a_norm2 + m.ric_nn

@@ -17,15 +17,14 @@ meshes, the tests' disk and sphere, check the kernels.  Distances are
 measured in closed form, in the flat metric of a product torus.  The mesh
 geodesic `geodesic_distances` and its `edge_lengths` serve only the tests,
 as the approximation that closed form is checked against, and the
-benchmark's per-layer tracer.
+benchmark's per-layer tracer.  scipy is imported inside the two functions
+that build sparse matrices, so the doubled assembly never loads it.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .errors import DomainError
 
@@ -166,6 +165,8 @@ def cotan_stiffness(m):
     Angles come from metric edge lengths, so the matrix is intrinsic; the
     quadratic form u' S u is the Dirichlet energy of the linear interpolant.
     """
+    from scipy.sparse import coo_matrix
+
     tris = m.triangles
     # side lengths opposite each corner
     a = _metric_side(m, tris[:, 1], tris[:, 2])
@@ -213,6 +214,9 @@ def geodesic_distances(m, source):
     of the exact flat distance out to distance 1, but up to 27% off near
     the cut locus; no package code calls it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     pairs, lengths = edge_lengths(m)
     n = m.n_vertices
     graph = csr_matrix(
@@ -225,7 +229,7 @@ def geodesic_distances(m, source):
         ),
         shape=(n, n),
     )
-    dist = _sparse_dijkstra(graph, indices=source)
+    dist = dijkstra(graph, indices=source)
     dist = np.asarray(dist, dtype=float)
 
     tris = m.triangles

@@ -15,15 +15,14 @@ the pinched basin one way and the stable basin the other.  The width is
 the area of that certified index-1 critical point; it is checked against
 the sampled maximum, since the segment is itself a sweepout whose largest
 area bounds the width.  When Newton's method, the certificate or a check
-fails, no width is reported.
+fails, no width is reported.  The LAPACK routines are imported by the
+engine that calls them, so importing this module loads no scipy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .catenoid import CatenoidSpec, solve_parameters, tangency_abscissa
 from .errors import DomainError, NonConvergence
@@ -151,6 +150,10 @@ class _WidthEngine:
     """
 
     def __init__(self, h, n_nodes):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        # bound once here, so the per-step solves run no import statement
+        self.dgttrf, self.dgttrs = dgttrf, dgttrs
         sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
         pinched = pinched_profile(1.0, h, n_nodes)
         self.x = pinched.x_nodes
@@ -162,7 +165,7 @@ class _WidthEngine:
         off = np.full(n_nodes - 3, -1.0 / self.dx ** 2)
         diag = np.full(n_nodes - 2, 1.0 + 2.0 / self.dx ** 2)
         # strictly diagonally dominant, so no pivot vanishes (info is 0)
-        *self.lu, _ = dgttrf(off, diag, off)
+        *self.lu, _ = self.dgttrf(off, diag, off)
         self.mid = n_nodes // 2
         # basin thresholds: h/x_tangent bounds the unstable neck from above,
         # so the midpoint against c_stable cannot fire during a saddle linger
@@ -213,10 +216,10 @@ class _WidthEngine:
         for _ in range(NEWTON_ITERS):
             self.newton_iterations += 1
             diag, off = self.hessian(geo)
-            *lu, info = dgttrf(off, diag, off)
+            *lu, info = self.dgttrf(off, diag, off)
             if info != 0:
                 return None
-            delta = dgttrs(*lu, g)[0]
+            delta = self.dgttrs(*lu, g)[0]
             fn = f.copy()
             fn[1:-1] -= delta
             if fn.min() > self.floor and np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(fn):
@@ -239,7 +242,7 @@ class _WidthEngine:
 
     def step(self, f, geo, st):
         # backtracking guard: never accept an area increase
-        d = dgttrs(*self.lu, self.gradient(geo) / self.dx)[0]
+        d = self.dgttrs(*self.lu, self.gradient(geo) / self.dx)[0]
         self.steps_taken += 1
         a = geo[0]
         for _ in range(HALVINGS):
@@ -310,6 +313,8 @@ class _WidthEngine:
         catenoid, v the negative eigenvector (sup norm 1, widening the neck).
         Returns None otherwise.
         """
+        from scipy.linalg import eigh_tridiagonal
+
         diag, off = self.hessian(geo)
         index = _negative_pivots(diag, off)
         if index != 1:

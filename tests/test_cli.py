@@ -98,7 +98,7 @@ def test_budget_violation_exit_two(monkeypatch, capsys):
     def boom(*a, **k):
         raise BudgetViolated("synthetic")
 
-    monkeypatch.setattr(cli, "assemble_doubled_sweepout", boom)
+    monkeypatch.setattr(acceptance, "assemble_doubled_sweepout", boom)
     code = cli.run(["doubling", "sweep", "--m", "2"])
     assert code == 2
     assert "verification failure" in capsys.readouterr().err
@@ -211,6 +211,13 @@ BAD_INPUTS = {
     ),
     "doubling-delta-0.7": (
         ["doubling", "sweep", "--m", "2", "--delta", "0.7"], "got delta = 0.7"
+    ),
+    # below the floor the witness genus reads -32 (1e-15) or 0 (1e-16), not -8
+    "doubling-epsilon-1e-15": (
+        ["doubling", "sweep", "--m", "2", "--epsilon", "1e-15"], "--epsilon must be at least"
+    ),
+    "doubling-epsilon-1e-16": (
+        ["doubling", "sweep", "--m", "2", "--epsilon", "1e-16"], "got epsilon = 1e-16"
     ),
 }
 
@@ -348,15 +355,37 @@ def test_verify_all_reports_a_raised_error_as_a_failure(monkeypatch, capsys):
     assert captured.err == ""
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about a quarter second to import, which every
-    # command would pay before it starts
+def _loaded_after(statement, prefix):
+    # a fresh interpreter runs the statement, then lists the loaded modules
+    # under prefix; every command would pay their import before it starts
     code = (
-        "import sys, catsweep.cli; "
-        "sys.exit(any(m.startswith('scipy.optimize') for m in sys.modules))"
+        "import sys\n%s\n"
+        "print(*sorted(m for m in sys.modules if m.startswith(%r)), file=sys.stderr)"
+        % (statement, prefix)
     )
     proc = _run_from_source(["-c", code])
-    assert proc.returncode == 0, proc.stderr
+    return proc, proc.stderr.split()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc, loaded = _loaded_after("import catsweep.cli", "scipy")
+    assert proc.returncode == 0 and loaded == [], proc.stderr
+
+
+def test_doubling_sweep_leaves_scipy_unloaded():
+    # the doubled assembly calls no LAPACK or sparse routine
+    run = "from catsweep import cli\nassert cli.run(%r) == 0" % (
+        ["doubling", "sweep", "--m", "2", "--json"],)
+    proc, loaded = _loaded_after(run, "scipy")
+    assert proc.returncode == 0 and loaded == [], proc.stderr
+
+
+def test_width_run_leaves_scipy_sparse_unloaded():
+    # the width engine needs scipy.linalg's tridiagonal routines only
+    run = "from catsweep import cli\nassert cli.run(%r) == 0" % (
+        ["width", "run", "--h", "0.5", "--json"],)
+    proc, loaded = _loaded_after(run, "scipy.sparse")
+    assert proc.returncode == 0 and loaded == [], proc.stderr
 
 
 @pytest.mark.skipif(

@@ -6,7 +6,6 @@ import scipy.linalg
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from catsweep import fermi
 from catsweep.acceptance import cutoff_disk
 from catsweep.doubling import cmc_area
 from catsweep.errors import DomainError, RadiusTooLarge, SolverFailure
@@ -323,7 +322,7 @@ def test_jacobi_factor_failure_is_named(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(fermi, "splu", singular)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     with pytest.raises(SolverFailure, match="256 vertices: Factor is exactly singular"):
         jacobi_lowest(clifford_torus(16))
 

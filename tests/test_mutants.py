@@ -112,13 +112,15 @@ def test_criterion_7_fails_on_a_cutoff_linear_in_distance(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
-def test_criterion_9_fails_on_a_wrong_genus(monkeypatch):
+def test_criterion_9_fails_on_a_wrong_genus(monkeypatch, capsys):
     # the witness slice of genus m^2 + 1 reads chi + 2, one handle short
     real = doubling.euler_characteristic
     monkeypatch.setattr(doubling, "euler_characteristic", lambda tris: real(tris) + 2)
     res = acceptance.run_criterion(9)
     assert not res.ok
     assert "m=2 margin" in res.detail and "chi -6/-8" in res.detail
+    assert cli.run(["doubling", "sweep", "--m", "2"]) == 2
+    assert "result: FAIL" in capsys.readouterr().out
 
 
 def test_criterion_9_fails_on_tripled_tubes(monkeypatch):
@@ -129,3 +131,4 @@ def test_criterion_9_fails_on_tripled_tubes(monkeypatch):
     res = acceptance.run_criterion(9)
     assert not res.ok
     assert "witness mesh excess -1.6e-03" in res.detail
+    assert cli.run(["doubling", "sweep", "--m", "2"]) == 2

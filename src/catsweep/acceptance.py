@@ -4,17 +4,18 @@ Each command-line computation that the battery checks is one function
 here returning that command's report.  The report's summary holds the
 only verdict on its estimate: each row's `area` is the quantity the paper
 bounds, put in units of its tolerance or budget, and `passed` is
-`sup_area < budget` and any clause the estimate adds (the tube family's
-margin floor, the doubled witness's genus and mesh area).  The command
-exits on that verdict, and a criterion is the conjunction of its reports'
-verdicts plus only the clauses that no report carries.  Criteria 2 and 6
-have no command.  Every criterion states its wall-clock limit, and the
-runners return structured results so both the test suite and the command
-line can render one pass/fail line per criterion.
+`sup_area < budget` and any clause the estimate adds (the quadratic
+form's base area, the Jacobi spectrum's index and nullity, the tube
+family's margin floor, the doubled witness's genus and mesh area).  The
+command exits on that verdict, and a criterion is the conjunction of its
+reports' verdicts plus only the clauses that no report carries.
+Criterion 6's report has no command, and criterion 2 has no report.
+Every criterion states its wall-clock limit, and the runners return
+structured results so both the test suite and the command line can
+render one pass/fail line per criterion.
 """
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 
@@ -27,15 +28,12 @@ from .catenoid import (
     excess_over_disks_scaled,
     solve_parameters,
 )
-from .doubling import assemble_doubled_sweepout, default_schedule
+from .doubling import assemble_doubled_sweepout, default_schedule, group_elements
 from .errors import CatsweepError, DomainError, NonConvergence
 from .fermi import (
     build_cutoff,
-    chart_nodes,
-    check_offset,
-    jacobi_lowest,
     log_cutoff,
-    sheet_elements,
+    second_variation,
     two_sided_tube_family,
 )
 from .mesh import dirichlet_energy, level_set_perimeter
@@ -47,7 +45,8 @@ from .surfaces import clifford_torus, disk_rings_for_cutoff
 WIDTH_EXCESS_TOL = 2e-4     # relative error of the width's excess over the two disks
 EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))   # h/r of width excess
 EXCESS_SLOPE_TOL = 0.25     # log-log slope of naive over optimal excess, target 1
-QUAD_TOL = 0.01             # quadratic area coefficients against half of Q(phi)
+QUAD_TOL = 1e-12            # quadratic area coefficients against half of Q(phi)
+SPECTRUM_TOL = 1e-10        # Jacobi eigenvalues against 2(j^2 + k^2) - 4
 KAPPA_FLOOR = 0.05          # tube-family margin / h^2
 DISK_CUTOFF_TOL = 1e-6      # flat-disk cutoff energy against 2*pi/(-log t)
 NECK_EXPONENT_TOL = 0.01    # fitted neck cost exponent against the dimension
@@ -153,46 +152,136 @@ def width_excess(r):
     )
 
 
-def fermi_quad(n, step):
-    """`fermi quad`: the second difference of the area of the offsets
-    +-step*phi of the middle torus on the n-by-n chart grid, against half
-    of Q(phi), for the constant mode and the invariant mode cos 2theta +
-    cos 2phi.  Both sheets are measured at once by the chart quadrature of
-    sheet_elements, so their sum at step s is A(s phi) + A(-s phi), and
-    base_area is A(0), the chart area."""
-    # the invariant mode peaks at 2
-    check_offset("step", step, peak=2.0)
-    # the difference subtracts sums of about 4*pi^2, so its rounding error
-    # grows like eps/step^2; past QUAD_TOL/10 rounding would set the verdict
-    if sys.float_info.epsilon / (step * step) > 0.1 * QUAD_TOL:
-        raise DomainError("step = %s is so small that rounding (eps/step^2) sets the verdict"
-                          % step)
-    th, ph, w = chart_nodes(n)
-    zero = np.zeros_like(th)
-    # each mode with its chart partials and half of Q(phi) = int |grad phi|^2
-    # - 4 phi^2, where |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2)
-    modes = (
-        ("1", zero + 1.0, zero, zero, -4.0 * math.pi ** 2),
-        ("cos 2theta + cos 2phi", np.cos(2.0 * th) + np.cos(2.0 * ph),
-         -2.0 * np.sin(2.0 * th), -2.0 * np.sin(2.0 * ph), 4.0 * math.pi ** 2),
-    )
+def fermi_quad(n):
+    """`fermi quad`: half the second variation Q(phi) of the middle torus's
+    two-sided offset on the n-by-n chart grid, read off sheet_elements by
+    second_variation, against its closed form, for the constant mode and
+    the invariant mode cos 2theta + cos 2phi; Q(phi) = int |grad phi|^2 -
+    4 phi^2 with |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2).  Each row's t
+    is the mode's Jacobi eigenvalue.  base_area, M(1, 1), is the chart
+    area 2*pi^2, and passed requires it within QUAD_TOL too."""
 
-    def pair(s, phi, phi_th, phi_ph):
-        plus, minus = sheet_elements(s * phi, (s * phi_th) ** 2, (s * phi_ph) ** 2)
-        return float(np.sum(w * (plus + minus)))
+    def modes(th, ph):
+        zero = np.zeros_like(th)
+        return (np.stack([zero + 1.0, np.cos(2.0 * th) + np.cos(2.0 * ph)]),
+                np.stack([zero, -2.0 * np.sin(2.0 * th)]),
+                np.stack([zero, -2.0 * np.sin(2.0 * ph)]))
 
+    q, mass = second_variation(n, modes)
     rows = []
-    for name, *mode, target in modes:
-        a0 = pair(0.0, *mode)
-        coeff = 0.5 * (pair(step, *mode) - a0) / (step * step)
-        rows.append({"t": step, "mode": name, "area": abs(coeff / target - 1.0),
-                     "coefficient": coeff, "target": target, "base_area": 0.5 * a0})
-    return make_report(
-        "fermi-quad",
-        {"n": n, "step": step, "tolerance": QUAD_TOL},
-        rows,
-        QUAD_TOL,
+    for i, (name, eigenvalue, target) in enumerate(
+            (("1", -4.0, -4.0 * math.pi ** 2),
+             ("cos 2theta + cos 2phi", 4.0, 4.0 * math.pi ** 2))):
+        coeff = 0.5 * float(q[i, i])
+        rows.append({"t": eigenvalue, "mode": name, "area": abs(coeff / target - 1.0),
+                     "coefficient": coeff, "target": target})
+    rep = make_report("fermi-quad", {"n": n, "tolerance": QUAD_TOL}, rows, QUAD_TOL)
+    s = rep.summary
+    s["base_area"] = float(mass[0, 0])
+    s["base_area_rel"] = abs(s["base_area"] / (2.0 * math.pi ** 2) - 1.0)
+    s["passed"] = s["passed"] and s["base_area_rel"] <= QUAD_TOL
+    return rep
+
+
+def _pencil_eigenvalues(q, mass):
+    """Eigenvalues of Q relative to M, ascending: those of L^-1 Q L^-T
+    with M = L L^T."""
+    inv = np.linalg.inv(np.linalg.cholesky(mass))
+    return np.linalg.eigvalsh(inv @ q @ inv.T)
+
+
+def _fourier_forms(n, degree):
+    """Q and M on the n-by-n chart grid of the real Fourier modes
+    a_p(theta) a_q(phi), where a = (1, cos x, sin x, ..., cos(degree x),
+    sin(degree x)), in row-major order of (p, q), with each mode's
+    frequencies j, k: it is a Jacobi eigenfunction of eigenvalue
+    2(j^2 + k^2) - 4."""
+    freq = np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
+    lag = np.concatenate([[0.0], np.tile([0.0, 0.5 * math.pi], degree)])   # sin x = cos(x - pi/2)
+
+    def modes(th, ph):
+        arg_th, arg_ph = np.outer(freq, th) - lag[:, None], np.outer(freq, ph) - lag[:, None]
+        a, b = np.cos(arg_th), np.cos(arg_ph)
+
+        def prod(u, v):
+            return (u[:, None, :] * v[None, :, :]).reshape(-1, th.size)
+
+        return (prod(a, b), prod(-freq[:, None] * np.sin(arg_th), b),
+                prod(a, -freq[:, None] * np.sin(arg_ph)))
+
+    return second_variation(n, modes) + (np.repeat(freq, freq.size), np.tile(freq, freq.size))
+
+
+def _orbit_average(m, degree):
+    """The average over the order-2m^2 group of the compositions f o g, as
+    a matrix on the coefficients of _fourier_forms(n, degree)'s modes.
+
+    g swaps the chart angles if g.swap, then shifts them by
+    2 pi (g.k, g.l)/m; a shift by s rotates each (cos jx, sin jx) by js,
+    and the swap transposes the index pair (p, q).  The average of these
+    orthogonal matrices is the orthogonal projector onto the invariant
+    modes, the span of the orbit sums.
+    """
+    size = 2 * degree + 1
+
+    def shift(s):
+        r = np.eye(size)
+        for j in range(1, degree + 1):
+            c, d = math.cos(j * s), math.sin(j * s)
+            r[2 * j - 1:2 * j + 1, 2 * j - 1:2 * j + 1] = [[c, -d], [d, c]]
+        return r
+
+    swap = np.arange(size * size).reshape(size, size).T.ravel()
+    elements = group_elements(m)
+    avg = np.zeros((size * size, size * size))
+    for g in elements:
+        act = np.kron(shift(2.0 * math.pi * g.k / m), shift(2.0 * math.pi * g.l / m))
+        avg += act[:, swap] if g.swap else act
+    return avg / len(elements)
+
+
+def _spectrum_row(order, n, lam, error):
+    """A row of jacobi_spectrum: eigenvalues lam on the n-grid, their
+    index and nullity to within SPECTRUM_TOL."""
+    return {"t": order, "n": n, "area": error, "index": int(np.sum(lam < -SPECTRUM_TOL)),
+            "nullity": int(np.sum(np.abs(lam) <= SPECTRUM_TOL)),
+            "eigenvalues": [float(x) for x in lam]}
+
+
+def jacobi_spectrum():
+    """Criterion 6's report: the spectrum of the Jacobi operator of the
+    middle torus, read off sheet_elements by second_variation.
+
+    On the 25 Fourier modes |j|, |k| <= 2, at n = 32 and 64, the
+    eigenvalues are 2(j^2 + k^2) - 4: index 5 and nullity 4 (Urbano).  On
+    the orbit sums invariant under the order-2m^2 group of the doubled
+    family, m = 2 and 3, from the modes |j|, |k| <= m at n = 32, the
+    equivariant index is 1, the nullity 0 and the gap, the second
+    eigenvalue, 2m^2 - 4.  Each row's t is the group order (1 for the
+    plain modes) and its area the largest eigenvalue error, against
+    SPECTRUM_TOL; passed also requires index and nullity.
+    """
+    forms = {key: _fourier_forms(*key) for key in ((32, 2), (64, 2), (32, 3))}
+    rows = []
+    for n in (32, 64):
+        q, mass, j, k = forms[n, 2]
+        lam = _pencil_eigenvalues(q, mass)
+        target = np.sort(2.0 * (j * j + k * k) - 4.0)
+        rows.append(_spectrum_row(1, n, lam, float(np.max(np.abs(lam - target)))))
+    for m in (2, 3):
+        q, mass, _, _ = forms[32, m]
+        mu, vecs = np.linalg.eigh(_orbit_average(m, m))
+        basis = vecs[:, mu > 0.5]   # the projector's eigenvalues are 0 and 1
+        lam = _pencil_eigenvalues(basis.T @ q @ basis, basis.T @ mass @ basis)
+        gap = float(lam[1])
+        error = max(abs(float(lam[0]) + 4.0), abs(gap - (2.0 * m * m - 4.0)))
+        rows.append(dict(_spectrum_row(2 * m * m, 32, lam, error), gap=gap))
+    rep = make_report("jacobi-spectrum", {"tolerance": SPECTRUM_TOL}, rows, SPECTRUM_TOL)
+    rep.summary["passed"] = rep.summary["passed"] and all(
+        (row["index"], row["nullity"]) == ((5, 4) if row["t"] == 1 else (1, 0))
+        for row in rep.rows
     )
+    return rep
 
 
 def fermi_tubes(n, h):
@@ -353,39 +442,23 @@ def _criterion_4():
 
 
 def _criterion_5():
-    rep = fermi_quad(64, 0.05)
-    # the chart area of the flat product metric, exact up to rounding
-    rel_area = abs(rep.rows[0]["base_area"] / (2.0 * math.pi ** 2) - 1.0)
-    ok = rep.summary["passed"] and rel_area <= 1e-4
+    rep = fermi_quad(64)
     coeffs = ", ".join("%.4f vs %.4f (rel %.2e)" % (row["coefficient"], row["target"], row["area"])
                        for row in rep.rows)
-    return ok, "quadratic coefficients %s (tol 1e-2); base area rel %.2e (tol 1e-4)" % (
-        coeffs, rel_area)
+    return rep.summary["passed"], "quadratic coefficients %s; base area rel %.2e (tol 1e-12)" % (
+        coeffs, rep.summary["base_area_rel"])
 
 
 def _criterion_6():
-    jd64 = jacobi_lowest(clifford_torus(64))
-    jd128 = jacobi_lowest(clifford_torus(128))
-    mu64, mu128 = jd64.lowest_pair[0], jd128.lowest_pair[0]
-    e64 = abs(mu64 + 4.0)
-    e128 = abs(mu128 + 4.0)
-    within = e64 / 4.0 <= 0.02
-    # the discrete lowest pair is exact (constant eigenfunction, constant
-    # potential), so both errors sit at the solver floor; a convergence
-    # order is only measurable above that floor
-    floor = 1e-9
-    if e64 <= floor and e128 <= floor:
-        order_ok = True
-        order_note = "both errors at solver floor (%.1e, %.1e)" % (e64, e128)
-    else:
-        order = math.log2(max(e64, 1e-300) / max(e128, 1e-300))
-        order_ok = order >= 1.8
-        order_note = "refinement order %.2f" % order
-    ok = within and order_ok
-    detail = "lowest eigenvalue %.10f (rel err %.2e, tol 2e-2); %s; %d, %d solves (n = 64, 128)" % (
-        mu64, e64 / 4.0, order_note, jd64.iterations, jd128.iterations
-    )
-    return ok, detail
+    rep = jacobi_spectrum()
+    parts = []
+    for row in rep.rows:
+        if row["t"] == 1:
+            parts.append("n=%d index %d nullity %d" % (row["n"], row["index"], row["nullity"]))
+        else:
+            parts.append("order %d: index %d gap %.4f" % (row["t"], row["index"], row["gap"]))
+    return rep.summary["passed"], "%s; max eigenvalue error %.1e (tol 1e-10)" % (
+        ", ".join(parts), rep.summary["sup_area"])
 
 
 def _criterion_7():
@@ -436,7 +509,7 @@ _CRITERIA = (
     ("mountain-pass width vs closed form", _criterion_3, 120.0),
     ("naive vs optimal excess scaling", _criterion_4, 1.0),
     ("quadratic area coefficient on the middle torus", _criterion_5, 10.0),
-    ("lowest stability eigenvalue", _criterion_6, 30.0),
+    ("Jacobi spectrum: index, nullity, equivariant gap", _criterion_6, 30.0),
     ("log-cutoff energy decay", _criterion_7, 10.0),
     ("two-sided tube family margin", _criterion_8, 60.0),
     ("doubled sweepout budget", _criterion_9, 120.0),

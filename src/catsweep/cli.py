@@ -98,9 +98,8 @@ def build_parser():
     fer_sub = fer.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = fer_sub.add_parser("quad", help="quadratic area coefficient check")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--step", type=float, default=0.05)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.fermi_quad(a.n, a.step))
+    p.set_defaults(handler=lambda a: acceptance.fermi_quad(a.n))
     p = fer_sub.add_parser("tubes", help="two-sided tube family with one puncture pair")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--h", type=float, default=0.05)

@@ -1,19 +1,23 @@
-"""The middle torus's two-sided offset, log cutoffs and the Jacobi operator.
+"""The middle torus's two-sided offset, its second variation, log cutoffs
+and the mesh Jacobi operator.
 
 Claim (iii) rests on one formula, `sheet_elements`: the area element of
 the sheets +-f of the two-sided normal offset of the Clifford torus.
 Every such area is its midpoint quadrature on the `chart_nodes`, built
 from the chart grid alone: the doubled sweepout's graph-neck and collapse
-rows (`doubling._sheet_area`, on one symmetry cell), criterion 5's second
-variation (`acceptance.fermi_quad`) and criterion 8's punctured tube
-family (`two_sided_tube_family`).  The punctured rows share one field,
-`punctured_sheets`: the offset scaled by the log cutoff about the
-nearest puncture, with its band gradient in closed form.
+rows (`doubling._sheet_area`, on one symmetry cell) and criterion 8's
+punctured tube family (`two_sided_tube_family`).  The punctured rows
+share one field, `punctured_sheets`: the offset scaled by the log cutoff
+about the nearest puncture, with its band gradient in closed form.  The
+second variation of the same area, the Jacobi form of criteria 5 and 6,
+is read off `sheet_elements` by a complex step (`second_variation`),
+exactly and with no mesh.
 
 A mesh cutoff (`build_cutoff`) reads the exact distance field of a
 product torus (`surfaces.torus_distances`); other meshes raise
 DomainError.  The mesh geodesic `mesh.geodesic_distances` serves only the
-tests and the benchmark's tracer.  Only `jacobi_lowest` needs scipy (a
+tests and the benchmark's tracer, and so does `jacobi_lowest`, the lowest
+eigenpair of the cotangent-mesh Jacobi operator; it alone needs scipy (a
 sparse LU), and it imports it itself.
 """
 
@@ -30,6 +34,7 @@ from .surfaces import check_grid, flat_torus_gap, torus_distances
 
 JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
 JACOBI_MAX_ITERS = 200
+SECOND_VARIATION_EPS = 1e-6     # modulus of the complex step s = eps e^{i pi/4}
 
 # neck radii t of the tube family's rows
 TUBE_T_GRID = np.linspace(0.05, 0.35, 13)
@@ -77,22 +82,54 @@ def sheet_elements(f, f_theta2, f_phi2):
             np.sqrt(c2 + 0.5 * (1.0 - s2) * f_phi2 + 0.5 * (1.0 + s2) * f_theta2))
 
 
-def check_offset(name, value, peak=1.0):
-    """Refuse an offset scale at which no second variation can be read.
+def second_variation(n, modes):
+    """The second variation Q and the mass M of the middle torus over a
+    basis of normal fields, on the n-by-n chart grid.
+
+    modes(theta, phi) gives k fields and their chart partials at the
+    chart_nodes, three arrays of shape (k, nodes).  Q and M are the k-by-k
+    symmetric matrices of
+
+        Q(phi, psi) = int <grad phi, grad psi> - 4 phi psi dA,
+        M(phi, psi) = int phi psi dA,
+
+    read off sheet_elements: the sheets +-s phi have total area
+    2|T| + s^2 Q(phi) + O(s^4).  The two-sheet element at a node depends on
+    f, f_theta^2 and f_phi^2 alone and is even in f, so to second order it
+    is 1 + c_f f^2 + c_theta f_theta^2 + c_phi f_phi^2.  One complex step
+    reads the three coefficients with no subtraction: at s = eps e^{i pi/4}
+    s^2 = i eps^2 and the s^4 term is real, so the imaginary part of the
+    element at f = s (or f_theta^2 = s^2, or f_phi^2 = s^2) over eps^2 is
+    c_f (c_theta, c_phi) up to O(eps^4).  The mass weight is the element
+    of the middle torus itself, f = 0.  The element takes no position, the
+    middle torus being homogeneous, so one evaluation serves every node.
+    """
+    th, ph, w = chart_nodes(n)
+    phi, phi_theta, phi_phi = modes(th, ph)
+    s = SECOND_VARIATION_EPS * np.exp(0.25j * math.pi)
+    # rows: the middle torus, then a step in f, in f_theta^2 and in f_phi^2
+    steps = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s * s, 0.0], [0.0, 0.0, s * s]])
+    plus, minus = sheet_elements(*steps.T)
+    c_f, c_theta, c_phi = (plus[1:] + minus[1:]).imag / SECOND_VARIATION_EPS ** 2
+    q = sum((a * (c * w)) @ a.T for a, c in ((phi, c_f), (phi_theta, c_theta), (phi_phi, c_phi)))
+    return q, (phi * (w * plus[0].real)) @ phi.T
+
+
+def check_offset(name, value):
+    """Refuse an offset scale at which no margin can be read.
 
     The scale must be positive with a normal square, since margins are
-    divided by it, and the offset peak * value must stay below pi/4: there
-    each sheet of the middle torus's two-sided offset collapses onto a
-    core circle, so the sheets are normal graphs only below it.
+    divided by it, and must stay below pi/4: there each sheet of the
+    middle torus's two-sided offset collapses onto a core circle, so the
+    sheets are normal graphs only below it.
     """
     if not value > 0.0:
         raise DomainError("offset scale must be positive, got %s = %s" % (name, value))
     if value * value < sys.float_info.min:
         raise DomainError("offset scale %s = %s is too small: its square is no normal double"
                           % (name, value))
-    if not peak * value < 0.25 * math.pi:
-        raise DomainError("an offset must stay below pi/4, got %s = %s (offset %.6g)"
-                          % (name, value, peak * value))
+    if not value < 0.25 * math.pi:
+        raise DomainError("an offset must stay below pi/4, got %s = %s" % (name, value))
 
 
 @dataclass

@@ -130,7 +130,7 @@ FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
     "width-excess": "97bdacb0cf795ef16854ba5d47c8a28ff9e240bc3c26752244d9e0959d0c141e",
-    "fermi-quad": "340a25ac54c9097f14068ab958b4f66efc80f1627e7df9ae84f347be4e55b35c",
+    "fermi-quad": "284058a5644dc2d0184e93a83bdbb1c4e09045d35b37908d0c4e091845f4dc0a",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
@@ -172,7 +172,6 @@ def test_stamp_outside_hash(argv, capsys):
 
 # argv, and the fragment of the one-line message naming the bad value
 BAD_INPUTS = {
-    "quad-step-0": (["fermi", "quad", "--step", "0"], "step = 0"),
     "quad-n-0": (["fermi", "quad", "--n", "0"], "n = 0"),
     "tubes-n-0": (["fermi", "tubes", "--n", "0"], "n = 0"),
     "cutoff-torus-n-0": (["cutoff", "torus", "--n", "0"], "n = 0"),
@@ -183,10 +182,6 @@ BAD_INPUTS = {
     "tubes-h-negative": (["fermi", "tubes", "--h", "-1"], "got h = -1.0"),
     "tubes-h-underflow": (["fermi", "tubes", "--h", "1e-300"], "h = 1e-300 is too small"),
     "tubes-h-0.8": (["fermi", "tubes", "--h", "0.8"], "below pi/4, got h = 0.8"),
-    "quad-step-underflow": (["fermi", "quad", "--step", "1e-170"], "step = 1e-170 is too small"),
-    "quad-step-0.8": (["fermi", "quad", "--step", "0.8"], "below pi/4, got step = 0.8"),
-    # the second difference's rounding error eps/step^2 passes QUAD_TOL/10
-    "quad-step-rounding": (["fermi", "quad", "--step", "1e-7"], "step = 1e-07 is so small"),
     "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
     "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
@@ -376,6 +371,13 @@ def test_doubling_sweep_leaves_scipy_unloaded():
     # the doubled assembly calls no LAPACK or sparse routine
     run = "from catsweep import cli\nassert cli.run(%r) == 0" % (
         ["doubling", "sweep", "--m", "2", "--json"],)
+    proc, loaded = _loaded_after(run, "scipy")
+    assert proc.returncode == 0 and loaded == [], proc.stderr
+
+
+def test_criteria_5_and_6_leave_scipy_unloaded():
+    # the second variation and the Jacobi spectrum need numpy.linalg only
+    run = "from catsweep import acceptance\nassert all(acceptance.run_criterion(i).ok for i in (5, 6))"
     proc, loaded = _loaded_after(run, "scipy")
     assert proc.returncode == 0 and loaded == [], proc.stderr
 

@@ -17,6 +17,7 @@ from catsweep.fermi import (
     chart_nodes,
     jacobi_lowest,
     log_cutoff,
+    second_variation,
     sheet_elements,
     two_sided_tube_family,
 )
@@ -130,6 +131,22 @@ def test_second_variation_against_quadratic_form():
         # the cotangent form of the same mode, on the vertices
         on_vertices = mode(cl.aux["chart_theta"], cl.aux["chart_phi"])
         assert abs(measured - 0.5 * quadratic_form(cl, on_vertices)) / abs(expect) < 2e-2
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_second_variation_reads_jacobi_eigenvalues(n):
+    # cos(theta) cos(2 phi) and sin(3 theta + phi) are Jacobi eigenfunctions
+    # of eigenvalues 2(1 + 4) - 4 = 6 and 2(9 + 1) - 4 = 16; the chart
+    # quadrature integrates their products exactly below frequency n
+    def modes(th, ph):
+        return (np.stack([np.cos(th) * np.cos(2.0 * ph), np.sin(3.0 * th + ph)]),
+                np.stack([-np.sin(th) * np.cos(2.0 * ph), 3.0 * np.cos(3.0 * th + ph)]),
+                np.stack([-2.0 * np.cos(th) * np.sin(2.0 * ph), np.cos(3.0 * th + ph)]))
+
+    q, mass = second_variation(n, modes)
+    norms = np.diag([0.5 * math.pi ** 2, math.pi ** 2])
+    assert mass == pytest.approx(norms, abs=1e-13)
+    assert q == pytest.approx(np.diag([6.0, 16.0]) @ norms, abs=1e-12)
 
 
 def test_cutoff_field_cases():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from catsweep import acceptance, cli, doubling
+from catsweep import acceptance, cli, doubling, fermi
 
 
 def _stable_root(monkeypatch):
@@ -83,20 +83,39 @@ def test_criterion_3_fails_on_a_width_excess_six_percent_low(monkeypatch):
     assert cli.run(["width", "run", "--h", "0.5"]) == 2
 
 
+def _scaled_gradient_terms(monkeypatch, factor):
+    # the offset's area element with its gradient terms scaled, as every
+    # second variation reads it
+    real = fermi.sheet_elements
+
+    def scaled(f, f_theta2, f_phi2):
+        return real(f, factor * f_theta2, factor * f_phi2)
+
+    monkeypatch.setattr(fermi, "sheet_elements", scaled)
+
+
 def test_criterion_5_fails_on_gradient_terms_five_percent_high(monkeypatch, capsys):
     # the constant mode has no gradient and cannot see it; the invariant
-    # mode cos 2theta + cos 2phi reads +9.6e-2 against 4*pi^2
-    real = acceptance.sheet_elements
-
-    def steep(f, f_theta2, f_phi2):
-        return real(f, 1.05 * f_theta2, 1.05 * f_phi2)
-
-    monkeypatch.setattr(acceptance, "sheet_elements", steep)
+    # mode cos 2theta + cos 2phi reads 8.8 pi^2 for 8 pi^2, 1.00e-01 high
+    _scaled_gradient_terms(monkeypatch, 1.05)
     res = acceptance.run_criterion(5)
     assert not res.ok
-    assert "(rel 8.33e-04)" in res.detail and "(rel 9.6" in res.detail
+    assert "-39.4784 vs -39.4784" in res.detail and "(rel 1.00e-01)" in res.detail
     assert cli.run(["fermi", "quad"]) == 2
     assert "result: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("factor, detail", [
+    # the -2 block reads -1.9 and the null block 0.2: no Jacobi fields
+    (1.05, "n=32 index 5 nullity 0, n=64 index 5 nullity 0, order 8: index 1 gap 4.4000"),
+    # every mode reads -4, the constant's eigenvalue
+    (0.0, "n=32 index 25 nullity 0, n=64 index 25 nullity 0, order 8: index 6 gap -4.0000"),
+])
+def test_criterion_6_fails_on_scaled_gradient_terms(monkeypatch, factor, detail):
+    _scaled_gradient_terms(monkeypatch, factor)
+    res = acceptance.run_criterion(6)
+    assert not res.ok
+    assert detail in res.detail
 
 
 def test_criterion_7_fails_on_a_cutoff_linear_in_distance(monkeypatch, capsys):

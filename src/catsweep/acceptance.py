@@ -32,6 +32,7 @@ from .doubling import assemble_doubled_sweepout, default_schedule, group_element
 from .errors import CatsweepError, DomainError, NonConvergence
 from .fermi import (
     build_cutoff,
+    fourier_frequencies,
     log_cutoff,
     second_variation,
     two_sided_tube_family,
@@ -157,22 +158,21 @@ def fermi_quad(n):
     two-sided offset on the n-by-n chart grid, read off sheet_elements by
     second_variation, against its closed form, for the constant mode and
     the invariant mode cos 2theta + cos 2phi; Q(phi) = int |grad phi|^2 -
-    4 phi^2 with |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2).  Each row's t
-    is the mode's Jacobi eigenvalue.  base_area, M(1, 1), is the chart
-    area 2*pi^2, and passed requires it within QUAD_TOL too."""
-
-    def modes(th, ph):
-        zero = np.zeros_like(th)
-        return (np.stack([zero + 1.0, np.cos(2.0 * th) + np.cos(2.0 * ph)]),
-                np.stack([zero, -2.0 * np.sin(2.0 * th)]),
-                np.stack([zero, -2.0 * np.sin(2.0 * ph)]))
-
-    q, mass = second_variation(n, modes)
+    4 phi^2 with |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2).  The modes
+    are coefficient vectors on second_variation(n, 2)'s modes: e_(0,0),
+    and e_(3,0) + e_(0,3) (a_3 = cos 2x).  Each row's t is the mode's
+    Jacobi eigenvalue.  base_area, M(1, 1), is the chart area 2*pi^2, and
+    passed requires it within QUAD_TOL too."""
+    q, mass = second_variation(n, 2)
+    # coefficient vectors on the modes a_p(theta) a_q(phi), index 5p + q
+    constant, invariant = np.zeros((2, 25))
+    constant[0] = 1.0
+    invariant[[5 * 3, 3]] = 1.0
     rows = []
-    for i, (name, eigenvalue, target) in enumerate(
-            (("1", -4.0, -4.0 * math.pi ** 2),
-             ("cos 2theta + cos 2phi", 4.0, 4.0 * math.pi ** 2))):
-        coeff = 0.5 * float(q[i, i])
+    for v, name, eigenvalue, target in (
+            (constant, "1", -4.0, -4.0 * math.pi ** 2),
+            (invariant, "cos 2theta + cos 2phi", 4.0, 4.0 * math.pi ** 2)):
+        coeff = 0.5 * float(v @ q @ v)
         rows.append({"t": eigenvalue, "mode": name, "area": abs(coeff / target - 1.0),
                      "coefficient": coeff, "target": target})
     rep = make_report("fermi-quad", {"n": n, "tolerance": QUAD_TOL}, rows, QUAD_TOL)
@@ -190,31 +190,9 @@ def _pencil_eigenvalues(q, mass):
     return np.linalg.eigvalsh(inv @ q @ inv.T)
 
 
-def _fourier_forms(n, degree):
-    """Q and M on the n-by-n chart grid of the real Fourier modes
-    a_p(theta) a_q(phi), where a = (1, cos x, sin x, ..., cos(degree x),
-    sin(degree x)), in row-major order of (p, q), with each mode's
-    frequencies j, k: it is a Jacobi eigenfunction of eigenvalue
-    2(j^2 + k^2) - 4."""
-    freq = np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
-    lag = np.concatenate([[0.0], np.tile([0.0, 0.5 * math.pi], degree)])   # sin x = cos(x - pi/2)
-
-    def modes(th, ph):
-        arg_th, arg_ph = np.outer(freq, th) - lag[:, None], np.outer(freq, ph) - lag[:, None]
-        a, b = np.cos(arg_th), np.cos(arg_ph)
-
-        def prod(u, v):
-            return (u[:, None, :] * v[None, :, :]).reshape(-1, th.size)
-
-        return (prod(a, b), prod(-freq[:, None] * np.sin(arg_th), b),
-                prod(a, -freq[:, None] * np.sin(arg_ph)))
-
-    return second_variation(n, modes) + (np.repeat(freq, freq.size), np.tile(freq, freq.size))
-
-
 def _orbit_average(m, degree):
     """The average over the order-2m^2 group of the compositions f o g, as
-    a matrix on the coefficients of _fourier_forms(n, degree)'s modes.
+    a matrix on the coefficients of second_variation(n, degree)'s modes.
 
     g swaps the chart angles if g.swap, then shifts them by
     2 pi (g.k, g.l)/m; a shift by s rotates each (cos jx, sin jx) by js,
@@ -261,15 +239,16 @@ def jacobi_spectrum():
     plain modes) and its area the largest eigenvalue error, against
     SPECTRUM_TOL; passed also requires index and nullity.
     """
-    forms = {key: _fourier_forms(*key) for key in ((32, 2), (64, 2), (32, 3))}
+    forms = {key: second_variation(*key) for key in ((32, 2), (64, 2), (32, 3))}
+    freq = fourier_frequencies(2)
+    j, k = np.repeat(freq, freq.size), np.tile(freq, freq.size)
     rows = []
     for n in (32, 64):
-        q, mass, j, k = forms[n, 2]
-        lam = _pencil_eigenvalues(q, mass)
+        lam = _pencil_eigenvalues(*forms[n, 2])
         target = np.sort(2.0 * (j * j + k * k) - 4.0)
         rows.append(_spectrum_row(1, n, lam, float(np.max(np.abs(lam - target)))))
     for m in (2, 3):
-        q, mass, _, _ = forms[32, m]
+        q, mass = forms[32, m]
         mu, vecs = np.linalg.eigh(_orbit_average(m, m))
         basis = vecs[:, mu > 0.5]   # the projector's eigenvalues are 0 and 1
         lam = _pencil_eigenvalues(basis.T @ q @ basis, basis.T @ mass @ basis)

@@ -32,7 +32,7 @@ from .errors import BudgetViolated, DomainError, RadiusTooLarge
 from .fermi import chart_nodes, punctured_sheets
 from .mesh import _spherical_triangle_areas, euler_characteristic
 from .report import make_report
-from .surfaces import flat_torus_gap, product_torus
+from .surfaces import check_grid, flat_torus_gap, product_torus
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -203,6 +203,7 @@ def _family_args(m, schedule, n):
         schedule = default_schedule()
     if n is None:
         n = default_resolution(m)
+    check_grid(n)
     if n % (2 * m) != 0:
         raise DomainError(
             "grid size must be divisible by 2m to place weld centers on vertices,"

@@ -8,17 +8,20 @@ from the chart grid alone: the doubled sweepout's graph-neck and collapse
 rows (`doubling._sheet_area`, on one symmetry cell) and criterion 8's
 punctured tube family (`two_sided_tube_family`).  The punctured rows
 share one field, `punctured_sheets`: the offset scaled by the log cutoff
-about the nearest puncture, with its band gradient in closed form.  The
-second variation of the same area, the Jacobi form of criteria 5 and 6,
-is read off `sheet_elements` by a complex step (`second_variation`),
-exactly and with no mesh.
+about the nearest puncture, with its band gradient in closed form; the
+element is evaluated on the band nodes only, since off the band it takes
+one of two values.  The second variation of the same area, the Jacobi
+form of criteria 5 and 6, is read off `sheet_elements` by a complex step
+(`second_variation`), exactly and with no mesh.  The chart nodes form two
+tensor grids, so on the real Fourier modes its quadrature is a sum of
+Kronecker products of 1-D Gram matrices.
 
 A mesh cutoff (`build_cutoff`) reads the exact distance field of a
 product torus (`surfaces.torus_distances`); other meshes raise
 DomainError.  The mesh geodesic `mesh.geodesic_distances` serves only the
 tests and the benchmark's tracer, and so does `jacobi_lowest`, the lowest
-eigenpair of the cotangent-mesh Jacobi operator; it alone needs scipy (a
-sparse LU), and it imports it itself.
+eigenpair of the cotangent-mesh Jacobi operator; it alone in this module
+needs scipy (a sparse LU), and it imports it itself.
 """
 
 import math
@@ -40,6 +43,21 @@ SECOND_VARIATION_EPS = 1e-6     # modulus of the complex step s = eps e^{i pi/4}
 TUBE_T_GRID = np.linspace(0.05, 0.35, 13)
 
 
+def _chart_axes(n, c):
+    """The 1-D factors of chart_nodes(n, cells=c): the thirds of the first c
+    grid intervals [j d, (j+1) d), d = 2 pi/n, and their lengths.
+
+    Returns (theta, phi) of the first triangle of each cell, (u0+2u1)/3 and
+    (2v0+v1)/3, then those of the second, (2u0+u1)/3 and (v0+2v1)/3, each
+    summed in the order of the triangle's corners, and the lengths.
+    """
+    d = 2.0 * np.pi / n
+    lo = np.arange(c) * d
+    hi = np.arange(1, c + 1) * d
+    return (((lo + hi + hi) / 3.0, (lo + lo + hi) / 3.0),
+            ((lo + hi + lo) / 3.0, (lo + hi + hi) / 3.0), hi - lo)
+
+
 def chart_nodes(n, cells=None):
     """Midpoint nodes of the n-by-n chart grid of the middle torus: the
     barycenters (theta, phi) of its triangles and their chart areas.
@@ -48,19 +66,17 @@ def chart_nodes(n, cells=None):
     order holds two triangles, (u0, v0) (u1, v0) (u1, v1) then (u0, v0)
     (u1, v1) (u0, v1), the triangles of the product torus mesh.  With
     cells = c only the c-by-c cells of the first rows and columns are
-    built, the same nodes in the same order.
+    built, the same nodes in the same order.  The first triangles' nodes
+    form one tensor grid and the second triangles' another
+    (_chart_axes).
     """
     check_grid(n)
     c = n if cells is None else cells
-    d = 2.0 * np.pi / n
-    lo = np.arange(c) * d
-    hi = np.arange(1, c + 1) * d
-    u0, u1 = np.repeat(lo, c), np.repeat(hi, c)
-    v0, v1 = np.tile(lo, c), np.tile(hi, c)
+    (th0, ph0), (th1, ph1), du = _chart_axes(n, c)
     return (
-        np.stack([(u0 + u1 + u1) / 3.0, (u0 + u1 + u0) / 3.0], axis=-1).ravel(),
-        np.stack([(v0 + v0 + v1) / 3.0, (v0 + v1 + v1) / 3.0], axis=-1).ravel(),
-        np.repeat(0.5 * ((u1 - u0) * (v1 - v0)), 2),
+        np.stack([np.repeat(th0, c), np.repeat(th1, c)], axis=-1).ravel(),
+        np.stack([np.tile(ph0, c), np.tile(ph1, c)], axis=-1).ravel(),
+        np.repeat(np.outer(0.5 * du, du).ravel(), 2),
     )
 
 
@@ -82,13 +98,31 @@ def sheet_elements(f, f_theta2, f_phi2):
             np.sqrt(c2 + 0.5 * (1.0 - s2) * f_phi2 + 0.5 * (1.0 + s2) * f_theta2))
 
 
-def second_variation(n, modes):
-    """The second variation Q and the mass M of the middle torus over a
-    basis of normal fields, on the n-by-n chart grid.
+def fourier_frequencies(degree):
+    """The frequency of each real Fourier function 1, cos x, sin x, ...,
+    cos(degree x), sin(degree x), in that order."""
+    return np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
 
-    modes(theta, phi) gives k fields and their chart partials at the
-    chart_nodes, three arrays of shape (k, nodes).  Q and M are the k-by-k
-    symmetric matrices of
+
+def _fourier_grams(x, weight, degree):
+    """The weighted Gram matrices sum_x weight a(x) a(x)^T and
+    sum_x weight a'(x) a'(x)^T of the real Fourier functions a over the
+    points x."""
+    freq = fourier_frequencies(degree)
+    lag = np.concatenate([[0.0], np.tile([0.0, 0.5 * math.pi], degree)])   # sin x = cos(x - pi/2)
+    arg = np.outer(freq, x) - lag[:, None]
+    a = np.cos(arg)
+    da = -freq[:, None] * np.sin(arg)
+    return (a * weight) @ a.T, (da * weight) @ da.T
+
+
+def second_variation(n, degree):
+    """The second variation Q and the mass M of the middle torus on the
+    n-by-n chart grid, over the real Fourier modes a_p(theta) a_q(phi),
+    a = (1, cos x, sin x, ..., cos(degree x), sin(degree x)), in row-major
+    order of (p, q) (fourier_frequencies gives each one's frequency).
+
+    Q and M are the symmetric matrices of
 
         Q(phi, psi) = int <grad phi, grad psi> - 4 phi psi dA,
         M(phi, psi) = int phi psi dA,
@@ -103,16 +137,30 @@ def second_variation(n, modes):
     c_f (c_theta, c_phi) up to O(eps^4).  The mass weight is the element
     of the middle torus itself, f = 0.  The element takes no position, the
     middle torus being homogeneous, so one evaluation serves every node.
+
+    The midpoint quadrature on chart_nodes is a sum over two tensor grids
+    whose weights 0.5 du dv factor too, so each of its terms is a
+    Kronecker product of 1-D Gram matrices (_fourier_grams): with A0, A1
+    those of a and a' over a grid's theta and B0, B1 over its phi,
+
+        Q = sum over the grids of 0.5 (c_f A0 x B0 + c_theta A1 x B0 + c_phi A0 x B1),
+
+    and M the same with the mass weight times A0 x B0.
     """
-    th, ph, w = chart_nodes(n)
-    phi, phi_theta, phi_phi = modes(th, ph)
+    check_grid(n)
     s = SECOND_VARIATION_EPS * np.exp(0.25j * math.pi)
     # rows: the middle torus, then a step in f, in f_theta^2 and in f_phi^2
     steps = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s * s, 0.0], [0.0, 0.0, s * s]])
     plus, minus = sheet_elements(*steps.T)
     c_f, c_theta, c_phi = (plus[1:] + minus[1:]).imag / SECOND_VARIATION_EPS ** 2
-    q = sum((a * (c * w)) @ a.T for a, c in ((phi, c_f), (phi_theta, c_theta), (phi_phi, c_phi)))
-    return q, (phi * (w * plus[0].real)) @ phi.T
+    *grids, du = _chart_axes(n, n)
+    q = mass = 0.0
+    for th, ph in grids:
+        a0, a1 = _fourier_grams(th, 0.5 * du, degree)
+        b0, b1 = _fourier_grams(ph, du, degree)
+        q = q + c_f * np.kron(a0, b0) + c_theta * np.kron(a1, b0) + c_phi * np.kron(a0, b1)
+        mass = mass + np.kron(a0, b0)
+    return q, plus[0].real * mass
 
 
 def check_offset(name, value):
@@ -235,10 +283,20 @@ def punctured_sheets(a, b, gap, scale, t):
     the middle torus, given each node's chart offsets a, b (theta, phi)
     from its puncture and their flat length gap.  In the band t^2 < gap < t
     f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives f_phi^2.
+
+    Off the band the gradient vanishes and f is 0 (gap <= t^2) or scale,
+    so sheet_elements runs on the band nodes and on those two values
+    only; every element is the one a call on all the nodes would give.
     """
-    band = (gap > t * t) & (gap < t)
-    k = np.where(band, (scale / math.log(t)) ** 2 / (4.0 * gap ** 4), 0.0)
-    return sheet_elements(scale * log_cutoff(gap, t), k * a * a, k * b * b)
+    outside = gap > t * t
+    band = outside & (gap < t)
+    ends = sheet_elements(np.array([0.0, scale]), np.zeros(2), np.zeros(2))
+    plus, minus = (np.where(outside, e[1], e[0]) for e in ends)
+    g = gap[band]
+    k = (scale / math.log(t)) ** 2 / (4.0 * g ** 4)
+    a, b = a[band], b[band]
+    plus[band], minus[band] = sheet_elements(scale * log_cutoff(g, t), k * a * a, k * b * b)
+    return plus, minus
 
 
 def two_sided_tube_family(n, p_list, h):

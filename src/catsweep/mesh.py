@@ -17,8 +17,13 @@ meshes, the tests' disk and sphere, check the kernels.  Distances are
 measured in closed form, in the flat metric of a product torus.  The mesh
 geodesic `geodesic_distances` and its `edge_lengths` serve only the tests,
 as the approximation that closed form is checked against, and the
-benchmark's per-layer tracer.  scipy is imported inside the two functions
-that build sparse matrices, so the doubled assembly never loads it.
+benchmark's per-layer tracer.
+
+The cotangent weights are computed in one place, `_cotan_weights`: the
+Dirichlet energy sums them over triangles and corners with no matrix,
+and `cotan_stiffness` assembles the sparse matrix of the same form.
+scipy is imported inside the two functions that build sparse matrices,
+`cotan_stiffness` and `geodesic_distances`, so no command loads it.
 """
 
 import math
@@ -159,33 +164,34 @@ def _metric_side(m, i, j):
     return chord
 
 
-def cotan_stiffness(m):
-    """Cotangent-weight Laplacian as a sparse symmetric PSD matrix.
+def _cotan_weights(m):
+    """Cotangent weights of every triangle: for each corner k, half the
+    cotangent of its angle and the two other corners (i, j), whose edge it
+    faces, as three (3, triangles) arrays.
 
-    Angles come from metric edge lengths, so the matrix is intrinsic; the
-    quadratic form u' S u is the Dirichlet energy of the linear interpolant.
+    Angles come from metric edge lengths, so the weights are intrinsic.
     """
-    from scipy.sparse import coo_matrix
-
     tris = m.triangles
     # side lengths opposite each corner
     a = _metric_side(m, tris[:, 1], tris[:, 2])
     b = _metric_side(m, tris[:, 0], tris[:, 2])
     c = _metric_side(m, tris[:, 0], tris[:, 1])
-    rows, cols, vals = [], [], []
-    for k, (la, lb, lc) in ((0, (a, b, c)), (1, (b, c, a)), (2, (c, a, b))):
-        # cot of the angle at corner k, opposite side la
-        cos_k = (lb * lb + lc * lc - la * la) / (2.0 * lb * lc)
-        cos_k = np.clip(cos_k, -1.0, 1.0)
-        sin_k = np.sqrt(np.maximum(1.0 - cos_k * cos_k, 1e-300))
-        w = 0.5 * cos_k / sin_k
-        i, j = tris[:, (k + 1) % 3], tris[:, (k + 2) % 3]
-        rows.extend([i, j, i, j])
-        cols.extend([j, i, i, j])
-        vals.extend([-w, -w, w, w])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    la, lb, lc = np.stack([a, b, c]), np.stack([b, c, a]), np.stack([c, a, b])
+    # cos of the angle at corner k, opposite side la
+    cos_k = np.clip((lb * lb + lc * lc - la * la) / (2.0 * lb * lc), -1.0, 1.0)
+    sin_k = np.sqrt(np.maximum(1.0 - cos_k * cos_k, 1e-300))
+    return 0.5 * cos_k / sin_k, tris.T[[1, 2, 0]], tris.T[[2, 0, 1]]
+
+
+def cotan_stiffness(m):
+    """Cotangent-weight Laplacian as a sparse symmetric PSD matrix, the
+    matrix of dirichlet_energy."""
+    from scipy.sparse import coo_matrix
+
+    w, i, j = _cotan_weights(m)
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([j, i, i, j], axis=1).ravel()
+    vals = np.stack([-w, -w, w, w], axis=1).ravel()
     n = m.n_vertices
     return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
@@ -200,9 +206,13 @@ def lumped_mass(m):
 
 
 def dirichlet_energy(m, values):
-    s = cotan_stiffness(m)
+    """Dirichlet energy of the linear interpolant of a vertex field: the
+    sum over triangles and corners of w (v_i - v_j)^2, with the cotangent
+    weight w of the corner facing edge (i, j); no matrix is built."""
     v = np.asarray(values, dtype=float)
-    return float(v @ (s @ v))
+    w, i, j = _cotan_weights(m)
+    d = v[i] - v[j]
+    return float(np.sum(w * d * d))
 
 
 def geodesic_distances(m, source):

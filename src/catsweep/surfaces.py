@@ -49,10 +49,19 @@ def disk_rings_for_cutoff(t):
     return np.geomspace(t * t, t, max(4, math.ceil(8 * (-math.log10(t)))) + 1)
 
 
+# the finest chart grid: a command holds a few dozen n^2-node float arrays
+# at once, about 750 bytes a grid vertex at the peak of `doubling sweep`
+# (51 MB at n = 128, 87 MB at 256), so about 0.25 GB here
+MAX_GRID_N = 512
+
+
 def check_grid(n):
-    """Refuse a chart grid too coarse to triangulate the torus."""
+    """Refuse a chart grid too coarse to triangulate the torus, or finer
+    than MAX_GRID_N, before any n^2-node array is built."""
     if n < 3:
         raise DomainError("torus grid size n must be at least 3, got n = %d" % n)
+    if n > MAX_GRID_N:
+        raise DomainError("torus grid size n must be at most %d, got n = %d" % (MAX_GRID_N, n))
 
 
 def product_torus(t, n=64):

@@ -6,7 +6,8 @@ quadratic form of the second variation is what the chart quadrature of
 the offset area is checked against; the chart triangles' corners, cell by
 cell, are what the chart quadrature's nodes were first read off; the
 full-grid sheet quadrature is what the doubled family's one-cell
-quadrature replaced.
+quadrature replaced; the contraction over every chart node is what the
+Kronecker form of the second variation replaced.
 """
 
 import math
@@ -14,7 +15,13 @@ import math
 import numpy as np
 
 from catsweep.doubling import _chart_center_gap, _retract_uv
-from catsweep.fermi import chart_nodes, log_cutoff, sheet_elements
+from catsweep.fermi import (
+    SECOND_VARIATION_EPS,
+    chart_nodes,
+    fourier_frequencies,
+    log_cutoff,
+    sheet_elements,
+)
 from catsweep.mesh import AMBIENT_R3, MeshSurface, dirichlet_energy, lumped_mass
 from catsweep.surfaces import disk_rings_for_cutoff
 
@@ -168,3 +175,32 @@ def full_grid_sheet_area(n, m, s, h_eff, t_neck):
     b = ph2 % cell - half
     plus, minus = sheet_elements(f, k * a * a, k * b * b)
     return float(np.sum(w * jac * (plus + minus))), 0.5 * float(np.sum(uv_area[~keep]))
+
+
+def node_sum_second_variation(n, degree):
+    """fermi.second_variation(n, degree) as three dense contractions
+    Phi diag(w c) Phi^T over every chart node, and M as one.
+
+    Phi holds the real Fourier modes a_p(theta) a_q(phi), row-major in
+    (p, q), or one of their chart partials, at the chart_nodes; c is the
+    element's Hessian coefficient of that term, read by the same complex
+    step, and the mass weight the element at f = 0.
+    """
+    th, ph, w = chart_nodes(n)
+    freq = fourier_frequencies(degree)
+    lag = np.concatenate([[0.0], np.tile([0.0, 0.5 * math.pi], degree)])
+    arg_th, arg_ph = np.outer(freq, th) - lag[:, None], np.outer(freq, ph) - lag[:, None]
+    a, b = np.cos(arg_th), np.cos(arg_ph)
+
+    def prod(u, v):
+        return (u[:, None, :] * v[None, :, :]).reshape(-1, th.size)
+
+    phi = prod(a, b)
+    phi_theta = prod(-freq[:, None] * np.sin(arg_th), b)
+    phi_phi = prod(a, -freq[:, None] * np.sin(arg_ph))
+    s = SECOND_VARIATION_EPS * np.exp(0.25j * math.pi)
+    steps = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s * s, 0.0], [0.0, 0.0, s * s]])
+    plus, minus = sheet_elements(*steps.T)
+    c_f, c_theta, c_phi = (plus[1:] + minus[1:]).imag / SECOND_VARIATION_EPS ** 2
+    q = sum((x * (c * w)) @ x.T for x, c in ((phi, c_f), (phi_theta, c_theta), (phi_phi, c_phi)))
+    return q, (phi * (w * plus[0].real)) @ phi.T

@@ -130,13 +130,13 @@ FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
     "width-excess": "97bdacb0cf795ef16854ba5d47c8a28ff9e240bc3c26752244d9e0959d0c141e",
-    "fermi-quad": "284058a5644dc2d0184e93a83bdbb1c4e09045d35b37908d0c4e091845f4dc0a",
+    "fermi-quad": "59b200e352f62c6eeb6f6e87f4de9feb6ae0052cafaccd9cf26674ae16adaad6",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
     "doubling-sweep": "1acc3d96c9421cbb6154af2ce27329ee57d2ccb1b791b8cf2e74e80d6e32bf89",
     "doubling-sweep-m3": "956831a0115d3d13dd3d1d17e0a35d1679ee4b016297317d57fde0c3b15ad44e",
-    "cutoff-torus": "01d94a82b84c2e17eb2ed2a2e4d5a2c7a060000c4aadca9011e6c7c2a2898b3c",
+    "cutoff-torus": "3d8a28dfa8b4f678a1b0cd8bb82a0d6b52282e9d270948deda6a1d8748de0039",
     "fermi-tubes": "4f56b6498d5b00150f368edf0bb8282542e234374453875898963c816989c8fe",
 }
 BYTE_STABLE_COMMANDS = dict(
@@ -176,6 +176,12 @@ BAD_INPUTS = {
     "tubes-n-0": (["fermi", "tubes", "--n", "0"], "n = 0"),
     "cutoff-torus-n-0": (["cutoff", "torus", "--n", "0"], "n = 0"),
     "doubling-n-0": (["doubling", "sweep", "--m", "2", "--n", "0"], "n = 0"),
+    # the finest grid is surfaces.MAX_GRID_N = 512; no test builds one
+    "quad-n-513": (["fermi", "quad", "--n", "513"], "at most 512, got n = 513"),
+    "quad-n-1e9": (["fermi", "quad", "--n", "1000000000"], "got n = 1000000000"),
+    "tubes-n-513": (["fermi", "tubes", "--n", "513"], "at most 512, got n = 513"),
+    "cutoff-torus-n-513": (["cutoff", "torus", "--n", "513"], "at most 512, got n = 513"),
+    "doubling-n-516": (["doubling", "sweep", "--m", "2", "--n", "516"], "at most 512, got n = 516"),
     "doubling-n-indivisible": (
         ["doubling", "sweep", "--m", "2", "--n", "7"], "got n = 7, m = 2"
     ),
@@ -375,9 +381,13 @@ def test_doubling_sweep_leaves_scipy_unloaded():
     assert proc.returncode == 0 and loaded == [], proc.stderr
 
 
-def test_criteria_5_and_6_leave_scipy_unloaded():
-    # the second variation and the Jacobi spectrum need numpy.linalg only
-    run = "from catsweep import acceptance\nassert all(acceptance.run_criterion(i).ok for i in (5, 6))"
+def test_checks_criteria_leave_scipy_unloaded():
+    # every criterion but the width's (3) and the doubled family's (9):
+    # the second variation and the Jacobi spectrum need numpy.linalg only,
+    # and the cutoff energy on the torus sums its cotangent weights with no
+    # sparse matrix
+    run = ("from catsweep import acceptance\n"
+           "assert all(acceptance.run_criterion(i).ok for i in (1, 2, 4, 5, 6, 7, 8, 10))")
     proc, loaded = _loaded_after(run, "scipy")
     assert proc.returncode == 0 and loaded == [], proc.stderr
 

@@ -7,7 +7,13 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from catsweep.acceptance import cutoff_disk
-from catsweep.doubling import cmc_area
+from catsweep.doubling import (
+    HANDOFF_NECK_MAX,
+    _cell_nodes,
+    _chart_center_gap,
+    _retract_uv,
+    cmc_area,
+)
 from catsweep.errors import DomainError, RadiusTooLarge, SolverFailure
 from catsweep.fermi import (
     JACOBI_MAX_ITERS,
@@ -17,6 +23,7 @@ from catsweep.fermi import (
     chart_nodes,
     jacobi_lowest,
     log_cutoff,
+    punctured_sheets,
     second_variation,
     sheet_elements,
     two_sided_tube_family,
@@ -36,7 +43,13 @@ from catsweep.surfaces import (
     torus_distances,
 )
 
-from reference_geometry import disk_mesh_rings, flat_disk, quadratic_form, round_sphere
+from reference_geometry import (
+    disk_mesh_rings,
+    flat_disk,
+    node_sum_second_variation,
+    quadratic_form,
+    round_sphere,
+)
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -135,18 +148,78 @@ def test_second_variation_against_quadratic_form():
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_second_variation_reads_jacobi_eigenvalues(n):
-    # cos(theta) cos(2 phi) and sin(3 theta + phi) are Jacobi eigenfunctions
-    # of eigenvalues 2(1 + 4) - 4 = 6 and 2(9 + 1) - 4 = 16; the chart
-    # quadrature integrates their products exactly below frequency n
-    def modes(th, ph):
-        return (np.stack([np.cos(th) * np.cos(2.0 * ph), np.sin(3.0 * th + ph)]),
-                np.stack([-np.sin(th) * np.cos(2.0 * ph), 3.0 * np.cos(3.0 * th + ph)]),
-                np.stack([-2.0 * np.cos(th) * np.sin(2.0 * ph), np.cos(3.0 * th + ph)]))
-
-    q, mass = second_variation(n, modes)
+    # cos(theta) cos(2 phi) and sin(3 theta + phi) = sin 3theta cos phi +
+    # cos 3theta sin phi are Jacobi eigenfunctions of eigenvalues
+    # 2(1 + 4) - 4 = 6 and 2(9 + 1) - 4 = 16; as coefficient vectors on the
+    # modes a_p(theta) a_q(phi), a = (1, cos x, sin x, ..., cos 3x, sin 3x),
+    # index 7p + q.  The chart quadrature integrates their products
+    # exactly below frequency n
+    q, mass = second_variation(n, 3)
+    v = np.zeros((2, 49))
+    v[0, 7 * 1 + 3] = 1.0
+    v[1, [7 * 6 + 1, 7 * 5 + 2]] = 1.0
     norms = np.diag([0.5 * math.pi ** 2, math.pi ** 2])
-    assert mass == pytest.approx(norms, abs=1e-13)
-    assert q == pytest.approx(np.diag([6.0, 16.0]) @ norms, abs=1e-12)
+    assert v @ mass @ v.T == pytest.approx(norms, abs=1e-13)
+    assert v @ q @ v.T == pytest.approx(np.diag([6.0, 16.0]) @ norms, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 16, 33])
+def test_second_variation_matches_the_node_sum(n):
+    # the Kronecker form against the contraction over every chart node it
+    # replaced, on an even and an odd grid; at n = 5 the quadrature
+    # aliases the degree-3 products (frequencies up to 6), so the forms
+    # are no longer diagonal, and the two sums still agree
+    q, mass = second_variation(n, 3)
+    q_ref, mass_ref = node_sum_second_variation(n, 3)
+    assert q.shape == mass.shape == (49, 49)
+    assert np.max(np.abs(q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
+    assert np.max(np.abs(mass - mass_ref)) <= 1e-12 * np.max(np.abs(mass_ref))
+
+
+def _every_node_sheets(a, b, gap, scale, t):
+    # punctured_sheets with sheet_elements evaluated on every node
+    band = (gap > t * t) & (gap < t)
+    k = np.where(band, (scale / math.log(t)) ** 2 / (4.0 * gap ** 4), 0.0)
+    return sheet_elements(scale * log_cutoff(gap, t), k * a * a, k * b * b)
+
+
+def _assert_sheets_equal(a, b, gap, scale, t):
+    got = punctured_sheets(a, b, gap, scale, t)
+    want = _every_node_sheets(a, b, gap, scale, t)
+    assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_punctured_sheets_match_every_node_bits():
+    n = 64
+    th, ph, _ = chart_nodes(n)
+    p = 16 * n + 48
+    a = (th - 2.0 * math.pi * (p // n) / n + math.pi) % (2.0 * math.pi) - math.pi
+    b = (ph - 2.0 * math.pi * (p % n) / n + math.pi) % (2.0 * math.pi) - math.pi
+    gap = flat_torus_gap(0.5, a, b, 2.0 * math.pi)
+    # the nearest nodes sit at gap d/3 = 0.0327, so at t = 0.03 the band
+    # holds no node
+    assert np.min(gap) == pytest.approx(2.0 * math.pi / (3 * n), rel=1e-12)
+    assert not np.any((gap > 0.03 ** 2) & (gap < 0.03))
+    for t in (0.03, 0.15, 0.3):
+        # every node, those inside t^2 too (t = 0.3), and the kept ones
+        assert np.any(gap <= t * t) == (t == 0.3)
+        for keep in (slice(None), gap > t * t):
+            _assert_sheets_equal(a[keep], b[keep], gap[keep], 0.05, t)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1])
+def test_punctured_sheets_match_every_node_bits_under_a_retraction(s):
+    # the doubled family's cell nodes, retracted outward: the band empties
+    # from about s = 0.3 on
+    m, t = 2, HANDOFF_NECK_MAX
+    cell = _cell_nodes(64, m)
+    keep = cell.gap > t * t
+    th2, ph2 = _retract_uv(m, s, cell.theta[keep], cell.phi[keep])
+    half = math.pi / m
+    a, b = th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half
+    gap = _chart_center_gap(m, th2, ph2)
+    assert np.any((gap > t * t) & (gap < t)) and np.any(gap >= t)
+    _assert_sheets_equal(a, b, gap, (1.0 - s) * 0.05, t)
 
 
 def test_cutoff_field_cases():

@@ -148,6 +148,16 @@ def test_cotan_energy_of_linear_field():
     assert np.max(np.abs(s @ np.ones(d.n_vertices))) < 1e-12
 
 
+@pytest.mark.parametrize("surface", ["clifford_torus", "flat_disk"])
+def test_dirichlet_energy_is_the_stiffness_form(surface):
+    # the matrix-free sum over triangles and corners against v' S v
+    m = clifford_torus(64) if surface == "clifford_torus" else flat_disk()
+    rng = np.random.default_rng(3)
+    for v in (rng.normal(size=m.n_vertices), m.vertices[:, 0] * m.vertices[:, 1]):
+        want = float(v @ (cotan_stiffness(m) @ v))
+        assert dirichlet_energy(m, v) == pytest.approx(want, rel=1e-13)
+
+
 def test_lumped_mass_totals_area():
     cl = clifford_torus(32)
     assert np.sum(lumped_mass(cl)) == pytest.approx(_area(cl), rel=1e-12)

@@ -41,7 +41,7 @@ from .mesh import dirichlet_energy, level_set_perimeter
 from .neckscaling import cost_exponent_fit
 from .report import make_report
 from .revolution import mountain_pass_width
-from .surfaces import clifford_torus, disk_rings_for_cutoff
+from .surfaces import check_grid, clifford_torus, disk_rings_for_cutoff
 
 WIDTH_EXCESS_TOL = 2e-4     # relative error of the width's excess over the two disks
 EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))   # h/r of width excess
@@ -162,7 +162,19 @@ def fermi_quad(n):
     are coefficient vectors on second_variation(n, 2)'s modes: e_(0,0),
     and e_(3,0) + e_(0,3) (a_3 = cos 2x).  Each row's t is the mode's
     Jacobi eigenvalue.  base_area, M(1, 1), is the chart area 2*pi^2, and
-    passed requires it within QUAD_TOL too."""
+    passed requires it within QUAD_TOL too.
+
+    The products the checked modes and their gradients form have the
+    frequencies 0, 2 and 4 in each angle, and the grid's midpoint sum of a
+    frequency-f mode is exact unless n divides f.  So a grid size n that
+    divides 4 aliases the check: n = 4 is refused (check_grid refuses n
+    below 3)."""
+    check_grid(n)
+    if 4 % n == 0:
+        raise DomainError(
+            "fermi quad grid --n must not divide 4, the highest frequency of the"
+            " checked products, which it would alias; got n = %d" % n
+        )
     q, mass = second_variation(n, 2)
     # coefficient vectors on the modes a_p(theta) a_q(phi), index 5p + q
     constant, invariant = np.zeros((2, 25))

@@ -20,7 +20,14 @@ field and element criterion 8 checks, on `fermi.chart_nodes`, the nodes
 criterion 5 checks.  Every slice is invariant under the group, so the
 quadrature runs over the nodes of one symmetry cell of the chart grid,
 built without a mesh, and the witness measures one of its congruent
-tubes, each times m^2.
+tubes, each times m^2.  The s = 0 retraction that every graph-neck row
+reads is taken once, on all the cell's nodes.
+
+The witness is built by index arithmetic: the stars of the weld centers
+come from the torus grid layout (`surfaces._grid_star`), the collar
+orbit from one call of the index-level group action over all 2m^2
+elements, and tube k's strips are tube 0's shifted by k vertex blocks,
+all written into one triangle array.
 """
 
 import math
@@ -32,7 +39,7 @@ from .errors import BudgetViolated, DomainError, RadiusTooLarge
 from .fermi import chart_nodes, punctured_sheets
 from .mesh import _spherical_triangle_areas, euler_characteristic
 from .report import make_report
-from .surfaces import check_grid, flat_torus_gap, product_torus
+from .surfaces import _grid_star, check_grid, flat_torus_gap, product_torus
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -226,10 +233,8 @@ def _cross4(a, b, c):
 
 
 def _tube_strips(ids):
-    """Triangles joining consecutive rings of a (..., rings, points) index grid.
-
-    Leading axes are tubes, emitted one after another; within a tube each
-    pair of rings gives its two fans of triangles in ring-point order.
+    """Triangles joining consecutive rings of a (rings, points) index grid:
+    each pair of rings gives its two fans of triangles in ring-point order.
     """
     a, b = ids[..., :-1, :], ids[..., 1:, :]
     a1, b1 = np.roll(a, -1, axis=-1), np.roll(b, -1, axis=-1)
@@ -287,13 +292,14 @@ def _composite_tube_base(t, m, radius):
 
 
 def _weld_ring_coords(s_par, theta_c, phi_c, radius):
-    """Intrinsic circle of the given radius on a product torus, as chart offsets."""
+    """Intrinsic circles of the given radius on a product torus about the
+    chart centers (theta_c, phi_c), as (centers, points, 4) coordinates."""
     a = math.sqrt(s_par)
     b = math.sqrt(1.0 - s_par)
     psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
-    th = theta_c + radius * np.cos(psi) / a
-    ph = phi_c + radius * np.sin(psi) / b
-    return np.column_stack([a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)])
+    th = theta_c[:, None] + radius * np.cos(psi) / a
+    ph = phi_c[:, None] + radius * np.sin(psi) / b
+    return np.stack([a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)], axis=-1)
 
 
 def _weld_capacity(t, n):
@@ -343,37 +349,38 @@ def _bridge_cycles(outer_idx, outer_ang, inner_idx, inner_ang):
     return np.array(tris, dtype=np.int64)
 
 
-def _slice_index_map(m, n, g, vid):
-    """Action of a group element on an array of the assembled slice's vertex indices.
+def _slice_index_map(m, n, elements, vid):
+    """Action of group elements on an array of the assembled slice's vertex indices.
 
     Vertex ranges: the two torus copies first, then per joining arc one
     block of tube rings followed by the two weld rings (upper-torus end,
-    then lower-torus end).  Each index is mapped under g = (k, l, swap),
-    matching the geometric action at roundoff level.
+    then lower-torus end).  Each index is mapped under every element g =
+    (k, l, swap), matching the geometric action at roundoff level; the
+    result has one leading axis over the elements, in their order.
     """
     n2 = n * n
     step = n // m
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
     block = (seg + 1) * rr + 2 * rr
     vid = np.asarray(vid, dtype=np.int64)
-    out = np.empty_like(vid)
-    on_tori = vid < 2 * n2
-    copy, rem = np.divmod(vid[on_tori], n2)
+    k, l, swap = (np.array([[getattr(g, f)] for g in elements]) for f in ("k", "l", "swap"))
+    flat = vid.ravel()
+    out = np.empty((len(elements), flat.size), dtype=np.int64)
+    on_tori = flat < 2 * n2
+    copy, rem = np.divmod(flat[on_tori], n2)
     i, j = np.divmod(rem, n)
-    if g.swap:
-        copy, i, j = 1 - copy, j, i
-    out[on_tori] = copy * n2 + (i + g.k * step) % n * n + (j + g.l * step) % n
-    a, rem = np.divmod(vid[~on_tori] - 2 * n2, block)
+    copy, i, j = np.where(swap, 1 - copy, copy), np.where(swap, j, i), np.where(swap, i, j)
+    out[:, on_tori] = copy * n2 + (i + k * step) % n * n + (j + l * step) % n
+    a, rem = np.divmod(flat[~on_tori] - 2 * n2, block)
     ka, la = np.divmod(a, m)
     # rows 0..seg are tube rings, rows seg+1 and seg+2 the two weld rings
     row, j = np.divmod(rem, rr)
-    if g.swap:
-        ka, la = la, ka
-        weld = row > seg
-        row = np.where(weld, 2 * seg + 3 - row, seg - row)
-        j = (np.where(weld, rr // 4, 0) - j) % rr
-    out[~on_tori] = 2 * n2 + ((ka + g.k) % m * m + (la + g.l) % m) * block + row * rr + j
-    return out
+    weld = row > seg
+    ka, la = np.where(swap, la, ka), np.where(swap, ka, la)
+    row = np.where(swap, np.where(weld, 2 * seg + 3 - row, seg - row), row)
+    j = np.where(swap, (np.where(weld, rr // 4, 0) - j) % rr, j)
+    out[:, ~on_tori] = 2 * n2 + ((ka + k) % m * m + (la + l) % m) * block + row * rr + j
+    return out.reshape((len(elements),) + vid.shape)
 
 
 def _wrap_angle(x):
@@ -392,7 +399,6 @@ class DoubledSlice:
     area: float
     area_parts: dict
     chi: int
-    removed_disk_area: float
     n_tubes: int
 
 
@@ -422,7 +428,7 @@ def doubled_slice(t, m, schedule=None, n=None):
         return DoubledSlice(
             t=t, m=m, stage="pair", vertices=verts, triangles=tris, area=total,
             area_parts={"tori": total, "collars": 0.0, "tubes": 0.0},
-            chi=euler_characteristic(tris), removed_disk_area=0.0, n_tubes=0,
+            chi=euler_characteristic(tris), n_tubes=0,
         )
     cap = 0.6 * min(_weld_capacity(t, n), _weld_capacity(1.0 - t, n))
     if radius >= cap:
@@ -436,34 +442,25 @@ def doubled_slice(t, m, schedule=None, n=None):
     verts = np.empty((2 * n2 + m * m * block, 4))
     verts[:n2] = low.vertices
     verts[n2:2 * n2] = high.vertices
-    keep_low = np.ones(len(low.triangles), dtype=bool)
-    keep_high = np.ones(len(high.triangles), dtype=bool)
-    removed = 0.0
     weld_centers = _grid_center_vertices(m, n)
-    for a, c_id in enumerate(weld_centers):
-        ka, la = divmod(a, m)
-        ic, jc = divmod(c_id, n)
-        mat = GroupElement(m, ka, la, False).matrix()
-        base_id = 2 * n2 + a * block
-        verts[base_id:base_id + (seg + 1) * rr] = (rings_b @ mat.T).reshape(-1, 4)
-        verts[base_id + (seg + 1) * rr:base_id + (seg + 1) * rr + rr] = _weld_ring_coords(
-            1.0 - t, ang[ic], ang[jc], radius
-        )
-        verts[base_id + (seg + 1) * rr + rr:base_id + block] = _weld_ring_coords(
-            t, ang[ic], ang[jc], radius
-        )
-        star = np.flatnonzero(np.any(low.triangles == c_id, axis=1))
-        if a == 0:
-            star0 = star
-        keep_low[star] = False
-        keep_high[star] = False
-        removed += float(low.areas[star].sum() + high.areas[star].sum())
+    ic, jc = np.divmod(weld_centers, n)
+    # tube a's rings are the base rings under rotation a = (k, l) = divmod(a, m)
+    mats_t = np.array([GroupElement(m, k, l).matrix().T for k in range(m) for l in range(m)])
+    tubes = verts[2 * n2:].reshape(m * m, block, 4)
+    tubes[:, :(seg + 1) * rr] = (rings_b @ mats_t[:, None]).reshape(m * m, -1, 4)
+    tubes[:, (seg + 1) * rr:(seg + 2) * rr] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
+    tubes[:, (seg + 2) * rr:] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
+    # both tori have the triangle layout of _grid_triangles, so one mask
+    # drops the stars of the weld centers from each
+    stars = _grid_star(n, ic, jc)
+    keep = np.ones(len(low.triangles), dtype=bool)
+    keep[stars.ravel()] = False
     # canonical collar at the lower-torus end of the first arc
     th_v = low.aux["chart_theta"]
     ph_v = low.aux["chart_phi"]
     c0 = weld_centers[0]
     i_c0 = c0 // n
-    link = np.setdiff1d(np.unique(low.triangles[star0]), [c0])
+    link = np.setdiff1d(np.unique(low.triangles[stars[0]]), [c0])
     hx = math.sqrt(t) * _wrap_angle(th_v[link] - ang[i_c0])
     hy = math.sqrt(1.0 - t) * _wrap_angle(ph_v[link] - ang[i_c0])
     hex_ang = np.arctan2(hy, hx) % (2.0 * math.pi)
@@ -484,25 +481,28 @@ def doubled_slice(t, m, schedule=None, n=None):
     row_last = 2 * n2 + seg * rr + np.arange(rr)
     band0 = _bridge_cycles(row_last, _angles_about(row_last), wr_low0, _angles_about(wr_low0))
     collar0 = np.vstack([zip0, band0])
-    collar_tris = np.vstack([_slice_index_map(m, n, g, collar0) for g in group_elements(m)])
-    tube_ids = 2 * n2 + block * np.arange(m * m)[:, None, None] + np.arange(
-        (seg + 1) * rr
-    ).reshape(seg + 1, rr)
-    strip_tris = _tube_strips(tube_ids)
-    tris = np.vstack(
-        [low.triangles[keep_low], high.triangles[keep_high] + n2, collar_tris, strip_tris]
-    )
-    area_tori = float(low.areas[keep_low].sum() + high.areas[keep_high].sum())
+    # tube 0 on its own block of vertices; tube k is it shifted by k blocks
+    tube0 = _tube_strips(np.arange((seg + 1) * rr).reshape(seg + 1, rr))
+    kept = low.triangles[keep]
+    n_kept, n_collar = len(kept), 2 * m * m * len(collar0)
+    tris = np.empty((2 * n_kept + n_collar + m * m * len(tube0), 3), dtype=np.int64)
+    tris[:n_kept] = kept
+    np.add(kept, n2, out=tris[n_kept:2 * n_kept])
+    collar_tris = tris[2 * n_kept:2 * n_kept + n_collar]
+    collar_tris[:] = _slice_index_map(m, n, group_elements(m), collar0).reshape(-1, 3)
+    np.add(tube0, (2 * n2 + block * np.arange(m * m))[:, None, None],
+           out=tris[2 * n_kept + n_collar:].reshape(m * m, len(tube0), 3))
+    area_tori = float(low.areas[keep].sum() + high.areas[keep].sum())
     area_collars = float(np.sum(_spherical_triangle_areas(verts, collar_tris)))
     # every tube's rings are tube 0's under a rotation of the group, so
     # the m^2 tubes have one area
-    tube0 = strip_tris[:len(strip_tris) // (m * m)]
-    area_tubes = m * m * float(np.sum(_spherical_triangle_areas(verts, tube0)))
+    rings0 = verts[2 * n2:2 * n2 + (seg + 1) * rr]
+    area_tubes = m * m * float(np.sum(_spherical_triangle_areas(rings0, tube0)))
     return DoubledSlice(
         t=t, m=m, stage="pair_tubes", vertices=verts, triangles=tris,
         area=area_tori + area_collars + area_tubes,
         area_parts={"tori": area_tori, "collars": area_collars, "tubes": area_tubes},
-        chi=euler_characteristic(tris), removed_disk_area=removed, n_tubes=m * m,
+        chi=euler_characteristic(tris), n_tubes=m * m,
     )
 
 
@@ -546,6 +546,8 @@ class _CellNodes:
     theta, phi are the chart barycenters of the triangles in the cell,
     weight their chart areas, gap their unretracted flat distance to the
     cell's puncture center and rho their sup radius about it over pi/m.
+    graph is their image under the retraction at s = 0, the one every
+    graph-neck row reads (_retracted); the image is no bit-exact identity.
     """
 
     m: int
@@ -554,6 +556,7 @@ class _CellNodes:
     weight: np.ndarray
     gap: np.ndarray
     rho: np.ndarray
+    graph: tuple
 
 
 def _cell_nodes(n, m):
@@ -565,11 +568,21 @@ def _cell_nodes(n, m):
     """
     th, ph, weight = chart_nodes(n, n // m)
     half = math.pi / m
+    rho = np.maximum(np.abs(th - half), np.abs(ph - half)) / half
     return _CellNodes(
-        m=m, theta=th, phi=ph, weight=weight,
-        gap=_chart_center_gap(m, th, ph),
-        rho=np.maximum(np.abs(th - half), np.abs(ph - half)) / half,
+        m=m, theta=th, phi=ph, weight=weight, gap=_chart_center_gap(m, th, ph), rho=rho,
+        graph=_retracted(m, 0.0, th, ph, rho),
     )
+
+
+def _retracted(m, s, theta, phi, rho):
+    """Nodes under the retraction at step s: the wrapped chart offsets a, b
+    of each image point to its nearest center, their flat length, and the
+    retraction's Jacobian (see _sheet_area)."""
+    th2, ph2 = _retract_uv(m, s, theta, phi)
+    half = math.pi / m
+    return (th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half,
+            _chart_center_gap(m, th2, ph2), (1.0 - s) * ((1.0 - s) + s / rho))
 
 
 def _sheet_area(cell, s, h_eff, t_neck):
@@ -592,15 +605,16 @@ def _sheet_area(cell, s, h_eff, t_neck):
     the area vanishes exactly at s = 1.
 
     Returns the area of both sheets and the flat area of the nodes one
-    sheet excises, each m^2 times the cell's.
+    sheet excises, each m^2 times the cell's.  At s = 0 the kept nodes'
+    image is read off cell.graph, retracted once for all graph-neck rows.
     """
     m = cell.m
     keep = cell.gap > t_neck * t_neck
-    th2, ph2 = _retract_uv(m, s, cell.theta[keep], cell.phi[keep])
-    jac = (1.0 - s) * ((1.0 - s) + s / cell.rho[keep])
-    half = math.pi / m
-    plus, minus = punctured_sheets(th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half,
-                                   _chart_center_gap(m, th2, ph2), (1.0 - s) * h_eff, t_neck)
+    if s == 0.0:
+        a, b, gap, jac = (x[keep] for x in cell.graph)
+    else:
+        a, b, gap, jac = _retracted(m, s, cell.theta[keep], cell.phi[keep], cell.rho[keep])
+    plus, minus = punctured_sheets(a, b, gap, (1.0 - s) * h_eff, t_neck)
     copies = m * m
     return (copies * float(np.sum(cell.weight[keep] * jac * (plus + minus))),
             0.5 * copies * float(np.sum(cell.weight[~keep])))

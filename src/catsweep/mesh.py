@@ -6,11 +6,13 @@ sphere), each with the two curvature terms of the Jacobi potential,
 lengths, and the Euler characteristic all work from the vertex/triangle
 arrays alone.
 
-Spherical triangle areas, the hot path of every doubled slice, gather each
-coordinate from one coordinate-major copy of the vertices and add the
-squared chords coordinate by coordinate, in the order a row norm sums
-them, so areas match the row-gather form bit for bit.  The Euler
-characteristic counts distinct edge keys after one sort.
+Spherical triangle areas gather each coordinate from one
+coordinate-major copy of the vertices and add the squared chords
+coordinate by coordinate, in the order a row norm sums them, so areas
+match the row-gather form bit for bit.  A welded slice calls them on one
+torus, one tube's own vertex block or its collars at a time, never on
+the whole slice.  The Euler characteristic counts distinct edge keys
+after one sort, each key in the narrowest unsigned type that holds it.
 
 The package builds only product tori in S^3 (`surfaces`); flat-space
 meshes, the tests' disk and sphere, check the kernels.  Distances are
@@ -304,15 +306,20 @@ def level_set_perimeter(m, values, level):
 def euler_characteristic(triangles):
     """V - E + F from a triangle list; counts only referenced vertices.
 
-    Each triangle side is keyed as the single integer lo * base + hi; after
-    one sort, an edge starts wherever a key differs from its predecessor.
+    Each triangle side is keyed as the single integer lo * base + hi, in
+    the narrowest unsigned type that holds base^2 (uint32 for base up to
+    65,535), else int64; after one sort, an edge starts wherever a key
+    differs from its predecessor.
     """
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:
         return 0
     n_referenced = np.count_nonzero(np.bincount(tris.ravel()))
     base = int(tris.max()) + 1
-    c0, c1, c2 = tris.T
+    key = np.min_scalar_type(base * base)
+    if key.itemsize > 4:
+        key = np.dtype(np.int64)
+    c0, c1, c2 = tris.T.astype(key)
     keys = np.concatenate(
         [np.minimum(a, b) * base + np.maximum(a, b) for a, b in ((c0, c1), (c1, c2), (c2, c0))]
     )

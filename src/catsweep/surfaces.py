@@ -35,6 +35,22 @@ def _grid_triangles(n_rows, n_cols):
     return cells.reshape(-1, 3)
 
 
+def _grid_star(n, i, j):
+    """The six `_grid_triangles(n, n)` indices around vertex (i, j), in
+    ascending order along the last axis; i and j broadcast.
+
+    The vertex is v00 of both triangles of cell (i, j), v10 of the first
+    of cell (i-1, j), v01 of the second of cell (i, j-1) and v11 of both
+    of cell (i-1, j-1), indices taken mod n.
+    """
+    i = np.asarray(i, dtype=np.int64)[..., None]
+    j = np.asarray(j, dtype=np.int64)[..., None]
+    up, left = (i - 1) % n, (j - 1) % n
+    cells = np.concatenate([i * n + j, up * n + j, i * n + left, up * n + left], axis=-1)
+    star = 2 * cells[..., [0, 0, 1, 2, 3, 3]] + np.array([0, 1, 0, 1, 0, 1])
+    return np.sort(star, axis=-1)
+
+
 def disk_rings_for_cutoff(t):
     """Ring radii of the cutoff band [t^2, t] of the flat disk, t^2 and t
     included: log-spaced, 8 a decade and at least 4 intervals.

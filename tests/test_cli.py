@@ -179,6 +179,8 @@ BAD_INPUTS = {
     # the finest grid is surfaces.MAX_GRID_N = 512; no test builds one
     "quad-n-513": (["fermi", "quad", "--n", "513"], "at most 512, got n = 513"),
     "quad-n-1e9": (["fermi", "quad", "--n", "1000000000"], "got n = 1000000000"),
+    # on a 4-grid the frequency-4 products of the checked modes alias
+    "quad-n-4": (["fermi", "quad", "--n", "4"], "--n must not divide 4, the highest frequency"),
     "tubes-n-513": (["fermi", "tubes", "--n", "513"], "at most 512, got n = 513"),
     "cutoff-torus-n-513": (["cutoff", "torus", "--n", "513"], "at most 512, got n = 513"),
     "doubling-n-516": (["doubling", "sweep", "--m", "2", "--n", "516"], "at most 512, got n = 516"),

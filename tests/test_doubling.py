@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -170,7 +171,6 @@ def test_doubled_slice_area_accounting(slice2):
     parts = slice2.area_parts
     assert abs(parts["tori"] + parts["collars"] + parts["tubes"] - slice2.area) < 1e-12
     assert all(v > 0.0 for v in parts.values())
-    assert slice2.removed_disk_area > 0.0
     pair = 2.0 * cmc_area(0.2)
     assert abs(slice2.area / pair - 1.0) < 0.02
 
@@ -213,9 +213,36 @@ def test_doubled_slice_index_map_is_a_symmetry(m, t):
     keys = _triangle_keys(sl.triangles, n_v)
     assert np.all(keys[1:] != keys[:-1])
     for g in group_elements(m):
-        perm = _slice_index_map(m, default_resolution(m), g, np.arange(n_v))
+        perm = _slice_index_map(m, default_resolution(m), [g], np.arange(n_v))[0]
         assert np.array_equal(_triangle_keys(perm[sl.triangles], n_v), keys)
         assert np.max(np.abs(sl.vertices[perm] - sl.vertices @ g.matrix().T)) < 1e-12
+
+
+# the witness slice of assemble_doubled_sweepout at its defaults: sha256
+# of its triangle and vertex bytes, and its area_parts, as first recorded
+# (triangle order and vertex layout are part of the record)
+WITNESS_T = 0.2635294117647059
+WITNESS_BYTES = {
+    2: ("f8a1051a43bb056b695405545ccf00ce02e30ddc2e4e7c6b7c2400e754d952bb",
+        "e529694e880326a6a1546a26d0fa932184a8766d4101066d974e5308cac1a74b",
+        "{'tori': 34.696222760978515, 'collars': 0.10175846054953305,"
+        " 'tubes': 0.03411157370826301}"),
+    3: ("131626133d672d2cd5485c39cbeaff8f1ca16b8b435520dada500eb438d47358",
+        "060320d9f415a75aac5c6e98258f160f79f2a05be46afbd3b2348fc50a3019bb",
+        "{'tori': 34.5816502679843, 'collars': 0.2152598570389378,"
+        " 'tubes': 0.07675104084359154}"),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_witness_mesh_bytes_are_frozen(m, request):
+    rep = request.getfixturevalue("report%d" % m)
+    assert max(r["t"] for r in rep.rows if r["stage"] == "pair_tubes") == WITNESS_T
+    sl = doubled_slice(WITNESS_T, m)
+    tris, verts, parts = WITNESS_BYTES[m]
+    assert hashlib.sha256(sl.triangles.tobytes()).hexdigest() == tris
+    assert hashlib.sha256(sl.vertices.tobytes()).hexdigest() == verts
+    assert repr(sl.area_parts) == parts
 
 
 def test_doubled_slice_rejects_bad_input():

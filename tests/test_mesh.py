@@ -18,7 +18,7 @@ from catsweep.mesh import (
     lumped_mass,
     triangle_areas,
 )
-from catsweep.surfaces import clifford_torus, product_torus
+from catsweep.surfaces import _grid_star, clifford_torus, product_torus
 
 from reference_geometry import disk_mesh_rings, flat_disk, round_sphere
 
@@ -96,6 +96,16 @@ def test_torus_mesher_matches_loop_bytes(n):
     assert m.triangles.tobytes() == want_tris.tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 66])
+def test_grid_star_inverts_the_layout(n):
+    tris = _loop_grid_triangles(n, n)
+    i, j = np.divmod(np.arange(n * n), n)
+    stars = _grid_star(n, i, j)
+    for v in range(n * n):
+        assert np.array_equal(stars[v], np.flatnonzero(np.any(tris == v, axis=1)))
+    assert np.array_equal(_grid_star(n, 1, 2), stars[n + 2])
+
+
 # triangles over a few vertex ids: some ids go unused, and a triangle may
 # repeat an id
 _TRIANGLE_LISTS = st.lists(
@@ -104,8 +114,10 @@ _TRIANGLE_LISTS = st.lists(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(tris=_TRIANGLE_LISTS)
-def test_edge_and_euler_counts_match_sets(tris):
+@given(tris=_TRIANGLE_LISTS, offset=st.sampled_from([0, 70_000]))
+def test_edge_and_euler_counts_match_sets(tris, offset):
+    # an offset past 65,536 takes base^2 past 2^32: int64 edge keys, not uint32
+    tris = [tuple(v + offset for v in tri) for tri in tris]
     edges = {(min(a, b), max(a, b)) for tri in tris for a, b in zip(tri, tri[1:] + tri[:1])}
     vertices = {v for tri in tris for v in tri}
     arr = np.array(tris, dtype=np.int64)

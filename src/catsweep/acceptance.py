@@ -28,17 +28,17 @@ from .catenoid import (
     excess_over_disks_scaled,
     solve_parameters,
 )
-from .doubling import assemble_doubled_sweepout, default_schedule, group_elements
+from .doubling import NeckSchedule, assemble_doubled_sweepout, group_elements
 from .errors import CatsweepError, DomainError, NonConvergence
 from .fermi import (
     build_cutoff,
+    check_offset,
     fourier_frequencies,
     log_cutoff,
     second_variation,
     two_sided_tube_family,
 )
 from .mesh import dirichlet_energy, level_set_perimeter
-from .neckscaling import cost_exponent_fit
 from .report import make_report
 from .revolution import mountain_pass_width
 from .surfaces import check_grid, clifford_torus, disk_rings_for_cutoff
@@ -49,8 +49,10 @@ EXCESS_SLOPE_TOL = 0.25     # log-log slope of naive over optimal excess, target
 QUAD_TOL = 1e-12            # quadratic area coefficients against half of Q(phi)
 SPECTRUM_TOL = 1e-10        # Jacobi eigenvalues against 2(j^2 + k^2) - 4
 KAPPA_FLOOR = 0.05          # tube-family margin / h^2
+TUBE_H_FLOOR = math.sqrt(2.0 * math.ulp(4.0 * math.pi ** 2) / KAPPA_FLOOR)  # fermi_tubes
 DISK_CUTOFF_TOL = 1e-6      # flat-disk cutoff energy against 2*pi/(-log t)
 NECK_EXPONENT_TOL = 0.01    # fitted neck cost exponent against the dimension
+NECK_H_GRID = (1e-1, 1e-2, 1e-3, 1e-4)   # h of the neck cost fit
 WITNESS_MESH_TOL = 1e-3     # doubled witness slice's mesh area against its row
 
 
@@ -278,7 +280,17 @@ def jacobi_spectrum():
 def fermi_tubes(n, h):
     """`fermi tubes`: two-sided tube family over the middle torus on the
     n-by-n chart grid with one swap-symmetric puncture pair: every slice
-    under the doubled base area, and the margin at least KAPPA_FLOOR * h^2."""
+    under the doubled base area, and the margin at least KAPPA_FLOOR * h^2.
+
+    The margin, near 69 h^2, is the budget 4*pi^2 less the sup, both in
+    [32, 64), so it is read to about u = ulp(4*pi^2) = 2^-47 (1.2 u at
+    h = 3e-8).  Only where KAPPA_FLOOR h^2 is at least 2 u can kappa be
+    judged, so h under TUBE_H_FLOOR = sqrt(2 u/KAPPA_FLOOR), about 5.3e-7,
+    is refused; at h = 1e-8 kappa reads 142, not 69.4."""
+    check_offset("h", h)
+    if h < TUBE_H_FLOOR:
+        raise DomainError("--h must be at least %.2g, below which kappa reads the budget's"
+                          " rounding, got h = %s" % (TUBE_H_FLOOR, h))
     p = n // 4 * n + 3 * n // 4
     p_swap = 3 * n // 4 * n + n // 4
     rep = two_sided_tube_family(n, [p, p_swap], h)
@@ -291,9 +303,9 @@ def doubling_sweep(m, n=None, epsilon=None, delta=None):
     """`doubling sweep`: the doubled family of symmetry order m under twice
     the middle torus area, with its witness slice of genus m^2 + 1 (Euler
     characteristic -2 m^2) whose mesh area is its row's within
-    WITNESS_MESH_TOL.  epsilon and delta default to default_schedule's."""
+    WITNESS_MESH_TOL.  epsilon and delta default to NeckSchedule's."""
     given = {k: v for k, v in (("epsilon", epsilon), ("delta", delta)) if v is not None}
-    rep = assemble_doubled_sweepout(m, schedule=default_schedule(**given), n=n)
+    rep = assemble_doubled_sweepout(m, schedule=NeckSchedule(**given), n=n)
     s = rep.summary
     s["passed"] = (
         s["passed"]
@@ -320,10 +332,10 @@ def cutoff_disk(t):
     )
 
 
-def cutoff_torus(cl, t):
-    """`cutoff torus`: cutoff energy on the middle torus cl against the
-    bound D/(-log t), D fitted from level-set perimeters of the distance."""
-    n = cl.aux["grid_n"]
+def cutoff_torus(n, t):
+    """`cutoff torus`: cutoff energy on the middle torus's n-grid against
+    the bound D/(-log t), D fitted from level-set perimeters of the distance."""
+    cl = clifford_torus(n)
     center = (n // 2) * n + n // 2
     cut = build_cutoff(cl, center, t)
     d_const = 2.0 * max(
@@ -343,9 +355,25 @@ def cutoff_torus(cl, t):
     return make_report("cutoff-torus", {"t": t, "n": n}, rows, 1.0)
 
 
+def neck_cost_coefficient(n):
+    """B_n = (2/n)((n-1)/n)^(n-1), the peak neck cost over h^n.
+
+    A tube through a radius-t hole of an n-dimensional hypersurface costs
+    2 h t^(n-1) of wall and reclaims 2 t^n of sheet; the net cost peaks
+    at t = (n-1) h/n, at B_n h^n.  For h <= 1 this never exceeds the
+    second-variation gain h^2/2, and at n = 2 the two are equal."""
+    return (2.0 / n) * ((n - 1) / n) ** (n - 1)
+
+
 def neck_fit(n):
-    """`neck fit`: fitted neck cost exponent against the dimension n."""
-    slope = cost_exponent_fit(n)
+    """`neck fit`: the log-log slope of the peak neck cost B_n h^n over
+    NECK_H_GRID against the dimension n.  For n >= 3 the cost loses to
+    the h^2 gain; n = 2 is the deliberate negative control where both
+    are the same order."""
+    if int(n) != n or not 2 <= n <= 6:
+        raise DomainError("dimension n must be an integer in [2, 6], got n = %s" % n)
+    costs = [neck_cost_coefficient(n) * h ** n for h in NECK_H_GRID]
+    slope = float(np.polyfit(np.log(NECK_H_GRID), np.log(costs), 1)[0])
     rows = [
         {
             "t": float(n),
@@ -454,7 +482,7 @@ def _criterion_6():
 
 def _criterion_7():
     disks = [cutoff_disk(t) for t in (1e-2, 1e-3)]
-    torus = cutoff_torus(clifford_torus(64), 0.05)
+    torus = cutoff_torus(64, 0.05)
     ok = all(rep.summary["passed"] for rep in disks + [torus])
     row = torus.rows[0]
     detail = "disk energy rel errors %.2e, %.2e (tol 1e-6); torus energy %.4f < %.4f" % (

@@ -16,7 +16,6 @@ import sys
 from . import acceptance
 from .errors import BudgetViolated, CatsweepError, NonConvergence, SolverFailure
 from .report import report_to_csv, report_to_json, write_atomic
-from .surfaces import clifford_torus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +115,7 @@ def build_parser():
     p.add_argument("--t", type=float, default=0.05)
     p.add_argument("--n", type=int, default=64)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.cutoff_torus(clifford_torus(a.n), a.t))
+    p.set_defaults(handler=lambda a: acceptance.cutoff_torus(a.n, a.t))
 
     dbl = subs.add_parser("doubling", help="equivariant doubled sweepout")
     dbl_sub = dbl.add_subparsers(dest="action", required=True, parser_class=_Parser)

@@ -134,17 +134,19 @@ def neck_arc_length(t):
 
 @dataclass(frozen=True)
 class NeckSchedule:
-    """Tube radius profile for the paired stage.
-
-    eta gives the radius as a function of the foliation parameter; it must
-    vanish at 0, stay positive up to the closing parameter 1/2 - delta,
-    vanish beyond it, and never exceed epsilon, itself at least
+    """Sine-bump tube radius profile for the paired stage: the radius
+    epsilon sin(pi t/(1/2 - delta)) is positive up to the closing
+    parameter 1/2 - delta and vanishes outside, and epsilon is at least
     TUBE_RADIUS_FLOOR.
+
+    The defaults are tuned jointly: the closing parameter is large
+    enough that the puncture cutoffs of the graph-pair stage still leave
+    better than five percent of the doubled budget unused, and the radius
+    cap stays clear of the weld collar capacity at every paired slice.
     """
 
-    eta: object
-    delta: float
-    epsilon: float
+    epsilon: float = 0.015
+    delta: float = 0.22
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -155,33 +157,12 @@ class NeckSchedule:
                 " unit-sphere coordinates resolve, got epsilon = %s"
                 % (TUBE_RADIUS_FLOOR, self.epsilon)
             )
+
+    def eta(self, t):
         close = 0.5 - self.delta
-        if abs(self.eta(0.0)) > 1e-12:
-            raise DomainError("tube radius must vanish at t = 0")
-        for t in (close, 0.5 * (close + 0.5), 0.5):
-            if self.eta(t) != 0.0:
-                raise DomainError("tube radius must vanish at and past the closing parameter")
-        probe = self.eta(0.5 * close)
-        if not 0.0 < probe <= self.epsilon + 1e-12:
-            raise DomainError("tube radius must be positive and bounded by epsilon before closing")
-
-
-def default_schedule(epsilon=0.015, delta=0.22):
-    """Sine-bump radius profile.
-
-    The defaults are tuned jointly: the closing parameter is large
-    enough that the puncture cutoffs of the graph-pair stage still leave
-    better than five percent of the doubled budget unused, and the radius
-    cap stays clear of the weld collar capacity at every paired slice.
-    """
-    close = 0.5 - delta
-
-    def eta(t):
         if t <= 0.0 or t >= close:
             return 0.0
-        return epsilon * math.sin(math.pi * t / close)
-
-    return NeckSchedule(eta=eta, delta=delta, epsilon=epsilon)
+        return self.epsilon * math.sin(math.pi * t / close)
 
 
 def handoff_offset(delta):
@@ -207,7 +188,7 @@ def _family_args(m, schedule, n):
         raise DomainError("symmetry order must be an integer >= 2, got m = %s" % m)
     m = int(m)
     if schedule is None:
-        schedule = default_schedule()
+        schedule = NeckSchedule()
     if n is None:
         n = default_resolution(m)
     check_grid(n)
@@ -393,17 +374,16 @@ class DoubledSlice:
 
     t: float
     m: int
-    stage: str
     vertices: np.ndarray
     triangles: np.ndarray
     area: float
     area_parts: dict
     chi: int
-    n_tubes: int
 
 
 def doubled_slice(t, m, schedule=None, n=None):
-    """Build the welded slice at foliation parameter t.
+    """Build the welded slice at foliation parameter t in (0, 1/2 - delta),
+    where the schedule's tube radius is positive.
 
     The slice is the torus pair at parameters t and 1 - t, with the star
     of each weld center removed, an annular collar zipped from the hole
@@ -413,23 +393,13 @@ def doubled_slice(t, m, schedule=None, n=None):
     group action, so the triangle set is symmetric to roundoff.
     """
     m, schedule, n = _family_args(m, schedule, n)
-    close = 0.5 - schedule.delta
-    if not 0.0 < t <= close + 1e-15:
-        raise DomainError("paired slices live at parameters in (0, 1/2 - delta]")
-    t = float(min(t, close))
+    if not 0.0 < t < 0.5 - schedule.delta:
+        raise DomainError("welded slices live at parameters in (0, 1/2 - delta)")
+    t = float(t)
     low = product_torus(t, n)
     high = product_torus(1.0 - t, n)
     n2 = n * n
     radius = float(schedule.eta(t))
-    if radius <= 0.0:
-        verts = np.vstack([low.vertices, high.vertices])
-        tris = np.vstack([low.triangles, high.triangles + n2])
-        total = float(np.sum(np.concatenate([low.areas, high.areas])))
-        return DoubledSlice(
-            t=t, m=m, stage="pair", vertices=verts, triangles=tris, area=total,
-            area_parts={"tori": total, "collars": 0.0, "tubes": 0.0},
-            chi=euler_characteristic(tris), n_tubes=0,
-        )
     cap = 0.6 * min(_weld_capacity(t, n), _weld_capacity(1.0 - t, n))
     if radius >= cap:
         raise RadiusTooLarge(
@@ -499,10 +469,9 @@ def doubled_slice(t, m, schedule=None, n=None):
     rings0 = verts[2 * n2:2 * n2 + (seg + 1) * rr]
     area_tubes = m * m * float(np.sum(_spherical_triangle_areas(rings0, tube0)))
     return DoubledSlice(
-        t=t, m=m, stage="pair_tubes", vertices=verts, triangles=tris,
-        area=area_tori + area_collars + area_tubes,
+        t=t, m=m, vertices=verts, triangles=tris, area=area_tori + area_collars + area_tubes,
         area_parts={"tori": area_tori, "collars": area_collars, "tubes": area_tubes},
-        chi=euler_characteristic(tris), n_tubes=m * m,
+        chi=euler_characteristic(tris),
     )
 
 

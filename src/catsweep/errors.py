@@ -31,7 +31,3 @@ class SolverFailure(CatsweepError):
 
 class BudgetViolated(CatsweepError):
     """A sweepout slice reached the area budget it was required to stay under."""
-
-
-class RegimeViolation(CatsweepError):
-    """A scale parameter is outside the regime where the stated bound holds."""

@@ -121,14 +121,13 @@ def _spherical_triangle_areas(verts, tris):
     return 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))
 
 
-def triangle_areas(m, vertices=None):
+def triangle_areas(m):
     """Per-triangle metric areas through the piecewise-geodesic geometry."""
-    verts = m.vertices if vertices is None else vertices
     if m.triangles.size == 0:
         return np.zeros(0)
     if m.ambient == AMBIENT_S3:
-        return _spherical_triangle_areas(verts, m.triangles)
-    return _chordal_triangle_areas(verts, m.triangles)
+        return _spherical_triangle_areas(m.vertices, m.triangles)
+    return _chordal_triangle_areas(m.vertices, m.triangles)
 
 
 def _unique_edges(tris):
@@ -147,11 +146,10 @@ def _unique_edges(tris):
     return np.column_stack([keys // base, keys % base])
 
 
-def edge_lengths(m, vertices=None):
+def edge_lengths(m):
     """Unique undirected edges and their metric lengths (arcs in S^3)."""
-    verts = m.vertices if vertices is None else vertices
     pairs = _unique_edges(m.triangles)
-    chord = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]], axis=1)
+    chord = np.linalg.norm(m.vertices[pairs[:, 0]] - m.vertices[pairs[:, 1]], axis=1)
     if m.ambient == AMBIENT_S3:
         lengths = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
     else:

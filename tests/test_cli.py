@@ -14,7 +14,7 @@ import catsweep
 from catsweep import acceptance, cli
 from catsweep.acceptance import CriterionResult
 from catsweep.catenoid import R_MAX
-from catsweep.errors import BudgetViolated, RegimeViolation
+from catsweep.errors import BudgetViolated, NonConvergence
 
 
 def _run_from_source(argv):
@@ -133,6 +133,8 @@ FROZEN_JSON_SHA256 = {
     "fermi-quad": "59b200e352f62c6eeb6f6e87f4de9feb6ae0052cafaccd9cf26674ae16adaad6",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
+    "neck-fit-n2": "b89ac33621c7d0b78676a7e9911d57628ed86d69150805f86e23f92a9d79897d",
+    "neck-fit-n6": "7f8da1a3797c8dedfe88af96a25e27f5d1b60b29966bb7d24d7823bb40525d0d",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
     "doubling-sweep": "1acc3d96c9421cbb6154af2ce27329ee57d2ccb1b791b8cf2e74e80d6e32bf89",
     "doubling-sweep-m3": "956831a0115d3d13dd3d1d17e0a35d1679ee4b016297317d57fde0c3b15ad44e",
@@ -146,6 +148,8 @@ BYTE_STABLE_COMMANDS = dict(
         "doubling-sweep-m3": ["doubling", "sweep", "--m", "3"],
         "cutoff-torus": ["cutoff", "torus"],
         "fermi-tubes": ["fermi", "tubes"],
+        "neck-fit-n2": ["neck", "fit", "--n", "2"],
+        "neck-fit-n6": ["neck", "fit", "--n", "6"],
     },
 )
 
@@ -190,6 +194,9 @@ BAD_INPUTS = {
     "tubes-h-negative": (["fermi", "tubes", "--h", "-1"], "got h = -1.0"),
     "tubes-h-underflow": (["fermi", "tubes", "--h", "1e-300"], "h = 1e-300 is too small"),
     "tubes-h-0.8": (["fermi", "tubes", "--h", "0.8"], "below pi/4, got h = 0.8"),
+    # below 5.3e-7 the margin, about 69 h^2, is the budget's rounding
+    "tubes-h-1e-8": (["fermi", "tubes", "--h", "1e-8"], "--h must be at least 5.3e-07"),
+    "tubes-h-1e-150": (["fermi", "tubes", "--h", "1e-150"], "at least 5.3e-07, below which"),
     "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
     "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
@@ -325,6 +332,13 @@ def test_neck_control_dimension(capsys):
     assert "PASS" in out
 
 
+def test_tubes_margin_read_above_the_floor(capsys):
+    # at h = 1e-5 kappa is 69.3568, within 3e-5 of its value at h = 1e-4
+    assert cli.run(["fermi", "tubes", "--h", "1e-5", "--json"]) == 0
+    kappa = json.loads(capsys.readouterr().out)["summary"]["kappa"]
+    assert kappa == pytest.approx(69.35681, abs=1e-4)
+
+
 def test_verify_all_exit_codes(monkeypatch, capsys):
     good = CriterionResult(1, "x", True, "d", 0.0, 1.0)
     bad = CriterionResult(2, "y", False, "d", 0.0, 1.0)
@@ -341,7 +355,7 @@ def test_verify_all_reports_a_raised_error_as_a_failure(monkeypatch, capsys):
     # a CatsweepError inside one criterion is that criterion's FAIL line;
     # the others still run, and nothing reaches stderr
     def raising():
-        raise RegimeViolation("neck cost left its regime at h = 0.1")
+        raise NonConvergence("no root within 60 steps")
 
     monkeypatch.setattr(
         acceptance,
@@ -352,7 +366,7 @@ def test_verify_all_reports_a_raised_error_as_a_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert lines[0].startswith("[ 1] FAIL")
-    assert lines[0].endswith("raises: RegimeViolation: neck cost left its regime at h = 0.1")
+    assert lines[0].endswith("raises: NonConvergence: no root within 60 steps")
     assert lines[1].startswith("[ 2] PASS")
     assert lines[2] == "1/2 criteria passed"
     assert captured.err == ""

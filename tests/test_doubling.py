@@ -20,7 +20,6 @@ from catsweep.doubling import (
     assemble_doubled_sweepout,
     cmc_area,
     default_resolution,
-    default_schedule,
     doubled_slice,
     group_elements,
     handoff_offset,
@@ -116,20 +115,16 @@ def test_tube_area_rejects_bad_input():
 
 
 def test_schedule_validation():
-    sched = default_schedule()
+    sched = NeckSchedule()
     close = 0.5 - sched.delta
     assert sched.eta(0.0) == 0.0
     assert sched.eta(close) == 0.0
     assert sched.eta(0.5) == 0.0
-    assert 0.0 < sched.eta(0.5 * close) <= sched.epsilon
+    assert sched.eta(0.5 * close) == sched.epsilon
     with pytest.raises(DomainError):
-        NeckSchedule(eta=lambda t: 0.01, delta=0.2, epsilon=0.01)
+        NeckSchedule(delta=0.6, epsilon=0.01)
     with pytest.raises(DomainError):
-        NeckSchedule(eta=lambda t: 0.0, delta=0.2, epsilon=0.01)
-    with pytest.raises(DomainError):
-        NeckSchedule(eta=lambda t: 0.0, delta=0.6, epsilon=0.01)
-    with pytest.raises(DomainError):
-        NeckSchedule(eta=lambda t: 0.0, delta=0.2, epsilon=-1.0)
+        NeckSchedule(delta=0.2, epsilon=-1.0)
 
 
 def test_handoff_offset_matches_pair_area():
@@ -152,7 +147,6 @@ def test_doubled_slice_topology(slice2):
     # genus m^2 + 1 for the welded pair
     assert isinstance(slice2, DoubledSlice)
     assert slice2.chi == -8
-    assert slice2.n_tubes == 4
     cnt = Counter()
     for tri in slice2.triangles:
         a, b, c = sorted(int(v) for v in tri)
@@ -175,14 +169,6 @@ def test_doubled_slice_area_accounting(slice2):
     assert abs(slice2.area / pair - 1.0) < 0.02
 
 
-def test_doubled_slice_at_closing_parameter():
-    sched = default_schedule()
-    sl = doubled_slice(0.5 - sched.delta, 2)
-    assert sl.stage == "pair"
-    assert sl.chi == 0
-    assert sl.n_tubes == 0
-
-
 def test_doubled_slice_equivariance(slice2):
     bary = slice2.vertices[slice2.triangles].mean(axis=1)
     tree = cKDTree(bary)
@@ -199,7 +185,7 @@ def _triangle_keys(tris, n_vertices):
     return np.sort((lo * n_vertices + (a + b + c - lo - hi)) * n_vertices + hi)
 
 
-_CLOSE = 0.5 - default_schedule().delta
+_CLOSE = 0.5 - NeckSchedule().delta
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -254,14 +240,14 @@ def test_doubled_slice_rejects_bad_input():
         doubled_slice(0.0, 2)
     with pytest.raises(DomainError):
         doubled_slice(0.45, 2)
+    # the closing parameter holds the bare torus pair, with no tubes to weld
+    with pytest.raises(DomainError):
+        doubled_slice(0.5 - NeckSchedule().delta, 2)
 
 
 def test_doubled_slice_radius_capacity_guard():
-    sched = default_schedule()
-    close = 0.5 - sched.delta
-    fat = NeckSchedule(
-        eta=lambda t: 0.06 if 0.0 < t < close else 0.0, delta=sched.delta, epsilon=0.06
-    )
+    # the radius at t = 0.2 is 0.047, twice the n = 64 collar capacity
+    fat = NeckSchedule(epsilon=0.06)
     with pytest.raises(RadiusTooLarge):
         doubled_slice(0.2, 2, schedule=fat)
 
@@ -377,7 +363,7 @@ def test_last_collapse_row_is_exact(report2, report3):
 
 
 def test_assembly_continuity_improves_under_refinement(report2):
-    sched = default_schedule()
+    sched = NeckSchedule()
     delta = sched.delta
     t_a = 0.5 - delta
     t_b = 0.5 - 0.5 * delta
@@ -410,7 +396,7 @@ def _pair_closed_form(t, m, schedule):
 
 def test_paired_rows_are_the_continuum_limit_of_the_mesh():
     # the welded mesh area converges to the closed form at second order
-    sched = default_schedule()
+    sched = NeckSchedule()
     t = 16.0 / 17.0 * (0.5 - sched.delta)
     closed = _pair_closed_form(t, 2, sched)
     coarse = doubled_slice(t, 2, n=64)
@@ -424,7 +410,7 @@ def test_paired_rows_are_the_continuum_limit_of_the_mesh():
 
 
 def test_paired_rows_match_the_closed_form(report2):
-    sched = default_schedule()
+    sched = NeckSchedule()
     pairs = [r for r in report2.rows if r["stage"] in ("pair", "pair_tubes") and r["t"] > 0.0]
     assert len(pairs) == 17
     for row in pairs:
@@ -464,7 +450,7 @@ def test_assembly_budget_violation_detected():
     # near the middle torus the tubes add about 2 m^2 pi d^2 over the weld
     # disks, d = 1/2 - t, against a gap of 8 pi^2 d^2 under the budget, so
     # only m >= 4 with fat tubes crosses it (by 0.73 here)
-    sched = default_schedule(epsilon=0.19, delta=0.004)
+    sched = NeckSchedule(epsilon=0.19, delta=0.004)
     with pytest.raises(BudgetViolated):
         assemble_doubled_sweepout(4, schedule=sched, t_grid=[0.3])
 
@@ -472,7 +458,7 @@ def test_assembly_budget_violation_detected():
 def test_small_delta_assembly_stays_under_budget():
     # the first graph-neck slice sits about 1e-3 under the budget, well
     # inside the 1.6e-2 that an n = 64 mesh's 4e-4 relative excess adds
-    sched = default_schedule(epsilon=0.001, delta=0.004)
+    sched = NeckSchedule(epsilon=0.001, delta=0.004)
     rep = assemble_doubled_sweepout(2, schedule=sched)
     assert rep.summary["passed"] is True
     assert rep.summary["margin"] > 0.0
@@ -491,7 +477,7 @@ def test_order_five_reaches_the_budget():
 def test_closing_pair_stays_under_budget():
     # the torus pair at t = 0.496 is 1.26e-3 under the budget; the n = 64
     # mesh area, 4.0e-4 relative high, put it 1.46e-2 over
-    sched = default_schedule(epsilon=0.001, delta=0.004)
+    sched = NeckSchedule(epsilon=0.001, delta=0.004)
     rep = assemble_doubled_sweepout(2, schedule=sched, t_grid=[0.496])
     assert rep.summary["sup_area"] == 2.0 * cmc_area(0.496)
     assert rep.summary["passed"] is True
@@ -541,7 +527,7 @@ def _polar_graph_neck_row(m, h, t, n_log=200, n_psi=128):
 
 
 def test_graph_neck_rows_match_the_polar_oracle(report2, report3):
-    h = handoff_offset(default_schedule().delta)
+    h = handoff_offset(NeckSchedule().delta)
     necks = [k / 7.0 * HANDOFF_NECK_MAX for k in range(1, 8)]
     for m in (2, 3, 5):
         for t in necks:

@@ -28,13 +28,13 @@ from catsweep.doubling import (
     HANDOFF_NECK_MAX,
     TUBE_RING_POINTS,
     TUBE_SEGMENTS,
+    NeckSchedule,
     _cell_nodes,
     _chart_center_gap,
     _retract_uv,
     _sheet_area,
     assemble_doubled_sweepout,
     default_resolution,
-    default_schedule,
     doubled_slice,
     handoff_offset,
 )
@@ -203,7 +203,7 @@ def test_s3_triangle_areas_match_reference(tris):
 def test_collapse_stage_matches_per_sheet_reference(m, s):
     n = default_resolution(m)
     cell = _cell_nodes(n, m)
-    h_eff = handoff_offset(default_schedule().delta)
+    h_eff = handoff_offset(NeckSchedule().delta)
     if s == 0.0:
         for k in range(1, 8):
             neck = k / 7.0 * HANDOFF_NECK_MAX

@@ -208,11 +208,11 @@ def _orbit_average(m, degree):
     """The average over the order-2m^2 group of the compositions f o g, as
     a matrix on the coefficients of second_variation(n, degree)'s modes.
 
-    g swaps the chart angles if g.swap, then shifts them by
-    2 pi (g.k, g.l)/m; a shift by s rotates each (cos jx, sin jx) by js,
-    and the swap transposes the index pair (p, q).  The average of these
-    orthogonal matrices is the orthogonal projector onto the invariant
-    modes, the span of the orbit sums.
+    Element (k, l, swap) swaps the chart angles if swap is set, then
+    shifts them by 2 pi (k, l)/m; a shift by s rotates each (cos jx,
+    sin jx) by js, and the swap transposes the index pair (p, q).  The
+    average of these orthogonal matrices is the orthogonal projector onto
+    the invariant modes, the span of the orbit sums.
     """
     size = 2 * degree + 1
 
@@ -223,13 +223,12 @@ def _orbit_average(m, degree):
             r[2 * j - 1:2 * j + 1, 2 * j - 1:2 * j + 1] = [[c, -d], [d, c]]
         return r
 
-    swap = np.arange(size * size).reshape(size, size).T.ravel()
-    elements = group_elements(m)
+    transpose = np.arange(size * size).reshape(size, size).T.ravel()
     avg = np.zeros((size * size, size * size))
-    for g in elements:
-        act = np.kron(shift(2.0 * math.pi * g.k / m), shift(2.0 * math.pi * g.l / m))
-        avg += act[:, swap] if g.swap else act
-    return avg / len(elements)
+    for k, l, swap in zip(*group_elements(m)):
+        act = np.kron(shift(2.0 * math.pi * k / m), shift(2.0 * math.pi * l / m))
+        avg += act[:, transpose] if swap else act
+    return avg / (2 * m * m)
 
 
 def _spectrum_row(order, n, lam, error):

@@ -5,6 +5,8 @@ f(x) = c*cosh(x/c); admissible c solve r = c*cosh(h/c).  In the variable
 x = h/c this becomes cosh(x) = lam*x with lam = r/h, which has two roots
 (or none) depending on whether lam exceeds the tangency slope.  The larger
 x root gives the smaller, unstable neck; the smaller x root the stable one.
+The tangency abscissa and the critical ratio h/r, past which no catenoid
+spans the circles, are module constants, computed once at import.
 """
 
 import math
@@ -50,23 +52,11 @@ def _bisect_root(g, lo, hi, sign_lo):
             hi = mid
 
 
-_tangency_cache = None
-
-
-def tangency_abscissa():
-    """Root x0 of x*tanh(x) = 1, where the line lam*x first touches cosh(x).
-
-    Bisection on [1, 2]; the function is increasing there.
-    """
-    global _tangency_cache
-    if _tangency_cache is None:
-        _tangency_cache = _bisect_root(lambda x: x * math.tanh(x) - 1.0, 1.0, 2.0, -1.0)
-    return _tangency_cache
-
-
-def critical_ratio():
-    """Largest h/r for which the two-circle catenoid problem is solvable."""
-    return 1.0 / math.sinh(tangency_abscissa())
+# root x0 of x*tanh(x) = 1, where the line lam*x first touches cosh(x), by
+# bisection on [1, 2] (the function is increasing there), and the largest
+# h/r for which the two-circle catenoid problem is solvable
+TANGENCY_ABSCISSA = _bisect_root(lambda x: x * math.tanh(x) - 1.0, 1.0, 2.0, -1.0)
+CRITICAL_RATIO = 1.0 / math.sinh(TANGENCY_ABSCISSA)
 
 
 @dataclass(frozen=True)
@@ -114,10 +104,8 @@ def solve_parameters(spec):
             % (h / r, sys.float_info.min)
         )
     lam = r / h
-    if h / r > critical_ratio() + 1e-12:
-        raise NoCatenoid(
-            "h/r = %.6g exceeds the critical ratio %.6g" % (h / r, critical_ratio())
-        )
+    if h / r > CRITICAL_RATIO + 1e-12:
+        raise NoCatenoid("h/r = %.6g exceeds the critical ratio %.6g" % (h / r, CRITICAL_RATIO))
 
     log_lam = math.log(lam)
 

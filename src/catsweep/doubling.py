@@ -23,11 +23,13 @@ built without a mesh, and the witness measures one of its congruent
 tubes, each times m^2.  The s = 0 retraction that every graph-neck row
 reads is taken once, on all the cell's nodes.
 
-The witness is built by index arithmetic: the stars of the weld centers
-come from the torus grid layout (`surfaces._grid_star`), the collar
-orbit from one call of the index-level group action over all 2m^2
-elements, and tube k's strips are tube 0's shifted by k vertex blocks,
-all written into one triangle array.
+The witness is built by index arithmetic, with no mesh object: both
+tori share one grid triangle list and take their points from
+`surfaces._torus_vertices`, the stars of the lattice of weld centers
+come from the grid layout (`surfaces._grid_star`), the collar orbit from
+one call of the index-level group action over the 2m^2 elements (k, l,
+swap), and tube k's strips are tube 0's shifted by k vertex blocks, all
+written into one triangle array.
 """
 
 import math
@@ -39,7 +41,7 @@ from .errors import BudgetViolated, DomainError, RadiusTooLarge
 from .fermi import chart_nodes, punctured_sheets
 from .mesh import _spherical_triangle_areas, euler_characteristic
 from .report import make_report
-from .surfaces import _grid_star, check_grid, flat_torus_gap, product_torus
+from .surfaces import _grid_star, _grid_triangles, _torus_vertices, check_grid, flat_torus_gap
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -51,10 +53,14 @@ HANDOFF_NECK_MAX = 0.25
 # of neighbouring orbit arcs for every supported symmetry order)
 TUBE_RADIUS_BOUND = 0.2
 
-# smallest accepted radius cap: the witness collar's frame is a weld-ring
-# point minus an arc point, which is rounding noise in unit-sphere
-# coordinates near a radius of 1e-15 (the genus reads wrong there) and
-# zero below it; the genus is right down to 1e-14
+# smallest tube radius a welded slice is built at: the witness collar's
+# frame is a weld-ring point minus an arc point, which is rounding noise in
+# unit-sphere coordinates near a radius of 1e-15 (the genus reads wrong
+# there) and zero below it; the genus is right down to 1e-14
+SLICE_RADIUS_FLOOR = 1e-14
+
+# smallest accepted radius cap; the default grid's witness slice takes
+# 0.18 of the cap, 1.8e-13 here, clear of that floor
 TUBE_RADIUS_FLOOR = 1e-12
 
 # resolution of every tube mesh: rings along the full joining arc, points
@@ -64,53 +70,28 @@ TUBE_SEGMENTS = 48
 TUBE_RING_POINTS = 64
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One symmetry of the doubled family: swap the factors, then rotate.
-
-    The element acts as (z, w) -> (e^{2 pi i k/m} z', e^{2 pi i l/m} w')
-    where (z', w') is (w, z) when swap is set and (z, w) otherwise; the
-    2 m^2 elements form a group, and matrix() is the action on R^4.
-    """
-
-    m: int
-    k: int
-    l: int
-    swap: bool = False
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise DomainError("symmetry order must be at least 2, got m = %s" % self.m)
-        object.__setattr__(self, "k", int(self.k) % self.m)
-        object.__setattr__(self, "l", int(self.l) % self.m)
-
-    def matrix(self):
-        ak = 2.0 * math.pi * self.k / self.m
-        al = 2.0 * math.pi * self.l / self.m
-        rot = np.zeros((4, 4))
-        rot[0, 0] = rot[1, 1] = math.cos(ak)
-        rot[0, 1] = -math.sin(ak)
-        rot[1, 0] = math.sin(ak)
-        rot[2, 2] = rot[3, 3] = math.cos(al)
-        rot[2, 3] = -math.sin(al)
-        rot[3, 2] = math.sin(al)
-        if not self.swap:
-            return rot
-        sw = np.zeros((4, 4))
-        sw[0, 2] = sw[1, 3] = sw[2, 0] = sw[3, 1] = 1.0
-        return rot @ sw
-
-
 def group_elements(m):
-    """All 2 m^2 symmetries, in a fixed deterministic order."""
+    """All 2 m^2 symmetries of the doubled family as index arrays (k, l, swap).
+
+    Element (k, l, swap) swaps the factors, then rotates: it acts as
+    (z, w) -> (e^{2 pi i k/m} z', e^{2 pi i l/m} w'), where (z', w') is
+    (w, z) when swap is set and (z, w) otherwise.  The order is fixed:
+    swap varies slowest, then k, then l.
+    """
     if m < 2:
         raise DomainError("symmetry order must be at least 2, got m = %s" % m)
-    return [
-        GroupElement(m, k, l, s)
-        for s in (False, True)
-        for k in range(m)
-        for l in range(m)
-    ]
+    swap, k, l = np.indices((2, m, m)).reshape(3, -1)
+    return k, l, swap.astype(bool)
+
+
+def group_matrix(m, k, l, swap):
+    """The action of group element (k, l, swap) on R^4."""
+    rot = np.zeros((4, 4))
+    for i, a in ((0, k), (2, l)):
+        c, s = math.cos(2.0 * math.pi * a / m), math.sin(2.0 * math.pi * a / m)
+        rot[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
+    # the swap exchanges the coordinate pairs (0, 1) and (2, 3)
+    return rot[:, [2, 3, 0, 1]] if swap else rot
 
 
 def cmc_area(t):
@@ -335,18 +316,19 @@ def _slice_index_map(m, n, elements, vid):
 
     Vertex ranges: the two torus copies first, then per joining arc one
     block of tube rings followed by the two weld rings (upper-torus end,
-    then lower-torus end).  Each index is mapped under every element g =
-    (k, l, swap), matching the geometric action at roundoff level; the
-    result has one leading axis over the elements, in their order.
+    then lower-torus end).  elements are index arrays (k, l, swap), as
+    group_elements gives them; each index is mapped under every element,
+    matching the geometric action at roundoff level; the result has one
+    leading axis over the elements, in their order.
     """
     n2 = n * n
     step = n // m
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
     block = (seg + 1) * rr + 2 * rr
     vid = np.asarray(vid, dtype=np.int64)
-    k, l, swap = (np.array([[getattr(g, f)] for g in elements]) for f in ("k", "l", "swap"))
+    k, l, swap = (np.asarray(x)[:, None] for x in elements)
     flat = vid.ravel()
-    out = np.empty((len(elements), flat.size), dtype=np.int64)
+    out = np.empty((len(k), flat.size), dtype=np.int64)
     on_tori = flat < 2 * n2
     copy, rem = np.divmod(flat[on_tori], n2)
     i, j = np.divmod(rem, n)
@@ -361,7 +343,7 @@ def _slice_index_map(m, n, elements, vid):
     row = np.where(swap, np.where(weld, 2 * seg + 3 - row, seg - row), row)
     j = np.where(swap, (np.where(weld, rr // 4, 0) - j) % rr, j)
     out[:, ~on_tori] = 2 * n2 + ((ka + k) % m * m + (la + l) % m) * block + row * rr + j
-    return out.reshape((len(elements),) + vid.shape)
+    return out.reshape((len(k),) + vid.shape)
 
 
 def _wrap_angle(x):
@@ -396,10 +378,11 @@ def doubled_slice(t, m, schedule=None, n=None):
     if not 0.0 < t < 0.5 - schedule.delta:
         raise DomainError("welded slices live at parameters in (0, 1/2 - delta)")
     t = float(t)
-    low = product_torus(t, n)
-    high = product_torus(1.0 - t, n)
     n2 = n * n
     radius = float(schedule.eta(t))
+    if radius < SLICE_RADIUS_FLOOR:
+        raise DomainError("tube radius %.3g at t = %s is below %g, where the welded genus reads"
+                          " wrong" % (radius, t, SLICE_RADIUS_FLOOR))
     cap = 0.6 * min(_weld_capacity(t, n), _weld_capacity(1.0 - t, n))
     if radius >= cap:
         raise RadiusTooLarge(
@@ -410,29 +393,28 @@ def doubled_slice(t, m, schedule=None, n=None):
     centers_b, tangents_b, rings_b = _composite_tube_base(t, m, radius)
     block = (seg + 1) * rr + 2 * rr
     verts = np.empty((2 * n2 + m * m * block, 4))
-    verts[:n2] = low.vertices
-    verts[n2:2 * n2] = high.vertices
-    weld_centers = _grid_center_vertices(m, n)
-    ic, jc = np.divmod(weld_centers, n)
+    verts[:n2] = _torus_vertices(t, ang)
+    verts[n2:2 * n2] = _torus_vertices(1.0 - t, ang)
+    # tube a = k m + l welds the grid vertex (lattice[k], lattice[l])
+    lattice = (n // (2 * m) + (n // m) * np.arange(m)) % n
+    ic, jc = np.repeat(lattice, m), np.tile(lattice, m)
     # tube a's rings are the base rings under rotation a = (k, l) = divmod(a, m)
-    mats_t = np.array([GroupElement(m, k, l).matrix().T for k in range(m) for l in range(m)])
+    mats_t = np.array([group_matrix(m, k, l, False).T for k in range(m) for l in range(m)])
     tubes = verts[2 * n2:].reshape(m * m, block, 4)
     tubes[:, :(seg + 1) * rr] = (rings_b @ mats_t[:, None]).reshape(m * m, -1, 4)
     tubes[:, (seg + 1) * rr:(seg + 2) * rr] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
     tubes[:, (seg + 2) * rr:] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
     # both tori have the triangle layout of _grid_triangles, so one mask
     # drops the stars of the weld centers from each
+    grid = _grid_triangles(n, n)
     stars = _grid_star(n, ic, jc)
-    keep = np.ones(len(low.triangles), dtype=bool)
+    keep = np.ones(len(grid), dtype=bool)
     keep[stars.ravel()] = False
-    # canonical collar at the lower-torus end of the first arc
-    th_v = low.aux["chart_theta"]
-    ph_v = low.aux["chart_phi"]
-    c0 = weld_centers[0]
-    i_c0 = c0 // n
-    link = np.setdiff1d(np.unique(low.triangles[stars[0]]), [c0])
-    hx = math.sqrt(t) * _wrap_angle(th_v[link] - ang[i_c0])
-    hy = math.sqrt(1.0 - t) * _wrap_angle(ph_v[link] - ang[i_c0])
+    # canonical collar at the lower-torus end of the first arc; vertex v
+    # of a torus sits at the chart angles (ang[v // n], ang[v % n])
+    link = np.setdiff1d(np.unique(grid[stars[0]]), [ic[0] * n + jc[0]])
+    hx = math.sqrt(t) * _wrap_angle(ang[link // n] - ang[ic[0]])
+    hy = math.sqrt(1.0 - t) * _wrap_angle(ang[link % n] - ang[jc[0]])
     hex_ang = np.arctan2(hy, hx) % (2.0 * math.pi)
     wr_low0 = 2 * n2 + (seg + 1) * rr + rr + np.arange(rr)
     psi = 2.0 * np.pi * np.arange(rr) / rr
@@ -453,7 +435,7 @@ def doubled_slice(t, m, schedule=None, n=None):
     collar0 = np.vstack([zip0, band0])
     # tube 0 on its own block of vertices; tube k is it shifted by k blocks
     tube0 = _tube_strips(np.arange((seg + 1) * rr).reshape(seg + 1, rr))
-    kept = low.triangles[keep]
+    kept = grid[keep]
     n_kept, n_collar = len(kept), 2 * m * m * len(collar0)
     tris = np.empty((2 * n_kept + n_collar + m * m * len(tube0), 3), dtype=np.int64)
     tris[:n_kept] = kept
@@ -462,7 +444,9 @@ def doubled_slice(t, m, schedule=None, n=None):
     collar_tris[:] = _slice_index_map(m, n, group_elements(m), collar0).reshape(-1, 3)
     np.add(tube0, (2 * n2 + block * np.arange(m * m))[:, None, None],
            out=tris[2 * n_kept + n_collar:].reshape(m * m, len(tube0), 3))
-    area_tori = float(low.areas[keep].sum() + high.areas[keep].sum())
+    # summed torus by torus, lower first: the order fixes the last bits
+    tori = _spherical_triangle_areas(verts, tris[:2 * n_kept])
+    area_tori = float(tori[:n_kept].sum() + tori[n_kept:].sum())
     area_collars = float(np.sum(_spherical_triangle_areas(verts, collar_tris)))
     # every tube's rings are tube 0's under a rotation of the group, so
     # the m^2 tubes have one area
@@ -587,16 +571,6 @@ def _sheet_area(cell, s, h_eff, t_neck):
     copies = m * m
     return (copies * float(np.sum(cell.weight[keep] * jac * (plus + minus))),
             0.5 * copies * float(np.sum(cell.weight[~keep])))
-
-
-def _grid_center_vertices(m, n):
-    step = n // m
-    i_c0 = n // (2 * m)
-    return [
-        ((i_c0 + k * step) % n) * n + ((i_c0 + l * step) % n)
-        for k in range(m)
-        for l in range(m)
-    ]
 
 
 def _pair_row(t, m, schedule):

@@ -9,14 +9,16 @@ It is damped: a step is halved until the radii stay above the pinch floor
 and the merit |g|^2 of the area gradient g decreases, which the Newton
 direction guarantees for small enough steps even though the Hessian is
 indefinite.  Its limit is accepted only with a mountain-pass
-certificate: the Hessian has exactly one negative eigenvalue (a Sturm
-count of its pivots), and a nudge along that eigenvector descends into
-the pinched basin one way and the stable basin the other.  The width is
-the area of that certified index-1 critical point; it is checked against
-the sampled maximum, since the segment is itself a sweepout whose largest
-area bounds the width.  When Newton's method, the certificate or a check
-fails, no width is reported.  The LAPACK routines are imported by the
-engine that calls them, so importing this module loads no scipy.
+certificate: one LAPACK call reads the Hessian's two lowest eigenvalues
+and the lowest one's eigenvector, only the lowest may be negative and it
+must be, and a nudge along that eigenvector descends into the pinched
+basin one way and the stable basin the other.  The width is the area of that certified
+index-1 critical point; it is checked against the two path ends, the
+first and last samples, and against the sampled maximum, since the
+segment is itself a sweepout whose largest area bounds the width.  When
+Newton's method, the certificate or a check fails, no width is reported.
+The LAPACK routines are imported by the engine that calls them, so
+importing this module loads no scipy.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catenoid import CatenoidSpec, solve_parameters, tangency_abscissa
+from .catenoid import TANGENCY_ABSCISSA, CatenoidSpec, solve_parameters
 from .errors import DomainError, NonConvergence
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
@@ -80,27 +82,6 @@ def _frustum_geometry(f, dx):
     return float(np.pi * (s * slant).sum()), df, slant, s
 
 
-def _frustum_area(f, dx):
-    return _frustum_geometry(f, dx)[0]
-
-
-def catenoid_profile(r, h, c, n_nodes=201):
-    x = np.linspace(-h, h, n_nodes)
-    f = c * np.cosh(x / c)
-    f[0] = r
-    f[-1] = r
-    return ProfileCurve(x_nodes=x, f_values=f)
-
-
-def pinched_profile(r, h, n_nodes=201):
-    """Two-disk surrogate: boundary radii r, interior collapsed to the pinch floor."""
-    x = np.linspace(-h, h, n_nodes)
-    f = np.full(n_nodes, PINCH_FLOOR * r)
-    f[0] = r
-    f[-1] = r
-    return ProfileCurve(x_nodes=x, f_values=f)
-
-
 @dataclass(frozen=True)
 class WidthResult:
     width: float
@@ -113,24 +94,6 @@ class WidthResult:
     classify_calls: int    # basin classifications the saddle search ran
     morse_index: int       # negative Hessian eigenvalues at the saddle
     newton_iterations: int # Newton steps of the saddle solve
-
-
-def _negative_pivots(diag, off):
-    """Sturm count of a symmetric tridiagonal matrix: its negative eigenvalues.
-
-    By Sylvester's law of inertia these are the negative pivots of the
-    unpivoted LDL^T factorization, d_k = a_k - b_{k-1}^2 / d_{k-1}.  A pivot
-    that vanishes exactly is replaced by the smallest normal number, as
-    LAPACK's bisection does, so it counts as positive.
-    """
-    count = 0
-    d = 1.0
-    for a, b in zip(diag.tolist(), [0.0] + off.tolist()):
-        d = a - b * b / d
-        if d == 0.0:
-            d = np.finfo(float).tiny
-        count += d < 0.0
-    return count
 
 
 class _WidthEngine:
@@ -155,11 +118,14 @@ class _WidthEngine:
         # bound once here, so the per-step solves run no import statement
         self.dgttrf, self.dgttrs = dgttrf, dgttrs
         sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
-        pinched = pinched_profile(1.0, h, n_nodes)
-        self.x = pinched.x_nodes
-        self.dx = pinched.dx
-        self.pinched = pinched.f_values
-        self.stable = catenoid_profile(1.0, h, sol.c_stable, n_nodes).f_values
+        self.x = np.linspace(-h, h, n_nodes)
+        self.dx = float(self.x[1] - self.x[0])
+        # the path ends: the two-disk surrogate, its interior collapsed to
+        # the pinch floor, and the stable catenoid, both pinned to radius 1
+        self.pinched = np.full(n_nodes, PINCH_FLOOR)
+        self.stable = sol.c_stable * np.cosh(self.x / sol.c_stable)
+        for f in (self.pinched, self.stable):
+            f[0] = f[-1] = 1.0
         self.where = "h/r = %s" % h
         self.floor = PINCH_FLOOR
         off = np.full(n_nodes - 3, -1.0 / self.dx ** 2)
@@ -170,7 +136,7 @@ class _WidthEngine:
         # basin thresholds: h/x_tangent bounds the unstable neck from above,
         # so the midpoint against c_stable cannot fire during a saddle linger
         self.neck_floor = max(2.0 * self.floor, 1e-3)
-        self.neck_stable = 0.5 * (h / tangency_abscissa() + sol.c_stable)
+        self.neck_stable = 0.5 * (h / TANGENCY_ABSCISSA + sol.c_stable)
         self.steps_taken = 0
         self.newton_iterations = 0
         self.backtracks = 0
@@ -303,23 +269,27 @@ class _WidthEngine:
             raise NonConvergence(
                 "the critical profile at %s is no certified mountain pass" % self.where
             )
+        # t = 0 and t = 1 sample the two path ends bit for bit
+        if geo[0] < max(areas[0], areas[-1]):
+            raise NonConvergence("width fell below an endpoint area at %s" % self.where)
         return saddle, geo, float(SWEEP_T[best]), areas[best], index
 
     def certify(self, f, geo):
         """Mountain-pass certificate of the critical profile f.
 
-        Returns its Morse index when that is 1 and f separates the basins:
+        Returns 1, its Morse index, when f has index 1 and separates the basins:
         f - eps*v descends to the pinched floor and f + eps*v to the stable
         catenoid, v the negative eigenvector (sup norm 1, widening the neck).
         Returns None otherwise.
         """
         from scipy.linalg import eigh_tridiagonal
 
-        diag, off = self.hessian(geo)
-        index = _negative_pivots(diag, off)
-        if index != 1:
+        # the index is 1 exactly when the lowest eigenvalue is negative and
+        # the next one is not
+        lam, vecs = eigh_tridiagonal(*self.hessian(geo), select="i", select_range=(0, 1))
+        if not lam[0] < 0.0 <= lam[1]:
             return None
-        v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0]
+        v = vecs[:, 0]
         v /= v[np.argmax(np.abs(v))]
         if v[self.mid - 1] < 0.0:
             v = -v
@@ -328,7 +298,7 @@ class _WidthEngine:
         below, above = f - nudge, f + nudge
         if self.classify(below) != -1 or self.classify(above) != 1:
             return None
-        return index
+        return 1
 
 
 def mountain_pass_width(r, h):
@@ -345,8 +315,6 @@ def mountain_pass_width(r, h):
     engine = _WidthEngine(h / r, 201)
     engine.where = "r = %s, h = %s" % (r, h)
     profile, geo, argmax_t, sweep_max, index = engine.run()
-    if geo[0] < max(_frustum_area(f, engine.dx) for f in (engine.pinched, engine.stable)):
-        raise NonConvergence("width fell below an endpoint area at %s" % engine.where)
     if not geo[0] <= sweep_max:
         raise NonConvergence("width exceeds the sweep's sampled maximum at %s" % engine.where)
     # the gradient per unit length is the discrete first variation, so its

@@ -4,8 +4,9 @@ the flat disk's cutoff band.
 Each builder returns a MeshSurface of a product torus in the round S^3,
 with the analytic |A|^2 and Ric(N, N) per vertex; its aux dictionary
 carries the radius of the largest embedded disk and the chart coordinates
-the exact distances read.  The flat disk is not meshed: criterion 7 sums
-its cutoff energy over `disk_rings_for_cutoff`.
+the exact distances read; the doubled witness slice reads the points
+alone, from `_torus_vertices`.  The flat disk is not meshed: criterion 7
+sums its cutoff energy over `disk_rings_for_cutoff`.
 """
 
 import math
@@ -80,6 +81,21 @@ def check_grid(n):
         raise DomainError("torus grid size n must be at most %d, got n = %d" % (MAX_GRID_N, n))
 
 
+def _torus_vertices(t, ang):
+    """The points of the torus {|z|^2 = t} at the chart angles (theta, phi),
+    each running over ang, theta the slow index: vertex i * n + j sits at
+    (ang[i], ang[j]), the layout of `_grid_triangles(n, n)`."""
+    a = math.sqrt(t)
+    b = math.sqrt(1.0 - t)
+    n = len(ang)
+    # trig of the n grid angles, spread over the n^2 vertices
+    cos_a, sin_a = np.cos(ang), np.sin(ang)
+    return np.column_stack(
+        [np.repeat(a * cos_a, n), np.repeat(a * sin_a, n),
+         np.tile(b * cos_a, n), np.tile(b * sin_a, n)]
+    )
+
+
 def product_torus(t, n=64):
     """The torus {|z|^2 = t} in the round S^3 on an n-by-n chart grid."""
     if not 0.0 < t < 1.0:
@@ -90,12 +106,7 @@ def product_torus(t, n=64):
     ang = 2.0 * np.pi * np.arange(n) / n
     th = np.repeat(ang, n)
     ph = np.tile(ang, n)
-    # trig of the n grid angles, spread over the n^2 vertices
-    cos_a, sin_a = np.cos(ang), np.sin(ang)
-    verts = np.column_stack(
-        [np.repeat(a * cos_a, n), np.repeat(a * sin_a, n),
-         np.tile(b * cos_a, n), np.tile(b * sin_a, n)]
-    )
+    verts = _torus_vertices(t, ang)
     tris = _grid_triangles(n, n)
     n_v = n * n
     k1 = -b / a  # curvature of the theta circles toward the chosen normal

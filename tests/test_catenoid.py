@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catsweep.catenoid import (
+    CRITICAL_RATIO,
     HALVING_GRID,
+    TANGENCY_ABSCISSA,
     TOL_ROOT,
     CatenoidSpec,
-    critical_ratio,
     excess_over_disks,
     excess_over_disks_scaled,
     solve_parameters,
-    tangency_abscissa,
 )
 from catsweep import acceptance
 from catsweep.acceptance import catenoid_scan
@@ -55,10 +55,10 @@ RATIO_TABLE = [
 
 
 def test_tangency_constants():
-    assert abs(tangency_abscissa() - X_TANGENT) < 1e-12
-    assert abs(critical_ratio() - RHO_STAR) < 1e-12
+    assert abs(TANGENCY_ABSCISSA - X_TANGENT) < 1e-12
+    assert abs(CRITICAL_RATIO - RHO_STAR) < 1e-12
     # defining property of the tangency point
-    x = tangency_abscissa()
+    x = TANGENCY_ABSCISSA
     assert abs(x * math.tanh(x) - 1.0) < 1e-12
 
 
@@ -128,7 +128,7 @@ def test_decade_grid_down_to_the_normal_range():
     gap=st.floats(min_value=1e-15, max_value=1e-9),
 )
 def test_roots_near_the_critical_ratio(r, gap):
-    h = (critical_ratio() - gap) * r
+    h = (CRITICAL_RATIO - gap) * r
     sol = solve_parameters(CatenoidSpec(r=r, h=h))
     for c in (sol.c_unstable, sol.c_stable):
         assert _residual(r, h, c) <= TOL_ROOT * r
@@ -140,7 +140,7 @@ def test_residual_and_ordering_invariants():
     rng = np.random.default_rng(20240817)
     for _ in range(100):
         r = float(rng.uniform(0.2, 3.0))
-        h = float(rng.uniform(0.05, 0.95) * (critical_ratio() - 1e-6) * r)
+        h = float(rng.uniform(0.05, 0.95) * (CRITICAL_RATIO - 1e-6) * r)
         sol = solve_parameters(CatenoidSpec(r=r, h=h))
         for c in (sol.c_unstable, sol.c_stable):
             assert abs(c * math.cosh(h / c) - r) <= 1e-10 * r
@@ -151,7 +151,7 @@ def test_area_matches_quadrature():
     rng = np.random.default_rng(11)
     for _ in range(100):
         r = float(rng.uniform(0.5, 2.0))
-        h = float(rng.uniform(0.1, 0.9) * critical_ratio() * r)
+        h = float(rng.uniform(0.1, 0.9) * CRITICAL_RATIO * r)
         sol = solve_parameters(CatenoidSpec(r=r, h=h))
         for c, a in ((sol.c_unstable, sol.area_unstable), (sol.c_stable, sol.area_stable)):
             q, _ = quad(lambda x: TWO_PI * c * math.cosh(x / c) ** 2, -h, h, limit=200)

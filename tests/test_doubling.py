@@ -22,6 +22,7 @@ from catsweep.doubling import (
     default_resolution,
     doubled_slice,
     group_elements,
+    group_matrix,
     handoff_offset,
     neck_arc_length,
     tube_area,
@@ -48,11 +49,18 @@ def report3():
     return assemble_doubled_sweepout(3)
 
 
+def _group(m):
+    # the group elements as (k, l, swap) tuples, in group_elements' order
+    return list(zip(*(x.tolist() for x in group_elements(m))))
+
+
 def test_group_has_order_two_m_squared():
     for m in (2, 3):
-        els = group_elements(m)
+        els = _group(m)
         assert len(els) == 2 * m * m
         assert len(set(els)) == 2 * m * m
+        # swap slowest, then k, then l
+        assert els == [(k, l, s) for s in (False, True) for k in range(m) for l in range(m)]
 
 
 def test_neck_arc_length():
@@ -172,8 +180,8 @@ def test_doubled_slice_area_accounting(slice2):
 def test_doubled_slice_equivariance(slice2):
     bary = slice2.vertices[slice2.triangles].mean(axis=1)
     tree = cKDTree(bary)
-    for g in group_elements(2):
-        dist, _ = tree.query(bary @ g.matrix().T)
+    for g in _group(2):
+        dist, _ = tree.query(bary @ group_matrix(2, *g).T)
         assert dist.max() < 1e-9
 
 
@@ -198,10 +206,10 @@ def test_doubled_slice_index_map_is_a_symmetry(m, t):
     n_v = len(sl.vertices)
     keys = _triangle_keys(sl.triangles, n_v)
     assert np.all(keys[1:] != keys[:-1])
-    for g in group_elements(m):
-        perm = _slice_index_map(m, default_resolution(m), [g], np.arange(n_v))[0]
+    perms = _slice_index_map(m, default_resolution(m), group_elements(m), np.arange(n_v))
+    for g, perm in zip(_group(m), perms):
         assert np.array_equal(_triangle_keys(perm[sl.triangles], n_v), keys)
-        assert np.max(np.abs(sl.vertices[perm] - sl.vertices @ g.matrix().T)) < 1e-12
+        assert np.max(np.abs(sl.vertices[perm] - sl.vertices @ group_matrix(m, *g).T)) < 1e-12
 
 
 # the witness slice of assemble_doubled_sweepout at its defaults: sha256
@@ -229,6 +237,37 @@ def test_witness_mesh_bytes_are_frozen(m, request):
     assert hashlib.sha256(sl.triangles.tobytes()).hexdigest() == tris
     assert hashlib.sha256(sl.vertices.tobytes()).hexdigest() == verts
     assert repr(sl.area_parts) == parts
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_witness_tori_match_the_product_torus(m):
+    # the slice lays out its tori without a mesh; product_torus is the
+    # reference for their vertices and for the area of the kept triangles
+    sl = doubled_slice(WITNESS_T, m)
+    n = default_resolution(m)
+    n2 = n * n
+    low, high = product_torus(WITNESS_T, n), product_torus(1.0 - WITNESS_T, n)
+    assert np.array_equal(sl.vertices[:n2], low.vertices)
+    assert np.array_equal(sl.vertices[n2:2 * n2], high.vertices)
+    n_v = len(sl.vertices)
+    slice_keys = _triangle_keys(sl.triangles, n_v)
+    keep = np.isin(_triangle_keys(low.triangles, n_v), slice_keys)
+    assert np.array_equal(np.isin(_triangle_keys(high.triangles + n2, n_v), slice_keys), keep)
+    assert np.sum(~keep) == 6 * m * m
+    assert sl.area_parts["tori"] == float(low.areas[keep].sum() + high.areas[keep].sum())
+
+
+def test_doubled_slice_refuses_a_radius_below_the_floor():
+    # 1e-15 under the closing parameter the sine bump's radius is 1.7e-16,
+    # where the welded genus read -32 instead of -8; 1e-13 under it the
+    # radius is 1.7e-14 and the genus is right
+    close = 0.5 - NeckSchedule().delta
+    with pytest.raises(DomainError, match=r"^tube radius 1.68e-16 at t = %s is below 1e-14"
+                       % (close - 1e-15)):
+        doubled_slice(close - 1e-15, 2)
+    with pytest.raises(DomainError, match="below 1e-14"):
+        assemble_doubled_sweepout(2, t_grid=[close - 1e-15])
+    assert doubled_slice(close - 1e-13, 2).chi == -8
 
 
 def test_doubled_slice_rejects_bad_input():
@@ -299,11 +338,11 @@ def test_retraction_moves_outward_monotonically():
 def test_retraction_equivariance():
     p = _embed(RETRACT_THETA, RETRACT_PHI)
     for m in (2, 3):
-        for g in group_elements(m):
-            q = p @ g.matrix().T
+        for g in _group(m):
+            q = p @ group_matrix(m, *g).T
             theta, phi = np.arctan2(q[:, 1], q[:, 0]), np.arctan2(q[:, 3], q[:, 2])
             a = _embed(*_retract_uv(m, 0.6, theta, phi))
-            b = _embed(*_retract_uv(m, 0.6, RETRACT_THETA, RETRACT_PHI)) @ g.matrix().T
+            b = _embed(*_retract_uv(m, 0.6, RETRACT_THETA, RETRACT_PHI)) @ group_matrix(m, *g).T
             assert np.max(np.abs(a - b)) < 1e-12
 
 

@@ -16,10 +16,8 @@ from catsweep.revolution import (
     STEP0,
     STEP_MAX,
     ProfileCurve,
-    _negative_pivots,
     _WidthEngine,
-    _frustum_area,
-    catenoid_profile,
+    _frustum_geometry,
     mountain_pass_width,
 )
 
@@ -57,6 +55,18 @@ FROZEN_WIDTHS = {
 }
 
 
+def _catenoid_profile(r, h, c, n_nodes=201):
+    # the catenoid c cosh(x/c) over [-h, h], its ends pinned to radius r
+    x = np.linspace(-h, h, n_nodes)
+    f = c * np.cosh(x / c)
+    f[0] = f[-1] = r
+    return ProfileCurve(x_nodes=x, f_values=f)
+
+
+def _area(p):
+    return _frustum_geometry(p.f_values, p.dx)[0]
+
+
 @functools.lru_cache(maxsize=None)
 def _width(r, h):
     # one engine run per (r, h), shared by the tests that only read it
@@ -66,7 +76,7 @@ def _width(r, h):
 def test_cylinder_area_exact():
     x = np.linspace(-0.1, 0.1, 51)
     p = ProfileCurve(x_nodes=x, f_values=np.ones_like(x))
-    assert _frustum_area(p.f_values, p.dx) == pytest.approx(0.4 * math.pi, rel=1e-14)
+    assert _area(p) == pytest.approx(0.4 * math.pi, rel=1e-14)
 
 
 def test_cone_area_exact():
@@ -76,7 +86,7 @@ def test_cone_area_exact():
     p = ProfileCurve(x_nodes=x, f_values=f)
     # frustum: pi*(r1+r2)*slant
     expect = math.pi * (1.0 + 1.5) * math.sqrt(1.0 + 0.25)
-    assert _frustum_area(p.f_values, p.dx) == pytest.approx(expect, rel=1e-12)
+    assert _area(p) == pytest.approx(expect, rel=1e-12)
 
 
 def test_revolution_area_second_order():
@@ -84,8 +94,8 @@ def test_revolution_area_second_order():
     exact = WIDTH_TABLE[(1.0, 0.3)]
     errs = []
     for n in (101, 201, 401):
-        p = catenoid_profile(1.0, 0.3, sol.c_unstable, n)
-        err = abs(_frustum_area(p.f_values, p.dx) - exact)
+        p = _catenoid_profile(1.0, 0.3, sol.c_unstable, n)
+        err = abs(_area(p) - exact)
         errs.append(err)
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -234,8 +244,8 @@ def test_width_scales_with_the_circles(s):
 
 def test_width_exceeds_endpoint_areas():
     res = _width(1.0, 0.5)
-    stable = catenoid_profile(1.0, 0.5, solve_parameters(CatenoidSpec(r=1.0, h=0.5)).c_stable)
-    assert res.width > _frustum_area(stable.f_values, stable.dx) - 1e-9
+    stable = _catenoid_profile(1.0, 0.5, solve_parameters(CatenoidSpec(r=1.0, h=0.5)).c_stable)
+    assert res.width > _area(stable) - 1e-9
     assert res.width > 2.0 * math.pi * 1.0 ** 2 * 0.9  # near two disks from the pinched end
 
 
@@ -337,17 +347,27 @@ def test_hessian_matches_central_differences():
         assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
-def test_sturm_count_matches_eigenvalues():
+def test_certificate_index_matches_the_full_spectrum():
+    # the certificate reads only the two lowest eigenvalues; the count of
+    # negative ones in the full spectrum must be 1 exactly when it accepts
+    # the index, and certify refuses every other count
     sol = solve_parameters(CatenoidSpec(r=1.0, h=0.5))
     saddle = _width(1.0, 0.5).profile_at_max
-    stable = catenoid_profile(1.0, 0.5, sol.c_stable)
+    stable = _catenoid_profile(1.0, 0.5, sol.c_stable)
     cases = [(saddle, 1), (stable, 0)] + [(p, None) for p in _random_profiles()]
     for p, index in cases:
-        _, (diag, off) = _interior_hessian(p)
-        count = _negative_pivots(diag, off)
-        assert count == int(np.sum(eigh_tridiagonal(diag, off, eigvals_only=True) < 0.0))
+        engine, (diag, off) = _interior_hessian(p)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        count = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+        lam = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1), eigvals_only=True)
+        assert (lam[0] < 0.0 <= lam[1]) == (count == 1)
         if index is not None:
             assert count == index
+        else:
+            # the rough profiles are far from critical: many negative directions
+            assert count >= 20
+        if count != 1:
+            assert engine.certify(p.f_values, engine.geometry(p.f_values)) is None
 
 
 def test_certificate_accepts_only_the_saddle():

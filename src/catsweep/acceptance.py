@@ -31,6 +31,7 @@ from .catenoid import (
 from .doubling import NeckSchedule, assemble_doubled_sweepout, group_elements
 from .errors import CatsweepError, DomainError, NonConvergence
 from .fermi import (
+    TUBE_T_GRID,
     build_cutoff,
     check_offset,
     fourier_frequencies,
@@ -46,10 +47,14 @@ from .surfaces import check_grid, clifford_torus, disk_rings_for_cutoff
 WIDTH_EXCESS_TOL = 2e-4     # relative error of the width's excess over the two disks
 EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))   # h/r of width excess
 EXCESS_SLOPE_TOL = 0.25     # log-log slope of naive over optimal excess, target 1
+NECK_RATIO_WINDOW = (0.9, 1.1)  # c*(-log h)/h at the deepest h of criterion 2
+NECK_LAW_TOL = 0.01         # that ratio against its two-term law, for h up to NECK_LAW_H
+NECK_LAW_H = 1e-8
 QUAD_TOL = 1e-12            # quadratic area coefficients against half of Q(phi)
 SPECTRUM_TOL = 1e-10        # Jacobi eigenvalues against 2(j^2 + k^2) - 4
 KAPPA_FLOOR = 0.05          # tube-family margin / h^2
 TUBE_H_FLOOR = math.sqrt(2.0 * math.ulp(4.0 * math.pi ** 2) / KAPPA_FLOOR)  # fermi_tubes
+TUBE_N_FLOOR = math.floor(2.0 * math.pi / (3.0 * TUBE_T_GRID[0])) + 1         # fermi_tubes
 DISK_CUTOFF_TOL = 1e-6      # flat-disk cutoff energy against 2*pi/(-log t)
 NECK_EXPONENT_TOL = 0.01    # fitted neck cost exponent against the dimension
 NECK_H_GRID = (1e-1, 1e-2, 1e-3, 1e-4)   # h of the neck cost fit
@@ -128,7 +133,7 @@ def width_run(r, h):
     return make_report("width-run", {"r": r, "h": h}, rows, WIDTH_EXCESS_TOL)
 
 
-def width_excess(r):
+def width_excess():
     """`width excess`: the naive excess over the two disks against the
     unstable catenoid's, as a log-log slope in -log h on EXCESS_GRID.
 
@@ -136,10 +141,9 @@ def width_excess(r):
     them by a cylinder: its area 2*pi*r^2 + 4*pi*h*s - 2*pi*s^2 peaks at
     s = h, with excess 2*pi*h^2.  The ratio of the two excesses grows like
     a multiple of -log h, so regressing its log on log(-log h) gives a
-    slope near 1.  Both scale like r^2, so the grid is read as h/r and the
-    excesses are taken at (1, h/r): the slope is the same for every r.
+    slope near 1.  Both scale like r^2, so the ratio depends on h/r alone:
+    the grid is read as h/r and the excesses are taken at r = 1.
     """
-    CatenoidSpec(r=r, h=EXCESS_GRID[0] * r)  # refuses r outside the domain by name
     log_log, log_ratio = [], []
     for h in EXCESS_GRID:
         optimal = excess_over_disks(1.0, h, solve_parameters(CatenoidSpec(r=1.0, h=h)).c_unstable)
@@ -149,7 +153,7 @@ def width_excess(r):
     rows = [{"t": 0.0, "area": abs(slope - 1.0), "slope": slope}]
     return make_report(
         "width-excess",
-        {"r": r, "h_grid": list(EXCESS_GRID), "tolerance": EXCESS_SLOPE_TOL},
+        {"h_grid": list(EXCESS_GRID), "tolerance": EXCESS_SLOPE_TOL},
         rows,
         EXCESS_SLOPE_TOL,
     )
@@ -285,7 +289,13 @@ def fermi_tubes(n, h):
     [32, 64), so it is read to about u = ulp(4*pi^2) = 2^-47 (1.2 u at
     h = 3e-8).  Only where KAPPA_FLOOR h^2 is at least 2 u can kappa be
     judged, so h under TUBE_H_FLOOR = sqrt(2 u/KAPPA_FLOOR), about 5.3e-7,
-    is refused; at h = 1e-8 kappa reads 142, not 69.4."""
+    is refused; at h = 1e-8 kappa reads 142, not 69.4.  The nearest chart
+    nodes lie 2*pi/(3n) from a puncture, so below TUBE_N_FLOOR the first
+    row's band [t^2, t) holds no node and n is refused."""
+    check_grid(n)
+    if n < TUBE_N_FLOOR:
+        raise DomainError("fermi tubes grid --n must be at least %d, below which no chart node"
+                          " lies in the first neck's band, got n = %d" % (TUBE_N_FLOOR, n))
     check_offset("h", h)
     if h < TUBE_H_FLOOR:
         raise DomainError("--h must be at least %.2g, below which kappa reads the budget's"
@@ -422,23 +432,23 @@ def _criterion_2():
     ratios = [solve_parameters(CatenoidSpec(r=r, h=h)).c_unstable * (-math.log(h)) / h
               for h in grid]
     final = ratios[-1]
-    in_range = 0.9 <= final <= 1.1
+    in_range = NECK_RATIO_WINDOW[0] <= final <= NECK_RATIO_WINDOW[1]
     devs = [abs(x - 1.0) for x in ratios]
     decreasing = all(b < a for a, b in zip(devs, devs[1:]))
     law_gap = 0.0
     for h, ratio in zip(grid, ratios):
-        if h <= 1e-8:
+        if h <= NECK_LAW_H:
             big_l = -math.log(h)
             law = big_l / (big_l + math.log(2.0 * r * big_l))
             law_gap = max(law_gap, abs(ratio / law - 1.0))
-    follows_law = law_gap <= 0.01
+    follows_law = law_gap <= NECK_LAW_TOL
     ok = in_range and decreasing and follows_law
     detail = (
-        "ratio %.8f at h=%.0e (range [0.9, 1.1]: %s), |ratio-1| decreasing: %s, "
-        "two-term law gap %.2e for h<=1e-8 (tol 1e-2)"
+        "ratio %.8f at h=%.0e (range [%g, %g]: %s), |ratio-1| decreasing: %s, "
+        "two-term law gap %.2e for h<=%.0e (tol %g)"
     ) % (
-        final, grid[-1], "yes" if in_range else "NO", "yes" if decreasing else "NO",
-        law_gap,
+        final, grid[-1], *NECK_RATIO_WINDOW, "yes" if in_range else "NO",
+        "yes" if decreasing else "NO", law_gap, NECK_LAW_H, NECK_LAW_TOL,
     )
     return ok, detail
 
@@ -447,15 +457,14 @@ def _criterion_3():
     # the excess over the two disks is what the estimate bounds
     reps = [width_run(1.0, h) for h in (0.3, 0.5)]
     ok = all(rep.summary["passed"] for rep in reps)
-    detail = "width excess rel errors %.2e, %.2e (tol 2e-4)" % tuple(
-        rep.summary["sup_area"] for rep in reps
-    )
+    detail = "width excess rel errors %.2e, %.2e (tol %g)" % (
+        *(rep.summary["sup_area"] for rep in reps), WIDTH_EXCESS_TOL)
     return ok, detail
 
 
 def _criterion_4():
-    rep = width_excess(1.0)
-    detail = "log-log slope %.4f (target 1.0 +- 0.25)" % rep.rows[0]["slope"]
+    rep = width_excess()
+    detail = "log-log slope %.4f (target 1.0 +- %g)" % (rep.rows[0]["slope"], EXCESS_SLOPE_TOL)
     return rep.summary["passed"], detail
 
 
@@ -463,8 +472,8 @@ def _criterion_5():
     rep = fermi_quad(64)
     coeffs = ", ".join("%.4f vs %.4f (rel %.2e)" % (row["coefficient"], row["target"], row["area"])
                        for row in rep.rows)
-    return rep.summary["passed"], "quadratic coefficients %s; base area rel %.2e (tol 1e-12)" % (
-        coeffs, rep.summary["base_area_rel"])
+    return rep.summary["passed"], "quadratic coefficients %s; base area rel %.2e (tol %g)" % (
+        coeffs, rep.summary["base_area_rel"], QUAD_TOL)
 
 
 def _criterion_6():
@@ -475,8 +484,8 @@ def _criterion_6():
             parts.append("n=%d index %d nullity %d" % (row["n"], row["index"], row["nullity"]))
         else:
             parts.append("order %d: index %d gap %.4f" % (row["t"], row["index"], row["gap"]))
-    return rep.summary["passed"], "%s; max eigenvalue error %.1e (tol 1e-10)" % (
-        ", ".join(parts), rep.summary["sup_area"])
+    return rep.summary["passed"], "%s; max eigenvalue error %.1e (tol %g)" % (
+        ", ".join(parts), rep.summary["sup_area"], SPECTRUM_TOL)
 
 
 def _criterion_7():
@@ -484,9 +493,9 @@ def _criterion_7():
     torus = cutoff_torus(64, 0.05)
     ok = all(rep.summary["passed"] for rep in disks + [torus])
     row = torus.rows[0]
-    detail = "disk energy rel errors %.2e, %.2e (tol 1e-6); torus energy %.4f < %.4f" % (
-        disks[0].summary["sup_area"], disks[1].summary["sup_area"], row["energy"],
-        row["bound_value"],
+    detail = "disk energy rel errors %.2e, %.2e (tol %g); torus energy %.4f < %.4f" % (
+        disks[0].summary["sup_area"], disks[1].summary["sup_area"], DISK_CUTOFF_TOL,
+        row["energy"], row["bound_value"],
     )
     return ok, detail
 
@@ -494,8 +503,8 @@ def _criterion_7():
 def _criterion_8():
     summaries = [fermi_tubes(64, h).summary for h in (0.02, 0.05)]
     ok = all(s["passed"] for s in summaries)
-    detail = "sup under doubled budget and margin/h^2 = %.3f, %.3f over floor 0.05: %s" % (
-        summaries[0]["kappa"], summaries[1]["kappa"], "yes" if ok else "NO"
+    detail = "sup under doubled budget and margin/h^2 = %.3f, %.3f over floor %g: %s" % (
+        summaries[0]["kappa"], summaries[1]["kappa"], KAPPA_FLOOR, "yes" if ok else "NO"
     )
     return ok, detail
 
@@ -508,14 +517,14 @@ def _criterion_9():
         % (m, s["margin"], s["regular_chi"], -2 * m * m, s["witness_mesh_rel_excess"])
         for m, s in summaries
     )
-    return ok, detail + " (tol 1e-3)"
+    return ok, detail + " (tol %g)" % WITNESS_MESH_TOL
 
 
 def _criterion_10():
     reps = [neck_fit(n) for n in (2, 3, 4, 5, 6)]
     ok = all(rep.summary["passed"] for rep in reps)
-    detail = "exponent deviations %s (tol 0.01); n=2 control %.4f" % (
-        ", ".join("%.2e" % rep.summary["sup_area"] for rep in reps[1:]),
+    detail = "exponent deviations %s (tol %g); n=2 control %.4f" % (
+        ", ".join("%.2e" % rep.summary["sup_area"] for rep in reps[1:]), NECK_EXPONENT_TOL,
         reps[0].rows[0]["exponent"],
     )
     return ok, detail

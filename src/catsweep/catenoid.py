@@ -82,7 +82,6 @@ class CatenoidSpec:
 
 @dataclass(frozen=True)
 class CatenoidSolution:
-    spec: CatenoidSpec
     c_unstable: float
     c_stable: float
     area_unstable: float
@@ -138,7 +137,6 @@ def solve_parameters(spec):
             )
 
     return CatenoidSolution(
-        spec=spec,
         c_unstable=c_unstable,
         c_stable=c_stable,
         area_unstable=_area_on_root(r, h, c_unstable),

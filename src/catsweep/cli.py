@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import acceptance
-from .errors import BudgetViolated, CatsweepError, NonConvergence, SolverFailure
+from .errors import BudgetViolated, CatsweepError, NonConvergence
 from .report import report_to_csv, report_to_json, write_atomic
 
 
@@ -89,9 +89,8 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=lambda a: acceptance.width_run(a.r, a.h))
     p = wid_sub.add_parser("excess", help="naive vs optimal excess scaling slope")
-    p.add_argument("--r", type=float, default=1.0)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.width_excess(a.r))
+    p.set_defaults(handler=lambda a: acceptance.width_excess())
 
     fer = subs.add_parser("fermi", help="normal-graph expansions on the middle torus")
     fer_sub = fer.add_subparsers(dest="action", required=True, parser_class=_Parser)
@@ -150,19 +149,12 @@ def run(argv):
         return _verify_all(args)
     try:
         rep = args.handler(args)
-    except (BudgetViolated, NonConvergence, SolverFailure) as exc:
+        rep.meta["timestamp"] = args.stamp
+        _emit(rep, args)
+    except (BudgetViolated, NonConvergence) as exc:
         sys.stderr.write("verification failure: %s\n" % exc)
         return 2
-    except CatsweepError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    rep.meta["timestamp"] = args.stamp
-    try:
-        _emit(rep, args)
-    except OSError as exc:
+    except (CatsweepError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     return 0 if rep.summary["passed"] else 2

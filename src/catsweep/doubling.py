@@ -139,23 +139,24 @@ class NeckSchedule:
                 % (TUBE_RADIUS_FLOOR, self.epsilon)
             )
 
+    @property
+    def closing(self):  # the closing parameter, where the paired stage ends
+        return 0.5 - self.delta
+
+    @property
+    def handoff_offset(self):
+        """Normal offset at which the paired tori become graphs over the middle torus.
+
+        The torus pair at the closing parameter coincides with the two-sided
+        normal offset of the middle torus at exactly this distance, so the
+        stage handoff is continuous by construction.
+        """
+        return 0.5 * math.asin(2.0 * self.delta)
+
     def eta(self, t):
-        close = 0.5 - self.delta
-        if t <= 0.0 or t >= close:
+        if t <= 0.0 or t >= self.closing:
             return 0.0
-        return self.epsilon * math.sin(math.pi * t / close)
-
-
-def handoff_offset(delta):
-    """Normal offset at which the paired tori become graphs over the middle torus.
-
-    The torus pair at the closing parameter coincides with the two-sided
-    normal offset of the middle torus at exactly this distance, so the
-    stage handoff is continuous by construction.
-    """
-    if not 0.0 < delta < 0.5:
-        raise DomainError("closing parameter must sit in (0, 1/2), got delta = %s" % delta)
-    return 0.5 * math.asin(2.0 * delta)
+        return self.epsilon * math.sin(math.pi * t / self.closing)
 
 
 def default_resolution(m):
@@ -375,7 +376,7 @@ def doubled_slice(t, m, schedule=None, n=None):
     group action, so the triangle set is symmetric to roundoff.
     """
     m, schedule, n = _family_args(m, schedule, n)
-    if not 0.0 < t < 0.5 - schedule.delta:
+    if not 0.0 < t < schedule.closing:
         raise DomainError("welded slices live at parameters in (0, 1/2 - delta)")
     t = float(t)
     n2 = n * n
@@ -579,7 +580,7 @@ def _pair_row(t, m, schedule):
     The two flat tori, less the m^2 flat weld disks of the tube radius on
     each, plus the m^2 tubes along the full joining arcs.
     """
-    t_c = min(t, 0.5 - schedule.delta)
+    t_c = min(t, schedule.closing)
     radius = float(schedule.eta(t_c))
     pair = 2.0 * cmc_area(t_c)
     if radius <= 0.0:
@@ -617,9 +618,9 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     """
     m, schedule, n = _family_args(m, schedule, n)
     delta = schedule.delta
-    t_a = 0.5 - delta
+    t_a = schedule.closing
     t_b = 0.5 - 0.5 * delta
-    h_eff = handoff_offset(delta)
+    h_eff = schedule.handoff_offset
     if t_grid is None:
         t_grid = np.concatenate(
             [

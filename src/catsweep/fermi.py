@@ -9,8 +9,8 @@ rows (`doubling._sheet_area`, on one symmetry cell) and criterion 8's
 punctured tube family (`two_sided_tube_family`).  The punctured rows
 share one field, `punctured_sheets`: the offset scaled by the log cutoff
 about the nearest puncture, with its band gradient in closed form; the
-element is evaluated on the band nodes only, since off the band it takes
-one of two values.  The second variation of the same area, the Jacobi
+element is evaluated on the band nodes only, since the kept nodes past
+it take one value.  The second variation of the same area, the Jacobi
 form of criteria 5 and 6, is read off `sheet_elements` by a complex step
 (`second_variation`), exactly and with no mesh.  The chart nodes form two
 tensor grids, so on the real Fourier modes its quadrature is a sum of
@@ -284,14 +284,14 @@ def punctured_sheets(a, b, gap, scale, t):
     from its puncture and their flat length gap.  In the band t^2 < gap < t
     f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives f_phi^2.
 
-    Off the band the gradient vanishes and f is 0 (gap <= t^2) or scale,
-    so sheet_elements runs on the band nodes and on those two values
-    only; every element is the one a call on all the nodes would give.
+    The caller passes the kept nodes only, gap > t^2, having excised the
+    rest.  Past the band the gradient vanishes and f is scale, so
+    sheet_elements runs on the band nodes and on that one value only;
+    every element is the one a call on all the nodes would give.
     """
-    outside = gap > t * t
-    band = outside & (gap < t)
-    ends = sheet_elements(np.array([0.0, scale]), np.zeros(2), np.zeros(2))
-    plus, minus = (np.where(outside, e[1], e[0]) for e in ends)
+    band = gap < t
+    outer = sheet_elements(np.array([scale]), np.zeros(1), np.zeros(1))
+    plus, minus = (np.full(gap.shape, e[0]) for e in outer)
     g = gap[band]
     k = (scale / math.log(t)) ** 2 / (4.0 * g ** 4)
     a, b = a[band], b[band]

@@ -27,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catenoid import TANGENCY_ABSCISSA, CatenoidSpec, solve_parameters
-from .errors import DomainError, NonConvergence
+from .errors import NonConvergence
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
+# pinched basin threshold on the midpoint radius, ten times the pinch floor
+NECK_FLOOR = 1e-3
 
 # area descent and basin classification
 STEP0 = 0.25
@@ -49,27 +51,10 @@ SWEEP_T = np.union1d(np.linspace(0.0, 1.0, 17), np.geomspace(1e-6, 1.0, 25))
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Radial profile sampled on a uniform grid over the axis interval."""
+    """Radial profile f_values sampled at the uniform axis nodes x_nodes."""
 
     x_nodes: np.ndarray
     f_values: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x_nodes, dtype=float)
-        f = np.asarray(self.f_values, dtype=float)
-        if x.ndim != 1 or x.shape != f.shape or x.size < 3:
-            raise DomainError("profile needs matching 1-d node and value arrays")
-        steps = np.diff(x)
-        if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > 1e-12 * abs(steps[0])):
-            raise DomainError("profile grid must be uniform and increasing")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
-            raise DomainError("profile contains non-finite entries")
-        object.__setattr__(self, "x_nodes", x)
-        object.__setattr__(self, "f_values", f)
-
-    @property
-    def dx(self):
-        return float(self.x_nodes[1] - self.x_nodes[0])
 
 
 def _frustum_geometry(f, dx):
@@ -127,15 +112,13 @@ class _WidthEngine:
         for f in (self.pinched, self.stable):
             f[0] = f[-1] = 1.0
         self.where = "h/r = %s" % h
-        self.floor = PINCH_FLOOR
         off = np.full(n_nodes - 3, -1.0 / self.dx ** 2)
         diag = np.full(n_nodes - 2, 1.0 + 2.0 / self.dx ** 2)
         # strictly diagonally dominant, so no pivot vanishes (info is 0)
         *self.lu, _ = self.dgttrf(off, diag, off)
         self.mid = n_nodes // 2
-        # basin thresholds: h/x_tangent bounds the unstable neck from above,
-        # so the midpoint against c_stable cannot fire during a saddle linger
-        self.neck_floor = max(2.0 * self.floor, 1e-3)
+        # stable basin threshold: h/x_tangent bounds the unstable neck from
+        # above, so the midpoint against c_stable cannot fire during a saddle linger
         self.neck_stable = 0.5 * (h / TANGENCY_ABSCISSA + sol.c_stable)
         self.steps_taken = 0
         self.newton_iterations = 0
@@ -188,10 +171,10 @@ class _WidthEngine:
             delta = self.dgttrs(*lu, g)[0]
             fn = f.copy()
             fn[1:-1] -= delta
-            if fn.min() > self.floor and np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(fn):
+            if fn.min() > PINCH_FLOOR and np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(fn):
                 return fn
             for _ in range(HALVINGS):
-                if fn.min() > self.floor:  # also rejects NaN
+                if fn.min() > PINCH_FLOOR:  # also rejects NaN
                     geo_n = self.geometry(fn)
                     g_n = self.gradient(geo_n)
                     merit_n = float(g_n @ g_n)
@@ -214,7 +197,7 @@ class _WidthEngine:
         for _ in range(HALVINGS):
             fn = f.copy()
             np.subtract(f[1:-1], st * d, out=fn[1:-1])
-            np.maximum(fn, self.floor, out=fn)
+            np.maximum(fn, PINCH_FLOOR, out=fn)
             geo_n = self.geometry(fn)
             if geo_n[0] <= a:
                 return fn, geo_n, min(st * 1.3, STEP_MAX), True
@@ -235,7 +218,7 @@ class _WidthEngine:
                     return 1
                 raise NonConvergence("descent stalled away from both basins at %s" % self.where)
             neck = f[self.mid]
-            if neck <= self.neck_floor:
+            if neck <= NECK_FLOOR:
                 return -1
             if neck >= self.neck_stable and neck > neck_prev:
                 return 1

@@ -129,7 +129,7 @@ FAST_COMMANDS = {
 FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
-    "width-excess": "97bdacb0cf795ef16854ba5d47c8a28ff9e240bc3c26752244d9e0959d0c141e",
+    "width-excess": "299daeddd102cdfb641d775c44f053ce45c99d07201cf99489cbf359875340c6",
     "fermi-quad": "59b200e352f62c6eeb6f6e87f4de9feb6ae0052cafaccd9cf26674ae16adaad6",
     "cutoff-disk": "bd095c9efb26a3c31bb6fb3a3d7d3d930cea015156eb5a92106b7a2d7f691b7d",
     "neck-fit": "80b952bd72e236b479fb24d7f172e93b5574f61b8a940f7af4f32febfde2b507",
@@ -186,6 +186,8 @@ BAD_INPUTS = {
     # on a 4-grid the frequency-4 products of the checked modes alias
     "quad-n-4": (["fermi", "quad", "--n", "4"], "--n must not divide 4, the highest frequency"),
     "tubes-n-513": (["fermi", "tubes", "--n", "513"], "at most 512, got n = 513"),
+    # below n = 42 the first neck radius's band holds no chart node
+    "tubes-n-41": (["fermi", "tubes", "--n", "41"], "at least 42, below which no chart node lies"),
     "cutoff-torus-n-513": (["cutoff", "torus", "--n", "513"], "at most 512, got n = 513"),
     "doubling-n-516": (["doubling", "sweep", "--m", "2", "--n", "516"], "at most 512, got n = 516"),
     "doubling-n-indivisible": (
@@ -210,7 +212,6 @@ BAD_INPUTS = {
     "solve-h-1": (
         ["catenoid", "solve", "--r", "10", "--h", "1"], "-log h > 0, got h = 1.0"
     ),
-    "excess-r-negative": (["width", "excess", "--r", "-1"], "r = -1.0"),
     "cutoff-torus-t-2": (["cutoff", "torus", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-tiny": (["cutoff", "disk", "--t", "1e-300"], "got t = 1e-300"),
@@ -271,16 +272,6 @@ def test_width_run_in_units_of_r(r, capsys):
     assert row["area"] == pytest.approx(acceptance.width_run(1.0, 0.5).rows[0]["area"], rel=1e-9)
 
 
-@pytest.mark.parametrize("r", [1e-150, 0.1, 10.0, 1e150, R_MAX],
-                         ids=["1e-150", "0.1", "10", "1e150", "R_MAX"])
-def test_width_excess_in_units_of_r(r, capsys):
-    # the grid is read as h/r and the excesses are taken at (1, h/r), so
-    # every r gives the slope of r = 1 bit for bit
-    assert cli.run(["width", "excess", "--r", repr(r), "--json"]) == 0
-    row = json.loads(capsys.readouterr().out)["rows"][0]
-    assert row["slope"] == acceptance.width_excess(1.0).rows[0]["slope"]
-
-
 @pytest.mark.parametrize("t", [5e-39, 1e-100])
 def test_cutoff_disk_down_to_a_normal_t_squared(t, capsys):
     # the ring sum needs only t^2 to be a normal double
@@ -330,6 +321,13 @@ def test_neck_control_dimension(capsys):
     assert cli.run(["neck", "fit", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_tubes_coarsest_grid_measures_the_first_band(capsys):
+    # at n = 42 the first row, t = 0.05, has chart nodes in its band
+    assert acceptance.TUBE_N_FLOOR == 42
+    assert cli.run(["fermi", "tubes", "--n", "42", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["passed"] is True
 
 
 def test_tubes_margin_read_above_the_floor(capsys):

@@ -201,10 +201,10 @@ def test_punctured_sheets_match_every_node_bits():
     assert np.min(gap) == pytest.approx(2.0 * math.pi / (3 * n), rel=1e-12)
     assert not np.any((gap > 0.03 ** 2) & (gap < 0.03))
     for t in (0.03, 0.15, 0.3):
-        # every node, those inside t^2 too (t = 0.3), and the kept ones
-        assert np.any(gap <= t * t) == (t == 0.3)
-        for keep in (slice(None), gap > t * t):
-            _assert_sheets_equal(a[keep], b[keep], gap[keep], 0.05, t)
+        # the kept nodes, as the callers pass them; only t = 0.3 excises some
+        keep = gap > t * t
+        assert np.all(keep) == (t != 0.3)
+        _assert_sheets_equal(a[keep], b[keep], gap[keep], 0.05, t)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1])
@@ -218,7 +218,9 @@ def test_punctured_sheets_match_every_node_bits_under_a_retraction(s):
     half = math.pi / m
     a, b = th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half
     gap = _chart_center_gap(m, th2, ph2)
-    assert np.any((gap > t * t) & (gap < t)) and np.any(gap >= t)
+    # the retraction moves no kept node back inside t^2
+    assert np.all(gap > t * t)
+    assert np.any(gap < t) and np.any(gap >= t)
     _assert_sheets_equal(a, b, gap, (1.0 - s) * 0.05, t)
 
 

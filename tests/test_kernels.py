@@ -36,7 +36,6 @@ from catsweep.doubling import (
     assemble_doubled_sweepout,
     default_resolution,
     doubled_slice,
-    handoff_offset,
 )
 from catsweep.fermi import chart_nodes, log_cutoff
 from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
@@ -203,7 +202,7 @@ def test_s3_triangle_areas_match_reference(tris):
 def test_collapse_stage_matches_per_sheet_reference(m, s):
     n = default_resolution(m)
     cell = _cell_nodes(n, m)
-    h_eff = handoff_offset(NeckSchedule().delta)
+    h_eff = NeckSchedule().handoff_offset
     if s == 0.0:
         for k in range(1, 8):
             neck = k / 7.0 * HANDOFF_NECK_MAX

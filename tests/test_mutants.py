@@ -28,6 +28,17 @@ def _stable_root(monkeypatch):
     monkeypatch.setattr(acceptance, "solve_parameters", swapped)
 
 
+def _scaled_neck(monkeypatch, factor):
+    # the unstable neck scaled by factor
+    real = acceptance.solve_parameters
+
+    def scaled(spec):
+        sol = real(spec)
+        return dataclasses.replace(sol, c_unstable=factor * sol.c_unstable)
+
+    monkeypatch.setattr(acceptance, "solve_parameters", scaled)
+
+
 def test_criterion_1_fails_on_the_stable_root(monkeypatch, capsys):
     _stable_root(monkeypatch)
     res = acceptance.run_criterion(1)
@@ -40,13 +51,7 @@ def test_criterion_1_fails_on_the_stable_root(monkeypatch, capsys):
 def test_criterion_1_fails_on_a_wide_neck(monkeypatch):
     # a neck three times too wide: the ratio grows as h falls and passes 1
     # below h ~ 5e-5, so no grid point starts a passing run from the bottom
-    real = acceptance.solve_parameters
-
-    def widened(spec):
-        sol = real(spec)
-        return dataclasses.replace(sol, c_unstable=3.0 * sol.c_unstable)
-
-    monkeypatch.setattr(acceptance, "solve_parameters", widened)
+    _scaled_neck(monkeypatch, 3.0)
     res = acceptance.run_criterion(1)
     assert not res.ok
     assert "estimate fails at the smallest grid h" in res.detail
@@ -56,13 +61,7 @@ def test_criterion_1_fails_on_a_wide_neck(monkeypatch):
 def test_criterion_2_fails_on_a_neck_five_percent_off(monkeypatch, factor, gap):
     # the ratio c*(-log h)/h leaves the two-term law L/(L + log(2rL)) by
     # about the factor, five times the law's tolerance
-    real = acceptance.solve_parameters
-
-    def scaled(spec):
-        sol = real(spec)
-        return dataclasses.replace(sol, c_unstable=factor * sol.c_unstable)
-
-    monkeypatch.setattr(acceptance, "solve_parameters", scaled)
+    _scaled_neck(monkeypatch, factor)
     res = acceptance.run_criterion(2)
     assert not res.ok
     assert "two-term law gap %s" % gap in res.detail
@@ -151,3 +150,51 @@ def test_criterion_9_fails_on_tripled_tubes(monkeypatch):
     assert not res.ok
     assert "witness mesh excess -1.6e-03" in res.detail
     assert cli.run(["doubling", "sweep", "--m", "2"]) == 2
+
+
+# Planted defects that pass today.  Each is a strict xfail naming the
+# ROADMAP item that should make its criterion fail; mending one turns its
+# test into an unexpected pass, which fails the suite until the marker goes.
+
+def _passes_today(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+@_passes_today("ROADMAP item 3: budget 1 leaves a factor of 2 over the sharp 1/2, so a "
+               "neck 2.5 times too wide reads 0.917 and passes")
+def test_criterion_1_fails_on_a_neck_two_and_a_half_times_wide(monkeypatch):
+    _scaled_neck(monkeypatch, 2.5)
+    assert not acceptance.run_criterion(1).ok
+
+
+@_passes_today("ROADMAP items 3 and 11: a 5% neck error moves the slope to 0.7604, "
+               "inside the window 1 +- 0.25")
+def test_criterion_4_fails_on_a_neck_five_percent_wide(monkeypatch):
+    _scaled_neck(monkeypatch, 1.05)
+    assert not acceptance.run_criterion(4).ok
+
+
+@_passes_today("ROADMAP item 11 (after items 1 and 20): a doubled neck cap keeps margins "
+               "3.139 (m = 2) and 2.250 (m = 3)")
+def test_criterion_9_fails_on_a_doubled_neck_cap(monkeypatch):
+    monkeypatch.setattr(doubling, "HANDOFF_NECK_MAX", 0.5)
+    assert not acceptance.run_criterion(9).ok
+
+
+@_passes_today("ROADMAP items 5 and 11: neck_fit fits the slope of a closed form, which "
+               "no constant factor moves")
+def test_criterion_10_fails_on_a_neck_cost_a_hundred_times_low(monkeypatch):
+    real = acceptance.neck_cost_coefficient
+    monkeypatch.setattr(acceptance, "neck_cost_coefficient", lambda n: 0.01 * real(n))
+    assert not acceptance.run_criterion(10).ok
+
+
+@_passes_today("ROADMAP items 1 and 11: at n = 64, t = 0.05 no torus vertex lies in "
+               "[t^2, t), so the torus energy cannot see the band")
+def test_criterion_7_torus_half_fails_on_a_cutoff_linear_in_distance(monkeypatch):
+    # the disk half reads acceptance.log_cutoff and is left alone; the
+    # torus half's cutoff, built in fermi, takes the linear ramp
+    monkeypatch.setattr(
+        fermi, "log_cutoff", lambda dist, t: np.clip((dist - t * t) / (t - t * t), 0.0, 1.0)
+    )
+    assert not acceptance.run_criterion(7).ok

@@ -31,18 +31,17 @@ from .catenoid import (
 from .doubling import NeckSchedule, assemble_doubled_sweepout, group_elements
 from .errors import CatsweepError, DomainError, NonConvergence
 from .fermi import (
-    TUBE_T_GRID,
-    build_cutoff,
+    band_field,
+    band_nodes,
     check_offset,
     fourier_frequencies,
     log_cutoff,
     second_variation,
     two_sided_tube_family,
 )
-from .mesh import dirichlet_energy, level_set_perimeter
 from .report import make_report
 from .revolution import mountain_pass_width
-from .surfaces import check_grid, clifford_torus, disk_rings_for_cutoff
+from .surfaces import check_cutoff_radius, check_grid, disk_rings_for_cutoff
 
 WIDTH_EXCESS_TOL = 2e-4     # relative error of the width's excess over the two disks
 EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))   # h/r of width excess
@@ -54,8 +53,8 @@ QUAD_TOL = 1e-12            # quadratic area coefficients against half of Q(phi)
 SPECTRUM_TOL = 1e-10        # Jacobi eigenvalues against 2(j^2 + k^2) - 4
 KAPPA_FLOOR = 0.05          # tube-family margin / h^2
 TUBE_H_FLOOR = math.sqrt(2.0 * math.ulp(4.0 * math.pi ** 2) / KAPPA_FLOOR)  # fermi_tubes
-TUBE_N_FLOOR = math.floor(2.0 * math.pi / (3.0 * TUBE_T_GRID[0])) + 1         # fermi_tubes
-DISK_CUTOFF_TOL = 1e-6      # flat-disk cutoff energy against 2*pi/(-log t)
+DISK_CUTOFF_TOL = 1e-6      # cutoff energies against m^2 2*pi/(-log t), m = 1 the flat disk
+CUTOFF_ORDERS = (2, 3)      # symmetry orders of the doubled fields cutoff_torus measures
 NECK_EXPONENT_TOL = 0.01    # fitted neck cost exponent against the dimension
 NECK_H_GRID = (1e-1, 1e-2, 1e-3, 1e-4)   # h of the neck cost fit
 WITNESS_MESH_TOL = 1e-3     # doubled witness slice's mesh area against its row
@@ -280,29 +279,21 @@ def jacobi_spectrum():
     return rep
 
 
-def fermi_tubes(n, h):
-    """`fermi tubes`: two-sided tube family over the middle torus on the
-    n-by-n chart grid with one swap-symmetric puncture pair: every slice
-    under the doubled base area, and the margin at least KAPPA_FLOOR * h^2.
+def fermi_tubes(h):
+    """`fermi tubes`: two-sided tube family over the middle torus with one
+    swap-symmetric puncture pair: every slice under the doubled base area,
+    and the margin at least KAPPA_FLOOR * h^2.
 
-    The margin, near 69 h^2, is the budget 4*pi^2 less the sup, both in
-    [32, 64), so it is read to about u = ulp(4*pi^2) = 2^-47 (1.2 u at
-    h = 3e-8).  Only where KAPPA_FLOOR h^2 is at least 2 u can kappa be
-    judged, so h under TUBE_H_FLOOR = sqrt(2 u/KAPPA_FLOOR), about 5.3e-7,
-    is refused; at h = 1e-8 kappa reads 142, not 69.4.  The nearest chart
-    nodes lie 2*pi/(3n) from a puncture, so below TUBE_N_FLOOR the first
-    row's band [t^2, t) holds no node and n is refused."""
-    check_grid(n)
-    if n < TUBE_N_FLOOR:
-        raise DomainError("fermi tubes grid --n must be at least %d, below which no chart node"
-                          " lies in the first neck's band, got n = %d" % (TUBE_N_FLOOR, n))
+    The margin, the budget 4*pi^2 less the sup, is read to about u =
+    ulp(4*pi^2) = 2^-47.  Its h^2 part, near 75 h^2, can be judged only
+    where KAPPA_FLOOR h^2 is at least 2 u, so h under TUBE_H_FLOOR =
+    sqrt(2 u/KAPPA_FLOOR), about 5.3e-7, is refused."""
     check_offset("h", h)
     if h < TUBE_H_FLOOR:
         raise DomainError("--h must be at least %.2g, below which kappa reads the budget's"
                           " rounding, got h = %s" % (TUBE_H_FLOOR, h))
-    p = n // 4 * n + 3 * n // 4
-    p_swap = 3 * n // 4 * n + n // 4
-    rep = two_sided_tube_family(n, [p, p_swap], h)
+    pair = [(0.5 * math.pi, 1.5 * math.pi), (1.5 * math.pi, 0.5 * math.pi)]
+    rep = two_sided_tube_family(pair, h)
     rep.summary["kappa_floor"] = KAPPA_FLOOR
     rep.summary["passed"] = rep.summary["passed"] and rep.summary["kappa"] >= KAPPA_FLOOR
     return rep
@@ -341,27 +332,29 @@ def cutoff_disk(t):
     )
 
 
-def cutoff_torus(n, t):
-    """`cutoff torus`: cutoff energy on the middle torus's n-grid against
-    the bound D/(-log t), D fitted from level-set perimeters of the distance."""
-    cl = clifford_torus(n)
-    center = (n // 2) * n + n // 2
-    cut = build_cutoff(cl, center, t)
-    d_const = 2.0 * max(
-        level_set_perimeter(cl, cut.dist, lam) / lam for lam in (0.2, 0.3, 0.5, 0.8)
-    )
-    e = dirichlet_energy(cl, cut.values)
-    bound = d_const / (-math.log(t))
-    rows = [
-        {
-            "t": t,
-            "area": e / bound,
-            "energy": e,
-            "bound_value": bound,
-            "d_constant": d_const,
-        }
-    ]
-    return make_report("cutoff-torus", {"t": t, "n": n}, rows, 1.0)
+def cutoff_torus(t):
+    """`cutoff torus`: the Dirichlet energy of the doubled family's cutoff
+    field on the middle torus against m^2 2*pi/(-log t), for each m of
+    CUTOFF_ORDERS, within DISK_CUTOFF_TOL relative.
+
+    The field is the log cutoff about each of the m^2 punctures, one at
+    the centre of each symmetry cell, as the graph-neck rows take it.  Its
+    gradient vanishes past the bands, so the energy is m^2 times one
+    band's: the flat |grad f|^2 = 2 (f_theta^2 + f_phi^2) of band_field,
+    over the flat area, half the chart area, on band_nodes.  A band must
+    fit in its cell, so t must stay below pi/(sqrt(2) max(CUTOFF_ORDERS)).
+    """
+    check_cutoff_radius(t)
+    ref = 2.0 * math.pi / (-math.log(t))
+    rows = []
+    for m in CUTOFF_ORDERS:
+        band = band_nodes(t, 0.0, math.pi / m)
+        _, f_theta2, f_phi2 = band_field(band.a, band.b, band.gap, 1.0, t)
+        e = m * m * float(np.sum(band.weight * (f_theta2 + f_phi2)))
+        rows.append({"t": t, "m": m, "area": abs(e / (m * m * ref) - 1.0), "energy": e,
+                     "reference": m * m * ref})
+    return make_report("cutoff-torus", {"t": t, "orders": list(CUTOFF_ORDERS),
+                                        "tolerance": DISK_CUTOFF_TOL}, rows, DISK_CUTOFF_TOL)
 
 
 def neck_cost_coefficient(n):
@@ -490,18 +483,17 @@ def _criterion_6():
 
 def _criterion_7():
     disks = [cutoff_disk(t) for t in (1e-2, 1e-3)]
-    torus = cutoff_torus(64, 0.05)
+    torus = cutoff_torus(0.05)
     ok = all(rep.summary["passed"] for rep in disks + [torus])
-    row = torus.rows[0]
-    detail = "disk energy rel errors %.2e, %.2e (tol %g); torus energy %.4f < %.4f" % (
-        disks[0].summary["sup_area"], disks[1].summary["sup_area"], DISK_CUTOFF_TOL,
-        row["energy"], row["bound_value"],
+    detail = "disk energy rel errors %.2e, %.2e; doubled fields on the torus %s (tol %g)" % (
+        disks[0].summary["sup_area"], disks[1].summary["sup_area"],
+        ", ".join("m=%d %.2e" % (row["m"], row["area"]) for row in torus.rows), DISK_CUTOFF_TOL,
     )
     return ok, detail
 
 
 def _criterion_8():
-    summaries = [fermi_tubes(64, h).summary for h in (0.02, 0.05)]
+    summaries = [fermi_tubes(h).summary for h in (0.02, 0.05)]
     ok = all(s["passed"] for s in summaries)
     detail = "sup under doubled budget and margin/h^2 = %.3f, %.3f over floor %g: %s" % (
         summaries[0]["kappa"], summaries[1]["kappa"], KAPPA_FLOOR, "yes" if ok else "NO"

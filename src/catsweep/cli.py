@@ -99,10 +99,9 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=lambda a: acceptance.fermi_quad(a.n))
     p = fer_sub.add_parser("tubes", help="two-sided tube family with one puncture pair")
-    p.add_argument("--n", type=int, default=64)
     p.add_argument("--h", type=float, default=0.05)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.fermi_tubes(a.n, a.h))
+    p.set_defaults(handler=lambda a: acceptance.fermi_tubes(a.h))
 
     cut = subs.add_parser("cutoff", help="log-cutoff energies")
     cut_sub = cut.add_subparsers(dest="action", required=True, parser_class=_Parser)
@@ -110,11 +109,10 @@ def build_parser():
     p.add_argument("--t", type=float, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=lambda a: acceptance.cutoff_disk(a.t))
-    p = cut_sub.add_parser("torus", help="middle-torus energy vs the fitted bound")
+    p = cut_sub.add_parser("torus", help="doubled fields' energy on the middle torus vs the closed form")
     p.add_argument("--t", type=float, default=0.05)
-    p.add_argument("--n", type=int, default=64)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.cutoff_torus(a.n, a.t))
+    p.set_defaults(handler=lambda a: acceptance.cutoff_torus(a.t))
 
     dbl = subs.add_parser("doubling", help="equivariant doubled sweepout")
     dbl_sub = dbl.add_subparsers(dest="action", required=True, parser_class=_Parser)

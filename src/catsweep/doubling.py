@@ -14,14 +14,16 @@ swap of the factors.
 The paired slices are reported by their continuum areas, in closed form;
 one welded mesh per family is built as the witness of its genus.  The
 graph-neck and collapse stages are one surface, the two-sided offset of
-the punctured middle torus, and both are measured by the chart
-quadrature of its exact area element: `fermi.punctured_sheets`, the
-field and element criterion 8 checks, on `fermi.chart_nodes`, the nodes
-criterion 5 checks.  Every slice is invariant under the group, so the
-quadrature runs over the nodes of one symmetry cell of the chart grid,
-built without a mesh, and the witness measures one of its congruent
-tubes, each times m^2.  The s = 0 retraction that every graph-neck row
-reads is taken once, on all the cell's nodes.
+the punctured middle torus, and both take its continuum area: each
+symmetry cell holds one puncture, whose log-cutoff band is integrated in
+flat polar coordinates by `fermi.band_sheets`, the band criterion 8's
+tube family and criterion 7's cutoff energy read too, and outside the
+band the offset is constant and its area exact.  The collapse retracts
+each cell onto its boundary; the cutoff rides at the retracted point, so
+its band is the same polar band in the image chart, above the image of
+the excised disk.  Every slice is invariant under the group, so one cell
+is integrated and the witness measures one of its congruent tubes, each
+times m^2.
 
 The witness is built by index arithmetic, with no mesh object: both
 tori share one grid triangle list and take their points from
@@ -38,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetViolated, DomainError, RadiusTooLarge
-from .fermi import chart_nodes, punctured_sheets
+from .fermi import band_sheets, sheet_elements
 from .mesh import _spherical_triangle_areas, euler_characteristic
 from .report import make_report
-from .surfaces import _grid_star, _grid_triangles, _torus_vertices, check_grid, flat_torus_gap
+from .surfaces import _grid_star, _grid_triangles, _torus_vertices, check_grid
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -413,7 +415,10 @@ def doubled_slice(t, m, schedule=None, n=None):
     keep[stars.ravel()] = False
     # canonical collar at the lower-torus end of the first arc; vertex v
     # of a torus sits at the chart angles (ang[v // n], ang[v % n])
-    link = np.setdiff1d(np.unique(grid[stars[0]]), [ic[0] * n + jc[0]])
+    # the star's vertices but its center, sorted and each once
+    star = np.sort(grid[stars[0]].ravel())
+    star = star[np.concatenate([[True], star[1:] != star[:-1]])]
+    link = star[star != ic[0] * n + jc[0]]
     hx = math.sqrt(t) * _wrap_angle(ang[link // n] - ang[ic[0]])
     hy = math.sqrt(1.0 - t) * _wrap_angle(ang[link % n] - ang[jc[0]])
     hex_ang = np.arctan2(hy, hx) % (2.0 * math.pi)
@@ -460,118 +465,28 @@ def doubled_slice(t, m, schedule=None, n=None):
     )
 
 
-def _retract_uv(m, s, theta, phi):
-    """Grid retraction of the punctured middle torus, in the chart: push
-    each cell radially outward.
-
-    In the sup-norm gauge of a cell centered at a puncture, a point at
-    fractional radius rho moves to the convex combination (1-s) id + s
-    (boundary projection); cell boundaries (the grid) stay fixed and the
-    map is one to one for s < 1.
-    """
-    cell = 2.0 * math.pi / m
-    half = math.pi / m
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    tc = cell * np.floor(th / cell) + half
-    pc = cell * np.floor(ph / cell) + half
-    u1 = th - tc
-    u2 = ph - pc
-    rho = np.maximum(np.abs(u1), np.abs(u2)) / half
-    if np.any(rho < 1e-12):
-        raise DomainError("the retraction is undefined at a removed center")
-    f = (1.0 - s) + s / rho
-    return tc + u1 * f, pc + u2 * f
-
-
-def _chart_center_gap(m, theta, phi):
-    """Flat-metric distance to the nearest puncture center, in the chart."""
-    half = math.pi / m
-    return flat_torus_gap(
-        0.5, np.asarray(theta, dtype=float) - half, np.asarray(phi, dtype=float) - half,
-        2.0 * math.pi / m,
-    )
-
-
-@dataclass(frozen=True)
-class _CellNodes:
-    """Midpoint nodes of the symmetry cell [0, 2 pi/m)^2 of the chart.
-
-    theta, phi are the chart barycenters of the triangles in the cell,
-    weight their chart areas, gap their unretracted flat distance to the
-    cell's puncture center and rho their sup radius about it over pi/m.
-    graph is their image under the retraction at s = 0, the one every
-    graph-neck row reads (_retracted); the image is no bit-exact identity.
-    """
-
-    m: int
-    theta: np.ndarray
-    phi: np.ndarray
-    weight: np.ndarray
-    gap: np.ndarray
-    rho: np.ndarray
-    graph: tuple
-
-
-def _cell_nodes(n, m):
-    """The quadrature nodes of one cell of the middle torus's n-by-n grid.
-
-    With 2m | n no chart triangle straddles two cells, so the cell holds
-    the 2 (n/m)^2 chart_nodes of its n/m-by-n/m cells, and every other
-    cell is its translate under a rotation of the symmetry group.
-    """
-    th, ph, weight = chart_nodes(n, n // m)
-    half = math.pi / m
-    rho = np.maximum(np.abs(th - half), np.abs(ph - half)) / half
-    return _CellNodes(
-        m=m, theta=th, phi=ph, weight=weight, gap=_chart_center_gap(m, th, ph), rho=rho,
-        graph=_retracted(m, 0.0, th, ph, rho),
-    )
-
-
-def _retracted(m, s, theta, phi, rho):
-    """Nodes under the retraction at step s: the wrapped chart offsets a, b
-    of each image point to its nearest center, their flat length, and the
-    retraction's Jacobian (see _sheet_area)."""
-    th2, ph2 = _retract_uv(m, s, theta, phi)
-    half = math.pi / m
-    return (th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half,
-            _chart_center_gap(m, th2, ph2), (1.0 - s) * ((1.0 - s) + s / rho))
-
-
-def _sheet_area(cell, s, h_eff, t_neck):
-    """Continuum area of the punctured double sheet, by midpoint quadrature.
+def _sheet_area(m, s, h_eff, t_neck):
+    """Continuum area of the punctured double sheet, m^2 times one cell's.
 
     The sheets are the offsets +-f of the middle torus, f = (1 - s) h_eff
-    log_cutoff(gap, t_neck), composed with the chart retraction; s = 0 is
-    the graph-neck slice with neck t_neck and s > 0 the collapse.  Nodes
-    are the _CellNodes of one symmetry cell weighted by chart area, and a
-    node within t_neck^2 of the puncture center is excised.  The cutoff
-    rides at the retracted point, so the transition band keeps a fixed
-    width instead of being stretched along with the cells.  The sheet is
-    invariant under the symmetry group, so the m^2 cells contribute alike.
-
-    In the chart of the image point the sheets have the area elements of
-    fermi.punctured_sheets, with scale (1 - s) h_eff and a, b the wrapped
-    chart offsets to the nearest center.  The retraction u -> u ((1 - s) +
-    s/rho), with rho the sup norm of u over pi/m, has Jacobian (1 - s)
-    ((1 - s) + s/rho) by Euler's identity for the 1-homogeneous rho, so
-    the area vanishes exactly at s = 1.
-
-    Returns the area of both sheets and the flat area of the nodes one
-    sheet excises, each m^2 times the cell's.  At s = 0 the kept nodes'
-    image is read off cell.graph, retracted once for all graph-neck rows.
+    log_cutoff(g, t_neck), composed with the retraction of each symmetry
+    cell onto its boundary; s = 0 is the graph-neck slice with neck
+    t_neck and s > 0 the collapse.  The cutoff rides at the retracted
+    point, so in the image chart the sheets are the punctured offset of
+    scale (1 - s) h_eff over the image of the cell less its excised disk
+    g <= t_neck^2: the band of fermi.band_nodes with lower limit the
+    retracted circle, and outside it the constant offset, whose area is
+    exact.  At s = 1 the retraction has pushed the cell onto the grid and
+    the sheets have no area.  The sheet is invariant under the symmetry
+    group, so the m^2 cells contribute alike.
     """
-    m = cell.m
-    keep = cell.gap > t_neck * t_neck
-    if s == 0.0:
-        a, b, gap, jac = (x[keep] for x in cell.graph)
-    else:
-        a, b, gap, jac = _retracted(m, s, cell.theta[keep], cell.phi[keep], cell.rho[keep])
-    plus, minus = punctured_sheets(a, b, gap, (1.0 - s) * h_eff, t_neck)
-    copies = m * m
-    return (copies * float(np.sum(cell.weight[keep] * jac * (plus + minus))),
-            0.5 * copies * float(np.sum(cell.weight[~keep])))
+    if s == 1.0:
+        return 0.0
+    scale = (1.0 - s) * h_eff
+    plus, minus, disk = band_sheets(scale, t_neck, s, math.pi / m)
+    outer = float(sheet_elements(scale, 0.0, 0.0)[0])
+    cell = (2.0 * math.pi / m) ** 2
+    return m * m * (plus + minus + 2.0 * outer * (cell - disk))
 
 
 def _pair_row(t, m, schedule):
@@ -602,12 +517,10 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     punctures in the two-sided graph pair over the middle torus at the
     matching normal offset; the final quarter collapses the punctured
     double sheet onto the grid.  Both stages are one surface and take
-    their areas from the same chart quadrature, _sheet_area, over the
-    nodes of one symmetry cell, built once per call (the summary's
-    cell_nodes counts them): a graph-neck row carries its neck_radius
-    and, as removed_disk_area, the flat area of the nodes one sheet
-    excises.  The budget is twice the middle torus area and must never be
-    reached.
+    their continuum areas from _sheet_area, one polar band a row: a
+    graph-neck row carries its neck_radius and, as removed_disk_area, the
+    flat area m^2 pi t^4 of the disks one sheet excises.  The budget is twice the middle torus area
+    and must never be reached.
 
     One welded slice, at the last paired parameter with a positive tube
     radius, witnesses the topology: its Euler characteristic is the
@@ -635,7 +548,6 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     if np.any(t_grid < 0.0) or np.any(t_grid > 0.5 + 1e-12):
         raise DomainError("slice parameters must sit in [0, 1/2]")
     budget = 4.0 * math.pi ** 2
-    cell = _cell_nodes(n, m)
     rows = []
     witness = None
     for t in sorted(float(t) for t in t_grid):
@@ -648,13 +560,12 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
                     witness = row
         elif t <= t_b + 1e-15:
             neck = (t - t_a) / (0.5 * delta) * HANDOFF_NECK_MAX
-            area, removed = _sheet_area(cell, 0.0, h_eff, neck)
             row = {
                 "t": t,
-                "area": area,
+                "area": _sheet_area(m, 0.0, h_eff, neck),
                 "stage": "graph_necks",
                 "neck_radius": neck,
-                "removed_disk_area": removed,
+                "removed_disk_area": m * m * math.pi * neck ** 4,
             }
         else:
             # over 1/2 - t_b so that t = 1/2 gives s = 1 exactly; the clamp
@@ -662,7 +573,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
             sc = min((t - t_b) / (0.5 - t_b), 1.0)
             row = {
                 "t": t,
-                "area": _sheet_area(cell, sc, h_eff, HANDOFF_NECK_MAX)[0],
+                "area": _sheet_area(m, sc, h_eff, HANDOFF_NECK_MAX),
                 "stage": "collapse",
                 "collapse_s": sc,
             }
@@ -686,7 +597,6 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
         rows=rows,
         budget=budget,
     )
-    report.summary["cell_nodes"] = int(cell.theta.size)
     if witness is not None:
         sl = doubled_slice(witness["t"], m, schedule, n)
         report.summary["regular_chi"] = int(sl.chi)

@@ -3,27 +3,30 @@ and the mesh Jacobi operator.
 
 Claim (iii) rests on one formula, `sheet_elements`: the area element of
 the sheets +-f of the two-sided normal offset of the Clifford torus.
-Every such area is its midpoint quadrature on the `chart_nodes`, built
-from the chart grid alone: the doubled sweepout's graph-neck and collapse
-rows (`doubling._sheet_area`, on one symmetry cell) and criterion 8's
-punctured tube family (`two_sided_tube_family`).  The punctured rows
-share one field, `punctured_sheets`: the offset scaled by the log cutoff
-about the nearest puncture, with its band gradient in closed form; the
-element is evaluated on the band nodes only, since the kept nodes past
-it take one value.  The second variation of the same area, the Jacobi
-form of criteria 5 and 6, is read off `sheet_elements` by a complex step
-(`second_variation`), exactly and with no mesh.  The chart nodes form two
-tensor grids, so on the real Fourier modes its quadrature is a sum of
-Kronecker products of 1-D Gram matrices.
+Every punctured such area is one polar band per puncture (`band_sheets`):
+the offset scaled by the log cutoff about the puncture, with its gradient
+in closed form (`band_field`), integrated over the band t^2 < g < t by
+Gauss-Legendre in log g and in the angle (`band_nodes`), the nodes built
+once per process; past the band the offset is constant and its area
+exact.  The doubled sweepout's graph-neck and collapse rows
+(`doubling._sheet_area`, one band a symmetry cell) and criterion 8's
+punctured tube family (`two_sided_tube_family`) read it, and criterion
+7's torus half reads the band's cutoff energy.  The second variation of
+the same area, the Jacobi form of criteria 5 and 6, is read off
+`sheet_elements` by a complex step (`second_variation`), exactly and with
+no mesh: the midpoint quadrature on the `chart_nodes` forms two tensor
+grids, so on the real Fourier modes it is a sum of Kronecker products of
+1-D Gram matrices.
 
 A mesh cutoff (`build_cutoff`) reads the exact distance field of a
 product torus (`surfaces.torus_distances`); other meshes raise
-DomainError.  The mesh geodesic `mesh.geodesic_distances` serves only the
-tests and the benchmark's tracer, and so does `jacobi_lowest`, the lowest
-eigenpair of the cotangent-mesh Jacobi operator; it alone in this module
-needs scipy (a sparse LU), and it imports it itself.
+DomainError.  It serves only the tests and the benchmark's tracer, as do
+the mesh geodesic `mesh.geodesic_distances` and `jacobi_lowest`, the
+lowest eigenpair of the cotangent-mesh Jacobi operator; that alone in
+this module needs scipy (a sparse LU), and it imports it itself.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +44,11 @@ SECOND_VARIATION_EPS = 1e-6     # modulus of the complex step s = eps e^{i pi/4}
 
 # neck radii t of the tube family's rows
 TUBE_T_GRID = np.linspace(0.05, 0.35, 13)
+
+# Gauss-Legendre nodes of the polar band (band_nodes): in log g across the
+# band, and in the angle on each of the two smooth pieces of a quadrant
+BAND_LOG_NODES = 16
+BAND_ANGLE_NODES = 16
 
 
 def _chart_axes(n, c):
@@ -278,70 +286,164 @@ def jacobi_lowest(m):
     )
 
 
+def band_field(a, b, gap, scale, t):
+    """The field f = scale * log_cutoff(gap, t) in the band t^2 < gap < t
+    about a puncture and its squared chart partials, given each point's
+    chart offsets a, b (theta, phi) from the puncture and their flat
+    length gap: f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives
+    f_phi^2."""
+    k = (scale / math.log(t)) ** 2 / (4.0 * gap ** 4)
+    return scale * log_cutoff(gap, t), k * a * a, k * b * b
+
+
 def punctured_sheets(a, b, gap, scale, t):
-    """Area elements of the sheets +-f, f = scale * log_cutoff(gap, t), over
-    the middle torus, given each node's chart offsets a, b (theta, phi)
-    from its puncture and their flat length gap.  In the band t^2 < gap < t
-    f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives f_phi^2.
+    """Area elements of the sheets +-f of band_field's f over the middle
+    torus, at points of the band t^2 < gap < t."""
+    return sheet_elements(*band_field(a, b, gap, scale, t))
 
-    The caller passes the kept nodes only, gap > t^2, having excised the
-    rest.  Past the band the gradient vanishes and f is scale, so
-    sheet_elements runs on the band nodes and on that one value only;
-    every element is the one a call on all the nodes would give.
+
+@functools.cache
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [0, 1], built once per n and
+    shared, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@dataclass(frozen=True)
+class PolarBand:
+    """Nodes of the band about one puncture (band_nodes): chart offsets a,
+    b from the puncture, flat distance gap, chart-area weights over the
+    full circle, and disk, the chart area inside the band's outer edge."""
+
+    a: np.ndarray
+    b: np.ndarray
+    gap: np.ndarray
+    weight: np.ndarray
+    disk: float
+
+
+def band_nodes(t, s=0.0, half=math.pi):
+    """Gauss-Legendre nodes of the band about one puncture, in the flat
+    polar coordinates (g, psi) of the middle torus.
+
+    The puncture is the centre of a chart square of half-width half, its
+    symmetry cell; in the polar coordinates the chart offsets are a =
+    sqrt(2) g cos psi, b = sqrt(2) g sin psi and the chart area is
+    2 g dg dpsi.  The band is L(psi) < g < t, where
+
+        L(psi) = (1 - s) t^2 + s R(psi),  R(psi) = half / (sqrt(2) max(|cos psi|, |sin psi|)),
+
+    R the cell's boundary: L is the image of the excised circle g = t^2
+    under the retraction u -> u ((1 - s) + s/rho) of the cell onto its
+    boundary, rho the sup norm of u over half, and t^2 at s = 0.  The band
+    must lie inside the cell, t below its inscribed radius half/sqrt(2),
+    or RadiusTooLarge is raised; t = 0 is the unpunctured cell, with no
+    band.
+
+    Everything depends on psi through cos^2 and sin^2, so the nodes span
+    one quadrant and the weights count it four times.  Its smooth pieces
+    are [0, psi*] and [pi/2 - psi*, pi/2]: psi* is the diagonal pi/4,
+    where the max in R switches, or, once L reaches t before it, that
+    angle, past which the band is empty.  Each piece takes
+    BAND_ANGLE_NODES nodes in psi, and each psi BAND_LOG_NODES in log g
+    from log L(psi) to log t, where the log cutoff is linear.
+
+    disk is the chart area of g < max(t, L(psi)) over the full circle, the
+    band with the excision inside it: on [0, pi/4] it is the integral of
+    max(t, L)^2, elementary with int sec = asinh(tan) and int sec^2 = tan.
     """
-    band = gap < t
-    outer = sheet_elements(np.array([scale]), np.zeros(1), np.zeros(1))
-    plus, minus = (np.full(gap.shape, e[0]) for e in outer)
-    g = gap[band]
-    k = (scale / math.log(t)) ** 2 / (4.0 * g ** 4)
-    a, b = a[band], b[band]
-    plus[band], minus[band] = sheet_elements(scale * log_cutoff(g, t), k * a * a, k * b * b)
-    return plus, minus
+    c = half / math.sqrt(2.0)
+    if not t < c:
+        raise RadiusTooLarge("neck radius %.3g leaves the symmetry cell of its puncture"
+                             " (inscribed radius %.3g)" % (t, c))
+    # the kink psi* on [0, pi/4], where L = t: cos psi* = x
+    x = s * c / (t - (1.0 - s) * t * t) if 0.0 < t and 0.0 < s else 0.0
+    if t == 0.0 or x >= 1.0:
+        psi_star, tan_star = 0.0, 0.0
+    elif x <= math.sqrt(0.5):
+        psi_star, tan_star = 0.25 * math.pi, 1.0
+    else:
+        psi_star, tan_star = math.acos(x), math.sqrt(1.0 - x * x) / x
+    disk = 8.0 * (t * t * psi_star + (1.0 - s) ** 2 * t ** 4 * (0.25 * math.pi - psi_star)
+                  + 2.0 * (1.0 - s) * s * t * t * c * (math.asinh(1.0) - math.asinh(tan_star))
+                  + s * s * c * c * (1.0 - tan_star))
+    if psi_star == 0.0:
+        empty = np.zeros(0)
+        return PolarBand(empty, empty, empty, empty, disk)
+    x_psi, w_psi = _gauss_legendre(BAND_ANGLE_NODES)
+    x_log, w_log = _gauss_legendre(BAND_LOG_NODES)
+    psi = np.concatenate([psi_star * x_psi, 0.5 * math.pi - psi_star * x_psi])
+    cos, sin = np.cos(psi), np.sin(psi)
+    log_lo = np.log((1.0 - s) * t * t + s * c / np.maximum(cos, sin))
+    span = math.log(t) - log_lo
+    g = np.exp(log_lo[:, None] + span[:, None] * x_log)
+    # four quadrants, and the chart area 2 g dg dpsi = 2 g^2 d(log g) dpsi
+    weight = (8.0 * psi_star * np.tile(w_psi, 2) * span)[:, None] * w_log * g * g
+    r = math.sqrt(2.0) * g
+    return PolarBand((r * cos[:, None]).ravel(), (r * sin[:, None]).ravel(), g.ravel(),
+                     weight.ravel(), disk)
 
 
-def two_sided_tube_family(n, p_list, h):
-    """Family of paired normal graphs +-h*eta_t over the middle torus on the
-    n-by-n chart grid, punctured at the grid vertices p_list.
+def band_sheets(scale, t, s=0.0, half=math.pi):
+    """Areas of the sheets +-f, f = scale * log_cutoff(g, t), of the
+    punctured offset over the band of band_nodes(t, s, half) about one
+    puncture, and that band's disk.
 
-    For each neck radius t of TUBE_T_GRID both sheets are the
-    punctured_sheets about the nearest puncture, the field and band
-    doubling._sheet_area uses; while the punctures' t-balls are disjoint
-    this is h times the product of their cutoffs.  They are measured by
-    the midpoint quadrature on chart_nodes, and a node within t^2 of a
-    puncture is excised; removed_base_area is the area one sheet excises.
+    Past the band's outer edge the sheets are the offsets +-scale, whose
+    element sheet_elements(scale, 0, 0) is one constant, so the caller
+    takes that region's area exactly: the constant times the chart area
+    of its domain less disk.
+    """
+    band = band_nodes(t, s, half)
+    if band.gap.size == 0:
+        return 0.0, 0.0, band.disk
+    plus, minus = punctured_sheets(band.a, band.b, band.gap, scale, t)
+    return float(np.sum(band.weight * plus)), float(np.sum(band.weight * minus)), band.disk
+
+
+def two_sided_tube_family(punctures, h):
+    """Family of paired normal graphs +-h*eta_t over the middle torus,
+    punctured at the chart points punctures, (theta, phi) pairs.
+
+    For each neck radius t of TUBE_T_GRID eta_t is the log cutoff about
+    the nearest puncture, 0 on its excised disk g <= t^2; the bands must
+    be disjoint, so the punctures lie at least twice the largest t apart.
+    Each band is band_sheets about its puncture, and outside the bands
+    both sheets are the constant offsets +-h, whose area is exact: the
+    element times the chart area 4*pi^2 less the bands' disks.
+    removed_base_area is the area one sheet excises, pi t^4 a puncture.
     The budget is twice the base area, the chart area 2*pi^2 of the middle
     torus, and kappa is the margin over h^2.
     """
     check_offset("h", h)
-    th, ph, w = chart_nodes(n)
-    # signed chart offsets from each puncture, wrapped to [-pi, pi), and the
-    # flat gap; each node keeps those of its nearest puncture
-    offsets = []
-    for p in p_list:
-        a = (th - 2.0 * math.pi * (p // n) / n + math.pi) % (2.0 * math.pi) - math.pi
-        b = (ph - 2.0 * math.pi * (p % n) / n + math.pi) % (2.0 * math.pi) - math.pi
-        offsets.append((a, b, flat_torus_gap(0.5, a, b, 2.0 * math.pi)))
-    offsets = np.array(offsets)
-    a, b, gap = offsets[np.argmin(offsets[:, 2], axis=0), :, np.arange(th.size)].T
-    base_area = 0.5 * float(np.sum(w))
+    points = [(float(th), float(ph)) for th, ph in punctures]
+    for i, (th, ph) in enumerate(points):
+        for th2, ph2 in points[:i]:
+            if flat_torus_gap(0.5, th - th2, ph - ph2, 2.0 * math.pi) < 2.0 * TUBE_T_GRID[-1]:
+                raise DomainError("punctures closer than %g overlap their bands"
+                                  % (2.0 * TUBE_T_GRID[-1]))
+    k = len(points)
+    outer = float(sheet_elements(h, 0.0, 0.0)[0])
     rows = []
     for t in TUBE_T_GRID:
-        keep = gap > t * t
-        plus, minus = punctured_sheets(a[keep], b[keep], gap[keep], float(h), t)
-        a_plus = float(np.sum(w[keep] * plus))
-        a_minus = float(np.sum(w[keep] * minus))
+        plus, minus, disk = band_sheets(float(h), t)
+        rest = outer * (4.0 * math.pi ** 2 - k * disk)
+        a_plus, a_minus = rest + k * plus, rest + k * minus
         rows.append({"t": float(t), "area": a_plus + a_minus, "area_plus": a_plus,
-                     "area_minus": a_minus, "removed_base_area": 0.5 * float(np.sum(w[~keep]))})
+                     "area_minus": a_minus, "removed_base_area": k * math.pi * t ** 4})
     report = make_report(
         command="tube-family",
         params={
             "h": float(h),
-            "punctures": [int(p) for p in p_list],
+            "punctures": [list(p) for p in points],
             "n_t": len(rows),
             "surface": "clifford_torus",
         },
         rows=rows,
-        budget=2.0 * base_area,
+        budget=4.0 * math.pi ** 2,
     )
     report.summary["kappa"] = report.summary["margin"] / (h * h)
     return report

@@ -21,7 +21,6 @@ The LAPACK routines are imported by the engine that calls them, so
 importing this module loads no scipy.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,9 @@ CERT_NUDGE = 1e-2      # certificate nudge along the negative eigenvector, relat
 
 # where the area is sampled on the segment: uniform, plus geometric toward
 # the pinched end, where the maximum sits once h is small
-SWEEP_T = np.union1d(np.linspace(0.0, 1.0, 17), np.geomspace(1e-6, 1.0, 25))
+# (sorted, each value once; np.union1d would load numpy.ma)
+SWEEP_T = np.sort(np.concatenate([np.linspace(0.0, 1.0, 17), np.geomspace(1e-6, 1.0, 25)]))
+SWEEP_T = SWEEP_T[np.concatenate([[True], SWEEP_T[1:] != SWEEP_T[:-1]])]
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,12 @@ class ProfileCurve:
 def _frustum_geometry(f, dx):
     # the polyline profile swept around the axis: one cone frustum per
     # interval, pi * (f_i + f_{i+1}) * slant; returns the area with the
-    # per-interval radius change, slant and radius sum it was built from
-    df = f[1:] - f[:-1]
+    # per-interval radius change, slant and radius sum it was built from,
+    # along the last axis, so a 2-d f holds one profile a row
+    df = f[..., 1:] - f[..., :-1]
     slant = np.sqrt(dx * dx + df * df)
-    s = f[:-1] + f[1:]
-    return float(np.pi * (s * slant).sum()), df, slant, s
+    s = f[..., :-1] + f[..., 1:]
+    return np.pi * (s * slant).sum(axis=-1), df, slant, s
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class WidthResult:
     profile_at_max: ProfileCurve
     iterations: int        # area descent steps, basin classifications included
     backtracks: int        # step halvings: descent backtracking plus Newton damping
-    residual: float        # L2 norm of the area gradient density at the saddle
     classify_calls: int    # basin classifications the saddle search ran
     morse_index: int       # negative Hessian eigenvalues at the saddle
     newton_iterations: int # Newton steps of the saddle solve
@@ -126,7 +127,8 @@ class _WidthEngine:
         self.classify_calls = 0
 
     def geometry(self, f):
-        return _frustum_geometry(f, self.dx)
+        area, df, slant, s = _frustum_geometry(f, self.dx)
+        return float(area), df, slant, s
 
     def gradient(self, geo):
         """Area gradient with respect to the interior radii."""
@@ -227,11 +229,12 @@ class _WidthEngine:
             "basin classification exceeded its iteration cap at %s" % self.where
         )
 
-    def at(self, t):
-        """The profile at t on the straight segment from pinched to stable."""
+    def segment(self, t):
+        """The profiles at the parameters t on the straight segment from
+        pinched to stable, one a row."""
+        t = np.asarray(t, dtype=float)[:, None]
         f = (1.0 - t) * self.pinched + t * self.stable
-        f[0] = 1.0
-        f[-1] = 1.0
+        f[:, 0] = f[:, -1] = 1.0
         return f
 
     def run(self):
@@ -241,9 +244,10 @@ class _WidthEngine:
                 "path endpoints must fall into the pinched and stable basins at %s"
                 % self.where
             )
-        areas = [self.geometry(self.at(t))[0] for t in SWEEP_T]
+        segment = self.segment(SWEEP_T)
+        areas = _frustum_geometry(segment, self.dx)[0]
         best = int(np.argmax(areas))
-        saddle = self.newton(self.at(SWEEP_T[best]))
+        saddle = self.newton(segment[best])
         if saddle is None:
             raise NonConvergence("Newton's method found no critical profile at %s" % self.where)
         geo = self.geometry(saddle)
@@ -255,7 +259,7 @@ class _WidthEngine:
         # t = 0 and t = 1 sample the two path ends bit for bit
         if geo[0] < max(areas[0], areas[-1]):
             raise NonConvergence("width fell below an endpoint area at %s" % self.where)
-        return saddle, geo, float(SWEEP_T[best]), areas[best], index
+        return saddle, geo, float(SWEEP_T[best]), float(areas[best]), index
 
     def certify(self, f, geo):
         """Mountain-pass certificate of the critical profile f.
@@ -292,7 +296,7 @@ def mountain_pass_width(r, h):
     closed-form unstable catenoid area to the engine's discretization
     error, with the realizing profile attached.  The engine runs in units
     of r, at (1, h/r), where no area overflows; the width and sweep_max
-    scale back by r^2, the profile by r and the residual by sqrt(r).
+    scale back by r^2 and the profile by r.
     """
     CatenoidSpec(r=r, h=h)  # refuses r and h outside the domain by name
     engine = _WidthEngine(h / r, 201)
@@ -300,9 +304,6 @@ def mountain_pass_width(r, h):
     profile, geo, argmax_t, sweep_max, index = engine.run()
     if not geo[0] <= sweep_max:
         raise NonConvergence("width exceeds the sweep's sampled maximum at %s" % engine.where)
-    # the gradient per unit length is the discrete first variation, so its
-    # L2 norm is comparable across resolutions
-    g = engine.gradient(geo)
     return WidthResult(
         width=r * r * geo[0],
         argmax_t=argmax_t,
@@ -310,7 +311,6 @@ def mountain_pass_width(r, h):
         profile_at_max=ProfileCurve(x_nodes=r * engine.x, f_values=r * profile),
         iterations=engine.steps_taken,
         backtracks=engine.backtracks,
-        residual=math.sqrt(r) * math.sqrt(float(g @ g) / engine.dx),
         classify_calls=engine.classify_calls,
         morse_index=index,
         newton_iterations=engine.newton_iterations,

@@ -52,6 +52,15 @@ def _grid_star(n, i, j):
     return np.sort(star, axis=-1)
 
 
+def check_cutoff_radius(t):
+    """Refuse a cutoff radius outside (0, 1), or whose band's inner radius
+    t^2 is no normal double."""
+    if not 0.0 < t < 1.0:
+        raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
+    if t * t < sys.float_info.min:
+        raise DomainError("cutoff radius too small: t^2 is no normal double, got t = %s" % t)
+
+
 def disk_rings_for_cutoff(t):
     """Ring radii of the cutoff band [t^2, t] of the flat disk, t^2 and t
     included: log-spaced, 8 a decade and at least 4 intervals.
@@ -59,10 +68,7 @@ def disk_rings_for_cutoff(t):
     A log cutoff is linear in log r between them, so its Dirichlet energy
     is a ring sum over them (`acceptance.cutoff_disk`).
     """
-    if not 0.0 < t < 1.0:
-        raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
-    if t * t < sys.float_info.min:
-        raise DomainError("cutoff radius too small: t^2 is no normal double, got t = %s" % t)
+    check_cutoff_radius(t)
     return np.geomspace(t * t, t, max(4, math.ceil(8 * (-math.log10(t)))) + 1)
 
 

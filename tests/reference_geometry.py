@@ -5,16 +5,19 @@ characteristic, distances and (the sphere) Jacobi spectrum; the cotangent
 quadratic form of the second variation is what the chart quadrature of
 the offset area is checked against; the chart triangles' corners, cell by
 cell, are what the chart quadrature's nodes were first read off; the
-full-grid sheet quadrature is what the doubled family's one-cell
-quadrature replaced; the contraction over every chart node is what the
-Kronecker form of the second variation replaced.
+contraction over every chart node is what the Kronecker form of the
+second variation replaced.  The doubled family's sheet rows are checked
+against their preimage form: the embedded sheets over the retraction of
+each symmetry cell (retract_uv), measured by the metric of the embedding
+with central-difference partials, over the cells less their excised
+disks.
 """
 
 import math
 
 import numpy as np
 
-from catsweep.doubling import _chart_center_gap, _retract_uv
+from catsweep.errors import DomainError
 from catsweep.fermi import (
     SECOND_VARIATION_EPS,
     chart_nodes,
@@ -23,7 +26,7 @@ from catsweep.fermi import (
     sheet_elements,
 )
 from catsweep.mesh import AMBIENT_R3, MeshSurface, dirichlet_energy, lumped_mass
-from catsweep.surfaces import disk_rings_for_cutoff
+from catsweep.surfaces import disk_rings_for_cutoff, flat_torus_gap
 
 
 def quadratic_form(m, phi):
@@ -151,30 +154,104 @@ def corner_chart_nodes(n):
     )
 
 
-def full_grid_sheet_area(n, m, s, h_eff, t_neck):
-    """doubling._sheet_area over every chart node of the n-grid, not one cell.
+def retract_uv(m, s, theta, phi):
+    """Grid retraction of the punctured middle torus, in the chart: push
+    each cell radially outward.
 
-    Same integrand and excision; nodes are the barycenters of all 2 n^2
-    chart triangles, and every row recomputes them.  Returns the area of
-    both sheets and the flat area of the nodes one sheet excises.
+    In the sup-norm gauge of a cell centered at a puncture, a point at
+    fractional radius rho moves to the convex combination (1-s) id + s
+    (boundary projection); cell boundaries (the grid) stay fixed and the
+    map is one to one for s < 1.
     """
-    th, ph, uv_area = chart_nodes(n)
-    keep = _chart_center_gap(m, th, ph) > t_neck * t_neck
-    th, ph, w = th[keep], ph[keep], uv_area[keep]
-    th2, ph2 = _retract_uv(m, s, th, ph)
+    cell = 2.0 * math.pi / m
     half = math.pi / m
-    cell = 2.0 * half
-    rho = np.maximum(np.abs(th % cell - half), np.abs(ph % cell - half)) / half
-    jac = (1.0 - s) * ((1.0 - s) + s / rho)
-    gap = _chart_center_gap(m, th2, ph2)
+    th = np.asarray(theta, dtype=float)
+    ph = np.asarray(phi, dtype=float)
+    tc = cell * np.floor(th / cell) + half
+    pc = cell * np.floor(ph / cell) + half
+    u1 = th - tc
+    u2 = ph - pc
+    rho = np.maximum(np.abs(u1), np.abs(u2)) / half
+    if np.any(rho < 1e-12):
+        raise DomainError("the retraction is undefined at a removed center")
+    f = (1.0 - s) + s / rho
+    return tc + u1 * f, pc + u2 * f
+
+
+def _embedded_sheet(m, s, scale, t, theta, phi, sigma):
+    # the sheet sigma f over the retracted chart point, as points of R^4;
+    # f is the log cutoff about the nearest cell center, at the image
+    th2, ph2 = retract_uv(m, s, theta, phi)
+    half = math.pi / m
+    gap = flat_torus_gap(0.5, th2 - half, ph2 - half, 2.0 * half)
+    f = sigma * scale * log_cutoff(gap, t)
+    rt = 1.0 / math.sqrt(2.0)
+    p = rt * np.stack([np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)], axis=-1)
+    nu = rt * np.stack([np.cos(th2), np.sin(th2), -np.cos(ph2), -np.sin(ph2)], axis=-1)
+    return np.cos(f)[..., None] * p + np.sin(f)[..., None] * nu
+
+
+def preimage_sheet_area(m, s, h_eff, t, cells=((0, 0),), nodes=32):
+    """A doubled-family sheet row in the preimage chart, over the given
+    symmetry cells (j, k), the cell centered at pi/m (2j + 1, 2k + 1).
+
+    The sheets are the embedded points of _embedded_sheet, f = (1 - s)
+    h_eff log_cutoff, over the retraction at step s of each cell less its
+    excised disk g <= t^2; s = 0 is the graph-neck row with neck t.  Their
+    area is the integral of sqrt(det) of the embedding's metric, its chart
+    partials central differences of step 1e-5 g, so neither the area
+    element, the band's lower limit in the image nor the retraction's
+    Jacobian enters.  The domain is taken in flat polar coordinates (g,
+    psi) about each center, g from t^2 to the cell boundary, with tensor
+    Gauss-Legendre nodes on the pieces between the kinks: in psi the
+    diagonals, where the retraction's sup norm switches, and the angles
+    where the band's preimage closes; in g the preimage of the band's
+    outer circle, g = (t - s R(psi))/(1 - s), R the boundary's radius.
+
+    Returns the area of both sheets and the flat area of the cells the
+    domain leaves out, the excised disks.
+    """
+    half = math.pi / m
+    c = half / math.sqrt(2.0)
     scale = (1.0 - s) * h_eff
-    f = scale * log_cutoff(gap, t_neck)
-    band = (gap > t_neck * t_neck) & (gap < t_neck)
-    k = np.where(band, (scale / math.log(t_neck)) ** 2 / (4.0 * gap ** 4), 0.0)
-    a = th2 % cell - half
-    b = ph2 % cell - half
-    plus, minus = sheet_elements(f, k * a * a, k * b * b)
-    return float(np.sum(w * jac * (plus + minus))), 0.5 * float(np.sum(uv_area[~keep]))
+    edges = {k * 0.25 * math.pi for k in range(9)}
+    x = s * c / (t - (1.0 - s) * t * t)
+    if math.sqrt(0.5) < x < 1.0:
+        a = math.acos(x)
+        edges |= {k * 0.5 * math.pi + sign * a for k in range(5) for sign in (-1.0, 1.0)}
+    edges = sorted(e for e in edges if 0.0 <= e <= 2.0 * math.pi)
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = 0.5 * (xg + 1.0), 0.5 * wg
+
+    def gauss(lo, hi):
+        # nodes and weights on [lo, hi], broadcast over the leading axes
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+        return lo + (hi - lo) * xg, (hi - lo) * wg
+
+    psi, w_psi = (np.concatenate(v) for v in zip(*[gauss(lo, hi) for lo, hi in
+                                                    zip(edges[:-1], edges[1:])]))
+    bound = c / np.maximum(np.abs(np.cos(psi)), np.abs(np.sin(psi)))
+    knee = np.clip((t - s * bound) / (1.0 - s), t * t, bound)
+    area = domain = 0.0
+    for j, k in cells:
+        tc, pc = half * (2 * j + 1), half * (2 * k + 1)
+        for lo, hi in ((t * t, knee), (knee, bound)):
+            g, w_g = gauss(lo, hi)
+            w = w_psi[:, None] * w_g * 2.0 * g       # the chart area 2 g dg dpsi
+            theta = tc + math.sqrt(2.0) * g * np.cos(psi)[:, None]
+            phi = pc + math.sqrt(2.0) * g * np.sin(psi)[:, None]
+            eps = 1e-5 * g
+            for sigma in (1.0, -1.0):
+                def at(dth, dph):
+                    return _embedded_sheet(m, s, scale, t, theta + dth, phi + dph, sigma)
+
+                d1 = (at(eps, 0.0) - at(-eps, 0.0)) / (2.0 * eps[..., None])
+                d2 = (at(0.0, eps) - at(0.0, -eps)) / (2.0 * eps[..., None])
+                g11, g22 = np.sum(d1 * d1, axis=-1), np.sum(d2 * d2, axis=-1)
+                g12 = np.sum(d1 * d2, axis=-1)
+                area += float(np.sum(w * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))))
+            domain += float(np.sum(w))
+    return area, 0.5 * (len(cells) * (2.0 * half) ** 2 - domain)
 
 
 def node_sum_second_variation(n, degree):

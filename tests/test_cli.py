@@ -136,10 +136,10 @@ FROZEN_JSON_SHA256 = {
     "neck-fit-n2": "b89ac33621c7d0b78676a7e9911d57628ed86d69150805f86e23f92a9d79897d",
     "neck-fit-n6": "7f8da1a3797c8dedfe88af96a25e27f5d1b60b29966bb7d24d7823bb40525d0d",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
-    "doubling-sweep": "1acc3d96c9421cbb6154af2ce27329ee57d2ccb1b791b8cf2e74e80d6e32bf89",
-    "doubling-sweep-m3": "956831a0115d3d13dd3d1d17e0a35d1679ee4b016297317d57fde0c3b15ad44e",
-    "cutoff-torus": "3d8a28dfa8b4f678a1b0cd8bb82a0d6b52282e9d270948deda6a1d8748de0039",
-    "fermi-tubes": "4f56b6498d5b00150f368edf0bb8282542e234374453875898963c816989c8fe",
+    "doubling-sweep": "01c119b585362a080513bd79d23280e78ceaf0f97e0385c92fcc504566792d83",
+    "doubling-sweep-m3": "9ae977057f41f58713e1440ee4a56d8c57387efa60a92498864a97c8dee142b8",
+    "cutoff-torus": "e1006749b8a0b240d730db0cee624410a5b3cc32bc5e82dc0974ab5af43dc83f",
+    "fermi-tubes": "c34d2613e2e39dccb6ea47d91af3db1621cd2cc63e30459be33b29ad7c711828",
 }
 BYTE_STABLE_COMMANDS = dict(
     FAST_COMMANDS,
@@ -177,18 +177,12 @@ def test_stamp_outside_hash(argv, capsys):
 # argv, and the fragment of the one-line message naming the bad value
 BAD_INPUTS = {
     "quad-n-0": (["fermi", "quad", "--n", "0"], "n = 0"),
-    "tubes-n-0": (["fermi", "tubes", "--n", "0"], "n = 0"),
-    "cutoff-torus-n-0": (["cutoff", "torus", "--n", "0"], "n = 0"),
     "doubling-n-0": (["doubling", "sweep", "--m", "2", "--n", "0"], "n = 0"),
     # the finest grid is surfaces.MAX_GRID_N = 512; no test builds one
     "quad-n-513": (["fermi", "quad", "--n", "513"], "at most 512, got n = 513"),
     "quad-n-1e9": (["fermi", "quad", "--n", "1000000000"], "got n = 1000000000"),
     # on a 4-grid the frequency-4 products of the checked modes alias
     "quad-n-4": (["fermi", "quad", "--n", "4"], "--n must not divide 4, the highest frequency"),
-    "tubes-n-513": (["fermi", "tubes", "--n", "513"], "at most 512, got n = 513"),
-    # below n = 42 the first neck radius's band holds no chart node
-    "tubes-n-41": (["fermi", "tubes", "--n", "41"], "at least 42, below which no chart node lies"),
-    "cutoff-torus-n-513": (["cutoff", "torus", "--n", "513"], "at most 512, got n = 513"),
     "doubling-n-516": (["doubling", "sweep", "--m", "2", "--n", "516"], "at most 512, got n = 516"),
     "doubling-n-indivisible": (
         ["doubling", "sweep", "--m", "2", "--n", "7"], "got n = 7, m = 2"
@@ -199,7 +193,7 @@ BAD_INPUTS = {
     # below 5.3e-7 the margin, about 69 h^2, is the budget's rounding
     "tubes-h-1e-8": (["fermi", "tubes", "--h", "1e-8"], "--h must be at least 5.3e-07"),
     "tubes-h-1e-150": (["fermi", "tubes", "--h", "1e-150"], "at least 5.3e-07, below which"),
-    "tubes-h-nan": (["fermi", "tubes", "--n", "8", "--h", "nan"], "--h must be finite, got h = nan"),
+    "tubes-h-nan": (["fermi", "tubes", "--h", "nan"], "--h must be finite, got h = nan"),
     "solve-h-inf": (["catenoid", "solve", "--r", "1", "--h", "inf"], "--h must be finite, got h = inf"),
     "solve-h-subnormal": (["catenoid", "solve", "--r", "1", "--h", "1e-310"], "h/r = 1e-310"),
     "width-h-negative": (["width", "run", "--h", "-0.1"], "h = -0.1"),
@@ -213,6 +207,9 @@ BAD_INPUTS = {
         ["catenoid", "solve", "--r", "10", "--h", "1"], "-log h > 0, got h = 1.0"
     ),
     "cutoff-torus-t-2": (["cutoff", "torus", "--t", "2"], "got t = 2.0"),
+    # an m = 3 band must fit in its symmetry cell, inscribed radius pi/(3 sqrt 2)
+    "cutoff-torus-t-0.75": (["cutoff", "torus", "--t", "0.75"], "neck radius 0.75 leaves the"),
+    "cutoff-torus-t-tiny": (["cutoff", "torus", "--t", "1e-300"], "got t = 1e-300"),
     "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-tiny": (["cutoff", "disk", "--t", "1e-300"], "got t = 1e-300"),
     "neck-fit-n-1": (["neck", "fit", "--n", "1"], "got n = 1"),
@@ -323,18 +320,20 @@ def test_neck_control_dimension(capsys):
     assert "PASS" in out
 
 
-def test_tubes_coarsest_grid_measures_the_first_band(capsys):
-    # at n = 42 the first row, t = 0.05, has chart nodes in its band
-    assert acceptance.TUBE_N_FLOOR == 42
-    assert cli.run(["fermi", "tubes", "--n", "42", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["summary"]["passed"] is True
-
-
 def test_tubes_margin_read_above_the_floor(capsys):
-    # at h = 1e-5 kappa is 69.3568, within 3e-5 of its value at h = 1e-4
-    assert cli.run(["fermi", "tubes", "--h", "1e-5", "--json"]) == 0
-    kappa = json.loads(capsys.readouterr().out)["summary"]["kappa"]
-    assert kappa == pytest.approx(69.35681, abs=1e-4)
+    # the margin holds the first row's excised disks, 4 pi t^4 cos 2h at
+    # t = 0.05, and h^2 times the offset's gain less the necks' cost; at
+    # h = 1e-5 that second part over h^2 reads 74.7447, its value at
+    # h = 1e-4 to within the margin's rounding over h^2 (an ulp of 4*pi^2
+    # is 7.1e-15, 7.1e-5 h^2 here)
+    kappas = []
+    for h in (1e-4, 1e-5):
+        assert cli.run(["fermi", "tubes", "--h", repr(h), "--json"]) == 0
+        s = json.loads(capsys.readouterr().out)["summary"]
+        disks = 4.0 * math.pi * 0.05 ** 4 * math.cos(2.0 * h)
+        kappas.append((s["margin"] - disks) / (h * h))
+    assert kappas[1] == pytest.approx(kappas[0], abs=2e-4)
+    assert kappas[1] == pytest.approx(74.7447, abs=2e-4)
 
 
 def test_verify_all_exit_codes(monkeypatch, capsys):
@@ -398,11 +397,21 @@ def test_doubling_sweep_leaves_scipy_unloaded():
 def test_checks_criteria_leave_scipy_unloaded():
     # every criterion but the width's (3) and the doubled family's (9):
     # the second variation and the Jacobi spectrum need numpy.linalg only,
-    # and the cutoff energy on the torus sums its cotangent weights with no
-    # sparse matrix
+    # and the cutoff energies and the tube family integrate polar bands
     run = ("from catsweep import acceptance\n"
            "assert all(acceptance.run_criterion(i).ok for i in (1, 2, 4, 5, 6, 7, 8, 10))")
     proc, loaded = _loaded_after(run, "scipy")
+    assert proc.returncode == 0 and loaded == [], proc.stderr
+
+
+@pytest.mark.parametrize("statement", [
+    "import catsweep.cli",
+    "from catsweep import cli\nassert cli.run(['doubling', 'sweep', '--m', '2', '--json']) == 0",
+], ids=["import", "doubling-sweep"])
+def test_numpy_ma_stays_unloaded(statement):
+    # numpy's set routines (np.unique, np.union1d, np.setdiff1d) import
+    # numpy.ma; the package sorts and compares neighbours instead
+    proc, loaded = _loaded_after(statement, "numpy.ma.")
     assert proc.returncode == 0 and loaded == [], proc.stderr
 
 

@@ -6,19 +6,16 @@ import scipy.linalg
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from catsweep.acceptance import cutoff_disk
-from catsweep.doubling import (
-    HANDOFF_NECK_MAX,
-    _cell_nodes,
-    _chart_center_gap,
-    _retract_uv,
-    cmc_area,
-)
+from catsweep import fermi
+from catsweep.acceptance import cutoff_disk, cutoff_torus
+from catsweep.doubling import HANDOFF_NECK_MAX, cmc_area
 from catsweep.errors import DomainError, RadiusTooLarge, SolverFailure
 from catsweep.fermi import (
     JACOBI_MAX_ITERS,
     JACOBI_TOL,
     TUBE_T_GRID,
+    band_nodes,
+    band_sheets,
     build_cutoff,
     chart_nodes,
     jacobi_lowest,
@@ -88,9 +85,9 @@ def test_clifford_offsets_match_closed_form():
 def test_chart_overflow():
     # each sheet collapses onto a core circle at offset pi/4
     with pytest.raises(DomainError, match="below pi/4, got h = 0.8"):
-        two_sided_tube_family(16, [0], 0.8)
+        two_sided_tube_family([(0.0, 0.0)], 0.8)
     with pytest.raises(DomainError, match="h = 1e-300 is too small"):
-        two_sided_tube_family(16, [0], 1e-300)
+        two_sided_tube_family([(0.0, 0.0)], 1e-300)
 
 
 def test_quadratic_coefficient_of_offset_area():
@@ -201,27 +198,22 @@ def test_punctured_sheets_match_every_node_bits():
     assert np.min(gap) == pytest.approx(2.0 * math.pi / (3 * n), rel=1e-12)
     assert not np.any((gap > 0.03 ** 2) & (gap < 0.03))
     for t in (0.03, 0.15, 0.3):
-        # the kept nodes, as the callers pass them; only t = 0.3 excises some
-        keep = gap > t * t
-        assert np.all(keep) == (t != 0.3)
-        _assert_sheets_equal(a[keep], b[keep], gap[keep], 0.05, t)
+        # the chart nodes of the band, the points punctured_sheets takes
+        band = (gap > t * t) & (gap < t)
+        assert np.any(band) == (t != 0.03)
+        _assert_sheets_equal(a[band], b[band], gap[band], 0.05, t)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1])
 def test_punctured_sheets_match_every_node_bits_under_a_retraction(s):
-    # the doubled family's cell nodes, retracted outward: the band empties
-    # from about s = 0.3 on
+    # the polar nodes of a doubled family's collapse row: above the image
+    # of the excised circle, below the neck, inside the symmetry cell
     m, t = 2, HANDOFF_NECK_MAX
-    cell = _cell_nodes(64, m)
-    keep = cell.gap > t * t
-    th2, ph2 = _retract_uv(m, s, cell.theta[keep], cell.phi[keep])
-    half = math.pi / m
-    a, b = th2 % (2.0 * half) - half, ph2 % (2.0 * half) - half
-    gap = _chart_center_gap(m, th2, ph2)
-    # the retraction moves no kept node back inside t^2
-    assert np.all(gap > t * t)
-    assert np.any(gap < t) and np.any(gap >= t)
-    _assert_sheets_equal(a, b, gap, (1.0 - s) * 0.05, t)
+    band = band_nodes(t, s, math.pi / m)
+    assert np.all((band.gap > t * t) & (band.gap < t))
+    assert np.all(np.maximum(np.abs(band.a), np.abs(band.b)) < math.pi / m)
+    assert np.allclose(band.gap, np.sqrt(0.5 * (band.a ** 2 + band.b ** 2)), rtol=1e-15, atol=0.0)
+    _assert_sheets_equal(band.a, band.b, band.gap, (1.0 - s) * 0.05, t)
 
 
 def test_cutoff_field_cases():
@@ -257,6 +249,18 @@ def test_flat_disk_cutoff_energy_closed_form():
     for t in (1e-2, 1e-3):
         e = cutoff_disk(t).rows[0]["energy"]
         assert e == pytest.approx(2.0 * math.pi / (-math.log(t)), rel=1e-12)
+
+
+def test_torus_cutoff_energy_across_the_neck_range():
+    # the doubled fields' energy on the middle torus, m = 2 and 3, is
+    # m^2 2*pi/(-log t) to rounding at every t the necks take and below;
+    # the mesh energy it replaced read the centre vertex's hat, 4.0008,
+    # for every t under 0.069, and failed its bound at t = 0.04
+    for t in np.geomspace(1e-3, 0.25, 25):
+        rep = cutoff_torus(float(t))
+        assert rep.summary["passed"] is True
+        assert [row["m"] for row in rep.rows] == [2, 3]
+        assert rep.summary["sup_area"] <= 1e-14
 
 
 def test_cutoff_energy_decay_rate():
@@ -427,69 +431,105 @@ def test_jacobi_pure_laplacian_sphere():
     assert phi.min() * phi.max() > 0.0
 
 
+_PAIR = [(0.5 * math.pi, 1.5 * math.pi), (1.5 * math.pi, 0.5 * math.pi)]
+
+
 def test_tube_family_margins():
-    n = 64
-    p = 16 * n + 48
-    tau_p = 48 * n + 16
     for h in (0.02, 0.05):
-        rep = two_sided_tube_family(n, [p, tau_p], h)
-        assert rep.summary["budget"] == pytest.approx(2.0 * TWO_PI_SQ, rel=1e-15)
+        rep = two_sided_tube_family(_PAIR, h)
+        assert rep.summary["budget"] == FOUR_PI_SQ
         assert rep.summary["sup_area"] < rep.summary["budget"]
         assert rep.summary["margin"] > 0.0
         assert rep.summary["kappa"] >= 0.05
-        # the swap maps the pair and the sheets onto each other
+        # each band is symmetric under psi -> pi/2 - psi, which swaps the
+        # sheets' elements
         for row in rep.rows:
             assert row["area_plus"] == pytest.approx(row["area_minus"], rel=1e-14)
 
 
 def test_tube_family_limits():
-    n = 64
-    p = 16 * n + 48
     # zero offset: exactly twice the punctured base area on every row
-    rep = two_sided_tube_family(n, [p], 1e-9)
+    rep = two_sided_tube_family(_PAIR[:1], 1e-9)
     for row in rep.rows:
         assert row["area"] == pytest.approx(2.0 * (TWO_PI_SQ - row["removed_base_area"]), rel=1e-15)
-    assert rep.rows[-1]["removed_base_area"] > 0.0
-    # the smallest neck removes no node, and both graphs are nearly the
-    # full offset surfaces 2*pi^2 cos 2h
-    row0 = two_sided_tube_family(n, [p], 0.05).rows[0]
+        assert row["removed_base_area"] == math.pi * row["t"] ** 4
+    # at the smallest neck both graphs are nearly the full offset surfaces
+    # 2*pi^2 cos 2h
+    row0 = two_sided_tube_family(_PAIR[:1], 0.05).rows[0]
     assert row0["t"] == TUBE_T_GRID[0]
-    assert row0["removed_base_area"] == 0.0
     assert row0["area"] == pytest.approx(2.0 * TWO_PI_SQ * math.cos(0.1), rel=1e-3)
+    # the bands of the largest neck must not overlap
+    with pytest.raises(DomainError, match="overlap their bands"):
+        two_sided_tube_family([(1.0, 1.0), (1.0, 1.9)], 0.05)
+
+
+def _polar_band_central_differences(h, t, n=48):
+    # both sheets over the band t^2 < g < t about the chart point (pi, pi),
+    # in flat polar coordinates with tensor Gauss-Legendre nodes, the field
+    # h * log_cutoff(flat gap) and its chart partials central differences
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    log_t = math.log(t)
+    log_g = 1.5 * log_t - 0.5 * log_t * xg
+    w_g = -0.5 * log_t * wg
+    psi = math.pi * (xg + 1.0)
+    w_psi = math.pi * wg
+    g = np.exp(log_g)[:, None]
+    theta = math.pi + math.sqrt(2.0) * g * np.cos(psi)
+    phi = math.pi + math.sqrt(2.0) * g * np.sin(psi)
+
+    def field(th, ph):
+        return h * log_cutoff(flat_torus_gap(0.5, th - math.pi, ph - math.pi, 2.0 * math.pi), t)
+
+    eps = 1e-6 * g
+    f_th = (field(theta + eps, phi) - field(theta - eps, phi)) / (2.0 * eps)
+    f_ph = (field(theta, phi + eps) - field(theta, phi - eps)) / (2.0 * eps)
+    plus, minus = sheet_elements(field(theta, phi), f_th ** 2, f_ph ** 2)
+    # the chart area 2 g dg dpsi = 2 g^2 d(log g) dpsi
+    w = w_g[:, None] * w_psi * 2.0 * g * g
+    return float(np.sum(w * plus)), float(np.sum(w * minus))
 
 
 def test_tube_family_gradient_matches_central_differences():
     # the rows' closed-form cutoff partials against central differences of
-    # h * prod log_cutoff(gap_p, t) in the chart, through the same element;
-    # the rows take the cutoff about the nearest puncture, which is that
-    # product while the punctures' t-balls are disjoint
-    n = 64
-    pair = [16 * n + 48, 48 * n + 16]
+    # h * log_cutoff(gap, t) in the chart, through the same element, on
+    # each band; outside the bands both sheets are the offsets +-h
     h = 0.05
-    th, ph, w = chart_nodes(n)
-    ang = 2.0 * np.pi * np.arange(n) / n
-    centers = [(ang[p // n], ang[p % n]) for p in pair]
-    (tc0, pc0), (tc1, pc1) = centers
-    assert flat_torus_gap(0.5, tc0 - tc1, pc0 - pc1, 2.0 * math.pi) > 2.0 * TUBE_T_GRID[-1]
-
-    def field(th, ph, t):
-        f = np.full(th.shape, h)
-        for tc, pc in centers:
-            f = f * log_cutoff(flat_torus_gap(0.5, th - tc, ph - pc, 2.0 * math.pi), t)
-        return f
-
-    def gap_min(t):
-        return np.min([flat_torus_gap(0.5, th - tc, ph - pc, 2.0 * math.pi)
-                       for tc, pc in centers], axis=0)
-
-    rep = two_sided_tube_family(n, pair, h)
-    eps = 1e-7
+    rep = two_sided_tube_family(_PAIR, h)
+    outer = float(sheet_elements(h, 0.0, 0.0)[0])
     for row in rep.rows:
         t = row["t"]
-        keep = gap_min(t) > t * t
-        f = field(th, ph, t)
-        f_th = (field(th + eps, ph, t) - field(th - eps, ph, t)) / (2.0 * eps)
-        f_ph = (field(th, ph + eps, t) - field(th, ph - eps, t)) / (2.0 * eps)
-        plus, minus = sheet_elements(f[keep], f_th[keep] ** 2, f_ph[keep] ** 2)
-        want = float(np.sum(w[keep] * (plus + minus)))
-        assert row["area"] == pytest.approx(want, rel=1e-10)
+        plus, minus = _polar_band_central_differences(h, t)
+        rest = outer * (FOUR_PI_SQ - 2.0 * 2.0 * math.pi * t * t)
+        assert row["area_plus"] == pytest.approx(rest + 2.0 * plus, rel=1e-10)
+        assert row["area_minus"] == pytest.approx(rest + 2.0 * minus, rel=1e-10)
+
+
+def test_band_nodes_integrate_the_band_areas():
+    # the weights sum to the chart area of the band, disk less the excised
+    # circle, at s = 0, and the disk is the chart area 2 pi t^2 inside t
+    for t in (1e-3, 0.05, 0.25):
+        band = band_nodes(t, 0.0, math.pi / 3)
+        assert band.disk == pytest.approx(2.0 * math.pi * t * t, rel=1e-15)
+        assert float(np.sum(band.weight)) == pytest.approx(2.0 * math.pi * (t * t - t ** 4),
+                                                          rel=1e-14)
+        assert band.gap.size == 2 * fermi.BAND_ANGLE_NODES * fermi.BAND_LOG_NODES
+    # an unpunctured cell has no band
+    assert band_sheets(0.1, 0.0) == (0.0, 0.0, 0.0)
+    # the band must fit in its symmetry cell, inscribed radius pi/(sqrt(2) m)
+    with pytest.raises(RadiusTooLarge, match="leaves the symmetry cell"):
+        band_nodes(0.75, 0.0, math.pi / 3)
+    band_nodes(0.74, 0.0, math.pi / 3)
+
+
+def test_band_nodes_under_the_retraction():
+    # the band lies above the retracted excised circle, so it thins as s
+    # grows and is empty once that circle passes t in every direction
+    m, t = 2, HANDOFF_NECK_MAX
+    half = math.pi / m
+    areas = [float(np.sum(band_nodes(t, s, half).weight)) for s in (0.0, 0.05, 0.1, 0.15)]
+    assert all(b < a for a, b in zip(areas, areas[1:]))
+    s_empty = (t - t * t) / (half / math.sqrt(2.0) - t * t)
+    assert band_nodes(t, s_empty * 1.0001, half).gap.size == 0
+    assert band_nodes(t, s_empty * 0.9999, half).gap.size > 0
+    # its disk at s = 1 is the whole cell
+    assert band_nodes(t, 1.0, half).disk == pytest.approx((2.0 * half) ** 2, rel=1e-15)

@@ -9,12 +9,11 @@ in tests/reference_geometry.py).  The fast forms compute the same
 floating-point operations in the same order, so those comparisons are
 exact (np.array_equal, == or equal bytes), never approximate.  The
 exceptions are the doubled family's symmetry reductions and its sheet
-quadrature.  The graph-neck and collapse stages sum one symmetry cell
-and the witness slice measures one tube, each times m^2; they match the
-full-grid quadrature (tests/reference_geometry.py) and the all-tubes sum
-to roundoff.  The quadrature's exact area element replaced a
-finite-difference Jacobian, kept here as the reference, and the two agree
-to the truncation error of the differences.
+rows.  The witness slice measures one tube times m^2 and matches the
+all-tubes sum to roundoff.  The graph-neck and collapse rows integrate
+one polar band in the image chart, times m^2; they match the preimage
+form (tests/reference_geometry.py), over one cell and over all m^2, to
+the truncation error of its finite-difference metric.
 """
 
 import math
@@ -29,18 +28,15 @@ from catsweep.doubling import (
     TUBE_RING_POINTS,
     TUBE_SEGMENTS,
     NeckSchedule,
-    _cell_nodes,
-    _chart_center_gap,
-    _retract_uv,
     _sheet_area,
     assemble_doubled_sweepout,
     default_resolution,
     doubled_slice,
 )
-from catsweep.fermi import chart_nodes, log_cutoff
+from catsweep.fermi import chart_nodes
 from catsweep.mesh import _spherical_triangle_areas, euler_characteristic
 from catsweep.surfaces import product_torus
-from reference_geometry import corner_chart_nodes, disk_mesh_rings, flat_disk, full_grid_sheet_area
+from reference_geometry import corner_chart_nodes, disk_mesh_rings, flat_disk, preimage_sheet_area
 
 
 def _ref_spherical_triangle_areas(verts, tris):
@@ -99,39 +95,6 @@ def _ref_flat_disk(n_theta, rings):
         np.array(ring_of),
         np.array(radius_of),
     )
-
-
-def _ref_collapse_embed(m, s, h_eff, t_neck, theta, phi, sheet):
-    th2, ph2 = _retract_uv(m, s, theta, phi)
-    f = sheet * (1.0 - s) * h_eff * log_cutoff(_chart_center_gap(m, th2, ph2), t_neck)
-    rt = 1.0 / math.sqrt(2.0)
-    p = rt * np.column_stack([np.cos(th2), np.sin(th2), np.cos(ph2), np.sin(ph2)])
-    nu = rt * np.column_stack([np.cos(th2), np.sin(th2), -np.cos(ph2), -np.sin(ph2)])
-    return np.cos(f)[:, None] * p + np.sin(f)[:, None] * nu
-
-
-def _ref_collapse_area(n, m, s, h_eff, t_neck):
-    bth, bph, uv_area = corner_chart_nodes(n)
-    keep = _chart_center_gap(m, bth, bph) > t_neck * t_neck
-    bth = bth[keep]
-    bph = bph[keep]
-    w = uv_area[keep]
-    eps = 1e-5
-    total = 0.0
-    for sheet in (1.0, -1.0):
-        d1 = (
-            _ref_collapse_embed(m, s, h_eff, t_neck, bth + eps, bph, sheet)
-            - _ref_collapse_embed(m, s, h_eff, t_neck, bth - eps, bph, sheet)
-        ) / (2.0 * eps)
-        d2 = (
-            _ref_collapse_embed(m, s, h_eff, t_neck, bth, bph + eps, sheet)
-            - _ref_collapse_embed(m, s, h_eff, t_neck, bth, bph - eps, sheet)
-        ) / (2.0 * eps)
-        g11 = np.sum(d1 * d1, axis=1)
-        g22 = np.sum(d2 * d2, axis=1)
-        g12 = np.sum(d1 * d2, axis=1)
-        total += float(np.sum(w * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))))
-    return total
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["m2", "m3"])
@@ -193,51 +156,46 @@ def test_s3_triangle_areas_match_reference(tris):
         assert np.array_equal(got, want)
 
 
-# s = 0 is the graph-neck stage, where the exact element and the central
-# differences agree to the differences' truncation error; past it the
-# differences straddle the kinks of the sup-norm retraction on the cell
-# diagonals and overcount, and at s = 1 only the exact Jacobian vanishes
+# s = 0 is the graph-neck stage, at each of its neck radii; past it the
+# collapse at the largest neck, and at s = 1 no area is left
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0] + [k / 7.0 for k in range(1, 7)])
 @pytest.mark.parametrize("m", [2, 3])
 def test_collapse_stage_matches_per_sheet_reference(m, s):
-    n = default_resolution(m)
-    cell = _cell_nodes(n, m)
     h_eff = NeckSchedule().handoff_offset
-    if s == 0.0:
-        for k in range(1, 8):
-            neck = k / 7.0 * HANDOFF_NECK_MAX
-            got, _ = _sheet_area(cell, 0.0, h_eff, neck)
-            assert got == pytest.approx(_ref_collapse_area(n, m, 0.0, h_eff, neck), rel=1e-9)
-    elif s == 1.0:
-        assert _sheet_area(cell, 1.0, h_eff, HANDOFF_NECK_MAX)[0] == 0.0
-    else:
-        got, _ = _sheet_area(cell, s, h_eff, HANDOFF_NECK_MAX)
-        ref = _ref_collapse_area(n, m, s, h_eff, HANDOFF_NECK_MAX)
-        assert ref - 2.5e-3 <= got <= ref
+    if s == 1.0:
+        assert _sheet_area(m, 1.0, h_eff, HANDOFF_NECK_MAX) == 0.0
+        return
+    necks = [k / 7.0 * HANDOFF_NECK_MAX for k in range(1, 8)] if s == 0.0 else [HANDOFF_NECK_MAX]
+    for neck in necks:
+        ref = m * m * preimage_sheet_area(m, s, h_eff, neck)[0]
+        assert _sheet_area(m, s, h_eff, neck) == pytest.approx(ref, rel=1e-9)
 
 
 def _rel_err(got, want):
     return abs(got - want) / abs(want) if want != 0.0 else abs(got)
 
 
-# the one-cell quadrature sums the same integrand as the full grid, times
-# m^2; nodes in other cells are translates only up to roundoff
+# the rows integrate one cell's band, times m^2; the preimage form sums the
+# m^2 cells of the torus, each about its own center, and the grid of the
+# witness mesh changes no row
 @pytest.mark.parametrize("m, n", [(2, None), (3, None), (4, None), (2, 128)],
                          ids=["m2", "m3", "m4", "m2-n128"])
 def test_sheet_rows_match_the_full_grid_reference(m, n):
     rep = assemble_doubled_sweepout(m, n=n)
-    n = rep.meta["params"]["resolution"]
     h_eff = rep.meta["params"]["handoff_offset"]
     rows = [r for r in rep.rows if r["stage"] in ("graph_necks", "collapse")]
     assert len(rows) == 14
-    for row in rows:
+    if n is not None:
+        default = assemble_doubled_sweepout(m).rows
+        assert [r for r in default if r["stage"] in ("graph_necks", "collapse")] == rows
+    cells = [(j, k) for j in range(m) for k in range(m)]
+    for row in (rows[0], rows[6], rows[10]):
         if row["stage"] == "graph_necks":
-            area, removed = full_grid_sheet_area(n, m, 0.0, h_eff, row["neck_radius"])
-            assert _rel_err(row["removed_disk_area"], removed) <= 1e-13
+            area, removed = preimage_sheet_area(m, 0.0, h_eff, row["neck_radius"], cells, 24)
+            assert _rel_err(row["removed_disk_area"], removed) <= 1e-9
         else:
-            area, _ = full_grid_sheet_area(n, m, row["collapse_s"], h_eff, HANDOFF_NECK_MAX)
-        assert _rel_err(row["area"], area) <= 1e-13
-    assert rep.summary["cell_nodes"] == 2 * (n * n // m ** 2)
+            area, _ = preimage_sheet_area(m, row["collapse_s"], h_eff, HANDOFF_NECK_MAX, cells, 24)
+        assert _rel_err(row["area"], area) <= 1e-9
 
 
 @pytest.mark.parametrize("m", [2, 3])

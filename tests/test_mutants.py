@@ -130,6 +130,30 @@ def test_criterion_7_fails_on_a_cutoff_linear_in_distance(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
+def _chart_only_band(t, s=0.0, half=math.pi):
+    # the band's integral as the chart-node midpoint sum it replaced: the
+    # barycenters of the 64-grid's triangles in the cell about (half, half)
+    # that fall in the band, weighted by their chart areas
+    th, ph, w = fermi.chart_nodes(64)
+    a, b = th - half, ph - half
+    gap = np.sqrt(0.5 * (a * a + b * b))
+    band = (gap > t * t) & (gap < t)
+    return fermi.PolarBand(a[band], b[band], gap[band], w[band], 2.0 * math.pi * t * t)
+
+
+def test_criterion_7_fails_on_the_chart_only_sum(monkeypatch, capsys):
+    # ROADMAP item 1's table: at t = 0.05 the nearest chart nodes of the
+    # 64-grid sit 0.0327 from a puncture, and the sum misses 76% of the
+    # energy; the disk half does not read the band and still passes
+    monkeypatch.setattr(acceptance, "band_nodes", _chart_only_band)
+    res = acceptance.run_criterion(7)
+    assert not res.ok
+    assert "disk energy rel errors 0.00e+00, 0.00e+00" in res.detail
+    assert "doubled fields on the torus m=2 7.6" in res.detail
+    assert cli.run(["cutoff", "torus"]) == 2
+    assert "result: FAIL" in capsys.readouterr().out
+
+
 def test_criterion_9_fails_on_a_wrong_genus(monkeypatch, capsys):
     # the witness slice of genus m^2 + 1 reads chi + 2, one handle short
     real = doubling.euler_characteristic
@@ -174,8 +198,8 @@ def test_criterion_4_fails_on_a_neck_five_percent_wide(monkeypatch):
     assert not acceptance.run_criterion(4).ok
 
 
-@_passes_today("ROADMAP item 11 (after items 1 and 20): a doubled neck cap keeps margins "
-               "3.139 (m = 2) and 2.250 (m = 3)")
+@_passes_today("ROADMAP items 11 and 20: a doubled neck cap keeps margins "
+               "3.200 (m = 2) and 2.166 (m = 3)")
 def test_criterion_9_fails_on_a_doubled_neck_cap(monkeypatch):
     monkeypatch.setattr(doubling, "HANDOFF_NECK_MAX", 0.5)
     assert not acceptance.run_criterion(9).ok
@@ -189,11 +213,12 @@ def test_criterion_10_fails_on_a_neck_cost_a_hundred_times_low(monkeypatch):
     assert not acceptance.run_criterion(10).ok
 
 
-@_passes_today("ROADMAP items 1 and 11: at n = 64, t = 0.05 no torus vertex lies in "
-               "[t^2, t), so the torus energy cannot see the band")
+@_passes_today("ROADMAP item 11: the torus half reads the log cutoff's gradient in "
+               "closed form (fermi.band_field), which a ramp in fermi.log_cutoff leaves "
+               "alone")
 def test_criterion_7_torus_half_fails_on_a_cutoff_linear_in_distance(monkeypatch):
     # the disk half reads acceptance.log_cutoff and is left alone; the
-    # torus half's cutoff, built in fermi, takes the linear ramp
+    # torus half's field, built in fermi, takes the linear ramp
     monkeypatch.setattr(
         fermi, "log_cutoff", lambda dist, t: np.clip((dist - t * t) / (t - t * t), 0.0, 1.0)
     )

@@ -35,6 +35,7 @@ from .fermi import (
     band_nodes,
     check_offset,
     fourier_frequencies,
+    kron,
     log_cutoff,
     second_variation,
     two_sided_tube_family,
@@ -227,10 +228,13 @@ def _orbit_average(m, degree):
         return r
 
     transpose = np.arange(size * size).reshape(size, size).T.ravel()
+    # the m^2 rotations' actions, act[k, l] the Kronecker product of the
+    # shifts by 2 pi k/m and 2 pi l/m
+    shifts = np.array([shift(2.0 * math.pi * k / m) for k in range(m)])
+    act = kron(shifts[:, None], shifts[None, :])
     avg = np.zeros((size * size, size * size))
     for k, l, swap in zip(*group_elements(m)):
-        act = np.kron(shift(2.0 * math.pi * k / m), shift(2.0 * math.pi * l / m))
-        avg += act[:, transpose] if swap else act
+        avg += act[k, l][:, transpose] if swap else act[k, l]
     return avg / (2 * m * m)
 
 
@@ -341,16 +345,20 @@ def cutoff_torus(t):
     the centre of each symmetry cell, as the graph-neck rows take it.  Its
     gradient vanishes past the bands, so the energy is m^2 times one
     band's: the flat |grad f|^2 = 2 (f_theta^2 + f_phi^2) of band_field,
-    over the flat area, half the chart area, on band_nodes.  A band must
-    fit in its cell, so t must stay below pi/(sqrt(2) max(CUTOFF_ORDERS)).
+    over the flat area, half the chart area, on band_nodes, both orders in
+    one band pass.  A band must fit in its cell, so t must stay below
+    pi/(sqrt(2) max(CUTOFF_ORDERS)).
     """
     check_cutoff_radius(t)
     ref = 2.0 * math.pi / (-math.log(t))
+    orders = np.array(CUTOFF_ORDERS)
+    band = band_nodes(t, 0.0, math.pi / orders)
+    _, f_theta2, f_phi2 = band_field(band.a, band.b, band.gap, np.ones(orders.size),
+                                     np.full(orders.size, t))
+    energies = np.sum(band.weight * (f_theta2 + f_phi2), axis=1)
     rows = []
-    for m in CUTOFF_ORDERS:
-        band = band_nodes(t, 0.0, math.pi / m)
-        _, f_theta2, f_phi2 = band_field(band.a, band.b, band.gap, 1.0, t)
-        e = m * m * float(np.sum(band.weight * (f_theta2 + f_phi2)))
+    for m, energy in zip(CUTOFF_ORDERS, energies.tolist()):
+        e = m * m * energy
         rows.append({"t": t, "m": m, "area": abs(e / (m * m * ref) - 1.0), "energy": e,
                      "reference": m * m * ref})
     return make_report("cutoff-torus", {"t": t, "orders": list(CUTOFF_ORDERS),

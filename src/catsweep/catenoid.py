@@ -5,8 +5,9 @@ f(x) = c*cosh(x/c); admissible c solve r = c*cosh(h/c).  In the variable
 x = h/c this becomes cosh(x) = lam*x with lam = r/h, which has two roots
 (or none) depending on whether lam exceeds the tangency slope.  The larger
 x root gives the smaller, unstable neck; the smaller x root the stable one.
-The tangency abscissa and the critical ratio h/r, past which no catenoid
-spans the circles, are module constants, computed once at import.
+The tangency abscissa (a literal: the double that bisection reaches) and
+the critical ratio h/r, past which no catenoid spans the circles, are
+module constants.  Both roots are found by one bisection loop.
 """
 
 import math
@@ -30,32 +31,18 @@ R_MAX = math.sqrt(sys.float_info.max / (4.0 * math.pi))
 # smallest circle radius: areas scale like r^2, which must be a normal double
 R_MIN = math.sqrt(sys.float_info.min)
 
+_LOG_2 = math.log(2.0)
+
 
 def _log_cosh(x):
     # log(cosh x) evaluated without overflow; math.cosh dies near x = 710
-    return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+    return x + math.log1p(math.exp(-2.0 * x)) - _LOG_2
 
 
-def _bisect_root(g, lo, hi, sign_lo):
-    # g changes sign on [lo, hi] and has the sign sign_lo at lo; returns the
-    # midpoint once it rounds to an end, when lo and hi are adjacent doubles.
-    # No fixed count of halvings suffices: the stable root x ~ h/r can sit
-    # about a thousand halvings below the bracket top.  The caller supplies the
-    # sign since g(lo) may round wrongly.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if g(mid) * sign_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
-# root x0 of x*tanh(x) = 1, where the line lam*x first touches cosh(x), by
-# bisection on [1, 2] (the function is increasing there), and the largest
-# h/r for which the two-circle catenoid problem is solvable
-TANGENCY_ABSCISSA = _bisect_root(lambda x: x * math.tanh(x) - 1.0, 1.0, 2.0, -1.0)
+# root x0 of x*tanh(x) = 1, where the line lam*x first touches cosh(x) (the
+# double, which bisection on [1, 2] down to adjacent doubles reaches), and
+# the largest h/r for which the two-circle catenoid problem is solvable
+TANGENCY_ABSCISSA = 1.199678640257734
 CRITICAL_RATIO = 1.0 / math.sinh(TANGENCY_ABSCISSA)
 
 
@@ -117,15 +104,33 @@ def solve_parameters(spec):
         # tangency (up to rounding): both roots coincide
         x_small = x_large = x_split
     else:
-        # g(1/lam) = log cosh(1/lam) > 0, but below the rounding of
-        # log(lam) + log(x) once h/r is under ~1e-7
-        x_small = _bisect_root(g, 1.0 / lam, x_split, 1.0)
         hi = 2.0 * x_split
         while g(hi) < 0.0:
             hi *= 2.0
             if hi > 1e6:
                 raise NonConvergence("no sign change found for the outer root")
-        x_large = _bisect_root(g, x_split, hi, -1.0)
+        # g changes sign on each bracket and has the sign given at its lower
+        # end, given since g(lo) may round wrongly: g(1/lam) = log
+        # cosh(1/lam) > 0, but below the rounding of log(lam) + log(x) once
+        # h/r is under ~1e-7.  Each root is the midpoint once it rounds to
+        # an end, when lo and hi are adjacent doubles; no fixed count of
+        # halvings suffices, as the stable root x ~ h/r can sit about a
+        # thousand halvings below the bracket top.  g is written out in the
+        # loop, the same operations in the same order, since the loop runs
+        # thousands of times a scan.
+        roots = []
+        for lo, hi, sign_lo in ((1.0 / lam, x_split, 1.0), (x_split, hi, -1.0)):
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                if (mid + math.log1p(math.exp(-2.0 * mid)) - _LOG_2 - log_lam
+                        - math.log(mid)) * sign_lo > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(mid)
+        x_small, x_large = roots
 
     c_unstable = h / x_large
     c_stable = h / x_small

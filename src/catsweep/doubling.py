@@ -466,7 +466,9 @@ def doubled_slice(t, m, schedule=None, n=None):
 
 
 def _sheet_area(m, s, h_eff, t_neck):
-    """Continuum area of the punctured double sheet, m^2 times one cell's.
+    """Continuum areas of the punctured double sheet, m^2 times one
+    cell's, for rows of retraction steps s and necks t_neck (arrays,
+    broadcast), in one band pass.
 
     The sheets are the offsets +-f of the middle torus, f = (1 - s) h_eff
     log_cutoff(g, t_neck), composed with the retraction of each symmetry
@@ -480,13 +482,16 @@ def _sheet_area(m, s, h_eff, t_neck):
     the sheets have no area.  The sheet is invariant under the symmetry
     group, so the m^2 cells contribute alike.
     """
-    if s == 1.0:
-        return 0.0
-    scale = (1.0 - s) * h_eff
-    plus, minus, disk = band_sheets(scale, t_neck, s, math.pi / m)
-    outer = float(sheet_elements(scale, 0.0, 0.0)[0])
+    s, t_neck = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                      for v in (s, t_neck)))
+    open_ = s != 1.0
+    scale = (1.0 - s[open_]) * h_eff
+    plus, minus, disk = band_sheets(scale, t_neck[open_], s[open_], math.pi / m)
+    outer = sheet_elements(scale, 0.0, 0.0)[0]
     cell = (2.0 * math.pi / m) ** 2
-    return m * m * (plus + minus + 2.0 * outer * (cell - disk))
+    area = np.zeros(s.shape)
+    area[open_] = m * m * (plus + minus + 2.0 * outer * (cell - disk))
+    return area
 
 
 def _pair_row(t, m, schedule):
@@ -517,10 +522,11 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     punctures in the two-sided graph pair over the middle torus at the
     matching normal offset; the final quarter collapses the punctured
     double sheet onto the grid.  Both stages are one surface and take
-    their continuum areas from _sheet_area, one polar band a row: a
-    graph-neck row carries its neck_radius and, as removed_disk_area, the
-    flat area m^2 pi t^4 of the disks one sheet excises.  The budget is twice the middle torus area
-    and must never be reached.
+    their continuum areas from _sheet_area, one polar band a row and all
+    rows in one band pass: a graph-neck row carries its neck_radius and,
+    as removed_disk_area, the flat area m^2 pi t^4 of the disks one sheet
+    excises.  The budget is twice the middle torus area and must never be
+    reached; the first row in t that reaches it raises.
 
     One welded slice, at the last paired parameter with a positive tube
     radius, witnesses the topology: its Euler characteristic is the
@@ -548,7 +554,16 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     if np.any(t_grid < 0.0) or np.any(t_grid > 0.5 + 1e-12):
         raise DomainError("slice parameters must sit in [0, 1/2]")
     budget = 4.0 * math.pi ** 2
-    rows = []
+
+    def under_budget(row):
+        if row["area"] >= budget:
+            raise BudgetViolated(
+                "slice at t = %.6g reached the doubled area budget; retune the schedule"
+                % row["t"]
+            )
+        return row
+
+    rows, sheet, bands = [], [], []
     witness = None
     for t in sorted(float(t) for t in t_grid):
         if t <= t_a + 1e-15:
@@ -558,30 +573,34 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
                 row = _pair_row(t, m, schedule)
                 if row["stage"] == "pair_tubes":
                     witness = row
+            rows.append(under_budget(row))
         elif t <= t_b + 1e-15:
             neck = (t - t_a) / (0.5 * delta) * HANDOFF_NECK_MAX
-            row = {
+            sheet.append({
                 "t": t,
-                "area": _sheet_area(m, 0.0, h_eff, neck),
+                "area": None,
                 "stage": "graph_necks",
                 "neck_radius": neck,
                 "removed_disk_area": m * m * math.pi * neck ** 4,
-            }
+            })
+            bands.append((0.0, neck))
         else:
             # over 1/2 - t_b so that t = 1/2 gives s = 1 exactly; the clamp
             # holds s at 1 on the grid's 1e-12 slack past 1/2
             sc = min((t - t_b) / (0.5 - t_b), 1.0)
-            row = {
-                "t": t,
-                "area": _sheet_area(m, sc, h_eff, HANDOFF_NECK_MAX),
-                "stage": "collapse",
-                "collapse_s": sc,
-            }
-        if row["area"] >= budget:
-            raise BudgetViolated(
-                "slice at t = %.6g reached the doubled area budget; retune the schedule" % t
-            )
-        rows.append(row)
+            sheet.append({"t": t, "area": None, "stage": "collapse", "collapse_s": sc})
+            bands.append((sc, HANDOFF_NECK_MAX))
+    # the sheet rows follow the paired ones and are one band pass, up to
+    # the first whose band leaves its cell (fermi.band_nodes): that row
+    # raises, once the rows before it have met the budget
+    steps, necks = np.reshape(bands, (-1, 2)).T
+    outside = np.flatnonzero((necks >= math.pi / m / math.sqrt(2.0)) & (steps != 1.0))
+    k = outside[0] if outside.size else len(sheet)
+    for row, area in zip(sheet, _sheet_area(m, steps[:k], h_eff, necks[:k]).tolist()):
+        row["area"] = area
+        rows.append(under_budget(row))
+    if k < len(sheet):
+        _sheet_area(m, steps[k], h_eff, necks[k])
     report = make_report(
         command="doubling",
         params={

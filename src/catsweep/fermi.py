@@ -8,15 +8,18 @@ the offset scaled by the log cutoff about the puncture, with its gradient
 in closed form (`band_field`), integrated over the band t^2 < g < t by
 Gauss-Legendre in log g and in the angle (`band_nodes`), the nodes built
 once per process; past the band the offset is constant and its area
-exact.  The doubled sweepout's graph-neck and collapse rows
+exact.  A family's rows are one band pass: its rows' nodes are one
+(rows, nodes) array, each row's scalars are computed alone, and every
+node takes the float operations it would take in a family of one row.
+The doubled sweepout's graph-neck and collapse rows
 (`doubling._sheet_area`, one band a symmetry cell) and criterion 8's
 punctured tube family (`two_sided_tube_family`) read it, and criterion
 7's torus half reads the band's cutoff energy.  The second variation of
 the same area, the Jacobi form of criteria 5 and 6, is read off
 `sheet_elements` by a complex step (`second_variation`), exactly and with
-no mesh: the midpoint quadrature on the `chart_nodes` forms two tensor
-grids, so on the real Fourier modes it is a sum of Kronecker products of
-1-D Gram matrices.
+no mesh: the midpoint quadrature on the barycenters of the chart grid's
+triangles forms two tensor grids (`_chart_axes`), so on the real Fourier
+modes it is a sum of Kronecker products of 1-D Gram matrices.
 
 A mesh cutoff (`build_cutoff`) reads the exact distance field of a
 product torus (`surfaces.torus_distances`); other meshes raise
@@ -51,41 +54,23 @@ BAND_LOG_NODES = 16
 BAND_ANGLE_NODES = 16
 
 
-def _chart_axes(n, c):
-    """The 1-D factors of chart_nodes(n, cells=c): the thirds of the first c
-    grid intervals [j d, (j+1) d), d = 2 pi/n, and their lengths.
+def _chart_axes(n):
+    """The 1-D factors of the midpoint nodes of the n-by-n chart grid: the
+    thirds of the grid intervals [j d, (j+1) d), d = 2 pi/n, and their
+    lengths.
 
-    Returns (theta, phi) of the first triangle of each cell, (u0+2u1)/3 and
-    (2v0+v1)/3, then those of the second, (2u0+u1)/3 and (v0+2v1)/3, each
-    summed in the order of the triangle's corners, and the lengths.
+    Each cell of the grid holds two triangles, (u0, v0) (u1, v0) (u1, v1)
+    then (u0, v0) (u1, v1) (u0, v1).  Returns (theta, phi) of the first
+    triangles' barycenters, (u0+2u1)/3 and (2v0+v1)/3, then those of the
+    second, (2u0+u1)/3 and (v0+2v1)/3, each summed in the order of the
+    triangle's corners, and the lengths.  Each triangle's chart area is
+    half the product of its cell's lengths.
     """
     d = 2.0 * np.pi / n
-    lo = np.arange(c) * d
-    hi = np.arange(1, c + 1) * d
+    lo = np.arange(n) * d
+    hi = np.arange(1, n + 1) * d
     return (((lo + hi + hi) / 3.0, (lo + lo + hi) / 3.0),
             ((lo + hi + lo) / 3.0, (lo + hi + hi) / 3.0), hi - lo)
-
-
-def chart_nodes(n, cells=None):
-    """Midpoint nodes of the n-by-n chart grid of the middle torus: the
-    barycenters (theta, phi) of its triangles and their chart areas.
-
-    Each cell [j d, (j+1) d) x [k d, (k+1) d), d = 2 pi/n, in row-major
-    order holds two triangles, (u0, v0) (u1, v0) (u1, v1) then (u0, v0)
-    (u1, v1) (u0, v1), the triangles of the product torus mesh.  With
-    cells = c only the c-by-c cells of the first rows and columns are
-    built, the same nodes in the same order.  The first triangles' nodes
-    form one tensor grid and the second triangles' another
-    (_chart_axes).
-    """
-    check_grid(n)
-    c = n if cells is None else cells
-    (th0, ph0), (th1, ph1), du = _chart_axes(n, c)
-    return (
-        np.stack([np.repeat(th0, c), np.repeat(th1, c)], axis=-1).ravel(),
-        np.stack([np.tile(ph0, c), np.tile(ph1, c)], axis=-1).ravel(),
-        np.repeat(np.outer(0.5 * du, du).ravel(), 2),
-    )
 
 
 def sheet_elements(f, f_theta2, f_phi2):
@@ -146,10 +131,11 @@ def second_variation(n, degree):
     of the middle torus itself, f = 0.  The element takes no position, the
     middle torus being homogeneous, so one evaluation serves every node.
 
-    The midpoint quadrature on chart_nodes is a sum over two tensor grids
-    whose weights 0.5 du dv factor too, so each of its terms is a
-    Kronecker product of 1-D Gram matrices (_fourier_grams): with A0, A1
-    those of a and a' over a grid's theta and B0, B1 over its phi,
+    The midpoint quadrature on the chart grid's triangle barycenters is a
+    sum over two tensor grids (_chart_axes) whose weights 0.5 du dv factor
+    too, so each of its terms is a Kronecker product of 1-D Gram matrices
+    (_fourier_grams): with A0, A1 those of a and a' over a grid's theta
+    and B0, B1 over its phi,
 
         Q = sum over the grids of 0.5 (c_f A0 x B0 + c_theta A1 x B0 + c_phi A0 x B1),
 
@@ -161,14 +147,25 @@ def second_variation(n, degree):
     steps = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s * s, 0.0], [0.0, 0.0, s * s]])
     plus, minus = sheet_elements(*steps.T)
     c_f, c_theta, c_phi = (plus[1:] + minus[1:]).imag / SECOND_VARIATION_EPS ** 2
-    *grids, du = _chart_axes(n, n)
+    *grids, du = _chart_axes(n)
     q = mass = 0.0
     for th, ph in grids:
         a0, a1 = _fourier_grams(th, 0.5 * du, degree)
         b0, b1 = _fourier_grams(ph, du, degree)
-        q = q + c_f * np.kron(a0, b0) + c_theta * np.kron(a1, b0) + c_phi * np.kron(a0, b1)
-        mass = mass + np.kron(a0, b0)
+        k00, k10, k01 = kron(np.stack([a0, a1, a0]), np.stack([b0, b0, b1]))
+        q = q + c_f * k00 + c_theta * k10 + c_phi * k01
+        mass = mass + k00
     return q, plus[0].real * mass
+
+
+def kron(a, b):
+    """The Kronecker products of the matrices of a and b, over any leading
+    axes, broadcast: entry (i r + k, j s + l) of a (p, q) and a (r, s)
+    matrix's is the one product a[i, j] b[k, l], as numpy's kron forms
+    it, here in one broadcast product."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, p, r, q, s = out.shape
+    return out.reshape(*lead, p * r, q * s)
 
 
 def check_offset(name, value):
@@ -198,12 +195,15 @@ class CutoffField:
 
 def log_cutoff(dist, t):
     """Log-interpolated cutoff of a distance field: 0 on dist <= t^2, 1 on
-    dist >= t, and (2 log t - log dist)/log t in between."""
+    dist >= t, and (2 log t - log dist)/log t in between.  t is one
+    radius, or radii broadcast against dist (a band family's, one a row),
+    and each log t is math.log's."""
     values = np.ones_like(dist)
-    log_t = math.log(t)
+    log_t = np.array([math.log(r) for r in np.ravel(t).tolist()]).reshape(np.shape(t))
     inner = dist <= t * t
     values[inner] = 0.0
     mid = (~inner) & (dist < t)
+    log_t = np.full(dist.shape, log_t)[mid]
     values[mid] = (2.0 * log_t - np.log(dist[mid])) / log_t
     return values
 
@@ -287,18 +287,21 @@ def jacobi_lowest(m):
 
 
 def band_field(a, b, gap, scale, t):
-    """The field f = scale * log_cutoff(gap, t) in the band t^2 < gap < t
-    about a puncture and its squared chart partials, given each point's
-    chart offsets a, b (theta, phi) from the puncture and their flat
-    length gap: f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives
-    f_phi^2."""
-    k = (scale / math.log(t)) ** 2 / (4.0 * gap ** 4)
-    return scale * log_cutoff(gap, t), k * a * a, k * b * b
+    """The field f = scale * log_cutoff(gap, t) in the bands t^2 < gap < t
+    about punctures and its squared chart partials, given each point's
+    chart offsets a, b (theta, phi) from its puncture and their flat
+    length gap, one row of points a band, and each band's scale and t:
+    f_theta^2 = (scale/log t)^2 a^2 / (4 gap^4), and b gives f_phi^2.
+    The factor (scale/log t)^2 is a row's scalar, formed alone."""
+    scale, t = np.asarray(scale, dtype=float), np.asarray(t, dtype=float)
+    rate = np.array([(c / math.log(r)) ** 2 for c, r in zip(scale.tolist(), t.tolist())])
+    k = rate[:, None] / (4.0 * gap ** 4)
+    return scale[:, None] * log_cutoff(gap, t[:, None]), k * a * a, k * b * b
 
 
 def punctured_sheets(a, b, gap, scale, t):
     """Area elements of the sheets +-f of band_field's f over the middle
-    torus, at points of the band t^2 < gap < t."""
+    torus, at points of the bands t^2 < gap < t, one row a band."""
     return sheet_elements(*band_field(a, b, gap, scale, t))
 
 
@@ -314,20 +317,26 @@ def _gauss_legendre(n):
 
 @dataclass(frozen=True)
 class PolarBand:
-    """Nodes of the band about one puncture (band_nodes): chart offsets a,
-    b from the puncture, flat distance gap, chart-area weights over the
-    full circle, and disk, the chart area inside the band's outer edge."""
+    """Nodes of the bands of a family's rows (band_nodes).  rows indexes
+    the family's rows whose band has nodes, in order, and a, b, gap and
+    weight hold one row of nodes for each: chart offsets a, b from the
+    puncture, flat distance gap and chart-area weights over the full
+    circle.  disk holds, for every row of the family, the chart area
+    inside the band's outer edge."""
 
+    rows: np.ndarray
     a: np.ndarray
     b: np.ndarray
     gap: np.ndarray
     weight: np.ndarray
-    disk: float
+    disk: np.ndarray
 
 
 def band_nodes(t, s=0.0, half=math.pi):
-    """Gauss-Legendre nodes of the band about one puncture, in the flat
-    polar coordinates (g, psi) of the middle torus.
+    """Gauss-Legendre nodes of the bands of a family of rows, each about
+    one puncture, in the flat polar coordinates (g, psi) of the middle
+    torus.  t, s and half are broadcast to one value a row; numbers make
+    a family of one row.
 
     The puncture is the centre of a chart square of half-width half, its
     symmetry cell; in the polar coordinates the chart offsets are a =
@@ -340,8 +349,8 @@ def band_nodes(t, s=0.0, half=math.pi):
     under the retraction u -> u ((1 - s) + s/rho) of the cell onto its
     boundary, rho the sup norm of u over half, and t^2 at s = 0.  The band
     must lie inside the cell, t below its inscribed radius half/sqrt(2),
-    or RadiusTooLarge is raised; t = 0 is the unpunctured cell, with no
-    band.
+    or RadiusTooLarge is raised for the first row where it does not;
+    t = 0 is the unpunctured cell, with no band.
 
     Everything depends on psi through cos^2 and sin^2, so the nodes span
     one quadrant and the weights count it four times.  Its smooth pieces
@@ -354,54 +363,68 @@ def band_nodes(t, s=0.0, half=math.pi):
     disk is the chart area of g < max(t, L(psi)) over the full circle, the
     band with the excision inside it: on [0, pi/4] it is the integral of
     max(t, L)^2, elementary with int sec = asinh(tan) and int sec^2 = tan.
+
+    A row's scalars (psi*, disk, log t, the factors of L) are formed
+    alone, in Python floats, and its nodes in one pass over the rows with
+    a band, on contiguous arrays, so each row's nodes and weights are
+    those of a family of that row alone.
     """
-    c = half / math.sqrt(2.0)
-    if not t < c:
-        raise RadiusTooLarge("neck radius %.3g leaves the symmetry cell of its puncture"
-                             " (inscribed radius %.3g)" % (t, c))
-    # the kink psi* on [0, pi/4], where L = t: cos psi* = x
-    x = s * c / (t - (1.0 - s) * t * t) if 0.0 < t and 0.0 < s else 0.0
-    if t == 0.0 or x >= 1.0:
-        psi_star, tan_star = 0.0, 0.0
-    elif x <= math.sqrt(0.5):
-        psi_star, tan_star = 0.25 * math.pi, 1.0
-    else:
-        psi_star, tan_star = math.acos(x), math.sqrt(1.0 - x * x) / x
-    disk = 8.0 * (t * t * psi_star + (1.0 - s) ** 2 * t ** 4 * (0.25 * math.pi - psi_star)
-                  + 2.0 * (1.0 - s) * s * t * t * c * (math.asinh(1.0) - math.asinh(tan_star))
-                  + s * s * c * c * (1.0 - tan_star))
-    if psi_star == 0.0:
-        empty = np.zeros(0)
-        return PolarBand(empty, empty, empty, empty, disk)
+    disk, live = [], []
+    for i, row in enumerate(np.broadcast(t, s, half)):
+        t, s, half = map(float, row)
+        c = half / math.sqrt(2.0)
+        if not t < c:
+            raise RadiusTooLarge("neck radius %.3g leaves the symmetry cell of its puncture"
+                                 " (inscribed radius %.3g)" % (t, c))
+        # the kink psi* on [0, pi/4], where L = t: cos psi* = x
+        x = s * c / (t - (1.0 - s) * t * t) if 0.0 < t and 0.0 < s else 0.0
+        if t == 0.0 or x >= 1.0:
+            psi_star, tan_star = 0.0, 0.0
+        elif x <= math.sqrt(0.5):
+            psi_star, tan_star = 0.25 * math.pi, 1.0
+        else:
+            psi_star, tan_star = math.acos(x), math.sqrt(1.0 - x * x) / x
+        disk.append(8.0 * (t * t * psi_star + (1.0 - s) ** 2 * t ** 4 * (0.25 * math.pi - psi_star)
+                           + 2.0 * (1.0 - s) * s * t * t * c * (math.asinh(1.0) - math.asinh(tan_star))
+                           + s * s * c * c * (1.0 - tan_star)))
+        if psi_star != 0.0:
+            # L(psi) = floor + lift / max(cos psi, sin psi) on the quadrant
+            live.append((i, psi_star, (1.0 - s) * t * t, s * c, math.log(t), 8.0 * psi_star))
+    rows, psi_star, floor, lift, log_t, arc = np.array(live, dtype=float).reshape(-1, 6).T
     x_psi, w_psi = _gauss_legendre(BAND_ANGLE_NODES)
     x_log, w_log = _gauss_legendre(BAND_LOG_NODES)
-    psi = np.concatenate([psi_star * x_psi, 0.5 * math.pi - psi_star * x_psi])
+    near = psi_star[:, None] * x_psi
+    psi = np.concatenate([near, 0.5 * math.pi - near], axis=1)
     cos, sin = np.cos(psi), np.sin(psi)
-    log_lo = np.log((1.0 - s) * t * t + s * c / np.maximum(cos, sin))
-    span = math.log(t) - log_lo
-    g = np.exp(log_lo[:, None] + span[:, None] * x_log)
+    log_lo = np.log(floor[:, None] + lift[:, None] / np.maximum(cos, sin))
+    span = log_t[:, None] - log_lo
+    g = np.exp(log_lo[..., None] + span[..., None] * x_log)
     # four quadrants, and the chart area 2 g dg dpsi = 2 g^2 d(log g) dpsi
-    weight = (8.0 * psi_star * np.tile(w_psi, 2) * span)[:, None] * w_log * g * g
+    weight = (arc[:, None] * np.tile(w_psi, 2) * span)[..., None] * w_log * g * g
     r = math.sqrt(2.0) * g
-    return PolarBand((r * cos[:, None]).ravel(), (r * sin[:, None]).ravel(), g.ravel(),
-                     weight.ravel(), disk)
+    shape = (len(rows), 2 * BAND_ANGLE_NODES * BAND_LOG_NODES)
+    return PolarBand(rows.astype(np.intp), (r * cos[..., None]).reshape(shape),
+                     (r * sin[..., None]).reshape(shape), g.reshape(shape),
+                     weight.reshape(shape), np.array(disk))
 
 
 def band_sheets(scale, t, s=0.0, half=math.pi):
     """Areas of the sheets +-f, f = scale * log_cutoff(g, t), of the
-    punctured offset over the band of band_nodes(t, s, half) about one
-    puncture, and that band's disk.
+    punctured offset over the bands of band_nodes(t, s, half), one about
+    one puncture a row, and the bands' disks: three arrays, one value a
+    row, scale broadcast like t.  A row with no band has sheets of area 0.
 
-    Past the band's outer edge the sheets are the offsets +-scale, whose
+    Past a band's outer edge the sheets are the offsets +-scale, whose
     element sheet_elements(scale, 0, 0) is one constant, so the caller
     takes that region's area exactly: the constant times the chart area
     of its domain less disk.
     """
     band = band_nodes(t, s, half)
-    if band.gap.size == 0:
-        return 0.0, 0.0, band.disk
+    scale, t = (np.full(band.disk.shape, v)[band.rows] for v in (scale, t))
     plus, minus = punctured_sheets(band.a, band.b, band.gap, scale, t)
-    return float(np.sum(band.weight * plus)), float(np.sum(band.weight * minus)), band.disk
+    areas = np.zeros((2,) + band.disk.shape)
+    areas[:, band.rows] = np.sum(band.weight * plus, axis=1), np.sum(band.weight * minus, axis=1)
+    return areas[0], areas[1], band.disk
 
 
 def two_sided_tube_family(punctures, h):
@@ -411,9 +434,10 @@ def two_sided_tube_family(punctures, h):
     For each neck radius t of TUBE_T_GRID eta_t is the log cutoff about
     the nearest puncture, 0 on its excised disk g <= t^2; the bands must
     be disjoint, so the punctures lie at least twice the largest t apart.
-    Each band is band_sheets about its puncture, and outside the bands
-    both sheets are the constant offsets +-h, whose area is exact: the
-    element times the chart area 4*pi^2 less the bands' disks.
+    Each band is band_sheets about its puncture, all rows in one band
+    pass, and outside the bands both sheets are the constant offsets +-h,
+    whose area is exact: the element times the chart area 4*pi^2 less the
+    bands' disks.
     removed_base_area is the area one sheet excises, pi t^4 a puncture.
     The budget is twice the base area, the chart area 2*pi^2 of the middle
     torus, and kappa is the margin over h^2.
@@ -427,9 +451,9 @@ def two_sided_tube_family(punctures, h):
                                   % (2.0 * TUBE_T_GRID[-1]))
     k = len(points)
     outer = float(sheet_elements(h, 0.0, 0.0)[0])
+    bands = band_sheets(float(h), TUBE_T_GRID)
     rows = []
-    for t in TUBE_T_GRID:
-        plus, minus, disk = band_sheets(float(h), t)
+    for t, plus, minus, disk in zip(TUBE_T_GRID, *(v.tolist() for v in bands)):
         rest = outer * (4.0 * math.pi ** 2 - k * disk)
         a_plus, a_minus = rest + k * plus, rest + k * minus
         rows.append({"t": float(t), "area": a_plus + a_minus, "area_plus": a_plus,

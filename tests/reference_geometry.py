@@ -4,27 +4,31 @@ The flat disk and the round sphere give meshes with known area, Euler
 characteristic, distances and (the sphere) Jacobi spectrum; the cotangent
 quadratic form of the second variation is what the chart quadrature of
 the offset area is checked against; the chart triangles' corners, cell by
-cell, are what the chart quadrature's nodes were first read off; the
-contraction over every chart node is what the Kronecker form of the
-second variation replaced.  The doubled family's sheet rows are checked
-against their preimage form: the embedded sheets over the retraction of
-each symmetry cell (retract_uv), measured by the metric of the embedding
-with central-difference partials, over the cells less their excised
-disks.
+cell, are what the chart quadrature's nodes (chart_nodes, built from the
+package's 1-D factors) were first read off; the contraction over every
+chart node is what the Kronecker form of the second variation replaced.
+The doubled family's sheet rows are checked against their preimage form:
+the embedded sheets over the retraction of each symmetry cell
+(retract_uv), measured by the metric of the embedding with
+central-difference partials, over the cells less their excised disks.
+The catenoid's roots are checked against the closure-based bisection
+(bisect_root, catenoid_roots) that the solver's one inline loop replaced.
 """
 
 import math
 
 import numpy as np
 
+from catsweep.catenoid import _log_cosh
 from catsweep.errors import DomainError
 from catsweep.fermi import (
     SECOND_VARIATION_EPS,
-    chart_nodes,
+    _chart_axes,
     fourier_frequencies,
     log_cutoff,
     sheet_elements,
 )
+from catsweep.surfaces import check_grid
 from catsweep.mesh import AMBIENT_R3, MeshSurface, dirichlet_energy, lumped_mass
 from catsweep.surfaces import disk_rings_for_cutoff, flat_torus_gap
 
@@ -152,6 +156,58 @@ def corner_chart_nodes(n):
         uv[:, :, 1].mean(axis=1),
         0.5 * np.abs(du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]),
     )
+
+
+def chart_nodes(n):
+    """Midpoint nodes of the n-by-n chart grid of the middle torus: the
+    barycenters (theta, phi) of its triangles and their chart areas.
+
+    Each cell [j d, (j+1) d) x [k d, (k+1) d), d = 2 pi/n, in row-major
+    order holds two triangles, (u0, v0) (u1, v0) (u1, v1) then (u0, v0)
+    (u1, v1) (u0, v1), the triangles of the product torus mesh.  The
+    first triangles' nodes form one tensor grid and the second triangles'
+    another (fermi._chart_axes).
+    """
+    check_grid(n)
+    (th0, ph0), (th1, ph1), du = _chart_axes(n)
+    return (
+        np.stack([np.repeat(th0, n), np.repeat(th1, n)], axis=-1).ravel(),
+        np.stack([np.tile(ph0, n), np.tile(ph1, n)], axis=-1).ravel(),
+        np.repeat(np.outer(0.5 * du, du).ravel(), 2),
+    )
+
+
+def bisect_root(g, lo, hi, sign_lo):
+    """The midpoint of [lo, hi] once it rounds to an end, halving the
+    bracket on which g changes sign, g having the sign sign_lo at lo."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if g(mid) * sign_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def catenoid_roots(r, h):
+    """The roots (x_small, x_large) in x = h/c of cosh(x) = (r/h) x, by
+    bisect_root on a closure of the residual log cosh(x) - log(lam x), on
+    the brackets catenoid.solve_parameters takes, for h/r below the
+    critical ratio."""
+    lam = r / h
+    log_lam = math.log(lam)
+
+    def g(x):
+        return _log_cosh(x) - log_lam - math.log(x)
+
+    x_split = math.asinh(lam)
+    if g(x_split) >= 0.0:
+        return x_split, x_split
+    hi = 2.0 * x_split
+    while g(hi) < 0.0:
+        hi *= 2.0
+    return bisect_root(g, 1.0 / lam, x_split, 1.0), bisect_root(g, x_split, hi, -1.0)
 
 
 def retract_uv(m, s, theta, phi):

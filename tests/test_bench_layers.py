@@ -3,8 +3,9 @@
 `perfbench/tracing.py` rebinds the `(module, function)` pairs it lists and
 reads counts off their results; a rename or deletion in the package would
 crash a traced benchmark run, so these names are checked here.  The
-`doubling` workload's own check runs here too, so that a regression it
-would catch fails the suite before it fails a benchmark run.
+workloads' own checks run here too, each operation's verdict a pass, so
+that a regression they would catch fails the suite before it fails a
+benchmark run.
 """
 
 import dataclasses
@@ -44,5 +45,14 @@ def test_traced_results_carry_their_counts(tracing):
 
 def test_doubling_workload_passes_its_check(workloads):
     for op in workloads.build("doubling", 0):
+        verdict = op.check(op.run())
+        assert verdict.status == "pass", verdict.detail
+
+
+@pytest.mark.parametrize("workload", ["checks", "width"])
+def test_workload_passes_its_check(workloads, workload):
+    ops = workloads.build(workload, 0)
+    assert ops
+    for op in ops:
         verdict = op.check(op.run())
         assert verdict.status == "pass", verdict.detail

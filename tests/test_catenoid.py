@@ -26,6 +26,7 @@ from catsweep.catenoid import (
 from catsweep import acceptance
 from catsweep.acceptance import catenoid_scan
 from catsweep.errors import DomainError, NoCatenoid
+from reference_geometry import bisect_root, catenoid_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +61,29 @@ def test_tangency_constants():
     # defining property of the tangency point
     x = TANGENCY_ABSCISSA
     assert abs(x * math.tanh(x) - 1.0) < 1e-12
+
+
+def test_tangency_abscissa_is_the_bisected_double():
+    # the literal is the double that bisection of x tanh x - 1 on [1, 2] reaches
+    assert TANGENCY_ABSCISSA == bisect_root(lambda x: x * math.tanh(x) - 1.0, 1.0, 2.0, -1.0)
+
+
+@pytest.mark.parametrize("grid", ["halving", "decades", "critical"])
+def test_roots_equal_the_closure_bisection(grid):
+    # the solver's inline loop against the closure-based bisection it
+    # replaced, root for root and bit for bit: on the halving grid, on the
+    # decades down to 1e-300, and within 1e-12 of the critical ratio
+    if grid == "halving":
+        cases = [(1.0, h) for h in HALVING_GRID]
+    elif grid == "decades":
+        cases = [(1.0, 10.0 ** -k) for k in range(1, 301)]
+    else:
+        cases = [(r, (CRITICAL_RATIO + d) * r) for r in (1.0, 3.0)
+                 for d in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+    for r, h in cases:
+        sol = solve_parameters(CatenoidSpec(r=r, h=h))
+        x_small, x_large = catenoid_roots(r, h)
+        assert (sol.c_stable, sol.c_unstable) == (h / x_small, h / x_large)
 
 
 def test_tangency_case_roots_coincide():

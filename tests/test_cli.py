@@ -125,7 +125,11 @@ FAST_COMMANDS = {
 
 
 # sha256 of each command's --json bytes: a change that only deletes or
-# reorganizes code must not move a report byte
+# reorganizes code must not move a report byte.  The bytes depend on the
+# SIMD loops numpy dispatches to on the CPU that runs it, not only on
+# numpy's version: with AVX2 loops only (NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR") the width-run hash moves, as do FROZEN_WIDTHS
+# and the m = 3 witness mesh bytes in their last bits
 FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",

@@ -516,6 +516,19 @@ def test_order_five_reaches_the_budget():
         assemble_doubled_sweepout(5)
 
 
+def test_first_failing_row_in_t_decides_the_error():
+    # the sheet rows are one band pass, but the rows are still judged in t:
+    # at m = 12 the graph-neck row at t = 0.35 reaches the budget before
+    # the collapse row at 0.45 would leave its cell (inscribed radius
+    # 0.185 < 0.25); at m = 9 a fitting row passes and the next raises,
+    # and the closed row s = 1 has no band to leave its cell
+    with pytest.raises(BudgetViolated, match="t = 0.35 "):
+        assemble_doubled_sweepout(12, t_grid=[0.1, 0.35, 0.45])
+    with pytest.raises(RadiusTooLarge, match="leaves the symmetry cell"):
+        assemble_doubled_sweepout(9, t_grid=[0.3, 0.45])
+    assert assemble_doubled_sweepout(9, t_grid=[0.3, 0.5]).rows[-1]["area"] == 0.0
+
+
 def test_closing_pair_stays_under_budget():
     # the torus pair at t = 0.496 is 1.26e-3 under the budget; the n = 64
     # mesh area, 4.0e-4 relative high, put it 1.46e-2 over
@@ -621,11 +634,12 @@ def test_stage_handoffs_agree(m, request):
     # at t_a the graph-neck stage opens from neck 0, the unpunctured offset,
     # which is the torus pair at the closing parameter
     pair = _pair_row(sched.closing, m, sched)["area"]
-    assert _sheet_area(m, 0.0, h_eff, 0.0) == pytest.approx(pair, rel=1e-12)
+    opened, closed = _sheet_area(m, 0.0, h_eff, [0.0, HANDOFF_NECK_MAX])
+    assert opened == pytest.approx(pair, rel=1e-12)
     # at t_b the collapse starts from the last graph-neck row
     last = [r for r in rep.rows if r["stage"] == "graph_necks"][-1]
     assert last["neck_radius"] == pytest.approx(HANDOFF_NECK_MAX, rel=1e-14)
-    assert _sheet_area(m, 0.0, h_eff, HANDOFF_NECK_MAX) == pytest.approx(last["area"], rel=1e-12)
+    assert closed == pytest.approx(last["area"], rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 from catsweep import fermi
 from catsweep.acceptance import cutoff_disk, cutoff_torus
-from catsweep.doubling import HANDOFF_NECK_MAX, cmc_area
+from catsweep.doubling import HANDOFF_NECK_MAX, NeckSchedule, cmc_area
 from catsweep.errors import DomainError, RadiusTooLarge, SolverFailure
 from catsweep.fermi import (
     JACOBI_MAX_ITERS,
@@ -17,7 +17,6 @@ from catsweep.fermi import (
     band_nodes,
     band_sheets,
     build_cutoff,
-    chart_nodes,
     jacobi_lowest,
     log_cutoff,
     punctured_sheets,
@@ -41,6 +40,7 @@ from catsweep.surfaces import (
 )
 
 from reference_geometry import (
+    chart_nodes,
     disk_mesh_rings,
     flat_disk,
     node_sum_second_variation,
@@ -181,9 +181,10 @@ def _every_node_sheets(a, b, gap, scale, t):
 
 
 def _assert_sheets_equal(a, b, gap, scale, t):
-    got = punctured_sheets(a, b, gap, scale, t)
+    # the points as a family of one band
+    got = punctured_sheets(a[None], b[None], gap[None], [scale], [t])
     want = _every_node_sheets(a, b, gap, scale, t)
-    assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
+    assert all(x.dtype == y.dtype and np.array_equal(x[0], y) for x, y in zip(got, want))
 
 
 def test_punctured_sheets_match_every_node_bits():
@@ -209,11 +210,12 @@ def test_punctured_sheets_match_every_node_bits_under_a_retraction(s):
     # the polar nodes of a doubled family's collapse row: above the image
     # of the excised circle, below the neck, inside the symmetry cell
     m, t = 2, HANDOFF_NECK_MAX
-    band = band_nodes(t, s, math.pi / m)
-    assert np.all((band.gap > t * t) & (band.gap < t))
-    assert np.all(np.maximum(np.abs(band.a), np.abs(band.b)) < math.pi / m)
-    assert np.allclose(band.gap, np.sqrt(0.5 * (band.a ** 2 + band.b ** 2)), rtol=1e-15, atol=0.0)
-    _assert_sheets_equal(band.a, band.b, band.gap, (1.0 - s) * 0.05, t)
+    band = band_nodes([t], [s], math.pi / m)
+    a, b, gap = band.a[0], band.b[0], band.gap[0]
+    assert np.all((gap > t * t) & (gap < t))
+    assert np.all(np.maximum(np.abs(a), np.abs(b)) < math.pi / m)
+    assert np.allclose(gap, np.sqrt(0.5 * (a ** 2 + b ** 2)), rtol=1e-15, atol=0.0)
+    _assert_sheets_equal(a, b, gap, (1.0 - s) * 0.05, t)
 
 
 def test_cutoff_field_cases():
@@ -507,18 +509,58 @@ def test_tube_family_gradient_matches_central_differences():
 def test_band_nodes_integrate_the_band_areas():
     # the weights sum to the chart area of the band, disk less the excised
     # circle, at s = 0, and the disk is the chart area 2 pi t^2 inside t
-    for t in (1e-3, 0.05, 0.25):
-        band = band_nodes(t, 0.0, math.pi / 3)
-        assert band.disk == pytest.approx(2.0 * math.pi * t * t, rel=1e-15)
-        assert float(np.sum(band.weight)) == pytest.approx(2.0 * math.pi * (t * t - t ** 4),
-                                                          rel=1e-14)
-        assert band.gap.size == 2 * fermi.BAND_ANGLE_NODES * fermi.BAND_LOG_NODES
+    t = np.array([1e-3, 0.05, 0.25])
+    band = band_nodes(t, 0.0, math.pi / 3)
+    assert band.rows.tolist() == [0, 1, 2]
+    assert band.disk == pytest.approx(2.0 * math.pi * t * t, rel=1e-15)
+    assert np.sum(band.weight, axis=1) == pytest.approx(2.0 * math.pi * (t * t - t ** 4),
+                                                        rel=1e-14)
+    assert band.gap.shape == (3, 2 * fermi.BAND_ANGLE_NODES * fermi.BAND_LOG_NODES)
     # an unpunctured cell has no band
-    assert band_sheets(0.1, 0.0) == (0.0, 0.0, 0.0)
+    assert band_nodes([0.0], 0.0).rows.size == 0
+    assert [x.tolist() for x in band_sheets(0.1, [0.0])] == [[0.0], [0.0], [0.0]]
     # the band must fit in its symmetry cell, inscribed radius pi/(sqrt(2) m)
-    with pytest.raises(RadiusTooLarge, match="leaves the symmetry cell"):
-        band_nodes(0.75, 0.0, math.pi / 3)
-    band_nodes(0.74, 0.0, math.pi / 3)
+    with pytest.raises(RadiusTooLarge, match="radius 0.75 leaves the symmetry cell"):
+        band_nodes([0.05, 0.75, 0.8], 0.0, math.pi / 3)
+    band_nodes([0.74], 0.0, math.pi / 3)
+
+
+def _band_family():
+    # (scale, t, s, half) of a band row of every kind: the tube family's
+    # rows, graph-neck rows and collapse rows of m = 2 and 3, the unpunctured
+    # cell (t = 0) and the closed cell (s = 1)
+    h_eff = NeckSchedule().handoff_offset
+    rows = [(0.05, t, 0.0, math.pi) for t in TUBE_T_GRID.tolist()]
+    for m in (2, 3):
+        rows += [(h_eff, k / 7.0 * HANDOFF_NECK_MAX, 0.0, math.pi / m) for k in range(1, 8)]
+        rows += [((1.0 - s) * h_eff, HANDOFF_NECK_MAX, s, math.pi / m)
+                 for s in (0.05, 0.15, 0.2, 1.0)]
+    rows.append((0.05, 0.0, 0.0, math.pi))
+    return [np.array(v) for v in zip(*rows)]
+
+
+def test_band_rows_have_the_same_bits_alone_as_in_any_batch():
+    scale, t, s, half = _band_family()
+    # the kink cos psi* = x on both sides of sqrt(1/2), and empty bands
+    punctured = t > 0.0
+    x = np.zeros(t.size)
+    x[punctured] = (s * half / math.sqrt(2.0))[punctured] / (t - (1.0 - s) * t * t)[punctured]
+    assert np.any(x < math.sqrt(0.5)) and np.any((math.sqrt(0.5) < x) & (x < 1.0))
+    whole = band_sheets(scale, t, s, half)
+    nodes = band_nodes(t, s, half)
+    assert nodes.rows.tolist() == np.flatnonzero(punctured & (x < 1.0)).tolist()
+    rng = np.random.default_rng(7)
+    batches = [[i] for i in range(t.size)] + [np.arange(t.size)[::-1]]
+    batches += [rng.permutation(t.size)[:k] for k in (2, 5, 11, 23)]
+    for idx in batches:
+        got = band_sheets(scale[idx], t[idx], s[idx], half[idx])
+        for x, y in zip(got, whole):
+            assert x.tobytes() == y[idx].tobytes()
+        # the nodes too, row by row
+        band = band_nodes(t[idx], s[idx], half[idx])
+        where = np.searchsorted(nodes.rows, np.asarray(idx)[band.rows])
+        for field in ("a", "b", "gap", "weight"):
+            assert getattr(band, field).tobytes() == getattr(nodes, field)[where].tobytes()
 
 
 def test_band_nodes_under_the_retraction():
@@ -526,10 +568,10 @@ def test_band_nodes_under_the_retraction():
     # grows and is empty once that circle passes t in every direction
     m, t = 2, HANDOFF_NECK_MAX
     half = math.pi / m
-    areas = [float(np.sum(band_nodes(t, s, half).weight)) for s in (0.0, 0.05, 0.1, 0.15)]
-    assert all(b < a for a, b in zip(areas, areas[1:]))
+    areas = np.sum(band_nodes(t, [0.0, 0.05, 0.1, 0.15], half).weight, axis=1)
+    assert np.all(areas[1:] < areas[:-1])
     s_empty = (t - t * t) / (half / math.sqrt(2.0) - t * t)
-    assert band_nodes(t, s_empty * 1.0001, half).gap.size == 0
-    assert band_nodes(t, s_empty * 0.9999, half).gap.size > 0
+    band = band_nodes(t, [s_empty * 1.0001, s_empty * 0.9999, 1.0], half)
+    assert band.rows.tolist() == [1]
     # its disk at s = 1 is the whole cell
-    assert band_nodes(t, 1.0, half).disk == pytest.approx((2.0 * half) ** 2, rel=1e-15)
+    assert band.disk[2] == pytest.approx((2.0 * half) ** 2, rel=1e-15)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from catsweep import acceptance, cli, doubling, fermi
+from reference_geometry import chart_nodes
 
 
 def _stable_root(monkeypatch):
@@ -131,14 +132,26 @@ def test_criterion_7_fails_on_a_cutoff_linear_in_distance(monkeypatch, capsys):
 
 
 def _chart_only_band(t, s=0.0, half=math.pi):
-    # the band's integral as the chart-node midpoint sum it replaced: the
+    # the bands' integrals as the chart-node midpoint sum they replaced: the
     # barycenters of the 64-grid's triangles in the cell about (half, half)
-    # that fall in the band, weighted by their chart areas
-    th, ph, w = fermi.chart_nodes(64)
-    a, b = th - half, ph - half
-    gap = np.sqrt(0.5 * (a * a + b * b))
-    band = (gap > t * t) & (gap < t)
-    return fermi.PolarBand(a[band], b[band], gap[band], w[band], 2.0 * math.pi * t * t)
+    # that fall in the band, weighted by their chart areas, one row a band;
+    # the rows are padded to one length with a node of weight 0
+    th, ph, w = chart_nodes(64)
+    t, half = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(half))
+    rows = []
+    for r, c in zip(t.tolist(), half.tolist()):
+        a, b = th - c, ph - c
+        gap = np.sqrt(0.5 * (a * a + b * b))
+        band = np.flatnonzero((gap > r * r) & (gap < r))
+        rows.append((a[band], b[band], gap[band], w[band]))
+    size = max(len(row[0]) for row in rows)
+
+    def padded(i, mode):
+        return np.array([np.pad(row[i], (0, size - len(row[i])), mode=mode) for row in rows])
+
+    a, b, gap = (padded(i, "edge") for i in range(3))
+    return fermi.PolarBand(np.arange(len(rows)), a, b, gap, padded(3, "constant"),
+                           2.0 * math.pi * t * t)
 
 
 def test_criterion_7_fails_on_the_chart_only_sum(monkeypatch, capsys):

@@ -22,8 +22,8 @@ band the offset is constant and its area exact.  The collapse retracts
 each cell onto its boundary; the cutoff rides at the retracted point, so
 its band is the same polar band in the image chart, above the image of
 the excised disk.  Every slice is invariant under the group, so one cell
-is integrated and the witness measures one of its congruent tubes, each
-times m^2.
+is integrated, times m^2, and the witness measures one triangle of each
+congruence class, times the size of the class.
 
 The witness is built by index arithmetic, with no mesh object: both
 tori share one grid triangle list and take their points from
@@ -43,7 +43,7 @@ from .errors import BudgetViolated, DomainError, RadiusTooLarge
 from .fermi import band_sheets, sheet_elements
 from .mesh import _spherical_triangle_areas, euler_characteristic
 from .report import make_report
-from .surfaces import _grid_star, _grid_triangles, _torus_vertices, check_grid
+from .surfaces import MAX_GRID_N, _grid_star, _grid_triangles, _torus_vertices, check_grid
 
 # largest neck radius the graph-pair stage opens before the grid collapse;
 # the cutoff area around the punctures grows with the neck, so this cap
@@ -174,6 +174,12 @@ def _family_args(m, schedule, n):
     if schedule is None:
         schedule = NeckSchedule()
     if n is None:
+        # the default grid is 8 m from m = 8 on
+        if default_resolution(m) > MAX_GRID_N:
+            raise DomainError(
+                "symmetry order --m must be at most %d when --n is not given (its default"
+                " grid 8 m must be at most %d), got m = %d" % (MAX_GRID_N // 8, MAX_GRID_N, m)
+            )
         n = default_resolution(m)
     check_grid(n)
     if n % (2 * m) != 0:
@@ -376,6 +382,15 @@ def doubled_slice(t, m, schedule=None, n=None):
     joining each pair of rings along the orbit of the joining curve.  The
     collar triangulation is built once and transported by the index-level
     group action, so the triangle set is symmetric to roundoff.
+
+    area_parts sums each part once per congruence class of triangles, an
+    orbit of isometries of S^3.  A torus's grid cells are the first cell's
+    images under the rotations of its two factors, so its area is the kept
+    count of each of the cell's two triangle shapes times that shape's
+    area; the collars are collar0's images under the group, 2 m^2 times
+    its area; a tube's strips are its first strip's images under the
+    rotations along the arc, m^2 TUBE_SEGMENTS times that strip's area.
+    The sum over every triangle agrees to roundoff.
     """
     m, schedule, n = _family_args(m, schedule, n)
     if not 0.0 < t < schedule.closing:
@@ -403,10 +418,10 @@ def doubled_slice(t, m, schedule=None, n=None):
     ic, jc = np.repeat(lattice, m), np.tile(lattice, m)
     # tube a's rings are the base rings under rotation a = (k, l) = divmod(a, m)
     mats_t = np.array([group_matrix(m, k, l, False).T for k in range(m) for l in range(m)])
-    tubes = verts[2 * n2:].reshape(m * m, block, 4)
-    tubes[:, :(seg + 1) * rr] = (rings_b @ mats_t[:, None]).reshape(m * m, -1, 4)
-    tubes[:, (seg + 1) * rr:(seg + 2) * rr] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
-    tubes[:, (seg + 2) * rr:] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
+    tubes = verts[2 * n2:].reshape(m * m, seg + 3, rr, 4)
+    np.matmul(rings_b, mats_t[:, None], out=tubes[:, :seg + 1])
+    tubes[:, seg + 1] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
+    tubes[:, seg + 2] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
     # both tori have the triangle layout of _grid_triangles, so one mask
     # drops the stars of the weld centers from each
     grid = _grid_triangles(n, n)
@@ -441,23 +456,24 @@ def doubled_slice(t, m, schedule=None, n=None):
     collar0 = np.vstack([zip0, band0])
     # tube 0 on its own block of vertices; tube k is it shifted by k blocks
     tube0 = _tube_strips(np.arange((seg + 1) * rr).reshape(seg + 1, rr))
-    kept = grid[keep]
-    n_kept, n_collar = len(kept), 2 * m * m * len(collar0)
+    # kept triangles of each of a grid cell's two shapes (a star drops
+    # three of each)
+    kept_a, kept_b = np.count_nonzero(keep.reshape(-1, 2), axis=0).tolist()
+    n_kept, n_collar = kept_a + kept_b, 2 * m * m * len(collar0)
     tris = np.empty((2 * n_kept + n_collar + m * m * len(tube0), 3), dtype=np.int64)
-    tris[:n_kept] = kept
-    np.add(kept, n2, out=tris[n_kept:2 * n_kept])
-    collar_tris = tris[2 * n_kept:2 * n_kept + n_collar]
-    collar_tris[:] = _slice_index_map(m, n, group_elements(m), collar0).reshape(-1, 3)
+    np.compress(keep, grid, axis=0, out=tris[:n_kept])
+    np.add(tris[:n_kept], n2, out=tris[n_kept:2 * n_kept])
+    tris[2 * n_kept:2 * n_kept + n_collar] = _slice_index_map(
+        m, n, group_elements(m), collar0).reshape(-1, 3)
     np.add(tube0, (2 * n2 + block * np.arange(m * m))[:, None, None],
            out=tris[2 * n_kept + n_collar:].reshape(m * m, len(tube0), 3))
-    # summed torus by torus, lower first: the order fixes the last bits
-    tori = _spherical_triangle_areas(verts, tris[:2 * n_kept])
-    area_tori = float(tori[:n_kept].sum() + tori[n_kept:].sum())
-    area_collars = float(np.sum(_spherical_triangle_areas(verts, collar_tris)))
-    # every tube's rings are tube 0's under a rotation of the group, so
-    # the m^2 tubes have one area
-    rings0 = verts[2 * n2:2 * n2 + (seg + 1) * rr]
-    area_tubes = m * m * float(np.sum(_spherical_triangle_areas(rings0, tube0)))
+    # one triangle of each congruence class (the docstring); the tori are
+    # summed lower first, and that order fixes the last bits
+    cell = _spherical_triangle_areas(verts, np.concatenate([grid[:2], grid[:2] + n2])).tolist()
+    area_tori = (kept_a * cell[0] + kept_b * cell[1]) + (kept_a * cell[2] + kept_b * cell[3])
+    area_collars = 2 * m * m * float(np.sum(_spherical_triangle_areas(verts, collar0)))
+    strip = _spherical_triangle_areas(verts, tube0[:2 * rr] + 2 * n2)
+    area_tubes = m * m * seg * float(np.sum(strip))
     return DoubledSlice(
         t=t, m=m, vertices=verts, triangles=tris, area=area_tori + area_collars + area_tubes,
         area_parts={"tori": area_tori, "collars": area_collars, "tubes": area_tubes},
@@ -533,7 +549,8 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     summary's regular_chi, witness_vertices and witness_triangles are its
     mesh sizes, and witness_mesh_rel_excess is its mesh area over the
     continuum area, minus 1 (the discretization error the rows no longer
-    carry).
+    carry); that mesh area is summed once per congruence class of
+    triangles (doubled_slice).
     """
     m, schedule, n = _family_args(m, schedule, n)
     delta = schedule.delta

@@ -6,13 +6,13 @@ sphere), each with the two curvature terms of the Jacobi potential,
 lengths, and the Euler characteristic all work from the vertex/triangle
 arrays alone.
 
-Spherical triangle areas gather each coordinate from one
-coordinate-major copy of the vertices and add the squared chords
-coordinate by coordinate, in the order a row norm sums them, so areas
-match the row-gather form bit for bit.  A welded slice calls them on one
-torus, one tube's own vertex block or its collars at a time, never on
-the whole slice.  The Euler characteristic counts distinct edge keys
-after one sort, each key in the narrowest unsigned type that holds it.
+Spherical triangle areas gather only the given triangles' corners and
+add the squared chords coordinate by coordinate, in the order a row norm
+sums them, so areas match the row-gather form bit for bit.  A welded
+slice calls them on one triangle of each congruence class, never on the
+whole slice.  The Euler characteristic counts distinct edge keys after
+one sort, each key built in place in the narrowest unsigned type that
+holds it.
 
 The package builds only product tori in S^3 (`surfaces`); flat-space
 meshes, the tests' disk and sphere, check the kernels.  Distances are
@@ -100,16 +100,16 @@ def _chordal_triangle_areas(verts, tris):
 def _spherical_triangle_areas(verts, tris):
     # three points of S^3 span a great 2-sphere; the geodesic triangle area
     # is the spherical excess there, computed from side arcs (l'Huilier).
-    # The squared chords add up over the coordinates left to right; that
-    # order fixes the last bit of every area
-    i0, i1, i2 = np.ascontiguousarray(tris.T)
+    # Only the given triangles' corners are gathered; the squared chords
+    # add up over the coordinates left to right, and that order fixes the
+    # last bit of every area
+    corners = np.take(verts, tris.T, axis=0)
     sq = np.zeros((3, len(tris)))
-    for x in np.ascontiguousarray(verts.T):
-        x0, x1, x2 = x[i0], x[i1], x[i2]
-        for k, (p, q) in enumerate(((x1, x2), (x0, x2), (x0, x1))):
-            d = p - q
-            d *= d
-            sq[k] += d
+    for k, (p, q) in enumerate(((1, 2), (0, 2), (0, 1))):
+        d = corners[p] - corners[q]
+        d *= d
+        for x in d.T:
+            sq[k] += x
     a, b, c = 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(sq), 0.0, 1.0))
     s = 0.5 * (a + b + c)
     prod = (
@@ -304,10 +304,12 @@ def level_set_perimeter(m, values, level):
 def euler_characteristic(triangles):
     """V - E + F from a triangle list; counts only referenced vertices.
 
-    Each triangle side is keyed as the single integer lo * base + hi, in
-    the narrowest unsigned type that holds base^2 (uint32 for base up to
-    65,535), else int64; after one sort, an edge starts wherever a key
-    differs from its predecessor.
+    Each triangle side (a, b) is keyed as the single integer
+    lo * base + hi = min(a, b) (base - 1) + a + b, in the narrowest
+    unsigned type that holds base^2 (uint32 for base up to 65,535), else
+    int64.  The keys are built in place in one array, every partial sum
+    at most the key, so the narrow type never wraps; after one sort, an
+    edge starts wherever a key differs from its predecessor.
     """
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:
@@ -317,10 +319,14 @@ def euler_characteristic(triangles):
     key = np.min_scalar_type(base * base)
     if key.itemsize > 4:
         key = np.dtype(np.int64)
-    c0, c1, c2 = tris.T.astype(key)
-    keys = np.concatenate(
-        [np.minimum(a, b) * base + np.maximum(a, b) for a, b in ((c0, c1), (c1, c2), (c2, c0))]
-    )
+    cols = tris.T.astype(key, copy=False)
+    keys = np.empty((3, len(tris)), dtype=key)
+    for side, (i, j) in zip(keys, ((0, 1), (1, 2), (2, 0))):
+        np.minimum(cols[i], cols[j], out=side)
+        np.multiply(side, base - 1, out=side)
+        np.add(side, cols[i], out=side)
+        np.add(side, cols[j], out=side)
+    keys = keys.ravel()
     keys.sort()
     n_edges = 1 + np.count_nonzero(keys[1:] != keys[:-1])
     return int(n_referenced - n_edges + len(tris))

@@ -13,6 +13,8 @@ the embedded sheets over the retraction of each symmetry cell
 central-difference partials, over the cells less their excised disks.
 The catenoid's roots are checked against the closure-based bisection
 (bisect_root, catenoid_roots) that the solver's one inline loop replaced.
+The welded witness slice's area parts, summed once per congruence class,
+are checked against the sum over every triangle (per_triangle_area_parts).
 """
 
 import math
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from catsweep.catenoid import _log_cosh
+from catsweep.doubling import TUBE_RING_POINTS, TUBE_SEGMENTS
 from catsweep.errors import DomainError
 from catsweep.fermi import (
     SECOND_VARIATION_EPS,
@@ -29,7 +32,13 @@ from catsweep.fermi import (
     sheet_elements,
 )
 from catsweep.surfaces import check_grid
-from catsweep.mesh import AMBIENT_R3, MeshSurface, dirichlet_energy, lumped_mass
+from catsweep.mesh import (
+    AMBIENT_R3,
+    MeshSurface,
+    _spherical_triangle_areas,
+    dirichlet_energy,
+    lumped_mass,
+)
 from catsweep.surfaces import disk_rings_for_cutoff, flat_torus_gap
 
 
@@ -337,3 +346,18 @@ def node_sum_second_variation(n, degree):
     c_f, c_theta, c_phi = (plus[1:] + minus[1:]).imag / SECOND_VARIATION_EPS ** 2
     q = sum((x * (c * w)) @ x.T for x, c in ((phi, c_f), (phi_theta, c_theta), (phi_phi, c_phi)))
     return q, (phi * (w * plus[0].real)) @ phi.T
+
+
+def per_triangle_area_parts(sl, n):
+    """A welded slice's area_parts summed over every triangle of each part:
+    the kept triangles of the lower torus, then of the upper (each torus's
+    2 n^2 lose the 6 of each of its m^2 weld stars), every collar, and
+    every tube's strips."""
+    n_kept = 2 * n * n - 6 * sl.m * sl.m
+    n_tubes = sl.m * sl.m * 2 * TUBE_SEGMENTS * TUBE_RING_POINTS
+    areas = _spherical_triangle_areas(sl.vertices, sl.triangles)
+    return {
+        "tori": float(areas[:n_kept].sum() + areas[n_kept:2 * n_kept].sum()),
+        "collars": float(areas[2 * n_kept:-n_tubes].sum()),
+        "tubes": float(areas[-n_tubes:].sum()),
+    }

@@ -129,7 +129,7 @@ FAST_COMMANDS = {
 # SIMD loops numpy dispatches to on the CPU that runs it, not only on
 # numpy's version: with AVX2 loops only (NPY_DISABLE_CPU_FEATURES="X86_V4
 # AVX512_ICL AVX512_SPR") the width-run hash moves, as do FROZEN_WIDTHS
-# and the m = 3 witness mesh bytes in their last bits
+# and the m = 2 witness area parts in their last bits
 FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
@@ -140,8 +140,8 @@ FROZEN_JSON_SHA256 = {
     "neck-fit-n2": "b89ac33621c7d0b78676a7e9911d57628ed86d69150805f86e23f92a9d79897d",
     "neck-fit-n6": "7f8da1a3797c8dedfe88af96a25e27f5d1b60b29966bb7d24d7823bb40525d0d",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
-    "doubling-sweep": "01c119b585362a080513bd79d23280e78ceaf0f97e0385c92fcc504566792d83",
-    "doubling-sweep-m3": "9ae977057f41f58713e1440ee4a56d8c57387efa60a92498864a97c8dee142b8",
+    "doubling-sweep": "236cb65d00ebca9ea19d9123f9e2f9fcfb02d5d94ec9aade6df0ae3a75042dac",
+    "doubling-sweep-m3": "7f62ea718a6f50dde8a93490749f8a3507be12f4386349e2be361db44200cf3c",
     "cutoff-torus": "e1006749b8a0b240d730db0cee624410a5b3cc32bc5e82dc0974ab5af43dc83f",
     "fermi-tubes": "c34d2613e2e39dccb6ea47d91af3db1621cd2cc63e30459be33b29ad7c711828",
 }
@@ -218,6 +218,9 @@ BAD_INPUTS = {
     "cutoff-disk-t-tiny": (["cutoff", "disk", "--t", "1e-300"], "got t = 1e-300"),
     "neck-fit-n-1": (["neck", "fit", "--n", "1"], "got n = 1"),
     "doubling-m-1": (["doubling", "sweep", "--m", "1"], "got m = 1"),
+    # the default grid 8 m passes MAX_GRID_N = 512 past m = 64; --n was not given
+    "doubling-m-65": (["doubling", "sweep", "--m", "65"], "--m must be at most 64 when --n"),
+    "doubling-m-100": (["doubling", "sweep", "--m", "100"], "got m = 100"),
     "doubling-epsilon-negative": (
         ["doubling", "sweep", "--m", "2", "--epsilon", "-1"], "got epsilon = -1.0"
     ),

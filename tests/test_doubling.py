@@ -31,7 +31,7 @@ from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
 from catsweep.mesh import _spherical_triangle_areas
 from catsweep.surfaces import product_torus
 
-from reference_geometry import retract_uv
+from reference_geometry import per_triangle_area_parts, retract_uv
 
 BUDGET = 4.0 * math.pi ** 2
 
@@ -222,12 +222,12 @@ WITNESS_T = 0.2635294117647059
 WITNESS_BYTES = {
     2: ("f8a1051a43bb056b695405545ccf00ce02e30ddc2e4e7c6b7c2400e754d952bb",
         "e529694e880326a6a1546a26d0fa932184a8766d4101066d974e5308cac1a74b",
-        "{'tori': 34.696222760978515, 'collars': 0.10175846054953305,"
-        " 'tubes': 0.03411157370826301}"),
+        "{'tori': 34.6962227609785, 'collars': 0.10175846054953355,"
+        " 'tubes': 0.03411157370826275}"),
     3: ("131626133d672d2cd5485c39cbeaff8f1ca16b8b435520dada500eb438d47358",
         "060320d9f415a75aac5c6e98258f160f79f2a05be46afbd3b2348fc50a3019bb",
-        "{'tori': 34.5816502679843, 'collars': 0.2152598570389378,"
-        " 'tubes': 0.07675104084359154}"),
+        "{'tori': 34.58165026798429, 'collars': 0.21525985703893724,"
+        " 'tubes': 0.0767510408435906}"),
 }
 
 
@@ -245,7 +245,8 @@ def test_witness_mesh_bytes_are_frozen(m, request):
 @pytest.mark.parametrize("m", [2, 3])
 def test_witness_tori_match_the_product_torus(m):
     # the slice lays out its tori without a mesh; product_torus is the
-    # reference for their vertices and for the area of the kept triangles
+    # reference for their vertices and for the areas of a grid cell's two
+    # triangle shapes, each times its kept count
     sl = doubled_slice(WITNESS_T, m)
     n = default_resolution(m)
     n2 = n * n
@@ -256,8 +257,25 @@ def test_witness_tori_match_the_product_torus(m):
     slice_keys = _triangle_keys(sl.triangles, n_v)
     keep = np.isin(_triangle_keys(low.triangles, n_v), slice_keys)
     assert np.array_equal(np.isin(_triangle_keys(high.triangles + n2, n_v), slice_keys), keep)
-    assert np.sum(~keep) == 6 * m * m
-    assert sl.area_parts["tori"] == float(low.areas[keep].sum() + high.areas[keep].sum())
+    kept_a, kept_b = np.count_nonzero(keep.reshape(-1, 2), axis=0).tolist()
+    assert kept_a == kept_b == n2 - 3 * m * m
+    low_a, low_b = low.areas[:2].tolist()
+    high_a, high_b = high.areas[:2].tolist()
+    lower, upper = kept_a * low_a + kept_b * low_b, kept_a * high_a + kept_b * high_b
+    assert sl.area_parts["tori"] == lower + upper
+
+
+# the slice sums its area once per congruence class; each part matches the
+# sum over all of its triangles to roundoff, on every grid m divides
+@pytest.mark.parametrize("t", [0.01, 0.2, WITNESS_T], ids=["t0.01", "t0.2", "witness"])
+@pytest.mark.parametrize("m, n", [(2, 8), (2, None), (2, 128), (3, None), (4, 8), (4, None),
+                                  (4, 128)])
+def test_area_parts_match_the_per_triangle_sum(m, n, t):
+    sl = doubled_slice(t, m, n=n)
+    ref = per_triangle_area_parts(sl, n or default_resolution(m))
+    assert sl.area_parts.keys() == ref.keys()
+    for part, area in sl.area_parts.items():
+        assert abs(area / ref[part] - 1.0) <= 1e-12, part
 
 
 def test_doubled_slice_refuses_a_radius_below_the_floor():

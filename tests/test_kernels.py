@@ -9,8 +9,9 @@ in tests/reference_geometry.py).  The fast forms compute the same
 floating-point operations in the same order, so those comparisons are
 exact (np.array_equal, == or equal bytes), never approximate.  The
 exceptions are the doubled family's symmetry reductions and its sheet
-rows.  The witness slice measures one tube times m^2 and matches the
-all-tubes sum to roundoff.  The graph-neck and collapse rows integrate
+rows.  The witness slice measures one triangle of each congruence class
+times its count and matches the per-triangle sum to roundoff
+(tests/test_doubling.py).  The graph-neck and collapse rows integrate
 one polar band in the image chart, times m^2; they match the preimage
 form (tests/reference_geometry.py), over one cell and over all m^2, to
 the truncation error of its finite-difference metric.
@@ -223,6 +224,43 @@ def test_euler_characteristic_small_cases():
     ]
     for tris, chi in cases:
         assert euler_characteristic(tris) == _ref_euler_characteristic(tris) == chi
+
+
+def _set_euler_characteristic(tris):
+    # referenced vertices less distinct unordered edges plus triangles
+    edges = {tuple(sorted(side)) for a, b, c in tris.tolist()
+             for side in ((a, b), (b, c), (c, a))}
+    return len(set(tris.ravel().tolist())) - len(edges) + len(tris)
+
+
+@st.composite
+def _triangle_list(draw, lo, hi):
+    """Triangles on a few vertices spread over [0, base), base drawn from
+    [lo, hi] and base - 1 always referenced, so the side keys reach the
+    top of their type; indices in the gaps are unreferenced, and some
+    triangles repeat."""
+    base = draw(st.integers(lo, hi))
+    k = draw(st.integers(3, min(base, 8)))
+    ids = draw(st.lists(st.integers(0, base - 2), min_size=k - 1, max_size=k - 1, unique=True))
+    ids = np.array(ids + [base - 1])
+    corners = st.lists(st.integers(0, k - 1), min_size=3, max_size=3, unique=True)
+    first = draw(st.lists(st.integers(0, k - 2), min_size=2, max_size=2, unique=True)) + [k - 1]
+    tris = [first] + draw(st.lists(corners, max_size=12))
+    tris += draw(st.lists(st.sampled_from(tris), max_size=4))
+    return ids[np.array(tris)]
+
+
+# the keys are uint8 up to base 15, uint16 up to 255, uint32 up to 65,535
+# and int64 past it
+@pytest.mark.parametrize("lo, hi", [(3, 15), (16, 255), (256, 65_535), (65_536, 1 << 17)],
+                         ids=["uint8", "uint16", "uint32", "int64"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_euler_characteristic_matches_the_edge_set(lo, hi, data):
+    tris = data.draw(_triangle_list(lo, hi))
+    base = int(tris.max()) + 1
+    assert lo <= base <= hi
+    assert euler_characteristic(tris) == _set_euler_characteristic(tris)
 
 
 @pytest.mark.parametrize("n", [3, 64, 66])

@@ -34,15 +34,14 @@ from .fermi import (
     band_field,
     band_nodes,
     check_offset,
-    fourier_frequencies,
-    kron,
     log_cutoff,
+    mode_frequencies,
     second_variation,
     two_sided_tube_family,
 )
 from .report import make_report
 from .revolution import mountain_pass_width
-from .surfaces import check_cutoff_radius, check_grid, disk_rings_for_cutoff
+from .surfaces import check_cutoff_radius, disk_rings_for_cutoff
 
 WIDTH_EXCESS_TOL = 2e-4     # relative error of the width's excess over the two disks
 EXCESS_GRID = tuple(10.0 ** (-k) for k in range(2, 8))   # h/r of width excess
@@ -159,58 +158,45 @@ def width_excess():
     )
 
 
-def fermi_quad(n):
+def fermi_quad():
     """`fermi quad`: half the second variation Q(phi) of the middle torus's
-    two-sided offset on the n-by-n chart grid, read off sheet_elements by
-    second_variation, against its closed form, for the constant mode and
-    the invariant mode cos 2theta + cos 2phi; Q(phi) = int |grad phi|^2 -
-    4 phi^2 with |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2).  The modes
-    are coefficient vectors on second_variation(n, 2)'s modes: e_(0,0),
-    and e_(3,0) + e_(0,3) (a_3 = cos 2x).  Each row's t is the mode's
-    Jacobi eigenvalue.  base_area, M(1, 1), is the chart area 2*pi^2, and
-    passed requires it within QUAD_TOL too.
-
-    The products the checked modes and their gradients form have the
-    frequencies 0, 2 and 4 in each angle, and the grid's midpoint sum of a
-    frequency-f mode is exact unless n divides f.  So a grid size n that
-    divides 4 aliases the check: n = 4 is refused (check_grid refuses n
-    below 3)."""
-    check_grid(n)
-    if 4 % n == 0:
-        raise DomainError(
-            "fermi quad grid --n must not divide 4, the highest frequency of the"
-            " checked products, which it would alias; got n = %d" % n
-        )
-    q, mass = second_variation(n, 2)
-    # coefficient vectors on the modes a_p(theta) a_q(phi), index 5p + q
-    constant, invariant = np.zeros((2, 25))
-    constant[0] = 1.0
-    invariant[[5 * 3, 3]] = 1.0
+    two-sided offset, read off sheet_elements by second_variation, against
+    its closed form, for the constant mode and the invariant mode
+    cos 2theta + cos 2phi; Q(phi) = int |grad phi|^2 - 4 phi^2 with
+    |grad phi|^2 = 2 (phi_theta^2 + phi_phi^2).  The two are e_(0,0) and
+    e_(3,0) + e_(0,3) on second_variation(2)'s modes (a_3 = cos 2x), so
+    Q(phi) is the sum of their modes' diagonal entries.  Each row's t is
+    the mode's Jacobi eigenvalue.  base_area, M(1, 1), is the area 2*pi^2
+    of the middle torus, and passed requires it within QUAD_TOL too."""
+    q, mass = second_variation(2)
     rows = []
-    for v, name, eigenvalue, target in (
-            (constant, "1", -4.0, -4.0 * math.pi ** 2),
-            (invariant, "cos 2theta + cos 2phi", 4.0, 4.0 * math.pi ** 2)):
-        coeff = 0.5 * float(v @ q @ v)
+    # indices 5p + q of the modes a_p(theta) a_q(phi) each sums
+    for modes, name, eigenvalue, target in (
+            ([0], "1", -4.0, -4.0 * math.pi ** 2),
+            ([5 * 3, 3], "cos 2theta + cos 2phi", 4.0, 4.0 * math.pi ** 2)):
+        coeff = 0.5 * float(np.sum(q[modes]))
         rows.append({"t": eigenvalue, "mode": name, "area": abs(coeff / target - 1.0),
                      "coefficient": coeff, "target": target})
-    rep = make_report("fermi-quad", {"n": n, "tolerance": QUAD_TOL}, rows, QUAD_TOL)
+    rep = make_report("fermi-quad", {"tolerance": QUAD_TOL}, rows, QUAD_TOL)
     s = rep.summary
-    s["base_area"] = float(mass[0, 0])
+    s["base_area"] = float(mass[0])
     s["base_area_rel"] = abs(s["base_area"] / (2.0 * math.pi ** 2) - 1.0)
     s["passed"] = s["passed"] and s["base_area_rel"] <= QUAD_TOL
     return rep
 
 
-def _pencil_eigenvalues(q, mass):
-    """Eigenvalues of Q relative to M, ascending: those of L^-1 Q L^-T
-    with M = L L^T."""
-    inv = np.linalg.inv(np.linalg.cholesky(mass))
-    return np.linalg.eigvalsh(inv @ q @ inv.T)
+def kron(a, b):
+    """The Kronecker products of the matrices of a and b over any leading
+    axes, broadcast, in one product: entry (i r + k, j s + l) of a (p, q)
+    and an (r, s) matrix's is a[i, j] b[k, l], as numpy's kron forms it."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, p, r, q, s = out.shape
+    return out.reshape(*lead, p * r, q * s)
 
 
 def _orbit_average(m, degree):
     """The average over the order-2m^2 group of the compositions f o g, as
-    a matrix on the coefficients of second_variation(n, degree)'s modes.
+    a matrix on the coefficients of second_variation(degree)'s modes.
 
     Element (k, l, swap) swaps the chart angles if swap is set, then
     shifts them by 2 pi (k, l)/m; a shift by s rotates each (cos jx,
@@ -238,10 +224,10 @@ def _orbit_average(m, degree):
     return avg / (2 * m * m)
 
 
-def _spectrum_row(order, n, lam, error):
-    """A row of jacobi_spectrum: eigenvalues lam on the n-grid, their
-    index and nullity to within SPECTRUM_TOL."""
-    return {"t": order, "n": n, "area": error, "index": int(np.sum(lam < -SPECTRUM_TOL)),
+def _spectrum_row(order, lam, error):
+    """A row of jacobi_spectrum: eigenvalues lam, their index and nullity
+    to within SPECTRUM_TOL."""
+    return {"t": order, "area": error, "index": int(np.sum(lam < -SPECTRUM_TOL)),
             "nullity": int(np.sum(np.abs(lam) <= SPECTRUM_TOL)),
             "eigenvalues": [float(x) for x in lam]}
 
@@ -250,31 +236,29 @@ def jacobi_spectrum():
     """Criterion 6's report: the spectrum of the Jacobi operator of the
     middle torus, read off sheet_elements by second_variation.
 
-    On the 25 Fourier modes |j|, |k| <= 2, at n = 32 and 64, the
+    Q and M are diagonal on the Fourier modes, so each mode is an
+    eigenfunction, of eigenvalue Q/M.  On the 25 modes |j|, |k| <= 2 the
     eigenvalues are 2(j^2 + k^2) - 4: index 5 and nullity 4 (Urbano).  On
     the orbit sums invariant under the order-2m^2 group of the doubled
-    family, m = 2 and 3, from the modes |j|, |k| <= m at n = 32, the
-    equivariant index is 1, the nullity 0 and the gap, the second
-    eigenvalue, 2m^2 - 4.  Each row's t is the group order (1 for the
-    plain modes) and its area the largest eigenvalue error, against
-    SPECTRUM_TOL; passed also requires index and nullity.
+    family, m = 2 and 3, from the modes |j|, |k| <= m, they are the
+    eigenvalues of that diagonal on the range of the group average, which
+    it leaves invariant: the equivariant index is 1, the nullity 0 and the
+    gap, the second eigenvalue, 2m^2 - 4.  Each row's t is the group order
+    (1 for the plain modes) and its area the largest eigenvalue error,
+    against SPECTRUM_TOL; passed also requires index and nullity.
     """
-    forms = {key: second_variation(*key) for key in ((32, 2), (64, 2), (32, 3))}
-    freq = fourier_frequencies(2)
-    j, k = np.repeat(freq, freq.size), np.tile(freq, freq.size)
-    rows = []
-    for n in (32, 64):
-        lam = _pencil_eigenvalues(*forms[n, 2])
-        target = np.sort(2.0 * (j * j + k * k) - 4.0)
-        rows.append(_spectrum_row(1, n, lam, float(np.max(np.abs(lam - target)))))
+    ratios = {d: np.divide(*second_variation(d)) for d in (2, 3)}
+    j, k = mode_frequencies(2)
+    lam = np.sort(ratios[2])
+    target = np.sort(2.0 * (j * j + k * k) - 4.0)
+    rows = [_spectrum_row(1, lam, float(np.max(np.abs(lam - target))))]
     for m in (2, 3):
-        q, mass = forms[32, m]
         mu, vecs = np.linalg.eigh(_orbit_average(m, m))
         basis = vecs[:, mu > 0.5]   # the projector's eigenvalues are 0 and 1
-        lam = _pencil_eigenvalues(basis.T @ q @ basis, basis.T @ mass @ basis)
+        lam = np.linalg.eigvalsh(basis.T @ (ratios[m][:, None] * basis))
         gap = float(lam[1])
         error = max(abs(float(lam[0]) + 4.0), abs(gap - (2.0 * m * m - 4.0)))
-        rows.append(dict(_spectrum_row(2 * m * m, 32, lam, error), gap=gap))
+        rows.append(dict(_spectrum_row(2 * m * m, lam, error), gap=gap))
     rep = make_report("jacobi-spectrum", {"tolerance": SPECTRUM_TOL}, rows, SPECTRUM_TOL)
     rep.summary["passed"] = rep.summary["passed"] and all(
         (row["index"], row["nullity"]) == ((5, 4) if row["t"] == 1 else (1, 0))
@@ -470,7 +454,7 @@ def _criterion_4():
 
 
 def _criterion_5():
-    rep = fermi_quad(64)
+    rep = fermi_quad()
     coeffs = ", ".join("%.4f vs %.4f (rel %.2e)" % (row["coefficient"], row["target"], row["area"])
                        for row in rep.rows)
     return rep.summary["passed"], "quadratic coefficients %s; base area rel %.2e (tol %g)" % (
@@ -479,12 +463,11 @@ def _criterion_5():
 
 def _criterion_6():
     rep = jacobi_spectrum()
-    parts = []
-    for row in rep.rows:
-        if row["t"] == 1:
-            parts.append("n=%d index %d nullity %d" % (row["n"], row["index"], row["nullity"]))
-        else:
-            parts.append("order %d: index %d gap %.4f" % (row["t"], row["index"], row["gap"]))
+    plain, *groups = rep.rows
+    parts = ["%d modes index %d nullity %d"
+             % (len(plain["eigenvalues"]), plain["index"], plain["nullity"])]
+    parts += ["order %d: index %d gap %.4f" % (row["t"], row["index"], row["gap"])
+              for row in groups]
     return rep.summary["passed"], "%s; max eigenvalue error %.1e (tol %g)" % (
         ", ".join(parts), rep.summary["sup_area"], SPECTRUM_TOL)
 

@@ -95,9 +95,8 @@ def build_parser():
     fer = subs.add_parser("fermi", help="normal-graph expansions on the middle torus")
     fer_sub = fer.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = fer_sub.add_parser("quad", help="quadratic area coefficient check")
-    p.add_argument("--n", type=int, default=64)
     _add_output_flags(p)
-    p.set_defaults(handler=lambda a: acceptance.fermi_quad(a.n))
+    p.set_defaults(handler=lambda a: acceptance.fermi_quad())
     p = fer_sub.add_parser("tubes", help="two-sided tube family with one puncture pair")
     p.add_argument("--h", type=float, default=0.05)
     _add_output_flags(p)

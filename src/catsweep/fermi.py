@@ -17,9 +17,8 @@ punctured tube family (`two_sided_tube_family`) read it, and criterion
 7's torus half reads the band's cutoff energy.  The second variation of
 the same area, the Jacobi form of criteria 5 and 6, is read off
 `sheet_elements` by a complex step (`second_variation`), exactly and with
-no mesh: the midpoint quadrature on the barycenters of the chart grid's
-triangles forms two tensor grids (`_chart_axes`), so on the real Fourier
-modes it is a sum of Kronecker products of 1-D Gram matrices.
+no mesh: the element takes no position, so the form is diagonal on the
+real Fourier modes, one closed-form product a mode.
 
 A mesh cutoff (`build_cutoff`) reads the exact distance field of a
 product torus (`surfaces.torus_distances`); other meshes raise
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import DomainError, RadiusTooLarge, SolverFailure
 from .mesh import cotan_stiffness, lumped_mass
 from .report import make_report
-from .surfaces import check_grid, flat_torus_gap, torus_distances
+from .surfaces import flat_torus_gap, torus_distances
 
 JACOBI_TOL = 1e-9       # relative eigenvalue change that ends the inverse iteration
 JACOBI_MAX_ITERS = 200
@@ -52,25 +51,6 @@ TUBE_T_GRID = np.linspace(0.05, 0.35, 13)
 # band, and in the angle on each of the two smooth pieces of a quadrant
 BAND_LOG_NODES = 16
 BAND_ANGLE_NODES = 16
-
-
-def _chart_axes(n):
-    """The 1-D factors of the midpoint nodes of the n-by-n chart grid: the
-    thirds of the grid intervals [j d, (j+1) d), d = 2 pi/n, and their
-    lengths.
-
-    Each cell of the grid holds two triangles, (u0, v0) (u1, v0) (u1, v1)
-    then (u0, v0) (u1, v1) (u0, v1).  Returns (theta, phi) of the first
-    triangles' barycenters, (u0+2u1)/3 and (2v0+v1)/3, then those of the
-    second, (2u0+u1)/3 and (v0+2v1)/3, each summed in the order of the
-    triangle's corners, and the lengths.  Each triangle's chart area is
-    half the product of its cell's lengths.
-    """
-    d = 2.0 * np.pi / n
-    lo = np.arange(n) * d
-    hi = np.arange(1, n + 1) * d
-    return (((lo + hi + hi) / 3.0, (lo + lo + hi) / 3.0),
-            ((lo + hi + lo) / 3.0, (lo + hi + hi) / 3.0), hi - lo)
 
 
 def sheet_elements(f, f_theta2, f_phi2):
@@ -91,81 +71,44 @@ def sheet_elements(f, f_theta2, f_phi2):
             np.sqrt(c2 + 0.5 * (1.0 - s2) * f_phi2 + 0.5 * (1.0 + s2) * f_theta2))
 
 
-def fourier_frequencies(degree):
-    """The frequency of each real Fourier function 1, cos x, sin x, ...,
-    cos(degree x), sin(degree x), in that order."""
-    return np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
-
-
-def _fourier_grams(x, weight, degree):
-    """The weighted Gram matrices sum_x weight a(x) a(x)^T and
-    sum_x weight a'(x) a'(x)^T of the real Fourier functions a over the
-    points x."""
-    freq = fourier_frequencies(degree)
-    lag = np.concatenate([[0.0], np.tile([0.0, 0.5 * math.pi], degree)])   # sin x = cos(x - pi/2)
-    arg = np.outer(freq, x) - lag[:, None]
-    a = np.cos(arg)
-    da = -freq[:, None] * np.sin(arg)
-    return (a * weight) @ a.T, (da * weight) @ da.T
-
-
-def second_variation(n, degree):
-    """The second variation Q and the mass M of the middle torus on the
-    n-by-n chart grid, over the real Fourier modes a_p(theta) a_q(phi),
+def mode_frequencies(degree):
+    """The frequencies (j, k) of the real Fourier modes a_p(theta) a_q(phi),
     a = (1, cos x, sin x, ..., cos(degree x), sin(degree x)), in row-major
-    order of (p, q) (fourier_frequencies gives each one's frequency).
+    order of (p, q)."""
+    freq = np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
+    return np.repeat(freq, freq.size), np.tile(freq, freq.size)
 
-    Q and M are the symmetric matrices of
+
+def second_variation(degree):
+    """The diagonals of the second variation Q and the mass M of the middle
+    torus on the real Fourier modes of mode_frequencies(degree), on which
+    both forms are diagonal:
 
         Q(phi, psi) = int <grad phi, grad psi> - 4 phi psi dA,
         M(phi, psi) = int phi psi dA,
 
     read off sheet_elements: the sheets +-s phi have total area
-    2|T| + s^2 Q(phi) + O(s^4).  The two-sheet element at a node depends on
-    f, f_theta^2 and f_phi^2 alone and is even in f, so to second order it
-    is 1 + c_f f^2 + c_theta f_theta^2 + c_phi f_phi^2.  One complex step
-    reads the three coefficients with no subtraction: at s = eps e^{i pi/4}
-    s^2 = i eps^2 and the s^4 term is real, so the imaginary part of the
-    element at f = s (or f_theta^2 = s^2, or f_phi^2 = s^2) over eps^2 is
-    c_f (c_theta, c_phi) up to O(eps^4).  The mass weight is the element
-    of the middle torus itself, f = 0.  The element takes no position, the
-    middle torus being homogeneous, so one evaluation serves every node.
-
-    The midpoint quadrature on the chart grid's triangle barycenters is a
-    sum over two tensor grids (_chart_axes) whose weights 0.5 du dv factor
-    too, so each of its terms is a Kronecker product of 1-D Gram matrices
-    (_fourier_grams): with A0, A1 those of a and a' over a grid's theta
-    and B0, B1 over its phi,
-
-        Q = sum over the grids of 0.5 (c_f A0 x B0 + c_theta A1 x B0 + c_phi A0 x B1),
-
-    and M the same with the mass weight times A0 x B0.
+    2|T| + s^2 Q(phi) + O(s^4).  The two-sheet element at a point depends
+    on f, f_theta^2 and f_phi^2 alone and is even in f, so to second order
+    it is 1 + c_f f^2 + c_theta f_theta^2 + c_phi f_phi^2.  One complex
+    step reads the three coefficients with no subtraction: at
+    s = eps e^{i pi/4} s^2 = i eps^2 and the s^4 term is real, so the
+    imaginary part of the element at f = s (or f_theta^2 = s^2, or
+    f_phi^2 = s^2) over eps^2 is c_f (c_theta, c_phi) up to O(eps^4).  The
+    mass weight w is the element at f = 0.  The element takes no position,
+    so distinct modes are orthogonal in every term, and the mode of
+    frequencies (j, k) has Q = (c_f + c_theta j^2 + c_phi k^2) N and
+    M = w N, N its squared norm over the chart: 2 pi or pi in each angle
+    as the frequency there is 0 or not.
     """
-    check_grid(n)
     s = SECOND_VARIATION_EPS * np.exp(0.25j * math.pi)
     # rows: the middle torus, then a step in f, in f_theta^2 and in f_phi^2
     steps = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s * s, 0.0], [0.0, 0.0, s * s]])
     plus, minus = sheet_elements(*steps.T)
     c_f, c_theta, c_phi = (plus[1:] + minus[1:]).imag / SECOND_VARIATION_EPS ** 2
-    *grids, du = _chart_axes(n)
-    q = mass = 0.0
-    for th, ph in grids:
-        a0, a1 = _fourier_grams(th, 0.5 * du, degree)
-        b0, b1 = _fourier_grams(ph, du, degree)
-        k00, k10, k01 = kron(np.stack([a0, a1, a0]), np.stack([b0, b0, b1]))
-        q = q + c_f * k00 + c_theta * k10 + c_phi * k01
-        mass = mass + k00
-    return q, plus[0].real * mass
-
-
-def kron(a, b):
-    """The Kronecker products of the matrices of a and b, over any leading
-    axes, broadcast: entry (i r + k, j s + l) of a (p, q) and a (r, s)
-    matrix's is the one product a[i, j] b[k, l], as numpy's kron forms
-    it, here in one broadcast product."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    *lead, p, r, q, s = out.shape
-    return out.reshape(*lead, p * r, q * s)
+    j, k = mode_frequencies(degree)
+    norm = np.where(j == 0, 2.0, 1.0) * np.where(k == 0, 2.0, 1.0) * math.pi ** 2
+    return (c_f + c_theta * j * j + c_phi * k * k) * norm, plus[0].real * norm
 
 
 def check_offset(name, value):

@@ -4,9 +4,10 @@ The flat disk and the round sphere give meshes with known area, Euler
 characteristic, distances and (the sphere) Jacobi spectrum; the cotangent
 quadratic form of the second variation is what the chart quadrature of
 the offset area is checked against; the chart triangles' corners, cell by
-cell, are what the chart quadrature's nodes (chart_nodes, built from the
-package's 1-D factors) were first read off; the contraction over every
-chart node is what the Kronecker form of the second variation replaced.
+cell, are what the chart quadrature's nodes (chart_nodes, built from its
+1-D factors chart_axes) were first read off; the contraction over every
+chart node is the grid form of the second variation that its per-mode
+diagonal replaced.
 The doubled family's sheet rows are checked against their preimage form:
 the embedded sheets over the retraction of each symmetry cell
 (retract_uv), measured by the metric of the embedding with
@@ -26,12 +27,9 @@ from catsweep.doubling import TUBE_RING_POINTS, TUBE_SEGMENTS
 from catsweep.errors import DomainError
 from catsweep.fermi import (
     SECOND_VARIATION_EPS,
-    _chart_axes,
-    fourier_frequencies,
     log_cutoff,
     sheet_elements,
 )
-from catsweep.surfaces import check_grid
 from catsweep.mesh import (
     AMBIENT_R3,
     MeshSurface,
@@ -39,7 +37,7 @@ from catsweep.mesh import (
     dirichlet_energy,
     lumped_mass,
 )
-from catsweep.surfaces import disk_rings_for_cutoff, flat_torus_gap
+from catsweep.surfaces import check_grid, disk_rings_for_cutoff, flat_torus_gap
 
 
 def quadratic_form(m, phi):
@@ -167,6 +165,25 @@ def corner_chart_nodes(n):
     )
 
 
+def chart_axes(n):
+    """The 1-D factors of the midpoint nodes of the n-by-n chart grid: the
+    thirds of the grid intervals [j d, (j+1) d), d = 2 pi/n, and their
+    lengths.
+
+    Each cell of the grid holds two triangles, (u0, v0) (u1, v0) (u1, v1)
+    then (u0, v0) (u1, v1) (u0, v1).  Returns (theta, phi) of the first
+    triangles' barycenters, (u0+2u1)/3 and (2v0+v1)/3, then those of the
+    second, (2u0+u1)/3 and (v0+2v1)/3, each summed in the order of the
+    triangle's corners, and the lengths.  Each triangle's chart area is
+    half the product of its cell's lengths.
+    """
+    d = 2.0 * np.pi / n
+    lo = np.arange(n) * d
+    hi = np.arange(1, n + 1) * d
+    return (((lo + hi + hi) / 3.0, (lo + lo + hi) / 3.0),
+            ((lo + hi + lo) / 3.0, (lo + hi + hi) / 3.0), hi - lo)
+
+
 def chart_nodes(n):
     """Midpoint nodes of the n-by-n chart grid of the middle torus: the
     barycenters (theta, phi) of its triangles and their chart areas.
@@ -175,10 +192,10 @@ def chart_nodes(n):
     order holds two triangles, (u0, v0) (u1, v0) (u1, v1) then (u0, v0)
     (u1, v1) (u0, v1), the triangles of the product torus mesh.  The
     first triangles' nodes form one tensor grid and the second triangles'
-    another (fermi._chart_axes).
+    another (chart_axes).
     """
     check_grid(n)
-    (th0, ph0), (th1, ph1), du = _chart_axes(n)
+    (th0, ph0), (th1, ph1), du = chart_axes(n)
     return (
         np.stack([np.repeat(th0, n), np.repeat(th1, n)], axis=-1).ravel(),
         np.stack([np.tile(ph0, n), np.tile(ph1, n)], axis=-1).ravel(),
@@ -320,8 +337,12 @@ def preimage_sheet_area(m, s, h_eff, t, cells=((0, 0),), nodes=32):
 
 
 def node_sum_second_variation(n, degree):
-    """fermi.second_variation(n, degree) as three dense contractions
-    Phi diag(w c) Phi^T over every chart node, and M as one.
+    """The second variation Q and the mass M of fermi.second_variation(degree)
+    as full matrices of the midpoint quadrature on the n-by-n chart grid:
+    three dense contractions Phi diag(w c) Phi^T over every chart node,
+    and M as one.  The quadrature integrates the modes' products, of
+    frequencies up to 2 degree, exactly when n exceeds 2 degree, and
+    there both matrices are diagonal.
 
     Phi holds the real Fourier modes a_p(theta) a_q(phi), row-major in
     (p, q), or one of their chart partials, at the chart_nodes; c is the
@@ -329,7 +350,7 @@ def node_sum_second_variation(n, degree):
     step, and the mass weight the element at f = 0.
     """
     th, ph, w = chart_nodes(n)
-    freq = fourier_frequencies(degree)
+    freq = np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
     lag = np.concatenate([[0.0], np.tile([0.0, 0.5 * math.pi], degree)])
     arg_th, arg_ph = np.outer(freq, th) - lag[:, None], np.outer(freq, ph) - lag[:, None]
     a, b = np.cos(arg_th), np.cos(arg_ph)

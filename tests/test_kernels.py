@@ -275,7 +275,7 @@ def test_torus_vertices_match_trig_over_every_vertex(n):
 
 @pytest.mark.parametrize("n, m", [(3, 1), (5, 1), (64, 1), (66, 1)])
 def test_chart_nodes_match_the_corner_reference_bytes(n, m):
-    # the nodes second_variation's Kronecker form factors (fermi._chart_axes)
+    # the nodes built from their 1-D factors (reference_geometry.chart_axes)
     # against the barycenters of the chart triangles' corners, on the full
     # grid, m = 1 symmetry cells (the cells of order m > 1 were an option
     # that nothing read)

@@ -31,7 +31,12 @@ tori share one grid triangle list and take their points from
 come from the grid layout (`surfaces._grid_star`), the collar orbit from
 one call of the index-level group action over the 2m^2 elements (k, l,
 swap), and tube k's strips are tube 0's shifted by k vertex blocks, all
-written into one triangle array.
+written into one triangle array.  The first collar takes no angle from
+the points either: its link hexagon is the grid's six neighbour offsets,
+and its band joins tube point k to weld point rr/8 - k (mod rr, the ring
+points), the one it faces, since both rings lie in the torus's tangent
+plane at the weld center.  So the ring resolution is a multiple of 8,
+for that offset and the factor swap's quarter turn.
 """
 
 import math
@@ -55,19 +60,10 @@ HANDOFF_NECK_MAX = 0.25
 # of neighbouring orbit arcs for every supported symmetry order)
 TUBE_RADIUS_BOUND = 0.2
 
-# smallest tube radius a welded slice is built at: the witness collar's
-# frame is a weld-ring point minus an arc point, which is rounding noise in
-# unit-sphere coordinates near a radius of 1e-15 (the genus reads wrong
-# there) and zero below it; the genus is right down to 1e-14
-SLICE_RADIUS_FLOOR = 1e-14
-
-# smallest accepted radius cap; the default grid's witness slice takes
-# 0.18 of the cap, 1.8e-13 here, clear of that floor
-TUBE_RADIUS_FLOOR = 1e-12
-
 # resolution of every tube mesh: rings along the full joining arc, points
-# per ring; the factor swap turns weld rings by a quarter, so the ring
-# resolution must be a multiple of 4
+# per ring; the factor swap turns weld rings by a quarter and the collar
+# band joins each tube point to the weld point an eighth of a turn back,
+# so the ring resolution must be a multiple of 8
 TUBE_SEGMENTS = 48
 TUBE_RING_POINTS = 64
 
@@ -119,8 +115,7 @@ def neck_arc_length(t):
 class NeckSchedule:
     """Sine-bump tube radius profile for the paired stage: the radius
     epsilon sin(pi t/(1/2 - delta)) is positive up to the closing
-    parameter 1/2 - delta and vanishes outside, and epsilon is at least
-    TUBE_RADIUS_FLOOR.
+    parameter 1/2 - delta and vanishes outside, and epsilon is positive.
 
     The defaults are tuned jointly: the closing parameter is large
     enough that the puncture cutoffs of the graph-pair stage still leave
@@ -134,12 +129,9 @@ class NeckSchedule:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise DomainError("closing parameter must sit in (0, 1/2), got delta = %s" % self.delta)
-        if not self.epsilon >= TUBE_RADIUS_FLOOR:
-            raise DomainError(
-                "maximum tube radius --epsilon must be at least %g, the smallest radius"
-                " unit-sphere coordinates resolve, got epsilon = %s"
-                % (TUBE_RADIUS_FLOOR, self.epsilon)
-            )
+        if not self.epsilon > 0.0:
+            raise DomainError("maximum tube radius --epsilon must be positive, got epsilon = %s"
+                              % self.epsilon)
 
     @property
     def closing(self):  # the closing parameter, where the paired stage ends
@@ -190,19 +182,6 @@ def _family_args(m, schedule, n):
     return m, schedule, n
 
 
-def _cross4(a, b, c):
-    """Vector orthogonal to three others in R^4 (generalized cross product)."""
-    m = np.array([a, b, c], dtype=float)
-    return np.array(
-        [
-            +np.linalg.det(m[:, [1, 2, 3]]),
-            -np.linalg.det(m[:, [0, 2, 3]]),
-            +np.linalg.det(m[:, [0, 1, 3]]),
-            -np.linalg.det(m[:, [0, 1, 2]]),
-        ]
-    )
-
-
 def _tube_strips(ids):
     """Triangles joining consecutive rings of a (rings, points) index grid:
     each pair of rings gives its two fans of triangles in ring-point order.
@@ -240,7 +219,10 @@ def _composite_tube_base(t, m, radius):
     The arc runs from the torus at 1 - t through the middle torus to the
     torus at t.  Its normal plane is spanned by two constant vectors (the
     arc is a great-circle segment), chosen as the symmetric/antisymmetric
-    directions of the factor swap so the ring set mirrors onto itself.
+    directions u1, u2 of the factor swap so the ring set mirrors onto
+    itself; ring point k sits at the angle psi_k in the (u1, u2) frame.
+    The arc meets both tori orthogonally, so at each end that frame spans
+    the torus's tangent plane at the weld center.
     """
     chi_lo = math.asin(math.sqrt(t))
     chi_hi = 0.5 * math.pi - chi_lo
@@ -255,16 +237,19 @@ def _composite_tube_base(t, m, radius):
     u2 = (ia - ib) / rt2
     chis = np.linspace(chi_lo, chi_hi, TUBE_SEGMENTS + 1)
     centers = np.outer(np.cos(chis), a_vec) + np.outer(np.sin(chis), b_vec)
-    tangents = -np.outer(np.sin(chis), a_vec) + np.outer(np.cos(chis), b_vec)
     psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
     dirs = np.outer(np.cos(psi), u1) + np.outer(np.sin(psi), u2)
-    rings = math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs[None, :, :]
-    return centers, tangents, rings
+    return math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs[None, :, :]
 
 
 def _weld_ring_coords(s_par, theta_c, phi_c, radius):
     """Intrinsic circles of the given radius on a product torus about the
-    chart centers (theta_c, phi_c), as (centers, points, 4) coordinates."""
+    chart centers (theta_c, phi_c), as (centers, points, 4) coordinates.
+
+    Point j leaves its center along cos(psi_j) d/dtheta + sin(psi_j) d/dphi
+    (unit vectors), which in the (u1, u2) frame of _composite_tube_base
+    is the angle pi/4 - psi_j.
+    """
     a = math.sqrt(s_par)
     b = math.sqrt(1.0 - s_par)
     psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
@@ -283,39 +268,22 @@ def _weld_capacity(t, n):
 def _bridge_cycles(outer_idx, outer_ang, inner_idx, inner_ang):
     """Triangulate the annulus between two nested vertex cycles.
 
-    Both cycles come with angles about a shared center.  A single merge
-    walk around the circle emits one triangle per cycle edge, so the band
-    closes up watertight for any pair of resolutions.
+    Both cycles come in ascending order of their angles about a shared
+    center, each from angle 0.  A single merge walk around the circle
+    emits one triangle per cycle edge, so the band closes up watertight
+    for any pair of resolutions.
     """
-    two_pi = 2.0 * math.pi
-    oo = np.argsort(outer_ang, kind="stable")
-    o_idx = np.asarray(outer_idx)[oo]
-    o_ang = np.asarray(outer_ang, dtype=float)[oo]
-    ii = np.argsort(inner_ang, kind="stable")
-    i_idx = np.asarray(inner_idx)[ii]
-    i_ang = np.asarray(inner_ang, dtype=float)[ii]
-    no, ni = len(o_idx), len(i_idx)
-    start = o_ang[0]
-    j0 = int(np.argmin((i_ang - start) % two_pi))
-    o_prog = np.append((o_ang - start) % two_pi, two_pi)
-    o_prog[0] = 0.0
-    i_rot = i_ang[(j0 + np.arange(ni)) % ni]
-    i_prog = (i_rot - start) % two_pi
-    i_prog = np.append(i_prog, i_prog[0] + two_pi)
+    no, ni = len(outer_idx), len(inner_idx)
+    o_prog = np.append(outer_ang, 2.0 * math.pi)
+    i_prog = np.append(inner_ang, 2.0 * math.pi)
     tris = []
-    oi = 0
-    ij = 0
+    oi = ij = 0
     while oi < no or ij < ni:
-        take_outer = oi < no and (ij >= ni or o_prog[oi + 1] <= i_prog[ij + 1])
-        if take_outer:
-            tris.append(
-                (o_idx[oi % no], o_idx[(oi + 1) % no], i_idx[(j0 + ij) % ni])
-            )
+        if oi < no and (ij >= ni or o_prog[oi + 1] <= i_prog[ij + 1]):
+            tris.append((outer_idx[oi], outer_idx[(oi + 1) % no], inner_idx[ij % ni]))
             oi += 1
         else:
-            tris.append(
-                (i_idx[(j0 + ij) % ni], i_idx[(j0 + ij + 1) % ni], o_idx[oi % no])
-            )
+            tris.append((inner_idx[ij], inner_idx[(ij + 1) % ni], outer_idx[oi % no]))
             ij += 1
     return np.array(tris, dtype=np.int64)
 
@@ -353,10 +321,6 @@ def _slice_index_map(m, n, elements, vid):
     j = np.where(swap, (np.where(weld, rr // 4, 0) - j) % rr, j)
     out[:, ~on_tori] = 2 * n2 + ((ka + k) % m * m + (la + l) % m) * block + row * rr + j
     return out.reshape((len(k),) + vid.shape)
-
-
-def _wrap_angle(x):
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
 @dataclass
@@ -398,9 +362,6 @@ def doubled_slice(t, m, schedule=None, n=None):
     t = float(t)
     n2 = n * n
     radius = float(schedule.eta(t))
-    if radius < SLICE_RADIUS_FLOOR:
-        raise DomainError("tube radius %.3g at t = %s is below %g, where the welded genus reads"
-                          " wrong" % (radius, t, SLICE_RADIUS_FLOOR))
     cap = 0.6 * min(_weld_capacity(t, n), _weld_capacity(1.0 - t, n))
     if radius >= cap:
         raise RadiusTooLarge(
@@ -408,7 +369,7 @@ def doubled_slice(t, m, schedule=None, n=None):
         )
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
     ang = 2.0 * np.pi * np.arange(n) / n
-    centers_b, tangents_b, rings_b = _composite_tube_base(t, m, radius)
+    rings_b = _composite_tube_base(t, m, radius)
     block = (seg + 1) * rr + 2 * rr
     verts = np.empty((2 * n2 + m * m * block, 4))
     verts[:n2] = _torus_vertices(t, ang)
@@ -428,31 +389,22 @@ def doubled_slice(t, m, schedule=None, n=None):
     stars = _grid_star(n, ic, jc)
     keep = np.ones(len(grid), dtype=bool)
     keep[stars.ravel()] = False
-    # canonical collar at the lower-torus end of the first arc; vertex v
-    # of a torus sits at the chart angles (ang[v // n], ang[v % n])
-    # the star's vertices but its center, sorted and each once
-    star = np.sort(grid[stars[0]].ravel())
-    star = star[np.concatenate([[True], star[1:] != star[:-1]])]
-    link = star[star != ic[0] * n + jc[0]]
-    hx = math.sqrt(t) * _wrap_angle(ang[link // n] - ang[ic[0]])
-    hy = math.sqrt(1.0 - t) * _wrap_angle(ang[link % n] - ang[jc[0]])
-    hex_ang = np.arctan2(hy, hx) % (2.0 * math.pi)
+    # canonical collar at the lower-torus end of the first arc: the link
+    # hexagon of the weld center (ic[0], jc[0]) from the six neighbour
+    # offsets of _grid_triangles' layout, counterclockwise from angle 0 in
+    # the flat metric, zipped to the weld ring; the center sits at
+    # (n/2m, n/2m), so no offset leaves the chart
+    di, dj = np.array([[1, 1, 0, -1, -1, 0], [0, 1, 1, 0, -1, -1]])
+    link = (ic[0] + di) * n + jc[0] + dj
+    hex_ang = np.arctan2(math.sqrt(1.0 - t) * dj, math.sqrt(t) * di) % (2.0 * math.pi)
     wr_low0 = 2 * n2 + (seg + 1) * rr + rr + np.arange(rr)
     psi = 2.0 * np.pi * np.arange(rr) / rr
     zip0 = _bridge_cycles(link, hex_ang, wr_low0, psi)
-    p_end = centers_b[seg]
-    t_end = tangents_b[seg]
-    a1 = verts[wr_low0[0]] - p_end
-    a1 = a1 - (a1 @ p_end) * p_end - (a1 @ t_end) * t_end
-    a1 /= np.linalg.norm(a1)
-    a2 = _cross4(p_end, t_end, a1)
-
-    def _angles_about(ids):
-        q = verts[ids] - p_end
-        return np.arctan2(q @ a2, q @ a1) % (2.0 * math.pi)
-
+    # the band from the tube's last ring to the weld ring: tube point k
+    # sits at psi_k and weld point j at pi/4 - psi_j in the same frame
+    # (_weld_ring_coords), so tube point k faces weld point rr/8 - k
     row_last = 2 * n2 + seg * rr + np.arange(rr)
-    band0 = _bridge_cycles(row_last, _angles_about(row_last), wr_low0, _angles_about(wr_low0))
+    band0 = _tube_strips(np.stack([row_last, wr_low0[(rr // 8 - np.arange(rr)) % rr]]))
     collar0 = np.vstack([zip0, band0])
     # tube 0 on its own block of vertices; tube k is it shifted by k blocks
     tube0 = _tube_strips(np.arange((seg + 1) * rr).reshape(seg + 1, rr))

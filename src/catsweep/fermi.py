@@ -242,12 +242,6 @@ def band_field(a, b, gap, scale, t):
     return scale[:, None] * log_cutoff(gap, t[:, None]), k * a * a, k * b * b
 
 
-def punctured_sheets(a, b, gap, scale, t):
-    """Area elements of the sheets +-f of band_field's f over the middle
-    torus, at points of the bands t^2 < gap < t, one row a band."""
-    return sheet_elements(*band_field(a, b, gap, scale, t))
-
-
 @functools.cache
 def _gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [0, 1], built once per n and
@@ -364,7 +358,7 @@ def band_sheets(scale, t, s=0.0, half=math.pi):
     """
     band = band_nodes(t, s, half)
     scale, t = (np.full(band.disk.shape, v)[band.rows] for v in (scale, t))
-    plus, minus = punctured_sheets(band.a, band.b, band.gap, scale, t)
+    plus, minus = sheet_elements(*band_field(band.a, band.b, band.gap, scale, t))
     areas = np.zeros((2,) + band.disk.shape)
     areas[:, band.rows] = np.sum(band.weight * plus, axis=1), np.sum(band.weight * minus, axis=1)
     return areas[0], areas[1], band.disk

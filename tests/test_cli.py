@@ -231,12 +231,8 @@ BAD_INPUTS = {
     "doubling-delta-0.7": (
         ["doubling", "sweep", "--m", "2", "--delta", "0.7"], "got delta = 0.7"
     ),
-    # below the floor the witness genus reads -32 (1e-15) or 0 (1e-16), not -8
-    "doubling-epsilon-1e-15": (
-        ["doubling", "sweep", "--m", "2", "--epsilon", "1e-15"], "--epsilon must be at least"
-    ),
-    "doubling-epsilon-1e-16": (
-        ["doubling", "sweep", "--m", "2", "--epsilon", "1e-16"], "got epsilon = 1e-16"
+    "doubling-epsilon-0": (
+        ["doubling", "sweep", "--m", "2", "--epsilon", "0"], "--epsilon must be positive"
     ),
 }
 
@@ -278,6 +274,15 @@ def test_width_run_in_units_of_r(r, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert row["morse_index"] == 1 and math.isfinite(row["width"])
     assert row["area"] == pytest.approx(acceptance.width_run(1.0, 0.5).rows[0]["area"], rel=1e-9)
+
+
+@pytest.mark.parametrize("m, epsilon", [(2, "1e-15"), (2, "1e-300"), (3, "1e-300"),
+                                        (4, "1e-300"), (2, "5e-324")])
+def test_witness_genus_at_any_positive_tube_radius(m, epsilon, capsys):
+    # the witness collar is laid out from ring indices, so the genus holds
+    # at every positive radius, down to the smallest subnormal cap
+    assert cli.run(["doubling", "sweep", "--m", str(m), "--epsilon", epsilon, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["regular_chi"] == -2 * m * m
 
 
 @pytest.mark.parametrize("t", [5e-39, 1e-100])

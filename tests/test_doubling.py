@@ -11,6 +11,8 @@ from scipy.spatial import cKDTree
 from catsweep import cli, doubling, fermi
 from catsweep.doubling import (
     HANDOFF_NECK_MAX,
+    TUBE_RING_POINTS,
+    TUBE_SEGMENTS,
     DoubledSlice,
     NeckSchedule,
     _composite_tube_base,
@@ -109,7 +111,7 @@ def test_tube_area_matches_the_tube_mesh(t, radius):
     # the curve tube_area measures: its ring polygons undershoot by about
     # (pi/64)^2/6 = 4e-4, far less than the factor sin(2r)/(2r) (1.5% at
     # r = 0.15)
-    _, _, rings = _composite_tube_base(t, 2, radius)
+    rings = _composite_tube_base(t, 2, radius)
     ids = np.arange(rings.shape[0] * rings.shape[1]).reshape(rings.shape[:2])
     mesh = np.sum(_spherical_triangle_areas(rings.reshape(-1, 4), _tube_strips(ids)))
     assert abs(0.5 * mesh / tube_area(t, radius) - 1.0) < 6e-4
@@ -220,11 +222,11 @@ def test_doubled_slice_index_map_is_a_symmetry(m, t):
 # (triangle order and vertex layout are part of the record)
 WITNESS_T = 0.2635294117647059
 WITNESS_BYTES = {
-    2: ("f8a1051a43bb056b695405545ccf00ce02e30ddc2e4e7c6b7c2400e754d952bb",
+    2: ("7c49a459ffcc9b3b1c67bb5e82e8d26030afa13045cb7b17b2a3307e0bb5d5e1",
         "e529694e880326a6a1546a26d0fa932184a8766d4101066d974e5308cac1a74b",
-        "{'tori': 34.6962227609785, 'collars': 0.10175846054953355,"
+        "{'tori': 34.6962227609785, 'collars': 0.10175846054953354,"
         " 'tubes': 0.03411157370826275}"),
-    3: ("131626133d672d2cd5485c39cbeaff8f1ca16b8b435520dada500eb438d47358",
+    3: ("3c2f9731c47cca036896987310b284cf0e158f1315219e891a7ada0025820cdd",
         "060320d9f415a75aac5c6e98258f160f79f2a05be46afbd3b2348fc50a3019bb",
         "{'tori': 34.58165026798429, 'collars': 0.21525985703893724,"
         " 'tubes': 0.0767510408435906}"),
@@ -278,17 +280,75 @@ def test_area_parts_match_the_per_triangle_sum(m, n, t):
         assert abs(area / ref[part] - 1.0) <= 1e-12, part
 
 
-def test_doubled_slice_refuses_a_radius_below_the_floor():
+@pytest.mark.parametrize("gap", [1e-15, 5e-17])
+def test_doubled_slice_genus_at_a_vanishing_radius(gap):
     # 1e-15 under the closing parameter the sine bump's radius is 1.7e-16,
-    # where the welded genus read -32 instead of -8; 1e-13 under it the
-    # radius is 1.7e-14 and the genus is right
+    # and one ulp under it (5e-17 rounds there) 9.3e-18: the collar is
+    # built from indices alone, so the genus holds however close the rings
+    # sit to their weld center
     close = 0.5 - NeckSchedule().delta
-    with pytest.raises(DomainError, match=r"^tube radius 1.68e-16 at t = %s is below 1e-14"
-                       % (close - 1e-15)):
-        doubled_slice(close - 1e-15, 2)
-    with pytest.raises(DomainError, match="below 1e-14"):
-        assemble_doubled_sweepout(2, t_grid=[close - 1e-15])
-    assert doubled_slice(close - 1e-13, 2).chi == -8
+    assert doubled_slice(close - gap, 2).chi == -8
+    assert assemble_doubled_sweepout(2, t_grid=[close - gap]).summary["regular_chi"] == -8
+
+
+def _band_edges(sl, n):
+    """The tube-weld edges of every collar band, read from the triangles:
+    for each tube end ring and the weld ring it meets (row 0 and row
+    TUBE_SEGMENTS + 1 at the upper torus, row TUBE_SEGMENTS and row
+    TUBE_SEGMENTS + 2 at the lower), a boolean matrix over (tube point,
+    weld point), with a leading axis over the 2 m^2 ends."""
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    tube, rem = np.divmod(sl.triangles - 2 * n * n, (seg + 3) * rr)
+    row, j = np.divmod(rem, rr)
+    joined = np.zeros((sl.m * sl.m, 2, rr, rr), dtype=bool)
+    for end, (ring, weld) in enumerate(((0, seg + 1), (seg, seg + 2))):
+        for p, q in ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)):
+            hit = ((tube[:, p] >= 0) & (tube[:, p] == tube[:, q])
+                   & (row[:, p] == ring) & (row[:, q] == weld))
+            joined[tube[hit, p], end, j[hit, p], j[hit, q]] = True
+    return joined.reshape(-1, rr, rr)
+
+
+@pytest.mark.parametrize("n_of_m", [default_resolution, lambda m: 4 * m], ids=["default", "4m"])
+@pytest.mark.parametrize("schedule", [NeckSchedule(), NeckSchedule(0.05, 0.22),
+                                      NeckSchedule(0.005, 0.1)], ids=["default", "fat", "late"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_collar_band_joins_each_tube_point_to_its_nearest_weld_point(m, schedule, n_of_m):
+    # the band is laid out from ring indices alone; read from the
+    # triangles, it must be one more strip of the tube, the weld ring
+    # taking the place of a ring: in the tube's own strips point k of a
+    # ring is joined to points k and k + 1 of the next ring and k - 1 and k
+    # of the one before, so the tube's last ring point k must be joined to
+    # the nearest weld points of its points k and k + 1, and the first
+    # ring's to those of k - 1 and k.  The slices are the paired grid's
+    # first, middle and last two, where the weld collar capacity admits
+    # them (the last two only, for the fat tubes on the default grid)
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    n = n_of_m(m)
+    built = 0
+    for t in schedule.closing * np.array([1, 8, 15, 16]) / 17.0:
+        try:
+            sl = doubled_slice(t, m, schedule, n)
+        except RadiusTooLarge:
+            continue
+        built += 1
+        tubes = sl.vertices[2 * n * n:].reshape(m * m, seg + 3, rr, 4)
+        ends = np.stack([tubes[:, [0, seg + 1]], tubes[:, [seg, seg + 2]]], axis=1)
+        ends = ends.reshape(-1, 2, rr, 4)
+        dist = np.linalg.norm(ends[:, 0, :, None] - ends[:, 1, None, :], axis=-1)
+        nearest = np.argmin(dist, axis=-1)
+        # the ends alternate: first ring (upper torus), last ring (lower)
+        near = nearest.reshape(-1, 2, rr)
+        beside = np.stack([np.roll(near[:, 0], 1, axis=-1), np.roll(near[:, 1], -1, axis=-1)], 1)
+        want = np.zeros(dist.shape, dtype=bool)
+        for idx in (nearest, beside.reshape(-1, rr)):
+            np.put_along_axis(want, idx[..., None], True, axis=-1)
+        assert np.array_equal(_band_edges(sl, n), want)
+        # the facing gap is well under the spacing of the weld ring, so
+        # the nearest point is no near tie
+        spacing = np.linalg.norm(ends[:, 1] - np.roll(ends[:, 1], 1, axis=1), axis=-1)
+        assert np.max(np.min(dist, axis=-1)) < 0.75 * np.min(spacing)
+    assert built >= 2
 
 
 def test_doubled_slice_rejects_bad_input():

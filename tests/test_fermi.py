@@ -14,12 +14,12 @@ from catsweep.fermi import (
     JACOBI_MAX_ITERS,
     JACOBI_TOL,
     TUBE_T_GRID,
+    band_field,
     band_nodes,
     band_sheets,
     build_cutoff,
     jacobi_lowest,
     log_cutoff,
-    punctured_sheets,
     second_variation,
     sheet_elements,
     two_sided_tube_family,
@@ -180,7 +180,7 @@ def test_second_variation_matches_the_node_sum(n):
 
 
 def _every_node_sheets(a, b, gap, scale, t):
-    # punctured_sheets with sheet_elements evaluated on every node
+    # the punctured sheets with sheet_elements evaluated on every node
     band = (gap > t * t) & (gap < t)
     k = np.where(band, (scale / math.log(t)) ** 2 / (4.0 * gap ** 4), 0.0)
     return sheet_elements(scale * log_cutoff(gap, t), k * a * a, k * b * b)
@@ -188,7 +188,7 @@ def _every_node_sheets(a, b, gap, scale, t):
 
 def _assert_sheets_equal(a, b, gap, scale, t):
     # the points as a family of one band
-    got = punctured_sheets(a[None], b[None], gap[None], [scale], [t])
+    got = sheet_elements(*band_field(a[None], b[None], gap[None], [scale], [t]))
     want = _every_node_sheets(a, b, gap, scale, t)
     assert all(x.dtype == y.dtype and np.array_equal(x[0], y) for x, y in zip(got, want))
 
@@ -205,7 +205,7 @@ def test_punctured_sheets_match_every_node_bits():
     assert np.min(gap) == pytest.approx(2.0 * math.pi / (3 * n), rel=1e-12)
     assert not np.any((gap > 0.03 ** 2) & (gap < 0.03))
     for t in (0.03, 0.15, 0.3):
-        # the chart nodes of the band, the points punctured_sheets takes
+        # the chart nodes of the band, the points band_field takes
         band = (gap > t * t) & (gap < t)
         assert np.any(band) == (t != 0.03)
         _assert_sheets_equal(a[band], b[band], gap[band], 0.05, t)

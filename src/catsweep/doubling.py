@@ -12,7 +12,8 @@ group generated by discrete rotations of the two circle factors and the
 swap of the factors.
 
 The paired slices are reported by their continuum areas, in closed form;
-one welded mesh per family is built as the witness of its genus.  The
+one welded slice per family is the witness of its genus: its triangle
+list is built in full, and its points only where its area reads them.  The
 graph-neck and collapse stages are one surface, the two-sided offset of
 the punctured middle torus, and both take its continuum area: each
 symmetry cell holds one puncture, whose log-cutoff band is integrated in
@@ -26,12 +27,17 @@ is integrated, times m^2, and the witness measures one triangle of each
 congruence class, times the size of the class.
 
 The witness is built by index arithmetic, with no mesh object: both
-tori share one grid triangle list and take their points from
-`surfaces._torus_vertices`, the stars of the lattice of weld centers
-come from the grid layout (`surfaces._grid_star`), the collar orbit from
-one call of the index-level group action over the 2m^2 elements (k, l,
-swap), and tube k's strips are tube 0's shifted by k vertex blocks, all
-written into one triangle array.  The first collar takes no angle from
+tori share one grid triangle list, the stars of the lattice of weld
+centers come from the grid layout (`surfaces._grid_star`), the collar
+orbit from one call of the index-level group action over the 2m^2
+elements (k, l, swap), and tube k's strips are tube 0's shifted by k
+vertex blocks, all written into one int32 triangle array, whose Euler
+characteristic is counted in full.  The points have one layout: the
+vertex array of `_slice_vertices` (the tori from
+`surfaces._torus_vertices`), built only when `DoubledSlice.vertices` is
+read, and the area takes the corners of one triangle of each class,
+under 300 points, from the same point code on index subsets
+(`_class_corners`).  The first collar takes no angle from
 the points either: its link hexagon is the grid's six neighbour offsets,
 and its band joins tube point k to weld point rr/8 - k (mod rr, the ring
 points), the one it faces, since both rings lie in the torus's tangent
@@ -39,6 +45,7 @@ plane at the weld center.  So the ring resolution is a multiple of 8,
 for that offset and the factor swap's quarter turn.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +66,12 @@ HANDOFF_NECK_MAX = 0.25
 # injectivity radius pi/2 of the joining geodesic, and under the spacing
 # of neighbouring orbit arcs for every supported symmetry order)
 TUBE_RADIUS_BOUND = 0.2
+
+# the six neighbours of a grid vertex in _grid_triangles' layout, as
+# (row, column) offsets counterclockwise from angle 0 in the flat metric:
+# the link hexagon the first collar is zipped from, about the weld center
+# (n/2m, n/2m), which no offset moves off the chart
+_LINK_OFFSETS = np.array([[1, 1, 0, -1, -1, 0], [0, 1, 1, 0, -1, -1]])
 
 # resolution of every tube mesh: rings along the full joining arc, points
 # per ring; the factor swap turns weld rings by a quarter and the collar
@@ -213,8 +226,9 @@ def tube_area(t, radius):
     return math.pi * math.sin(2.0 * radius) * arc
 
 
-def _composite_tube_base(t, m, radius):
-    """Rings around the full joining geodesic between the paired tori.
+def _composite_tube_base(t, m, radius, rows=slice(None)):
+    """Rings around the full joining geodesic between the paired tori,
+    the rings given by rows (every ring, 0 to TUBE_SEGMENTS, by default).
 
     The arc runs from the torus at 1 - t through the middle torus to the
     torus at t.  Its normal plane is spanned by two constant vectors (the
@@ -235,7 +249,7 @@ def _composite_tube_base(t, m, radius):
     rt2 = math.sqrt(2.0)
     u1 = (ia + ib) / rt2
     u2 = (ia - ib) / rt2
-    chis = np.linspace(chi_lo, chi_hi, TUBE_SEGMENTS + 1)
+    chis = np.linspace(chi_lo, chi_hi, TUBE_SEGMENTS + 1)[rows]
     centers = np.outer(np.cos(chis), a_vec) + np.outer(np.sin(chis), b_vec)
     psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
     dirs = np.outer(np.cos(psi), u1) + np.outer(np.sin(psi), u2)
@@ -323,17 +337,91 @@ def _slice_index_map(m, n, elements, vid):
     return out.reshape((len(k),) + vid.shape)
 
 
+def _weld_centers(m, n):
+    """Chart indices (ic, jc) of the m^2 weld centers: tube a = k m + l
+    welds the grid vertex (lattice[k], lattice[l]) of both tori."""
+    lattice = (n // (2 * m) + (n // m) * np.arange(m)) % n
+    return np.repeat(lattice, m), np.tile(lattice, m)
+
+
+def _slice_vertices(t, m, n, radius):
+    """Every point of the welded slice, in _slice_index_map's layout: the
+    two torus copies, then per joining arc its tube rings and its two
+    weld rings (upper-torus end, then lower-torus end)."""
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    n2 = n * n
+    ang = 2.0 * np.pi * np.arange(n) / n
+    ic, jc = _weld_centers(m, n)
+    verts = np.empty((2 * n2 + m * m * (seg + 3) * rr, 4))
+    verts[:n2] = _torus_vertices(t, ang)
+    verts[n2:2 * n2] = _torus_vertices(1.0 - t, ang)
+    # tube a's rings are the base rings under rotation a = (k, l) = divmod(a, m)
+    mats_t = np.array([group_matrix(m, k, l, False).T for k in range(m) for l in range(m)])
+    tubes = verts[2 * n2:].reshape(m * m, seg + 3, rr, 4)
+    np.matmul(_composite_tube_base(t, m, radius), mats_t[:, None], out=tubes[:, :seg + 1])
+    tubes[:, seg + 1] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
+    tubes[:, seg + 2] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
+    return verts
+
+
+def _class_corners(t, m, n, radius):
+    """The corners of one triangle of each congruence class, laid out by
+    the point code of _slice_vertices on index subsets, as (slice vertex
+    indices, points) for each of three parts:
+
+    - grid cell 0 of the lower torus, then of the upper: chart indices 0
+      and 1 on each axis, in the layout of a 2 x 2 grid;
+    - collar 0's vertex list: the link hexagon of weld center (ic[0],
+      jc[0]) on the lower torus (_LINK_OFFSETS), tube 0's last ring, and
+      its weld ring on the lower torus;
+    - tube 0's first two rings, its first strip (tube 0's rotation is the
+      identity, so its rings are the base rings).
+    """
+    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    n2 = n * n
+    ang = 2.0 * np.pi * np.arange(n) / n
+    ic, jc = _weld_centers(m, n)
+    i, j = np.array([[0], [1]]), np.array([0, 1])
+    cell = (np.concatenate([i * n + j, n2 + i * n + j]).ravel(),
+            np.vstack([_torus_vertices(s, ang, i, j) for s in (t, 1.0 - t)]))
+    di, dj = _LINK_OFFSETS
+    ring = np.arange(rr)
+    rings = _composite_tube_base(t, m, radius, [0, 1, seg])
+    collar = (np.concatenate([(ic[0] + di) * n + jc[0] + dj,
+                              2 * n2 + seg * rr + ring, 2 * n2 + (seg + 2) * rr + ring]),
+              np.vstack([_torus_vertices(t, ang, ic[0] + di, jc[0] + dj), rings[2],
+                         _weld_ring_coords(t, ang[ic[:1]], ang[jc[:1]], radius)[0]]))
+    strip = (2 * n2 + np.arange(2 * rr), rings[:2].reshape(-1, 4))
+    return cell, collar, strip
+
+
 @dataclass
 class DoubledSlice:
-    """One slice of the paired stage: two tori welded by orbit tubes."""
+    """One slice of the paired stage: two tori welded by orbit tubes,
+    over a grid of size n, with tube radius radius.
+
+    The triangle list (int32), area and chi are built with the slice.
+    The areas read only one triangle of each congruence class, so the
+    vertex array is laid out when vertices is first read, and
+    n_vertices counts it in closed form.
+    """
 
     t: float
     m: int
-    vertices: np.ndarray
+    n: int
+    radius: float
     triangles: np.ndarray
     area: float
     area_parts: dict
     chi: int
+
+    @property
+    def n_vertices(self):
+        return 2 * self.n * self.n + self.m * self.m * (TUBE_SEGMENTS + 3) * TUBE_RING_POINTS
+
+    @functools.cached_property
+    def vertices(self):
+        return _slice_vertices(self.t, self.m, self.n, self.radius)
 
 
 def doubled_slice(t, m, schedule=None, n=None):
@@ -354,7 +442,8 @@ def doubled_slice(t, m, schedule=None, n=None):
     area; the collars are collar0's images under the group, 2 m^2 times
     its area; a tube's strips are its first strip's images under the
     rotations along the arc, m^2 TUBE_SEGMENTS times that strip's area.
-    The sum over every triangle agrees to roundoff.
+    The sum over every triangle agrees to roundoff, and only those
+    triangles' corners are laid out (_class_corners).
     """
     m, schedule, n = _family_args(m, schedule, n)
     if not 0.0 < t < schedule.closing:
@@ -362,49 +451,36 @@ def doubled_slice(t, m, schedule=None, n=None):
     t = float(t)
     n2 = n * n
     radius = float(schedule.eta(t))
+    if not radius > 0.0:
+        raise DomainError("tube radius at t = %r underflows to 0 (epsilon = %r); a welded"
+                          " slice needs a positive radius" % (t, schedule.epsilon))
     cap = 0.6 * min(_weld_capacity(t, n), _weld_capacity(1.0 - t, n))
     if radius >= cap:
         raise RadiusTooLarge(
             "tube radius %.3g exceeds the weld collar capacity %.3g" % (radius, cap)
         )
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
-    ang = 2.0 * np.pi * np.arange(n) / n
-    rings_b = _composite_tube_base(t, m, radius)
     block = (seg + 1) * rr + 2 * rr
-    verts = np.empty((2 * n2 + m * m * block, 4))
-    verts[:n2] = _torus_vertices(t, ang)
-    verts[n2:2 * n2] = _torus_vertices(1.0 - t, ang)
-    # tube a = k m + l welds the grid vertex (lattice[k], lattice[l])
-    lattice = (n // (2 * m) + (n // m) * np.arange(m)) % n
-    ic, jc = np.repeat(lattice, m), np.tile(lattice, m)
-    # tube a's rings are the base rings under rotation a = (k, l) = divmod(a, m)
-    mats_t = np.array([group_matrix(m, k, l, False).T for k in range(m) for l in range(m)])
-    tubes = verts[2 * n2:].reshape(m * m, seg + 3, rr, 4)
-    np.matmul(rings_b, mats_t[:, None], out=tubes[:, :seg + 1])
-    tubes[:, seg + 1] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
-    tubes[:, seg + 2] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
+    ic, jc = _weld_centers(m, n)
     # both tori have the triangle layout of _grid_triangles, so one mask
     # drops the stars of the weld centers from each
     grid = _grid_triangles(n, n)
     stars = _grid_star(n, ic, jc)
     keep = np.ones(len(grid), dtype=bool)
     keep[stars.ravel()] = False
-    # canonical collar at the lower-torus end of the first arc: the link
-    # hexagon of the weld center (ic[0], jc[0]) from the six neighbour
-    # offsets of _grid_triangles' layout, counterclockwise from angle 0 in
-    # the flat metric, zipped to the weld ring; the center sits at
-    # (n/2m, n/2m), so no offset leaves the chart
-    di, dj = np.array([[1, 1, 0, -1, -1, 0], [0, 1, 1, 0, -1, -1]])
-    link = (ic[0] + di) * n + jc[0] + dj
+    cell, collar, strip = _class_corners(t, m, n, radius)
+    # canonical collar at the lower-torus end of the first arc, on its own
+    # vertex list (_class_corners): the link hexagon counterclockwise from
+    # angle 0 in the flat metric, zipped to the weld ring
+    di, dj = _LINK_OFFSETS
     hex_ang = np.arctan2(math.sqrt(1.0 - t) * dj, math.sqrt(t) * di) % (2.0 * math.pi)
-    wr_low0 = 2 * n2 + (seg + 1) * rr + rr + np.arange(rr)
-    psi = 2.0 * np.pi * np.arange(rr) / rr
-    zip0 = _bridge_cycles(link, hex_ang, wr_low0, psi)
+    ring = np.arange(rr)
+    psi = 2.0 * np.pi * ring / rr
+    zip0 = _bridge_cycles(np.arange(6), hex_ang, 6 + rr + ring, psi)
     # the band from the tube's last ring to the weld ring: tube point k
     # sits at psi_k and weld point j at pi/4 - psi_j in the same frame
     # (_weld_ring_coords), so tube point k faces weld point rr/8 - k
-    row_last = 2 * n2 + seg * rr + np.arange(rr)
-    band0 = _tube_strips(np.stack([row_last, wr_low0[(rr // 8 - np.arange(rr)) % rr]]))
+    band0 = _tube_strips(np.stack([6 + ring, 6 + rr + (rr // 8 - ring) % rr]))
     collar0 = np.vstack([zip0, band0])
     # tube 0 on its own block of vertices; tube k is it shifted by k blocks
     tube0 = _tube_strips(np.arange((seg + 1) * rr).reshape(seg + 1, rr))
@@ -412,22 +488,25 @@ def doubled_slice(t, m, schedule=None, n=None):
     # three of each)
     kept_a, kept_b = np.count_nonzero(keep.reshape(-1, 2), axis=0).tolist()
     n_kept, n_collar = kept_a + kept_b, 2 * m * m * len(collar0)
-    tris = np.empty((2 * n_kept + n_collar + m * m * len(tube0), 3), dtype=np.int64)
+    tris = np.empty((2 * n_kept + n_collar + m * m * len(tube0), 3), dtype=np.int32)
     np.compress(keep, grid, axis=0, out=tris[:n_kept])
     np.add(tris[:n_kept], n2, out=tris[n_kept:2 * n_kept])
     tris[2 * n_kept:2 * n_kept + n_collar] = _slice_index_map(
-        m, n, group_elements(m), collar0).reshape(-1, 3)
+        m, n, group_elements(m), collar[0][collar0]).reshape(-1, 3)
     np.add(tube0, (2 * n2 + block * np.arange(m * m))[:, None, None],
            out=tris[2 * n_kept + n_collar:].reshape(m * m, len(tube0), 3))
-    # one triangle of each congruence class (the docstring); the tori are
-    # summed lower first, and that order fixes the last bits
-    cell = _spherical_triangle_areas(verts, np.concatenate([grid[:2], grid[:2] + n2])).tolist()
-    area_tori = (kept_a * cell[0] + kept_b * cell[1]) + (kept_a * cell[2] + kept_b * cell[3])
-    area_collars = 2 * m * m * float(np.sum(_spherical_triangle_areas(verts, collar0)))
-    strip = _spherical_triangle_areas(verts, tube0[:2 * rr] + 2 * n2)
-    area_tubes = m * m * seg * float(np.sum(strip))
+    # one triangle of each congruence class (the docstring), on its
+    # part's corners: grid cell 0's two triangles are the first two of the
+    # 2 x 2 grid's; the tori are summed lower first, and that order fixes
+    # the last bits
+    cell2 = _grid_triangles(2, 2)[:2]
+    cells = _spherical_triangle_areas(cell[1], np.concatenate([cell2, cell2 + 4])).tolist()
+    area_tori = (kept_a * cells[0] + kept_b * cells[1]) + (kept_a * cells[2] + kept_b * cells[3])
+    area_collars = 2 * m * m * float(np.sum(_spherical_triangle_areas(collar[1], collar0)))
+    area_tubes = m * m * seg * float(np.sum(_spherical_triangle_areas(strip[1], tube0[:2 * rr])))
     return DoubledSlice(
-        t=t, m=m, vertices=verts, triangles=tris, area=area_tori + area_collars + area_tubes,
+        t=t, m=m, n=n, radius=radius, triangles=tris,
+        area=area_tori + area_collars + area_tubes,
         area_parts={"tori": area_tori, "collars": area_collars, "tubes": area_tubes},
         chi=euler_characteristic(tris),
     )
@@ -499,10 +578,12 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     One welded slice, at the last paired parameter with a positive tube
     radius, witnesses the topology: its Euler characteristic is the
     summary's regular_chi, witness_vertices and witness_triangles are its
-    mesh sizes, and witness_mesh_rel_excess is its mesh area over the
-    continuum area, minus 1 (the discretization error the rows no longer
-    carry); that mesh area is summed once per congruence class of
-    triangles (doubled_slice).
+    mesh sizes (the vertex count in closed form), and
+    witness_mesh_rel_excess is its mesh area over the continuum area,
+    minus 1 (the discretization error the rows no longer carry); that
+    mesh area is summed once per congruence class of triangles
+    (doubled_slice).  The slice's vertex array is never read here, so it
+    is never laid out.
     """
     m, schedule, n = _family_args(m, schedule, n)
     delta = schedule.delta
@@ -588,7 +669,7 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     if witness is not None:
         sl = doubled_slice(witness["t"], m, schedule, n)
         report.summary["regular_chi"] = int(sl.chi)
-        report.summary["witness_vertices"] = len(sl.vertices)
+        report.summary["witness_vertices"] = sl.n_vertices
         report.summary["witness_triangles"] = len(sl.triangles)
         report.summary["witness_mesh_rel_excess"] = sl.area / witness["area"] - 1.0
     return report

@@ -10,9 +10,12 @@ Spherical triangle areas gather only the given triangles' corners and
 add the squared chords coordinate by coordinate, in the order a row norm
 sums them, so areas match the row-gather form bit for bit.  A welded
 slice calls them on one triangle of each congruence class, never on the
-whole slice.  The Euler characteristic counts distinct edge keys after
-one sort, each key built in place in the narrowest unsigned type that
-holds it.
+whole slice, and lays out no other points.  The Euler characteristic
+reads the triangle list alone: a boolean mask counts the referenced
+vertices, and distinct edge keys are counted after one sort, each key
+built in place in the narrowest unsigned type that holds it.  A welded
+slice's int32 indices are read as uint32 keys with no copy; only when
+base^2 needs 64 bits (a 512 grid) are they widened.
 
 The package builds only product tori in S^3 (`surfaces`); flat-space
 meshes, the tests' disk and sphere, check the kernels.  Distances are
@@ -309,17 +312,26 @@ def euler_characteristic(triangles):
     unsigned type that holds base^2 (uint32 for base up to 65,535), else
     int64.  The keys are built in place in one array, every partial sum
     at most the key, so the narrow type never wraps; after one sort, an
-    edge starts wherever a key differs from its predecessor.
+    edge starts wherever a key differs from its predecessor.  The index
+    columns are read as the key type in place when the widths match (a
+    welded slice's int32 indices as uint32 keys), and cast otherwise.
     """
-    tris = np.asarray(triangles, dtype=np.int64)
+    tris = np.asarray(triangles)
+    if tris.dtype != np.int32:
+        tris = tris.astype(np.int64, copy=False)
     if tris.size == 0:
         return 0
-    n_referenced = np.count_nonzero(np.bincount(tris.ravel()))
-    base = int(tris.max()) + 1
+    seen = np.zeros(int(tris.max()) + 1, dtype=bool)
+    seen[tris] = True
+    n_referenced = np.count_nonzero(seen)
+    base = len(seen)
     key = np.min_scalar_type(base * base)
     if key.itemsize > 4:
         key = np.dtype(np.int64)
-    cols = tris.T.astype(key, copy=False)
+    if key.itemsize == tris.itemsize:
+        cols = tris.T.view(key)
+    else:
+        cols = tris.T.astype(key)
     keys = np.empty((3, len(tris)), dtype=key)
     for side, (i, j) in zip(keys, ((0, 1), (1, 2), (2, 0))):
         np.minimum(cols[i], cols[j], out=side)

@@ -5,7 +5,8 @@ Each builder returns a MeshSurface of a product torus in the round S^3,
 with the analytic |A|^2 and Ric(N, N) per vertex; its aux dictionary
 carries the radius of the largest embedded disk and the chart coordinates
 the exact distances read; the doubled witness slice reads the points
-alone, from `_torus_vertices`.  The flat disk is not meshed: criterion 7
+alone, from `_torus_vertices`, at every grid index or only at the
+corners its areas read.  The flat disk is not meshed: criterion 7
 sums its cutoff energy over `disk_rings_for_cutoff`.
 """
 
@@ -87,19 +88,24 @@ def check_grid(n):
         raise DomainError("torus grid size n must be at most %d, got n = %d" % (MAX_GRID_N, n))
 
 
-def _torus_vertices(t, ang):
-    """The points of the torus {|z|^2 = t} at the chart angles (theta, phi),
-    each running over ang, theta the slow index: vertex i * n + j sits at
-    (ang[i], ang[j]), the layout of `_grid_triangles(n, n)`."""
+def _torus_vertices(t, ang, i=None, j=None):
+    """The points of the torus {|z|^2 = t} at the chart angles (ang[i],
+    ang[j]), the index arrays i and j broadcast against each other and the
+    points flattened in their order.  By default i runs over the rows and
+    j over the columns of the grid, theta the slow index: vertex i * n + j
+    sits at (ang[i], ang[j]), the layout of `_grid_triangles(n, n)`."""
     a = math.sqrt(t)
     b = math.sqrt(1.0 - t)
-    n = len(ang)
-    # trig of the n grid angles, spread over the n^2 vertices
+    if i is None:
+        i, j = np.ogrid[:len(ang), :len(ang)]
+    # trig of the n grid angles, gathered at the given indices
     cos_a, sin_a = np.cos(ang), np.sin(ang)
-    return np.column_stack(
-        [np.repeat(a * cos_a, n), np.repeat(a * sin_a, n),
-         np.tile(b * cos_a, n), np.tile(b * sin_a, n)]
-    )
+    pts = np.empty(np.broadcast_shapes(np.shape(i), np.shape(j)) + (4,))
+    pts[..., 0] = a * cos_a[i]
+    pts[..., 1] = a * sin_a[i]
+    pts[..., 2] = b * cos_a[j]
+    pts[..., 3] = b * sin_a[j]
+    return pts.reshape(-1, 4)
 
 
 def product_torus(t, n=64):

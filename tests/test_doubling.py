@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from catsweep.doubling import (
     TUBE_SEGMENTS,
     DoubledSlice,
     NeckSchedule,
+    _class_corners,
     _composite_tube_base,
     _pair_row,
     _sheet_area,
@@ -191,8 +193,10 @@ def test_doubled_slice_equivariance(slice2):
 
 
 def _triangle_keys(tris, n_vertices):
-    # one integer per unordered triangle, sorted: equal arrays are equal sets
-    a, b, c = tris.T
+    # one integer per unordered triangle, sorted: equal arrays are equal
+    # sets; the slice's int32 indices are widened first, since their
+    # product would wrap in 32 bits
+    a, b, c = tris.T.astype(np.int64)
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
     return np.sort((lo * n_vertices + (a + b + c - lo - hi)) * n_vertices + hi)
@@ -218,7 +222,7 @@ def test_doubled_slice_index_map_is_a_symmetry(m, t):
 
 
 # the witness slice of assemble_doubled_sweepout at its defaults: sha256
-# of its triangle and vertex bytes, and its area_parts, as first recorded
+# of its triangle (as int64) and vertex bytes, and its area_parts, as first recorded
 # (triangle order and vertex layout are part of the record)
 WITNESS_T = 0.2635294117647059
 WITNESS_BYTES = {
@@ -239,7 +243,9 @@ def test_witness_mesh_bytes_are_frozen(m, request):
     assert max(r["t"] for r in rep.rows if r["stage"] == "pair_tubes") == WITNESS_T
     sl = doubled_slice(WITNESS_T, m)
     tris, verts, parts = WITNESS_BYTES[m]
-    assert hashlib.sha256(sl.triangles.tobytes()).hexdigest() == tris
+    # the triangles are int32; the record is of their int64 content
+    assert sl.triangles.dtype == np.int32
+    assert hashlib.sha256(sl.triangles.astype(np.int64).tobytes()).hexdigest() == tris
     assert hashlib.sha256(sl.vertices.tobytes()).hexdigest() == verts
     assert repr(sl.area_parts) == parts
 
@@ -289,6 +295,45 @@ def test_doubled_slice_genus_at_a_vanishing_radius(gap):
     close = 0.5 - NeckSchedule().delta
     assert doubled_slice(close - gap, 2).chi == -8
     assert assemble_doubled_sweepout(2, t_grid=[close - gap]).summary["regular_chi"] == -8
+
+
+@pytest.mark.parametrize("n_of_m", [default_resolution, lambda m: 4 * m], ids=["default", "4m"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_class_corners_are_the_slice_vertices(m, n_of_m):
+    # the areas read each congruence class's corners, laid out on index
+    # subsets; they are the lazily built vertex array's rows bit for bit,
+    # and the closed-form vertex count is its length
+    n = n_of_m(m)
+    schedule = NeckSchedule()
+    for t in schedule.closing * np.array([1, 8, 15]) / 17.0:
+        sl = doubled_slice(t, m, schedule, n)
+        assert "vertices" not in vars(sl)
+        for ids, pts in _class_corners(sl.t, m, n, sl.radius):
+            assert pts.tobytes() == sl.vertices[ids].tobytes()
+        assert sl.n_vertices == len(sl.vertices)
+
+
+def test_doubled_slice_refuses_an_underflowed_radius():
+    # at t = 0.01 the sine bump of epsilon 5e-324 rounds to a radius of 0,
+    # which would collapse every tube onto its arc; the witness of the same
+    # schedule has a positive radius (tests/test_cli.py reads its genus)
+    with pytest.raises(DomainError, match="underflows to 0"):
+        doubled_slice(0.01, 2, NeckSchedule(5e-324))
+
+
+@pytest.mark.parametrize("m, peak_mb", [(2, 2.2), (3, 3.5)])
+def test_assembly_peak_memory(m, peak_mb):
+    # the witness lays out only the corners its areas read and keeps its
+    # triangles in int32 (5.60 MB at m = 3 and 3.33 MB at m = 2 when
+    # every vertex was built and the triangles were int64)
+    assemble_doubled_sweepout(m)
+    tracemalloc.start()
+    try:
+        assemble_doubled_sweepout(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mb * 1e6
 
 
 def _band_edges(sl, n):

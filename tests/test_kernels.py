@@ -261,6 +261,8 @@ def test_euler_characteristic_matches_the_edge_set(lo, hi, data):
     base = int(tris.max()) + 1
     assert lo <= base <= hi
     assert euler_characteristic(tris) == _set_euler_characteristic(tris)
+    # a welded slice's int32 indices, read in place or widened
+    assert euler_characteristic(tris.astype(np.int32)) == _set_euler_characteristic(tris)
 
 
 @pytest.mark.parametrize("n", [3, 64, 66])

@@ -24,9 +24,11 @@ import numpy as np
 from .catenoid import (
     HALVING_GRID,
     CatenoidSpec,
+    area_on_root,
     excess_over_disks,
     excess_over_disks_scaled,
     solve_parameters,
+    unstable_neck,
 )
 from .doubling import NeckSchedule, assemble_doubled_sweepout, group_elements
 from .errors import CatsweepError, DomainError, NonConvergence
@@ -110,16 +112,17 @@ def catenoid_scan(r):
 def width_run(r, h):
     """`width run`: the mountain-pass width's excess over the two disks
     against the unstable catenoid's, within WIDTH_EXCESS_TOL relative."""
-    sol = solve_parameters(CatenoidSpec(r=r, h=h))
+    c = unstable_neck(CatenoidSpec(r=r, h=h))
+    reference = area_on_root(r, h, c)
     res = mountain_pass_width(r, h)
     excess = res.width - 2.0 * math.pi * r * r
     rows = [
         {
             "t": h,
-            "area": abs(excess / excess_over_disks(r, h, sol.c_unstable) - 1.0),
-            "area_error": abs(res.width / sol.area_unstable - 1.0),
+            "area": abs(excess / excess_over_disks(r, h, c) - 1.0),
+            "area_error": abs(res.width / reference - 1.0),
             "width": res.width,
-            "reference_area": sol.area_unstable,
+            "reference_area": reference,
             "argmax_t": res.argmax_t,
             "sweep_max": res.sweep_max,
             "iterations": res.iterations,
@@ -145,7 +148,7 @@ def width_excess():
     """
     log_log, log_ratio = [], []
     for h in EXCESS_GRID:
-        optimal = excess_over_disks(1.0, h, solve_parameters(CatenoidSpec(r=1.0, h=h)).c_unstable)
+        optimal = excess_over_disks(1.0, h, unstable_neck(CatenoidSpec(r=1.0, h=h)))
         log_log.append(math.log(-math.log(h)))
         log_ratio.append(math.log(2.0 * math.pi * h * h / optimal))
     slope = float(np.polyfit(log_log, log_ratio, 1)[0])
@@ -414,8 +417,7 @@ def _criterion_2():
     # the approach rate is bound to that two-term law.
     r = 1.0
     grid = tuple(10.0 ** (-k) for k in range(1, 21))
-    ratios = [solve_parameters(CatenoidSpec(r=r, h=h)).c_unstable * (-math.log(h)) / h
-              for h in grid]
+    ratios = [unstable_neck(CatenoidSpec(r=r, h=h)) * (-math.log(h)) / h for h in grid]
     final = ratios[-1]
     in_range = NECK_RATIO_WINDOW[0] <= final <= NECK_RATIO_WINDOW[1]
     devs = [abs(x - 1.0) for x in ratios]

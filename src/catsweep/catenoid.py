@@ -7,7 +7,8 @@ x = h/c this becomes cosh(x) = lam*x with lam = r/h, which has two roots
 x root gives the smaller, unstable neck; the smaller x root the stable one.
 The tangency abscissa (a literal: the double that bisection reaches) and
 the critical ratio h/r, past which no catenoid spans the circles, are
-module constants.  Both roots are found by one bisection loop.
+module constants.  Each root is found by one bisection loop of its own,
+so a caller that reads one neck bisects only that one.
 """
 
 import math
@@ -75,8 +76,8 @@ class CatenoidSolution:
     area_stable: float
 
 
-def solve_parameters(spec):
-    """Both roots of r = c*cosh(h/c) with their areas.
+def _neck(spec, stable):
+    """The stable (smaller x) or unstable (larger x) root c of r = c*cosh(h/c).
 
     Raises NoCatenoid when h/r exceeds the critical ratio and only the
     two-disk competitor remains.  Works in x = h/c throughout: the residual
@@ -102,54 +103,69 @@ def solve_parameters(spec):
     x_split = math.asinh(lam)
     if g(x_split) >= 0.0:
         # tangency (up to rounding): both roots coincide
-        x_small = x_large = x_split
+        x = x_split
     else:
-        hi = 2.0 * x_split
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise NonConvergence("no sign change found for the outer root")
-        # g changes sign on each bracket and has the sign given at its lower
+        if stable:
+            lo, hi, sign_lo = 1.0 / lam, x_split, 1.0
+        else:
+            lo, hi, sign_lo = x_split, 2.0 * x_split, -1.0
+            while g(hi) < 0.0:
+                hi *= 2.0
+                if hi > 1e6:
+                    raise NonConvergence("no sign change found for the outer root")
+        # g changes sign on the bracket and has the sign given at its lower
         # end, given since g(lo) may round wrongly: g(1/lam) = log
         # cosh(1/lam) > 0, but below the rounding of log(lam) + log(x) once
-        # h/r is under ~1e-7.  Each root is the midpoint once it rounds to
+        # h/r is under ~1e-7.  The root is the midpoint once it rounds to
         # an end, when lo and hi are adjacent doubles; no fixed count of
         # halvings suffices, as the stable root x ~ h/r can sit about a
         # thousand halvings below the bracket top.  g is written out in the
         # loop, the same operations in the same order, since the loop runs
         # thousands of times a scan.
-        roots = []
-        for lo, hi, sign_lo in ((1.0 / lam, x_split, 1.0), (x_split, hi, -1.0)):
-            while True:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if (mid + math.log1p(math.exp(-2.0 * mid)) - _LOG_2 - log_lam
-                        - math.log(mid)) * sign_lo > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(mid)
-        x_small, x_large = roots
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if (mid + math.log1p(math.exp(-2.0 * mid)) - _LOG_2 - log_lam
+                    - math.log(mid)) * sign_lo > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        x = mid
 
-    c_unstable = h / x_large
-    c_stable = h / x_small
-    for c in (c_unstable, c_stable):
-        residual = abs(math.exp(math.log(c) + _log_cosh(h / c)) - r)
-        if residual > TOL_ROOT * r:
-            raise NonConvergence(
-                "root residual %.3e exceeds %.1e * r" % (residual, TOL_ROOT)
-            )
+    c = h / x
+    residual = abs(math.exp(math.log(c) + _log_cosh(h / c)) - r)
+    if residual > TOL_ROOT * r:
+        raise NonConvergence(
+            "root residual %.3e exceeds %.1e * r" % (residual, TOL_ROOT)
+        )
+    return c
 
+
+def stable_neck(spec):
+    """The stable catenoid's neck c, the larger root of r = c*cosh(h/c)."""
+    return _neck(spec, True)
+
+
+def unstable_neck(spec):
+    """The unstable catenoid's neck c, the smaller root of r = c*cosh(h/c)."""
+    return _neck(spec, False)
+
+
+def solve_parameters(spec):
+    """Both roots of r = c*cosh(h/c) with their areas."""
+    c_unstable = unstable_neck(spec)
+    c_stable = stable_neck(spec)
     return CatenoidSolution(
         c_unstable=c_unstable,
         c_stable=c_stable,
-        area_unstable=_area_on_root(r, h, c_unstable),
-        area_stable=_area_on_root(r, h, c_stable),
+        area_unstable=area_on_root(spec.r, spec.h, c_unstable),
+        area_stable=area_on_root(spec.r, spec.h, c_stable),
     )
 
 
-def _area_on_root(r, h, c):
+def area_on_root(r, h, c):
+    """The area of the catenoid c*cosh(x/c) spanning the circles, c a root."""
     # On a BVP root, r^2 - c^2 = c^2*sinh^2(h/c) exactly, which sidesteps the
     # catastrophic subtraction when c rounds to r (stable branch at tiny h).
     x = h / c

@@ -9,10 +9,11 @@ It is damped: a step is halved until the radii stay above the pinch floor
 and the merit |g|^2 of the area gradient g decreases, which the Newton
 direction guarantees for small enough steps even though the Hessian is
 indefinite.  Its limit is accepted only with a mountain-pass
-certificate: one LAPACK call reads the Hessian's two lowest eigenvalues
-and the lowest one's eigenvector, only the lowest may be negative and it
-must be, and a nudge along that eigenvector descends into the pinched
-basin one way and the stable basin the other.  The width is the area of that certified
+certificate: one Sturm count of the Hessian's negative eigenvalues must
+read 1, so that only the lowest is negative and it is, and a nudge along
+the lowest one's eigenvector, read by inverse iteration at that
+eigenvalue alone, descends into the pinched basin one way and the stable
+basin the other.  The width is the area of that certified
 index-1 critical point; it is checked against the two path ends, the
 first and last samples, and against the sampled maximum, since the
 segment is itself a sweepout whose largest area bounds the width.  When
@@ -21,11 +22,12 @@ The LAPACK routines are imported by the engine that calls them, so
 importing this module loads no scipy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catenoid import TANGENCY_ABSCISSA, CatenoidSpec, solve_parameters
+from .catenoid import TANGENCY_ABSCISSA, CatenoidSpec, stable_neck
 from .errors import NonConvergence
 
 PINCH_FLOOR = 1e-4   # relative floor on profile radii, keeps the area integrand regular
@@ -99,17 +101,21 @@ class _WidthEngine:
     """
 
     def __init__(self, h, n_nodes):
-        from scipy.linalg.lapack import dgttrf, dgttrs
+        from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
 
         # bound once here, so the per-step solves run no import statement
         self.dgttrf, self.dgttrs = dgttrf, dgttrs
-        sol = solve_parameters(CatenoidSpec(r=1.0, h=h))
+        self.dstebz, self.dstein = dstebz, dstein
+        c_stable = stable_neck(CatenoidSpec(r=1.0, h=h))
         self.x = np.linspace(-h, h, n_nodes)
         self.dx = float(self.x[1] - self.x[0])
         # the path ends: the two-disk surrogate, its interior collapsed to
-        # the pinch floor, and the stable catenoid, both pinned to radius 1
+        # the pinch floor, and the stable catenoid, both pinned to radius 1;
+        # math.cosh node by node, since numpy's cosh rounds differently
+        # under each SIMD dispatch
         self.pinched = np.full(n_nodes, PINCH_FLOOR)
-        self.stable = sol.c_stable * np.cosh(self.x / sol.c_stable)
+        u = (self.x / c_stable).tolist()
+        self.stable = c_stable * np.fromiter(map(math.cosh, u), float, n_nodes)
         for f in (self.pinched, self.stable):
             f[0] = f[-1] = 1.0
         self.where = "h/r = %s" % h
@@ -120,7 +126,7 @@ class _WidthEngine:
         self.mid = n_nodes // 2
         # stable basin threshold: h/x_tangent bounds the unstable neck from
         # above, so the midpoint against c_stable cannot fire during a saddle linger
-        self.neck_stable = 0.5 * (h / TANGENCY_ABSCISSA + sol.c_stable)
+        self.neck_stable = 0.5 * (h / TANGENCY_ABSCISSA + c_stable)
         self.steps_taken = 0
         self.newton_iterations = 0
         self.backtracks = 0
@@ -144,7 +150,8 @@ class _WidthEngine:
         h_ab = -pi*s*dx^2/l^3, where df = b - a, l is the slant and s = a + b.
         """
         _, df, slant, s = geo
-        t = np.pi * s * self.dx ** 2 / slant ** 3
+        # slant ** 3 would call pow, whose last bit depends on numpy's SIMD dispatch
+        t = np.pi * s * self.dx ** 2 / (slant * slant * slant)
         u = 2.0 * np.pi * df / slant
         return (t + u)[:-1] + (t - u)[1:], -t[1:-1]
 
@@ -173,10 +180,11 @@ class _WidthEngine:
             delta = self.dgttrs(*lu, g)[0]
             fn = f.copy()
             fn[1:-1] -= delta
-            if fn.min() > PINCH_FLOOR and np.max(np.abs(delta)) <= NEWTON_RTOL * np.max(fn):
+            low = fn.min()
+            if low > PINCH_FLOOR and np.abs(delta).max() <= NEWTON_RTOL * fn.max():
                 return fn
             for _ in range(HALVINGS):
-                if fn.min() > PINCH_FLOOR:  # also rejects NaN
+                if low > PINCH_FLOOR:  # also rejects NaN
                     geo_n = self.geometry(fn)
                     g_n = self.gradient(geo_n)
                     merit_n = float(g_n @ g_n)
@@ -186,6 +194,7 @@ class _WidthEngine:
                 delta *= 0.5
                 fn = f.copy()
                 fn[1:-1] -= delta
+                low = fn.min()
             else:
                 return None
             f, geo, g, merit = fn, geo_n, g_n, merit_n
@@ -261,6 +270,29 @@ class _WidthEngine:
             raise NonConvergence("width fell below an endpoint area at %s" % self.where)
         return saddle, geo, float(SWEEP_T[best]), float(areas[best]), index
 
+    def index_one_mode(self, diag, off):
+        """The lowest eigenvector of the symmetric tridiagonal (diag, off)
+        when its lowest eigenvalue is negative and the next one is not,
+        else None.
+
+        One LAPACK dstebz call over (-inf, VU], VU the largest negative
+        double, counts the negative eigenvalues by Sturm sequences (Barth,
+        Martin & Wilkinson 1967) and bisects only those: at index 1, the
+        lowest eigenvalue alone.  Its eigenvector is read by inverse
+        iteration (dstein).  A LAPACK failure reads as no such eigenvector.
+        """
+        # ABSTOL 0 is LAPACK's default, ulp times the 1-norm: dstein's
+        # convergence test is not scale-free, and on a matrix of small norm
+        # a looser shift fails it even where its vector is right (the block
+        # [[5e-4, 1e-3], [1e-3, 5e-4]] with ABSTOL 1e-12 returns info 1)
+        count, lam, block, split, info = self.dstebz(
+            diag, off, 1, -math.inf, -math.ulp(0.0), 0, 0, 0.0, b"B"
+        )
+        if info != 0 or count != 1:
+            return None
+        vecs, info = self.dstein(diag, off, lam[:1], block, split)
+        return vecs[:, 0] if info == 0 else None
+
     def certify(self, f, geo):
         """Mountain-pass certificate of the critical profile f.
 
@@ -269,14 +301,9 @@ class _WidthEngine:
         catenoid, v the negative eigenvector (sup norm 1, widening the neck).
         Returns None otherwise.
         """
-        from scipy.linalg import eigh_tridiagonal
-
-        # the index is 1 exactly when the lowest eigenvalue is negative and
-        # the next one is not
-        lam, vecs = eigh_tridiagonal(*self.hessian(geo), select="i", select_range=(0, 1))
-        if not lam[0] < 0.0 <= lam[1]:
+        v = self.index_one_mode(*self.hessian(geo))
+        if v is None:
             return None
-        v = vecs[:, 0]
         v /= v[np.argmax(np.abs(v))]
         if v[self.mid - 1] < 0.0:
             v = -v

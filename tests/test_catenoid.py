@@ -6,6 +6,7 @@ module was written; tolerances reflect the oracle's own precision.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from catsweep.catenoid import (
     excess_over_disks,
     excess_over_disks_scaled,
     solve_parameters,
+    stable_neck,
+    unstable_neck,
 )
 from catsweep import acceptance
 from catsweep.acceptance import catenoid_scan
@@ -68,22 +71,36 @@ def test_tangency_abscissa_is_the_bisected_double():
     assert TANGENCY_ABSCISSA == bisect_root(lambda x: x * math.tanh(x) - 1.0, 1.0, 2.0, -1.0)
 
 
-@pytest.mark.parametrize("grid", ["halving", "decades", "critical"])
+def _log_uniform_h(count):
+    # count h/r drawn log-uniformly from [1e-300, CRITICAL_RATIO), seeded
+    rng = random.Random(41)
+    lo, hi = math.log(1e-300), math.log(CRITICAL_RATIO)
+    return [math.exp(rng.uniform(lo, hi)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("grid", ["halving", "decades", "critical", "log-uniform"])
 def test_roots_equal_the_closure_bisection(grid):
-    # the solver's inline loop against the closure-based bisection it
-    # replaced, root for root and bit for bit: on the halving grid, on the
-    # decades down to 1e-300, and within 1e-12 of the critical ratio
+    # each neck, bisected alone, and both solved together against the
+    # closure-based bisection the inline loop replaced, root for root and
+    # bit for bit: on the halving grid, on the decades down to 1e-300,
+    # within 1e-12 of the critical ratio (the tangency branch, where both
+    # roots are the split point) and on 2,000 log-uniform h/r
     if grid == "halving":
         cases = [(1.0, h) for h in HALVING_GRID]
     elif grid == "decades":
         cases = [(1.0, 10.0 ** -k) for k in range(1, 301)]
-    else:
+    elif grid == "critical":
         cases = [(r, (CRITICAL_RATIO + d) * r) for r in (1.0, 3.0)
                  for d in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+    else:
+        cases = [(1.0, h) for h in _log_uniform_h(2000)]
     for r, h in cases:
-        sol = solve_parameters(CatenoidSpec(r=r, h=h))
+        spec = CatenoidSpec(r=r, h=h)
+        sol = solve_parameters(spec)
         x_small, x_large = catenoid_roots(r, h)
-        assert (sol.c_stable, sol.c_unstable) == (h / x_small, h / x_large)
+        expected = (h / x_small, h / x_large)
+        assert (sol.c_stable, sol.c_unstable) == expected
+        assert (stable_neck(spec), unstable_neck(spec)) == expected
 
 
 def test_tangency_case_roots_coincide():

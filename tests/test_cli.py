@@ -137,8 +137,9 @@ FAST_COMMANDS = {
 # reorganizes code must not move a report byte.  The bytes depend on the
 # SIMD loops numpy dispatches to on the CPU that runs it, not only on
 # numpy's version: with AVX2 loops only (NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR") the width-run hash moves, as do FROZEN_WIDTHS
-# and the m = 2 witness area parts in their last bits
+# AVX512_ICL AVX512_SPR") the witness mesh bytes of tests/test_doubling.py
+# move in their last bits, while every hash here reads the same under both
+# dispatches, and CI runs this file under both
 FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",

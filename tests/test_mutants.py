@@ -30,14 +30,17 @@ def _stable_root(monkeypatch):
 
 
 def _scaled_neck(monkeypatch, factor):
-    # the unstable neck scaled by factor
+    # the unstable neck scaled by factor, both where it is solved with the
+    # stable one (criterion 1) and where it is solved alone (criteria 2, 4)
     real = acceptance.solve_parameters
+    real_neck = acceptance.unstable_neck
 
     def scaled(spec):
         sol = real(spec)
         return dataclasses.replace(sol, c_unstable=factor * sol.c_unstable)
 
     monkeypatch.setattr(acceptance, "solve_parameters", scaled)
+    monkeypatch.setattr(acceptance, "unstable_neck", lambda spec: factor * real_neck(spec))
 
 
 def test_criterion_1_fails_on_the_stable_root(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
@@ -360,6 +360,44 @@ def test_certificate_index_matches_the_full_spectrum():
             assert count >= 20
         if count != 1:
             assert engine.certify(p.f_values, engine.geometry(p.f_values)) is None
+
+
+@functools.cache
+def _spectral_engine():
+    # an engine for its bound LAPACK routines alone
+    return _WidthEngine(0.5, 201)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    entries=st.integers(min_value=3, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+            st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1),
+        )
+    ),
+    index=st.sampled_from([0, 1, 2]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_index_one_mode_matches_eigh_tridiagonal(entries, index, scale):
+    # the certificate's Sturm count and lone eigenpair against the two
+    # lowest eigenpairs of eigh_tridiagonal, on tridiagonals shifted to
+    # index 0, 1 or 2 with zero in the middle of a gap of more than 1e-2 of
+    # the spectrum's width, so that neither the count nor the eigenvector
+    # is decided by rounding
+    diag, off = scale * np.array(entries[0]), scale * np.array(entries[1])
+    lam = eigh_tridiagonal(diag, off, eigvals_only=True)
+    k = max(index, 1)
+    assume(lam[k] - lam[k - 1] > 1e-2 * (lam[-1] - lam[0]))
+    shift = lam[0] - 0.5 * (lam[1] - lam[0]) if index == 0 else 0.5 * (lam[k - 1] + lam[k])
+    diag = diag - shift
+    low, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    assert (low[0] < 0.0 <= low[1]) == (index == 1)
+    v = _spectral_engine().index_one_mode(diag, off)
+    assert (v is not None) == (index == 1)
+    if v is not None:
+        ref = vecs[:, 0]
+        assert np.max(np.abs(np.copysign(1.0, v @ ref) * v - ref)) <= 1e-12
 
 
 def test_certificate_accepts_only_the_saddle():

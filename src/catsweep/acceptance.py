@@ -334,9 +334,10 @@ def cutoff_torus(t):
     band's: the flat |grad f|^2 = 2 (f_theta^2 + f_phi^2) of band_field,
     over the flat area, half the chart area, on band_nodes, both orders in
     one band pass.  A band must fit in its cell, so t must stay below
-    pi/(sqrt(2) max(CUTOFF_ORDERS)).
+    pi/(sqrt(2) max(CUTOFF_ORDERS)), and t^8 must be a normal double,
+    since the squared partials divide by gap^4 > t^8.
     """
-    check_cutoff_radius(t)
+    check_cutoff_radius(t, 8)
     ref = 2.0 * math.pi / (-math.log(t))
     orders = np.array(CUTOFF_ORDERS)
     band = band_nodes(t, 0.0, math.pi / orders)

@@ -34,15 +34,16 @@ elements (k, l, swap), and tube k's strips are tube 0's shifted by k
 vertex blocks, all written into one int32 triangle array, whose Euler
 characteristic is counted in full.  The points have one layout: the
 vertex array of `_slice_vertices` (the tori from
-`surfaces._torus_vertices`), built only when `DoubledSlice.vertices` is
-read, and the area takes the corners of one triangle of each class,
-under 300 points, from the same point code on index subsets
-(`_class_corners`).  The first collar takes no angle from
-the points either: its link hexagon is the grid's six neighbour offsets,
-and its band joins tube point k to weld point rr/8 - k (mod rr, the ring
-points), the one it faces, since both rings lie in the torus's tangent
-plane at the weld center.  So the ring resolution is a multiple of 8,
-for that offset and the factor swap's quarter turn.
+`surfaces._torus_vertices`, each tube from its own weld center), built
+only when `DoubledSlice.vertices` is read, and the area takes the
+corners of one triangle of each class, about 200 points, from the same
+point code on index subsets (`_class_corners`).  The first collar takes
+no angle from the points either: its link hexagon is the grid's six
+neighbour offsets, zipped straight to the tube's end ring, which lies in
+the torus's tangent plane at the weld center, where tube point k sits at
+the flat angle pi/4 - psi_k; so the ring enters the zip from point rr/8
+down (mod rr, the ring points), and the ring resolution is a multiple
+of 8.
 """
 
 import functools
@@ -74,9 +75,9 @@ TUBE_RADIUS_BOUND = 0.2
 _LINK_OFFSETS = np.array([[1, 1, 0, -1, -1, 0], [0, 1, 1, 0, -1, -1]])
 
 # resolution of every tube mesh: rings along the full joining arc, points
-# per ring; the factor swap turns weld rings by a quarter and the collar
-# band joins each tube point to the weld point an eighth of a turn back,
-# so the ring resolution must be a multiple of 8
+# per ring; tube point k sits at the flat angle pi/4 - psi_k about its weld
+# center, so the ring resolution is a multiple of 8 for a ring point to
+# sit at the collar zip's angle 0
 TUBE_SEGMENTS = 48
 TUBE_RING_POINTS = 64
 
@@ -93,16 +94,6 @@ def group_elements(m):
         raise DomainError("symmetry order must be at least 2, got m = %s" % m)
     swap, k, l = np.indices((2, m, m)).reshape(3, -1)
     return k, l, swap.astype(bool)
-
-
-def group_matrix(m, k, l, swap):
-    """The action of group element (k, l, swap) on R^4."""
-    rot = np.zeros((4, 4))
-    for i, a in ((0, k), (2, l)):
-        c, s = math.cos(2.0 * math.pi * a / m), math.sin(2.0 * math.pi * a / m)
-        rot[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
-    # the swap exchanges the coordinate pairs (0, 1) and (2, 3)
-    return rot[:, [2, 3, 0, 1]] if swap else rot
 
 
 def cmc_area(t):
@@ -226,50 +217,35 @@ def tube_area(t, radius):
     return math.pi * math.sin(2.0 * radius) * arc
 
 
-def _composite_tube_base(t, m, radius, rows=slice(None)):
-    """Rings around the full joining geodesic between the paired tori,
-    the rings given by rows (every ring, 0 to TUBE_SEGMENTS, by default).
+def _composite_tube_base(t, m, radius, k=0, l=0, rows=slice(None)):
+    """Rings around tube (k, l)'s full joining geodesic between the paired
+    tori, the rings given by rows (every ring, 0 to TUBE_SEGMENTS, by
+    default).
 
     The arc runs from the torus at 1 - t through the middle torus to the
-    torus at t.  Its normal plane is spanned by two constant vectors (the
-    arc is a great-circle segment), chosen as the symmetric/antisymmetric
-    directions u1, u2 of the factor swap so the ring set mirrors onto
-    itself; ring point k sits at the angle psi_k in the (u1, u2) frame.
-    The arc meets both tori orthogonally, so at each end that frame spans
-    the torus's tangent plane at the weld center.
+    torus at t, at the tube's weld center, the chart angles ((2k + 1) pi/m,
+    (2l + 1) pi/m).  Its normal plane is spanned by two constant vectors
+    (the arc is a great-circle segment), chosen as the
+    symmetric/antisymmetric directions u1, u2 of the factor swap so the
+    ring set mirrors onto itself; ring point j sits at the angle psi_j in
+    the (u1, u2) frame.  The arc meets both tori orthogonally, so at each
+    end that frame spans the torus's tangent plane at the weld center,
+    where point j leaves the center at the flat angle pi/4 - psi_j from
+    d/dtheta.
     """
     chi_lo = math.asin(math.sqrt(t))
     chi_hi = 0.5 * math.pi - chi_lo
-    c = math.cos(math.pi / m)
-    s = math.sin(math.pi / m)
-    a_vec = np.array([c, s, 0.0, 0.0])
-    b_vec = np.array([0.0, 0.0, c, s])
-    ia = np.array([-s, c, 0.0, 0.0])
-    ib = np.array([0.0, 0.0, -s, c])
-    rt2 = math.sqrt(2.0)
-    u1 = (ia + ib) / rt2
-    u2 = (ia - ib) / rt2
+    th, ph = (2 * k + 1) * math.pi / m, (2 * l + 1) * math.pi / m
+    a_vec = np.array([math.cos(th), math.sin(th), 0.0, 0.0])
+    b_vec = np.array([0.0, 0.0, math.cos(ph), math.sin(ph)])
+    ia = np.array([-math.sin(th), math.cos(th), 0.0, 0.0])
+    ib = np.array([0.0, 0.0, -math.sin(ph), math.cos(ph)])
+    u1, u2 = (ia + ib) / math.sqrt(2.0), (ia - ib) / math.sqrt(2.0)
     chis = np.linspace(chi_lo, chi_hi, TUBE_SEGMENTS + 1)[rows]
     centers = np.outer(np.cos(chis), a_vec) + np.outer(np.sin(chis), b_vec)
     psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
     dirs = np.outer(np.cos(psi), u1) + np.outer(np.sin(psi), u2)
     return math.cos(radius) * centers[:, None, :] + math.sin(radius) * dirs[None, :, :]
-
-
-def _weld_ring_coords(s_par, theta_c, phi_c, radius):
-    """Intrinsic circles of the given radius on a product torus about the
-    chart centers (theta_c, phi_c), as (centers, points, 4) coordinates.
-
-    Point j leaves its center along cos(psi_j) d/dtheta + sin(psi_j) d/dphi
-    (unit vectors), which in the (u1, u2) frame of _composite_tube_base
-    is the angle pi/4 - psi_j.
-    """
-    a = math.sqrt(s_par)
-    b = math.sqrt(1.0 - s_par)
-    psi = 2.0 * np.pi * np.arange(TUBE_RING_POINTS) / TUBE_RING_POINTS
-    th = theta_c[:, None] + radius * np.cos(psi) / a
-    ph = phi_c[:, None] + radius * np.sin(psi) / b
-    return np.stack([a * np.cos(th), a * np.sin(th), b * np.cos(ph), b * np.sin(ph)], axis=-1)
 
 
 def _weld_capacity(t, n):
@@ -306,34 +282,27 @@ def _slice_index_map(m, n, elements, vid):
     """Action of group elements on an array of the assembled slice's vertex indices.
 
     Vertex ranges: the two torus copies first, then per joining arc one
-    block of tube rings followed by the two weld rings (upper-torus end,
-    then lower-torus end).  elements are index arrays (k, l, swap), as
-    group_elements gives them; each index is mapped under every element,
-    matching the geometric action at roundoff level; the result has one
-    leading axis over the elements, in their order.
+    block of tube rings, from the upper-torus end.  elements are index
+    arrays (k, l, swap), as group_elements gives them; each index is
+    mapped under every element, matching the geometric action at roundoff
+    level; the result has one leading axis over the elements, in their
+    order.  The swap exchanges the tori and the chart axes, runs each arc
+    backwards and mirrors each ring (u2 -> -u2 in _composite_tube_base).
     """
-    n2 = n * n
-    step = n // m
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
-    block = (seg + 1) * rr + 2 * rr
     vid = np.asarray(vid, dtype=np.int64)
     k, l, swap = (np.asarray(x)[:, None] for x in elements)
     flat = vid.ravel()
     out = np.empty((len(k), flat.size), dtype=np.int64)
-    on_tori = flat < 2 * n2
-    copy, rem = np.divmod(flat[on_tori], n2)
-    i, j = np.divmod(rem, n)
-    copy, i, j = np.where(swap, 1 - copy, copy), np.where(swap, j, i), np.where(swap, i, j)
-    out[:, on_tori] = copy * n2 + (i + k * step) % n * n + (j + l * step) % n
-    a, rem = np.divmod(flat[~on_tori] - 2 * n2, block)
-    ka, la = np.divmod(a, m)
-    # rows 0..seg are tube rings, rows seg+1 and seg+2 the two weld rings
-    row, j = np.divmod(rem, rr)
-    weld = row > seg
-    ka, la = np.where(swap, la, ka), np.where(swap, ka, la)
-    row = np.where(swap, np.where(weld, 2 * seg + 3 - row, seg - row), row)
-    j = np.where(swap, (np.where(weld, rr // 4, 0) - j) % rr, j)
-    out[:, ~on_tori] = 2 * n2 + ((ka + k) % m * m + (la + l) % m) * block + row * rr + j
+    on_tori = flat < 2 * n * n
+    copy, i, j = np.unravel_index(flat[on_tori], (2, n, n))
+    out[:, on_tori] = np.ravel_multi_index(
+        (np.where(swap, 1 - copy, copy), np.where(swap, j, i) + k * (n // m),
+         np.where(swap, i, j) + l * (n // m)), (2, n, n), mode="wrap")
+    ka, la, row, j = np.unravel_index(flat[~on_tori] - 2 * n * n, (m, m, seg + 1, rr))
+    out[:, ~on_tori] = 2 * n * n + np.ravel_multi_index(
+        (np.where(swap, la, ka) + k, np.where(swap, ka, la) + l, np.where(swap, seg - row, row),
+         np.where(swap, -j, j)), (m, m, seg + 1, rr), mode="wrap")
     return out.reshape((len(k),) + vid.shape)
 
 
@@ -346,21 +315,16 @@ def _weld_centers(m, n):
 
 def _slice_vertices(t, m, n, radius):
     """Every point of the welded slice, in _slice_index_map's layout: the
-    two torus copies, then per joining arc its tube rings and its two
-    weld rings (upper-torus end, then lower-torus end)."""
-    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
+    two torus copies, then the rings of each joining arc, tube a = k m + l
+    built at its own weld center."""
     n2 = n * n
     ang = 2.0 * np.pi * np.arange(n) / n
-    ic, jc = _weld_centers(m, n)
-    verts = np.empty((2 * n2 + m * m * (seg + 3) * rr, 4))
+    verts = np.empty((2 * n2 + m * m * (TUBE_SEGMENTS + 1) * TUBE_RING_POINTS, 4))
     verts[:n2] = _torus_vertices(t, ang)
     verts[n2:2 * n2] = _torus_vertices(1.0 - t, ang)
-    # tube a's rings are the base rings under rotation a = (k, l) = divmod(a, m)
-    mats_t = np.array([group_matrix(m, k, l, False).T for k in range(m) for l in range(m)])
-    tubes = verts[2 * n2:].reshape(m * m, seg + 3, rr, 4)
-    np.matmul(_composite_tube_base(t, m, radius), mats_t[:, None], out=tubes[:, :seg + 1])
-    tubes[:, seg + 1] = _weld_ring_coords(1.0 - t, ang[ic], ang[jc], radius)
-    tubes[:, seg + 2] = _weld_ring_coords(t, ang[ic], ang[jc], radius)
+    tubes = verts[2 * n2:].reshape(m * m, TUBE_SEGMENTS + 1, TUBE_RING_POINTS, 4)
+    for a in range(m * m):
+        tubes[a] = _composite_tube_base(t, m, radius, *divmod(a, m))
     return verts
 
 
@@ -372,10 +336,8 @@ def _class_corners(t, m, n, radius):
     - grid cell 0 of the lower torus, then of the upper: chart indices 0
       and 1 on each axis, in the layout of a 2 x 2 grid;
     - collar 0's vertex list: the link hexagon of weld center (ic[0],
-      jc[0]) on the lower torus (_LINK_OFFSETS), tube 0's last ring, and
-      its weld ring on the lower torus;
-    - tube 0's first two rings, its first strip (tube 0's rotation is the
-      identity, so its rings are the base rings).
+      jc[0]) on the lower torus (_LINK_OFFSETS), then tube 0's last ring;
+    - tube 0's first two rings, its first strip.
     """
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
     n2 = n * n
@@ -385,12 +347,9 @@ def _class_corners(t, m, n, radius):
     cell = (np.concatenate([i * n + j, n2 + i * n + j]).ravel(),
             np.vstack([_torus_vertices(s, ang, i, j) for s in (t, 1.0 - t)]))
     di, dj = _LINK_OFFSETS
-    ring = np.arange(rr)
-    rings = _composite_tube_base(t, m, radius, [0, 1, seg])
-    collar = (np.concatenate([(ic[0] + di) * n + jc[0] + dj,
-                              2 * n2 + seg * rr + ring, 2 * n2 + (seg + 2) * rr + ring]),
-              np.vstack([_torus_vertices(t, ang, ic[0] + di, jc[0] + dj), rings[2],
-                         _weld_ring_coords(t, ang[ic[:1]], ang[jc[:1]], radius)[0]]))
+    rings = _composite_tube_base(t, m, radius, rows=[0, 1, seg])
+    collar = (np.concatenate([(ic[0] + di) * n + jc[0] + dj, 2 * n2 + seg * rr + np.arange(rr)]),
+              np.vstack([_torus_vertices(t, ang, ic[0] + di, jc[0] + dj), rings[2]]))
     strip = (2 * n2 + np.arange(2 * rr), rings[:2].reshape(-1, 4))
     return cell, collar, strip
 
@@ -417,7 +376,7 @@ class DoubledSlice:
 
     @property
     def n_vertices(self):
-        return 2 * self.n * self.n + self.m * self.m * (TUBE_SEGMENTS + 3) * TUBE_RING_POINTS
+        return 2 * self.n * self.n + self.m * self.m * (TUBE_SEGMENTS + 1) * TUBE_RING_POINTS
 
     @functools.cached_property
     def vertices(self):
@@ -429,11 +388,13 @@ def doubled_slice(t, m, schedule=None, n=None):
     where the schedule's tube radius is positive.
 
     The slice is the torus pair at parameters t and 1 - t, with the star
-    of each weld center removed, an annular collar zipped from the hole
-    boundary down to a matched polygonal weld ring, and a geodesic tube
-    joining each pair of rings along the orbit of the joining curve.  The
-    collar triangulation is built once and transported by the index-level
-    group action, so the triangle set is symmetric to roundoff.
+    of each weld center removed, a geodesic tube along the orbit of the
+    joining curve from each weld center of one torus to its match on the
+    other, and an annular collar zipped from each hole's boundary straight
+    to the tube's end ring, which lies in the torus's tangent plane at the
+    weld center.  The collar triangulation is built once and transported
+    by the index-level group action, so the triangle set is symmetric to
+    roundoff.
 
     area_parts sums each part once per congruence class of triangles, an
     orbit of isometries of S^3.  A torus's grid cells are the first cell's
@@ -460,7 +421,6 @@ def doubled_slice(t, m, schedule=None, n=None):
             "tube radius %.3g exceeds the weld collar capacity %.3g" % (radius, cap)
         )
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
-    block = (seg + 1) * rr + 2 * rr
     ic, jc = _weld_centers(m, n)
     # both tori have the triangle layout of _grid_triangles, so one mask
     # drops the stars of the weld centers from each
@@ -471,19 +431,17 @@ def doubled_slice(t, m, schedule=None, n=None):
     cell, collar, strip = _class_corners(t, m, n, radius)
     # canonical collar at the lower-torus end of the first arc, on its own
     # vertex list (_class_corners): the link hexagon counterclockwise from
-    # angle 0 in the flat metric, zipped to the weld ring
+    # angle 0 in the flat metric, zipped to the tube's last ring, whose
+    # point k sits at the flat angle pi/4 - psi_k (_composite_tube_base):
+    # at angle 2 pi p/rr sits point rr/8 - p
     di, dj = _LINK_OFFSETS
     hex_ang = np.arctan2(math.sqrt(1.0 - t) * dj, math.sqrt(t) * di) % (2.0 * math.pi)
     ring = np.arange(rr)
-    psi = 2.0 * np.pi * ring / rr
-    zip0 = _bridge_cycles(np.arange(6), hex_ang, 6 + rr + ring, psi)
-    # the band from the tube's last ring to the weld ring: tube point k
-    # sits at psi_k and weld point j at pi/4 - psi_j in the same frame
-    # (_weld_ring_coords), so tube point k faces weld point rr/8 - k
-    band0 = _tube_strips(np.stack([6 + ring, 6 + rr + (rr // 8 - ring) % rr]))
-    collar0 = np.vstack([zip0, band0])
+    collar0 = _bridge_cycles(np.arange(6), hex_ang, 6 + (rr // 8 - ring) % rr,
+                             2.0 * np.pi * ring / rr)
     # tube 0 on its own block of vertices; tube k is it shifted by k blocks
-    tube0 = _tube_strips(np.arange((seg + 1) * rr).reshape(seg + 1, rr))
+    block = (seg + 1) * rr
+    tube0 = _tube_strips(np.arange(block).reshape(seg + 1, rr))
     # kept triangles of each of a grid cell's two shapes (a star drops
     # three of each)
     kept_a, kept_b = np.count_nonzero(keep.reshape(-1, 2), axis=0).tolist()

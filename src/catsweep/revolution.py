@@ -46,9 +46,11 @@ NEWTON_RTOL = 1e-10    # last step (sup norm) relative to the profile's sup norm
 CERT_NUDGE = 1e-2      # certificate nudge along the negative eigenvector, relative to the neck
 
 # where the area is sampled on the segment: uniform, plus geometric toward
-# the pinched end, where the maximum sits once h is small
-# (sorted, each value once; np.union1d would load numpy.ma)
-SWEEP_T = np.sort(np.concatenate([np.linspace(0.0, 1.0, 17), np.geomspace(1e-6, 1.0, 25)]))
+# the pinched end, where the maximum sits once h is small, in Python floats
+# (np.geomspace rounds some nodes differently under numpy's AVX-512 and
+# AVX2 loops); sorted, each value once (np.union1d would load numpy.ma)
+SWEEP_T = np.sort(np.concatenate([np.linspace(0.0, 1.0, 17),
+                                  [10.0 ** ((k - 24) / 4) for k in range(25)]]))
 SWEEP_T = SWEEP_T[np.concatenate([[True], SWEEP_T[1:] != SWEEP_T[:-1]])]
 
 

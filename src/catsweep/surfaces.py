@@ -53,24 +53,29 @@ def _grid_star(n, i, j):
     return np.sort(star, axis=-1)
 
 
-def check_cutoff_radius(t):
-    """Refuse a cutoff radius outside (0, 1), or whose band's inner radius
-    t^2 is no normal double."""
+def check_cutoff_radius(t, power=2):
+    """Refuse a cutoff radius outside (0, 1), or where t^power is no normal
+    double: the band's inner radius t^2 by default, and its fourth power
+    t^8 where the squared partials divide by it (fermi.band_field)."""
     if not 0.0 < t < 1.0:
         raise DomainError("cutoff radius must sit in (0, 1), got t = %s" % t)
-    if t * t < sys.float_info.min:
-        raise DomainError("cutoff radius too small: t^2 is no normal double, got t = %s" % t)
+    least = sys.float_info.min ** (1.0 / power)
+    if t < least:
+        raise DomainError("cutoff radius too small: t^%d is no normal double below t = %.4g,"
+                          " got t = %s" % (power, least, t))
 
 
 def disk_rings_for_cutoff(t):
     """Ring radii of the cutoff band [t^2, t] of the flat disk, t^2 and t
-    included: log-spaced, 8 a decade and at least 4 intervals.
+    included: log-spaced, 8 a decade and at least 4 intervals, each value
+    once (near t = 1 the band holds fewer doubles than rings).
 
     A log cutoff is linear in log r between them, so its Dirichlet energy
     is a ring sum over them (`acceptance.cutoff_disk`).
     """
     check_cutoff_radius(t)
-    return np.geomspace(t * t, t, max(4, math.ceil(8 * (-math.log10(t)))) + 1)
+    rings = np.geomspace(t * t, t, max(4, math.ceil(8 * (-math.log10(t)))) + 1)
+    return rings[np.concatenate([[True], rings[1:] != rings[:-1]])]
 
 
 # the finest chart grid: a command holds a few dozen n^2-node float arrays

@@ -15,7 +15,9 @@ central-difference partials, over the cells less their excised disks.
 The catenoid's roots are checked against the closure-based bisection
 (bisect_root, catenoid_roots) that the solver's one inline loop replaced.
 The welded witness slice's area parts, summed once per congruence class,
-are checked against the sum over every triangle (per_triangle_area_parts).
+are checked against the sum over every triangle (per_triangle_area_parts),
+and the doubled family's symmetries against their action on R^4
+(group_matrix).
 """
 
 import math
@@ -382,3 +384,14 @@ def per_triangle_area_parts(sl, n):
         "collars": float(areas[2 * n_kept:-n_tubes].sum()),
         "tubes": float(areas[-n_tubes:].sum()),
     }
+
+
+def group_matrix(m, k, l, swap):
+    """The action of the doubled family's group element (k, l, swap) on R^4,
+    in doubling.group_elements' convention."""
+    rot = np.zeros((4, 4))
+    for i, a in ((0, k), (2, l)):
+        c, s = math.cos(2.0 * math.pi * a / m), math.sin(2.0 * math.pi * a / m)
+        rot[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
+    # the swap exchanges the coordinate pairs (0, 1) and (2, 3)
+    return rot[:, [2, 3, 0, 1]] if swap else rot

@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import catsweep
 from catsweep import acceptance, cli
@@ -137,9 +142,9 @@ FAST_COMMANDS = {
 # reorganizes code must not move a report byte.  The bytes depend on the
 # SIMD loops numpy dispatches to on the CPU that runs it, not only on
 # numpy's version: with AVX2 loops only (NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR") the witness mesh bytes of tests/test_doubling.py
-# move in their last bits, while every hash here reads the same under both
-# dispatches, and CI runs this file under both
+# AVX512_ICL AVX512_SPR") the witness's collars area in
+# tests/test_doubling.py moves in its last bits, while every hash here reads
+# the same under both dispatches, and CI runs this file under both
 FROZEN_JSON_SHA256 = {
     "catenoid-solve": "3bba6c24bcca84b824b86818c78722d86d65b70af6d1df3344635a9ad268abb8",
     "catenoid-scan": "b160f61a45c93af0e624f9e084f7a9ccc83d2a9689aabdf4ddb1d517e6f2abfa",
@@ -150,8 +155,8 @@ FROZEN_JSON_SHA256 = {
     "neck-fit-n2": "b89ac33621c7d0b78676a7e9911d57628ed86d69150805f86e23f92a9d79897d",
     "neck-fit-n6": "7f8da1a3797c8dedfe88af96a25e27f5d1b60b29966bb7d24d7823bb40525d0d",
     "width-run": "c675c0ab46e99d655ec1d30545090aa4f3b3e9b530df31931379283280fba411",
-    "doubling-sweep": "236cb65d00ebca9ea19d9123f9e2f9fcfb02d5d94ec9aade6df0ae3a75042dac",
-    "doubling-sweep-m3": "7f62ea718a6f50dde8a93490749f8a3507be12f4386349e2be361db44200cf3c",
+    "doubling-sweep": "4921d343efc40507bdd190b68d53612d170971e03248c82de46bd373a238f738",
+    "doubling-sweep-m3": "38157a1d17b09da6bdfb1517c6dde3ae484fa17fa1738854f4903a2f9da0ba29",
     "cutoff-torus": "e1006749b8a0b240d730db0cee624410a5b3cc32bc5e82dc0974ab5af43dc83f",
     "fermi-tubes": "c34d2613e2e39dccb6ea47d91af3db1621cd2cc63e30459be33b29ad7c711828",
 }
@@ -219,6 +224,10 @@ BAD_INPUTS = {
     # an m = 3 band must fit in its symmetry cell, inscribed radius pi/(3 sqrt 2)
     "cutoff-torus-t-0.75": (["cutoff", "torus", "--t", "0.75"], "neck radius 0.75 leaves the"),
     "cutoff-torus-t-tiny": (["cutoff", "torus", "--t", "1e-300"], "got t = 1e-300"),
+    # the torus band's squared partials divide by gap^4 > t^8, which must
+    # be a normal double
+    "cutoff-torus-t-1e-40": (["cutoff", "torus", "--t", "1e-40"], "t^8 is no normal double"),
+    "cutoff-torus-t-1e-100": (["cutoff", "torus", "--t", "1e-100"], "below t = 3.495e-39"),
     "cutoff-disk-t-2": (["cutoff", "disk", "--t", "2"], "got t = 2.0"),
     "cutoff-disk-t-tiny": (["cutoff", "disk", "--t", "1e-300"], "got t = 1e-300"),
     "neck-fit-n-1": (["neck", "fit", "--n", "1"], "got n = 1"),
@@ -291,6 +300,43 @@ def test_cutoff_disk_down_to_a_normal_t_squared(t, capsys):
     # the ring sum needs only t^2 to be a normal double
     assert cli.run(["cutoff", "disk", "--t", repr(t), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][0]["area"] <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_cutoff_torus_just_above_its_floor(capsys):
+    # t^8 is normal from t = 3.4948e-39 on; the energy meets the tolerance
+    assert cli.run(["cutoff", "torus", "--t", "3.5e-39", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["passed"] is True
+
+
+_NORMAL_MIN = sys.float_info.min
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(math.log(_NORMAL_MIN), 0.0).map(math.exp).filter(lambda t: _NORMAL_MIN <= t < 1.0))
+@example(t=math.sqrt(_NORMAL_MIN))
+@example(t=math.nextafter(math.sqrt(_NORMAL_MIN), 0.0))
+@example(t=math.pi / (3.0 * math.sqrt(2.0)))
+@example(t=math.nextafter(math.pi / (3.0 * math.sqrt(2.0)), 0.0))
+@example(t=_NORMAL_MIN ** 0.125)
+@example(t=math.nextafter(1.0, 0.0))
+def test_cutoff_commands_over_the_normal_doubles(t):
+    # t log-uniform over the positive normal doubles below 1, and the
+    # edges: t^2 at the normal floor, the torus's t^8 floor, and the m = 3
+    # cell's inscribed radius; every t is a report or one error line, with
+    # no traceback and no warning
+    for cmd in ("disk", "torus"):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.run(["cutoff", cmd, "--t", repr(t)])
+        assert code in (0, 1, 2), (cmd, t)
+        assert not caught, (cmd, t, [str(w.message) for w in caught])
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (cmd, t, lines)
 
 
 def test_width_run_below_the_domain_fails_by_name(capsys):

@@ -27,7 +27,6 @@ from catsweep.doubling import (
     default_resolution,
     doubled_slice,
     group_elements,
-    group_matrix,
     neck_arc_length,
     tube_area,
 )
@@ -35,7 +34,7 @@ from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
 from catsweep.mesh import _spherical_triangle_areas
 from catsweep.surfaces import product_torus
 
-from reference_geometry import per_triangle_area_parts, retract_uv
+from reference_geometry import group_matrix, per_triangle_area_parts, retract_uv
 
 BUDGET = 4.0 * math.pi ** 2
 
@@ -226,13 +225,13 @@ def test_doubled_slice_index_map_is_a_symmetry(m, t):
 # (triangle order and vertex layout are part of the record)
 WITNESS_T = 0.2635294117647059
 WITNESS_BYTES = {
-    2: ("7c49a459ffcc9b3b1c67bb5e82e8d26030afa13045cb7b17b2a3307e0bb5d5e1",
-        "e529694e880326a6a1546a26d0fa932184a8766d4101066d974e5308cac1a74b",
-        "{'tori': 34.6962227609785, 'collars': 0.10175846054953354,"
+    2: ("e7c9c3988fe56bd662f479a7d16bf750cd17ccc81a4c8a49da555f8633b26490",
+        "7da1afdc631ca61e960c5829fb8cc2d3c556e5692c20e9adbb4e575a87e0dd92",
+        "{'tori': 34.6962227609785, 'collars': 0.10175848133537613,"
         " 'tubes': 0.03411157370826275}"),
-    3: ("3c2f9731c47cca036896987310b284cf0e158f1315219e891a7ada0025820cdd",
-        "060320d9f415a75aac5c6e98258f160f79f2a05be46afbd3b2348fc50a3019bb",
-        "{'tori': 34.58165026798429, 'collars': 0.21525985703893724,"
+    3: ("072232dda3a42ee9a19b699d482f95d841fcccbc0ec0972f652bd65f71c6640b",
+        "c84d189a4e25e9bf7cbb81f14a5510234d4adc001062973d971ec38c9c463ab2",
+        "{'tori': 34.58165026798429, 'collars': 0.21525984577953453,"
         " 'tubes': 0.0767510408435906}"),
 }
 
@@ -336,64 +335,53 @@ def test_assembly_peak_memory(m, peak_mb):
     assert peak < peak_mb * 1e6
 
 
-def _band_edges(sl, n):
-    """The tube-weld edges of every collar band, read from the triangles:
-    for each tube end ring and the weld ring it meets (row 0 and row
-    TUBE_SEGMENTS + 1 at the upper torus, row TUBE_SEGMENTS and row
-    TUBE_SEGMENTS + 2 at the lower), a boolean matrix over (tube point,
-    weld point), with a leading axis over the 2 m^2 ends."""
-    seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
-    tube, rem = np.divmod(sl.triangles - 2 * n * n, (seg + 3) * rr)
-    row, j = np.divmod(rem, rr)
-    joined = np.zeros((sl.m * sl.m, 2, rr, rr), dtype=bool)
-    for end, (ring, weld) in enumerate(((0, seg + 1), (seg, seg + 2))):
-        for p, q in ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)):
-            hit = ((tube[:, p] >= 0) & (tube[:, p] == tube[:, q])
-                   & (row[:, p] == ring) & (row[:, q] == weld))
-            joined[tube[hit, p], end, j[hit, p], j[hit, q]] = True
-    return joined.reshape(-1, rr, rr)
+def _flat_angles(center, points):
+    """Angles of points about a point of a product torus, in its tangent
+    plane, from d/dtheta toward d/dphi (unit vectors)."""
+    th, ph = math.atan2(center[1], center[0]), math.atan2(center[3], center[2])
+    e_th = np.array([-math.sin(th), math.cos(th), 0.0, 0.0])
+    e_ph = np.array([0.0, 0.0, -math.sin(ph), math.cos(ph)])
+    return np.arctan2(points @ e_ph, points @ e_th)
 
 
 @pytest.mark.parametrize("n_of_m", [default_resolution, lambda m: 4 * m], ids=["default", "4m"])
-@pytest.mark.parametrize("schedule", [NeckSchedule(), NeckSchedule(0.05, 0.22),
-                                      NeckSchedule(0.005, 0.1)], ids=["default", "fat", "late"])
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_collar_band_joins_each_tube_point_to_its_nearest_weld_point(m, schedule, n_of_m):
-    # the band is laid out from ring indices alone; read from the
-    # triangles, it must be one more strip of the tube, the weld ring
-    # taking the place of a ring: in the tube's own strips point k of a
-    # ring is joined to points k and k + 1 of the next ring and k - 1 and k
-    # of the one before, so the tube's last ring point k must be joined to
-    # the nearest weld points of its points k and k + 1, and the first
-    # ring's to those of k - 1 and k.  The slices are the paired grid's
-    # first, middle and last two, where the weld collar capacity admits
-    # them (the last two only, for the fat tubes on the default grid)
+def test_collar_zips_each_end_ring_to_its_hexagon_in_angular_order(m, n_of_m):
+    # the zip is laid out from ring indices alone; read from the triangles
+    # and measured on the points, each of the 2 m^2 tube end rings must be
+    # joined, every point of it, to the six vertices of its hole's link,
+    # and each joined ring point must lie in the two sectors of the
+    # hexagon beside the hexagon vertex it meets, up to one ring spacing
+    # (two hexagon vertices can fall within one ring spacing at small t).
+    # A crossed zip is still an annulus, so the genus cannot see it
     seg, rr = TUBE_SEGMENTS, TUBE_RING_POINTS
     n = n_of_m(m)
-    built = 0
-    for t in schedule.closing * np.array([1, 8, 15, 16]) / 17.0:
-        try:
-            sl = doubled_slice(t, m, schedule, n)
-        except RadiusTooLarge:
-            continue
-        built += 1
-        tubes = sl.vertices[2 * n * n:].reshape(m * m, seg + 3, rr, 4)
-        ends = np.stack([tubes[:, [0, seg + 1]], tubes[:, [seg, seg + 2]]], axis=1)
-        ends = ends.reshape(-1, 2, rr, 4)
-        dist = np.linalg.norm(ends[:, 0, :, None] - ends[:, 1, None, :], axis=-1)
-        nearest = np.argmin(dist, axis=-1)
-        # the ends alternate: first ring (upper torus), last ring (lower)
-        near = nearest.reshape(-1, 2, rr)
-        beside = np.stack([np.roll(near[:, 0], 1, axis=-1), np.roll(near[:, 1], -1, axis=-1)], 1)
-        want = np.zeros(dist.shape, dtype=bool)
-        for idx in (nearest, beside.reshape(-1, rr)):
-            np.put_along_axis(want, idx[..., None], True, axis=-1)
-        assert np.array_equal(_band_edges(sl, n), want)
-        # the facing gap is well under the spacing of the weld ring, so
-        # the nearest point is no near tie
-        spacing = np.linalg.norm(ends[:, 1] - np.roll(ends[:, 1], 1, axis=1), axis=-1)
-        assert np.max(np.min(dist, axis=-1)) < 0.75 * np.min(spacing)
-    assert built >= 2
+    n_t = 2 * n * n
+    slack = 2.0 * math.pi / rr + 1e-9
+    for t in (0.01, NeckSchedule().closing * 8.0 / 17.0, WITNESS_T):
+        sl = doubled_slice(t, m, n=n)
+        tris = sl.triangles.astype(np.int64)
+        edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), 1)
+        hexv, ringv = np.unique(edges[(edges[:, 0] < n_t) & (edges[:, 1] >= n_t)], axis=0).T
+        tube, row, _ = np.unravel_index(ringv - n_t, (m * m, seg + 1, rr))
+        ends = set(zip(tube.tolist(), row.tolist()))
+        assert ends == {(a, r) for a in range(m * m) for r in (0, seg)}
+        for a, r in ends:
+            ring = n_t + (a * (seg + 1) + r) * rr + np.arange(rr)
+            center = sl.vertices[ring].mean(axis=0)
+            at = tube * (seg + 1) + row == a * (seg + 1) + r
+            h, p = hexv[at], ringv[at]
+            assert np.array_equal(np.unique(p), ring)
+            hexagon = np.unique(h)
+            assert len(hexagon) == 6
+            ang = dict(zip(hexagon.tolist(), _flat_angles(center, sl.vertices[hexagon]).tolist()))
+            order = sorted(ang, key=ang.get)
+            prev = {v: ang[order[i - 1]] for i, v in enumerate(order)}
+            nxt = {v: ang[order[(i + 1) % 6]] for i, v in enumerate(order)}
+            lo = np.array([prev[v] for v in h.tolist()]) - slack
+            width = (np.array([nxt[v] for v in h.tolist()]) + slack - lo) % (2.0 * math.pi)
+            off = (_flat_angles(center, sl.vertices[p]) - lo) % (2.0 * math.pi)
+            assert np.all(off <= width), (t, a, r)
 
 
 def test_doubled_slice_rejects_bad_input():
@@ -497,10 +485,10 @@ def test_assembly_order_three_margin(report3):
     assert s["regular_chi"] == -18
 
 
-@pytest.mark.parametrize("m, vertices, triangles", [(2, 21248, 42496), (3, 38088, 76176)])
+@pytest.mark.parametrize("m, vertices, triangles", [(2, 20736, 41472), (3, 36936, 73872)])
 def test_assembly_summary_counts(m, vertices, triangles, request):
     # the witness slice has the 2 n^2 torus vertices plus
-    # (TUBE_SEGMENTS + 3) TUBE_RING_POINTS per tube
+    # (TUBE_SEGMENTS + 1) TUBE_RING_POINTS per tube
     s = request.getfixturevalue("report%d" % m).summary
     assert s["witness_vertices"] == vertices
     assert s["witness_triangles"] == triangles

@@ -15,6 +15,7 @@ from catsweep.revolution import (
     PINCH_FLOOR,
     STEP0,
     STEP_MAX,
+    SWEEP_T,
     ProfileCurve,
     _WidthEngine,
     _frustum_geometry,
@@ -53,6 +54,32 @@ FROZEN_WIDTHS = {
     (1.0, 0.6626): (7.536847156123236, 0.625),
     (2.0, 1.0): (27.382732936368296, 0.4375),
 }
+
+
+# the geometric nodes of SWEEP_T, 10^((k - 24)/4) for k = 0..24, bit for
+# bit: built from Python floats, they read the same under numpy's AVX-512
+# and AVX2 loops, where np.geomspace(1e-6, 1, 25) differs between the two
+# at k = 1, 4 and 19; CI runs this file under both
+SWEEP_T_GEOMETRIC = (
+    "0x1.0c6f7a0b5ed8dp-20", "0x1.dd5a6e3869738p-20", "0x1.a86f0875fcf94p-19",
+    "0x1.7961810874a9fp-18", "0x1.4f8b588e368f1p-17", "0x1.2a5884e341e83p-16",
+    "0x1.09456549be1bdp-15", "0x1.d7b9e14a91d46p-15", "0x1.a36e2eb1c432dp-14",
+    "0x1.74eea61c12623p-13", "0x1.4b96be9c2da2cp-12", "0x1.26d42cce9b24cp-11",
+    "0x1.0624dd2f1a9fcp-10", "0x1.d22a4fa316facp-10", "0x1.9e7c6e43390b7p-9",
+    "0x1.7089380241edfp-8", "0x1.47ae147ae147bp-7", "0x1.235a71c5ee5ccp-6",
+    "0x1.030dc4ea03a72p-5", "0x1.ccab8602d2697p-5", "0x1.999999999999ap-4",
+    "0x1.6c310e3769f3fp-3", "0x1.43d136248490fp-2", "0x1.1feb33c1c381ep-1",
+    "0x1.0000000000000p+0",
+)
+
+
+def test_sweep_nodes_are_pinned():
+    geometric = [float.fromhex(x) for x in SWEEP_T_GEOMETRIC]
+    assert SWEEP_T.tolist() == sorted(set(geometric) | {k / 16 for k in range(17)})
+    # at h = 0.05 Newton starts from the geometric node k = 19
+    res = mountain_pass_width(1.0, 0.05)
+    got = (res.width, res.argmax_t, res.iterations, res.newton_iterations)
+    assert got == (6.285838949444977, geometric[19], 129, 15)
 
 
 def _catenoid_profile(r, h, c, n_nodes=201):

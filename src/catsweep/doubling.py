@@ -30,20 +30,16 @@ The witness is built by index arithmetic, with no mesh object: both
 tori share one grid triangle list, the stars of the lattice of weld
 centers come from the grid layout (`surfaces._grid_star`), the collar
 orbit from one call of the index-level group action over the 2m^2
-elements (k, l, swap), and tube k's strips are tube 0's shifted by k
-vertex blocks, all written into one int32 triangle array, whose Euler
-characteristic is counted in full.  The points have one layout: the
-vertex array of `_slice_vertices` (the tori from
-`surfaces._torus_vertices`, each tube from its own weld center), built
-only when `DoubledSlice.vertices` is read, and the area takes the
-corners of one triangle of each class, about 200 points, from the same
-point code on index subsets (`_class_corners`).  The first collar takes
-no angle from the points either: its link hexagon is the grid's six
-neighbour offsets, zipped straight to the tube's end ring, which lies in
-the torus's tangent plane at the weld center, where tube point k sits at
-the flat angle pi/4 - psi_k; so the ring enters the zip from point rr/8
-down (mod rr, the ring points), and the ring resolution is a multiple
-of 8.
+elements (k, l, swap), and tube k's strips are tube 0's, born int32,
+shifted by k vertex blocks, all in one int32 triangle array, whose Euler
+characteristic is counted in full.  The points have one layout
+(`_slice_vertices`), built only when `DoubledSlice.vertices` is read; one
+area call measures a triangle of each class on about 200 points from the
+same point code on index subsets (`_class_corners`).  The first collar
+takes no angle from the points: the grid's six neighbour offsets, at
+math.atan2's angles, are zipped (`_bridge_cycles`, with no loop) to the
+tube's end ring, whose point k sits at the flat angle pi/4 - psi_k, so
+the ring enters from point rr/8 down (mod rr, a multiple of 8).
 """
 
 import functools
@@ -259,23 +255,23 @@ def _bridge_cycles(outer_idx, outer_ang, inner_idx, inner_ang):
     """Triangulate the annulus between two nested vertex cycles.
 
     Both cycles come in ascending order of their angles about a shared
-    center, each from angle 0.  A single merge walk around the circle
-    emits one triangle per cycle edge, so the band closes up watertight
-    for any pair of resolutions.
+    center, each from angle 0.  Each cycle edge, a step to the next angle
+    (2 pi past the last), gives one triangle; in order of the angle they
+    reach, the outer cycle first on ties, a step sits at its own index
+    plus the number of the other cycle's steps that come first.  So the
+    band closes up watertight for any pair of resolutions.
     """
     no, ni = len(outer_idx), len(inner_idx)
-    o_prog = np.append(outer_ang, 2.0 * math.pi)
-    i_prog = np.append(inner_ang, 2.0 * math.pi)
-    tris = []
-    oi = ij = 0
-    while oi < no or ij < ni:
-        if oi < no and (ij >= ni or o_prog[oi + 1] <= i_prog[ij + 1]):
-            tris.append((outer_idx[oi], outer_idx[(oi + 1) % no], inner_idx[ij % ni]))
-            oi += 1
-        else:
-            tris.append((inner_idx[ij], inner_idx[(ij + 1) % ni], outer_idx[oi % no]))
-            ij += 1
-    return np.array(tris, dtype=np.int64)
+    o_next = np.append(outer_ang[1:], 2.0 * math.pi)
+    i_next = np.append(inner_ang[1:], 2.0 * math.pi)
+    before_o = np.searchsorted(i_next, o_next, side="left")
+    before_i = np.searchsorted(o_next, i_next, side="right")
+    tris = np.empty((no + ni, 3), dtype=np.int64)
+    tris[np.arange(no) + before_o] = np.column_stack(
+        [outer_idx, np.roll(outer_idx, -1), inner_idx[before_o % ni]])
+    tris[np.arange(ni) + before_i] = np.column_stack(
+        [inner_idx, np.roll(inner_idx, -1), outer_idx[before_i % no]])
+    return tris
 
 
 def _slice_index_map(m, n, elements, vid):
@@ -392,9 +388,9 @@ def doubled_slice(t, m, schedule=None, n=None):
     joining curve from each weld center of one torus to its match on the
     other, and an annular collar zipped from each hole's boundary straight
     to the tube's end ring, which lies in the torus's tangent plane at the
-    weld center.  The collar triangulation is built once and transported
-    by the index-level group action, so the triangle set is symmetric to
-    roundoff.
+    weld center.  The collar triangulation is built once, by
+    _bridge_cycles, and transported by the index-level group action, so
+    the triangle set is symmetric to roundoff.
 
     area_parts sums each part once per congruence class of triangles, an
     orbit of isometries of S^3.  A torus's grid cells are the first cell's
@@ -403,8 +399,8 @@ def doubled_slice(t, m, schedule=None, n=None):
     area; the collars are collar0's images under the group, 2 m^2 times
     its area; a tube's strips are its first strip's images under the
     rotations along the arc, m^2 TUBE_SEGMENTS times that strip's area.
-    The sum over every triangle agrees to roundoff, and only those
-    triangles' corners are laid out (_class_corners).
+    The sum over every triangle agrees to roundoff; only those triangles'
+    corners are laid out (_class_corners), and measured in one call.
     """
     m, schedule, n = _family_args(m, schedule, n)
     if not 0.0 < t < schedule.closing:
@@ -425,25 +421,23 @@ def doubled_slice(t, m, schedule=None, n=None):
     # both tori have the triangle layout of _grid_triangles, so one mask
     # drops the stars of the weld centers from each
     grid = _grid_triangles(n, n)
-    stars = _grid_star(n, ic, jc)
     keep = np.ones(len(grid), dtype=bool)
-    keep[stars.ravel()] = False
+    keep[_grid_star(n, ic, jc).ravel()] = False
     cell, collar, strip = _class_corners(t, m, n, radius)
     # canonical collar at the lower-torus end of the first arc, on its own
     # vertex list (_class_corners): the link hexagon counterclockwise from
-    # angle 0 in the flat metric, zipped to the tube's last ring, whose
-    # point k sits at the flat angle pi/4 - psi_k (_composite_tube_base):
-    # at angle 2 pi p/rr sits point rr/8 - p
-    di, dj = _LINK_OFFSETS
-    hex_ang = np.arctan2(math.sqrt(1.0 - t) * dj, math.sqrt(t) * di) % (2.0 * math.pi)
+    # flat angle 0 (math.atan2 per offset, so no SIMD loop reaches the zip)
+    # to the tube's last ring, whose point k sits at the flat angle pi/4 -
+    # psi_k (_composite_tube_base): at angle 2 pi p/rr sits point rr/8 - p
+    hex_ang = np.array([math.atan2(math.sqrt(1.0 - t) * dj, math.sqrt(t) * di) % (2.0 * math.pi)
+                        for di, dj in _LINK_OFFSETS.T.tolist()])
     ring = np.arange(rr)
     collar0 = _bridge_cycles(np.arange(6), hex_ang, 6 + (rr // 8 - ring) % rr,
                              2.0 * np.pi * ring / rr)
     # tube 0 on its own block of vertices; tube k is it shifted by k blocks
     block = (seg + 1) * rr
-    tube0 = _tube_strips(np.arange(block).reshape(seg + 1, rr))
-    # kept triangles of each of a grid cell's two shapes (a star drops
-    # three of each)
+    tube0 = _tube_strips(np.arange(block, dtype=np.int32).reshape(seg + 1, rr))
+    # kept triangles of each of a grid cell's two shapes (a star drops 3 of each)
     kept_a, kept_b = np.count_nonzero(keep.reshape(-1, 2), axis=0).tolist()
     n_kept, n_collar = kept_a + kept_b, 2 * m * m * len(collar0)
     tris = np.empty((2 * n_kept + n_collar + m * m * len(tube0), 3), dtype=np.int32)
@@ -451,17 +445,21 @@ def doubled_slice(t, m, schedule=None, n=None):
     np.add(tris[:n_kept], n2, out=tris[n_kept:2 * n_kept])
     tris[2 * n_kept:2 * n_kept + n_collar] = _slice_index_map(
         m, n, group_elements(m), collar[0][collar0]).reshape(-1, 3)
-    np.add(tube0, (2 * n2 + block * np.arange(m * m))[:, None, None],
+    np.add(tube0, (2 * n2 + block * np.arange(m * m, dtype=np.int32))[:, None, None],
            out=tris[2 * n_kept + n_collar:].reshape(m * m, len(tube0), 3))
-    # one triangle of each congruence class (the docstring), on its
-    # part's corners: grid cell 0's two triangles are the first two of the
-    # 2 x 2 grid's; the tori are summed lower first, and that order fixes
-    # the last bits
+    # one triangle of each class (the docstring), in one call on the parts'
+    # 8, 6 + rr and 2 rr corners (grid cell 0's two are the 2 x 2 grid's
+    # first two); each part is summed on its own, the tori lower first,
+    # and that order fixes the last bits
     cell2 = _grid_triangles(2, 2)[:2]
-    cells = _spherical_triangle_areas(cell[1], np.concatenate([cell2, cell2 + 4])).tolist()
+    areas = _spherical_triangle_areas(
+        np.vstack([cell[1], collar[1], strip[1]]),
+        np.concatenate([cell2, cell2 + 4, collar0 + 8, tube0[:2 * rr] + 14 + rr]))
+    del grid, keep, tube0
+    cells, areas = areas[:4].tolist(), areas[4:]
     area_tori = (kept_a * cells[0] + kept_b * cells[1]) + (kept_a * cells[2] + kept_b * cells[3])
-    area_collars = 2 * m * m * float(np.sum(_spherical_triangle_areas(collar[1], collar0)))
-    area_tubes = m * m * seg * float(np.sum(_spherical_triangle_areas(strip[1], tube0[:2 * rr])))
+    area_collars = 2 * m * m * float(np.sum(areas[:len(collar0)]))
+    area_tubes = m * m * seg * float(np.sum(areas[len(collar0):]))
     return DoubledSlice(
         t=t, m=m, n=n, radius=radius, triangles=tris,
         area=area_tori + area_collars + area_tubes,
@@ -559,8 +557,9 @@ def assemble_doubled_sweepout(m, schedule=None, t_grid=None, n=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise DomainError("the slice grid must be a nonempty 1-d array")
-    if np.any(t_grid < 0.0) or np.any(t_grid > 0.5 + 1e-12):
-        raise DomainError("slice parameters must sit in [0, 1/2]")
+    bad = t_grid[~((t_grid >= 0.0) & (t_grid <= 0.5 + 1e-12))]
+    if bad.size:
+        raise DomainError("slice parameters must sit in [0, 1/2], got t = %r" % float(bad[0]))
     budget = 4.0 * math.pi ** 2
 
     def under_budget(row):

@@ -13,7 +13,7 @@ slice calls them on one triangle of each congruence class, never on the
 whole slice, and lays out no other points.  The Euler characteristic
 reads the triangle list alone: a boolean mask counts the referenced
 vertices, and distinct edge keys are counted after one sort, each key
-built in place in the narrowest unsigned type that holds it.  A welded
+built in place as uint32 when base^2 fits and int64 otherwise.  A welded
 slice's int32 indices are read as uint32 keys with no copy; only when
 base^2 needs 64 bits (a 512 grid) are they widened.
 
@@ -308,13 +308,13 @@ def euler_characteristic(triangles):
     """V - E + F from a triangle list; counts only referenced vertices.
 
     Each triangle side (a, b) is keyed as the single integer
-    lo * base + hi = min(a, b) (base - 1) + a + b, in the narrowest
-    unsigned type that holds base^2 (uint32 for base up to 65,535), else
-    int64.  The keys are built in place in one array, every partial sum
-    at most the key, so the narrow type never wraps; after one sort, an
-    edge starts wherever a key differs from its predecessor.  The index
-    columns are read as the key type in place when the widths match (a
-    welded slice's int32 indices as uint32 keys), and cast otherwise.
+    lo * base + hi = min(a, b) (base - 1) + a + b, as uint32 when every
+    key fits (base up to 65,536) and int64 otherwise.  The keys are built
+    in place in one array, every partial sum at most the key, so uint32
+    never wraps; after one sort, an edge starts wherever a key differs
+    from its predecessor.  The index columns are read as the key type in
+    place when the widths match (a welded slice's int32 indices as uint32
+    keys), and cast otherwise.
     """
     tris = np.asarray(triangles)
     if tris.dtype != np.int32:
@@ -329,13 +329,8 @@ def euler_characteristic(triangles):
         seen[col.astype(np.intp, copy=False)] = True
     n_referenced = np.count_nonzero(seen)
     base = len(seen)
-    key = np.min_scalar_type(base * base)
-    if key.itemsize > 4:
-        key = np.dtype(np.int64)
-    if key.itemsize == tris.itemsize:
-        cols = tris.T.view(key)
-    else:
-        cols = tris.T.astype(key)
+    key = np.dtype(np.uint32 if base * base <= 2 ** 32 else np.int64)
+    cols = tris.T.view(key) if key.itemsize == tris.itemsize else tris.T.astype(key)
     keys = np.empty((3, len(tris)), dtype=key)
     for side, (i, j) in zip(keys, ((0, 1), (1, 2), (2, 0))):
         np.minimum(cols[i], cols[j], out=side)

@@ -15,6 +15,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 
 @dataclass
 class SweepoutReport:
@@ -52,10 +54,14 @@ def config_hash(params):
 def make_report(command, params, rows, budget):
     """Assemble a report with a computed summary.
 
-    rows: list of dicts each holding at least 't' and 'area'.  The summary
-    records the sup over rows, the stated budget, the margin and a pass flag.
+    rows: list of dicts each holding at least 't' and a finite 'area' (a
+    NaN is refused, as max() would skip it unless it came first).  The
+    summary records the sup over rows, the budget, the margin and a pass flag.
     The timestamp starts empty; the caller may set it, outside the hash.
     """
+    for row in rows:
+        if not math.isfinite(row["area"]):
+            raise DomainError("%s: non-finite area %s at t = %s" % (command, row["area"], row["t"]))
     rows = sorted(rows, key=lambda row: row["t"])
     sup = max(row["area"] for row in rows) if rows else 0.0
     summary = {

@@ -16,6 +16,7 @@ The catenoid's roots are checked against the closure-based bisection
 (bisect_root, catenoid_roots) that the solver's one inline loop replaced.
 The welded witness slice's area parts, summed once per congruence class,
 are checked against the sum over every triangle (per_triangle_area_parts),
+its collar zip against the merge walk it replaced (bridge_cycles_walk),
 and the doubled family's symmetries against their action on R^4
 (group_matrix).
 """
@@ -395,3 +396,22 @@ def group_matrix(m, k, l, swap):
         rot[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
     # the swap exchanges the coordinate pairs (0, 1) and (2, 3)
     return rot[:, [2, 3, 0, 1]] if swap else rot
+
+
+def bridge_cycles_walk(outer_idx, outer_ang, inner_idx, inner_ang):
+    """doubling._bridge_cycles as a merge walk around the circle: at each
+    step the cycle whose next angle comes first (the outer cycle on ties)
+    emits its edge's triangle with the other cycle's current vertex."""
+    no, ni = len(outer_idx), len(inner_idx)
+    o_prog = np.append(outer_ang, 2.0 * math.pi)
+    i_prog = np.append(inner_ang, 2.0 * math.pi)
+    tris = []
+    oi = ij = 0
+    while oi < no or ij < ni:
+        if oi < no and (ij >= ni or o_prog[oi + 1] <= i_prog[ij + 1]):
+            tris.append((outer_idx[oi], outer_idx[(oi + 1) % no], inner_idx[ij % ni]))
+            oi += 1
+        else:
+            tris.append((inner_idx[ij], inner_idx[(ij + 1) % ni], outer_idx[oi % no]))
+            ij += 1
+    return np.array(tris, dtype=np.int64)

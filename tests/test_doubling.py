@@ -34,7 +34,12 @@ from catsweep.errors import BudgetViolated, DomainError, RadiusTooLarge
 from catsweep.mesh import _spherical_triangle_areas
 from catsweep.surfaces import product_torus
 
-from reference_geometry import group_matrix, per_triangle_area_parts, retract_uv
+from reference_geometry import (
+    bridge_cycles_walk,
+    group_matrix,
+    per_triangle_area_parts,
+    retract_uv,
+)
 
 BUDGET = 4.0 * math.pi ** 2
 
@@ -320,11 +325,13 @@ def test_doubled_slice_refuses_an_underflowed_radius():
         doubled_slice(0.01, 2, NeckSchedule(5e-324))
 
 
-@pytest.mark.parametrize("m, peak_mb", [(2, 2.2), (3, 3.5)])
+@pytest.mark.parametrize("m, peak_mb", [(2, 1.35), (3, 2.25)])
 def test_assembly_peak_memory(m, peak_mb):
-    # the witness lays out only the corners its areas read and keeps its
-    # triangles in int32 (5.60 MB at m = 3 and 3.33 MB at m = 2 when
-    # every vertex was built and the triangles were int64)
+    # the witness lays out only the corners its areas read, builds its
+    # tube strips in int32 and releases its grid list, keep mask and tube
+    # 0 before the genus count: 1.17 MB at m = 2 and 2.06 MB at m = 3,
+    # under bounds 0.19 MB above them (1.52 and 2.42 MB when the strips
+    # took an int64 round trip and the grid list outlived the count)
     assemble_doubled_sweepout(m)
     tracemalloc.start()
     try:
@@ -382,6 +389,56 @@ def test_collar_zips_each_end_ring_to_its_hexagon_in_angular_order(m, n_of_m):
             width = (np.array([nxt[v] for v in h.tolist()]) + slack - lo) % (2.0 * math.pi)
             off = (_flat_angles(center, sl.vertices[p]) - lo) % (2.0 * math.pi)
             assert np.all(off <= width), (t, a, r)
+
+
+def _hexagon_angles(t):
+    # the link hexagon's flat angles about its weld center, counterclockwise
+    # from angle 0, by math.atan2 per offset
+    return [math.atan2(math.sqrt(1.0 - t) * dj, math.sqrt(t) * di) % (2.0 * math.pi)
+            for di, dj in ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))]
+
+
+def _zip_parameters():
+    """A 4,001-point grid in (0, 1/2); the t within 2 ulps of each where
+    the hexagon's oblique vertex, at angle atan(sqrt((1 - t)/t)), meets a
+    ring angle 2 pi p/rr, t = cos(2 pi p/rr)^2; and the witness t, 0.01,
+    0.2 and the 17 paired t of the default grid of six schedules."""
+    rr = TUBE_RING_POINTS
+    ts = np.linspace(0.0, 0.5, 4003)[1:-1].tolist() + [WITNESS_T, 0.01, 0.2]
+    for p in range(rr // 8 + 1, rr // 4):
+        near = [math.cos(2.0 * math.pi * p / rr) ** 2]
+        for _ in range(2):
+            near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 1.0)]
+        ts += near
+    for sched in (NeckSchedule(), NeckSchedule(0.05, 0.22), NeckSchedule(0.005, 0.1),
+                  NeckSchedule(0.001, 0.004), NeckSchedule(delta=0.05), NeckSchedule(delta=1e-3)):
+        ts += np.linspace(0.0, sched.closing, 18)[1:].tolist()
+    return ts
+
+
+def test_collar_zip_matches_the_merge_walk(monkeypatch):
+    # the zip places each step by a count of the other cycle's earlier
+    # steps; it is the merge walk byte for byte, ties included (the ring
+    # meets the hexagon at pi/2, pi and 3 pi/2 for every t, and the
+    # oblique vertices meet ring angles near the tie t), and the witness
+    # feeds it math.atan2's hexagon angles bit for bit
+    rr = TUBE_RING_POINTS
+    ring = np.arange(rr)
+    inner = (6 + (rr // 8 - ring) % rr, 2.0 * np.pi * ring / rr)
+    for t in _zip_parameters():
+        args = (np.arange(6), np.array(_hexagon_angles(t))) + inner
+        got, ref = doubling._bridge_cycles(*args), bridge_cycles_walk(*args)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
+    calls = []
+    zip_cycles = doubling._bridge_cycles
+    monkeypatch.setattr(doubling, "_bridge_cycles",
+                        lambda *args: calls.append(args) or zip_cycles(*args))
+    for m in (2, 3):
+        doubled_slice(WITNESS_T, m)
+    for args in calls:
+        assert args[1].tobytes() == np.array(_hexagon_angles(WITNESS_T)).tobytes()
+        assert zip_cycles(*args).tobytes() == bridge_cycles_walk(*args).tobytes()
+    assert len(calls) == 2
 
 
 def test_doubled_slice_rejects_bad_input():
@@ -656,6 +713,9 @@ def test_assembly_rejects_bad_input():
         assemble_doubled_sweepout(2, t_grid=[0.7])
     with pytest.raises(DomainError):
         assemble_doubled_sweepout(2, t_grid=[])
+    # a NaN fails both range comparisons; it is refused by name
+    with pytest.raises(DomainError, match="got t = nan"):
+        assemble_doubled_sweepout(2, t_grid=[0.1, float("nan")])
     with pytest.raises(DomainError):
         assemble_doubled_sweepout(2, n=30)
 

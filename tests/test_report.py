@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from catsweep.errors import DomainError
 from catsweep.report import (
     config_hash,
     make_report,
@@ -64,9 +65,12 @@ def test_hash_ignores_timestamp():
 
 
 def test_nonfinite_rejected():
-    rep = make_report("demo", {}, [{"t": 0.0, "area": float("nan")}], budget=1.0)
-    with pytest.raises(ValueError):
-        report_to_json(rep)
+    # max() skips a NaN unless it comes first, so passed would read the
+    # row order; make_report refuses the NaN row in either order
+    for first, second in ((float("nan"), 1.0), (1.0, float("nan"))):
+        rows = [{"t": 0.0, "area": first}, {"t": 0.1, "area": second}]
+        with pytest.raises(DomainError, match="^demo: non-finite area nan at t = 0"):
+            make_report("demo", {}, rows, budget=2.0)
 
 
 def test_csv_output():
